@@ -2,7 +2,7 @@
 """Train a surrogate and read its report card.
 
 Generates a world, builds the dataset, trains briefly (a short run for
-demonstration; the test suite trains to convergence), then prints
+demonstration; no test trains to convergence either), then prints
 per-task scores and the fusion attention for one test cell so you can
 see which input modality each group attends to.
 """

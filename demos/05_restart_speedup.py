@@ -30,9 +30,9 @@ def main():
         # predict every cell and write the restart file
         arrays, _, meta = pipeline.stack_records(records)
         groups = pipeline.normalize_groups(arrays, model.feature_stats)
-        preds, _ = model.forward(groups)
-        physical = denormalize(preds, model.target_stats)
-        slow = {t: physical[t] for t in pipeline.SLOW_TASKS}
+        preds, _ = model.predict(groups)
+        slow = denormalize({t: preds[t] for t in pipeline.SLOW_TASKS},
+                           model.target_stats)
         path = os.path.join(tmp, "warm.phr")
         write_restart_state(slow, meta["cell_id"], world.n_pft,
                             world.n_layers, path,

@@ -33,13 +33,15 @@ def main():
         # -- guard ---------------------------------------------------------
         part = coarse.split("test")
         batch = {g: part.groups[g][:64].copy() for g in pipeline.GROUPS}
-        flags, _, _ = ood.check(model, batch, model.ood_stats)
+        _, z = model.predict(batch)
+        flags, _, _ = ood.check(z, batch, model.ood_stats)
         print(f"clean test batch: {int(flags.sum())}/{len(flags)} flagged")
 
         corrupted = {g: v.copy() for g, v in batch.items()}
         col = pipeline.G2_FIELDS.index("alpha")
         corrupted["g2"][:8, col] = 25.0   # far outside the [0, 1] envelope
-        flags, _, reasons = ood.check(model, corrupted, model.ood_stats)
+        _, z = model.predict(corrupted)
+        flags, _, reasons = ood.check(z, corrupted, model.ood_stats)
         print(f"corrupted batch:  {int(flags.sum())}/{len(flags)} flagged, "
               f"first reason: {reasons[0]}")
 

@@ -583,13 +583,6 @@ def mean_all(a):
                    lambda g: (np.full(shape, g / n, dtype=a.data.dtype),))
 
 
-def assert_finite(t, label="tensor"):
-    """Debug-mode guard: forward values must stay finite."""
-    if not np.all(np.isfinite(t.data)):
-        raise FloatingPointError(f"{label} contains NaN or Inf")
-    return t
-
-
 # ---------------------------------------------------------------------------
 # Finite-difference oracle
 # ---------------------------------------------------------------------------

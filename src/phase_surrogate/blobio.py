@@ -72,10 +72,6 @@ def tensor_bytes(arr):
     return header + dims + np.ascontiguousarray(arr).astype(_CODE_DTYPES[code]).tobytes()
 
 
-def write_tensor(fh, arr):
-    fh.write(tensor_bytes(arr))
-
-
 def read_tensor(fh):
     """Decode the next PHT1 blob from a binary stream."""
     magic = fh.read(4)

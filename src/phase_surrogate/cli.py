@@ -150,9 +150,11 @@ def _cmd_train(args):
     model = train(train_cfg, dataset, model_config=model_cfg,
                   history_path=log)
     model.save(args.out)
-    epoch, _, val, _ = model.history[-1]
+    # the saved weights are the best epoch's: the first with the lowest
+    # validation loss
+    epoch, _, val, _ = min(model.history, key=lambda row: row[2])
     print(f"wrote {args.out}: {len(model.history)} epochs, "
-          f"final val loss {val:.6f}")
+          f"restored epoch {epoch} with val loss {val:.6f}")
     return 0
 
 
@@ -167,8 +169,8 @@ def _cmd_eval(args):
     export_report(report, args.out)
     if model.ood_stats is not None:
         part = dataset.split(args.split)
-        groups = {g: part.groups[g] for g in pipeline.GROUPS}
-        flags, scores, reasons = ood.check(model, groups, model.ood_stats)
+        flags, scores, reasons = ood.check(report.latent, part.groups,
+                                           model.ood_stats)
         ood.write_report_csv(os.path.join(args.out, "ood.csv"),
                              part.cell_id, flags, scores, reasons)
     print(f"wrote {args.out}: mean slow-task R^2 = {report.mean_r2():.4f}")
@@ -204,21 +206,6 @@ def _cmd_fine_tune(args):
     return 0
 
 
-def _predict_chunked(model, groups, batch_size=512):
-    import numpy as np
-    from . import pipeline
-    from .heads import denormalize
-    n = groups["g1"].shape[0]
-    parts = []
-    for start in range(0, n, batch_size):
-        sl = slice(start, min(start + batch_size, n))
-        batch = {g: groups[g][sl] for g in pipeline.GROUPS}
-        preds, _ = model.forward(batch)
-        parts.append(denormalize(preds, model.target_stats))
-    return {t: np.concatenate([p[t] for p in parts], axis=0)
-            for t in pipeline.TASKS}
-
-
 def _write_drift_csv(path, report):
     from . import blobio
     buf = io.StringIO()
@@ -238,7 +225,7 @@ def _write_drift_csv(path, report):
 
 def _cmd_restart_check(args):
     from . import ood, pipeline, simulator
-    from .heads import write_restart_state
+    from .heads import denormalize, write_restart_state
     from .model import Surrogate
     world = simulator.load_world(_world_path(args.world))
     model = Surrogate.load(args.model)
@@ -247,9 +234,10 @@ def _cmd_restart_check(args):
     records = simulator.export_samples(world)
     arrays, _, meta = pipeline.stack_records(records)
     groups = pipeline.normalize_groups(arrays, model.feature_stats)
+    preds, z = model.predict(groups)
 
     if model.ood_stats is not None:
-        flags, scores, reasons = ood.check(model, groups, model.ood_stats)
+        flags, scores, reasons = ood.check(z, groups, model.ood_stats)
         ood_path = os.path.splitext(args.out)[0] + "_ood.csv"
         ood.write_report_csv(ood_path, meta["cell_id"], flags, scores,
                              reasons)
@@ -258,8 +246,8 @@ def _cmd_restart_check(args):
                 f"{int(flags.sum())} of {len(flags)} cells flagged "
                 f"out-of-distribution; refusing to export a restart file")
 
-    preds = _predict_chunked(model, groups)
-    slow = {t: preds[t] for t in pipeline.SLOW_TASKS}
+    slow = denormalize({t: preds[t] for t in pipeline.SLOW_TASKS},
+                       model.target_stats)
     restart_path = args.restart_out or os.path.splitext(args.out)[0] + ".phr"
     write_restart_state(slow, meta["cell_id"], world.n_pft, world.n_layers,
                         restart_path, expected_ids=world.land_idx)

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import blobio
+from . import pipeline
 from .autodiff import Tensor
 from .encoders import xavier, zeros_param
 from .errors import CompletenessError, ContractError, ShapeError
@@ -85,9 +86,8 @@ def denormalize(bundle, stats):
     for task, values in bundle.items():
         if task not in stats:
             raise ContractError(f"no normalization stats for task {task!r}")
-        lo, hi = stats[task]
-        data = values.data if isinstance(values, Tensor) else np.asarray(values)
-        out[task] = data.astype(np.float64) * (hi - lo) + lo
+        data = values.data if isinstance(values, Tensor) else values
+        out[task] = pipeline.minmax_invert(data, stats[task])
     return out
 
 

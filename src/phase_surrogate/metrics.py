@@ -14,6 +14,7 @@ from . import blobio
 from . import pipeline
 from .errors import (ContractError, RangeError, ShapeError,
                      UndefinedMetricError)
+from .heads import denormalize
 
 TROPICS_LAT = 23.0
 _QUANTILES = (5.0, 25.0, 50.0, 75.0, 95.0)
@@ -120,33 +121,24 @@ class EvalReport:
     cell_id: np.ndarray
     preds: dict
     truths: dict
+    latent: np.ndarray
 
     def mean_r2(self, tasks=pipeline.SLOW_TASKS):
         return float(np.mean([self.tasks[t]["r2"] for t in tasks]))
 
 
-def evaluate(model, dataset, split="test", batch_size=512):
+def evaluate(model, dataset, split="test"):
     """Per-task R^2 and physical-unit RMSE on one split."""
     part = dataset.split(split)
     if part.n == 0:
         raise ContractError(f"{split} split is empty")
-    preds_norm = {t: [] for t in pipeline.TASKS}
-    for start in range(0, part.n, batch_size):
-        sl = slice(start, min(start + batch_size, part.n))
-        batch = {g: part.groups[g][sl] for g in pipeline.GROUPS}
-        out, _ = model.forward(batch)
-        for t in pipeline.TASKS:
-            preds_norm[t].append(out[t].data)
-    preds_norm = {t: np.concatenate(v, axis=0) for t, v in preds_norm.items()}
-
+    preds_norm, latent = model.predict(part.groups)
+    preds_phys = denormalize(preds_norm, model.target_stats)
     tasks = {}
-    preds_phys = {}
     truths_phys = {}
     for t in pipeline.TASKS:
-        pred = pipeline.minmax_invert(preds_norm[t].astype(np.float64),
-                                      model.target_stats[t])
+        pred = preds_phys[t]
         truth = dataset.denorm_target(t, part.targets[t])
-        preds_phys[t] = pred
         truths_phys[t] = truth
         entry = {"r2": r2(pred, truth), "rmse": rmse(pred, truth)}
         if pred.ndim > 1:
@@ -156,7 +148,7 @@ def evaluate(model, dataset, split="test", batch_size=512):
         preds_norm["gpp"], preds_norm["ar"], preds_norm["npp"])
     return EvalReport(split=split, n=part.n, tasks=tasks, lat=part.lat,
                       lon=part.lon, cell_id=part.cell_id, preds=preds_phys,
-                      truths=truths_phys)
+                      truths=truths_phys, latent=latent)
 
 
 def aggregate_reports(reports):

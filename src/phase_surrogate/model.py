@@ -18,7 +18,7 @@ from .encoders import (LayeredEncoder, PftEncoder, StaticEncoder,
                        TemporalEncoder, xavier, zeros_param)
 from .errors import CompletenessError, ConfigurationError, ContractError, ShapeError
 from .fusion import ConcatFusion, TransformerFusion
-from .heads import TaskHeads, denormalize, task_registry
+from .heads import TaskHeads, task_registry
 
 VARIANTS = ("full", "no_cnn", "no_fc", "no_lstm", "no_trans", "no_phys",
             "baseline_mlp", "baseline_pinn")
@@ -32,6 +32,10 @@ _BRANCH_DROPS = {
 }
 
 _CHANNEL_NAMES = tuple(name for name, _, _ in pipeline.FEATURE_CHANNELS)
+
+# Rows per forward pass in :meth:`Surrogate.predict`; bounds the LSTM's
+# per-chunk caches whatever the number of cells.
+PREDICT_ROWS = 512
 
 
 def active_branches(variant):
@@ -254,12 +258,22 @@ class Surrogate:
                                 "variant")
         return self.delta_heads.predict_all(z)
 
-    def predict_physical(self, batch):
-        """Denormalized predictions as float64 arrays."""
-        if self.target_stats is None:
-            raise ContractError("model carries no target stats; train first")
-        preds, _ = self.forward(batch)
-        return denormalize(preds, self.target_stats)
+    def predict(self, groups):
+        """Forward pass over a dict of group arrays, PREDICT_ROWS rows at a
+        time.  Returns (normalized predictions as arrays per task, latent
+        array [n, d])."""
+        n = groups["g1"].shape[0]
+        preds = {t: [] for t in self.heads.registry}
+        latents = []
+        for start in range(0, n, PREDICT_ROWS):
+            chunk = {g: a[start:start + PREDICT_ROWS]
+                     for g, a in groups.items()}
+            out, z = self.forward(chunk)
+            for t, p in out.items():
+                preds[t].append(p.data)
+            latents.append(z.data)
+        return ({t: np.concatenate(v, axis=0) for t, v in preds.items()},
+                np.concatenate(latents, axis=0))
 
     def attention_weights(self, batch):
         if self.fusion is None:

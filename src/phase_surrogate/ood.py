@@ -13,7 +13,7 @@ import numpy as np
 
 from . import blobio
 from . import pipeline
-from .errors import ContractError
+from .errors import ContractError, ShapeError
 
 _VAR_FLOOR = 1e-12
 
@@ -53,17 +53,6 @@ def _channel_extremes(arr):
     return arr.min(axis=axes), arr.max(axis=axes)
 
 
-def latents(model, groups, batch_size=512):
-    """Latent vectors for a dict of group arrays, chunked to bound memory."""
-    n = groups["g1"].shape[0]
-    chunks = []
-    for start in range(0, n, batch_size):
-        sl = slice(start, min(start + batch_size, n))
-        batch = {g: groups[g][sl] for g in pipeline.GROUPS}
-        chunks.append(model.latent(batch).data)
-    return np.concatenate(chunks, axis=0)
-
-
 def _scores(z, stats):
     var = np.maximum(stats.latent_var, _VAR_FLOOR)
     return np.sum((z - stats.latent_mean) ** 2 / var, axis=-1)
@@ -81,7 +70,8 @@ def fit_ood(model, dataset, tau=0.05, q=99.0):
         lo, hi = _channel_extremes(split.groups[g])
         env_lo[g] = lo.astype(np.float64)
         env_hi[g] = hi.astype(np.float64)
-    z = latents(model, split.groups).astype(np.float64)
+    _, z = model.predict(split.groups)
+    z = z.astype(np.float64)
     mean = z.mean(axis=0)
     var = z.var(axis=0)
     stats = OodStats(env_lo=env_lo, env_hi=env_hi, tau=float(tau),
@@ -91,13 +81,17 @@ def fit_ood(model, dataset, tau=0.05, q=99.0):
     return stats
 
 
-def check(model, batch, stats):
-    """Flags each sample in a batch dict of normalized group arrays.
+def check(z, batch, stats):
+    """Flags each sample in a batch dict of normalized group arrays, given
+    the model's latent ``z`` [n, d] for that batch.
 
     Returns (flags bool [n], scores float [n], reasons list of name lists);
     reasons name the offending feature channels or "latent".
     """
     n = batch["g1"].shape[0]
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2 or z.shape[0] != n:
+        raise ShapeError(f"latent must be [{n}, d], got {z.shape}")
     reasons = [[] for _ in range(n)]
     for name, g, i in pipeline.FEATURE_CHANNELS:
         arr = np.asarray(batch[g], dtype=np.float64)[..., i].reshape(n, -1)
@@ -107,7 +101,6 @@ def check(model, batch, stats):
         outside = (arr.min(axis=1) < lo) | (arr.max(axis=1) > hi)
         for j in np.flatnonzero(outside):
             reasons[j].append(name)
-    z = latents(model, batch).astype(np.float64)
     scores = _scores(z, stats)
     for j in np.flatnonzero(scores > stats.threshold):
         reasons[j].append("latent")
@@ -115,10 +108,10 @@ def check(model, batch, stats):
     return flags, scores, reasons
 
 
-def flag_rate(model, split, stats, batch_size=512):
+def flag_rate(model, split, stats):
     """Fraction of a dataset split the guard flags."""
-    groups = {g: split.groups[g] for g in pipeline.GROUPS}
-    flags, _, _ = check(model, groups, stats)
+    _, z = model.predict(split.groups)
+    flags, _, _ = check(z, split.groups, stats)
     return float(np.mean(flags))
 
 

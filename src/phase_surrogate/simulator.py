@@ -274,14 +274,11 @@ def step_fluxes(forcing_month, params):
     if fm.shape[-1] != len(pipeline.G1_FIELDS):
         raise ContractError(f"forcing_month needs {len(pipeline.G1_FIELDS)} "
                             "variables on the trailing axis")
-    g = response_g(fm[..., 4], fm[..., 1], fm[..., 0])
-    alpha = np.asarray(params.alpha, dtype=np.float64)
-    p = np.asarray(getattr(params, "nutrient", 1.0), dtype=np.float64)
-    r = np.asarray(params.resp_frac, dtype=np.float64)
-    gpp = alpha * p * g / 12.0
-    ar = r * gpp
-    npp = gpp - ar
-    return gpp, ar, npp
+    return _flux_from_gbar(
+        response_g(fm[..., 4], fm[..., 1], fm[..., 0]),
+        np.asarray(params.alpha, dtype=np.float64),
+        np.asarray(params.resp_frac, dtype=np.float64),
+        np.asarray(getattr(params, "nutrient", 1.0), dtype=np.float64))
 
 
 def _flux_from_gbar(gbar, alpha, resp_frac, nutrient):
@@ -891,9 +888,3 @@ def load_restart_state(world, path):
         setattr(state, key, vals)
     return state, pools["tlai"][order].astype(np.float64)
 
-
-def export_restart(world, pools, path):
-    """Write predicted slow pools as a restart file in world cell order.
-    ``pools`` maps each restart pool name to a [n_cells, width] array."""
-    arrays = {k: np.asarray(pools[k], dtype=np.float64) for k in blobio.RESTART_POOLS}
-    blobio.write_restart(path, world.land_idx, arrays, world.n_pft, world.n_layers)

@@ -117,6 +117,18 @@ class TestWorkflow:
         rows = np.genfromtxt(log, delimiter=",", names=True)
         assert rows.size == 2
 
+    def test_train_message_names_restored_epoch(self, ws, tmp_path, capsys):
+        out = tmp_path / "again.phm"
+        assert main(["train", "--data", str(ws["data"]),
+                     "--config", str(ws["config"]), "--out", str(out)]) == 0
+        message = capsys.readouterr().out
+        rows = np.genfromtxt(tmp_path / "again_log.csv", delimiter=",",
+                             names=True)
+        best = int(np.argmin(rows["val_loss"]))
+        assert f"restored epoch {int(rows['epoch'][best])} " in message
+        assert message.rstrip().endswith(
+            f"val loss {rows['val_loss'].min():.6f}")
+
     def test_eval_report_files(self, ws):
         lines = (ws["report"] / "metrics.csv").read_text().splitlines()
         assert lines[0] == "task,r2,rmse"
@@ -136,6 +148,22 @@ class TestWorkflow:
         assert drift and all(np.isfinite(v) for v in drift)
         assert (ws["root"] / "drift.phr").exists()
         assert (ws["root"] / "drift_ood.csv").exists()
+
+    def test_restart_check_runs_network_once_per_cell(self, ws, tmp_path,
+                                                      monkeypatch):
+        rows = []
+        latent = Surrogate.latent
+
+        def counting(self, batch):
+            rows.append(batch["g1"].shape[0])
+            return latent(self, batch)
+
+        monkeypatch.setattr(Surrogate, "latent", counting)
+        assert main(["restart-check", "--model", str(ws["model"]),
+                     "--world", str(ws["world"]),
+                     "--out", str(tmp_path / "d.csv"), "--years", "1"]) == 0
+        world = simulator.load_world(str(ws["world"] / "world.phw"))
+        assert sum(rows) == world.n_cells
 
     def test_restart_check_ood_strict_refuses(self, ws, tmp_path):
         # the guard threshold sits below the worst training score, so a

@@ -157,10 +157,11 @@ class TestEvaluate:
                                        toy_dataset):
         # the toy stats are identity, so physical == normalized
         batch = {g: toy_dataset.test.groups[g] for g in pipeline.GROUPS}
-        out, _ = toy_model.forward(batch)
+        out, z = toy_model.forward(batch)
         np.testing.assert_allclose(toy_report.preds["gpp"],
                                    out["gpp"].data.astype(np.float64),
                                    rtol=1e-6)
+        np.testing.assert_allclose(toy_report.latent, z.data, rtol=1e-6)
 
     def test_residual_matches_flux_identity(self, toy_report):
         want = metrics.physics_residual(toy_report.preds["gpp"],
@@ -180,7 +181,7 @@ def fake_report(vals):
              zip(pipeline.TASKS, vals)}
     return EvalReport(split="test", n=4, tasks=tasks, lat=np.zeros(4),
                       lon=np.zeros(4), cell_id=np.arange(4), preds={},
-                      truths={})
+                      truths={}, latent=np.zeros((4, 0)))
 
 
 class TestAggregation:
@@ -282,5 +283,5 @@ class TestRestartReady:
         bad = EvalReport(split="test", n=toy_report.n, tasks=toy_report.tasks,
                          lat=toy_report.lat, lon=toy_report.lon,
                          cell_id=toy_report.cell_id, preds=preds,
-                         truths=toy_report.truths)
+                         truths=toy_report.truths, latent=toy_report.latent)
         assert not metrics.restart_ready(bad)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import build_toy_dataset, toy_model_config
+from phase_surrogate import model as model_mod
 from phase_surrogate import pipeline
 from phase_surrogate.errors import (CompletenessError, ConfigurationError,
                                     ContractError, ShapeError)
+from phase_surrogate.heads import denormalize
 from phase_surrogate.model import (ModelConfig, Surrogate, active_branches,
                                    config_from_file)
 
@@ -150,6 +152,20 @@ class TestForward:
         assert w.shape == (2, 2, 4, 4)
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
 
+    def test_predict_chunks_match_forward(self, monkeypatch):
+        # 7 rows in chunks of 3 cross two chunk boundaries
+        monkeypatch.setattr(model_mod, "PREDICT_ROWS", 3)
+        model = make("full")
+        batch = toy_batch(n=7)
+        whole, z = model.forward(batch)
+        preds, latent = model.predict(batch)
+        assert set(preds) == set(whole)
+        for t in pipeline.TASKS:
+            assert preds[t].shape == whole[t].shape
+            np.testing.assert_allclose(preds[t], whole[t].data,
+                                       rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(latent, z.data, rtol=1e-5, atol=1e-6)
+
     def test_deterministic(self):
         model = make("full")
         batch = toy_batch()
@@ -220,17 +236,12 @@ class TestPersistence:
         with pytest.raises(ContractError, match="world"):
             Surrogate.load(path)
 
-    def test_predict_physical_needs_stats(self):
-        model = make("full")
-        with pytest.raises(ContractError, match="stats"):
-            model.predict_physical(toy_batch())
-
-    def test_predict_physical_denormalizes(self):
+    def test_predict_denormalizes(self):
         model = make("full")
         self.fill_stats(model)
         batch = toy_batch()
         preds, _ = model.forward(batch)
-        phys = model.predict_physical(batch)
+        phys = denormalize(model.predict(batch)[0], model.target_stats)
         scale = model.target_stats["ar"][1]
         np.testing.assert_allclose(phys["ar"],
                                    preds["ar"].data.astype(np.float64) * scale,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phase_surrogate import blobio, ood, pipeline
-from phase_surrogate.errors import ContractError
+from phase_surrogate.errors import ContractError, ShapeError
 
 
 @pytest.fixture(scope="module")
@@ -14,6 +14,11 @@ def guard(toy_model, toy_dataset):
 
 def train_groups(dataset):
     return {g: dataset.train.groups[g] for g in pipeline.GROUPS}
+
+
+def check(model, groups, stats):
+    _, z = model.predict(groups)
+    return ood.check(z, groups, stats)
 
 
 class TestFit:
@@ -26,7 +31,7 @@ class TestFit:
 
     def test_threshold_bounds_train_scores(self, guard, toy_model,
                                            toy_dataset):
-        z = ood.latents(toy_model, train_groups(toy_dataset))
+        _, z = toy_model.predict(train_groups(toy_dataset))
         scores = ood._scores(z.astype(np.float64), guard)
         assert guard.threshold >= np.percentile(scores, 98.9)
         assert guard.threshold <= scores.max()
@@ -58,8 +63,8 @@ class TestFit:
 class TestCheck:
     def test_in_distribution_batch_mostly_clean(self, guard, toy_model,
                                                 toy_dataset):
-        flags, scores, reasons = ood.check(toy_model,
-                                           train_groups(toy_dataset), guard)
+        flags, scores, reasons = check(toy_model, train_groups(toy_dataset),
+                                       guard)
         n = toy_dataset.train.n
         assert flags.shape == (n,)
         assert scores.shape == flags.shape
@@ -70,7 +75,7 @@ class TestCheck:
     def test_blown_feature_is_named(self, guard, toy_model, toy_dataset):
         groups = {g: a.copy() for g, a in train_groups(toy_dataset).items()}
         groups["g2"][0, 3] = 10.0
-        flags, _, reasons = ood.check(toy_model, groups, guard)
+        flags, _, reasons = check(toy_model, groups, guard)
         assert flags[0]
         assert "g2.alpha" in reasons[0]
 
@@ -82,18 +87,25 @@ class TestCheck:
             span = guard.env_hi[g] - guard.env_lo[g]
             groups[g][0] = (guard.env_hi[g] + 0.99 * guard.tau * span
                             ).astype(np.float32)
-        flags, scores, reasons = ood.check(toy_model, groups, guard)
+        flags, scores, reasons = check(toy_model, groups, guard)
         if flags[0]:
             assert reasons[0] == ["latent"]
             assert scores[0] > guard.threshold
+
+    def test_latent_row_count_must_match(self, guard, toy_model,
+                                         toy_dataset):
+        groups = train_groups(toy_dataset)
+        _, z = toy_model.predict(groups)
+        with pytest.raises(ShapeError):
+            ood.check(z[1:], groups, guard)
 
     def test_wider_tau_flags_less(self, toy_model, toy_dataset):
         tight = ood.fit_ood(toy_model, toy_dataset, tau=0.0)
         loose = ood.fit_ood(toy_model, toy_dataset, tau=0.5)
         groups = {g: a.copy() for g, a in train_groups(toy_dataset).items()}
         groups["g2"][:, 3] = groups["g2"][:, 3].max() + 0.1
-        tight_flags, _, _ = ood.check(toy_model, groups, tight)
-        loose_flags, _, _ = ood.check(toy_model, groups, loose)
+        tight_flags, _, _ = check(toy_model, groups, tight)
+        loose_flags, _, _ = check(toy_model, groups, loose)
         assert tight_flags.sum() >= loose_flags.sum()
 
 

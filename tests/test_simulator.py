@@ -9,6 +9,7 @@ from phase_surrogate import blobio
 from phase_surrogate import pipeline as pl
 from phase_surrogate import simulator as sim
 from phase_surrogate.errors import ConfigurationError, ContractError, RangeError
+from phase_surrogate.heads import write_restart_state
 
 
 @pytest.fixture(scope="module")
@@ -374,7 +375,8 @@ class TestPersistence:
                  "tlai": eq.tlai, "cwdc": eq.pools.cwdc,
                  "soil3c": eq.pools.soil3c, "soil4c": eq.pools.soil4c}
         path = str(tmp_path / "state.phr")
-        sim.export_restart(world, pools, path)
+        write_restart_state(pools, world.land_idx, world.n_pft,
+                            world.n_layers, path)
         state, tlai = sim.load_restart_state(world, path)
         np.testing.assert_allclose(state.soil3c, eq.pools.soil3c, rtol=1e-6)
         np.testing.assert_allclose(tlai, eq.tlai, rtol=1e-6)
@@ -401,7 +403,8 @@ class TestPersistence:
                  "tlai": eq.tlai, "cwdc": eq.pools.cwdc,
                  "soil3c": bad, "soil4c": eq.pools.soil4c}
         path = str(tmp_path / "neg.phr")
-        sim.export_restart(world, pools, path)
+        write_restart_state(pools, world.land_idx, world.n_pft,
+                            world.n_layers, path)
         with pytest.raises(ContractError, match="non-negative"):
             sim.load_restart_state(world, path)
 
