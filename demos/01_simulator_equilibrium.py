@@ -8,6 +8,8 @@ years; the slow soil pool needs more than a millennium, which is the
 cost a surrogate warm start avoids.
 """
 
+import math
+
 import numpy as np
 
 from phase_surrogate import simulator
@@ -28,7 +30,7 @@ def main():
     eq = simulator.analytic_equilibrium(world)
     print(f"turnover: k_fast={simulator.K_FAST}/yr  k_slow={simulator.K_SLOW}/yr")
     print(f"cold start to within 0.5% of the slow-pool equilibrium: "
-          f"{simulator.cold_start_years(simulator.K_SLOW):.0f} yr\n")
+          f"{math.log(1 / simulator.EQUILIBRIUM_BAND) / simulator.K_SLOW:.0f} yr\n")
 
     # integrate from zero pools and report the remaining gap to equilibrium
     print(f"{'years':>6} {'leaf_c':>10} {'cwdc':>10} {'soil4c':>10}"

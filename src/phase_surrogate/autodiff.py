@@ -399,7 +399,9 @@ def lstm_sequence(x, w_x, w_h, b):
 
     Records a single tape node for the whole sequence: the forward loop runs
     in plain numpy and the backward replays the recurrence in reverse, which
-    avoids building thousands of per-step nodes for long windows.  Gate
+    avoids building thousands of per-step nodes for long windows.  The seven
+    ``[T, B, H]`` histories the backward needs exist only when a tape records
+    the call (a tape is active and some input requires gradients).  Gate
     blocks along the last axis of ``w_x``/``w_h``/``b`` are
     [input, forget, candidate, output]; the step equations are
     ``c' = f*c + i*g`` and ``h' = o*tanh(c')`` with sigmoid gates and a tanh
@@ -420,31 +422,24 @@ def lstm_sequence(x, w_x, w_h, b):
                          f"{bd.shape} incompatible with {n_vars} vars, "
                          f"hidden {hid}")
 
-    # Project every step's input up front; the loop then only carries the
-    # recurrent matmul and the gate nonlinearities.
-    zx = (xd.reshape(batch * steps, n_vars) @ wxd).reshape(batch, steps, 4 * hid)
-    zx += bd
+    inputs = [x, w_x, w_h, b]
+    records = active_tape() is not None and any(t.requires_grad for t in inputs)
+    if records:
+        (gate_i, gate_f, gate_g, gate_o, tanh_c, h_prev,
+         c_prev) = np.empty((7, steps, batch, hid), dtype=xd.dtype)
     h = np.zeros((batch, hid), dtype=xd.dtype)
     c = np.zeros((batch, hid), dtype=xd.dtype)
-    gate_i = np.empty((steps, batch, hid), dtype=xd.dtype)
-    gate_f = np.empty_like(gate_i)
-    gate_g = np.empty_like(gate_i)
-    gate_o = np.empty_like(gate_i)
-    tanh_c = np.empty_like(gate_i)
-    h_prev = np.empty_like(gate_i)
-    c_prev = np.empty_like(gate_i)
     for t in range(steps):
-        h_prev[t] = h
-        c_prev[t] = c
-        z = zx[:, t, :] + h @ whd
+        z = (xd[:, t, :] @ wxd + bd) + h @ whd
         sig = _stable_sigmoid(z)
         i, f, o = sig[:, :hid], sig[:, hid:2 * hid], sig[:, 3 * hid:]
         g = np.tanh(z[:, 2 * hid:3 * hid])
-        c = f * c_prev[t] + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        gate_i[t], gate_f[t], gate_g[t], gate_o[t] = i, f, g, o
-        tanh_c[t] = tc
+        c_next = f * c + i * g
+        tc = np.tanh(c_next)
+        if records:
+            gate_i[t], gate_f[t], gate_g[t], gate_o[t] = i, f, g, o
+            tanh_c[t], h_prev[t], c_prev[t] = tc, h, c
+        c, h = c_next, o * tc
 
     def backward(g_out):
         work = np.result_type(g_out.dtype, xd.dtype)
@@ -470,7 +465,7 @@ def lstm_sequence(x, w_x, w_h, b):
         dx = (flat @ wxd.T).reshape(batch, steps, n_vars)
         return (dx, dwx, dwh, db)
 
-    return _record([x, w_x, w_h, b], h, backward)
+    return _record(inputs, h, backward)
 
 
 def layer_norm(x, gain, bias, eps=1e-5):

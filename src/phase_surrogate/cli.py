@@ -207,6 +207,7 @@ def _cmd_fine_tune(args):
 
 
 def _write_drift_csv(path, report):
+    import numpy as np
     from . import blobio
     buf = io.StringIO()
     buf.write("name,pool,value\n")
@@ -218,6 +219,7 @@ def _write_drift_csv(path, report):
     buf.write(f"window_years,,{report.window_years}\n")
     buf.write(f"restart_years,,{report.years}\n")
     buf.write(f"cold_start_years_min,,{float(report.cold_start_years.min())!r}\n")
+    buf.write(f"warm_start_years_median,,{float(np.median(report.warm_start_years))!r}\n")
     buf.write(f"speedup_min,,{report.speedup_min!r}\n")
     buf.write(f"speedup_median,,{report.speedup_median!r}\n")
     blobio.atomic_write_bytes(path, buf.getvalue().encode("ascii"))
@@ -255,7 +257,8 @@ def _cmd_restart_check(args):
     _, report = simulator.restart_run(initial, world, years=args.years)
     _write_drift_csv(args.out, report)
     drift_max = max(s["max"] for s in report.drift.values())
-    print(f"wrote {args.out}: speedup >= {report.speedup_min:.1f}x, "
+    print(f"wrote {args.out}: spin-up speedup median "
+          f"{report.speedup_median:.3g}x (min {report.speedup_min:.3g}x), "
           f"slow-pool drift max {drift_max:.2%}")
     return 0
 

@@ -33,8 +33,8 @@ _BRANCH_DROPS = {
 
 _CHANNEL_NAMES = tuple(name for name, _, _ in pipeline.FEATURE_CHANNELS)
 
-# Rows per forward pass in :meth:`Surrogate.predict`; bounds the LSTM's
-# per-chunk caches whatever the number of cells.
+# Rows per forward pass in :meth:`Surrogate.predict`; bounds the inputs and
+# activations one forward pass holds at once, whatever the number of cells.
 PREDICT_ROWS = 512
 
 

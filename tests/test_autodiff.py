@@ -1,6 +1,8 @@
 """Tensor engine tests: forward values against hand results, gradients
 against central finite differences in float64."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -414,6 +416,41 @@ class TestForwardValues:
             ad.lstm_sequence(x, w_h, w_x, b)
         with pytest.raises(ShapeError):
             ad.lstm_sequence(x, w_x, w_h, Tensor(np.zeros(5)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_lstm_forward_only_matches_recorded_call(self, dtype):
+        rng = np.random.default_rng(43)
+        arrays = [t.data.astype(dtype) for t in
+                  _lstm_tensors(rng, batch=5, steps=9, n_vars=3, hid=4)]
+        with GradTape() as tape:
+            recorded = ad.lstm_sequence(
+                *[Tensor(a, requires_grad=True) for a in arrays])
+        assert len(tape.nodes) == 1 and recorded.requires_grad
+        no_tape = ad.lstm_sequence(*[Tensor(a) for a in arrays])
+        with GradTape() as tape:
+            frozen = ad.lstm_sequence(*[Tensor(a) for a in arrays])
+        assert not tape.nodes
+        for out in (no_tape, frozen):
+            assert not out.requires_grad and out.data.dtype == dtype
+            np.testing.assert_array_equal(out.data, recorded.data)
+
+    def test_lstm_forward_only_holds_no_gate_caches(self):
+        rng = np.random.default_rng(44)
+        batch, steps, n_vars, hid = 64, 240, 5, 64
+        x, w_x, w_h, b = [
+            Tensor(a.astype(np.float32)) for a in
+            (rng.normal(size=(batch, steps, n_vars)),
+             rng.normal(scale=0.3, size=(n_vars, 4 * hid)),
+             rng.normal(scale=0.3, size=(hid, 4 * hid)),
+             rng.normal(scale=0.1, size=4 * hid))]
+        tracemalloc.start()
+        try:
+            ad.lstm_sequence(x, w_x, w_h, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one [T, B, H] float32 history is 3.9 MB; a recorded call keeps seven
+        assert peak < steps * batch * hid * 4
 
     def test_shape_ops_round_trip(self):
         rng = np.random.default_rng(9)

@@ -3,10 +3,13 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import phase_surrogate
 from phase_surrogate import pipeline, simulator
 from phase_surrogate.cli import main
 from phase_surrogate.model import Surrogate
@@ -142,7 +145,9 @@ class TestWorkflow:
         for line in ws["drift"].read_text().splitlines()[1:]:
             name, pool, value = line.split(",")
             rows[(name, pool)] = float(value)
-        assert rows[("speedup_min", "")] > 1.0
+        assert 0.0 < rows[("speedup_min", "")] <= rows[("speedup_median", "")]
+        assert rows[("cold_start_years_min", "")] >= 1200.0
+        assert rows[("warm_start_years_median", "")] >= 1.0 / 12.0
         assert rows[("restart_years", "")] == 2
         drift = [v for (n, _), v in rows.items() if n == "drift_max"]
         assert drift and all(np.isfinite(v) for v in drift)
@@ -233,3 +238,19 @@ class TestDeterminism:
                      "--config", str(ws["config"]),
                      "--out", str(again)]) == 0
         assert filecmp.cmp(ws["model"], again, shallow=False)
+
+
+class TestImports:
+    def test_commands_do_not_import_scipy_signal_or_spatial(self):
+        # only forcing synthesis needs scipy.signal, and no command needs
+        # scipy.spatial; importing them costs about a second per command
+        src = os.path.dirname(os.path.dirname(phase_surrogate.__file__))
+        code = ("import sys\n"
+                "from phase_surrogate import (cli, metrics, model, ood,\n"
+                "                             simulator, training)\n"
+                "print(sorted(m for m in ('scipy.signal', 'scipy.spatial')\n"
+                "             if m in sys.modules))\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -3,8 +3,10 @@ import os
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from phase_surrogate import pipeline as pl
+from phase_surrogate import simulator as sim
 from phase_surrogate.errors import ContractError, RangeError
 
 
@@ -12,6 +14,24 @@ def brute_nearest(model, forcing):
     # argmin returns the first (lowest-index) minimizer, matching the tie rule
     d2 = ((model[:, None, :] - forcing[None, :, :]) ** 2).sum(-1)
     return d2.argmin(axis=1)
+
+
+def kdtree_nearest(model, forcing):
+    # reference: a cKDTree query widened until no tie can extend past the
+    # returned neighbours, then the lowest tied index
+    n_model, n_forcing = model.shape[0], forcing.shape[0]
+    tree = cKDTree(forcing)
+    k = min(n_forcing, 4)
+    while True:
+        dists, idxs = tree.query(model, k=k)
+        dists = dists.reshape(n_model, k)
+        idxs = idxs.reshape(n_model, k)
+        tied = dists == dists[:, :1]
+        if k < n_forcing and bool(tied[:, -1].any()):
+            k = min(n_forcing, 2 * k)
+            continue
+        candidates = np.where(tied, idxs, n_forcing)
+        return candidates.min(axis=1).astype(np.int64)
 
 
 def make_records(n, seed, n_pft=5, n_layers=9, months=240):
@@ -45,6 +65,7 @@ class TestKdtreeMap:
         got = pl.kdtree_map(model, forcing)
         want = brute_nearest(model, forcing)
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, kdtree_nearest(model, forcing))
 
     def test_tie_resolves_to_lowest_index(self):
         # model point at the origin, forcing points 3 and 7 exactly equidistant
@@ -73,6 +94,19 @@ class TestKdtreeMap:
     def test_bad_shape_rejected(self):
         with pytest.raises(ContractError):
             pl.kdtree_map(np.zeros((3, 3)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("preset", ["coarse", "fine"])
+    def test_matches_tree_on_world_lattices(self, preset):
+        grid = sim.grid_spec(preset)
+        for seed in range(5):
+            land = sim._land_indices(seed, grid)
+            ilat, ilon = np.divmod(land, grid.n_lon)
+            model = np.stack([grid.lat_centers[ilat],
+                              grid.lon_centers[ilon]], axis=1)
+            points = sim._draw_points(seed, grid)
+            forcing = np.stack([points.lat, points.lon], axis=1)
+            np.testing.assert_array_equal(pl.kdtree_map(model, forcing),
+                                          kdtree_nearest(model, forcing))
 
 
 class TestTemporalAggregation:

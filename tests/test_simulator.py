@@ -286,14 +286,54 @@ class TestRestart:
         assert report.after["leaf_c"]["max"] < 0.005
         assert report.after["froot_c"]["max"] < 0.005
 
-    def test_speedup_against_cold_start(self, world):
+    def test_speedup_from_equilibrium_is_cold_months(self, world):
+        # a warm start already inside the band counts one month
         eq = sim.analytic_equilibrium(world)
-        _, report = sim.restart_run(eq.pools.copy(), world, years=100)
+        _, report = sim.restart_run(eq.pools.copy(), world, years=1)
         assert report.window_years == 20
-        np.testing.assert_allclose(
-            report.speedup, report.cold_start_years / 20.0, rtol=1e-12)
-        assert report.speedup_min >= 60.0
+        np.testing.assert_array_equal(report.warm_start_years, 1.0 / 12.0)
+        np.testing.assert_array_equal(report.speedup,
+                                      report.cold_start_years * 12.0)
         assert report.cold_start_years.min() >= 1200.0
+
+    def test_speedup_from_zero_pools_is_one(self, world):
+        zero = sim.PoolState.zeros(world.n_cells, world.n_pft, world.n_layers)
+        _, report = sim.restart_run(zero, world, years=1)
+        np.testing.assert_array_equal(report.warm_start_years,
+                                      report.cold_start_years)
+        np.testing.assert_array_equal(report.speedup, 1.0)
+
+    def test_warm_months_match_monthly_loop(self, world):
+        cells = np.array([0, 3, 7, 11])
+        eq = sim.analytic_equilibrium(world, cells)
+        rng = np.random.default_rng(5)
+        start = eq.pools.copy()
+        for key in sim.SLOW_POOLS:
+            pool = getattr(start, key)
+            pool *= rng.uniform(0.985, 1.015, size=pool.shape)
+            pool[0] = getattr(eq.pools, key)[0] * 1.002  # inside the band
+        _, report = sim.restart_run(start, world, years=1, cells=cells)
+
+        def outside(state):
+            return np.any([np.any(np.abs(getattr(state, k) - getattr(eq.pools, k))
+                                  > sim.EQUILIBRIUM_BAND * getattr(eq.pools, k),
+                                  axis=1)
+                           for k in sim.SLOW_POOLS], axis=0)
+
+        params = sim._select_params(world.params, cells)
+        route, kappa = sim.route_weights(params), sim.kappa_annual(params)
+        state, months, month = start, np.zeros(cells.size), 0
+        still = outside(state)
+        while still.any():
+            state = sim.advance_month(state, eq.npp / 12.0, route, kappa)
+            month += 1
+            months[still] = month
+            still = outside(state)
+        assert months[0] == 0 and months[1:].min() > 12
+        np.testing.assert_allclose(report.warm_start_years * 12.0,
+                                   np.maximum(months, 1.0), atol=1.0)
+        np.testing.assert_allclose(report.speedup, report.cold_start_years
+                                   / report.warm_start_years, rtol=1e-12)
 
     def test_subset_of_cells(self, world):
         cells = np.array([0, 2, 5])
