@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """From raw world to normalized training batches.
 
-Walks one sample record through the data pipeline: nearest forcing-point
-alignment, monthly aggregation of the forcing window, MinMax
-normalization, and the deterministic hash split into train/test. Also
+Walks the cells' samples (one array per feature group, one row per cell)
+through the data pipeline: nearest forcing-point alignment, monthly
+aggregation of the forcing window, MinMax normalization, and the
+deterministic hash split into train/test. Also
 cross-checks the KD-tree mapping against a brute-force scan, ties
 included.
 """
@@ -25,16 +26,16 @@ def main():
     world = simulator.generate_world(seed=0,
                                      grid=simulator.grid_spec("coarse"),
                                      years=6)
-    records = simulator.export_samples(world)
-    rec = records[0]
-    print(f"{len(records)} records; record 0 is cell {rec.cell_id} at "
-          f"({rec.lat:.1f}, {rec.lon:.1f})")
-    print(f"  g1 forcing window : {rec.g1.shape}  (months x variables)")
-    print(f"  g2 static         : {rec.g2.shape}  {pipeline.G2_FIELDS}")
-    print(f"  g3 traits         : {rec.g3.shape}  (types x traits)")
-    print(f"  g4 type state     : {rec.g4.shape}")
-    print(f"  g5 layered state  : {rec.g5.shape}")
-    print(f"  targets           : {sorted(rec.targets)}\n")
+    samples = simulator.export_samples(world)
+    g = samples.groups
+    print(f"{samples.n} samples; row 0 is cell {samples.cell_id[0]} at "
+          f"({samples.lat[0]:.1f}, {samples.lon[0]:.1f})")
+    print(f"  g1 forcing window : {g['g1'].shape}  (cells x months x variables)")
+    print(f"  g2 static         : {g['g2'].shape}  {pipeline.G2_FIELDS}")
+    print(f"  g3 traits         : {g['g3'].shape}  (cells x types x traits)")
+    print(f"  g4 type state     : {g['g4'].shape}")
+    print(f"  g5 layered state  : {g['g5'].shape}")
+    print(f"  targets           : {sorted(samples.targets)}\n")
 
     # the model grid is aligned to the sparser forcing network by nearest
     # neighbor; verify the tree against the obvious quadratic scan
@@ -46,7 +47,7 @@ def main():
           f"{'identical' if np.array_equal(tree, brute) else 'MISMATCH'}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        dataset = pipeline.build_dataset(records, seed=0, out_dir=tmp)
+        dataset = pipeline.build_dataset(samples, seed=0, out_dir=tmp)
         print(f"split: {dataset.train.n} train / {dataset.test.n} test "
               f"(hash of cell id, stable under reordering)\n")
         stats = dataset.feature_stats

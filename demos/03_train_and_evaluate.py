@@ -17,9 +17,9 @@ def main():
     world = simulator.generate_world(seed=0,
                                      grid=simulator.grid_spec("coarse"),
                                      years=6)
-    records = simulator.export_samples(world)
+    samples = simulator.export_samples(world)
     with tempfile.TemporaryDirectory() as tmp:
-        dataset = pipeline.build_dataset(records, seed=0, out_dir=tmp)
+        dataset = pipeline.build_dataset(samples, seed=0, out_dir=tmp)
 
         config = training.TrainConfig(seed=0, max_epochs=30)
         model = training.train(config, dataset)

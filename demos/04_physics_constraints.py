@@ -35,9 +35,9 @@ def main():
     world = simulator.generate_world(seed=0,
                                      grid=simulator.grid_spec("coarse"),
                                      years=6)
-    records = simulator.export_samples(world)
+    samples = simulator.export_samples(world)
     with tempfile.TemporaryDirectory() as tmp:
-        dataset = pipeline.build_dataset(records, seed=0, out_dir=tmp)
+        dataset = pipeline.build_dataset(samples, seed=0, out_dir=tmp)
         print("soft constraint: paired runs, same seed, 25 epochs")
         residuals = {}
         for lam in (0.0, 1.0):

@@ -14,8 +14,8 @@ import tempfile
 
 import numpy as np
 
-from phase_surrogate import pipeline, simulator, training
-from phase_surrogate.heads import denormalize, write_restart_state
+from phase_surrogate import blobio, pipeline, simulator, training
+from phase_surrogate.heads import denormalize
 from phase_surrogate.model import Surrogate
 
 
@@ -23,23 +23,21 @@ def main():
     world = simulator.generate_world(seed=0,
                                      grid=simulator.grid_spec("coarse"),
                                      years=6)
-    records = simulator.export_samples(world)
+    samples = simulator.export_samples(world)
     with tempfile.TemporaryDirectory() as tmp:
-        dataset = pipeline.build_dataset(records, seed=0,
+        dataset = pipeline.build_dataset(samples, seed=0,
                                          out_dir=os.path.join(tmp, "ds"))
         model = training.train(training.TrainConfig(seed=0, max_epochs=40),
                                dataset)
 
         # predict every cell and write the restart file
-        arrays, _, meta = pipeline.stack_records(records)
-        groups = pipeline.normalize_groups(arrays, model.feature_stats)
+        groups = pipeline.normalize_groups(samples.groups, model.feature_stats)
         preds, _ = model.predict(groups)
         slow = denormalize({t: preds[t] for t in pipeline.SLOW_TASKS},
                            model.target_stats)
         path = os.path.join(tmp, "warm.phr")
-        write_restart_state(slow, meta["cell_id"], world.n_pft,
-                            world.n_layers, path,
-                            expected_ids=world.land_idx)
+        blobio.write_restart(path, samples.cell_id, slow, world.n_pft,
+                             world.n_layers)
         print(f"wrote {os.path.basename(path)} for {world.n_cells} cells")
 
         initial, _ = simulator.load_restart_state(world, path)

@@ -20,8 +20,8 @@ def build(seed, grid_name, years, out_dir):
     world = simulator.generate_world(seed=seed,
                                      grid=simulator.grid_spec(grid_name),
                                      years=years)
-    records = simulator.export_samples(world)
-    return pipeline.build_dataset(records, seed=seed, out_dir=out_dir)
+    samples = simulator.export_samples(world)
+    return pipeline.build_dataset(samples, seed=seed, out_dir=out_dir)
 
 
 def main():

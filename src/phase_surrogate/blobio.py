@@ -4,8 +4,11 @@ Three container formats live here:
 
 - tensor blobs: magic ``PHT1``, dtype code u8 (0 = f32, 1 = f64), ndim u8,
   dims as u64 little-endian, then the raw little-endian values (row-major);
-- restart state files: magic ``PHRS`` followed by per-cell pool vectors in a
-  fixed order, little-endian f32;
+- restart state files: magic ``PHRS``, version u8, n_pft u8, n_layers u8,
+  n_cells u64, then one fixed-size record per cell: the cell id as a
+  little-endian u64 (numpy ``<u8``), then each pool of ``RESTART_POOLS`` in
+  order as little-endian f4 values, n_pft wide for the three vegetation
+  pools and n_layers wide for the three layered pools;
 - model files: magic ``PHM1``, a length-prefixed JSON manifest, then one
   tensor blob per parameter in manifest order.
 
@@ -31,6 +34,8 @@ _CODE_DTYPES = {0: "<f4", 1: "<f8"}
 
 # Per-cell vector order inside a restart file.
 RESTART_POOLS = ("deadcrootc", "deadstemc", "tlai", "cwdc", "soil3c", "soil4c")
+# version, n_pft, n_layers, n_cells after the restart magic
+_RESTART_HEAD = "<BBBQ"
 
 
 # ---------------------------------------------------------------------------
@@ -96,18 +101,6 @@ def read_tensor(fh):
     return arr.reshape(dims).astype(dtype.newbyteorder("="), copy=True)
 
 
-def save_blob(path, arr):
-    atomic_write_bytes(path, tensor_bytes(arr))
-
-
-def load_blob(path):
-    with open(path, "rb") as fh:
-        arr = read_tensor(fh)
-        if fh.read(1):
-            raise ContractError(f"trailing bytes after tensor blob in {path}")
-    return arr
-
-
 def save_blob_sequence(path, arrays):
     """Write several blobs back-to-back; order is the caller's contract."""
     atomic_write_bytes(path, b"".join(tensor_bytes(a) for a in arrays))
@@ -126,60 +119,52 @@ def load_blob_sequence(path):
 # Restart state files
 # ---------------------------------------------------------------------------
 
-def restart_bytes(cell_ids, pools, n_pft, n_layers):
-    cell_ids = np.asarray(cell_ids)
-    n_cells = cell_ids.shape[0]
-    widths = {"deadcrootc": n_pft, "deadstemc": n_pft, "tlai": n_pft,
-              "cwdc": n_layers, "soil3c": n_layers, "soil4c": n_layers}
-    missing = [name for name in RESTART_POOLS if name not in pools]
-    if missing:
-        raise CompletenessError(f"restart state missing pools: {', '.join(missing)}")
-    for name in RESTART_POOLS:
-        arr = np.asarray(pools[name])
-        if arr.shape != (n_cells, widths[name]):
-            raise ContractError(
-                f"restart pool {name} has shape {arr.shape}, expected {(n_cells, widths[name])}")
-    head = RESTART_MAGIC + struct.pack("<BBBQ", RESTART_VERSION, n_pft, n_layers, n_cells)
-    parts = [head]
-    for i in range(n_cells):
-        parts.append(struct.pack("<Q", int(cell_ids[i])))
-        for name in RESTART_POOLS:
-            parts.append(np.asarray(pools[name][i], dtype="<f4").tobytes())
-    return b"".join(parts)
+def _restart_dtype(n_pft, n_layers):
+    """One restart record: the cell id, then every pool vector."""
+    widths = dict(zip(RESTART_POOLS, (n_pft,) * 3 + (n_layers,) * 3))
+    return np.dtype([("cell_id", "<u8")]
+                    + [(name, "<f4", (widths[name],)) for name in RESTART_POOLS])
 
 
 def write_restart(path, cell_ids, pools, n_pft, n_layers):
-    atomic_write_bytes(path, restart_bytes(cell_ids, pools, n_pft, n_layers))
+    """Write ``pools`` (each [n_cells, width]) for ``cell_ids`` as a restart
+    file; every pool of ``RESTART_POOLS`` must be present."""
+    missing = [name for name in RESTART_POOLS if name not in pools]
+    if missing:
+        raise CompletenessError(f"restart state missing pools: {', '.join(missing)}")
+    cell_ids = np.asarray(cell_ids)
+    records = np.empty(cell_ids.shape[0], dtype=_restart_dtype(n_pft, n_layers))
+    records["cell_id"] = cell_ids
+    for name in RESTART_POOLS:
+        arr = np.asarray(pools[name])
+        if arr.shape != records[name].shape:
+            raise ContractError(f"restart pool {name} has shape {arr.shape}, "
+                                f"expected {records[name].shape}")
+        records[name] = arr
+    head = RESTART_MAGIC + struct.pack(_RESTART_HEAD, RESTART_VERSION, n_pft,
+                                       n_layers, records.shape[0])
+    atomic_write_bytes(path, head + records.tobytes())
 
 
 def read_restart(path):
     """Returns (cell_ids int array, pools dict of [n_cells, width] f32, n_pft, n_layers)."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != RESTART_MAGIC:
-            raise ContractError(f"bad restart file magic {magic!r}")
-        version, n_pft, n_layers, n_cells = struct.unpack("<BBBQ", fh.read(11))
-        if version != RESTART_VERSION:
-            raise ContractError(f"unsupported restart file version {version}")
-        widths = {"deadcrootc": n_pft, "deadstemc": n_pft, "tlai": n_pft,
-                  "cwdc": n_layers, "soil3c": n_layers, "soil4c": n_layers}
-        cell_ids = np.empty(n_cells, dtype=np.int64)
-        pools = {name: np.empty((n_cells, widths[name]), dtype=np.float32)
-                 for name in RESTART_POOLS}
-        record = 8 + 4 * sum(widths[name] for name in RESTART_POOLS)
-        for i in range(n_cells):
-            raw = fh.read(record)
-            if len(raw) != record:
-                raise ContractError("truncated restart file")
-            cell_ids[i] = struct.unpack_from("<Q", raw, 0)[0]
-            off = 8
-            for name in RESTART_POOLS:
-                w = widths[name]
-                pools[name][i] = np.frombuffer(raw, dtype="<f4", count=w, offset=off)
-                off += 4 * w
-        if fh.read(1):
-            raise ContractError("trailing bytes after restart records")
-    return cell_ids, pools, n_pft, n_layers
+        data = fh.read()
+    if data[:4] != RESTART_MAGIC:
+        raise ContractError(f"bad restart file magic {data[:4]!r}")
+    start = 4 + struct.calcsize(_RESTART_HEAD)
+    if len(data) < start:
+        raise ContractError("truncated restart file header")
+    version, n_pft, n_layers, n_cells = struct.unpack_from(_RESTART_HEAD, data, 4)
+    if version != RESTART_VERSION:
+        raise ContractError(f"unsupported restart file version {version}")
+    dtype = _restart_dtype(n_pft, n_layers)
+    if len(data) - start != n_cells * dtype.itemsize:
+        raise ContractError(f"restart file holds {len(data) - start} record bytes; "
+                            f"its header claims {n_cells} cells of {dtype.itemsize}")
+    records = np.frombuffer(data, dtype=dtype, offset=start)
+    pools = {name: records[name].astype(np.float32) for name in RESTART_POOLS}
+    return records["cell_id"].astype(np.int64), pools, n_pft, n_layers
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +191,17 @@ def read_model_file(path):
         magic = fh.read(4)
         if magic != MODEL_MAGIC:
             raise ContractError(f"bad model file magic {magic!r}")
-        (mlen,) = struct.unpack("<I", fh.read(4))
-        manifest = json.loads(fh.read(mlen).decode("utf-8"))
+        head = fh.read(4)
+        if len(head) != 4:
+            raise ContractError("truncated model file manifest length")
+        (mlen,) = struct.unpack("<I", head)
+        raw = fh.read(mlen)
+        if len(raw) != mlen:
+            raise ContractError("truncated model file manifest")
+        try:
+            manifest = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:
+            raise ContractError(f"undecodable model file manifest: {exc}") from None
         arrays = {name: read_tensor(fh) for name in manifest["params"]}
         if fh.read(1):
             raise ContractError("trailing bytes after model parameters")

@@ -122,11 +122,11 @@ def _cmd_gen_data(args):
 def _cmd_build_dataset(args):
     from . import pipeline, simulator
     world = simulator.load_world(_world_path(args.world))
-    records = simulator.export_samples(world, args.window_years)
+    samples = simulator.export_samples(world, args.window_years)
     meta = {"seed": world.seed, "years": world.years,
             "grid": [world.grid.n_lat, world.grid.n_lon,
                      world.grid.resolution_deg]}
-    dataset = pipeline.build_dataset(records, args.seed, args.out,
+    dataset = pipeline.build_dataset(samples, args.seed, args.out,
                                      world_meta=meta)
     print(f"wrote {args.out}: {dataset.train.n} train / "
           f"{dataset.test.n} test samples")
@@ -226,22 +226,21 @@ def _write_drift_csv(path, report):
 
 
 def _cmd_restart_check(args):
-    from . import ood, pipeline, simulator
-    from .heads import denormalize, write_restart_state
+    from . import blobio, ood, pipeline, simulator
+    from .heads import denormalize
     from .model import Surrogate
     world = simulator.load_world(_world_path(args.world))
     model = Surrogate.load(args.model)
     if model.feature_stats is None:
         raise ContractError("model carries no normalization stats")
-    records = simulator.export_samples(world)
-    arrays, _, meta = pipeline.stack_records(records)
-    groups = pipeline.normalize_groups(arrays, model.feature_stats)
+    samples = simulator.export_samples(world)
+    groups = pipeline.normalize_groups(samples.groups, model.feature_stats)
     preds, z = model.predict(groups)
 
     if model.ood_stats is not None:
         flags, scores, reasons = ood.check(z, groups, model.ood_stats)
         ood_path = os.path.splitext(args.out)[0] + "_ood.csv"
-        ood.write_report_csv(ood_path, meta["cell_id"], flags, scores,
+        ood.write_report_csv(ood_path, samples.cell_id, flags, scores,
                              reasons)
         if args.ood_strict and flags.any():
             raise ContractError(
@@ -251,8 +250,8 @@ def _cmd_restart_check(args):
     slow = denormalize({t: preds[t] for t in pipeline.SLOW_TASKS},
                        model.target_stats)
     restart_path = args.restart_out or os.path.splitext(args.out)[0] + ".phr"
-    write_restart_state(slow, meta["cell_id"], world.n_pft, world.n_layers,
-                        restart_path, expected_ids=world.land_idx)
+    blobio.write_restart(restart_path, samples.cell_id, slow, world.n_pft,
+                         world.n_layers)
     initial, _ = simulator.load_restart_state(world, restart_path)
     _, report = simulator.restart_run(initial, world, years=args.years)
     _write_drift_csv(args.out, report)

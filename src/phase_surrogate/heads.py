@@ -14,11 +14,10 @@ during training, which keeps the physics residual informative.
 import numpy as np
 
 from . import autodiff as ad
-from . import blobio
 from . import pipeline
 from .autodiff import Tensor
 from .encoders import xavier, zeros_param
-from .errors import CompletenessError, ContractError, ShapeError
+from .errors import ContractError, ShapeError
 
 
 def task_registry(n_pft, n_layers):
@@ -90,26 +89,3 @@ def denormalize(bundle, stats):
         out[task] = pipeline.minmax_invert(data, stats[task])
     return out
 
-
-def write_restart_state(predictions, cell_ids, n_pft, n_layers, path,
-                        expected_ids=None):
-    """Write denormalized slow-pool predictions as a restart file.
-
-    ``predictions`` maps each restart pool to [n_cells, width] physical
-    values.  When ``expected_ids`` is given, every expected cell must be
-    present.
-    """
-    cell_ids = np.asarray(cell_ids, dtype=np.int64)
-    if expected_ids is not None:
-        have = set(int(v) for v in cell_ids)
-        missing = [int(v) for v in expected_ids if int(v) not in have]
-        if missing:
-            raise CompletenessError(
-                f"restart export missing {len(missing)} cells: "
-                f"{missing[:5]}{'...' if len(missing) > 5 else ''}")
-    pools = {}
-    for name in blobio.RESTART_POOLS:
-        if name not in predictions:
-            raise CompletenessError(f"restart export missing pool {name!r}")
-        pools[name] = np.asarray(predictions[name], dtype=np.float64)
-    blobio.write_restart(path, cell_ids, pools, n_pft, n_layers)

@@ -151,20 +151,6 @@ def evaluate(model, dataset, split="test"):
                       truths=truths_phys, latent=latent)
 
 
-def aggregate_reports(reports):
-    """Mean and std of per-task metrics over several seeds' reports."""
-    if not reports:
-        raise ContractError("no reports to aggregate")
-    out = {}
-    for t in pipeline.TASKS:
-        r2s = [rep.tasks[t]["r2"] for rep in reports]
-        rmses = [rep.tasks[t]["rmse"] for rep in reports]
-        out[t] = {"r2_mean": float(np.mean(r2s)), "r2_std": float(np.std(r2s)),
-                  "rmse_mean": float(np.mean(rmses)),
-                  "rmse_std": float(np.std(rmses))}
-    return out
-
-
 def format_mean_std(mean, std, digits=3):
     return f"{mean:.{digits}f}+-{std:.{digits}f}"
 

@@ -58,19 +58,28 @@ TRAIN_NUM, TRAIN_DEN = 8, 10
 
 
 @dataclasses.dataclass
-class SampleRecord:
-    """One cell's raw (physical-unit) features and targets."""
-    cell_id: int
-    lat: float
-    lon: float
+class Samples:
+    """Raw (physical-unit) features and targets, one row per cell: every
+    array, including each of ``groups`` and ``targets``, has a leading cell
+    axis."""
+    cell_id: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
     pft_code: np.ndarray
-    deepest_valid_layer: int
-    g1: np.ndarray
-    g2: np.ndarray
-    g3: np.ndarray
-    g4: np.ndarray
-    g5: np.ndarray
+    deepest_valid_layer: np.ndarray
+    groups: dict
     targets: dict
+
+    @property
+    def n(self):
+        return int(self.cell_id.shape[0])
+
+    def take(self, rows):
+        """The samples at ``rows`` (indices or a boolean mask)."""
+        return Samples(self.cell_id[rows], self.lat[rows], self.lon[rows],
+                       self.pft_code[rows], self.deepest_valid_layer[rows],
+                       {g: v[rows] for g, v in self.groups.items()},
+                       {t: v[rows] for t, v in self.targets.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -172,27 +181,21 @@ def batch_by_latlon(lat, lon, batch_size):
     return [order[i:i + batch_size] for i in range(0, order.size, batch_size)]
 
 
-def clean(records):
-    """Drop physically invalid records; returns (kept, drop counts)."""
-    kept = []
-    dropped = {"pft_code": 0, "below_valid_depth": 0}
-    for rec in records:
-        n_pft = rec.g3.shape[0]
-        codes = np.asarray(rec.pft_code)
-        if codes.min() < 0 or codes.max() >= n_pft:
-            dropped["pft_code"] += 1
-            continue
-        deepest = int(rec.deepest_valid_layer)
-        if deepest < rec.g5.shape[0] and np.any(rec.g5[deepest:] > 0):
-            dropped["below_valid_depth"] += 1
-            continue
-        kept.append(rec)
+def clean(samples):
+    """Drop physically invalid samples; returns (kept, drop counts).  A row
+    with a bad vegetation code counts under ``pft_code`` only."""
+    codes = samples.pft_code
+    bad_code = (codes.min(axis=1) < 0) | (codes.max(axis=1) >= samples.groups["g3"].shape[1])
+    g5 = samples.groups["g5"]
+    below = np.arange(g5.shape[1])[None, :] >= samples.deepest_valid_layer[:, None]
+    below_depth = np.any(below[:, :, None] & (g5 > 0), axis=(1, 2)) & ~bad_code
+    dropped = {"pft_code": int(bad_code.sum()), "below_valid_depth": int(below_depth.sum())}
     total = sum(dropped.values())
     if total:
-        log.info("clean: dropped %d of %d records (%s)", total, len(records), dropped)
+        log.info("clean: dropped %d of %d records (%s)", total, samples.n, dropped)
     else:
-        log.info("clean: all %d records valid", len(records))
-    return kept, dropped
+        log.info("clean: all %d records valid", samples.n)
+    return samples.take(~(bad_code | below_depth)), dropped
 
 
 # ---------------------------------------------------------------------------
@@ -231,24 +234,6 @@ class Dataset:
     def physical_targets(self, name):
         part = self.split(name)
         return {task: self.denorm_target(task, part.targets[task]) for task in TASKS}
-
-
-def stack_records(records):
-    arrays = {g: np.stack([getattr(r, g) for r in records]).astype(np.float64)
-              for g in GROUPS}
-    targets = {t: np.stack([np.asarray(r.targets[t], dtype=np.float64) for r in records])
-               for t in TASKS}
-    meta = {
-        "cell_id": np.array([r.cell_id for r in records], dtype=np.int64),
-        "lat": np.array([r.lat for r in records], dtype=np.float64),
-        "lon": np.array([r.lon for r in records], dtype=np.float64),
-    }
-    return arrays, targets, meta
-
-
-def fit_feature_stats(group_arrays):
-    return {name: minmax_fit(group_arrays[g][..., i])
-            for name, g, i in FEATURE_CHANNELS}
 
 
 def normalize_groups(group_arrays, stats):
@@ -291,32 +276,30 @@ def _write_split_batches(out_dir, prefix, split, order_chunks):
     return paths
 
 
-def build_dataset(records, seed, out_dir, batch_size=DEFAULT_BATCH_SIZE, world_meta=None):
+def build_dataset(samples, seed, out_dir, batch_size=DEFAULT_BATCH_SIZE, world_meta=None):
     """Clean, split, normalize, batch, and write a dataset directory.
 
     Returns the in-memory :class:`Dataset` equivalent to what was written.
     """
-    records, dropped = clean(list(records))
-    if len(records) < 5:
+    samples, dropped = clean(samples)
+    n = samples.n
+    if n < 5:
         raise ContractError("too few valid records to build a dataset")
-    arrays, targets, meta = stack_records(records)
-    n = meta["cell_id"].shape[0]
+    groups, targets = samples.groups, samples.targets
+    train_pos, test_pos = split_shuffle(np.arange(n), seed)
 
-    positions = np.arange(n)
-    train_pos, test_pos = split_shuffle(positions, seed)
-
-    feature_stats = {name: list(minmax_fit(arrays[g][train_pos][..., i]))
+    feature_stats = {name: list(minmax_fit(groups[g][train_pos][..., i]))
                      for name, g, i in FEATURE_CHANNELS}
     target_stats = fit_target_stats({t: targets[t][train_pos] for t in TASKS})
 
-    norm_groups = normalize_groups(arrays, feature_stats)
+    norm_groups = normalize_groups(groups, feature_stats)
     norm_targets = normalize_targets(targets, target_stats)
 
     def make_split(pos):
         return DatasetSplit(
-            cell_id=meta["cell_id"][pos],
-            lat=meta["lat"][pos],
-            lon=meta["lon"][pos],
+            cell_id=samples.cell_id[pos],
+            lat=samples.lat[pos],
+            lon=samples.lon[pos],
             groups={g: norm_groups[g][pos] for g in GROUPS},
             targets={t: norm_targets[t][pos] for t in TASKS},
         )
@@ -324,9 +307,9 @@ def build_dataset(records, seed, out_dir, batch_size=DEFAULT_BATCH_SIZE, world_m
     train, test = make_split(train_pos), make_split(test_pos)
 
     dims = {
-        "months": int(arrays["g1"].shape[1]),
-        "n_pft": int(arrays["g3"].shape[1]),
-        "n_layers": int(arrays["g5"].shape[1]),
+        "months": int(groups["g1"].shape[1]),
+        "n_pft": int(groups["g3"].shape[1]),
+        "n_layers": int(groups["g5"].shape[1]),
     }
 
     tmp_dir = f"{out_dir}.tmp-{os.getpid()}"

@@ -740,9 +740,9 @@ def generate_world(seed, grid, years=20):
 # ---------------------------------------------------------------------------
 
 def export_samples(world, window_years=None):
-    """One SampleRecord per cell: monthly forcing over the last
-    window_years, static attributes, traits, end-of-window states with
-    small observation noise, and exact equilibrium targets."""
+    """Every cell's sample as one :class:`pipeline.Samples`: monthly forcing
+    over the last window_years, static attributes, traits, end-of-window
+    states with small observation noise, and exact equilibrium targets."""
     wy = world.years if window_years is None else int(window_years)
     if wy > world.years:
         raise RangeError(f"window of {wy} yr exceeds simulated span of "
@@ -750,43 +750,31 @@ def export_samples(world, window_years=None):
     if wy < 1:
         raise RangeError("window must cover at least 1 yr")
     months = 12 * wy
-    eq = world.eq_final
-    records = []
-    for c in range(world.n_cells):
-        p = world.params
-        rng = np.random.default_rng([world.seed, _SEED_OBS, int(world.land_idx[c])])
-        g1 = world.forcing_monthly[c, world.months - months:]
-        g2 = np.array([world.cell_lat[c], world.cell_lon[c], p.land_frac[c],
-                       p.alpha[c], p.resp_frac[c], p.nutrient[c],
-                       p.decomp[c], p.texture[c]])
-        g3 = np.stack([p.pft_weight[c], p.sla[c], p.crootfrac[c]], axis=1)
-        w = world.window_end
-        tlai_end = p.sla[c] * w.leaf_c[c]
-        g4 = np.stack([w.leaf_c[c], w.froot_c[c], w.deadcrootc[c],
-                       w.deadstemc[c], tlai_end], axis=1)
-        g4 = g4 * (1.0 + OBS_NOISE * rng.standard_normal(g4.shape))
-        g5 = np.stack([w.cwdc[c], w.soil3c[c], w.soil4c[c]], axis=1)
-        g5 = g5 * (1.0 + OBS_NOISE * rng.standard_normal(g5.shape))
-        targets = {
-            "deadcrootc": eq.pools.deadcrootc[c].copy(),
-            "deadstemc": eq.pools.deadstemc[c].copy(),
-            "tlai": eq.tlai[c].copy(),
-            "cwdc": eq.pools.cwdc[c].copy(),
-            "soil3c": eq.pools.soil3c[c].copy(),
-            "soil4c": eq.pools.soil4c[c].copy(),
-            "gpp": float(eq.gpp[c]),
-            "ar": float(eq.ar[c]),
-            "npp": float(eq.npp[c]),
-        }
-        records.append(pipeline.SampleRecord(
-            cell_id=int(world.land_idx[c]),
-            lat=float(world.cell_lat[c]), lon=float(world.cell_lon[c]),
-            pft_code=p.pft_code[c].copy(),
-            deepest_valid_layer=int(p.deepest_valid_layer[c]),
-            g1=g1.copy(), g2=g2, g3=g3,
-            g4=np.maximum(g4, 0.0), g5=np.maximum(g5, 0.0),
-            targets=targets))
-    return records
+    p, w, eq = world.params, world.window_end, world.eq_final
+    g2 = np.stack([world.cell_lat, world.cell_lon, p.land_frac, p.alpha,
+                   p.resp_frac, p.nutrient, p.decomp, p.texture], axis=1)
+    g3 = np.stack([p.pft_weight, p.sla, p.crootfrac], axis=2)
+    g4 = np.stack([w.leaf_c, w.froot_c, w.deadcrootc, w.deadstemc,
+                   p.sla * w.leaf_c], axis=2)
+    g5 = np.stack([w.cwdc, w.soil3c, w.soil4c], axis=2)
+    # each cell draws its own noise, g4 before g5, from a stream keyed by
+    # its flat grid index, so a cell's sample does not depend on the others
+    for c, flat in enumerate(world.land_idx):
+        rng = np.random.default_rng([world.seed, _SEED_OBS, int(flat)])
+        g4[c] *= 1.0 + OBS_NOISE * rng.standard_normal(g4.shape[1:])
+        g5[c] *= 1.0 + OBS_NOISE * rng.standard_normal(g5.shape[1:])
+    targets = {"deadcrootc": eq.pools.deadcrootc, "deadstemc": eq.pools.deadstemc,
+               "tlai": eq.tlai, "cwdc": eq.pools.cwdc, "soil3c": eq.pools.soil3c,
+               "soil4c": eq.pools.soil4c, "gpp": eq.gpp, "ar": eq.ar, "npp": eq.npp}
+    return pipeline.Samples(
+        cell_id=world.land_idx.astype(np.int64),
+        lat=world.cell_lat.copy(), lon=world.cell_lon.copy(),
+        pft_code=p.pft_code.copy(),
+        deepest_valid_layer=p.deepest_valid_layer.copy(),
+        groups={"g1": world.forcing_monthly[:, world.months - months:].copy(),
+                "g2": g2, "g3": g3,
+                "g4": np.maximum(g4, 0.0), "g5": np.maximum(g5, 0.0)},
+        targets={t: v.copy() for t, v in targets.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ class TestTensorBlobs:
         rng = np.random.default_rng(1)
         arr = rng.normal(size=shape).astype(dtype)
         path = tmp_path / "t.pht"
-        blobio.save_blob(path, arr)
-        back = blobio.load_blob(path)
+        blobio.save_blob_sequence(path, [arr])
+        (back,) = blobio.load_blob_sequence(path)
         assert back.dtype == arr.dtype
         assert back.shape == arr.shape
         assert np.array_equal(back, arr)
@@ -57,25 +57,25 @@ class TestTensorBlobs:
         with pytest.raises(ContractError):
             blobio.read_tensor(io.BytesIO(b"XXXX" + b"\x00" * 16))
 
-    def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "t.pht"
-        blobio.save_blob(path, np.ones(10, dtype=np.float32))
-        raw = path.read_bytes()
+    def test_truncated_payload(self):
+        raw = blobio.tensor_bytes(np.ones(10, dtype=np.float32))
         with pytest.raises(ContractError):
             blobio.read_tensor(io.BytesIO(raw[:-4]))
 
     def test_trailing_bytes_detected(self, tmp_path):
         path = tmp_path / "t.pht"
         path.write_bytes(blobio.tensor_bytes(np.ones(2, dtype=np.float32)) + b"junk")
-        with pytest.raises(ContractError):
-            blobio.load_blob(path)
+        # the junk is read as the next blob's magic
+        with pytest.raises(ContractError, match="magic"):
+            blobio.load_blob_sequence(path)
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = tmp_path / "t.pht"
-        blobio.save_blob(path, np.ones(4, dtype=np.float32))
-        blobio.save_blob(path, np.zeros(4, dtype=np.float32))
+        blobio.save_blob_sequence(path, [np.ones(4, dtype=np.float32)])
+        blobio.save_blob_sequence(path, [np.zeros(4, dtype=np.float32)])
         assert os.listdir(tmp_path) == ["t.pht"]
-        assert np.array_equal(blobio.load_blob(path), np.zeros(4, dtype=np.float32))
+        (back,) = blobio.load_blob_sequence(path)
+        assert np.array_equal(back, np.zeros(4, dtype=np.float32))
 
 
 class TestRestartFiles:
@@ -120,10 +120,61 @@ class TestRestartFiles:
         with pytest.raises(ContractError, match="cwdc"):
             blobio.write_restart(tmp_path / "x.phr", np.array([0, 1]), pools, 5, 9)
 
+    def test_float64_pools_stored_as_float32(self, tmp_path):
+        # physical-unit predictions arrive as float64
+        rng = np.random.default_rng(8)
+        pools = {name: arr.astype(np.float64) + 1e-9
+                 for name, arr in self._pools(rng, 4).items()}
+        ids = np.array([3, 9, 17, 21])
+        path = tmp_path / "state.phr"
+        blobio.write_restart(path, ids, pools, 5, 9)
+        got_ids, back, _, _ = blobio.read_restart(path)
+        np.testing.assert_array_equal(got_ids, ids)
+        for name, arr in pools.items():
+            assert back[name].dtype == np.float32
+            np.testing.assert_array_equal(back[name], arr.astype(np.float32))
+
+    def test_record_layout(self, tmp_path):
+        # reference: the header, then per cell a u64 id and every pool as f4
+        rng = np.random.default_rng(9)
+        pools = self._pools(rng, 3, n_pft=2, n_layers=3)
+        ids = np.array([7, 1, 40])
+        path = tmp_path / "state.phr"
+        blobio.write_restart(path, ids, pools, 2, 3)
+        want = [b"PHRS", struct.pack("<BBBQ", 1, 2, 3, 3)]
+        for c in range(3):
+            want.append(struct.pack("<Q", int(ids[c])))
+            want += [pools[name][c].astype("<f4").tobytes()
+                     for name in blobio.RESTART_POOLS]
+        assert path.read_bytes() == b"".join(want)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.phr"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ContractError):
+            blobio.read_restart(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "x.phr"
+        path.write_bytes(b"PHRS" + b"\x01\x05\x09\x00")
+        with pytest.raises(ContractError, match="truncated"):
+            blobio.read_restart(path)
+
+    @pytest.mark.parametrize("cut", [1, 64, 2 * (8 + 4 * 42)])
+    def test_header_claims_more_cells_than_held(self, tmp_path, cut):
+        rng = np.random.default_rng(10)
+        path = tmp_path / "x.phr"
+        blobio.write_restart(path, np.arange(3), self._pools(rng, 3), 5, 9)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ContractError, match="claims 3 cells"):
+            blobio.read_restart(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        rng = np.random.default_rng(11)
+        path = tmp_path / "x.phr"
+        blobio.write_restart(path, np.arange(2), self._pools(rng, 2), 5, 9)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ContractError, match="claims 2 cells"):
             blobio.read_restart(path)
 
 
@@ -142,6 +193,21 @@ class TestModelFiles:
         first = path.read_bytes()
         blobio.write_model_file(path, manifest, arrays)
         assert path.read_bytes() == first
+
+    @pytest.mark.parametrize("size", [6, 40])
+    def test_truncated_file(self, tmp_path, size):
+        # 6 bytes cut the manifest length, 40 bytes the manifest itself
+        path = tmp_path / "m.phm"
+        blobio.write_model_file(path, {"params": [], "note": "x" * 64}, {})
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ContractError, match="truncated"):
+            blobio.read_model_file(path)
+
+    def test_undecodable_manifest(self, tmp_path):
+        path = tmp_path / "m.phm"
+        path.write_bytes(b"PHM1" + struct.pack("<I", 4) + b"{\xff\xfe}")
+        with pytest.raises(ContractError, match="manifest"):
+            blobio.read_model_file(path)
 
     def test_missing_param_array(self, tmp_path):
         with pytest.raises(CompletenessError, match="enc.b"):

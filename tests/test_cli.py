@@ -76,6 +76,22 @@ class TestExitCodes:
                    "--out", str(tmp_path / "m.phm")])
         assert rc == 1
 
+    @pytest.mark.parametrize("cut", ["world", "model"])
+    def test_truncated_input_is_clean_runtime_error(self, ws, tmp_path,
+                                                    capsys, cut):
+        # 40 bytes keep the magic and the length but cut the manifest
+        paths = {"world": ws["world"] / "world.phw", "model": ws["model"]}
+        short = tmp_path / paths[cut].name
+        short.write_bytes(paths[cut].read_bytes()[:40])
+        paths[cut] = short
+        rc = main(["restart-check", "--model", str(paths["model"]),
+                   "--world", str(paths["world"]),
+                   "--out", str(tmp_path / "d.csv"), "--years", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "truncated" in err
+        assert "Traceback" not in err
+
     def test_zero_fraction_is_usage_error(self, ws, tmp_path):
         rc = main(["fine-tune", "--model", str(ws["model"]),
                    "--data-fine", str(ws["data"]), "--fraction", "0",

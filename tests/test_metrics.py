@@ -176,28 +176,7 @@ class TestEvaluate:
         assert toy_report.mean_r2() == pytest.approx(want, rel=1e-12)
 
 
-def fake_report(vals):
-    tasks = {t: {"r2": v, "rmse": 2 * v} for t, v in
-             zip(pipeline.TASKS, vals)}
-    return EvalReport(split="test", n=4, tasks=tasks, lat=np.zeros(4),
-                      lon=np.zeros(4), cell_id=np.arange(4), preds={},
-                      truths={}, latent=np.zeros((4, 0)))
-
-
 class TestAggregation:
-    def test_mean_and_std(self):
-        a = fake_report(np.linspace(0.1, 0.9, 9))
-        b = fake_report(np.linspace(0.2, 1.0, 9))
-        agg = metrics.aggregate_reports([a, b])
-        first = pipeline.TASKS[0]
-        assert agg[first]["r2_mean"] == pytest.approx(0.15)
-        assert agg[first]["r2_std"] == pytest.approx(0.05)
-        assert agg[first]["rmse_mean"] == pytest.approx(0.3)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractError):
-            metrics.aggregate_reports([])
-
     def test_format(self):
         assert metrics.format_mean_std(0.9012, 0.0123) == "0.901+-0.012"
         assert metrics.format_mean_std(1.0, 0.0, digits=2) == "1.00+-0.00"

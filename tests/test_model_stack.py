@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from phase_surrogate import autodiff as ad
-from phase_surrogate import blobio
 from phase_surrogate import encoders as enc
 from phase_surrogate import fusion as fus
 from phase_surrogate import heads as hd
 from phase_surrogate.autodiff import Tensor
-from phase_surrogate.errors import (CompletenessError, ConfigurationError,
-                                    ContractError, ShapeError)
+from phase_surrogate.errors import ConfigurationError, ContractError, ShapeError
 
 
 def probe_sum(z, rng):
@@ -329,41 +327,3 @@ class TestDenormalize:
         with pytest.raises(ContractError):
             hd.denormalize({"x": np.zeros(3)}, {})
 
-
-class TestWriteRestartState:
-    def predictions(self, n, n_pft=5, n_layers=9, seed=0):
-        rng = np.random.default_rng(seed)
-        return {
-            "deadcrootc": rng.uniform(1, 50, (n, n_pft)),
-            "deadstemc": rng.uniform(1, 50, (n, n_pft)),
-            "tlai": rng.uniform(0.1, 6, (n, n_pft)),
-            "cwdc": rng.uniform(1, 50, (n, n_layers)),
-            "soil3c": rng.uniform(1, 50, (n, n_layers)),
-            "soil4c": rng.uniform(1, 50, (n, n_layers)),
-        }
-
-    def test_round_trip_bit_exact(self, tmp_path):
-        preds = self.predictions(4)
-        ids = np.array([3, 9, 17, 21])
-        path = str(tmp_path / "state.phr")
-        hd.write_restart_state(preds, ids, 5, 9, path, expected_ids=ids)
-        got_ids, pools, n_pft, n_layers = blobio.read_restart(path)
-        np.testing.assert_array_equal(got_ids, ids)
-        assert (n_pft, n_layers) == (5, 9)
-        for name, arr in preds.items():
-            np.testing.assert_array_equal(pools[name], arr.astype(np.float32))
-            assert np.all(pools[name] > 0)
-
-    def test_missing_cell_named(self, tmp_path):
-        preds = self.predictions(3)
-        ids = np.array([1, 2, 3])
-        with pytest.raises(CompletenessError, match="4"):
-            hd.write_restart_state(preds, ids, 5, 9, str(tmp_path / "x.phr"),
-                                   expected_ids=np.array([1, 2, 3, 4]))
-
-    def test_missing_pool_rejected(self, tmp_path):
-        preds = self.predictions(2)
-        del preds["soil4c"]
-        with pytest.raises(CompletenessError, match="soil4c"):
-            hd.write_restart_state(preds, np.array([0, 1]), 5, 9,
-                                   str(tmp_path / "y.phr"))

@@ -34,27 +34,21 @@ def kdtree_nearest(model, forcing):
         return candidates.min(axis=1).astype(np.int64)
 
 
-def make_records(n, seed, n_pft=5, n_layers=9, months=240):
+def make_samples(n, seed, n_pft=5, n_layers=9, months=240):
     rng = np.random.default_rng(seed)
-    records = []
-    for i in range(n):
-        targets = {t: rng.uniform(1.0, 5.0, size=n_pft) for t in ("deadcrootc", "deadstemc", "tlai")}
-        targets.update({t: rng.uniform(1.0, 5.0, size=n_layers) for t in ("cwdc", "soil3c", "soil4c")})
-        targets.update({t: rng.uniform(0.5, 2.0) for t in ("gpp", "ar", "npp")})
-        records.append(pl.SampleRecord(
-            cell_id=i,
-            lat=float(rng.uniform(-90, 90)),
-            lon=float(rng.uniform(0, 360)),
-            pft_code=np.arange(n_pft),
-            deepest_valid_layer=n_layers,
-            g1=rng.uniform(0, 1, size=(months, 5)),
-            g2=rng.uniform(0, 1, size=8),
-            g3=rng.uniform(0, 1, size=(n_pft, 3)),
-            g4=rng.uniform(0, 1, size=(n_pft, 5)),
-            g5=rng.uniform(0, 1, size=(n_layers, 3)),
-            targets=targets,
-        ))
-    return records
+    groups = {"g1": rng.uniform(0, 1, size=(n, months, 5)),
+              "g2": rng.uniform(0, 1, size=(n, 8)),
+              "g3": rng.uniform(0, 1, size=(n, n_pft, 3)),
+              "g4": rng.uniform(0, 1, size=(n, n_pft, 5)),
+              "g5": rng.uniform(0, 1, size=(n, n_layers, 3))}
+    targets = {t: rng.uniform(1.0, 5.0, size=(n, n_pft)) for t in ("deadcrootc", "deadstemc", "tlai")}
+    targets.update({t: rng.uniform(1.0, 5.0, size=(n, n_layers)) for t in ("cwdc", "soil3c", "soil4c")})
+    targets.update({t: rng.uniform(0.5, 2.0, size=n) for t in ("gpp", "ar", "npp")})
+    return pl.Samples(cell_id=np.arange(n, dtype=np.int64),
+                      lat=rng.uniform(-90, 90, size=n), lon=rng.uniform(0, 360, size=n),
+                      pft_code=np.tile(np.arange(n_pft), (n, 1)),
+                      deepest_valid_layer=np.full(n, n_layers),
+                      groups=groups, targets=targets)
 
 
 class TestKdtreeMap:
@@ -232,36 +226,47 @@ class TestBatchByLatLon:
 
 class TestClean:
     def test_valid_records_pass_through(self):
-        records = make_records(8, seed=0)
-        kept, dropped = pl.clean(records)
-        assert len(kept) == 8
+        samples = make_samples(8, seed=0)
+        kept, dropped = pl.clean(samples)
+        assert kept.n == 8
         assert sum(dropped.values()) == 0
+        for g in pl.GROUPS:
+            np.testing.assert_array_equal(kept.groups[g], samples.groups[g])
 
     def test_invalid_pft_code_dropped(self):
-        records = make_records(4, seed=1)
-        records[2].pft_code = np.array([0, 1, 2, 3, 9])
-        kept, dropped = pl.clean(records)
-        assert len(kept) == 3
+        samples = make_samples(4, seed=1)
+        samples.pft_code[2] = [0, 1, 2, 3, 9]
+        kept, dropped = pl.clean(samples)
+        assert kept.n == 3
         assert dropped["pft_code"] == 1
-        assert all(r.cell_id != 2 for r in kept)
+        assert kept.cell_id.tolist() == [0, 1, 3]
+        np.testing.assert_array_equal(kept.targets["gpp"], samples.targets["gpp"][[0, 1, 3]])
 
     def test_carbon_below_valid_depth_dropped(self):
-        records = make_records(4, seed=2)
-        records[1].deepest_valid_layer = 6
-        kept, dropped = pl.clean(records)
+        samples = make_samples(4, seed=2)
+        samples.deepest_valid_layer[1] = 6
+        kept, dropped = pl.clean(samples)
         assert dropped["below_valid_depth"] == 1
         # zeroing the invalid layers makes the record acceptable
-        records[1].g5[6:] = 0.0
-        kept, dropped = pl.clean(records)
-        assert len(kept) == 4
+        samples.groups["g5"][1, 6:] = 0.0
+        kept, dropped = pl.clean(samples)
+        assert kept.n == 4
+
+    def test_bad_code_and_deep_carbon_count_once_as_code(self):
+        samples = make_samples(5, seed=3)
+        samples.pft_code[3] = [0, 1, 2, 3, -1]
+        samples.deepest_valid_layer[3] = 6
+        kept, dropped = pl.clean(samples)
+        assert dropped == {"pft_code": 1, "below_valid_depth": 0}
+        assert kept.cell_id.tolist() == [0, 1, 2, 4]
 
 
 @pytest.fixture(scope="module")
 def built(tmp_path_factory):
     out = tmp_path_factory.mktemp("ds") / "dataset"
-    records = make_records(60, seed=4)
-    ds = pl.build_dataset(records, seed=21, out_dir=str(out), batch_size=16)
-    return records, ds, str(out)
+    samples = make_samples(60, seed=4)
+    ds = pl.build_dataset(samples, seed=21, out_dir=str(out), batch_size=16)
+    return samples, ds, str(out)
 
 
 class TestBuildDataset:
@@ -277,10 +282,9 @@ class TestBuildDataset:
             assert vals.min() >= 0.0 and vals.max() <= 1.0 + 1e-6, name
 
     def test_stats_come_from_train_only(self, built):
-        records, ds, _ = built
-        train_ids = set(int(v) for v in ds.train.cell_id)
-        by_id = {r.cell_id: r for r in records}
-        g2 = np.stack([by_id[i].g2 for i in sorted(train_ids)])
+        samples, ds, _ = built
+        # cell ids are row indices in make_samples
+        g2 = samples.groups["g2"][np.sort(ds.train.cell_id)]
         lo, hi = ds.feature_stats["g2.alpha"]
         assert lo == pytest.approx(g2[:, 3].min())
         assert hi == pytest.approx(g2[:, 3].max())
@@ -304,17 +308,15 @@ class TestBuildDataset:
         assert loaded.target_stats == {k: tuple(v) for k, v in ds.target_stats.items()}
 
     def test_target_denormalization_recovers_physical(self, built):
-        records, ds, _ = built
-        by_id = {r.cell_id: r for r in records}
+        samples, ds, _ = built
         phys = ds.physical_targets("test")
-        for j, cid in enumerate(ds.test.cell_id):
-            want = by_id[int(cid)].targets["soil3c"]
-            np.testing.assert_allclose(phys["soil3c"][j], want, rtol=1e-5, atol=1e-7)
+        want = samples.targets["soil3c"][ds.test.cell_id]
+        np.testing.assert_allclose(phys["soil3c"], want, rtol=1e-5, atol=1e-7)
 
     def test_byte_identical_rebuild(self, built, tmp_path):
-        records, _, out = built
+        _, _, out = built
         again = tmp_path / "again"
-        pl.build_dataset(make_records(60, seed=4), seed=21, out_dir=str(again), batch_size=16)
+        pl.build_dataset(make_samples(60, seed=4), seed=21, out_dir=str(again), batch_size=16)
         for root, _dirs, files in os.walk(out):
             rel_root = os.path.relpath(root, out)
             for f in sorted(files):
@@ -329,11 +331,10 @@ class TestBuildDataset:
         assert np.all(np.diff(ds.train.lat) >= 0)
 
     def test_rejects_too_few_records(self, tmp_path):
-        records = make_records(6, seed=5)
-        for r in records[:3]:
-            r.pft_code = np.array([0, 1, 2, 3, 99])
+        samples = make_samples(6, seed=5)
+        samples.pft_code[:3] = [0, 1, 2, 3, 99]
         with pytest.raises(ContractError):
-            pl.build_dataset(records, seed=0, out_dir=str(tmp_path / "x"))
+            pl.build_dataset(samples, seed=0, out_dir=str(tmp_path / "x"))
 
     def test_load_rejects_non_dataset(self, tmp_path):
         from phase_surrogate import blobio

@@ -9,7 +9,6 @@ from phase_surrogate import blobio
 from phase_surrogate import pipeline as pl
 from phase_surrogate import simulator as sim
 from phase_surrogate.errors import ConfigurationError, ContractError, RangeError
-from phase_surrogate.heads import write_restart_state
 
 
 @pytest.fixture(scope="module")
@@ -345,39 +344,53 @@ class TestRestart:
 
 class TestExportSamples:
     def test_shapes_and_order(self, world):
-        records = sim.export_samples(world)
-        assert len(records) == world.n_cells
-        r = records[0]
-        assert r.g1.shape == (240, 5)
-        assert r.g2.shape == (8,)
-        assert r.g3.shape == (world.n_pft, 3)
-        assert r.g4.shape == (world.n_pft, 5)
-        assert r.g5.shape == (world.n_layers, 3)
-        assert [rec.cell_id for rec in records] == [int(v) for v in world.land_idx]
+        s = sim.export_samples(world)
+        n = world.n_cells
+        assert s.n == n
+        assert s.groups["g1"].shape == (n, 240, 5)
+        assert s.groups["g2"].shape == (n, 8)
+        assert s.groups["g3"].shape == (n, world.n_pft, 3)
+        assert s.groups["g4"].shape == (n, world.n_pft, 5)
+        assert s.groups["g5"].shape == (n, world.n_layers, 3)
+        assert s.pft_code.shape == (n, world.n_pft)
+        assert s.lat.shape == s.lon.shape == s.deepest_valid_layer.shape == (n,)
+        for t in pl.TASKS:
+            assert s.targets[t].shape[0] == n, t
+        assert s.targets["gpp"].shape == (n,)
+        assert s.cell_id.dtype == np.int64
+        assert s.cell_id.tolist() == [int(v) for v in world.land_idx]
 
     def test_targets_are_exact_equilibria(self, world):
-        records = sim.export_samples(world)
+        s = sim.export_samples(world)
         eq = world.eq_final
-        for c in (0, world.n_cells - 1):
-            r = records[c]
-            assert np.array_equal(r.targets["soil3c"], eq.pools.soil3c[c])
-            assert np.array_equal(r.targets["tlai"], eq.tlai[c])
-            assert r.targets["npp"] + r.targets["ar"] - r.targets["gpp"] == 0.0
+        np.testing.assert_array_equal(s.targets["soil3c"], eq.pools.soil3c)
+        np.testing.assert_array_equal(s.targets["tlai"], eq.tlai)
+        assert np.all(s.targets["npp"] + s.targets["ar"] - s.targets["gpp"] == 0.0)
 
     def test_state_features_carry_small_noise(self, world):
-        records = sim.export_samples(world)
+        s = sim.export_samples(world)
         w = world.window_end
         for c in (1, 3):
             clean = np.stack([w.cwdc[c], w.soil3c[c], w.soil4c[c]], axis=1)
-            noisy = records[c].g5
+            noisy = s.groups["g5"][c]
             rel = np.abs(noisy - clean) / np.maximum(clean, 1e-30)
             assert 0.0 < rel.max() < 0.05
 
+    def test_noise_is_each_cells_own_stream(self, world):
+        # cell c draws g4's noise first from default_rng([seed, 7, land_idx[c]])
+        g4 = sim.export_samples(world).groups["g4"]
+        p, w = world.params, world.window_end
+        for c in (0, 5):
+            end = np.stack([w.leaf_c[c], w.froot_c[c], w.deadcrootc[c],
+                            w.deadstemc[c], p.sla[c] * w.leaf_c[c]], axis=1)
+            rng = np.random.default_rng([world.seed, 7, int(world.land_idx[c])])
+            want = end * (1.0 + sim.OBS_NOISE * rng.standard_normal((world.n_pft, 5)))
+            np.testing.assert_array_equal(g4[c], want)
+
     def test_shorter_window_takes_recent_years(self, world):
-        records = sim.export_samples(world, window_years=5)
-        assert records[0].g1.shape == (60, 5)
-        np.testing.assert_array_equal(records[0].g1,
-                                      world.forcing_monthly[0, -60:])
+        g1 = sim.export_samples(world, window_years=5).groups["g1"]
+        assert g1.shape == (world.n_cells, 60, 5)
+        np.testing.assert_array_equal(g1, world.forcing_monthly[:, -60:])
 
     def test_window_longer_than_span_rejected(self, world):
         with pytest.raises(RangeError):
@@ -386,7 +399,8 @@ class TestExportSamples:
     def test_deterministic(self, world):
         a = sim.export_samples(world)
         b = sim.export_samples(world)
-        assert np.array_equal(a[2].g4, b[2].g4)
+        for g in pl.GROUPS:
+            assert np.array_equal(a.groups[g], b.groups[g])
 
 
 class TestPersistence:
@@ -415,8 +429,8 @@ class TestPersistence:
                  "tlai": eq.tlai, "cwdc": eq.pools.cwdc,
                  "soil3c": eq.pools.soil3c, "soil4c": eq.pools.soil4c}
         path = str(tmp_path / "state.phr")
-        write_restart_state(pools, world.land_idx, world.n_pft,
-                            world.n_layers, path)
+        blobio.write_restart(path, world.land_idx, pools, world.n_pft,
+                             world.n_layers)
         state, tlai = sim.load_restart_state(world, path)
         np.testing.assert_allclose(state.soil3c, eq.pools.soil3c, rtol=1e-6)
         np.testing.assert_allclose(tlai, eq.tlai, rtol=1e-6)
@@ -443,8 +457,8 @@ class TestPersistence:
                  "tlai": eq.tlai, "cwdc": eq.pools.cwdc,
                  "soil3c": bad, "soil4c": eq.pools.soil4c}
         path = str(tmp_path / "neg.phr")
-        write_restart_state(pools, world.land_idx, world.n_pft,
-                            world.n_layers, path)
+        blobio.write_restart(path, world.land_idx, pools, world.n_pft,
+                             world.n_layers)
         with pytest.raises(ContractError, match="non-negative"):
             sim.load_restart_state(world, path)
 
