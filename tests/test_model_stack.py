@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from phase_surrogate import autodiff as ad
+from phase_surrogate import blobio
 from phase_surrogate import encoders as enc
 from phase_surrogate import fusion as fus
 from phase_surrogate import heads as hd
 from phase_surrogate.autodiff import Tensor
-from phase_surrogate.errors import ConfigurationError, ContractError, ShapeError
+from phase_surrogate.errors import (CompletenessError, ConfigurationError,
+                                    ContractError, ShapeError)
 
 
 def probe_sum(z, rng):
@@ -327,3 +329,21 @@ class TestDenormalize:
         with pytest.raises(ContractError):
             hd.denormalize({"x": np.zeros(3)}, {})
 
+
+class TestWriteRestartState:
+    # the restart writer fed as the CLI feeds it: denormalized slow-pool
+    # predictions (float64, physical units)
+    def predictions(self, n, n_pft=5, n_layers=9, seed=0):
+        rng = np.random.default_rng(seed)
+        widths = {"deadcrootc": n_pft, "deadstemc": n_pft, "tlai": n_pft,
+                  "cwdc": n_layers, "soil3c": n_layers, "soil4c": n_layers}
+        norm = {name: rng.uniform(0.0, 1.0, (n, w))
+                for name, w in widths.items()}
+        return hd.denormalize(norm, {name: (1.0, 50.0) for name in widths})
+
+    def test_missing_pool_rejected(self, tmp_path):
+        preds = self.predictions(2)
+        del preds["soil4c"]
+        with pytest.raises(CompletenessError, match="soil4c"):
+            blobio.write_restart(tmp_path / "y.phr", np.array([0, 1]), preds,
+                                 5, 9)
