@@ -17,7 +17,6 @@ Conventions:
 """
 
 import numpy as np
-from scipy import special
 
 from .errors import ContractError, ShapeError
 
@@ -72,27 +71,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
-
-    # Light operator sugar for the common elementwise cases.
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_scalar(self, -float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return mul_scalar(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul_scalar(self, -1.0)
 
 
 class _TapeNode:
@@ -209,11 +187,6 @@ def mul(a, b):
     return _record([a, b], ad * bd, lambda g: (g * bd, g * ad))
 
 
-def add_scalar(a, s):
-    s = a.data.dtype.type(s)
-    return _record([a], a.data + s, lambda g: (g,))
-
-
 def mul_scalar(a, s):
     s = a.data.dtype.type(s)
     return _record([a], a.data * s, lambda g: (g * s,))
@@ -286,9 +259,9 @@ def softplus(a):
 
 
 def _stable_sigmoid(x):
-    # expit is a single stable C pass; the naive form overflows for large
-    # negative inputs
-    return special.expit(x)
+    # the tanh form cannot overflow, unlike 1 / (1 + exp(-x)) at large
+    # negative inputs, and keeps the input's float dtype
+    return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
 def softmax(a, axis=-1):
@@ -342,19 +315,16 @@ def matmul(a, b):
 
 
 def conv1d(x, kernels, stride=1, padding=0):
-    """1-D convolution over the length axis.
+    """1-D convolution over the length axis of a batch.
 
-    ``x`` is ``[L, Cin]`` or batched ``[B, L, Cin]``; ``kernels`` is
-    ``[K, Cin, Cout]``.  Output length is ``floor((L + 2*padding - K)/stride) + 1``.
+    ``x`` is ``[B, L, Cin]`` (batches only); ``kernels`` is ``[K, Cin, Cout]``.
+    Output length is ``floor((L + 2*padding - K)/stride) + 1``.
     """
     xd, kd = x.data, kernels.data
     if kd.ndim != 3:
         raise ShapeError(f"conv1d: kernels must be [K, Cin, Cout], got {kd.shape}")
-    squeeze = xd.ndim == 2
-    if squeeze:
-        xd = xd[None, :, :]
     if xd.ndim != 3 or xd.shape[2] != kd.shape[1]:
-        raise ShapeError(f"conv1d: input {x.data.shape} incompatible with kernels {kd.shape}")
+        raise ShapeError(f"conv1d: input {xd.shape} incompatible with kernels {kd.shape}")
     batch, length, cin = xd.shape
     ksize, _, cout = kd.shape
     padded_len = length + 2 * padding
@@ -371,26 +341,18 @@ def conv1d(x, kernels, stride=1, padding=0):
     out = windows.reshape(batch, out_len, ksize * cin) @ wmat
 
     def backward(g):
-        if squeeze:
-            gb = g[None, :, :]
-        else:
-            gb = g
         flat = windows.reshape(batch, out_len, ksize * cin)
-        dk = np.einsum("bik,bio->ko", flat, gb).reshape(ksize, cin, cout)
-        dcols = gb @ wmat.T                                  # [B, L', K*Cin]
+        dk = np.einsum("bik,bio->ko", flat, g).reshape(ksize, cin, cout)
+        dcols = g @ wmat.T                                   # [B, L', K*Cin]
         dwin = dcols.reshape(batch, out_len, ksize, cin)
         dxp = np.zeros_like(xp)
         # Positions within one kernel tap are distinct, so fancy += is exact;
         # overlap between taps is handled by the loop.
         for j in range(ksize):
             dxp[:, idx[:, j], :] += dwin[:, :, j, :]
-        dx = dxp[:, padding:padding + length, :]
-        if squeeze:
-            dx = dx[0]
-        return (dx, dk)
+        return (dxp[:, padding:padding + length, :], dk)
 
-    out_data = out[0] if squeeze else out
-    return _record([x, kernels], out_data, backward)
+    return _record([x, kernels], out, backward)
 
 
 def lstm_sequence(x, w_x, w_h, b):

@@ -17,6 +17,7 @@ partially written file.
 """
 
 import json
+import math
 import os
 import struct
 
@@ -78,7 +79,7 @@ def tensor_bytes(arr):
 
 
 def read_tensor(fh):
-    """Decode the next PHT1 blob from a binary stream."""
+    """Decode the next PHT1 blob from a seekable binary stream."""
     magic = fh.read(4)
     if magic != BLOB_MAGIC:
         raise ContractError(f"bad tensor blob magic {magic!r}")
@@ -93,10 +94,16 @@ def read_tensor(fh):
         raise ContractError("truncated tensor blob dims")
     dims = struct.unpack(f"<{ndim}Q", raw_dims) if ndim else ()
     dtype = np.dtype(_CODE_DTYPES[code])
-    count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-    payload = fh.read(count * dtype.itemsize)
-    if len(payload) != count * dtype.itemsize:
-        raise ContractError("truncated tensor blob payload")
+    # exact, so a forged header can neither overflow the count nor make
+    # the read allocate more than the stream holds
+    nbytes = math.prod(dims) * dtype.itemsize
+    start = fh.tell()
+    left = fh.seek(0, os.SEEK_END) - start
+    fh.seek(start)
+    if nbytes > left:
+        raise ContractError(f"truncated tensor blob payload: its header "
+                            f"claims {nbytes} bytes, {left} remain")
+    payload = fh.read(nbytes)
     arr = np.frombuffer(payload, dtype=dtype)
     return arr.reshape(dims).astype(dtype.newbyteorder("="), copy=True)
 
@@ -202,7 +209,11 @@ def read_model_file(path):
             manifest = json.loads(raw.decode("utf-8"))
         except ValueError as exc:
             raise ContractError(f"undecodable model file manifest: {exc}") from None
-        arrays = {name: read_tensor(fh) for name in manifest["params"]}
+        names = manifest.get("params") if isinstance(manifest, dict) else None
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise ContractError("model file manifest must be an object with a "
+                                "params list of names")
+        arrays = {name: read_tensor(fh) for name in names}
         if fh.read(1):
             raise ContractError("trailing bytes after model parameters")
     return manifest, arrays

@@ -4,8 +4,9 @@ latent width.
 Four branches cover the five feature groups: a gated recurrent branch for
 the monthly forcing sequence, a depth-convolution branch for layered
 pools, and two dense branches (static cell attributes; per-type traits
-concatenated with per-type states, flattened).  All branches emit
-[batch, d] so the fusion stage can stack them.
+concatenated with per-type states, flattened).  Every branch takes a
+batch (the leading axis) and nothing else, raising ``ShapeError`` on an
+unbatched sample, and emits [batch, d] so the fusion stage can stack them.
 """
 
 import numpy as np
@@ -26,18 +27,9 @@ def zeros_param(shape, dtype=np.float32):
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
 
 
-def _as_batch(x, sample_ndim):
-    """Promote a single sample to a batch of one; returns (tensor, squeezed)."""
-    if x.data.ndim == sample_ndim:
-        return ad.reshape(x, (1,) + x.shape), True
-    if x.data.ndim == sample_ndim + 1:
-        return x, False
-    raise ShapeError(f"expected {sample_ndim}- or {sample_ndim + 1}-dim input, "
-                     f"got shape {x.shape}")
-
-
-def _squeeze_batch(z, squeezed):
-    return ad.reshape(z, (z.shape[1],)) if squeezed else z
+def _check_batch(x, ndim):
+    if x.data.ndim != ndim:
+        raise ShapeError(f"expected a {ndim}-dim batch, got shape {x.shape}")
 
 
 class TemporalEncoder:
@@ -62,15 +54,14 @@ class TemporalEncoder:
                 "w_p": self.w_p, "b_p": self.b_p}
 
     def encode(self, x):
-        x, squeezed = _as_batch(x, 2)
+        _check_batch(x, 3)
         batch, steps, n_vars = x.shape
         if steps == 0:
             raise ContractError("temporal encoder needs at least one step")
         if n_vars != self.n_vars:
             raise ShapeError(f"expected {self.n_vars} forcing variables, got {n_vars}")
         h = ad.lstm_sequence(x, self.w_x, self.w_h, self.b)
-        z = ad.add_rowvec(ad.matmul(h, self.w_p), self.b_p)
-        return _squeeze_batch(z, squeezed)
+        return ad.add_rowvec(ad.matmul(h, self.w_p), self.b_p)
 
 
 class LayeredEncoder:
@@ -96,7 +87,7 @@ class LayeredEncoder:
                 "w": self.w, "b": self.b}
 
     def encode(self, x):
-        x, squeezed = _as_batch(x, 2)
+        _check_batch(x, 3)
         batch, layers, fields = x.shape
         if layers != self.n_layers or fields != self.n_fields:
             raise ShapeError(f"expected [{self.n_layers}, {self.n_fields}] "
@@ -104,8 +95,7 @@ class LayeredEncoder:
         y = ad.relu(ad.add_rowvec(ad.conv1d(x, self.k1, padding=1), self.b1))
         y = ad.relu(ad.add_rowvec(ad.conv1d(y, self.k2, padding=1), self.b2))
         flat = ad.reshape(y, (batch, layers * self.k2.shape[2]))
-        z = ad.add_rowvec(ad.matmul(flat, self.w), self.b)
-        return _squeeze_batch(z, squeezed)
+        return ad.add_rowvec(ad.matmul(flat, self.w), self.b)
 
 
 class StaticEncoder:
@@ -124,13 +114,12 @@ class StaticEncoder:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
     def encode(self, x):
-        x, squeezed = _as_batch(x, 1)
+        _check_batch(x, 2)
         if x.shape[1] != self.n_fields:
             raise ShapeError(f"expected {self.n_fields} static fields, "
                              f"got {x.shape[1]}")
         hidden = ad.relu(ad.add_rowvec(ad.matmul(x, self.w1), self.b1))
-        z = ad.add_rowvec(ad.matmul(hidden, self.w2), self.b2)
-        return _squeeze_batch(z, squeezed)
+        return ad.add_rowvec(ad.matmul(hidden, self.w2), self.b2)
 
 
 class PftEncoder:
@@ -152,12 +141,11 @@ class PftEncoder:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
     def encode(self, x):
-        x, squeezed = _as_batch(x, 2)
+        _check_batch(x, 3)
         batch, n_pft, fields = x.shape
         if n_pft != self.n_pft or fields != self.n_fields:
             raise ShapeError(f"expected [{self.n_pft}, {self.n_fields}] "
                              f"type-trait input, got [{n_pft}, {fields}]")
         flat = ad.reshape(x, (batch, n_pft * fields))
         hidden = ad.relu(ad.add_rowvec(ad.matmul(flat, self.w1), self.b1))
-        z = ad.add_rowvec(ad.matmul(hidden, self.w2), self.b2)
-        return _squeeze_batch(z, squeezed)
+        return ad.add_rowvec(ad.matmul(hidden, self.w2), self.b2)

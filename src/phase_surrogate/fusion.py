@@ -18,30 +18,21 @@ from .encoders import xavier, zeros_param
 from .errors import ConfigurationError, ContractError, ShapeError
 
 
-def _stack_groups(z_list, dim):
+def _stack_groups(z_list, n_groups, dim):
+    """[n_groups] latents of [batch, d] -> [batch, n_groups, d]."""
+    if len(z_list) != n_groups:
+        raise ShapeError(f"expected {n_groups} group latents, got {len(z_list)}")
     if len(z_list) == 0:
         raise ShapeError("fusion needs at least one group latent")
-    tensors = []
-    squeezed = None
     for z in z_list:
-        if z.data.ndim == 1:
-            z = ad.reshape(z, (1, z.shape[0]))
-            now = True
-        elif z.data.ndim == 2:
-            now = False
-        else:
-            raise ShapeError(f"group latent must be [d] or [batch, d], got {z.shape}")
+        if z.data.ndim != 2:
+            raise ShapeError(f"group latent must be [batch, d], got {z.shape}")
         if z.shape[1] != dim:
             raise ShapeError(f"group latent width {z.shape[1]} != fusion width {dim}")
-        if squeezed is None:
-            squeezed = now
-        elif squeezed != now:
-            raise ShapeError("mixed batched and single-sample group latents")
-        tensors.append(z)
-    batches = {t.shape[0] for t in tensors}
+    batches = {z.shape[0] for z in z_list}
     if len(batches) != 1:
         raise ShapeError(f"group latents disagree on batch size: {sorted(batches)}")
-    return ad.stack(tensors, axis=1), squeezed
+    return ad.stack(z_list, axis=1)
 
 
 class TransformerFusion:
@@ -101,7 +92,8 @@ class TransformerFusion:
         t = ad.transpose(t, (0, 2, 1, 3))
         return ad.reshape(t, (batch, n, self.dim))
 
-    def _attention(self, x, layer, batch, n, return_weights=False):
+    def _attention(self, x, layer, batch, n):
+        """Self-attention output and its softmax weights [batch, heads, n, n]."""
         q = self._split_heads(ad.matmul(x, layer["wq"]), batch, n)
         k = self._split_heads(ad.matmul(x, layer["wk"]), batch, n)
         v = self._split_heads(ad.matmul(x, layer["wv"]), batch, n)
@@ -111,52 +103,37 @@ class TransformerFusion:
         attn = ad.softmax(scores, axis=-1)
         mixed = self._merge_heads(ad.matmul(attn, v), batch, n)
         out = ad.matmul(mixed, layer["wo"])
-        if return_weights:
-            return out, attn.data.reshape(batch, self.heads, n, n)
-        return out
+        return out, attn.data.reshape(batch, self.heads, n, n)
 
-    def _encode_sequence(self, x, batch, n, first_layer_weights=False):
+    def _encode(self, z_list):
+        """Encoded group sequence [batch, n, d] and the first layer's
+        attention weights."""
+        x = _stack_groups(z_list, self.n_groups, self.dim)
+        batch, n = x.shape[0], x.shape[1]
+        x = ad.add_leading(x, self.embed)
         # normalize before each sublayer and keep the residual path clean,
         # which trains stably at the default learning rate without warmup
-        weights = None
-        for i, layer in enumerate(self.layers):
+        weights = []
+        for layer in self.layers:
             normed = ad.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
-            if i == 0 and first_layer_weights:
-                att, weights = self._attention(normed, layer, batch, n,
-                                               return_weights=True)
-            else:
-                att = self._attention(normed, layer, batch, n)
+            att, layer_weights = self._attention(normed, layer, batch, n)
+            weights.append(layer_weights)
             x = ad.add(x, att)
             normed = ad.layer_norm(x, layer["ln2_g"], layer["ln2_b"])
             hidden = ad.relu(ad.add_rowvec(ad.matmul(normed, layer["ff1"]),
                                            layer["ff1_b"]))
             ffn = ad.add_rowvec(ad.matmul(hidden, layer["ff2"]), layer["ff2_b"])
             x = ad.add(x, ffn)
-        x = ad.layer_norm(x, self.ln_f_g, self.ln_f_b)
-        return x, weights
+        return ad.layer_norm(x, self.ln_f_g, self.ln_f_b), weights[0]
 
     def fuse(self, z_list):
         """[n_groups] latents of [batch, d] -> fused [batch, d]."""
-        if len(z_list) != self.n_groups:
-            raise ShapeError(f"expected {self.n_groups} group latents, "
-                             f"got {len(z_list)}")
-        x, squeezed = _stack_groups(z_list, self.dim)
-        batch, n = x.shape[0], x.shape[1]
-        x = ad.add_leading(x, self.embed)
-        x, _ = self._encode_sequence(x, batch, n)
-        pooled = ad.mean_axis(x, axis=1)
-        return ad.reshape(pooled, (self.dim,)) if squeezed else pooled
+        x, _ = self._encode(z_list)
+        return ad.mean_axis(x, axis=1)
 
     def attention_weights(self, z_list):
-        """First-layer softmax attention for one sample: [heads, n, n]."""
-        if len(z_list) != self.n_groups:
-            raise ShapeError(f"expected {self.n_groups} group latents, "
-                             f"got {len(z_list)}")
-        x, squeezed = _stack_groups(z_list, self.dim)
-        batch, n = x.shape[0], x.shape[1]
-        x = ad.add_leading(x, self.embed)
-        _, weights = self._encode_sequence(x, batch, n, first_layer_weights=True)
-        return weights[0] if squeezed else weights
+        """First-layer softmax attention: [batch, heads, n, n]."""
+        return self._encode(z_list)[1]
 
 
 class ConcatFusion:
@@ -173,14 +150,9 @@ class ConcatFusion:
         return {"w": self.w, "b": self.b}
 
     def fuse(self, z_list):
-        if len(z_list) != self.n_groups:
-            raise ShapeError(f"expected {self.n_groups} group latents, "
-                             f"got {len(z_list)}")
-        x, squeezed = _stack_groups(z_list, self.dim)
-        batch = x.shape[0]
-        flat = ad.reshape(x, (batch, self.n_groups * self.dim))
-        z = ad.add_rowvec(ad.matmul(flat, self.w), self.b)
-        return ad.reshape(z, (self.dim,)) if squeezed else z
+        x = _stack_groups(z_list, self.n_groups, self.dim)
+        flat = ad.reshape(x, (x.shape[0], self.n_groups * self.dim))
+        return ad.add_rowvec(ad.matmul(flat, self.w), self.b)
 
     def attention_weights(self, z_list):
         raise ContractError("concatenation fusion has no attention weights")

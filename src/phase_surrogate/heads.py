@@ -15,7 +15,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import pipeline
-from .autodiff import Tensor
 from .encoders import xavier, zeros_param
 from .errors import ContractError, ShapeError
 
@@ -80,12 +79,11 @@ class TaskHeads:
 
 def denormalize(bundle, stats):
     """Map normalized predictions back to physical units via the stored
-    per-task (min, max).  Accepts tensors or arrays; returns arrays."""
+    per-task (min, max).  Takes and returns arrays."""
     out = {}
     for task, values in bundle.items():
         if task not in stats:
             raise ContractError(f"no normalization stats for task {task!r}")
-        data = values.data if isinstance(values, Tensor) else values
-        out[task] = pipeline.minmax_invert(data, stats[task])
+        out[task] = pipeline.minmax_invert(values, stats[task])
     return out
 

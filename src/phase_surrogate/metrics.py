@@ -77,11 +77,11 @@ def band_mask(lat, band):
     return (lat >= lo) & (lat < hi)
 
 
-def latitudinal_errors(lat, pred, truth, band, bins=20):
+def latitudinal_errors(lat, pred, truth, band):
     """Signed-error summary for one latitude band.
 
     Vector tasks contribute one error sample per component.  Returns a dict
-    with quantiles, mean, std, count, and histogram arrays.
+    with quantiles, mean, std and count.
     """
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -91,17 +91,8 @@ def latitudinal_errors(lat, pred, truth, band, bins=20):
     if not mask.any():
         raise RangeError(f"no cells in band {band!r}")
     errors = (pred[mask] - truth[mask]).ravel()
-    span = float(errors.max() - errors.min())
-    if span < 1e-9:
-        pad = max(1e-9, abs(float(errors.min())) * 1e-6)
-        counts, edges = np.histogram(errors, bins=bins,
-                                     range=(errors.min() - pad,
-                                            errors.max() + pad))
-    else:
-        counts, edges = np.histogram(errors, bins=bins)
     summary = {"band": str(band), "count": int(errors.size),
-               "mean": float(errors.mean()), "std": float(errors.std()),
-               "hist_counts": counts, "hist_edges": edges}
+               "mean": float(errors.mean()), "std": float(errors.std())}
     for q in _QUANTILES:
         summary[f"q{int(q):02d}"] = float(np.percentile(errors, q))
     return summary
@@ -221,8 +212,3 @@ def export_report(report, out_dir):
             export_map_csv(os.path.join(out_dir, "maps", f"{t}_{i}.csv"),
                            report.lat, report.lon, report.preds[t][:, i],
                            report.truths[t][:, i])
-
-
-def restart_ready(report):
-    """True when every slow-pool prediction is strictly positive."""
-    return all(np.all(report.preds[t] > 0.0) for t in pipeline.SLOW_TASKS)

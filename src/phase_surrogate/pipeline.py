@@ -231,10 +231,6 @@ class Dataset:
     def denorm_target(self, task, values):
         return minmax_invert(values, self.target_stats[task])
 
-    def physical_targets(self, name):
-        part = self.split(name)
-        return {task: self.denorm_target(task, part.targets[task]) for task in TASKS}
-
 
 def normalize_groups(group_arrays, stats):
     out = {}

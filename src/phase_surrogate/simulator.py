@@ -139,12 +139,6 @@ class PoolState:
     def copy(self):
         return PoolState(**{k: getattr(self, k).copy() for k in POOL_KEYS})
 
-    def select(self, idx):
-        return PoolState(**{k: getattr(self, k)[idx].copy() for k in POOL_KEYS})
-
-    def as_dict(self):
-        return {k: getattr(self, k) for k in POOL_KEYS}
-
 
 @dataclasses.dataclass
 class CellParams:
@@ -254,31 +248,16 @@ class World:
 # Flux response
 # ---------------------------------------------------------------------------
 
-def response_g(temperature, precipitation, radiation):
-    """Smooth positive flux response in (0, 1]: light saturation times
-    moisture saturation times a thermal optimum at 290 K."""
-    rad = np.asarray(radiation, dtype=np.float64)
-    pre = np.asarray(precipitation, dtype=np.float64)
-    tmp = np.asarray(temperature, dtype=np.float64)
+def _gbar_of(forcing_monthly):
+    """Smooth positive flux response in (0, 1] of monthly forcing [..., 5]:
+    light saturation times moisture saturation times a thermal optimum at
+    290 K."""
+    fm = np.asarray(forcing_monthly, dtype=np.float64)
+    rad, pre, tmp = fm[..., 0], fm[..., 1], fm[..., 4]
     light = rad / (rad + 120.0)
     moisture = pre / (pre + 2.0)
     thermal = np.exp(-(((tmp - 290.0) / 26.0) ** 2))
     return light * moisture * thermal
-
-
-def step_fluxes(forcing_month, params):
-    """Monthly fluxes (gpp, ar, npp) in gC/m2/month from monthly-mean
-    forcing.  npp is gpp - ar computed exactly; the autotrophic fraction
-    lies in [1/2, 1) so the subtraction never rounds."""
-    fm = np.asarray(forcing_month, dtype=np.float64)
-    if fm.shape[-1] != len(pipeline.G1_FIELDS):
-        raise ContractError(f"forcing_month needs {len(pipeline.G1_FIELDS)} "
-                            "variables on the trailing axis")
-    return _flux_from_gbar(
-        response_g(fm[..., 4], fm[..., 1], fm[..., 0]),
-        np.asarray(params.alpha, dtype=np.float64),
-        np.asarray(params.resp_frac, dtype=np.float64),
-        np.asarray(getattr(params, "nutrient", 1.0), dtype=np.float64))
 
 
 def _flux_from_gbar(gbar, alpha, resp_frac, nutrient):
@@ -355,32 +334,18 @@ def _clip_bounds(series):
     return out
 
 
-def cell_forcing_series(world, cell, years=None):
-    """Regenerate the 6-hourly forcing window [steps, 5] for one cell."""
-    years = world.years if years is None else years
-    j = int(world.cell_point[cell])
-    base = _point_base(world.points, j, years)
-    spread = world.grid.spread_scale
-    flat = int(world.land_idx[cell])
-    series = base + _cell_offsets(world.seed, flat, spread)
-    series += _cell_noise(world.seed, flat, base.shape[0], spread)
-    return _clip_bounds(series)
-
-
-def _stationary_monthly(world_like, ramp_value):
+def _stationary_monthly(seed, spread, land_idx, cell_point, points, ramp_value):
     """Noise-free stationary-year monthly means [n_cells, 12, 5] with the
     trend ramp held constant."""
-    points, seed = world_like["points"], world_like["seed"]
-    spread = world_like["spread"]
     point_monthly = np.empty((points.n, 12, 5))
     for j in range(points.n):
         base = _point_base(points, j, 1, ramp_value=ramp_value)
         trimmed = pipeline.trim_to_months(base)
         point_monthly[j] = pipeline.aggregate_monthly(trimmed)
     cells = []
-    for c, flat in enumerate(world_like["land_idx"]):
+    for c, flat in enumerate(land_idx):
         off = _cell_offsets(seed, flat, spread)
-        series = point_monthly[world_like["cell_point"][c]] + off
+        series = point_monthly[cell_point[c]] + off
         cells.append(_clip_bounds(series.copy()))
     return np.stack(cells)
 
@@ -554,11 +519,6 @@ def _check_stability(kappa):
         raise ConfigurationError(f"unstable monthly step: k*dt = {worst:.3f} >= 2")
 
 
-def _gbar_of(forcing_monthly):
-    return response_g(forcing_monthly[..., 4], forcing_monthly[..., 1],
-                      forcing_monthly[..., 0])
-
-
 def _schedule(world, year, month, idx):
     """Monthly response means and nutrient factor for a spin-up year.
     During the simulated window the nutrient factor is 1; afterwards the
@@ -715,10 +675,10 @@ def generate_world(seed, grid, years=20):
              land_idx.shape[0], points.n, years)
     forcing_monthly = _window_monthly_forcing(seed, grid, years, land_idx,
                                               cell_point, points)
-    world_like = {"points": points, "seed": seed, "spread": grid.spread_scale,
-                  "land_idx": land_idx, "cell_point": cell_point}
-    pre = _stationary_monthly(world_like, ramp_value=0.0)
-    stat = _stationary_monthly(world_like, ramp_value=1.0)
+    pre = _stationary_monthly(seed, grid.spread_scale, land_idx, cell_point,
+                              points, ramp_value=0.0)
+    stat = _stationary_monthly(seed, grid.spread_scale, land_idx, cell_point,
+                               points, ramp_value=1.0)
 
     world = World(seed=int(seed), years=int(years), grid=grid,
                   land_idx=land_idx, cell_lat=cell_lat, cell_lon=cell_lon,

@@ -42,11 +42,6 @@ def _case_mul(rng):
     return _probe_fn(ad.mul, ts, rng), ts
 
 
-def _case_add_scalar(rng):
-    ts = [_t(rng, (4, 3))]
-    return _probe_fn(lambda a: ad.add_scalar(a, 0.7), ts, rng), ts
-
-
 def _case_mul_scalar(rng):
     ts = [_t(rng, (6,))]
     return _probe_fn(lambda a: ad.mul_scalar(a, -1.3), ts, rng), ts
@@ -125,7 +120,7 @@ def _case_matmul_3d_2d(rng):
 
 
 def _case_conv1d_plain(rng):
-    ts = [_t(rng, (8, 3)), _t(rng, (3, 3, 4))]
+    ts = [_t(rng, (1, 8, 3)), _t(rng, (3, 3, 4))]
     return _probe_fn(lambda x, k: ad.conv1d(x, k, stride=1, padding=1), ts, rng), ts
 
 
@@ -263,7 +258,6 @@ GRAD_CASES = [
     ("add", _case_add),
     ("sub", _case_sub),
     ("mul", _case_mul),
-    ("add_scalar", _case_add_scalar),
     ("mul_scalar", _case_mul_scalar),
     ("square", _case_square),
     ("add_rowvec_2d", _case_add_rowvec_2d),
@@ -373,19 +367,19 @@ class TestForwardValues:
         assert np.allclose(affine.data.mean(axis=-1), 3.0, atol=1e-5)
 
     def test_conv1d_hand_case(self):
-        x = Tensor(np.array([[1.0], [2.0], [3.0], [4.0]]))
+        x = Tensor(np.array([[[1.0], [2.0], [3.0], [4.0]]]))
         k = Tensor(np.array([1.0, 0.0, -1.0]).reshape(3, 1, 1))
         out = ad.conv1d(x, k)
-        assert out.shape == (2, 1)
-        assert np.allclose(out.data[:, 0], [-2.0, -2.0])
+        assert out.shape == (1, 2, 1)
+        assert np.allclose(out.data[0, :, 0], [-2.0, -2.0])
 
     def test_conv1d_output_length_formula(self):
         rng = np.random.default_rng(5)
-        x = Tensor(rng.normal(size=(10, 2)).astype(np.float32))
+        x = Tensor(rng.normal(size=(1, 10, 2)).astype(np.float32))
         k = Tensor(rng.normal(size=(3, 2, 4)).astype(np.float32))
-        assert ad.conv1d(x, k, stride=2, padding=1).shape == (5, 4)
-        assert ad.conv1d(x, k, stride=1, padding=1).shape == (10, 4)
-        assert ad.conv1d(x, k, stride=1, padding=0).shape == (8, 4)
+        assert ad.conv1d(x, k, stride=2, padding=1).shape == (1, 5, 4)
+        assert ad.conv1d(x, k, stride=1, padding=1).shape == (1, 10, 4)
+        assert ad.conv1d(x, k, stride=1, padding=0).shape == (1, 8, 4)
 
     def test_lstm_sequence_matches_stepwise_primitives(self):
         rng = np.random.default_rng(41)
@@ -546,7 +540,7 @@ class TestShapeErrors:
         with pytest.raises(ShapeError):
             ad.stack([a, b])
         with pytest.raises(ShapeError):
-            ad.conv1d(Tensor(np.ones((4, 2))), Tensor(np.ones((7, 2, 3))))
+            ad.conv1d(Tensor(np.ones((1, 4, 2))), Tensor(np.ones((7, 2, 3))))
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """File format tests: byte-level layout, round-trips, corruption handling."""
 
 import io
+import json
 import os
 import struct
 
@@ -61,6 +62,18 @@ class TestTensorBlobs:
         raw = blobio.tensor_bytes(np.ones(10, dtype=np.float32))
         with pytest.raises(ContractError):
             blobio.read_tensor(io.BytesIO(raw[:-4]))
+
+    @pytest.mark.parametrize("dims", [(2 ** 59,), (2 ** 40, 2 ** 40),
+                                      (2 ** 32, 2 ** 32)])
+    def test_claimed_size_beyond_file_rejected(self, tmp_path, dims):
+        # a float64 blob of a few bytes whose header claims far more values
+        # than it holds; 2**64 values wrap to 0 in int64
+        path = tmp_path / "t.pht"
+        path.write_bytes(blobio.BLOB_MAGIC
+                         + struct.pack(f"<BB{len(dims)}Q", 1, len(dims), *dims)
+                         + b"\x00" * 6)
+        with pytest.raises(ContractError, match="truncated"):
+            blobio.load_blob_sequence(path)
 
     def test_trailing_bytes_detected(self, tmp_path):
         path = tmp_path / "t.pht"
@@ -207,6 +220,16 @@ class TestModelFiles:
         path = tmp_path / "m.phm"
         path.write_bytes(b"PHM1" + struct.pack("<I", 4) + b"{\xff\xfe}")
         with pytest.raises(ContractError, match="manifest"):
+            blobio.read_model_file(path)
+
+    @pytest.mark.parametrize("manifest", [{}, ["params"], {"params": 3},
+                                          {"params": [["w"]]}],
+                             ids=["no-params", "list", "int-params", "list-name"])
+    def test_manifest_must_hold_params_list(self, tmp_path, manifest):
+        raw = json.dumps(manifest).encode("utf-8")
+        path = tmp_path / "m.phm"
+        path.write_bytes(blobio.MODEL_MAGIC + struct.pack("<I", len(raw)) + raw)
+        with pytest.raises(ContractError, match="params"):
             blobio.read_model_file(path)
 
     def test_missing_param_array(self, tmp_path):

@@ -3,6 +3,7 @@
 import filecmp
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import phase_surrogate
-from phase_surrogate import pipeline, simulator
+from phase_surrogate import blobio, pipeline, simulator
 from phase_surrogate.cli import main
 from phase_surrogate.model import Surrogate
 
@@ -76,20 +77,36 @@ class TestExitCodes:
                    "--out", str(tmp_path / "m.phm")])
         assert rc == 1
 
-    @pytest.mark.parametrize("cut", ["world", "model"])
+    @pytest.mark.parametrize("cut", ["world", "model", "world-huge-blob",
+                                     "model-huge-blob", "world-no-params",
+                                     "model-list-manifest"])
     def test_truncated_input_is_clean_runtime_error(self, ws, tmp_path,
                                                     capsys, cut):
-        # 40 bytes keep the magic and the length but cut the manifest
+        target, _, damage = cut.partition("-")
         paths = {"world": ws["world"] / "world.phw", "model": ws["model"]}
-        short = tmp_path / paths[cut].name
-        short.write_bytes(paths[cut].read_bytes()[:40])
-        paths[cut] = short
+
+        def model_file(manifest, tail=b""):
+            raw = json.dumps(manifest).encode("utf-8")
+            return blobio.MODEL_MAGIC + struct.pack("<I", len(raw)) + raw + tail
+
+        bad, word = {
+            # 40 bytes keep the magic and the length but cut the manifest
+            "": (paths[target].read_bytes()[:40], "truncated"),
+            # a 20-byte blob claiming 2**59 float64 values
+            "huge-blob": (model_file({"params": ["w"]}, blobio.BLOB_MAGIC
+                                     + struct.pack("<BBQ", 1, 1, 2 ** 59)
+                                     + b"\x00" * 6), "truncated"),
+            "no-params": (model_file({"format": "world"}), "params"),
+            "list-manifest": (model_file(["params"]), "params"),
+        }[damage]
+        paths[target] = tmp_path / paths[target].name
+        paths[target].write_bytes(bad)
         rc = main(["restart-check", "--model", str(paths["model"]),
                    "--world", str(paths["world"]),
                    "--out", str(tmp_path / "d.csv"), "--years", "1"])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error:") and "truncated" in err
+        assert err.startswith("error:") and word in err
         assert "Traceback" not in err
 
     def test_zero_fraction_is_usage_error(self, ws, tmp_path):
@@ -257,16 +274,30 @@ class TestDeterminism:
 
 
 class TestImports:
-    def test_commands_do_not_import_scipy_signal_or_spatial(self):
-        # only forcing synthesis needs scipy.signal, and no command needs
-        # scipy.spatial; importing them costs about a second per command
+    def test_commands_do_not_import_scipy_signal_or_spatial(self, ws, tmp_path):
+        # only gen-data's forcing synthesis needs scipy (scipy.signal);
+        # importing it costs about a second per command, so every later
+        # command, run here in one fresh process, must load no scipy module
         src = os.path.dirname(os.path.dirname(phase_surrogate.__file__))
-        code = ("import sys\n"
-                "from phase_surrogate import (cli, metrics, model, ood,\n"
-                "                             simulator, training)\n"
-                "print(sorted(m for m in ('scipy.signal', 'scipy.spatial')\n"
-                "             if m in sys.modules))\n")
+        out = tmp_path
+        argvs = [
+            ["build-dataset", "--world", str(ws["world"]), "--seed", "1",
+             "--out", str(out / "data")],
+            ["train", "--data", str(ws["data"]), "--config", str(ws["config"]),
+             "--out", str(out / "model.phm")],
+            ["eval", "--model", str(ws["model"]), "--data", str(ws["data"]),
+             "--out", str(out / "report")],
+            ["restart-check", "--model", str(ws["model"]), "--world",
+             str(ws["world"]), "--out", str(out / "drift.csv"), "--years", "5"],
+        ]
+        code = ("import json, sys\n"
+                "from phase_surrogate.cli import main\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    assert main(argv) == 0, argv\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m == 'scipy' or m.startswith('scipy.')))\n")
         env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        result = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                                env=env, capture_output=True, text=True,
+                                check=True)
+        assert result.stdout.strip().splitlines()[-1] == "[]"

@@ -6,7 +6,6 @@ import pytest
 from phase_surrogate import metrics, pipeline
 from phase_surrogate.errors import (ContractError, RangeError, ShapeError,
                                     UndefinedMetricError)
-from phase_surrogate.metrics import EvalReport
 
 
 class TestR2:
@@ -125,7 +124,6 @@ class TestLatitudeBands:
         assert s["count"] == n_cells * 4
         assert s["mean"] == pytest.approx(0.05, rel=1e-9)
         assert s["q50"] == pytest.approx(0.05, rel=1e-9)
-        assert s["hist_counts"].sum() == s["count"]
 
     def test_empty_band(self):
         lat = np.array([40.0, 50.0])
@@ -249,18 +247,3 @@ class TestExportReport:
             width = toy_report.preds[task].shape[1]
             n_cells = int(metrics.band_mask(toy_report.lat, band).sum())
             assert count == n_cells * width
-
-
-class TestRestartReady:
-    def test_softplus_heads_are_ready(self, toy_report):
-        assert metrics.restart_ready(toy_report)
-
-    def test_negative_prediction_blocks(self, toy_report):
-        preds = {t: np.abs(v) + 0.1 for t, v in toy_report.preds.items()}
-        preds["soil4c"] = preds["soil4c"].copy()
-        preds["soil4c"][0, 0] = -1e-9
-        bad = EvalReport(split="test", n=toy_report.n, tasks=toy_report.tasks,
-                         lat=toy_report.lat, lon=toy_report.lon,
-                         cell_id=toy_report.cell_id, preds=preds,
-                         truths=toy_report.truths, latent=toy_report.latent)
-        assert not metrics.restart_ready(bad)

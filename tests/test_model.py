@@ -224,10 +224,10 @@ class TestPersistence:
     def test_save_is_byte_stable(self, tmp_path):
         model = make("no_trans")
         self.fill_stats(model)
-        p1, p2 = str(tmp_path / "a.phm"), str(tmp_path / "b.phm")
-        model.save(p1)
-        model.save(p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        p1, p2 = tmp_path / "a.phm", tmp_path / "b.phm"
+        model.save(str(p1))
+        model.save(str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_wrong_format_rejected(self, tmp_path):
         from phase_surrogate import blobio

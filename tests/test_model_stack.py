@@ -21,8 +21,7 @@ class TestTemporalEncoder:
         e = enc.TemporalEncoder(5, hidden=8, out_dim=6, rng=np.random.default_rng(0))
         x = Tensor(np.random.default_rng(1).normal(size=(3, 12, 5)).astype(np.float32))
         assert e.encode(x).shape == (3, 6)
-        single = Tensor(x.data[0])
-        assert e.encode(single).shape == (6,)
+        assert e.encode(Tensor(x.data[:1])).shape == (1, 6)
 
     def test_zero_sequence_zero_biases_gives_zero(self):
         e = enc.TemporalEncoder(4, hidden=6, out_dim=5, rng=np.random.default_rng(2))
@@ -69,7 +68,7 @@ class TestLayeredEncoder:
                                    rng=np.random.default_rng(0))
             x = Tensor(np.random.default_rng(1).normal(size=(2, 9, n_fields)).astype(np.float32))
             assert e.encode(x).shape == (2, 5)
-        assert e.encode(Tensor(x.data[0])).shape == (5,)
+        assert e.encode(Tensor(x.data[:1])).shape == (1, 5)
 
     def test_depth_reversal_changes_output(self):
         rng = np.random.default_rng(2)
@@ -102,15 +101,15 @@ class TestDenseEncoders:
         e = enc.StaticEncoder(8, hidden=6, out_dim=5, rng=np.random.default_rng(0))
         x = Tensor(np.random.default_rng(1).normal(size=(4, 8)).astype(np.float32))
         assert e.encode(x).shape == (4, 5)
-        z = e.encode(Tensor(np.zeros(8, dtype=np.float32)))
-        assert z.shape == (5,)
+        z = e.encode(Tensor(np.zeros((1, 8), dtype=np.float32)))
+        assert z.shape == (1, 5)
         assert np.all(z.data == 0.0)  # zero input, zero biases
 
     def test_pft_flattens_and_encodes(self):
         e = enc.PftEncoder(5, 8, hidden=6, out_dim=7, rng=np.random.default_rng(2))
         x = Tensor(np.random.default_rng(3).normal(size=(3, 5, 8)).astype(np.float32))
         assert e.encode(x).shape == (3, 7)
-        assert np.all(e.encode(Tensor(np.zeros((5, 8), dtype=np.float32))).data == 0.0)
+        assert np.all(e.encode(Tensor(np.zeros((1, 5, 8), dtype=np.float32))).data == 0.0)
 
     def test_gradchecks(self):
         rng = np.random.default_rng(4)
@@ -143,6 +142,21 @@ class TestDenseEncoders:
         assert np.array_equal(e.encode(x).data, e.encode(x).data)
 
 
+@pytest.mark.parametrize("call, sample_shape", [
+    (enc.TemporalEncoder(5, hidden=4, out_dim=3).encode, (12, 5)),
+    (enc.LayeredEncoder(9, 3, out_dim=3).encode, (9, 3)),
+    (enc.StaticEncoder(8, out_dim=3).encode, (8,)),
+    (enc.PftEncoder(5, 8, out_dim=3).encode, (5, 8)),
+    (lambda x: fus.TransformerFusion(2, dim=8, heads=2).fuse([x, x]), (8,)),
+    (lambda x: fus.ConcatFusion(2, dim=8).fuse([x, x]), (8,)),
+    (lambda x: ad.conv1d(x, Tensor(np.zeros((3, 2, 4)))), (6, 2)),
+], ids=["temporal", "layered", "static", "pft", "transformer", "concat",
+        "conv1d"])
+def test_unbatched_input_rejected(call, sample_shape):
+    with pytest.raises(ShapeError):
+        call(Tensor(np.zeros(sample_shape, dtype=np.float32)))
+
+
 class TestTransformerFusion:
     def make(self, n_groups=3, dim=8, heads=2, n_layers=2, dtype=np.float32, seed=0):
         return fus.TransformerFusion(n_groups, dim=dim, heads=heads,
@@ -158,8 +172,7 @@ class TestTransformerFusion:
         f = self.make()
         z = self.latents(3, 4, 8)
         assert f.fuse(z).shape == (4, 8)
-        singles = [Tensor(t.data[0]) for t in z]
-        assert f.fuse(singles).shape == (8,)
+        assert f.fuse([Tensor(t.data[:1]) for t in z]).shape == (1, 8)
 
     def test_attention_rows_are_probabilities(self):
         f = self.make()
@@ -172,14 +185,14 @@ class TestTransformerFusion:
     def test_single_group_attention_is_one(self):
         f = self.make(n_groups=1)
         z = self.latents(1, 1, 8, seed=3)
-        w = f.attention_weights([Tensor(z[0].data[0])])
-        assert w.shape == (2, 1, 1)
-        np.testing.assert_array_equal(w, np.ones((2, 1, 1), dtype=w.dtype))
+        w = f.attention_weights(z)
+        assert w.shape == (1, 2, 1, 1)
+        np.testing.assert_array_equal(w, np.ones((1, 2, 1, 1), dtype=w.dtype))
 
     def test_identical_rows_give_uniform_attention(self):
         f = self.make(n_groups=4)
         f.embed.data[:] = f.embed.data[0]
-        row = np.random.default_rng(4).normal(size=8).astype(np.float32)
+        row = np.random.default_rng(4).normal(size=(1, 8)).astype(np.float32)
         z = [Tensor(row.copy()) for _ in range(4)]
         w = f.attention_weights(z)
         np.testing.assert_allclose(w, 0.25, atol=1e-6)
@@ -319,11 +332,6 @@ class TestDenormalize:
         norm = pl.minmax_apply(vals, stats)
         back = hd.denormalize({"x": norm}, {"x": stats})["x"]
         assert np.abs(back - vals).max() < 1e-6 * (stats[1] - stats[0])
-
-    def test_accepts_tensors(self):
-        out = hd.denormalize({"x": Tensor(np.array([0.5], dtype=np.float32))},
-                             {"x": (0.0, 2.0)})
-        np.testing.assert_allclose(out["x"], [1.0])
 
     def test_missing_stats_rejected(self):
         with pytest.raises(ContractError):

@@ -141,11 +141,11 @@ class TestPersistence:
 
 class TestReportCsv:
     def test_rows_and_reasons(self, tmp_path):
-        path = str(tmp_path / "ood.csv")
-        ood.write_report_csv(path, [7, 9], np.array([True, False]),
+        path = tmp_path / "ood.csv"
+        ood.write_report_csv(str(path), [7, 9], np.array([True, False]),
                              np.array([5.5, 0.25]),
                              [["g2.alpha", "latent"], []])
-        lines = open(path).read().splitlines()
+        lines = path.read_text().splitlines()
         assert lines[0] == "cell_id,flagged,score,reasons"
         assert lines[1] == "7,1,5.5,g2.alpha|latent"
         assert lines[2] == "9,0,0.25,"

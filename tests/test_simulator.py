@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import types
 
 import numpy as np
 import pytest
@@ -88,10 +87,9 @@ class TestIntegratorClosedForms:
 
 
 class TestFluxes:
-    def params(self, **kw):
-        base = {"alpha": 2000.0, "resp_frac": 0.9, "nutrient": 1.0}
-        base.update(kw)
-        return types.SimpleNamespace(**base)
+    # the formula spin-up, the equilibria and load_world run
+    def fluxes(self, fm, alpha=2000.0, resp_frac=0.9, nutrient=1.0):
+        return sim._flux_from_gbar(sim._gbar_of(fm), alpha, resp_frac, nutrient)
 
     def random_forcing(self, rng, n):
         cols = []
@@ -103,34 +101,29 @@ class TestFluxes:
     def test_identity_exact_for_1000_random_inputs(self):
         rng = np.random.default_rng(0)
         fm = self.random_forcing(rng, 1000)
-        params = self.params(alpha=rng.uniform(800, 3600, size=1000),
-                             resp_frac=rng.uniform(0.82, 0.975, size=1000),
-                             nutrient=rng.uniform(0.4, 1.0, size=1000))
-        gpp, ar, npp = sim.step_fluxes(fm, params)
+        gpp, ar, npp = self.fluxes(fm, alpha=rng.uniform(800, 3600, size=1000),
+                                   resp_frac=rng.uniform(0.82, 0.975, size=1000),
+                                   nutrient=rng.uniform(0.4, 1.0, size=1000))
         assert np.all(npp + ar - gpp == 0.0)
         assert np.all(gpp > 0)
 
     def test_full_respiration_gives_zero_npp(self):
         fm = self.random_forcing(np.random.default_rng(1), 10)
-        _, _, npp = sim.step_fluxes(fm, self.params(resp_frac=1.0))
+        _, _, npp = self.fluxes(fm, resp_frac=1.0)
         assert np.all(npp == 0.0)
 
     def test_halving_nutrient_halves_gpp(self):
         fm = self.random_forcing(np.random.default_rng(2), 50)
-        g1, a1, n1 = sim.step_fluxes(fm, self.params(nutrient=1.0))
-        g2, a2, n2 = sim.step_fluxes(fm, self.params(nutrient=0.5))
+        g1, a1, n1 = self.fluxes(fm, nutrient=1.0)
+        g2, a2, n2 = self.fluxes(fm, nutrient=0.5)
         assert np.array_equal(g2, 0.5 * g1)
         assert np.array_equal(n2, 0.5 * n1)
 
     def test_response_is_positive_and_bounded(self):
         rng = np.random.default_rng(3)
         fm = self.random_forcing(rng, 500)
-        g = sim.response_g(fm[:, 4], fm[:, 1], fm[:, 0])
+        g = sim._gbar_of(fm)
         assert np.all(g >= 0.0) and np.all(g <= 1.0)
-
-    def test_wrong_variable_count_rejected(self):
-        with pytest.raises(ContractError):
-            sim.step_fluxes(np.zeros((4, 3)), self.params())
 
 
 class TestWorldGeneration:
@@ -143,18 +136,14 @@ class TestWorldGeneration:
         assert np.array_equal(a.eq_final.pools.soil4c, b.eq_final.pools.soil4c)
 
     def test_forcing_series_length_and_bounds(self):
-        w = sim.generate_world(0, sim.GridSpec(2, 2, 1.0), years=1)
+        # the window's monthly means, one row per month of every year
+        w = sim.generate_world(0, sim.GridSpec(2, 2, 1.0), years=2)
         assert w.n_cells >= 1
-        series = sim.cell_forcing_series(w, 0)
-        assert series.shape == (1460, 5)
+        series = w.forcing_monthly
+        assert series.shape == (w.n_cells, 24, 5)
         for i, name in enumerate(pl.G1_FIELDS):
             lo, hi = sim.FORCING_BOUNDS[name]
-            assert series[:, i].min() >= lo and series[:, i].max() <= hi, name
-
-    def test_forcing_series_deterministic(self, world):
-        a = sim.cell_forcing_series(world, 3)
-        b = sim.cell_forcing_series(world, 3)
-        assert np.array_equal(a, b)
+            assert series[..., i].min() >= lo and series[..., i].max() <= hi, name
 
     def test_nutrient_only_deviates_in_tropics(self, world):
         tropical = np.abs(world.cell_lat) < sim.TROPICS_LAT
