@@ -1,25 +1,20 @@
 #!/usr/bin/env python3
-"""From raw world to normalized training batches.
+"""From raw world to a normalized train/test dataset.
 
 Walks the cells' samples (one array per feature group, one row per cell)
 through the data pipeline: nearest forcing-point alignment, monthly
-aggregation of the forcing window, MinMax normalization, and the
-deterministic hash split into train/test. Also
-cross-checks the KD-tree mapping against a brute-force scan, ties
-included.
+aggregation of the forcing window, the seeded 80:20 train/test
+permutation, MinMax normalization with training-split statistics, and
+the dataset directory: a manifest plus one file per split, rows sorted
+by (lat, lon).
 """
 
+import os
 import tempfile
 
 import numpy as np
 
 from phase_surrogate import pipeline, simulator
-
-
-def brute_force_map(model_points, forcing_points):
-    # reference twin of pipeline.kdtree_map: O(n*m), ties to lowest index
-    diff = model_points[:, None, :] - forcing_points[None, :, :]
-    return np.argmin((diff ** 2).sum(axis=2), axis=1)
 
 
 def main():
@@ -38,18 +33,18 @@ def main():
     print(f"  targets           : {sorted(samples.targets)}\n")
 
     # the model grid is aligned to the sparser forcing network by nearest
-    # neighbor; verify the tree against the obvious quadratic scan
+    # neighbor
     model_pts = np.stack([world.cell_lat, world.cell_lon], axis=1)
     forcing_pts = np.stack([world.points.lat, world.points.lon], axis=1)
-    tree = pipeline.kdtree_map(model_pts, forcing_pts)
-    brute = brute_force_map(model_pts, forcing_pts)
-    print(f"kd-tree vs brute force on {len(tree)} cells: "
-          f"{'identical' if np.array_equal(tree, brute) else 'MISMATCH'}")
+    nearest = pipeline.kdtree_map(model_pts, forcing_pts)
+    print(f"{len(nearest)} cells draw forcing from "
+          f"{len(np.unique(nearest))} of {len(forcing_pts)} forcing points")
 
     with tempfile.TemporaryDirectory() as tmp:
         dataset = pipeline.build_dataset(samples, seed=0, out_dir=tmp)
         print(f"split: {dataset.train.n} train / {dataset.test.n} test "
-              f"(hash of cell id, stable under reordering)\n")
+              f"(seeded permutation of the cells)")
+        print(f"dataset files: {sorted(os.listdir(tmp))}\n")
         stats = dataset.feature_stats
         for channel in ("g2.alpha", "g2.nutrient", "g1.temperature"):
             lo, hi = stats[channel]

@@ -58,7 +58,11 @@ def save_json(path, obj):
 
 def load_json(path):
     with open(path, "rb") as fh:
-        return json.loads(fh.read().decode("utf-8"))
+        raw = fh.read()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise ContractError(f"undecodable JSON in {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

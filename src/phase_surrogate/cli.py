@@ -39,7 +39,7 @@ def _build_parser():
     p.add_argument("--years", type=int, default=20)
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("build-dataset", help="turn a world into batches")
+    p = sub.add_parser("build-dataset", help="turn a world into a train/test dataset")
     p.add_argument("--world", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="dataset directory")

@@ -357,8 +357,16 @@ def _stats_from_json(stats):
 def config_from_file(path):
     """Reads {"model": {...}, "train": {...}} JSON; either section optional."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    for key in data:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # also undecodable UTF-8
+            raise ConfigurationError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path} must hold a JSON object")
+    for key, section in data.items():
         if key not in ("model", "train"):
             raise ConfigurationError(f"unknown config section {key!r}")
+        if not isinstance(section, dict):
+            raise ConfigurationError(f"config section {key!r} must be a "
+                                     "JSON object")
     return data.get("model", {}), data.get("train", {})

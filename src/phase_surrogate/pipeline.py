@@ -1,6 +1,5 @@
 """Dataset construction: spatial alignment, temporal aggregation,
-normalization, splitting, spatially coherent batching, and the on-disk
-dataset layout.
+normalization, splitting, and the on-disk dataset layout.
 
 A sample is one land cell with five feature groups:
 
@@ -51,9 +50,10 @@ SLOW_TASKS = ("deadcrootc", "deadstemc", "tlai", "cwdc", "soil3c", "soil4c")
 FLUX_TASKS = ("gpp", "ar", "npp")
 TASKS = SLOW_TASKS + FLUX_TASKS
 
-BATCH_ARRAYS = ("cell_id", "lat", "lon") + GROUPS + tuple(f"y_{t}" for t in TASKS)
+# One blob per column, in this order, in each split file of a dataset.
+COLUMNS = ("cell_id", "lat", "lon") + GROUPS + TASKS
+DATASET_VERSION = 2
 
-DEFAULT_BATCH_SIZE = 256
 TRAIN_NUM, TRAIN_DEN = 8, 10
 
 
@@ -156,7 +156,7 @@ def minmax_invert(values, stats):
 
 
 # ---------------------------------------------------------------------------
-# Split, batching, cleaning
+# Split and cleaning
 # ---------------------------------------------------------------------------
 
 def split_shuffle(ids, seed):
@@ -168,17 +168,6 @@ def split_shuffle(ids, seed):
     perm = np.random.default_rng(seed).permutation(n)
     n_train = (n * TRAIN_NUM) // TRAIN_DEN
     return ids[perm[:n_train]].copy(), ids[perm[n_train:]].copy()
-
-
-def batch_by_latlon(lat, lon, batch_size):
-    """Chunk sample indices into spatially coherent batches: lexicographic
-    sort by (lat, lon), then consecutive slices."""
-    if batch_size < 1:
-        raise ContractError("batch_size must be >= 1")
-    lat = np.asarray(lat)
-    lon = np.asarray(lon)
-    order = np.lexsort((lon, lat))
-    return [order[i:i + batch_size] for i in range(0, order.size, batch_size)]
 
 
 def clean(samples):
@@ -214,6 +203,13 @@ class DatasetSplit:
     def n(self):
         return int(self.cell_id.shape[0])
 
+    def take(self, rows):
+        """The split's samples at ``rows`` (indices, a slice or a boolean
+        mask)."""
+        return DatasetSplit(self.cell_id[rows], self.lat[rows], self.lon[rows],
+                            {g: v[rows] for g, v in self.groups.items()},
+                            {t: v[rows] for t, v in self.targets.items()})
+
 
 @dataclasses.dataclass
 class Dataset:
@@ -221,7 +217,6 @@ class Dataset:
     test: DatasetSplit
     feature_stats: dict
     target_stats: dict
-    meta: dict
 
     def split(self, name):
         if name not in ("train", "test"):
@@ -259,23 +254,14 @@ def normalize_targets(targets, stats):
     return {t: minmax_apply(targets[t], stats[t]).astype(np.float32) for t in TASKS}
 
 
-def _write_split_batches(out_dir, prefix, split, order_chunks):
-    paths = []
-    for b, idx in enumerate(order_chunks):
-        rel = os.path.join("batches", f"{prefix}_{b:04d}.pht")
-        arrays = [split.cell_id[idx].astype(np.float64),
-                  split.lat[idx], split.lon[idx]]
-        arrays += [split.groups[g][idx] for g in GROUPS]
-        arrays += [split.targets[t][idx] for t in TASKS]
-        blobio.save_blob_sequence(os.path.join(out_dir, rel), arrays)
-        paths.append(rel)
-    return paths
+def build_dataset(samples, seed, out_dir, world_meta=None):
+    """Clean, split and normalize the samples, and write a dataset directory:
+    ``manifest.json`` plus one blob sequence per split (``train.pht``,
+    ``test.pht``) holding one blob per column of :data:`COLUMNS`.  Each
+    split's rows are sorted by (lat, lon), so consecutive rows, and thus
+    training batches, are spatially coherent.
 
-
-def build_dataset(samples, seed, out_dir, batch_size=DEFAULT_BATCH_SIZE, world_meta=None):
-    """Clean, split, normalize, batch, and write a dataset directory.
-
-    Returns the in-memory :class:`Dataset` equivalent to what was written.
+    Returns the in-memory :class:`Dataset` equal to what was written.
     """
     samples, dropped = clean(samples)
     n = samples.n
@@ -288,53 +274,37 @@ def build_dataset(samples, seed, out_dir, batch_size=DEFAULT_BATCH_SIZE, world_m
                      for name, g, i in FEATURE_CHANNELS}
     target_stats = fit_target_stats({t: targets[t][train_pos] for t in TASKS})
 
-    norm_groups = normalize_groups(groups, feature_stats)
-    norm_targets = normalize_targets(targets, target_stats)
-
-    def make_split(pos):
-        return DatasetSplit(
-            cell_id=samples.cell_id[pos],
-            lat=samples.lat[pos],
-            lon=samples.lon[pos],
-            groups={g: norm_groups[g][pos] for g in GROUPS},
-            targets={t: norm_targets[t][pos] for t in TASKS},
-        )
-
-    train, test = make_split(train_pos), make_split(test_pos)
-
-    dims = {
-        "months": int(groups["g1"].shape[1]),
-        "n_pft": int(groups["g3"].shape[1]),
-        "n_layers": int(groups["g5"].shape[1]),
-    }
+    normalized = DatasetSplit(samples.cell_id, samples.lat, samples.lon,
+                              normalize_groups(groups, feature_stats),
+                              normalize_targets(targets, target_stats))
+    train, test = (normalized.take(pos[np.lexsort((samples.lon[pos], samples.lat[pos]))])
+                   for pos in (train_pos, test_pos))
 
     tmp_dir = f"{out_dir}.tmp-{os.getpid()}"
     if os.path.exists(tmp_dir):
         shutil.rmtree(tmp_dir)
-    os.makedirs(os.path.join(tmp_dir, "batches"))
-
-    train_chunks = batch_by_latlon(train.lat, train.lon, batch_size)
-    test_chunks = batch_by_latlon(test.lat, test.lon, batch_size)
-    batch_paths = {
-        "train": _write_split_batches(tmp_dir, "train", train, train_chunks),
-        "test": _write_split_batches(tmp_dir, "test", test, test_chunks),
-    }
+    os.makedirs(tmp_dir)
+    for name, split in (("train", train), ("test", test)):
+        columns = [split.cell_id.astype(np.float64), split.lat, split.lon]
+        columns += [split.groups[g] for g in GROUPS]
+        columns += [split.targets[t] for t in TASKS]
+        blobio.save_blob_sequence(os.path.join(tmp_dir, f"{name}.pht"), columns)
 
     manifest = {
         "format": "dataset",
-        "version": 1,
+        "version": DATASET_VERSION,
         "pipeline_seed": int(seed),
-        "batch_size": int(batch_size),
         "n_samples": int(n),
         "n_train": int(train.n),
         "n_test": int(test.n),
-        "train_ids": [int(v) for v in train.cell_id],
-        "test_ids": [int(v) for v in test.cell_id],
-        "batches": batch_paths,
-        "batch_arrays": list(BATCH_ARRAYS),
+        "columns": list(COLUMNS),
         "feature_stats": feature_stats,
         "target_stats": target_stats,
-        "dims": dims,
+        "dims": {
+            "months": int(groups["g1"].shape[1]),
+            "n_pft": int(groups["g3"].shape[1]),
+            "n_layers": int(groups["g5"].shape[1]),
+        },
         "cleaned": {"dropped": dropped, "kept": int(n)},
         "world": world_meta or {},
     }
@@ -343,39 +313,33 @@ def build_dataset(samples, seed, out_dir, batch_size=DEFAULT_BATCH_SIZE, world_m
     if os.path.exists(out_dir):
         shutil.rmtree(out_dir)
     os.replace(tmp_dir, out_dir)
-
-    # Batch order is the on-disk sample order; reload semantics match files.
-    order = {"train": np.concatenate(train_chunks), "test": np.concatenate(test_chunks)}
-
-    def reordered(split, pos):
-        return DatasetSplit(split.cell_id[pos], split.lat[pos], split.lon[pos],
-                            {g: split.groups[g][pos] for g in GROUPS},
-                            {t: split.targets[t][pos] for t in TASKS})
-
-    return Dataset(reordered(train, order["train"]), reordered(test, order["test"]),
-                   feature_stats, target_stats, manifest)
+    return Dataset(train, test, feature_stats, target_stats)
 
 
 def load_dataset(path):
     manifest = blobio.load_json(os.path.join(path, "manifest.json"))
-    if manifest.get("format") != "dataset":
+    if not isinstance(manifest, dict) or manifest.get("format") != "dataset":
         raise ContractError(f"{path} is not a dataset directory")
+    if manifest.get("version") != DATASET_VERSION:
+        raise ContractError(f"{path} is a version {manifest.get('version')!r} "
+                            f"dataset, not version {DATASET_VERSION}; "
+                            f"rebuild it with build-dataset")
 
     def read_split(name):
-        parts = [blobio.load_blob_sequence(os.path.join(path, rel))
-                 for rel in manifest["batches"][name]]
-        cols = {key: np.concatenate([p[j] for p in parts])
-                for j, key in enumerate(manifest["batch_arrays"])}
+        split_path = os.path.join(path, f"{name}.pht")
+        arrays = blobio.load_blob_sequence(split_path)
+        rows = manifest.get(f"n_{name}")
+        if len(arrays) != len(COLUMNS) or any(a.shape[:1] != (rows,) for a in arrays):
+            raise ContractError(f"{split_path} does not hold {len(COLUMNS)} "
+                                f"columns of n_{name} = {rows!r} rows")
+        cols = dict(zip(COLUMNS, arrays))
         return DatasetSplit(
             cell_id=cols["cell_id"].astype(np.int64),
             lat=cols["lat"], lon=cols["lon"],
             groups={g: cols[g].astype(np.float32) for g in GROUPS},
-            targets={t: cols[f"y_{t}"].astype(np.float32) for t in TASKS},
+            targets={t: cols[t].astype(np.float32) for t in TASKS},
         )
 
-    train, test = read_split("train"), read_split("test")
-    if train.n != manifest["n_train"] or test.n != manifest["n_test"]:
-        raise ContractError("dataset batches disagree with manifest counts")
     stats = {k: tuple(v) for k, v in manifest["feature_stats"].items()}
     tstats = {k: tuple(v) for k, v in manifest["target_stats"].items()}
-    return Dataset(train, test, stats, tstats, manifest)
+    return Dataset(read_split("train"), read_split("test"), stats, tstats)

@@ -184,7 +184,6 @@ class EquilibriumState:
 class SpinupResult:
     final: PoolState
     final_year_mean: PoolState
-    monthly: list
 
 
 @dataclasses.dataclass
@@ -533,11 +532,10 @@ def _schedule(world, year, month, idx):
     return gbar, p
 
 
-def spinup(world, years, initial=None, cells=None, record=False):
+def spinup(world, years, initial=None, cells=None):
     """Monthly forward-Euler integration over the given number of years.
 
-    Returns the final state, the mean state over the last simulated year,
-    and, when record=True, the full monthly trajectory.
+    Returns the final state and the mean state over the last simulated year.
     """
     if years < 1:
         raise ConfigurationError("spinup needs years >= 1")
@@ -549,20 +547,17 @@ def spinup(world, years, initial=None, cells=None, record=False):
     state = PoolState.zeros(idx.shape[0], world.n_pft, world.n_layers) \
         if initial is None else initial.copy()
     alpha, r = params.alpha, params.resp_frac
-    monthly = [] if record else None
     tail = []
     for m in range(12 * years):
         year, month = divmod(m, 12)
         gbar, p = _schedule(world, year, month, idx)
         _, _, npp = _flux_from_gbar(gbar, alpha, r, p)
         state = advance_month(state, npp, route, kappa)
-        if record:
-            monthly.append(state)
         if m >= 12 * (years - 1):
             tail.append(state)
     mean = PoolState(**{k: np.mean([getattr(s, k) for s in tail], axis=0)
                         for k in POOL_KEYS})
-    return SpinupResult(final=state, final_year_mean=mean, monthly=monthly)
+    return SpinupResult(final=state, final_year_mean=mean)
 
 
 def _select_params(params, idx):

@@ -216,47 +216,20 @@ def _split_indices(n, seed):
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
-def _subset_arrays(split, idx):
-    arrays = {g: split.groups[g][idx] for g in pipeline.GROUPS}
-    for task in pipeline.TASKS:
-        arrays[f"y_{task}"] = split.targets[task][idx]
-    return arrays
-
-
-def _make_batches(arrays, batch_size):
-    n = arrays["g1"].shape[0]
-    batches = []
-    for start in range(0, n, batch_size):
-        sl = slice(start, min(start + batch_size, n))
-        batches.append({k: v[sl] for k, v in arrays.items()})
-    return batches
-
-
-def _attach_initials(arrays, model):
-    initials = pinn_initial_states(arrays, model.feature_stats,
-                                   model.target_stats)
-    for task, vals in initials.items():
-        arrays[f"init_{task}"] = vals
-
-
-def _batch_targets(batch):
-    return {t: batch[f"y_{t}"] for t in pipeline.TASKS}
-
-
-def _batch_initials(batch):
-    if "init_soil3c" not in batch:
-        return None
-    return {t: batch[f"init_{t}"] for t in pipeline.SLOW_TASKS}
+def _batches(split, batch_size):
+    return [split.take(slice(start, start + batch_size))
+            for start in range(0, split.n, batch_size)]
 
 
 def _batch_loss(model, batch, config):
-    preds, z = model.forward(batch)
+    preds, z = model.forward(batch.groups)
     deltas = None
     initials = None
     if model.delta_heads is not None:
         deltas = model.delta_forward(z)
-        initials = _batch_initials(batch)
-    return total_loss(preds, _batch_targets(batch), config, deltas, initials)
+        initials = pinn_initial_states(batch.groups, model.feature_stats,
+                                       model.target_stats)
+    return total_loss(preds, batch.targets, config, deltas, initials)
 
 
 def _eval_loss(model, batches, config):
@@ -264,7 +237,7 @@ def _eval_loss(model, batches, config):
     phys_sum = 0.0
     n = 0
     for batch in batches:
-        k = batch["g1"].shape[0]
+        k = batch.n
         total, comps = _batch_loss(model, batch, config)
         loss_sum += total.data.item() * k
         phys_sum += comps["phys"] * k
@@ -293,12 +266,12 @@ def _write_history(path, rows):
     blobio.atomic_write_bytes(path, buf.getvalue().encode("ascii"))
 
 
-def _optimize(model, train_arrays, val_arrays, config, history_path=None):
+def _optimize(model, train_split, val_split, config, history_path=None):
     params = model.named_params()
     opt = Adam(params, lr=config.lr)
     shuffle_rng = np.random.default_rng([config.seed, 17])
-    batches = _make_batches(train_arrays, config.batch_size)
-    val_batches = _make_batches(val_arrays, config.batch_size)
+    batches = _batches(train_split, config.batch_size)
+    val_batches = _batches(val_split, config.batch_size)
     best_val = np.inf
     best_state = _snapshot(params)
     bad = 0
@@ -316,9 +289,8 @@ def _optimize(model, train_arrays, val_arrays, config, history_path=None):
             opt.zero_grad()
             tape.backward(total)
             opt.step()
-            k = batch["g1"].shape[0]
-            loss_sum += total.data.item() * k
-            n_seen += k
+            loss_sum += total.data.item() * batch.n
+            n_seen += batch.n
         train_loss = loss_sum / n_seen
         val_loss, val_phys = _eval_loss(model, val_batches, config)
         if not np.isfinite(val_loss):
@@ -355,13 +327,8 @@ def train(config, dataset, model_config=None, history_path=None):
     model.target_stats = dict(dataset.target_stats)
 
     tr_idx, val_idx = _split_indices(dataset.train.n, config.seed)
-    train_arrays = _subset_arrays(dataset.train, tr_idx)
-    val_arrays = _subset_arrays(dataset.train, val_idx)
-    if model.delta_heads is not None:
-        _attach_initials(train_arrays, model)
-        _attach_initials(val_arrays, model)
-
-    history = _optimize(model, train_arrays, val_arrays, config, history_path)
+    history = _optimize(model, dataset.train.take(tr_idx),
+                        dataset.train.take(val_idx), config, history_path)
     model.train_config = config.to_dict()
     model.history = history
     from .ood import fit_ood
@@ -373,23 +340,20 @@ def _renorm_split(split, dataset, model):
     """Re-expresses a foreign dataset split in the model's stats space."""
     if model.feature_stats is None or model.target_stats is None:
         raise ContractError("model carries no normalization stats")
-    arrays = {}
+    physical = {}
     for g in pipeline.GROUPS:
         arr = split.groups[g].astype(np.float64)
-        out = np.empty_like(arr)
         for name, grp, i in pipeline.FEATURE_CHANNELS:
-            if grp != g:
-                continue
-            phys = pipeline.minmax_invert(arr[..., i],
-                                          dataset.feature_stats[name])
-            out[..., i] = pipeline.minmax_apply(phys,
-                                                model.feature_stats[name])
-        arrays[g] = out.astype(np.float32)
-    for task in pipeline.TASKS:
-        phys = dataset.denorm_target(task, split.targets[task])
-        arrays[f"y_{task}"] = pipeline.minmax_apply(
-            phys, model.target_stats[task]).astype(np.float32)
-    return arrays
+            if grp == g:
+                arr[..., i] = pipeline.minmax_invert(
+                    arr[..., i], dataset.feature_stats[name])
+        physical[g] = arr
+    targets = {t: pipeline.minmax_apply(dataset.denorm_target(t, split.targets[t]),
+                                        model.target_stats[t]).astype(np.float32)
+               for t in pipeline.TASKS}
+    return pipeline.DatasetSplit(
+        split.cell_id, split.lat, split.lon,
+        pipeline.normalize_groups(physical, model.feature_stats), targets)
 
 
 def fine_tune(model, fine_dataset, fraction, config, history_path=None):
@@ -400,21 +364,16 @@ def fine_tune(model, fine_dataset, fraction, config, history_path=None):
     """
     if not 0.0 < fraction <= 1.0:
         raise RangeError(f"fraction must lie in (0, 1], got {fraction}")
-    arrays = _renorm_split(fine_dataset.train, fine_dataset, model)
     n = fine_dataset.train.n
     k = max(2, int(round(fraction * n)))
     pick = np.sort(np.random.default_rng([config.seed, 23]).choice(
         n, size=min(k, n), replace=False))
-    sub = {key: val[pick] for key, val in arrays.items()}
+    sub = _renorm_split(fine_dataset.train, fine_dataset, model).take(pick)
 
     tuned = model.clone()
     tr_idx, val_idx = _split_indices(len(pick), config.seed)
-    train_arrays = {key: val[tr_idx] for key, val in sub.items()}
-    val_arrays = {key: val[val_idx] for key, val in sub.items()}
-    if tuned.delta_heads is not None:
-        _attach_initials(train_arrays, tuned)
-        _attach_initials(val_arrays, tuned)
-    history = _optimize(tuned, train_arrays, val_arrays, config, history_path)
+    history = _optimize(tuned, sub.take(tr_idx), sub.take(val_idx), config,
+                        history_path)
     tuned.train_config = config.to_dict()
     tuned.history = history
     return tuned

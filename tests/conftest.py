@@ -52,8 +52,7 @@ def build_toy_dataset(n=40, months=6, seed=0):
         target_stats[t] = (0.0, 1.0)
     return Dataset(train=split(slice(0, n_train)),
                    test=split(slice(n_train, n)),
-                   feature_stats=feature_stats, target_stats=target_stats,
-                   meta={"source": "toy"})
+                   feature_stats=feature_stats, target_stats=target_stats)
 
 
 def toy_model_config(**overrides):

@@ -3,6 +3,7 @@
 import filecmp
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -71,6 +72,30 @@ class TestExitCodes:
         rc = main(["train", "--data", str(ws["data"]),
                    "--config", str(bad), "--out", str(tmp_path / "m.phm")])
         assert rc == 2
+
+    @pytest.mark.parametrize("text", ["not json", "[]", '{"train": 5}'])
+    def test_malformed_config_is_usage_error(self, ws, tmp_path, capsys,
+                                             text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc = main(["train", "--data", str(ws["data"]),
+                   "--config", str(bad), "--out", str(tmp_path / "m.phm")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_malformed_dataset_is_clean_runtime_error(self, ws, tmp_path,
+                                                      capsys):
+        data = tmp_path / "data"
+        shutil.copytree(ws["data"], data)
+        split = str(data / "test.pht")
+        blobio.save_blob_sequence(split, blobio.load_blob_sequence(split)[:4])
+        rc = main(["eval", "--model", str(ws["model"]), "--data", str(data),
+                   "--out", str(tmp_path / "report")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "test.pht" in err
+        assert "Traceback" not in err
 
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         rc = main(["train", "--data", str(tmp_path / "nowhere"),

@@ -1,10 +1,12 @@
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from phase_surrogate import blobio
 from phase_surrogate import pipeline as pl
 from phase_surrogate import simulator as sim
 from phase_surrogate.errors import ContractError, RangeError
@@ -200,30 +202,6 @@ class TestSplitShuffle:
             pl.split_shuffle(np.arange(4), seed=0)
 
 
-class TestBatchByLatLon:
-    def test_chunks_follow_lat_lon_sort(self):
-        rng = np.random.default_rng(9)
-        lat = rng.uniform(-90, 90, size=700)
-        lon = rng.uniform(0, 360, size=700)
-        chunks = pl.batch_by_latlon(lat, lon, 256)
-        assert [len(c) for c in chunks] == [256, 256, 188]
-        order = np.concatenate(chunks)
-        np.testing.assert_array_equal(order, np.lexsort((lon, lat)))
-        # a batch never spans a latitude range larger than adjacent sorted rows
-        for c in chunks:
-            assert np.all(np.diff(lat[c]) >= 0)
-
-    def test_partition(self):
-        lat = np.array([3.0, 1.0, 2.0])
-        lon = np.array([0.0, 0.0, 0.0])
-        chunks = pl.batch_by_latlon(lat, lon, 2)
-        assert sorted(np.concatenate(chunks).tolist()) == [0, 1, 2]
-
-    def test_bad_batch_size(self):
-        with pytest.raises(ContractError):
-            pl.batch_by_latlon(np.zeros(3), np.zeros(3), 0)
-
-
 class TestClean:
     def test_valid_records_pass_through(self):
         samples = make_samples(8, seed=0)
@@ -265,7 +243,7 @@ class TestClean:
 def built(tmp_path_factory):
     out = tmp_path_factory.mktemp("ds") / "dataset"
     samples = make_samples(60, seed=4)
-    ds = pl.build_dataset(samples, seed=21, out_dir=str(out), batch_size=16)
+    ds = pl.build_dataset(samples, seed=21, out_dir=str(out))
     return samples, ds, str(out)
 
 
@@ -274,6 +252,7 @@ class TestBuildDataset:
         _, ds, _ = built
         assert ds.train.n == 48 and ds.test.n == 12
         assert set(ds.train.cell_id) & set(ds.test.cell_id) == set()
+        assert sorted(set(ds.train.cell_id) | set(ds.test.cell_id)) == list(range(60))
 
     def test_train_features_unit_range(self, built):
         _, ds, _ = built
@@ -316,7 +295,7 @@ class TestBuildDataset:
     def test_byte_identical_rebuild(self, built, tmp_path):
         _, _, out = built
         again = tmp_path / "again"
-        pl.build_dataset(make_samples(60, seed=4), seed=21, out_dir=str(again), batch_size=16)
+        pl.build_dataset(make_samples(60, seed=4), seed=21, out_dir=str(again))
         for root, _dirs, files in os.walk(out):
             rel_root = os.path.relpath(root, out)
             for f in sorted(files):
@@ -326,9 +305,17 @@ class TestBuildDataset:
                     assert fa.read() == fb.read(), f
 
     def test_batches_are_spatially_sorted(self, built):
-        _, ds, _ = built
-        # on-disk order is sorted by (lat, lon) within each split
-        assert np.all(np.diff(ds.train.lat) >= 0)
+        # training batches are consecutive rows, and each split's rows, in
+        # memory and on disk, are sorted by lat, then lon
+        _, ds, out = built
+        for loaded in (ds, pl.load_dataset(out)):
+            for part in (loaded.train, loaded.test):
+                np.testing.assert_array_equal(np.lexsort((part.lon, part.lat)),
+                                              np.arange(part.n))
+
+    def test_directory_holds_one_file_per_split(self, built):
+        _, _, out = built
+        assert sorted(os.listdir(out)) == ["manifest.json", "test.pht", "train.pht"]
 
     def test_rejects_too_few_records(self, tmp_path):
         samples = make_samples(6, seed=5)
@@ -337,7 +324,42 @@ class TestBuildDataset:
             pl.build_dataset(samples, seed=0, out_dir=str(tmp_path / "x"))
 
     def test_load_rejects_non_dataset(self, tmp_path):
-        from phase_surrogate import blobio
         blobio.save_json(str(tmp_path / "manifest.json"), {"format": "other"})
         with pytest.raises(ContractError):
             pl.load_dataset(str(tmp_path))
+
+
+@pytest.fixture
+def damaged(built, tmp_path):
+    """A copy of the built dataset directory, for one test to break."""
+    _, _, out = built
+    copy = tmp_path / "damaged"
+    shutil.copytree(out, copy)
+    return copy
+
+
+class TestLoadRefusesMalformed:
+    def test_split_file_short_of_a_column(self, damaged):
+        path = str(damaged / "train.pht")
+        blobio.save_blob_sequence(path, blobio.load_blob_sequence(path)[:-1])
+        with pytest.raises(ContractError, match="train.pht"):
+            pl.load_dataset(str(damaged))
+
+    def test_column_short_of_a_row(self, damaged):
+        path = str(damaged / "test.pht")
+        cols = blobio.load_blob_sequence(path)
+        cols[pl.COLUMNS.index("soil3c")] = cols[pl.COLUMNS.index("soil3c")][:-1]
+        blobio.save_blob_sequence(path, cols)
+        with pytest.raises(ContractError, match="n_test = 12"):
+            pl.load_dataset(str(damaged))
+
+    def test_undecodable_manifest(self, damaged):
+        (damaged / "manifest.json").write_bytes(b"not json")
+        with pytest.raises(ContractError, match="undecodable JSON"):
+            pl.load_dataset(str(damaged))
+
+    def test_version_one_manifest(self, damaged):
+        path = str(damaged / "manifest.json")
+        blobio.save_json(path, dict(blobio.load_json(path), version=1))
+        with pytest.raises(ContractError, match="version 1"):
+            pl.load_dataset(str(damaged))

@@ -342,8 +342,8 @@ class TestTrainLoop:
         model = training.train(cfg, toy_dataset,
                                model_config=toy_model_config())
         _, val_idx = training._split_indices(toy_dataset.train.n, cfg.seed)
-        val_arrays = training._subset_arrays(toy_dataset.train, val_idx)
-        batches = training._make_batches(val_arrays, cfg.batch_size)
+        batches = training._batches(toy_dataset.train.take(val_idx),
+                                    cfg.batch_size)
         val_loss, _ = training._eval_loss(model, batches, cfg)
         assert val_loss == pytest.approx(min(h[2] for h in model.history),
                                          rel=1e-6)
@@ -414,15 +414,16 @@ class TestRenormSplit:
         model.target_stats = dict(toy_model.target_stats)
         model.feature_stats["g2.alpha"] = (0.0, 2.0)
         model.target_stats["gpp"] = (0.0, 3.0)
-        arrays = training._renorm_split(toy_dataset.train, toy_dataset, model)
-        np.testing.assert_allclose(arrays["g2"][:, 3],
+        split = training._renorm_split(toy_dataset.train, toy_dataset, model)
+        np.testing.assert_allclose(split.groups["g2"][:, 3],
                                    toy_dataset.train.groups["g2"][:, 3] / 2.0,
                                    rtol=1e-6)
-        np.testing.assert_allclose(arrays["y_gpp"],
+        np.testing.assert_allclose(split.targets["gpp"],
                                    toy_dataset.train.targets["gpp"] / 3.0,
                                    rtol=1e-6)
-        np.testing.assert_allclose(arrays["g1"],
+        np.testing.assert_allclose(split.groups["g1"],
                                    toy_dataset.train.groups["g1"], rtol=1e-6)
+        np.testing.assert_array_equal(split.cell_id, toy_dataset.train.cell_id)
 
     def test_requires_model_stats(self, toy_model, toy_dataset):
         bare = toy_model.clone()
