@@ -9,6 +9,7 @@ from scipy.spatial import cKDTree
 from phase_surrogate import blobio
 from phase_surrogate import pipeline as pl
 from phase_surrogate import simulator as sim
+from phase_surrogate import training
 from phase_surrogate.errors import ContractError, RangeError
 
 
@@ -200,6 +201,31 @@ class TestSplitShuffle:
     def test_too_small_rejected(self):
         with pytest.raises(ContractError):
             pl.split_shuffle(np.arange(4), seed=0)
+
+
+class TestBatchByLatLon:
+    """Training batches are consecutive rows of a split that build_dataset
+    sorted by (lat, lon)."""
+
+    def test_chunks_follow_lat_lon_sort(self, tmp_path):
+        samples = make_samples(700, seed=9, months=12)
+        ds = pl.build_dataset(samples, seed=3, out_dir=str(tmp_path / "ds"))
+        chunks = training._batches(ds.train, 256)
+        assert [c.n for c in chunks] == [256, 256, 48]
+        ids = np.sort(ds.train.cell_id)
+        want = ids[np.lexsort((samples.lon[ids], samples.lat[ids]))]
+        np.testing.assert_array_equal(np.concatenate([c.cell_id for c in chunks]), want)
+        # a batch never spans a latitude range larger than adjacent sorted rows
+        for c in chunks:
+            assert np.all(np.diff(c.lat) >= 0)
+
+    def test_partition(self, tmp_path):
+        samples = make_samples(5, seed=1, months=12)
+        samples.lat[:] = [3.0, 1.0, 2.0, 5.0, 4.0]
+        samples.lon[:] = 0.0
+        ds = pl.build_dataset(samples, seed=0, out_dir=str(tmp_path / "ds"))
+        chunks = [c for part in (ds.train, ds.test) for c in training._batches(part, 2)]
+        assert sorted(np.concatenate([c.cell_id for c in chunks]).tolist()) == [0, 1, 2, 3, 4]
 
 
 class TestClean:
