@@ -16,7 +16,6 @@ import numpy as np
 
 from phase_surrogate import blobio, pipeline, simulator, training
 from phase_surrogate.heads import denormalize
-from phase_surrogate.model import Surrogate
 
 
 def main():
@@ -30,9 +29,9 @@ def main():
         model = training.train(training.TrainConfig(seed=0, max_epochs=40),
                                dataset)
 
-        # predict every cell and write the restart file
-        groups = pipeline.normalize_groups(samples.groups, model.feature_stats)
-        preds, _ = model.predict(groups)
+        # predict every cell from its physical-unit features and write the
+        # restart file
+        preds, _ = model.predict(samples.groups)
         slow = denormalize({t: preds[t] for t in pipeline.SLOW_TASKS},
                            model.target_stats)
         path = os.path.join(tmp, "warm.phr")

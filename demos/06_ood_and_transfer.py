@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """The out-of-distribution guard, and moving to a finer grid.
 
-A trained model carries envelope and latent statistics from its training
-data. Part one feeds it a clean batch and a corrupted one and shows how
+A trained model carries its training data's feature range and latent
+statistics. Part one feeds it a clean batch and a corrupted one and shows how
 the guard reacts. Part two takes the coarse-grid model to a finer grid
 with wider parameter spreads: first zero-shot, then fine-tuned on a 10%
 sample of the fine-grid data.
@@ -31,17 +31,21 @@ def main():
                                coarse)
 
         # -- guard ---------------------------------------------------------
+        # the guard, like the model, reads physical units
         part = coarse.split("test")
-        batch = {g: part.groups[g][:64].copy() for g in pipeline.GROUPS}
+        batch = pipeline.denormalize_groups(part.take(slice(0, 64)).groups,
+                                            coarse.feature_stats)
         _, z = model.predict(batch)
-        flags, _, _ = ood.check(z, batch, model.ood_stats)
+        flags, _, _ = ood.check(z, batch, model.ood_stats, model.feature_stats)
         print(f"clean test batch: {int(flags.sum())}/{len(flags)} flagged")
 
         corrupted = {g: v.copy() for g, v in batch.items()}
         col = pipeline.G2_FIELDS.index("alpha")
-        corrupted["g2"][:8, col] = 25.0   # far outside the [0, 1] envelope
+        _, alpha_hi = model.feature_stats["g2.alpha"]
+        corrupted["g2"][:8, col] = 25.0 * alpha_hi   # far above training
         _, z = model.predict(corrupted)
-        flags, _, reasons = ood.check(z, corrupted, model.ood_stats)
+        flags, _, reasons = ood.check(z, corrupted, model.ood_stats,
+                                      model.feature_stats)
         print(f"corrupted batch:  {int(flags.sum())}/{len(flags)} flagged, "
               f"first reason: {reasons[0]}")
 
@@ -59,7 +63,7 @@ def main():
         adapted = metrics.evaluate(tuned, fine, "test")
         print(f"after fine-tuning on 10% of fine train cells: "
               f"{adapted.mean_r2():.3f}")
-        rate = ood.flag_rate(model, fine.split("test"), model.ood_stats)
+        rate = ood.flag_rate(model, fine, "test", model.ood_stats)
         print(f"guard flag rate on the fine grid before tuning: {rate:.1%}")
 
 

@@ -14,10 +14,15 @@ from . import blobio
 from . import pipeline
 from .errors import ConfigurationError
 from .metrics import evaluate, format_mean_std
-from .model import VARIANTS, ModelConfig
+from .model import ModelConfig
 from .training import TrainConfig, train
 
 TABLE_TASKS = pipeline.SLOW_TASKS
+
+# The study's columns: the model's architecture variants plus no_phys, the
+# full architecture trained with the physics penalty off.
+VARIANTS = ("full", "no_cnn", "no_fc", "no_lstm", "no_trans", "no_phys",
+            "baseline_mlp", "baseline_pinn")
 
 
 def build_variant(name, model_config=None, train_config=None):

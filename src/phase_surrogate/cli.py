@@ -89,8 +89,7 @@ def _build_parser():
     p.add_argument("--sample", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("config", help="print the default configuration")
-    p.add_argument("--defaults", action="store_true")
+    sub.add_parser("config", help="print the default configuration")
     return parser
 
 
@@ -169,8 +168,9 @@ def _cmd_eval(args):
     export_report(report, args.out)
     if model.ood_stats is not None:
         part = dataset.split(args.split)
-        flags, scores, reasons = ood.check(report.latent, part.groups,
-                                           model.ood_stats)
+        groups = pipeline.denormalize_groups(part.groups, dataset.feature_stats)
+        flags, scores, reasons = ood.check(report.latent, groups,
+                                           model.ood_stats, model.feature_stats)
         ood.write_report_csv(os.path.join(args.out, "ood.csv"),
                              part.cell_id, flags, scores, reasons)
     print(f"wrote {args.out}: mean slow-task R^2 = {report.mean_r2():.4f}")
@@ -231,14 +231,12 @@ def _cmd_restart_check(args):
     from .model import Surrogate
     world = simulator.load_world(_world_path(args.world))
     model = Surrogate.load(args.model)
-    if model.feature_stats is None:
-        raise ContractError("model carries no normalization stats")
     samples = simulator.export_samples(world)
-    groups = pipeline.normalize_groups(samples.groups, model.feature_stats)
-    preds, z = model.predict(groups)
+    preds, z = model.predict(samples.groups)
 
     if model.ood_stats is not None:
-        flags, scores, reasons = ood.check(z, groups, model.ood_stats)
+        flags, scores, reasons = ood.check(z, samples.groups, model.ood_stats,
+                                           model.feature_stats)
         ood_path = os.path.splitext(args.out)[0] + "_ood.csv"
         ood.write_report_csv(ood_path, samples.cell_id, flags, scores,
                              reasons)
@@ -271,9 +269,9 @@ def _cmd_inspect_attention(args):
     if not 0 <= args.sample < part.n:
         raise RangeError(f"sample {args.sample} outside test split of "
                          f"{part.n}")
-    batch = {g: part.groups[g][args.sample:args.sample + 1]
-             for g in pipeline.GROUPS}
-    weights = model.attention_weights(batch)[0]
+    row = part.take(slice(args.sample, args.sample + 1))
+    weights = model.attention_weights(
+        pipeline.denormalize_groups(row.groups, dataset.feature_stats))[0]
     names = active_branches(model.config.variant)
     buf = io.StringIO()
     buf.write("head,query_group,key_group,weight\n")

@@ -123,7 +123,8 @@ def evaluate(model, dataset, split="test"):
     part = dataset.split(split)
     if part.n == 0:
         raise ContractError(f"{split} split is empty")
-    preds_norm, latent = model.predict(part.groups)
+    preds_norm, latent = model.predict(
+        pipeline.denormalize_groups(part.groups, dataset.feature_stats))
     preds_phys = denormalize(preds_norm, model.target_stats)
     tasks = {}
     truths_phys = {}

@@ -20,7 +20,7 @@ from .errors import CompletenessError, ConfigurationError, ContractError, ShapeE
 from .fusion import ConcatFusion, TransformerFusion
 from .heads import TaskHeads, task_registry
 
-VARIANTS = ("full", "no_cnn", "no_fc", "no_lstm", "no_trans", "no_phys",
+VARIANTS = ("full", "no_cnn", "no_fc", "no_lstm", "no_trans",
             "baseline_mlp", "baseline_pinn")
 
 BRANCHES = ("temporal", "layered", "static", "pft")
@@ -62,6 +62,10 @@ class ModelConfig:
     def __post_init__(self):
         self.channels = tuple(int(c) for c in self.channels)
         self.masked_features = tuple(self.masked_features)
+        if self.variant == "no_phys":
+            raise ConfigurationError(
+                "no_phys is a loss setting, not an architecture: use "
+                "--variant no_phys or train.phys_weight 0")
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
         for field in ("dim", "hidden", "heads", "depth", "ff_mult",
@@ -258,27 +262,34 @@ class Surrogate:
                                 "variant")
         return self.delta_heads.predict_all(z)
 
+    def _scaled(self, groups):
+        """Physical-unit groups in the network's input space: the model's own
+        feature stats applied.  ``forward`` and ``latent`` take that space."""
+        if self.feature_stats is None:
+            raise ContractError("model carries no normalization stats")
+        return pipeline.normalize_groups(groups, self.feature_stats)
+
     def predict(self, groups):
-        """Forward pass over a dict of group arrays, PREDICT_ROWS rows at a
-        time.  Returns (normalized predictions as arrays per task, latent
-        array [n, d])."""
+        """Forward pass over a dict of physical-unit group arrays,
+        PREDICT_ROWS rows at a time.  Returns (normalized predictions as
+        arrays per task, latent array [n, d])."""
         n = groups["g1"].shape[0]
         preds = {t: [] for t in self.heads.registry}
         latents = []
         for start in range(0, n, PREDICT_ROWS):
-            chunk = {g: a[start:start + PREDICT_ROWS]
-                     for g, a in groups.items()}
-            out, z = self.forward(chunk)
+            out, z = self.forward(self._scaled(
+                {g: a[start:start + PREDICT_ROWS] for g, a in groups.items()}))
             for t, p in out.items():
                 preds[t].append(p.data)
             latents.append(z.data)
         return ({t: np.concatenate(v, axis=0) for t, v in preds.items()},
                 np.concatenate(latents, axis=0))
 
-    def attention_weights(self, batch):
+    def attention_weights(self, groups):
+        """Fusion attention [batch, heads, n, n] for physical-unit groups."""
         if self.fusion is None:
             raise ContractError("the dense baseline has no attention")
-        arrays = self._masked_groups(batch)
+        arrays = self._masked_groups(self._scaled(groups))
         return self.fusion.attention_weights(self._branch_latents(arrays))
 
     # -- persistence --------------------------------------------------------
@@ -290,8 +301,8 @@ class Surrogate:
             "version": 1,
             "config": self.config.to_dict(),
             "train_config": self.train_config,
-            "feature_stats": _stats_to_json(self.feature_stats),
-            "target_stats": _stats_to_json(self.target_stats),
+            "feature_stats": self.feature_stats,
+            "target_stats": self.target_stats,
             "params": sorted(params),
         }
         arrays = {name: params[name].data for name in params}
@@ -322,8 +333,8 @@ class Surrogate:
                                  f"expected {tensor.data.shape}")
             tensor.data = stored.astype(tensor.data.dtype)
         model.train_config = manifest.get("train_config")
-        model.feature_stats = _stats_from_json(manifest.get("feature_stats"))
-        model.target_stats = _stats_from_json(manifest.get("target_stats"))
+        model.feature_stats = manifest.get("feature_stats")
+        model.target_stats = manifest.get("target_stats")
         if "ood" in manifest:
             from .ood import OodStats
             model.ood_stats = OodStats.from_manifest(manifest["ood"], arrays)
@@ -340,18 +351,6 @@ class Surrogate:
         twin.train_config = self.train_config
         twin.ood_stats = self.ood_stats
         return twin
-
-
-def _stats_to_json(stats):
-    if stats is None:
-        return None
-    return {k: [float(v[0]), float(v[1])] for k, v in stats.items()}
-
-
-def _stats_from_json(stats):
-    if stats is None:
-        return None
-    return {k: (v[0], v[1]) for k, v in stats.items()}
 
 
 def config_from_file(path):

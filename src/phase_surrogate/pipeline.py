@@ -228,14 +228,27 @@ class Dataset:
 
 
 def normalize_groups(group_arrays, stats):
+    """Physical-unit groups, those present, to float32 MinMax space."""
     out = {}
-    for g in GROUPS:
+    for g in [g for g in GROUPS if g in group_arrays]:
         arr = np.asarray(group_arrays[g], dtype=np.float64)
         norm = np.empty_like(arr)
         for name, grp, i in FEATURE_CHANNELS:
             if grp == g:
                 norm[..., i] = minmax_apply(arr[..., i], stats[name])
         out[g] = norm.astype(np.float32)
+    return out
+
+
+def denormalize_groups(group_arrays, stats):
+    """The inverse of :func:`normalize_groups`: float64 physical units."""
+    out = {}
+    for g in GROUPS:
+        arr = np.array(group_arrays[g], dtype=np.float64)
+        for name, grp, i in FEATURE_CHANNELS:
+            if grp == g:
+                arr[..., i] = minmax_invert(arr[..., i], stats[name])
+        out[g] = arr
     return out
 
 
@@ -340,6 +353,15 @@ def load_dataset(path):
             targets={t: cols[t].astype(np.float32) for t in TASKS},
         )
 
-    stats = {k: tuple(v) for k, v in manifest["feature_stats"].items()}
-    tstats = {k: tuple(v) for k, v in manifest["target_stats"].items()}
-    return Dataset(read_split("train"), read_split("test"), stats, tstats)
+    def read_stats(key, names):
+        stats = manifest.get(key)
+        if not isinstance(stats, dict) or not all(
+                isinstance(stats.get(k), list) and len(stats[k]) == 2
+                for k in names):
+            raise ContractError(f"{path} manifest lacks {key} as a [lo, hi] "
+                                f"pair per channel")
+        return stats
+
+    return Dataset(read_split("train"), read_split("test"),
+                   read_stats("feature_stats", [c[0] for c in FEATURE_CHANNELS]),
+                   read_stats("target_stats", TASKS))

@@ -340,14 +340,7 @@ def _renorm_split(split, dataset, model):
     """Re-expresses a foreign dataset split in the model's stats space."""
     if model.feature_stats is None or model.target_stats is None:
         raise ContractError("model carries no normalization stats")
-    physical = {}
-    for g in pipeline.GROUPS:
-        arr = split.groups[g].astype(np.float64)
-        for name, grp, i in pipeline.FEATURE_CHANNELS:
-            if grp == g:
-                arr[..., i] = pipeline.minmax_invert(
-                    arr[..., i], dataset.feature_stats[name])
-        physical[g] = arr
+    physical = pipeline.denormalize_groups(split.groups, dataset.feature_stats)
     targets = {t: pipeline.minmax_apply(dataset.denorm_target(t, split.targets[t]),
                                         model.target_stats[t]).astype(np.float32)
                for t in pipeline.TASKS}

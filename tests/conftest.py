@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,14 +47,36 @@ def build_toy_dataset(n=40, months=6, seed=0):
             targets={t: v[sl] for t, v in targets.items()})
 
     n_train = (n * 8) // 10
-    feature_stats = {name: (0.0, 1.0) for name, _, _ in
+    feature_stats = {name: [0.0, 1.0] for name, _, _ in
                      pipeline.FEATURE_CHANNELS}
-    target_stats = {t: (0.0, 1.0) for t in pipeline.SLOW_TASKS}
-    for t in pipeline.FLUX_TASKS:
-        target_stats[t] = (0.0, 1.0)
+    target_stats = {t: [0.0, 1.0] for t in pipeline.TASKS}
     return Dataset(train=split(slice(0, n_train)),
                    test=split(slice(n_train, n)),
                    feature_stats=feature_stats, target_stats=target_stats)
+
+
+def other_stats(stats):
+    """Feature stats unlike ``stats`` on every channel: every other channel
+    narrowed to the middle of its range, so its values fall outside [0, 1],
+    and the rest widened unevenly."""
+    out = {}
+    for k, (name, (lo, hi)) in enumerate(stats.items()):
+        span = hi - lo
+        out[name] = ([lo + 0.3 * span, lo + 0.6 * span] if k % 2 else
+                     [lo - 0.5 * span, hi + 0.25 * span])
+    return out
+
+
+def restate(dataset, feature_stats):
+    """``dataset``'s physical features normalized with ``feature_stats``."""
+    def move(split):
+        physical = pipeline.denormalize_groups(split.groups,
+                                               dataset.feature_stats)
+        return dataclasses.replace(
+            split, groups=pipeline.normalize_groups(physical, feature_stats))
+    return dataclasses.replace(dataset, train=move(dataset.train),
+                               test=move(dataset.test),
+                               feature_stats=feature_stats)
 
 
 def toy_model_config(**overrides):

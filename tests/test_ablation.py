@@ -3,7 +3,8 @@ import pytest
 
 from phase_surrogate import ablation, pipeline
 from phase_surrogate.errors import ConfigurationError
-from phase_surrogate.model import VARIANTS, ModelConfig
+from phase_surrogate.ablation import VARIANTS
+from phase_surrogate.model import ModelConfig
 from phase_surrogate.training import TrainConfig
 
 from conftest import toy_model_config

@@ -4,6 +4,7 @@ import pytest
 from conftest import build_toy_dataset, toy_model_config
 from phase_surrogate import model as model_mod
 from phase_surrogate import pipeline
+from phase_surrogate.cli import main
 from phase_surrogate.errors import (CompletenessError, ConfigurationError,
                                     ContractError, ShapeError)
 from phase_surrogate.heads import denormalize
@@ -25,6 +26,16 @@ def make(variant="full", **overrides):
     return Surrogate(cfg, rng=np.random.default_rng(0))
 
 
+def fill_stats(model):
+    """Identity feature stats, so physical units are the network's inputs,
+    and a distinct scale per task."""
+    model.feature_stats = {name: [0.0, 1.0]
+                           for name, _, _ in pipeline.FEATURE_CHANNELS}
+    model.target_stats = {t: [0.0, float(i + 1)]
+                          for i, t in enumerate(pipeline.TASKS)}
+    return model
+
+
 class TestModelConfig:
     def test_round_trip(self):
         cfg = toy_model_config(variant="no_cnn",
@@ -43,6 +54,16 @@ class TestModelConfig:
     def test_unknown_variant(self):
         with pytest.raises(ConfigurationError, match="no_heads"):
             ModelConfig(variant="no_heads")
+
+    def test_no_phys_refused(self, tmp_path):
+        # a loss setting, reachable only through the ablation study, where
+        # it also zeroes phys_weight
+        with pytest.raises(ConfigurationError, match="phys_weight"):
+            ModelConfig(variant="no_phys")
+        path = tmp_path / "cfg.json"
+        path.write_text('{"model": {"variant": "no_phys"}}')
+        assert main(["train", "--data", str(tmp_path), "--config", str(path),
+                     "--out", str(tmp_path / "m.phm")]) == 2
 
     def test_unknown_masked_feature(self):
         with pytest.raises(ConfigurationError, match="g2.magic"):
@@ -91,14 +112,6 @@ class TestVariantStructure:
         assert not any(".wq" in k or "embed" in k
                        for k in cut.named_params())
 
-    def test_no_phys_architecture_matches_full(self):
-        full = make("full")
-        same = make("no_phys")
-        a = full.named_params()
-        b = same.named_params()
-        assert set(a) == set(b)
-        assert all(a[k].data.shape == b[k].data.shape for k in a)
-
     def test_baseline_mlp_uses_trunk(self):
         mlp = make("baseline_mlp")
         assert mlp.fusion is None
@@ -145,9 +158,11 @@ class TestForward:
         del batch["g3"]
         with pytest.raises(ContractError, match="g3"):
             make("full").forward(batch)
+        with pytest.raises(ContractError, match="g3"):
+            fill_stats(make("full")).predict(batch)
 
     def test_attention_shape(self):
-        model = make("full")
+        model = fill_stats(make("full"))
         w = model.attention_weights(toy_batch(n=2))
         assert w.shape == (2, 2, 4, 4)
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
@@ -155,7 +170,7 @@ class TestForward:
     def test_predict_chunks_match_forward(self, monkeypatch):
         # 7 rows in chunks of 3 cross two chunk boundaries
         monkeypatch.setattr(model_mod, "PREDICT_ROWS", 3)
-        model = make("full")
+        model = fill_stats(make("full"))
         batch = toy_batch(n=7)
         whole, z = model.forward(batch)
         preds, latent = model.predict(batch)
@@ -165,6 +180,30 @@ class TestForward:
             np.testing.assert_allclose(preds[t], whole[t].data,
                                        rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(latent, z.data, rtol=1e-5, atol=1e-6)
+
+    def test_predict_applies_feature_stats(self):
+        # physical units in; the network sees them in its own MinMax space
+        model = fill_stats(make("full"))
+        model.feature_stats = {name: [-1.0, 3.0]
+                               for name in model.feature_stats}
+        batch = toy_batch()
+        physical = {g: 4.0 * a - 1.0 for g, a in batch.items()}
+        whole, z = model.forward(batch)
+        preds, latent = model.predict(physical)
+        np.testing.assert_allclose(preds["soil3c"], whole["soil3c"].data,
+                                   rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(latent, z.data, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(model.attention_weights(physical),
+                                   model.fusion.attention_weights(
+                                       model._branch_latents(batch)),
+                                   rtol=1e-5, atol=1e-6)
+
+    def test_predict_needs_feature_stats(self):
+        model = make("full")
+        with pytest.raises(ContractError, match="normalization stats"):
+            model.predict(toy_batch())
+        with pytest.raises(ContractError, match="normalization stats"):
+            model.attention_weights(toy_batch())
 
     def test_deterministic(self):
         model = make("full")
@@ -201,15 +240,9 @@ class TestFeatureMasking:
 
 
 class TestPersistence:
-    def fill_stats(self, model):
-        model.feature_stats = {name: (0.0, 1.0)
-                               for name, _, _ in pipeline.FEATURE_CHANNELS}
-        model.target_stats = {t: (0.0, float(i + 1))
-                              for i, t in enumerate(pipeline.TASKS)}
-
     def test_save_load_round_trip(self, tmp_path):
         model = make("full")
-        self.fill_stats(model)
+        fill_stats(model)
         path = str(tmp_path / "m.phm")
         model.save(path)
         again = Surrogate.load(path)
@@ -223,7 +256,7 @@ class TestPersistence:
 
     def test_save_is_byte_stable(self, tmp_path):
         model = make("no_trans")
-        self.fill_stats(model)
+        fill_stats(model)
         p1, p2 = tmp_path / "a.phm", tmp_path / "b.phm"
         model.save(str(p1))
         model.save(str(p2))
@@ -238,7 +271,7 @@ class TestPersistence:
 
     def test_predict_denormalizes(self):
         model = make("full")
-        self.fill_stats(model)
+        fill_stats(model)
         batch = toy_batch()
         preds, _ = model.forward(batch)
         phys = denormalize(model.predict(batch)[0], model.target_stats)
@@ -249,7 +282,7 @@ class TestPersistence:
 
     def test_clone_is_independent(self):
         model = make("full")
-        self.fill_stats(model)
+        fill_stats(model)
         twin = model.clone()
         batch = toy_batch()
         a, _ = model.forward(batch)

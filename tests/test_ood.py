@@ -6,6 +6,8 @@ import pytest
 from phase_surrogate import blobio, ood, pipeline
 from phase_surrogate.errors import ContractError, ShapeError
 
+from conftest import other_stats, restate
+
 
 @pytest.fixture(scope="module")
 def guard(toy_model, toy_dataset):
@@ -13,22 +15,17 @@ def guard(toy_model, toy_dataset):
 
 
 def train_groups(dataset):
-    return {g: dataset.train.groups[g] for g in pipeline.GROUPS}
+    """The train split's groups in physical units."""
+    return pipeline.denormalize_groups(dataset.train.groups,
+                                       dataset.feature_stats)
 
 
 def check(model, groups, stats):
     _, z = model.predict(groups)
-    return ood.check(z, groups, stats)
+    return ood.check(z, groups, stats, model.feature_stats)
 
 
 class TestFit:
-    def test_envelope_matches_observed_extremes(self, guard, toy_dataset):
-        for g in pipeline.GROUPS:
-            arr = toy_dataset.train.groups[g]
-            axes = tuple(range(arr.ndim - 1))
-            np.testing.assert_allclose(guard.env_lo[g], arr.min(axis=axes))
-            np.testing.assert_allclose(guard.env_hi[g], arr.max(axis=axes))
-
     def test_threshold_bounds_train_scores(self, guard, toy_model,
                                            toy_dataset):
         _, z = toy_model.predict(train_groups(toy_dataset))
@@ -40,8 +37,16 @@ class TestFit:
         # the q=99 latent threshold leaves at most ~1% of train flagged,
         # which rounds up to one sample on a tiny split
         n = toy_dataset.train.n
-        rate = ood.flag_rate(toy_model, toy_dataset.train, guard)
+        rate = ood.flag_rate(toy_model, toy_dataset, "train", guard)
         assert rate * n <= max(1, 0.01 * n)
+
+    def test_flag_rate_reads_physical_units(self, guard, toy_model,
+                                            toy_dataset):
+        # the same cells normalized with other stats are the same cells
+        moved = restate(toy_dataset, other_stats(toy_dataset.feature_stats))
+        for split in ("train", "test"):
+            assert ood.flag_rate(toy_model, moved, split, guard) == \
+                ood.flag_rate(toy_model, toy_dataset, split, guard)
 
     def test_empty_train_rejected(self, toy_model, toy_dataset):
         src = toy_dataset.train
@@ -73,20 +78,31 @@ class TestCheck:
             assert flag == bool(reason)
 
     def test_blown_feature_is_named(self, guard, toy_model, toy_dataset):
-        groups = {g: a.copy() for g, a in train_groups(toy_dataset).items()}
+        groups = train_groups(toy_dataset)
         groups["g2"][0, 3] = 10.0
         flags, _, reasons = check(toy_model, groups, guard)
         assert flags[0]
         assert "g2.alpha" in reasons[0]
 
+    def test_envelope_is_feature_range_widened_by_tau(self, guard,
+                                                      toy_model, toy_dataset):
+        lo, hi = toy_model.feature_stats["g2.alpha"]
+        margin = guard.tau * (hi - lo)
+        groups = train_groups(toy_dataset)
+        groups["g2"][:4, pipeline.G2_FIELDS.index("alpha")] = [
+            lo - 1.01 * margin, lo - 0.99 * margin,
+            hi + 0.99 * margin, hi + 1.01 * margin]
+        _, _, reasons = check(toy_model, groups, guard)
+        assert ["g2.alpha" in r for r in reasons[:4]] == [True, False,
+                                                          False, True]
+
     def test_far_latent_flagged(self, guard, toy_model, toy_dataset):
-        groups = {g: a.copy() for g, a in train_groups(toy_dataset).items()}
+        groups = train_groups(toy_dataset)
         # push every channel just inside the widened envelope so only the
         # latent criterion can fire
-        for g in pipeline.GROUPS:
-            span = guard.env_hi[g] - guard.env_lo[g]
-            groups[g][0] = (guard.env_hi[g] + 0.99 * guard.tau * span
-                            ).astype(np.float32)
+        for name, g, i in pipeline.FEATURE_CHANNELS:
+            lo, hi = toy_model.feature_stats[name]
+            groups[g][0, ..., i] = hi + 0.99 * guard.tau * (hi - lo)
         flags, scores, reasons = check(toy_model, groups, guard)
         if flags[0]:
             assert reasons[0] == ["latent"]
@@ -97,12 +113,12 @@ class TestCheck:
         groups = train_groups(toy_dataset)
         _, z = toy_model.predict(groups)
         with pytest.raises(ShapeError):
-            ood.check(z[1:], groups, guard)
+            ood.check(z[1:], groups, guard, toy_model.feature_stats)
 
     def test_wider_tau_flags_less(self, toy_model, toy_dataset):
         tight = ood.fit_ood(toy_model, toy_dataset, tau=0.0)
         loose = ood.fit_ood(toy_model, toy_dataset, tau=0.5)
-        groups = {g: a.copy() for g, a in train_groups(toy_dataset).items()}
+        groups = train_groups(toy_dataset)
         groups["g2"][:, 3] = groups["g2"][:, 3].max() + 0.1
         tight_flags, _, _ = check(toy_model, groups, tight)
         loose_flags, _, _ = check(toy_model, groups, loose)
@@ -122,9 +138,6 @@ class TestPersistence:
         assert again.threshold == guard.threshold
         np.testing.assert_array_equal(again.latent_mean, guard.latent_mean)
         np.testing.assert_array_equal(again.latent_var, guard.latent_var)
-        for g in pipeline.GROUPS:
-            np.testing.assert_array_equal(again.env_lo[g], guard.env_lo[g])
-            np.testing.assert_array_equal(again.env_hi[g], guard.env_hi[g])
 
     def test_travels_inside_model_file(self, toy_model, guard, tmp_path):
         model = toy_model.clone()
@@ -137,6 +150,10 @@ class TestPersistence:
         assert back.ood_stats.threshold == guard.threshold
         np.testing.assert_array_equal(back.ood_stats.latent_mean,
                                       guard.latent_mean)
+        # the feature envelope is the model's feature stats, not a copy
+        _, arrays = blobio.read_model_file(path)
+        assert sorted(n for n in arrays if n.startswith("ood.")) == [
+            "ood.latent_mean", "ood.latent_var"]
 
 
 class TestReportCsv:

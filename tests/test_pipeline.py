@@ -158,6 +158,18 @@ class TestMinMax:
         span = stats[1] - stats[0]
         assert np.abs(back - vals).max() <= 1e-6 * span
 
+    def test_groups_round_trip(self, built):
+        samples, ds, _ = built
+        physical = pl.denormalize_groups(ds.train.groups, ds.feature_stats)
+        for g in pl.GROUPS:
+            want = samples.groups[g][ds.train.cell_id]
+            assert physical[g].dtype == np.float64
+            np.testing.assert_allclose(physical[g], want, rtol=1e-5,
+                                       atol=1e-6)
+        again = pl.normalize_groups(physical, ds.feature_stats)
+        for g in pl.GROUPS:
+            np.testing.assert_array_equal(again[g], ds.train.groups[g])
+
     def test_constant_channel_maps_to_zero(self):
         vals = np.full(32, 7.5)
         stats = pl.minmax_fit(vals)
@@ -310,7 +322,8 @@ class TestBuildDataset:
                 np.testing.assert_array_equal(a.groups[g], b.groups[g])
             for t in pl.TASKS:
                 np.testing.assert_array_equal(a.targets[t], b.targets[t])
-        assert loaded.target_stats == {k: tuple(v) for k, v in ds.target_stats.items()}
+        assert loaded.feature_stats == ds.feature_stats
+        assert loaded.target_stats == ds.target_stats
 
     def test_target_denormalization_recovers_physical(self, built):
         samples, ds, _ = built
@@ -388,4 +401,21 @@ class TestLoadRefusesMalformed:
         path = str(damaged / "manifest.json")
         blobio.save_json(path, dict(blobio.load_json(path), version=1))
         with pytest.raises(ContractError, match="version 1"):
+            pl.load_dataset(str(damaged))
+
+    @pytest.mark.parametrize("key", ["feature_stats", "target_stats"])
+    def test_manifest_without_stats(self, damaged, key):
+        path = str(damaged / "manifest.json")
+        manifest = blobio.load_json(path)
+        del manifest[key]
+        blobio.save_json(path, manifest)
+        with pytest.raises(ContractError, match=key):
+            pl.load_dataset(str(damaged))
+
+    def test_stats_pair_short_of_a_bound(self, damaged):
+        path = str(damaged / "manifest.json")
+        manifest = blobio.load_json(path)
+        manifest["feature_stats"]["g2.alpha"] = [0.0]
+        blobio.save_json(path, manifest)
+        with pytest.raises(ContractError, match="feature_stats"):
             pl.load_dataset(str(damaged))
