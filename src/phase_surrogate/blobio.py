@@ -13,9 +13,12 @@ Three container formats live here:
   tensor blob per parameter in manifest order.
 
 All writers go through a temp-file + rename so consumers never observe a
-partially written file.
+partially written file.  Binary writers hand the file over in chunks (a
+header, then each array's own buffer), so no writer holds a second copy of
+the file in memory.
 """
 
+import itertools
 import json
 import math
 import os
@@ -44,9 +47,20 @@ _RESTART_HEAD = "<BBBQ"
 # ---------------------------------------------------------------------------
 
 def atomic_write_bytes(path, data):
+    """Write ``data``, one bytes-like object or an iterable of them written
+    in order, to a temp file, then rename it over ``path``.  Chunks are
+    written as they come, so a caller never has to join a file's bytes."""
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        data = (data,)
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            for chunk in data:
+                fh.write(chunk)
+    except BaseException:
+        os.remove(tmp)
+        raise
     os.replace(tmp, path)
 
 
@@ -69,8 +83,10 @@ def load_json(path):
 # Tensor blobs
 # ---------------------------------------------------------------------------
 
-def tensor_bytes(arr):
-    """Encode one array as a PHT1 blob."""
+def tensor_chunks(arr):
+    """Encode one array as a PHT1 blob: (header bytes, payload), where the
+    payload is the array itself when it is already contiguous little-endian
+    f4/f8, so writing the two back to back copies nothing."""
     arr = np.asarray(arr)
     code = _DTYPE_CODES.get(arr.dtype)
     if code is None:
@@ -79,7 +95,7 @@ def tensor_bytes(arr):
         raise ContractError("tensor rank exceeds format limit")
     header = BLOB_MAGIC + struct.pack("<BB", code, arr.ndim)
     dims = struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b""
-    return header + dims + np.ascontiguousarray(arr).astype(_CODE_DTYPES[code]).tobytes()
+    return header + dims, np.ascontiguousarray(arr, dtype=_CODE_DTYPES[code])
 
 
 def read_tensor(fh):
@@ -114,7 +130,7 @@ def read_tensor(fh):
 
 def save_blob_sequence(path, arrays):
     """Write several blobs back-to-back; order is the caller's contract."""
-    atomic_write_bytes(path, b"".join(tensor_bytes(a) for a in arrays))
+    atomic_write_bytes(path, (part for a in arrays for part in tensor_chunks(a)))
 
 
 def load_blob_sequence(path):
@@ -154,7 +170,7 @@ def write_restart(path, cell_ids, pools, n_pft, n_layers):
         records[name] = arr
     head = RESTART_MAGIC + struct.pack(_RESTART_HEAD, RESTART_VERSION, n_pft,
                                        n_layers, records.shape[0])
-    atomic_write_bytes(path, head + records.tobytes())
+    atomic_write_bytes(path, (head, records))
 
 
 def read_restart(path):
@@ -192,9 +208,9 @@ def write_model_file(path, manifest, arrays):
     if missing:
         raise CompletenessError(f"model arrays missing: {', '.join(missing)}")
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parts = [MODEL_MAGIC, struct.pack("<I", len(blob)), blob]
-    parts.extend(tensor_bytes(arrays[name]) for name in names)
-    atomic_write_bytes(path, b"".join(parts))
+    head = (MODEL_MAGIC, struct.pack("<I", len(blob)), blob)
+    blobs = (part for name in names for part in tensor_chunks(arrays[name]))
+    atomic_write_bytes(path, itertools.chain(head, blobs))
 
 
 def read_model_file(path):

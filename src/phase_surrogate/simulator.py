@@ -12,7 +12,10 @@ comparisons against u/k.
 Time layout: 6-hourly steps, 1460 per year.  Monthly aggregates use twelve
 uniform 30-day months per year (each year's trailing 20 steps are ignored).
 The 6-hourly series are never stored; they are regenerated on demand from
-the world seed.
+the world seed.  Forcing synthesis needs numpy only: one pass over time, a
+month at a time across all cells, draws each cell's own noise stream and
+runs its AR(1) filter as an explicit recurrence, bit for bit what
+``scipy.signal.lfilter`` would return.
 
 Per-cell work is embarrassingly parallel; everything here is vectorized
 across cells and emitted in deterministic cell order.
@@ -46,6 +49,7 @@ OBS_NOISE = 0.005
 AR1_RHO = 0.8
 
 STEPS_PER_YEAR = pipeline.STEPS_PER_YEAR
+STEPS_PER_MONTH = pipeline.STEPS_PER_MONTH
 STEPS_PER_DAY = 4
 
 FORCING_BOUNDS = {
@@ -270,83 +274,123 @@ def _flux_from_gbar(gbar, alpha, resp_frac, nutrient):
 # Synthetic forcing
 # ---------------------------------------------------------------------------
 
-def _seasonal_base(lat, frac, ramp, trend, rad_scale, precip_scale, step_in_day):
-    """Deterministic 6-hourly base series for one forcing point."""
-    a = abs(lat) / 90.0
-    phase = 0.0 if lat >= 0 else 0.5
-    season = np.cos(2.0 * np.pi * (frac - 0.54 - phase))
-    diurnal = 4.0 * np.cos(2.0 * np.pi * (step_in_day / STEPS_PER_DAY) - np.pi)
-    temperature = 302.0 - 49.0 * a ** 1.3 + (2.0 + 28.0 * a) * season + diurnal
+class _PointClimate:
+    """Every forcing point's 6-hourly base series over the 1440 kept steps
+    of a year, time-major [1440, P, 5].  Pressure, humidity and temperature
+    do not depend on the year and are stored as they are; radiation and
+    precipitation grow with the trend ramp, so their slots hold the
+    seasonal cycle that :meth:`base` scales by 1 + trend*ramp."""
 
-    growth = 1.0 + trend * ramp
-    rad_season = 1.0 + 0.42 * np.cos(2.0 * np.pi * (frac - 0.5 - phase))
-    radiation = rad_scale * growth * 250.0 * max(0.22, math.cos(math.radians(lat))) * rad_season
+    def __init__(self, points):
+        t = np.arange(12 * STEPS_PER_MONTH, dtype=np.float64)
+        frac = t / STEPS_PER_YEAR
+        step_in_day = t % STEPS_PER_DAY
+        diurnal = 4.0 * np.cos(2.0 * np.pi * (step_in_day / STEPS_PER_DAY) - np.pi)
+        self.season = np.empty((t.shape[0], points.n, 5))
+        self.sun = np.empty(points.n)
+        self.itcz = np.empty(points.n)
+        for j, lat in enumerate(points.lat.tolist()):
+            a = abs(lat) / 90.0
+            phase = 0.0 if lat >= 0 else 0.5
+            season = np.cos(2.0 * np.pi * (frac - 0.54 - phase))
+            temperature = 302.0 - 49.0 * a ** 1.3 + (2.0 + 28.0 * a) * season + diurnal
+            out = self.season[:, j]
+            out[:, 0] = 1.0 + 0.42 * np.cos(2.0 * np.pi * (frac - 0.5 - phase))
+            out[:, 1] = 1.0 + 0.45 * np.cos(2.0 * np.pi * (frac - 0.18 - phase))
+            out[:, 2] = 96500.0 + 4500.0 * math.cos(math.radians(lat)) ** 2 \
+                + 300.0 * np.cos(2.0 * np.pi * (frac - phase))
+            out[:, 3] = 0.002 + 0.023 * np.exp(-(((temperature - 302.0) / 35.0) ** 2))
+            out[:, 4] = temperature
+            self.sun[j] = max(0.22, math.cos(math.radians(lat)))
+            self.itcz[j] = 1.2 + 7.5 * math.exp(-(((abs(lat) - 12.0) / 26.0) ** 2))
+        self.points = points
 
-    wet_season = 1.0 + 0.45 * np.cos(2.0 * np.pi * (frac - 0.18 - phase))
-    itcz = 1.2 + 7.5 * math.exp(-(((abs(lat) - 12.0) / 26.0) ** 2))
-    precipitation = precip_scale * growth * itcz * wet_season
-
-    pressure = 96500.0 + 4500.0 * math.cos(math.radians(lat)) ** 2 \
-        + 300.0 * np.cos(2.0 * np.pi * (frac - phase))
-    humidity = 0.002 + 0.023 * np.exp(-(((temperature - 302.0) / 35.0) ** 2))
-    return np.stack([radiation, precipitation, pressure, humidity, temperature], axis=-1)
-
-
-def _point_base(point, j, years, ramp_value=None):
-    """6-hourly base series [years*1460, 5] for forcing point j.  With
-    ramp_value=None the trend ramps in over the first TREND_RAMP_YEARS;
-    otherwise the ramp is held at the given constant."""
-    steps = years * STEPS_PER_YEAR
-    t = np.arange(steps, dtype=np.float64)
-    frac = (t % STEPS_PER_YEAR) / STEPS_PER_YEAR
-    if ramp_value is None:
-        ramp = np.minimum((t / STEPS_PER_YEAR) / TREND_RAMP_YEARS, 1.0)
-    else:
-        ramp = np.full(steps, float(ramp_value))
-    step_in_day = t % STEPS_PER_DAY
-    return _seasonal_base(float(point.lat[j]), frac, ramp, float(point.trend[j]),
-                          float(point.rad_scale[j]), float(point.precip_scale[j]),
-                          step_in_day)
+    def base(self, month, ramp):
+        """Base series [120, P, 5] of calendar month 0-11 under the trend
+        ramp ``ramp`` [120, 1]."""
+        out = self.season[month * STEPS_PER_MONTH:(month + 1) * STEPS_PER_MONTH].copy()
+        growth = 1.0 + self.points.trend * ramp
+        out[..., 0] = self.points.rad_scale * growth * 250.0 * self.sun * out[..., 0]
+        out[..., 1] = self.points.precip_scale * growth * self.itcz * out[..., 1]
+        return out
 
 
 _OFFSET_SD = np.array([9.0, 0.35, 350.0, 0.0012, 1.2])
 _NOISE_SD = np.array([16.0, 0.9, 250.0, 0.001, 2.2])
+_FORCING_LO, _FORCING_HI = np.array([FORCING_BOUNDS[f] for f in pipeline.G1_FIELDS]).T
 
 
-def _cell_offsets(seed, flat_idx, spread):
-    rng = np.random.default_rng([seed, _SEED_NOISE, int(flat_idx), 0])
-    return rng.standard_normal(5) * _OFFSET_SD * spread
+def _cell_offsets(seed, land_idx, spread):
+    """Each cell's constant forcing offset, [n_cells, 5]."""
+    draws = [np.random.default_rng([seed, _SEED_NOISE, int(flat), 0]).standard_normal(5)
+             for flat in land_idx]
+    return np.stack(draws) * _OFFSET_SD * spread
 
 
-def _cell_noise(seed, flat_idx, steps, spread):
-    from scipy.signal import lfilter  # here, so only forcing synthesis pays for it
-    rng = np.random.default_rng([seed, _SEED_NOISE, int(flat_idx), 1])
-    eps = rng.standard_normal((steps, 5)) * (_NOISE_SD * spread * math.sqrt(1.0 - AR1_RHO ** 2))
-    return lfilter([1.0], [1.0, -AR1_RHO], eps, axis=0)
+def _ar1_noise(streams, draws, x, y, noise_sd):
+    """Each cell's next AR(1) noise steps, y = AR1_RHO*y + noise_sd*eps,
+    into time-major x [steps, n_cells, 5], continuing from and updating
+    y [n_cells, 5].  Each stream draws its cell's eps into its row of
+    draws [n_cells, steps, 5].  Step by step this is exactly what
+    lfilter([1], [1, -AR1_RHO]) computes, bit for bit."""
+    for stream, row in zip(streams, draws):
+        stream.standard_normal(out=row)
+    np.multiply(draws.transpose(1, 0, 2), noise_sd, out=x)
+    prev = y
+    for step in x:
+        np.multiply(prev, AR1_RHO, out=y)
+        step += y
+        prev = step
+    y[...] = prev
 
 
 def _clip_bounds(series):
-    out = series
-    for i, name in enumerate(pipeline.G1_FIELDS):
-        lo, hi = FORCING_BOUNDS[name]
-        out[..., i] = np.clip(out[..., i], lo, hi)
+    """Clip forcing [..., 5] to FORCING_BOUNDS, in place.  The bounds are
+    tiled over the next-to-last axis, so numpy runs one long inner loop
+    rather than one of five values per row."""
+    rows = (series.shape[-2], 1)
+    return np.clip(series, np.tile(_FORCING_LO, rows), np.tile(_FORCING_HI, rows),
+                   out=series)
+
+
+def _window_monthly_forcing(seed, grid, years, land_idx, cell_point, climate, offsets):
+    """Monthly-mean forcing [n_cells, months, 5] over the simulated window.
+
+    A cell's series is its point's base, plus its offset, plus its AR(1)
+    noise, clipped to FORCING_BOUNDS and averaged per month.  One pass runs
+    over time a month at a time across all cells.  Each year's trailing
+    steps are drawn and filtered as well, though no month keeps them, so
+    every cell's stream and filter state advance as one [years*1460, 5]
+    series would.
+    """
+    n = land_idx.shape[0]
+    streams = [np.random.default_rng([seed, _SEED_NOISE, int(flat), 1]) for flat in land_idx]
+    noise_sd = _NOISE_SD * grid.spread_scale * math.sqrt(1.0 - AR1_RHO ** 2)
+    tail = STEPS_PER_YEAR - 12 * STEPS_PER_MONTH
+    draws = np.empty((n, STEPS_PER_MONTH, 5))
+    series = np.empty((STEPS_PER_MONTH, n, 5))
+    y = np.zeros((n, 5))
+    out = np.empty((n, 12 * years, 5))
+    for year in range(years):
+        for month in range(12):
+            _ar1_noise(streams, draws, series, y, noise_sd)
+            t = np.arange(STEPS_PER_MONTH, dtype=np.float64)[:, None] \
+                + (year * STEPS_PER_YEAR + month * STEPS_PER_MONTH)
+            ramp = np.minimum((t / STEPS_PER_YEAR) / TREND_RAMP_YEARS, 1.0)
+            cell_base = np.take(climate.base(month, ramp), cell_point, axis=1)
+            cell_base += offsets
+            series += cell_base
+            out[:, 12 * year + month] = _clip_bounds(series).mean(axis=0)
+        _ar1_noise(streams, draws[:, :tail], series[:tail], y, noise_sd)
     return out
 
 
-def _stationary_monthly(seed, spread, land_idx, cell_point, points, ramp_value):
+def _stationary_monthly(climate, cell_point, offsets, ramp_value):
     """Noise-free stationary-year monthly means [n_cells, 12, 5] with the
     trend ramp held constant."""
-    point_monthly = np.empty((points.n, 12, 5))
-    for j in range(points.n):
-        base = _point_base(points, j, 1, ramp_value=ramp_value)
-        trimmed = pipeline.trim_to_months(base)
-        point_monthly[j] = pipeline.aggregate_monthly(trimmed)
-    cells = []
-    for c, flat in enumerate(land_idx):
-        off = _cell_offsets(seed, flat, spread)
-        series = point_monthly[cell_point[c]] + off
-        cells.append(_clip_bounds(series.copy()))
-    return np.stack(cells)
+    ramp = np.full((STEPS_PER_MONTH, 1), float(ramp_value))
+    point_monthly = np.stack([climate.base(m, ramp).mean(axis=0) for m in range(12)], axis=1)
+    return _clip_bounds(point_monthly[cell_point] + offsets[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -454,28 +498,6 @@ def _draw_cell_params(seed, grid, land_idx, cell_lat, n_pft, n_layers):
     deepest = np.full(n, n_layers, dtype=np.int64)
     return CellParams(alpha, resp_frac, nutrient, decomp, texture, land_frac,
                       pft_weight, sla, crootfrac, pft_code, deepest, alloc, deposit)
-
-
-def _window_monthly_forcing(seed, grid, years, land_idx, cell_point, points):
-    """Monthly-mean forcing [n_cells, months, 5] over the simulated window."""
-    months = 12 * years
-    n = land_idx.shape[0]
-    out = np.empty((n, months, 5))
-    spread = grid.spread_scale
-    order = np.argsort(cell_point, kind="stable")
-    base_cache_j = -1
-    base = None
-    for c in order:
-        j = int(cell_point[c])
-        if j != base_cache_j:
-            base = _point_base(points, j, years)
-            base_cache_j = j
-        flat = int(land_idx[c])
-        series = base + _cell_offsets(seed, flat, spread)
-        series = series + _cell_noise(seed, flat, base.shape[0], spread)
-        series = _clip_bounds(series)
-        out[c] = pipeline.aggregate_monthly(pipeline.trim_to_months(series))
-    return out
 
 
 def route_weights(params):
@@ -668,12 +690,12 @@ def generate_world(seed, grid, years=20):
 
     log.info("generating forcing for %d cells (%d points, %d years)",
              land_idx.shape[0], points.n, years)
+    climate = _PointClimate(points)
+    offsets = _cell_offsets(seed, land_idx, grid.spread_scale)
     forcing_monthly = _window_monthly_forcing(seed, grid, years, land_idx,
-                                              cell_point, points)
-    pre = _stationary_monthly(seed, grid.spread_scale, land_idx, cell_point,
-                              points, ramp_value=0.0)
-    stat = _stationary_monthly(seed, grid.spread_scale, land_idx, cell_point,
-                               points, ramp_value=1.0)
+                                              cell_point, climate, offsets)
+    pre = _stationary_monthly(climate, cell_point, offsets, ramp_value=0.0)
+    stat = _stationary_monthly(climate, cell_point, offsets, ramp_value=1.0)
 
     world = World(seed=int(seed), years=int(years), grid=grid,
                   land_idx=land_idx, cell_lat=cell_lat, cell_lon=cell_lon,

@@ -12,16 +12,20 @@ from phase_surrogate import blobio
 from phase_surrogate.errors import CompletenessError, ContractError
 
 
+def blob(arr):
+    return b"".join(blobio.tensor_chunks(arr))
+
+
 class TestTensorBlobs:
     def test_exact_byte_layout(self):
         arr = np.array([1.0, 2.0], dtype=np.float32)
         expected = (b"PHT1" + struct.pack("<BB", 0, 1) + struct.pack("<Q", 2)
                     + struct.pack("<2f", 1.0, 2.0))
-        assert blobio.tensor_bytes(arr) == expected
+        assert blob(arr) == expected
 
     def test_float64_code(self):
         arr = np.array([[3.5]], dtype=np.float64)
-        raw = blobio.tensor_bytes(arr)
+        raw = blob(arr)
         assert raw[4] == 1
         assert raw[5] == 2
         assert struct.unpack("<2Q", raw[6:22]) == (1, 1)
@@ -52,14 +56,14 @@ class TestTensorBlobs:
 
     def test_rejects_non_float(self):
         with pytest.raises(ContractError):
-            blobio.tensor_bytes(np.arange(3))
+            blob(np.arange(3))
 
     def test_bad_magic(self):
         with pytest.raises(ContractError):
             blobio.read_tensor(io.BytesIO(b"XXXX" + b"\x00" * 16))
 
     def test_truncated_payload(self):
-        raw = blobio.tensor_bytes(np.ones(10, dtype=np.float32))
+        raw = blob(np.ones(10, dtype=np.float32))
         with pytest.raises(ContractError):
             blobio.read_tensor(io.BytesIO(raw[:-4]))
 
@@ -77,7 +81,7 @@ class TestTensorBlobs:
 
     def test_trailing_bytes_detected(self, tmp_path):
         path = tmp_path / "t.pht"
-        path.write_bytes(blobio.tensor_bytes(np.ones(2, dtype=np.float32)) + b"junk")
+        path.write_bytes(blob(np.ones(2, dtype=np.float32)) + b"junk")
         # the junk is read as the next blob's magic
         with pytest.raises(ContractError, match="magic"):
             blobio.load_blob_sequence(path)
@@ -89,6 +93,28 @@ class TestTensorBlobs:
         assert os.listdir(tmp_path) == ["t.pht"]
         (back,) = blobio.load_blob_sequence(path)
         assert np.array_equal(back, np.zeros(4, dtype=np.float32))
+
+    def test_sequence_file_is_the_blobs_back_to_back(self, tmp_path):
+        path = tmp_path / "t.pht"
+        arrays = [np.arange(6, dtype=np.float64).reshape(2, 3).T,
+                  np.float32(2.5), np.ones((0, 3), dtype=np.float32)]
+        blobio.save_blob_sequence(path, arrays)
+        assert path.read_bytes() == b"".join(blob(a) for a in arrays)
+
+    def test_atomic_write_takes_chunks(self, tmp_path):
+        path = tmp_path / "f.bin"
+        blobio.atomic_write_bytes(path, [b"ab", bytearray(b"c"),
+                                         np.array([1.0], dtype="<f8")])
+        assert path.read_bytes() == b"abc" + struct.pack("<d", 1.0)
+
+    def test_failed_chunked_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "t.pht"
+        blobio.save_blob_sequence(path, [np.ones(4, dtype=np.float32)])
+        with pytest.raises(ContractError, match="float32/float64"):
+            blobio.save_blob_sequence(path, [np.zeros(4), np.arange(3)])
+        assert os.listdir(tmp_path) == ["t.pht"]
+        (back,) = blobio.load_blob_sequence(path)
+        assert np.array_equal(back, np.ones(4, dtype=np.float32))
 
 
 class TestRestartFiles:

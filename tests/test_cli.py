@@ -361,13 +361,15 @@ class TestDeterminism:
 
 
 class TestImports:
-    def test_commands_do_not_import_scipy_signal_or_spatial(self, ws, tmp_path):
-        # only gen-data's forcing synthesis needs scipy (scipy.signal);
-        # importing it costs about a second per command, so every later
-        # command, run here in one fresh process, must load no scipy module
+    def test_commands_import_no_scipy(self, ws, tmp_path):
+        # scipy is a test-only dependency: importing it costs about a
+        # second and 76 MB, so every command, run here in one fresh
+        # process, must load no scipy module
         src = os.path.dirname(os.path.dirname(phase_surrogate.__file__))
         out = tmp_path
         argvs = [
+            ["gen-data", "--seed", "9", "--grid", "coarse", "--years", "1",
+             "--out", str(out / "world")],
             ["build-dataset", "--world", str(ws["world"]), "--seed", "1",
              "--out", str(out / "data")],
             ["train", "--data", str(ws["data"]), "--config", str(ws["config"]),

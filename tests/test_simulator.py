@@ -200,6 +200,93 @@ class TestWorldGeneration:
             sim.spinup(bad, 1)
 
 
+def reference_forcing(seed, grid, years, flat, point, climate, offset):
+    """One cell's monthly forcing [months, 5] built the direct way: its
+    whole noise stream in one draw, an explicit AR(1) loop, per-field
+    clipping of the full 6-hourly series, then monthly means."""
+    steps = years * sim.STEPS_PER_YEAR
+    rng = np.random.default_rng([seed, sim._SEED_NOISE, int(flat), 1])
+    sd = sim._NOISE_SD * grid.spread_scale * math.sqrt(1.0 - sim.AR1_RHO ** 2)
+    eps = rng.standard_normal((steps, 5)) * sd
+    noise = np.empty_like(eps)
+    y = np.zeros(5)
+    for k in range(steps):
+        y = sim.AR1_RHO * y + eps[k]
+        noise[k] = y
+    noise = pl.trim_to_months(noise)
+    t = np.arange(steps, dtype=np.float64)
+    ramp = pl.trim_to_months(np.minimum((t / sim.STEPS_PER_YEAR) / sim.TREND_RAMP_YEARS, 1.0))
+    months = ramp.reshape(12 * years, sim.STEPS_PER_MONTH)
+    base = np.concatenate([climate.base(i % 12, r[:, None])[:, point]
+                           for i, r in enumerate(months)])
+    series = base + offset + noise
+    for i, name in enumerate(pl.G1_FIELDS):
+        lo, hi = sim.FORCING_BOUNDS[name]
+        series[:, i] = np.clip(series[:, i], lo, hi)
+    return pl.aggregate_monthly(series)
+
+
+class TestForcingSynthesis:
+    SEED, YEARS = 5, 2
+    GRID = sim.GridSpec(3, 4, 1.0)
+
+    @pytest.fixture(scope="class")
+    def parts(self):
+        grid, seed = self.GRID, self.SEED
+        land_idx = sim._land_indices(seed, grid)
+        ilat, ilon = np.divmod(land_idx, grid.n_lon)
+        points = sim._draw_points(seed, grid)
+        cell_point = pl.kdtree_map(
+            np.stack([grid.lat_centers[ilat], grid.lon_centers[ilon]], axis=1),
+            np.stack([points.lat, points.lon], axis=1))
+        climate = sim._PointClimate(points)
+        offsets = sim._cell_offsets(seed, land_idx, grid.spread_scale)
+        full = sim._window_monthly_forcing(seed, grid, self.YEARS, land_idx,
+                                           cell_point, climate, offsets)
+        return land_idx, cell_point, climate, offsets, full
+
+    def test_window_bitwise_equals_per_cell_reference(self, parts):
+        land_idx, cell_point, climate, offsets, full = parts
+        assert full.shape == (land_idx.shape[0], 12 * self.YEARS, 5)
+        assert len(set(cell_point.tolist())) > 1
+        for c, flat in enumerate(land_idx):
+            ref = reference_forcing(self.SEED, self.GRID, self.YEARS, flat,
+                                    cell_point[c], climate, offsets[c])
+            assert np.array_equal(full[c], ref), c
+
+    def test_cell_subset_gives_same_rows(self, parts):
+        # each cell's forcing depends only on its own streams
+        land_idx, cell_point, climate, offsets, full = parts
+        sub = np.array([len(land_idx) - 1, 0, 2])
+        part = sim._window_monthly_forcing(self.SEED, self.GRID, self.YEARS,
+                                           land_idx[sub], cell_point[sub],
+                                           climate, offsets[sub])
+        assert np.array_equal(part, full[sub])
+
+    @pytest.mark.parametrize("shape", [(7, 11, 5), (3, 5)])
+    def test_one_clip_equals_per_field_clips(self, shape):
+        lo, hi = np.array([sim.FORCING_BOUNDS[f] for f in pl.G1_FIELDS]).T
+        x = lo + (hi - lo) * np.random.default_rng(0).uniform(-0.5, 1.5, shape)
+        ref = x.copy()
+        for i in range(5):
+            ref[..., i] = np.clip(ref[..., i], lo[i], hi[i])
+        assert (ref != x).any()
+        assert np.array_equal(sim._clip_bounds(x), ref)
+
+    def test_stationary_is_clipped_point_climatology(self, parts):
+        land_idx, cell_point, climate, offsets, _ = parts
+        stat = sim._stationary_monthly(climate, cell_point, offsets, ramp_value=1.0)
+        ramp = np.ones((sim.STEPS_PER_MONTH, 1))
+        for c in range(land_idx.shape[0]):
+            series = np.concatenate([climate.base(m, ramp)[:, cell_point[c]]
+                                     for m in range(12)])
+            series = pl.aggregate_monthly(series) + offsets[c]
+            for i, name in enumerate(pl.G1_FIELDS):
+                lo, hi = sim.FORCING_BOUNDS[name]
+                series[:, i] = np.clip(series[:, i], lo, hi)
+            assert np.array_equal(stat[c], series), c
+
+
 class TestEquilibrium:
     def test_long_spinup_matches_analytic(self, world):
         cells = np.random.default_rng(1).choice(world.n_cells, size=20, replace=False)
