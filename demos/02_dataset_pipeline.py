@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""From raw world to a normalized train/test dataset.
+"""From raw world to a train/test dataset.
 
 Walks the cells' samples (one array per feature group, one row per cell)
 through the data pipeline: nearest forcing-point alignment, monthly
 aggregation of the forcing window, the seeded 80:20 train/test
-permutation, MinMax normalization with training-split statistics, and
-the dataset directory: a manifest plus one file per split, rows sorted
-by (lat, lon).
+permutation, MinMax statistics fitted on the training split, and the
+dataset directory: a manifest plus one file per split, rows sorted by
+(lat, lon).  Features are stored in physical units and targets
+normalized; a model scales its own inputs with the recorded statistics.
 """
 
 import os
@@ -48,13 +49,12 @@ def main():
         stats = dataset.feature_stats
         for channel in ("g2.alpha", "g2.nutrient", "g1.temperature"):
             lo, hi = stats[channel]
-            print(f"  {channel:<16} physical range [{lo:.3f}, {hi:.3f}] "
-                  f"-> normalized [0, 1]")
-        x = dataset.train.groups["g2"]
-        print(f"\nnormalized g2 train matrix: min={x.min():.3f} "
-              f"max={x.max():.3f} (test may exceed [0,1]; "
-              f"the guard flags how far)")
-
+            print(f"  {channel:<16} train range [{lo:.3f}, {hi:.3f}]")
+        x = dataset.test.groups["g2"][:, pipeline.G2_FIELDS.index("alpha")]
+        print(f"\ntest g2.alpha is stored in physical units: "
+              f"[{x.min():.3f}, {x.max():.3f}]")
+        print("a trained model maps each train range to [0, 1] itself; test "
+              "cells may fall outside it, and the guard flags how far")
 
 if __name__ == "__main__":
     main()

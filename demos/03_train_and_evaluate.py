@@ -36,11 +36,10 @@ def main():
               f"{report.tasks['_phys_residual']:>11.2e}")
         print(f"mean R2 over slow pools: {report.mean_r2():.3f}\n")
 
-        # the model takes physical units and applies its own scaling
-        part = dataset.split("test")
-        batch = pipeline.denormalize_groups(part.take(slice(0, 1)).groups,
-                                            dataset.feature_stats)
-        weights = model.attention_weights(batch)[0]
+        # the dataset stores physical units; the model applies its own
+        # scaling
+        cell = dataset.split("test").take(slice(0, 1))
+        weights = model.attention_weights(cell.groups)[0]
         names = active_branches(model.config.variant)
         print("fusion attention, head 0, one test cell "
               "(rows attend over columns):")

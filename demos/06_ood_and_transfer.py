@@ -31,10 +31,8 @@ def main():
                                coarse)
 
         # -- guard ---------------------------------------------------------
-        # the guard, like the model, reads physical units
-        part = coarse.split("test")
-        batch = pipeline.denormalize_groups(part.take(slice(0, 64)).groups,
-                                            coarse.feature_stats)
+        # the guard, like the model and the dataset, reads physical units
+        batch = coarse.split("test").take(slice(0, 64)).groups
         _, z = model.predict(batch)
         flags, _, _ = ood.check(z, batch, model.ood_stats, model.feature_stats)
         print(f"clean test batch: {int(flags.sum())}/{len(flags)} flagged")

@@ -49,7 +49,7 @@ def run_variant(name, dataset, seed, model_config=None, train_config=None):
 
 
 def run_ablation_suite(dataset, seeds, model_config=None, train_config=None,
-                       out_csv=None, variants=VARIANTS):
+                       out_csv=None):
     """Per-task R^2 (mean +- std over seeds) for every variant.
 
     Returns {"variants": names, "r2": {variant: {task: [per-seed]}},
@@ -59,7 +59,7 @@ def run_ablation_suite(dataset, seeds, model_config=None, train_config=None,
     if not seeds:
         raise ConfigurationError("need at least one seed")
     scores = {}
-    for name in variants:
+    for name in VARIANTS:
         per_task = {t: [] for t in TABLE_TASKS}
         for seed in seeds:
             _, report = run_variant(name, dataset, seed, model_config,
@@ -69,7 +69,7 @@ def run_ablation_suite(dataset, seeds, model_config=None, train_config=None,
         scores[name] = per_task
     mean_r2 = {name: float(np.mean([np.mean(v) for v in per_task.values()]))
                for name, per_task in scores.items()}
-    result = {"variants": tuple(variants), "r2": scores, "mean_r2": mean_r2}
+    result = {"variants": VARIANTS, "r2": scores, "mean_r2": mean_r2}
     if out_csv is not None:
         write_table(out_csv, result)
     return result

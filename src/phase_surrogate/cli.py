@@ -168,8 +168,7 @@ def _cmd_eval(args):
     export_report(report, args.out)
     if model.ood_stats is not None:
         part = dataset.split(args.split)
-        groups = pipeline.denormalize_groups(part.groups, dataset.feature_stats)
-        flags, scores, reasons = ood.check(report.latent, groups,
+        flags, scores, reasons = ood.check(report.latent, part.groups,
                                            model.ood_stats, model.feature_stats)
         ood.write_report_csv(os.path.join(args.out, "ood.csv"),
                              part.cell_id, flags, scores, reasons)
@@ -270,8 +269,7 @@ def _cmd_inspect_attention(args):
         raise RangeError(f"sample {args.sample} outside test split of "
                          f"{part.n}")
     row = part.take(slice(args.sample, args.sample + 1))
-    weights = model.attention_weights(
-        pipeline.denormalize_groups(row.groups, dataset.feature_stats))[0]
+    weights = model.attention_weights(row.groups)[0]
     names = active_branches(model.config.variant)
     buf = io.StringIO()
     buf.write("head,query_group,key_group,weight\n")

@@ -139,7 +139,7 @@ class TransformerFusion:
 class ConcatFusion:
     """Ablation replacement: concatenate the group latents and project."""
 
-    def __init__(self, n_groups, dim=64, rng=None, dtype=np.float32, **_ignored):
+    def __init__(self, n_groups, dim=64, rng=None, dtype=np.float32):
         rng = rng or np.random.default_rng(0)
         self.n_groups = n_groups
         self.dim = dim

@@ -68,13 +68,11 @@ def per_dimension_scores(pred, truth):
 
 
 def band_mask(lat, band):
-    lat = np.asarray(lat, dtype=np.float64)
-    if band == "tropics":
-        return np.abs(lat) < TROPICS_LAT
-    if band == "extratropics":
-        return np.abs(lat) >= TROPICS_LAT
-    lo, hi = band
-    return (lat >= lo) & (lat < hi)
+    """Cells in ``band``: "tropics" or "extratropics"."""
+    if band not in ("tropics", "extratropics"):
+        raise ContractError(f"unknown latitude band {band!r}")
+    tropics = np.abs(np.asarray(lat, dtype=np.float64)) < TROPICS_LAT
+    return tropics if band == "tropics" else ~tropics
 
 
 def latitudinal_errors(lat, pred, truth, band):
@@ -91,7 +89,7 @@ def latitudinal_errors(lat, pred, truth, band):
     if not mask.any():
         raise RangeError(f"no cells in band {band!r}")
     errors = (pred[mask] - truth[mask]).ravel()
-    summary = {"band": str(band), "count": int(errors.size),
+    summary = {"band": band, "count": int(errors.size),
                "mean": float(errors.mean()), "std": float(errors.std())}
     for q in _QUANTILES:
         summary[f"q{int(q):02d}"] = float(np.percentile(errors, q))
@@ -123,8 +121,7 @@ def evaluate(model, dataset, split="test"):
     part = dataset.split(split)
     if part.n == 0:
         raise ContractError(f"{split} split is empty")
-    preds_norm, latent = model.predict(
-        pipeline.denormalize_groups(part.groups, dataset.feature_stats))
+    preds_norm, latent = model.predict(part.groups)
     preds_phys = denormalize(preds_norm, model.target_stats)
     tasks = {}
     truths_phys = {}

@@ -210,19 +210,20 @@ class Surrogate:
 
     # -- forward ------------------------------------------------------------
 
-    def _masked_groups(self, batch):
-        missing = [g for g in pipeline.GROUPS if g not in batch]
+    def _inputs(self, groups):
+        """Physical-unit groups as the network's inputs: scaled with the
+        model's own feature stats, cast to its dtype, masked channels
+        zeroed."""
+        missing = [g for g in pipeline.GROUPS if g not in groups]
         if missing:
             raise ContractError(f"batch lacks groups: {', '.join(missing)}")
-        arrays = {g: np.asarray(batch[g], dtype=self.dtype)
-                  for g in pipeline.GROUPS}
-        masked_groups = set()
+        if self.feature_stats is None:
+            raise ContractError("model carries no normalization stats")
+        arrays = {g: a.astype(self.dtype, copy=False) for g, a in
+                  pipeline.normalize_groups(groups, self.feature_stats).items()}
         for name in self.config.masked_features:
             _, group, idx = next(c for c in pipeline.FEATURE_CHANNELS
                                  if c[0] == name)
-            if group not in masked_groups:
-                arrays[group] = arrays[group].copy()
-                masked_groups.add(group)
             arrays[group][..., idx] = 0.0
         return arrays
 
@@ -242,8 +243,8 @@ class Surrogate:
         return z_list
 
     def latent(self, batch):
-        """Unified latent for a batch dict with keys g1..g5, shape [B, d]."""
-        arrays = self._masked_groups(batch)
+        """Unified latent [B, d] for a dict of physical-unit groups g1..g5."""
+        arrays = self._inputs(batch)
         if self.trunk is not None:
             n = arrays["g1"].shape[0]
             flat = np.concatenate(
@@ -252,7 +253,8 @@ class Surrogate:
         return self.fusion.fuse(self._branch_latents(arrays))
 
     def forward(self, batch):
-        """Returns (predictions dict of normalized tensors, latent tensor)."""
+        """Returns (predictions dict of normalized tensors, latent tensor)
+        for a dict of physical-unit groups."""
         z = self.latent(batch)
         return self.heads.predict_all(z), z
 
@@ -262,13 +264,6 @@ class Surrogate:
                                 "variant")
         return self.delta_heads.predict_all(z)
 
-    def _scaled(self, groups):
-        """Physical-unit groups in the network's input space: the model's own
-        feature stats applied.  ``forward`` and ``latent`` take that space."""
-        if self.feature_stats is None:
-            raise ContractError("model carries no normalization stats")
-        return pipeline.normalize_groups(groups, self.feature_stats)
-
     def predict(self, groups):
         """Forward pass over a dict of physical-unit group arrays,
         PREDICT_ROWS rows at a time.  Returns (normalized predictions as
@@ -277,8 +272,8 @@ class Surrogate:
         preds = {t: [] for t in self.heads.registry}
         latents = []
         for start in range(0, n, PREDICT_ROWS):
-            out, z = self.forward(self._scaled(
-                {g: a[start:start + PREDICT_ROWS] for g, a in groups.items()}))
+            out, z = self.forward(
+                {g: a[start:start + PREDICT_ROWS] for g, a in groups.items()})
             for t, p in out.items():
                 preds[t].append(p.data)
             latents.append(z.data)
@@ -289,8 +284,8 @@ class Surrogate:
         """Fusion attention [batch, heads, n, n] for physical-unit groups."""
         if self.fusion is None:
             raise ContractError("the dense baseline has no attention")
-        arrays = self._masked_groups(self._scaled(groups))
-        return self.fusion.attention_weights(self._branch_latents(arrays))
+        return self.fusion.attention_weights(
+            self._branch_latents(self._inputs(groups)))
 
     # -- persistence --------------------------------------------------------
 
@@ -320,7 +315,10 @@ class Surrogate:
             raise ContractError(f"not a surrogate model file: "
                                 f"{manifest.get('format')!r}")
         config = ModelConfig.from_dict(manifest["config"])
-        model = cls(config, rng=np.random.default_rng(0))
+        # the network is rebuilt in its stored parameters' width
+        widths = [a.dtype for n, a in arrays.items() if not n.startswith("ood.")]
+        model = cls(config, rng=np.random.default_rng(0),
+                    dtype=np.result_type(*widths) if widths else np.float32)
         params = model.named_params()
         missing = [n for n in params if n not in arrays]
         if missing:

@@ -50,9 +50,7 @@ def fit_ood(model, dataset, tau=0.05, q=99.0):
     if dataset.train.n == 0:
         raise ContractError("cannot fit the anomaly guard on an empty train "
                             "split")
-    groups = pipeline.denormalize_groups(dataset.train.groups,
-                                         dataset.feature_stats)
-    z = model.predict(groups)[1].astype(np.float64)
+    z = model.predict(dataset.train.groups)[1].astype(np.float64)
     mean = z.mean(axis=0)
     var = z.var(axis=0)
     stats = OodStats(tau=float(tau), latent_mean=mean, latent_var=var,
@@ -89,8 +87,7 @@ def check(z, groups, stats, feature_stats):
 
 def flag_rate(model, dataset, split, stats):
     """Fraction of a dataset split the guard flags."""
-    groups = pipeline.denormalize_groups(dataset.split(split).groups,
-                                         dataset.feature_stats)
+    groups = dataset.split(split).groups
     flags, _, _ = check(model.predict(groups)[1], groups, stats,
                         model.feature_stats)
     return float(np.mean(flags))

@@ -1,5 +1,5 @@
 """Dataset construction: spatial alignment, temporal aggregation,
-normalization, splitting, and the on-disk dataset layout.
+splitting, and the on-disk dataset layout.
 
 A sample is one land cell with five feature groups:
 
@@ -10,9 +10,12 @@ A sample is one land cell with five feature groups:
 - g5: layered pools at the end of the input window [n_layers x 3]
 
 plus nine regression targets (six equilibrium pool vectors, three flux
-scalars).  Feature and target channels are MinMax-normalized with statistics
-from the training split only; test-split values are deliberately left
-unclipped so downstream distribution-shift checks can see excursions.
+scalars).  A dataset stores the feature groups in physical units (float64)
+and the targets MinMax-normalized (float32).  Feature and target stats are
+fitted on the training split only and recorded in the manifest; a model
+adopts the feature stats and scales its own inputs with
+:func:`normalize_groups`.  Nothing is clipped, so test-split excursions stay
+visible to the distribution-shift guard.
 """
 
 import dataclasses
@@ -52,7 +55,7 @@ TASKS = SLOW_TASKS + FLUX_TASKS
 
 # One blob per column, in this order, in each split file of a dataset.
 COLUMNS = ("cell_id", "lat", "lon") + GROUPS + TASKS
-DATASET_VERSION = 2
+DATASET_VERSION = 3
 
 TRAIN_NUM, TRAIN_DEN = 8, 10
 
@@ -228,9 +231,9 @@ class Dataset:
 
 
 def normalize_groups(group_arrays, stats):
-    """Physical-unit groups, those present, to float32 MinMax space."""
+    """Physical-unit groups to float32 MinMax space."""
     out = {}
-    for g in [g for g in GROUPS if g in group_arrays]:
+    for g in GROUPS:
         arr = np.asarray(group_arrays[g], dtype=np.float64)
         norm = np.empty_like(arr)
         for name, grp, i in FEATURE_CHANNELS:
@@ -239,17 +242,6 @@ def normalize_groups(group_arrays, stats):
         out[g] = norm.astype(np.float32)
     return out
 
-
-def denormalize_groups(group_arrays, stats):
-    """The inverse of :func:`normalize_groups`: float64 physical units."""
-    out = {}
-    for g in GROUPS:
-        arr = np.array(group_arrays[g], dtype=np.float64)
-        for name, grp, i in FEATURE_CHANNELS:
-            if grp == g:
-                arr[..., i] = minmax_invert(arr[..., i], stats[name])
-        out[g] = arr
-    return out
 
 
 def fit_target_stats(targets):
@@ -268,7 +260,8 @@ def normalize_targets(targets, stats):
 
 
 def build_dataset(samples, seed, out_dir, world_meta=None):
-    """Clean, split and normalize the samples, and write a dataset directory:
+    """Clean and split the samples, normalize their targets, and write a
+    dataset directory:
     ``manifest.json`` plus one blob sequence per split (``train.pht``,
     ``test.pht``) holding one blob per column of :data:`COLUMNS`.  Each
     split's rows are sorted by (lat, lon), so consecutive rows, and thus
@@ -287,10 +280,9 @@ def build_dataset(samples, seed, out_dir, world_meta=None):
                      for name, g, i in FEATURE_CHANNELS}
     target_stats = fit_target_stats({t: targets[t][train_pos] for t in TASKS})
 
-    normalized = DatasetSplit(samples.cell_id, samples.lat, samples.lon,
-                              normalize_groups(groups, feature_stats),
-                              normalize_targets(targets, target_stats))
-    train, test = (normalized.take(pos[np.lexsort((samples.lon[pos], samples.lat[pos]))])
+    stored = DatasetSplit(samples.cell_id, samples.lat, samples.lon, groups,
+                          normalize_targets(targets, target_stats))
+    train, test = (stored.take(pos[np.lexsort((samples.lon[pos], samples.lat[pos]))])
                    for pos in (train_pos, test_pos))
 
     tmp_dir = f"{out_dir}.tmp-{os.getpid()}"
@@ -349,7 +341,7 @@ def load_dataset(path):
         return DatasetSplit(
             cell_id=cols["cell_id"].astype(np.int64),
             lat=cols["lat"], lon=cols["lon"],
-            groups={g: cols[g].astype(np.float32) for g in GROUPS},
+            groups={g: np.asarray(cols[g], dtype=np.float64) for g in GROUPS},
             targets={t: cols[t].astype(np.float32) for t in TASKS},
         )
 

@@ -1,8 +1,11 @@
 """Composite loss, Adam optimizer, training loop, and fine-tuning.
 
-All losses operate in normalized [0, 1] space.  The flux triple shares one
-pure scale factor, so the npp = gpp - ar relation holds in normalized space
-exactly when it holds physically and the soft constraint stays linear.
+Batches carry features in physical units, as the dataset stores them; the
+model scales them with the feature stats it adopts from the training split.
+Targets arrive MinMax-normalized, and all losses operate in that [0, 1]
+space.  The flux triple shares one pure scale factor, so the npp = gpp - ar
+relation holds in normalized space exactly when it holds physically and the
+soft constraint stays linear.
 """
 
 import dataclasses
@@ -18,8 +21,10 @@ from .errors import (ConfigurationError, ContractError, DivergenceError,
                      RangeError, ShapeError)
 from .model import ModelConfig, Surrogate
 
-_G4_INITIALS = {"deadcrootc": 2, "deadstemc": 3, "tlai": 4}
-_G5_INITIALS = {"cwdc": 0, "soil3c": 1, "soil4c": 2}
+# (group, trailing index) of each slow task's window-end observation
+_INITIALS = {"deadcrootc": ("g4", 2), "deadstemc": ("g4", 3),
+             "tlai": ("g4", 4), "cwdc": ("g5", 0), "soil3c": ("g5", 1),
+             "soil4c": ("g5", 2)}
 
 
 @dataclasses.dataclass
@@ -142,27 +147,17 @@ def total_loss(preds, targets, config, deltas=None, initials=None):
     return total, components
 
 
-def pinn_initial_states(groups, feature_stats, target_stats):
-    """Window-end slow-pool states re-expressed in normalized target space.
+def pinn_initial_states(groups, target_stats):
+    """Window-end slow-pool states in normalized target space.
 
-    The observed year-20 pools arrive as normalized features; the delta head
-    needs them on the same scale as the targets, so each channel is mapped
-    back to physical units and forward through the target stats.
+    The observed year-20 pools arrive as physical-unit features; the delta
+    head needs them on the same scale as the targets.
     """
-    if feature_stats is None or target_stats is None:
-        raise ContractError("initial states need feature and target stats")
-    out = {}
-    for task, idx in _G4_INITIALS.items():
-        phys = pipeline.minmax_invert(groups["g4"][..., idx],
-                                      feature_stats[f"g4.{task}"])
-        out[task] = pipeline.minmax_apply(
-            phys, target_stats[task]).astype(np.float32)
-    for task, idx in _G5_INITIALS.items():
-        phys = pipeline.minmax_invert(groups["g5"][..., idx],
-                                      feature_stats[f"g5.{task}"])
-        out[task] = pipeline.minmax_apply(
-            phys, target_stats[task]).astype(np.float32)
-    return out
+    if target_stats is None:
+        raise ContractError("initial states need target stats")
+    return {task: pipeline.minmax_apply(groups[g][..., i],
+                                        target_stats[task]).astype(np.float32)
+            for task, (g, i) in _INITIALS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +222,7 @@ def _batch_loss(model, batch, config):
     initials = None
     if model.delta_heads is not None:
         deltas = model.delta_forward(z)
-        initials = pinn_initial_states(batch.groups, model.feature_stats,
-                                       model.target_stats)
+        initials = pinn_initial_states(batch.groups, model.target_stats)
     return total_loss(preds, batch.targets, config, deltas, initials)
 
 
@@ -337,23 +331,22 @@ def train(config, dataset, model_config=None, history_path=None):
 
 
 def _renorm_split(split, dataset, model):
-    """Re-expresses a foreign dataset split in the model's stats space."""
-    if model.feature_stats is None or model.target_stats is None:
+    """A foreign dataset split with its targets re-expressed in the model's
+    target stats; its physical-unit features need no change."""
+    if model.target_stats is None:
         raise ContractError("model carries no normalization stats")
-    physical = pipeline.denormalize_groups(split.groups, dataset.feature_stats)
     targets = {t: pipeline.minmax_apply(dataset.denorm_target(t, split.targets[t]),
                                         model.target_stats[t]).astype(np.float32)
                for t in pipeline.TASKS}
-    return pipeline.DatasetSplit(
-        split.cell_id, split.lat, split.lon,
-        pipeline.normalize_groups(physical, model.feature_stats), targets)
+    return dataclasses.replace(split, targets=targets)
 
 
 def fine_tune(model, fine_dataset, fraction, config, history_path=None):
     """Continues optimization on a seeded fraction of a new dataset.
 
-    The fine data is renormalized with the model's own stats so features and
-    targets keep the meaning the weights were trained against.
+    The model scales the fine features with its own stats, and the fine
+    targets are renormalized with them, so both keep the meaning the weights
+    were trained against.
     """
     if not 0.0 < fraction <= 1.0:
         raise RangeError(f"fraction must lie in (0, 1], got {fraction}")

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -53,30 +51,6 @@ def build_toy_dataset(n=40, months=6, seed=0):
     return Dataset(train=split(slice(0, n_train)),
                    test=split(slice(n_train, n)),
                    feature_stats=feature_stats, target_stats=target_stats)
-
-
-def other_stats(stats):
-    """Feature stats unlike ``stats`` on every channel: every other channel
-    narrowed to the middle of its range, so its values fall outside [0, 1],
-    and the rest widened unevenly."""
-    out = {}
-    for k, (name, (lo, hi)) in enumerate(stats.items()):
-        span = hi - lo
-        out[name] = ([lo + 0.3 * span, lo + 0.6 * span] if k % 2 else
-                     [lo - 0.5 * span, hi + 0.25 * span])
-    return out
-
-
-def restate(dataset, feature_stats):
-    """``dataset``'s physical features normalized with ``feature_stats``."""
-    def move(split):
-        physical = pipeline.denormalize_groups(split.groups,
-                                               dataset.feature_stats)
-        return dataclasses.replace(
-            split, groups=pipeline.normalize_groups(physical, feature_stats))
-    return dataclasses.replace(dataset, train=move(dataset.train),
-                               test=move(dataset.test),
-                               feature_stats=feature_stats)
 
 
 def toy_model_config(**overrides):

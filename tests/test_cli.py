@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import phase_surrogate
-from conftest import other_stats, restate
 from phase_surrogate import blobio, pipeline, simulator
 from phase_surrogate.cli import main
 from phase_surrogate.model import Surrogate
@@ -22,23 +21,6 @@ TINY_CONFIG = {
               "ff_mult": 2, "channels": [4, 6]},
     "train": {"max_epochs": 2, "batch_size": 64, "seed": 3},
 }
-
-
-def write_restated(src, dst):
-    """Writes ``src``'s dataset to ``dst`` normalized with other feature
-    stats than its own: the same cells, in another MinMax space."""
-    dataset = pipeline.load_dataset(str(src))
-    moved = restate(dataset, other_stats(dataset.feature_stats))
-    shutil.copytree(src, dst)
-    for name in ("train", "test"):
-        split = moved.split(name)
-        columns = [split.cell_id.astype(np.float64), split.lat, split.lon]
-        columns += [split.groups[g] for g in pipeline.GROUPS]
-        columns += [split.targets[t] for t in pipeline.TASKS]
-        blobio.save_blob_sequence(str(dst / f"{name}.pht"), columns)
-    manifest = blobio.load_json(str(dst / "manifest.json"))
-    manifest["feature_stats"] = moved.feature_stats
-    blobio.save_json(str(dst / "manifest.json"), manifest)
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +110,22 @@ class TestExitCodes:
         assert rc == 1
         assert err.startswith("error:") and "feature_stats" in err
         assert "Traceback" not in err
+
+    def test_version_two_dataset_is_clean_runtime_error(self, ws, tmp_path,
+                                                        capsys):
+        # version 2 stored normalized feature groups, which no model reads
+        data = tmp_path / "data"
+        shutil.copytree(ws["data"], data)
+        manifest = blobio.load_json(str(data / "manifest.json"))
+        blobio.save_json(str(data / "manifest.json"),
+                         dict(manifest, version=2))
+        rc = main(["eval", "--model", str(ws["model"]), "--data", str(data),
+                   "--out", str(tmp_path / "report")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "rebuild it" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report").exists()
 
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         rc = main(["train", "--data", str(tmp_path / "nowhere"),
@@ -285,36 +283,6 @@ class TestWorkflow:
             head, query, _, weight = line.split(",")
             sums[(head, query)] = sums.get((head, query), 0.0) + float(weight)
         assert all(abs(s - 1.0) < 1e-5 for s in sums.values())
-
-    def test_eval_ood_reads_physical_units(self, ws, tmp_path):
-        # the model's own data, stored in other stats, is the same data
-        data = tmp_path / "data"
-        write_restated(ws["data"], data)
-        assert main(["eval", "--model", str(ws["model"]), "--data", str(data),
-                     "--out", str(tmp_path / "report")]) == 0
-
-        def rows(report):
-            lines = (report / "ood.csv").read_text().splitlines()[1:]
-            return [line.split(",") for line in lines]
-
-        want, got = rows(ws["report"]), rows(tmp_path / "report")
-        assert [(r[0], r[1], r[3]) for r in got] == \
-            [(r[0], r[1], r[3]) for r in want]
-        np.testing.assert_allclose([float(r[2]) for r in got],
-                                   [float(r[2]) for r in want], rtol=1e-4)
-
-    def test_inspect_attention_reads_physical_units(self, ws, tmp_path):
-        data = tmp_path / "data"
-        write_restated(ws["data"], data)
-        weights = []
-        for source, out in ((ws["data"], "a.csv"), (data, "b.csv")):
-            assert main(["inspect-attention", "--model", str(ws["model"]),
-                         "--data", str(source), "--sample", "5",
-                         "--out", str(tmp_path / out)]) == 0
-            weights.append(np.genfromtxt(tmp_path / out, delimiter=",",
-                                         skip_header=1, usecols=3))
-        np.testing.assert_allclose(weights[1], weights[0], rtol=1e-4,
-                                   atol=1e-6)
 
     def test_inspect_attention_sample_out_of_range(self, ws, tmp_path):
         rc = main(["inspect-attention", "--model", str(ws["model"]),

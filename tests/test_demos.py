@@ -1,5 +1,8 @@
-"""Smoke test: the fast demos run to completion against the current API."""
+"""The fast demos run to completion, and every demo names only API that
+exists."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -19,3 +22,45 @@ def test_demo_exits_zero(name, tmp_path):
     out = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)],
                          cwd=tmp_path, env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def package_references(path):
+    """(module, attribute) pairs a demo takes from phase_surrogate: names
+    imported from the package or a submodule, and ``module.attr`` uses of
+    every module it imports from there."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    modules = {}
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.split(".")[0] == "phase_surrogate":
+            for alias in node.names:
+                refs.append((node.module, alias.name))
+                full = f"{node.module}.{alias.name}"
+                if node.module == "phase_surrogate":
+                    modules[alias.asname or alias.name] = full
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "phase_surrogate":
+                    bound = alias.asname or alias.name.split(".")[0]
+                    modules[bound] = alias.name if alias.asname else bound
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and node.value.id in modules:
+            refs.append((modules[node.value.id], node.attr))
+    return refs
+
+
+@pytest.mark.parametrize("name", ["03_train_and_evaluate.py",
+                                  "04_physics_constraints.py",
+                                  "05_restart_speedup.py",
+                                  "06_ood_and_transfer.py"])
+def test_demo_names_existing_api(name):
+    # these demos train models, too slow for this suite to run; a deleted
+    # or renamed function they call must still fail it
+    refs = package_references(os.path.join(ROOT, "demos", name))
+    assert refs
+    missing = [f"{module}.{attr}" for module, attr in refs
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import other_stats, restate
 from phase_surrogate import metrics, pipeline
 from phase_surrogate.errors import (ContractError, RangeError, ShapeError,
                                     UndefinedMetricError)
@@ -110,11 +109,6 @@ class TestLatitudeBands:
         assert not np.any(tropics & extra)
         assert np.all(tropics | extra)
 
-    def test_interval_band(self):
-        lat = np.array([-30.0, 0.0, 29.9, 30.0, 45.0])
-        mask = metrics.band_mask(lat, (0.0, 30.0))
-        np.testing.assert_array_equal(mask, [False, True, True, False, False])
-
     def test_error_summary(self):
         rng = np.random.default_rng(8)
         lat = rng.uniform(-60, 60, 30)
@@ -161,18 +155,6 @@ class TestEvaluate:
                                    out["gpp"].data.astype(np.float64),
                                    rtol=1e-6)
         np.testing.assert_allclose(toy_report.latent, z.data, rtol=1e-6)
-
-    def test_reads_physical_units(self, toy_report, toy_model, toy_dataset):
-        # the same cells normalized with other stats score the same
-        moved = restate(toy_dataset, other_stats(toy_dataset.feature_stats))
-        report = metrics.evaluate(toy_model, moved, "test")
-        for t in pipeline.TASKS:
-            np.testing.assert_allclose(report.preds[t], toy_report.preds[t],
-                                       rtol=1e-5, atol=1e-7)
-            assert report.tasks[t]["r2"] == pytest.approx(
-                toy_report.tasks[t]["r2"], rel=1e-5, abs=1e-7)
-        np.testing.assert_allclose(report.latent, toy_report.latent,
-                                   rtol=1e-5, atol=1e-6)
 
     def test_residual_matches_flux_identity(self, toy_report):
         want = metrics.physics_residual(toy_report.preds["gpp"],

@@ -21,9 +21,11 @@ def toy_batch(n=4, months=6, seed=1):
             "g5": rng.uniform(0, 1, (n, 9, 3)).astype(np.float32)}
 
 
-def make(variant="full", **overrides):
+def make(variant="full", dtype=np.float32, **overrides):
+    """A fresh model with :func:`fill_stats`' stats."""
     cfg = toy_model_config(variant=variant, **overrides)
-    return Surrogate(cfg, rng=np.random.default_rng(0))
+    return fill_stats(Surrogate(cfg, rng=np.random.default_rng(0),
+                                dtype=dtype))
 
 
 def fill_stats(model):
@@ -159,10 +161,10 @@ class TestForward:
         with pytest.raises(ContractError, match="g3"):
             make("full").forward(batch)
         with pytest.raises(ContractError, match="g3"):
-            fill_stats(make("full")).predict(batch)
+            make("full").predict(batch)
 
     def test_attention_shape(self):
-        model = fill_stats(make("full"))
+        model = make("full")
         w = model.attention_weights(toy_batch(n=2))
         assert w.shape == (2, 2, 4, 4)
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
@@ -170,7 +172,7 @@ class TestForward:
     def test_predict_chunks_match_forward(self, monkeypatch):
         # 7 rows in chunks of 3 cross two chunk boundaries
         monkeypatch.setattr(model_mod, "PREDICT_ROWS", 3)
-        model = fill_stats(make("full"))
+        model = make("full")
         batch = toy_batch(n=7)
         whole, z = model.forward(batch)
         preds, latent = model.predict(batch)
@@ -183,23 +185,25 @@ class TestForward:
 
     def test_predict_applies_feature_stats(self):
         # physical units in; the network sees them in its own MinMax space
-        model = fill_stats(make("full"))
+        model = make("full")
+        batch = toy_batch()
+        whole, z = model.forward(batch)
+        attention = model.attention_weights(batch)
         model.feature_stats = {name: [-1.0, 3.0]
                                for name in model.feature_stats}
-        batch = toy_batch()
         physical = {g: 4.0 * a - 1.0 for g, a in batch.items()}
-        whole, z = model.forward(batch)
         preds, latent = model.predict(physical)
         np.testing.assert_allclose(preds["soil3c"], whole["soil3c"].data,
                                    rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(latent, z.data, rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(model.attention_weights(physical),
-                                   model.fusion.attention_weights(
-                                       model._branch_latents(batch)),
-                                   rtol=1e-5, atol=1e-6)
+                                   attention, rtol=1e-5, atol=1e-6)
 
     def test_predict_needs_feature_stats(self):
         model = make("full")
+        model.feature_stats = None
+        with pytest.raises(ContractError, match="normalization stats"):
+            model.forward(toy_batch())
         with pytest.raises(ContractError, match="normalization stats"):
             model.predict(toy_batch())
         with pytest.raises(ContractError, match="normalization stats"):
@@ -242,7 +246,6 @@ class TestFeatureMasking:
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         model = make("full")
-        fill_stats(model)
         path = str(tmp_path / "m.phm")
         model.save(path)
         again = Surrogate.load(path)
@@ -254,9 +257,24 @@ class TestPersistence:
         assert again.target_stats == model.target_stats
         assert again.feature_stats == model.feature_stats
 
+    def test_float64_model_reloads_in_float64(self, tmp_path):
+        model = make("full", dtype=np.float64)
+        path = str(tmp_path / "m.phm")
+        model.save(path)
+        again = Surrogate.load(path)
+        assert again.dtype == np.float64
+        assert {t.data.dtype for t in again.named_params().values()} == {
+            np.dtype(np.float64)}
+        batch = toy_batch(n=5)
+        a, za = model.predict(batch)
+        b, zb = again.predict(batch)
+        for t in pipeline.TASKS:
+            assert b[t].dtype == np.float64
+            np.testing.assert_array_equal(b[t], a[t])
+        np.testing.assert_array_equal(zb, za)
+
     def test_save_is_byte_stable(self, tmp_path):
         model = make("no_trans")
-        fill_stats(model)
         p1, p2 = tmp_path / "a.phm", tmp_path / "b.phm"
         model.save(str(p1))
         model.save(str(p2))
@@ -271,7 +289,6 @@ class TestPersistence:
 
     def test_predict_denormalizes(self):
         model = make("full")
-        fill_stats(model)
         batch = toy_batch()
         preds, _ = model.forward(batch)
         phys = denormalize(model.predict(batch)[0], model.target_stats)
@@ -282,7 +299,6 @@ class TestPersistence:
 
     def test_clone_is_independent(self):
         model = make("full")
-        fill_stats(model)
         twin = model.clone()
         batch = toy_batch()
         a, _ = model.forward(batch)

@@ -159,16 +159,18 @@ class TestMinMax:
         assert np.abs(back - vals).max() <= 1e-6 * span
 
     def test_groups_round_trip(self, built):
+        # the stored groups are the samples' physical units, and the train
+        # stats map them into [0, 1] and back
         samples, ds, _ = built
-        physical = pl.denormalize_groups(ds.train.groups, ds.feature_stats)
         for g in pl.GROUPS:
-            want = samples.groups[g][ds.train.cell_id]
-            assert physical[g].dtype == np.float64
-            np.testing.assert_allclose(physical[g], want, rtol=1e-5,
-                                       atol=1e-6)
-        again = pl.normalize_groups(physical, ds.feature_stats)
-        for g in pl.GROUPS:
-            np.testing.assert_array_equal(again[g], ds.train.groups[g])
+            np.testing.assert_array_equal(ds.train.groups[g],
+                                          samples.groups[g][ds.train.cell_id])
+        normalized = pl.normalize_groups(ds.train.groups, ds.feature_stats)
+        for name, g, i in pl.FEATURE_CHANNELS:
+            assert normalized[g].dtype == np.float32
+            back = pl.minmax_invert(normalized[g][..., i], ds.feature_stats[name])
+            np.testing.assert_allclose(back, ds.train.groups[g][..., i],
+                                       rtol=1e-5, atol=1e-6)
 
     def test_constant_channel_maps_to_zero(self):
         vals = np.full(32, 7.5)
@@ -293,9 +295,11 @@ class TestBuildDataset:
         assert sorted(set(ds.train.cell_id) | set(ds.test.cell_id)) == list(range(60))
 
     def test_train_features_unit_range(self, built):
+        # the train split's stats span its features
         _, ds, _ = built
+        normalized = pl.normalize_groups(ds.train.groups, ds.feature_stats)
         for name, g, i in pl.FEATURE_CHANNELS:
-            vals = ds.train.groups[g][..., i]
+            vals = normalized[g][..., i]
             assert vals.min() >= 0.0 and vals.max() <= 1.0 + 1e-6, name
 
     def test_stats_come_from_train_only(self, built):
@@ -324,6 +328,22 @@ class TestBuildDataset:
                 np.testing.assert_array_equal(a.targets[t], b.targets[t])
         assert loaded.feature_stats == ds.feature_stats
         assert loaded.target_stats == ds.target_stats
+
+    def test_loaded_groups_are_exported_samples_bitwise(self, tmp_path):
+        # features are stored as the float64 physical arrays export_samples
+        # gives, and come back from disk unchanged
+        samples = sim.export_samples(
+            sim.generate_world(3, sim.GridSpec(8, 8, 1.0), years=2))
+        out = str(tmp_path / "ds")
+        pl.build_dataset(samples, seed=0, out_dir=out)
+        loaded = pl.load_dataset(out)
+        row = {int(c): i for i, c in enumerate(samples.cell_id)}
+        for part in (loaded.train, loaded.test):
+            rows = [row[int(c)] for c in part.cell_id]
+            for g in pl.GROUPS:
+                assert part.groups[g].dtype == np.float64
+                np.testing.assert_array_equal(part.groups[g],
+                                              samples.groups[g][rows])
 
     def test_target_denormalization_recovers_physical(self, built):
         samples, ds, _ = built
@@ -401,6 +421,13 @@ class TestLoadRefusesMalformed:
         path = str(damaged / "manifest.json")
         blobio.save_json(path, dict(blobio.load_json(path), version=1))
         with pytest.raises(ContractError, match="version 1"):
+            pl.load_dataset(str(damaged))
+
+    def test_version_two_manifest(self, damaged):
+        # version 2 stored normalized feature groups
+        path = str(damaged / "manifest.json")
+        blobio.save_json(path, dict(blobio.load_json(path), version=2))
+        with pytest.raises(ContractError, match="version 2.*rebuild it"):
             pl.load_dataset(str(damaged))
 
     @pytest.mark.parametrize("key", ["feature_stats", "target_stats"])

@@ -217,22 +217,22 @@ class TestTotalLoss:
 
 class TestPinnInitialStates:
     def test_rescales_between_spaces(self):
+        # physical-unit observations in, normalized target space out
         rng = np.random.default_rng(14)
-        groups = {"g4": rng.uniform(0, 1, (6, 5, 5)).astype(np.float32),
-                  "g5": rng.uniform(0, 1, (6, 9, 3)).astype(np.float32)}
-        feature_stats = {name: (0.0, 2.0) for name, _, _ in
-                         pipeline.FEATURE_CHANNELS}
+        groups = {"g4": rng.uniform(0, 2, (6, 5, 5)),
+                  "g5": rng.uniform(0, 2, (6, 9, 3))}
         target_stats = {t: (0.0, 4.0) for t in pipeline.TASKS}
-        out = training.pinn_initial_states(groups, feature_stats, target_stats)
+        out = training.pinn_initial_states(groups, target_stats)
         assert set(out) == set(pipeline.SLOW_TASKS)
-        np.testing.assert_allclose(out["soil3c"], groups["g5"][..., 1] / 2.0,
+        assert out["soil3c"].dtype == np.float32
+        np.testing.assert_allclose(out["soil3c"], groups["g5"][..., 1] / 4.0,
                                    rtol=1e-6)
-        np.testing.assert_allclose(out["tlai"], groups["g4"][..., 4] / 2.0,
+        np.testing.assert_allclose(out["tlai"], groups["g4"][..., 4] / 4.0,
                                    rtol=1e-6)
 
     def test_missing_stats(self):
         with pytest.raises(ContractError):
-            training.pinn_initial_states({}, None, {})
+            training.pinn_initial_states({}, None)
 
 
 class TestAdam:
@@ -410,23 +410,21 @@ class TestFineTune:
 class TestRenormSplit:
     def test_rescales_to_model_stats(self, toy_model, toy_dataset):
         model = toy_model.clone()
-        model.feature_stats = dict(toy_model.feature_stats)
         model.target_stats = dict(toy_model.target_stats)
-        model.feature_stats["g2.alpha"] = (0.0, 2.0)
         model.target_stats["gpp"] = (0.0, 3.0)
         split = training._renorm_split(toy_dataset.train, toy_dataset, model)
-        np.testing.assert_allclose(split.groups["g2"][:, 3],
-                                   toy_dataset.train.groups["g2"][:, 3] / 2.0,
-                                   rtol=1e-6)
         np.testing.assert_allclose(split.targets["gpp"],
                                    toy_dataset.train.targets["gpp"] / 3.0,
                                    rtol=1e-6)
-        np.testing.assert_allclose(split.groups["g1"],
-                                   toy_dataset.train.groups["g1"], rtol=1e-6)
+        np.testing.assert_array_equal(split.targets["soil3c"],
+                                      toy_dataset.train.targets["soil3c"])
+        # physical-unit features are the same in any model's hands
+        for g in pipeline.GROUPS:
+            assert split.groups[g] is toy_dataset.train.groups[g]
         np.testing.assert_array_equal(split.cell_id, toy_dataset.train.cell_id)
 
     def test_requires_model_stats(self, toy_model, toy_dataset):
         bare = toy_model.clone()
-        bare.feature_stats = None
+        bare.target_stats = None
         with pytest.raises(ContractError):
             training._renorm_split(toy_dataset.train, toy_dataset, bare)
