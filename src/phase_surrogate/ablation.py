@@ -89,10 +89,3 @@ def write_table(path, result):
     buf.write("mean," + ",".join(f"{result['mean_r2'][name]:.3f}"
                                  for name in variants) + "\n")
     blobio.atomic_write_bytes(path, buf.getvalue().encode("ascii"))
-
-
-def read_table(path):
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    return header, rows

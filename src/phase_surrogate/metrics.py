@@ -163,13 +163,6 @@ def export_map_csv(path, lat, lon, pred, truth):
     blobio.atomic_write_bytes(path, buf.getvalue().encode("ascii"))
 
 
-def read_map_csv(path):
-    data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=np.float64)
-    data = np.atleast_2d(data)
-    return {"lat": data[:, 0], "lon": data[:, 1], "predicted": data[:, 2],
-            "truth": data[:, 3], "difference": data[:, 4]}
-
-
 def export_report(report, out_dir):
     """Writes metrics.csv, per_dimension.csv, latitude_bands.csv and maps/."""
     os.makedirs(os.path.join(out_dir, "maps"), exist_ok=True)

@@ -205,9 +205,6 @@ class Surrogate:
                 out[f"delta.{key}"] = tensor
         return out
 
-    def param_count(self):
-        return sum(t.data.size for t in self.named_params().values())
-
     # -- forward ------------------------------------------------------------
 
     def _inputs(self, groups):

@@ -212,6 +212,11 @@ class RestartReport:
 
 @dataclasses.dataclass
 class World:
+    """The state of a simulation: the grid and its land cells, their
+    parameters, the forcing network, the monthly forcing of the window,
+    the flux response to the stationary end-of-window climatology, and the
+    pools at the end of the window.  Everything else is derived from these
+    where it is needed; the equilibria u/k by :func:`analytic_equilibrium`."""
     seed: int
     years: int
     grid: GridSpec
@@ -222,13 +227,8 @@ class World:
     params: CellParams
     points: ForcingPoints
     forcing_monthly: np.ndarray
-    gbar_pre12: np.ndarray
     gbar_stat12: np.ndarray
-    eq_pre: PoolState
     window_end: PoolState
-    # derived: response means per window month and the final equilibrium
-    gbar_month: np.ndarray = None
-    eq_final: EquilibriumState = None
 
     @property
     def n_cells(self):
@@ -540,39 +540,42 @@ def _check_stability(kappa):
         raise ConfigurationError(f"unstable monthly step: k*dt = {worst:.3f} >= 2")
 
 
-def _schedule(world, year, month, idx):
+def _schedule(world, year, month):
     """Monthly response means and nutrient factor for a spin-up year.
-    During the simulated window the nutrient factor is 1; afterwards the
-    stationary climatology repeats and the factor phases in linearly."""
+    During the simulated window the response follows the window's forcing
+    and the nutrient factor is 1; afterwards the stationary climatology
+    repeats and the factor phases in linearly."""
     if year < world.years:
-        gbar = world.gbar_month[idx, 12 * year + month]
-        p = np.ones(idx.shape[0])
+        gbar = _gbar_of(world.forcing_monthly[:, 12 * year + month])
+        p = np.ones(world.n_cells)
     else:
-        gbar = world.gbar_stat12[idx, month]
+        gbar = world.gbar_stat12[:, month]
         frac = min(1.0, (year - world.years + 1) / NUTRIENT_RAMP_YEARS)
-        p = 1.0 + (world.params.nutrient[idx] - 1.0) * frac
+        p = 1.0 + (world.params.nutrient - 1.0) * frac
     return gbar, p
 
 
-def spinup(world, years, initial=None, cells=None):
-    """Monthly forward-Euler integration over the given number of years.
+def spinup(world, years, initial=None):
+    """Monthly forward-Euler integration of every cell over the given
+    number of years, from zero pools or from ``initial``.  The first
+    ``world.years`` follow the window's forcing; later years repeat the
+    stationary climatology (see :func:`_schedule`).
 
     Returns the final state and the mean state over the last simulated year.
     """
     if years < 1:
         raise ConfigurationError("spinup needs years >= 1")
-    idx = np.arange(world.n_cells) if cells is None else np.asarray(cells)
-    params = _select_params(world.params, idx)
+    params = world.params
     route = route_weights(params)
     kappa = kappa_annual(params)
     _check_stability(kappa)
-    state = PoolState.zeros(idx.shape[0], world.n_pft, world.n_layers) \
+    state = PoolState.zeros(world.n_cells, world.n_pft, world.n_layers) \
         if initial is None else initial.copy()
     alpha, r = params.alpha, params.resp_frac
     tail = []
     for m in range(12 * years):
         year, month = divmod(m, 12)
-        gbar, p = _schedule(world, year, month, idx)
+        gbar, p = _schedule(world, year, month)
         _, _, npp = _flux_from_gbar(gbar, alpha, r, p)
         state = advance_month(state, npp, route, kappa)
         if m >= 12 * (years - 1):
@@ -580,11 +583,6 @@ def spinup(world, years, initial=None, cells=None):
     mean = PoolState(**{k: np.mean([getattr(s, k) for s in tail], axis=0)
                         for k in POOL_KEYS})
     return SpinupResult(final=state, final_year_mean=mean)
-
-
-def _select_params(params, idx):
-    return CellParams(**{f.name: getattr(params, f.name)[idx]
-                         for f in dataclasses.fields(CellParams)})
 
 
 def _equilibrium_from(gbar12, params):
@@ -604,30 +602,28 @@ def _equilibrium_from(gbar12, params):
     return EquilibriumState(pools=state, tlai=tlai, gpp=gpp, ar=ar, npp=npp)
 
 
-def analytic_equilibrium(world, cells=None):
-    """Exact long-run equilibrium under the stationary end-of-window
-    climatology with the nutrient factor fully phased in."""
-    idx = np.arange(world.n_cells) if cells is None else np.asarray(cells)
-    params = _select_params(world.params, idx)
-    return _equilibrium_from(world.gbar_stat12[idx], params)
+def analytic_equilibrium(world):
+    """Exact long-run equilibrium u/k of every cell under the stationary
+    end-of-window climatology with the nutrient factor fully phased in:
+    the sample targets and the oracle every restart is measured against."""
+    return _equilibrium_from(world.gbar_stat12, world.params)
 
 
-def restart_run(initial, world, years=100, cells=None):
-    """Integrate from a supplied state under constant stationary-mean
-    forcing and report distances to the analytic equilibrium before and
-    after, per-pool drift, and the speedup over a cold start: months for
-    every slow-pool element to come within EQUILIBRIUM_BAND of u/k from zero
-    pools over those from ``initial``, a warm start inside the band counting
-    one month."""
+def restart_run(initial, world, years=100):
+    """Integrate every cell from a supplied state under constant
+    stationary-mean forcing and report distances to the analytic
+    equilibrium before and after, per-pool drift, and the speedup over a
+    cold start: months for every slow-pool element to come within
+    EQUILIBRIUM_BAND of u/k from zero pools over those from ``initial``, a
+    warm start inside the band counting one month."""
     if years < 1:
         raise ConfigurationError("restart_run needs years >= 1")
-    idx = np.arange(world.n_cells) if cells is None else np.asarray(cells)
-    params = _select_params(world.params, idx)
+    params = world.params
     route = route_weights(params)
     kappa = kappa_annual(params)
     _check_stability(kappa)
-    eq = analytic_equilibrium(world, idx)
-    _, _, npp_m12 = _flux_from_gbar(world.gbar_stat12[idx], params.alpha[:, None],
+    eq = analytic_equilibrium(world)
+    _, _, npp_m12 = _flux_from_gbar(world.gbar_stat12, params.alpha[:, None],
                                     params.resp_frac[:, None], params.nutrient[:, None])
     npp_const = npp_m12.mean(axis=1)
 
@@ -672,8 +668,9 @@ def _distance_report(state, reference, pools=POOL_KEYS):
 
 def generate_world(seed, grid, years=20):
     """Build a fully specified world: land cells, parameters, forcing
-    network, monthly forcing window, stationary climatologies, analytic
-    equilibria, and the end-of-window pool state."""
+    network, monthly forcing window, the stationary end-of-window response,
+    and the end-of-window pool state, spun through the window from the
+    equilibrium of the noise-free pre-window climatology."""
     if not isinstance(grid, GridSpec):
         raise ConfigurationError("grid must be a GridSpec")
     if years < 1:
@@ -700,15 +697,11 @@ def generate_world(seed, grid, years=20):
     world = World(seed=int(seed), years=int(years), grid=grid,
                   land_idx=land_idx, cell_lat=cell_lat, cell_lon=cell_lon,
                   cell_point=cell_point, params=params, points=points,
-                  forcing_monthly=forcing_monthly,
-                  gbar_pre12=_gbar_of(pre), gbar_stat12=_gbar_of(stat),
-                  eq_pre=None, window_end=None)
-    world.gbar_month = _gbar_of(forcing_monthly)
-
+                  forcing_monthly=forcing_monthly, gbar_stat12=_gbar_of(stat),
+                  window_end=None)
     pre_params = dataclasses.replace(params, nutrient=np.ones(world.n_cells))
-    world.eq_pre = _equilibrium_from(world.gbar_pre12, pre_params).pools
-    world.eq_final = _equilibrium_from(world.gbar_stat12, params)
-    world.window_end = spinup(world, years, initial=world.eq_pre.copy()).final
+    eq_pre = _equilibrium_from(_gbar_of(pre), pre_params).pools
+    world.window_end = spinup(world, years, initial=eq_pre).final
     return world
 
 
@@ -727,7 +720,7 @@ def export_samples(world, window_years=None):
     if wy < 1:
         raise RangeError("window must cover at least 1 yr")
     months = 12 * wy
-    p, w, eq = world.params, world.window_end, world.eq_final
+    p, w, eq = world.params, world.window_end, analytic_equilibrium(world)
     g2 = np.stack([world.cell_lat, world.cell_lon, p.land_frac, p.alpha,
                    p.resp_frac, p.nutrient, p.decomp, p.texture], axis=1)
     g3 = np.stack([p.pft_weight, p.sla, p.crootfrac], axis=2)
@@ -758,14 +751,10 @@ def export_samples(world, window_years=None):
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _pool_arrays(prefix, state):
-    return {f"{prefix}.{k}": getattr(state, k) for k in POOL_KEYS}
-
-
 def save_world(world, path):
     manifest = {
         "format": "world",
-        "version": 1,
+        "version": 2,
         "seed": world.seed,
         "years": world.years,
         "grid": {"n_lat": world.grid.n_lat, "n_lon": world.grid.n_lon,
@@ -785,28 +774,28 @@ def save_world(world, path):
         "points.rad_scale": world.points.rad_scale,
         "points.precip_scale": world.points.precip_scale,
         "forcing_monthly": world.forcing_monthly,
-        "gbar_pre12": world.gbar_pre12, "gbar_stat12": world.gbar_stat12,
-        "eq.tlai": world.eq_final.tlai,
-        "eq.gpp": world.eq_final.gpp, "eq.ar": world.eq_final.ar,
-        "eq.npp": world.eq_final.npp,
+        "gbar_stat12": world.gbar_stat12,
     }
     for f in dataclasses.fields(CellParams):
         arrays[f"params.{f.name}"] = getattr(world.params, f.name).astype(np.float64)
-    arrays.update(_pool_arrays("eq_pre", world.eq_pre))
-    arrays.update(_pool_arrays("eq", world.eq_final.pools))
-    arrays.update(_pool_arrays("window", world.window_end))
+    arrays.update({f"window.{k}": getattr(world.window_end, k) for k in POOL_KEYS})
     manifest["params"] = sorted(arrays)
     blobio.write_model_file(path, manifest, arrays)
 
 
-def _pools_from(arrays, prefix):
-    return PoolState(**{k: arrays[f"{prefix}.{k}"] for k in POOL_KEYS})
-
-
 def load_world(path):
+    """Read a world file.  A file of an older version holds every array
+    this reads, and more, so it loads too."""
     manifest, arrays = blobio.read_model_file(path)
     if manifest.get("format") != "world":
         raise ContractError(f"{path} is not a world file")
+    try:
+        return _world_from(manifest, arrays)
+    except KeyError as exc:
+        raise ContractError(f"world file {path} lacks {exc.args[0]!r}") from None
+
+
+def _world_from(manifest, arrays):
     g = manifest["grid"]
     grid = GridSpec(g["n_lat"], g["n_lon"], g["resolution_deg"], g["land_fraction"])
     fields = {}
@@ -819,22 +808,14 @@ def load_world(path):
     points = ForcingPoints(arrays["points.lat"], arrays["points.lon"],
                            arrays["points.trend"], arrays["points.rad_scale"],
                            arrays["points.precip_scale"])
-    world = World(seed=manifest["seed"], years=manifest["years"], grid=grid,
-                  land_idx=arrays["land_idx"].astype(np.int64),
-                  cell_lat=arrays["cell_lat"], cell_lon=arrays["cell_lon"],
-                  cell_point=arrays["cell_point"].astype(np.int64),
-                  params=params, points=points,
-                  forcing_monthly=arrays["forcing_monthly"],
-                  gbar_pre12=arrays["gbar_pre12"],
-                  gbar_stat12=arrays["gbar_stat12"],
-                  eq_pre=_pools_from(arrays, "eq_pre"),
-                  window_end=_pools_from(arrays, "window"))
-    world.gbar_month = _gbar_of(world.forcing_monthly)
-    world.eq_final = EquilibriumState(pools=_pools_from(arrays, "eq"),
-                                      tlai=arrays["eq.tlai"],
-                                      gpp=arrays["eq.gpp"], ar=arrays["eq.ar"],
-                                      npp=arrays["eq.npp"])
-    return world
+    return World(seed=manifest["seed"], years=manifest["years"], grid=grid,
+                 land_idx=arrays["land_idx"].astype(np.int64),
+                 cell_lat=arrays["cell_lat"], cell_lon=arrays["cell_lon"],
+                 cell_point=arrays["cell_point"].astype(np.int64),
+                 params=params, points=points,
+                 forcing_monthly=arrays["forcing_monthly"],
+                 gbar_stat12=arrays["gbar_stat12"],
+                 window_end=PoolState(**{k: arrays[f"window.{k}"] for k in POOL_KEYS}))
 
 
 def load_restart_state(world, path):
@@ -852,7 +833,7 @@ def load_restart_state(world, path):
                             f"(first: {missing[:3]})")
     order = np.array([pos[cid] for cid in want])
     state = PoolState.zeros(world.n_cells, world.n_pft, world.n_layers)
-    for key in ("deadcrootc", "deadstemc", "cwdc", "soil3c", "soil4c"):
+    for key in SLOW_POOLS:
         vals = pools[key][order].astype(np.float64)
         if not np.all(np.isfinite(vals)) or vals.min() < 0:
             raise ContractError(f"restart pool {key} must be finite and "

@@ -22,9 +22,9 @@ from .errors import (ConfigurationError, ContractError, DivergenceError,
 from .model import ModelConfig, Surrogate
 
 # (group, trailing index) of each slow task's window-end observation
-_INITIALS = {"deadcrootc": ("g4", 2), "deadstemc": ("g4", 3),
-             "tlai": ("g4", 4), "cwdc": ("g5", 0), "soil3c": ("g5", 1),
-             "soil4c": ("g5", 2)}
+_INITIALS = {task: (g, i) for g in ("g4", "g5")
+             for i, task in enumerate(pipeline.GROUP_FIELDS[g])
+             if task in pipeline.SLOW_TASKS}
 
 
 @dataclasses.dataclass
@@ -360,6 +360,8 @@ def fine_tune(model, fine_dataset, fraction, config, history_path=None):
     tr_idx, val_idx = _split_indices(len(pick), config.seed)
     history = _optimize(tuned, sub.take(tr_idx), sub.take(val_idx), config,
                         history_path)
-    tuned.train_config = config.to_dict()
+    # the tune runs in the source model's width, whatever the config says
+    tuned.train_config = dataclasses.replace(
+        config, width=np.dtype(tuned.dtype).name).to_dict()
     tuned.history = history
     return tuned

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,12 @@ class TestBuildVariant:
         assert mc0.variant == "full"
 
 
+def read_table(path):
+    with open(path, newline="", encoding="ascii") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
+
+
 @pytest.fixture(scope="module")
 def suite_result(toy_dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("ablation") / "table.csv"
@@ -71,7 +79,7 @@ class TestSuite:
 
     def test_table_layout(self, suite_result):
         _, out = suite_result
-        header, rows = ablation.read_table(str(out))
+        header, rows = read_table(out)
         assert header == ["task"] + list(VARIANTS)
         assert [r[0] for r in rows] == list(ablation.TABLE_TASKS) + ["mean"]
         for row in rows[:-1]:
@@ -81,7 +89,7 @@ class TestSuite:
 
     def test_table_matches_result(self, suite_result):
         result, out = suite_result
-        header, rows = ablation.read_table(str(out))
+        header, rows = read_table(out)
         mean_row = rows[-1]
         for j, name in enumerate(VARIANTS):
             assert float(mean_row[j + 1]) == pytest.approx(

@@ -164,6 +164,28 @@ class TestExitCodes:
         assert err.startswith("error:") and word in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command,lacks", [("build-dataset", "window.soil4c"),
+                                               ("restart-check", "grid")])
+    def test_incomplete_world_is_clean_runtime_error(self, ws, tmp_path,
+                                                     capsys, command, lacks):
+        manifest, arrays = blobio.read_model_file(str(ws["world"] / "world.phw"))
+        arrays.pop(lacks, None)
+        manifest.pop(lacks, None)
+        world = tmp_path / "world"
+        world.mkdir()
+        blobio.write_model_file(str(world / "world.phw"),
+                                dict(manifest, params=sorted(arrays)), arrays)
+        args = {"build-dataset": ["--world", str(world), "--seed", "1",
+                                  "--out", str(tmp_path / "data")],
+                "restart-check": ["--model", str(ws["model"]), "--world",
+                                  str(world), "--out", str(tmp_path / "d.csv"),
+                                  "--years", "1"]}[command]
+        rc = main([command] + args)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and repr(lacks) in err
+        assert "Traceback" not in err
+
     def test_zero_fraction_is_usage_error(self, ws, tmp_path):
         rc = main(["fine-tune", "--model", str(ws["model"]),
                    "--data-fine", str(ws["data"]), "--fraction", "0",

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ class TestIntegratorClosedForms:
 
 
 class TestFluxes:
-    # the formula spin-up, the equilibria and load_world run
+    # the formula spin-up and the equilibria run
     def fluxes(self, fm, alpha=2000.0, resp_frac=0.9, nutrient=1.0):
         return sim._flux_from_gbar(sim._gbar_of(fm), alpha, resp_frac, nutrient)
 
@@ -133,7 +134,9 @@ class TestWorldGeneration:
         assert np.array_equal(a.land_idx, b.land_idx)
         assert np.array_equal(a.forcing_monthly, b.forcing_monthly)
         assert np.array_equal(a.params.alpha, b.params.alpha)
-        assert np.array_equal(a.eq_final.pools.soil4c, b.eq_final.pools.soil4c)
+        assert np.array_equal(a.window_end.soil4c, b.window_end.soil4c)
+        assert np.array_equal(sim.analytic_equilibrium(a).pools.soil4c,
+                              sim.analytic_equilibrium(b).pools.soil4c)
 
     def test_forcing_series_length_and_bounds(self):
         # the window's monthly means, one row per month of every year
@@ -289,9 +292,8 @@ class TestForcingSynthesis:
 
 class TestEquilibrium:
     def test_long_spinup_matches_analytic(self, world):
-        cells = np.random.default_rng(1).choice(world.n_cells, size=20, replace=False)
-        result = sim.spinup(world, 5000, cells=cells)
-        eq = sim.analytic_equilibrium(world, cells)
+        result = sim.spinup(world, 5000)
+        eq = sim.analytic_equilibrium(world)
         for key in sim.POOL_KEYS:
             got = getattr(result.final_year_mean, key)
             want = getattr(eq.pools, key)
@@ -324,12 +326,12 @@ class TestEquilibrium:
             assert np.all(getattr(eq2.pools, key) > getattr(eq.pools, key)), key
 
     def test_flux_identity_on_equilibrium(self, world):
-        eq = world.eq_final
+        eq = sim.analytic_equilibrium(world)
         assert np.all(eq.npp + eq.ar - eq.gpp == 0.0)
 
     def test_tlai_is_sla_times_leaf(self, world):
-        np.testing.assert_array_equal(
-            world.eq_final.tlai, world.params.sla * world.eq_final.pools.leaf_c)
+        eq = sim.analytic_equilibrium(world)
+        np.testing.assert_array_equal(eq.tlai, world.params.sla * eq.pools.leaf_c)
 
 
 class TestRestart:
@@ -379,15 +381,14 @@ class TestRestart:
         np.testing.assert_array_equal(report.speedup, 1.0)
 
     def test_warm_months_match_monthly_loop(self, world):
-        cells = np.array([0, 3, 7, 11])
-        eq = sim.analytic_equilibrium(world, cells)
+        eq = sim.analytic_equilibrium(world)
         rng = np.random.default_rng(5)
         start = eq.pools.copy()
         for key in sim.SLOW_POOLS:
             pool = getattr(start, key)
             pool *= rng.uniform(0.985, 1.015, size=pool.shape)
             pool[0] = getattr(eq.pools, key)[0] * 1.002  # inside the band
-        _, report = sim.restart_run(start, world, years=1, cells=cells)
+        _, report = sim.restart_run(start, world, years=1)
 
         def outside(state):
             return np.any([np.any(np.abs(getattr(state, k) - getattr(eq.pools, k))
@@ -395,9 +396,9 @@ class TestRestart:
                                   axis=1)
                            for k in sim.SLOW_POOLS], axis=0)
 
-        params = sim._select_params(world.params, cells)
-        route, kappa = sim.route_weights(params), sim.kappa_annual(params)
-        state, months, month = start, np.zeros(cells.size), 0
+        route = sim.route_weights(world.params)
+        kappa = sim.kappa_annual(world.params)
+        state, months, month = start, np.zeros(world.n_cells), 0
         still = outside(state)
         while still.any():
             state = sim.advance_month(state, eq.npp / 12.0, route, kappa)
@@ -409,13 +410,6 @@ class TestRestart:
                                    np.maximum(months, 1.0), atol=1.0)
         np.testing.assert_allclose(report.speedup, report.cold_start_years
                                    / report.warm_start_years, rtol=1e-12)
-
-    def test_subset_of_cells(self, world):
-        cells = np.array([0, 2, 5])
-        eq = sim.analytic_equilibrium(world, cells)
-        final, report = sim.restart_run(eq.pools.copy(), world, years=10, cells=cells)
-        assert final.soil3c.shape[0] == 3
-        assert report.after["soil3c"]["max"] < 1e-6
 
 
 class TestExportSamples:
@@ -438,7 +432,7 @@ class TestExportSamples:
 
     def test_targets_are_exact_equilibria(self, world):
         s = sim.export_samples(world)
-        eq = world.eq_final
+        eq = sim.analytic_equilibrium(world)
         np.testing.assert_array_equal(s.targets["soil3c"], eq.pools.soil3c)
         np.testing.assert_array_equal(s.targets["tlai"], eq.tlai)
         assert np.all(s.targets["npp"] + s.targets["ar"] - s.targets["gpp"] == 0.0)
@@ -488,10 +482,56 @@ class TestPersistence:
         assert np.array_equal(loaded.land_idx, world.land_idx)
         assert np.array_equal(loaded.forcing_monthly, world.forcing_monthly)
         assert np.array_equal(loaded.params.pft_code, world.params.pft_code)
-        assert np.array_equal(loaded.eq_final.pools.soil4c,
-                              world.eq_final.pools.soil4c)
-        assert np.array_equal(loaded.window_end.leaf_c, world.window_end.leaf_c)
+        assert np.array_equal(loaded.gbar_stat12, world.gbar_stat12)
+        for key in sim.POOL_KEYS:
+            assert np.array_equal(getattr(loaded.window_end, key),
+                                  getattr(world.window_end, key)), key
         assert loaded.params.pft_code.dtype == np.int64
+        got = sim.export_samples(loaded).targets
+        for name, want in sim.export_samples(world).targets.items():
+            assert np.array_equal(got[name], want), name
+
+    def test_manifest_is_version_two(self, world, tmp_path):
+        path = str(tmp_path / "world.phw")
+        sim.save_world(world, path)
+        manifest, arrays = blobio.read_model_file(path)
+        assert manifest["version"] == 2
+        assert not any(name.startswith(("eq", "gbar_pre")) for name in arrays)
+
+    def test_every_stored_array_is_read(self, world, tmp_path):
+        # a file that lacks any one array, or the grid, is refused by name
+        path = str(tmp_path / "world.phw")
+        sim.save_world(world, path)
+        manifest, arrays = blobio.read_model_file(path)
+        cut = str(tmp_path / "cut.phw")
+        for name in arrays:
+            rest = {k: v for k, v in arrays.items() if k != name}
+            blobio.write_model_file(cut, dict(manifest, params=sorted(rest)), rest)
+            with pytest.raises(ContractError, match=re.escape(repr(name))):
+                sim.load_world(cut)
+        blobio.write_model_file(cut, {k: v for k, v in manifest.items() if k != "grid"},
+                                arrays)
+        with pytest.raises(ContractError, match="'grid'"):
+            sim.load_world(cut)
+
+    def test_version_one_file_loads(self, world, tmp_path):
+        # version 1 also stored the equilibria and the pre-window
+        # intermediates; they are not read
+        path = str(tmp_path / "world.phw")
+        sim.save_world(world, path)
+        manifest, arrays = blobio.read_model_file(path)
+        eq = sim.analytic_equilibrium(world)
+        extra = {f"{prefix}.{k}": getattr(eq.pools, k)
+                 for prefix in ("eq", "eq_pre") for k in sim.POOL_KEYS}
+        extra.update({f"eq.{k}": getattr(eq, k) for k in ("tlai", "gpp", "ar", "npp")})
+        extra["gbar_pre12"] = world.gbar_stat12
+        old = str(tmp_path / "old.phw")
+        blobio.write_model_file(old, dict(manifest, version=1,
+                                          params=sorted({**arrays, **extra})),
+                                {**arrays, **extra})
+        loaded = sim.load_world(old)
+        assert np.array_equal(loaded.forcing_monthly, world.forcing_monthly)
+        assert np.array_equal(loaded.window_end.soil4c, world.window_end.soil4c)
 
     def test_load_rejects_other_files(self, tmp_path):
         path = str(tmp_path / "other.phm")
@@ -500,7 +540,7 @@ class TestPersistence:
             sim.load_world(path)
 
     def test_restart_round_trip(self, world, tmp_path):
-        eq = world.eq_final
+        eq = sim.analytic_equilibrium(world)
         pools = {"deadcrootc": eq.pools.deadcrootc, "deadstemc": eq.pools.deadstemc,
                  "tlai": eq.tlai, "cwdc": eq.pools.cwdc,
                  "soil3c": eq.pools.soil3c, "soil4c": eq.pools.soil4c}
@@ -513,7 +553,7 @@ class TestPersistence:
         assert np.all(state.leaf_c == 0.0) and np.all(state.froot_c == 0.0)
 
     def test_restart_missing_cells_rejected(self, world, tmp_path):
-        eq = world.eq_final
+        eq = sim.analytic_equilibrium(world)
         keep = world.n_cells - 1
         pools = {"deadcrootc": eq.pools.deadcrootc[:keep],
                  "deadstemc": eq.pools.deadstemc[:keep], "tlai": eq.tlai[:keep],
@@ -526,7 +566,7 @@ class TestPersistence:
             sim.load_restart_state(world, path)
 
     def test_restart_negative_pool_rejected(self, world, tmp_path):
-        eq = world.eq_final
+        eq = sim.analytic_equilibrium(world)
         bad = eq.pools.soil3c.copy()
         bad[0, 0] = -5.0
         pools = {"deadcrootc": eq.pools.deadcrootc, "deadstemc": eq.pools.deadstemc,
@@ -541,21 +581,28 @@ class TestPersistence:
 
 class TestSpinupBookkeeping:
     def test_final_year_mean_is_mean_of_last_twelve(self, world):
-        cells = np.array([4])
-        res = sim.spinup(world, 3, cells=cells)
+        res = sim.spinup(world, 3)
         # reference: the same monthly steps, one at a time, from zero pools
-        params = sim._select_params(world.params, cells)
+        params = world.params
         route, kappa = sim.route_weights(params), sim.kappa_annual(params)
-        state = sim.PoolState.zeros(1, world.n_pft, world.n_layers)
+        state = sim.PoolState.zeros(world.n_cells, world.n_pft, world.n_layers)
         last_year = []
         for m in range(36):
-            gbar, p = sim._schedule(world, *divmod(m, 12), cells)
+            gbar, p = sim._schedule(world, *divmod(m, 12))
             _, _, npp = sim._flux_from_gbar(gbar, params.alpha, params.resp_frac, p)
             state = sim.advance_month(state, npp, route, kappa)
             last_year = (last_year + [state.cwdc])[-12:]
         np.testing.assert_array_equal(res.final.cwdc, state.cwdc)
         np.testing.assert_allclose(res.final_year_mean.cwdc, np.mean(last_year, axis=0),
                                    rtol=1e-14)
+
+    def test_window_response_is_per_month_gbar(self, world):
+        # one month's response equals that month of the whole window's
+        full = sim._gbar_of(world.forcing_monthly)
+        for m in range(world.months):
+            gbar, p = sim._schedule(world, *divmod(m, 12))
+            assert np.array_equal(gbar, full[:, m]), m
+            assert np.array_equal(p, np.ones(world.n_cells))
 
     def test_rejects_zero_years(self, world):
         with pytest.raises(ConfigurationError):

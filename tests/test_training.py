@@ -401,6 +401,16 @@ class TestFineTune:
                 for _ in range(2)]
         assert runs[0].history == runs[1].history
 
+    def test_records_the_width_it_tuned_in(self, toy_dataset):
+        # a float64 model tunes in float64 under a float32 config
+        source = training.train(quick_config(max_epochs=1, width="float64"),
+                                toy_dataset, model_config=toy_model_config())
+        tuned = training.fine_tune(source, toy_dataset, 0.5,
+                                   quick_config(max_epochs=1))
+        assert tuned.named_params()["heads.gpp.w1"].data.dtype == np.float64
+        assert tuned.train_config["width"] == "float64"
+        assert tuned.train_config["max_epochs"] == 1
+
     def test_tiny_fraction_keeps_two_samples(self, toy_model, toy_dataset):
         tuned = training.fine_tune(toy_model, toy_dataset, 1e-9,
                                    quick_config(max_epochs=1, batch_size=2))
