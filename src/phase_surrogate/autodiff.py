@@ -305,9 +305,8 @@ def matmul(a, b):
         out = ad @ bd
 
         def backward(g):
-            da = g @ bd.T
-            db = np.einsum("bik,bij->kj", ad, g)
-            return (da, db)
+            db = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            return (g @ bd.T, db)
 
     else:
         raise ShapeError(f"matmul: unsupported ranks {ad.ndim} and {bd.ndim}")
@@ -361,13 +360,27 @@ def lstm_sequence(x, w_x, w_h, b):
 
     Records a single tape node for the whole sequence: the forward loop runs
     in plain numpy and the backward replays the recurrence in reverse, which
-    avoids building thousands of per-step nodes for long windows.  The seven
-    ``[T, B, H]`` histories the backward needs exist only when a tape records
-    the call (a tape is active and some input requires gradients).  Gate
+    avoids building thousands of per-step nodes for long windows.  Gate
     blocks along the last axis of ``w_x``/``w_h``/``b`` are
     [input, forget, candidate, output]; the step equations are
     ``c' = f*c + i*g`` and ``h' = o*tanh(c')`` with sigmoid gates and a tanh
     candidate.
+
+    The recurrence runs feature-major: ``h`` and ``c`` are ``[H, B]`` and the
+    pre-activation ``W_hᵀ·h + W_xᵀ·x_t + b`` is ``[4H, B]``, so every gate
+    block is a contiguous ``[H, B]`` slab.  The sigmoid rows of the weights
+    and bias are halved once per call (exact), so one ``tanh`` over all 4H
+    rows gives ``σ(z) = 0.5·tanh(z/2) + 0.5`` and ``g = tanh(z)``.
+
+    Only a recorded call (a tape is active and some input requires
+    gradients) keeps caches for the backward: the gates ``[T, 4H, B]`` and
+    the ``h``/``c`` histories ``[T+1, H, B]`` each; ``tanh(c)`` is
+    recomputed.  The backward accumulates the weight gradients step by step
+    from one ``[4H, B]`` slab, computes the input gradient only when ``x``
+    requires it, and ends the reverse loop once ``max(|dh|, |dc|)`` falls
+    below ``tiny / eps`` of the working dtype: every remaining contribution
+    is then below one ulp of anything it could be added to, and running on
+    would only grind through subnormals.
     """
     xd, wxd, whd, bd = x.data, w_x.data, w_h.data, b.data
     if xd.ndim != 3:
@@ -386,48 +399,92 @@ def lstm_sequence(x, w_x, w_h, b):
 
     inputs = [x, w_x, w_h, b]
     records = active_tape() is not None and any(t.requires_grad for t in inputs)
-    if records:
-        (gate_i, gate_f, gate_g, gate_o, tanh_c, h_prev,
-         c_prev) = np.empty((7, steps, batch, hid), dtype=xd.dtype)
-    h = np.zeros((batch, hid), dtype=xd.dtype)
-    c = np.zeros((batch, hid), dtype=xd.dtype)
+    dtype = np.result_type(xd, wxd, whd, bd)
+    half = np.full(4 * hid, 0.5, dtype=dtype)
+    half[2 * hid:3 * hid] = 1.0
+    wh_t = (whd * half).T                                    # [4H, H]
+    # A column of ones carries the bias through the input projection, so
+    # its gradient comes out of the same product as dW_x.
+    xb = np.ones((steps, batch, n_vars + 1), dtype=dtype)   # [T, B, V+1]
+    xb[:, :, :n_vars] = xd.transpose(1, 0, 2)
+    wb_t = (np.vstack([wxd, bd]) * half).T                   # [4H, V+1]
+    # A recorded call keeps every step; forward-only cycles through two
+    # history slots and one gate slab.
+    slots = steps + 1 if records else 2
+    hs = np.empty((slots, hid, batch), dtype=dtype)
+    cs = np.empty((slots, hid, batch), dtype=dtype)
+    hs[0] = 0.0
+    cs[0] = 0.0
+    gates = np.empty((steps if records else 1, 4 * hid, batch), dtype=dtype)
+    proj = np.empty((4 * hid, batch), dtype=dtype)
+    tmp = np.empty((hid, batch), dtype=dtype)
     for t in range(steps):
-        z = (xd[:, t, :] @ wxd + bd) + h @ whd
-        sig = _stable_sigmoid(z)
-        i, f, o = sig[:, :hid], sig[:, hid:2 * hid], sig[:, 3 * hid:]
-        g = np.tanh(z[:, 2 * hid:3 * hid])
-        c_next = f * c + i * g
-        tc = np.tanh(c_next)
-        if records:
-            gate_i[t], gate_f[t], gate_g[t], gate_o[t] = i, f, g, o
-            tanh_c[t], h_prev[t], c_prev[t] = tc, h, c
-        c, h = c_next, o * tc
+        h, c = hs[t % slots], cs[t % slots]
+        h_next, c_next = hs[(t + 1) % slots], cs[(t + 1) % slots]
+        z = gates[t % len(gates)]
+        np.matmul(wh_t, h, out=z)
+        np.matmul(wb_t, xb[t].T, out=proj)
+        z += proj
+        np.tanh(z, out=z)
+        for sig in (z[:2 * hid], z[3 * hid:]):
+            sig *= 0.5
+            sig += 0.5
+        i, f, g, o = z.reshape(4, hid, batch)
+        np.multiply(f, c, out=c_next)
+        np.multiply(i, g, out=tmp)
+        c_next += tmp
+        np.tanh(c_next, out=tmp)
+        np.multiply(o, tmp, out=h_next)
+    h_out = hs[steps % slots].T
 
     def backward(g_out):
-        work = np.result_type(g_out.dtype, xd.dtype)
-        dh = g_out.astype(work, copy=True)
+        work = np.result_type(g_out.dtype, dtype)
+        floor = np.finfo(work).tiny / np.finfo(work).eps
+        dh = np.array(g_out.T, dtype=work, order="C")       # [H, B]
         dc = np.zeros_like(dh)
-        dz_seq = np.empty((batch, steps, 4 * hid), dtype=work)
-        dwh = np.zeros(whd.shape, dtype=work)
+        tc = np.empty_like(dh)
+        dz = np.empty((4 * hid, batch), dtype=work)
+        dz_i, dz_f, dz_g, dz_o = dz.reshape(4, hid, batch)
+        dwh_t = np.zeros((4 * hid, hid), dtype=work)
+        dwb_t = np.zeros((4 * hid, n_vars + 1), dtype=work)
+        dx = np.zeros((steps, batch, n_vars), dtype=work) if x.requires_grad else None
         for t in range(steps - 1, -1, -1):
-            i, f = gate_i[t], gate_f[t]
-            gg, o, tc = gate_g[t], gate_o[t], tanh_c[t]
-            dc = dc + dh * o * (1.0 - tc * tc)
-            dz = dz_seq[:, t, :]
-            dz[:, :hid] = dc * gg * i * (1.0 - i)
-            dz[:, hid:2 * hid] = dc * c_prev[t] * f * (1.0 - f)
-            dz[:, 2 * hid:3 * hid] = dc * i * (1.0 - gg * gg)
-            dz[:, 3 * hid:] = dh * tc * o * (1.0 - o)
-            dwh += h_prev[t].T @ dz
-            dh = dz @ whd.T
-            dc = dc * f
-        flat = dz_seq.reshape(batch * steps, 4 * hid)
-        dwx = xd.reshape(batch * steps, n_vars).T @ flat
-        db = flat.sum(axis=0)
-        dx = (flat @ wxd.T).reshape(batch, steps, n_vars)
-        return (dx, dwx, dwh, db)
+            i, f, g, o = gates[t].reshape(4, hid, batch)
+            np.tanh(cs[t + 1], out=tc)
+            # dc += dh * o * (1 - tanh(c)^2), with dz_g as scratch
+            np.multiply(tc, tc, out=dz_g)
+            np.subtract(1.0, dz_g, out=dz_g)
+            dz_g *= o
+            dz_g *= dh
+            dc += dz_g
+            np.subtract(1.0, o, out=dz_o)
+            dz_o *= o
+            dz_o *= tc
+            dz_o *= dh
+            np.subtract(1.0, i, out=dz_i)
+            dz_i *= i
+            dz_i *= g
+            dz_i *= dc
+            np.subtract(1.0, f, out=dz_f)
+            dz_f *= f
+            dz_f *= cs[t]
+            dz_f *= dc
+            np.multiply(g, g, out=dz_g)
+            np.subtract(1.0, dz_g, out=dz_g)
+            dz_g *= i
+            dz_g *= dc
+            dwh_t += dz @ hs[t].T
+            dwb_t += dz @ xb[t]
+            if dx is not None:
+                np.matmul(dz.T, wxd.T, out=dx[t])
+            np.matmul(whd, dz, out=dh)
+            dc *= f
+            if max(np.abs(dh).max(), np.abs(dc).max()) < floor:
+                break
+        return (None if dx is None else dx.transpose(1, 0, 2),
+                dwb_t[:, :n_vars].T, dwh_t.T, dwb_t[:, n_vars])
 
-    return _record(inputs, h, backward)
+    return _record(inputs, h_out, backward)
 
 
 def layer_norm(x, gain, bias, eps=1e-5):

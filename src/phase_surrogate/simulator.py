@@ -798,6 +798,16 @@ def load_world(path):
 def _world_from(manifest, arrays):
     g = manifest["grid"]
     grid = GridSpec(g["n_lat"], g["n_lon"], g["resolution_deg"], g["land_fraction"])
+    n_cells = arrays["land_idx"].shape[0]
+    per_cell = ("cell_lat", "cell_lon", "cell_point", "forcing_monthly",
+                "gbar_stat12",
+                *(f"params.{f.name}" for f in dataclasses.fields(CellParams)),
+                *(f"window.{k}" for k in POOL_KEYS))
+    for name in per_cell:
+        if arrays[name].shape[:1] != (n_cells,):
+            raise ContractError(f"world array {name!r} has shape "
+                                f"{arrays[name].shape}, not one row per land "
+                                f"cell ({n_cells})")
     fields = {}
     for f in dataclasses.fields(CellParams):
         arr = arrays[f"params.{f.name}"]

@@ -1,6 +1,7 @@
 """Tensor engine tests: forward values against hand results, gradients
 against central finite differences in float64."""
 
+import time
 import tracemalloc
 import zlib
 
@@ -150,6 +151,18 @@ def _lstm_tensors(rng, batch, steps, n_vars, hid):
             _t(rng, (n_vars, 4 * hid), -0.4, 0.4),
             _t(rng, (hid, 4 * hid), -0.4, 0.4),
             _t(rng, (4 * hid,), -0.2, 0.2)]
+
+
+def _lstm_encoder_arrays(dtype, batch, steps, n_vars, hid, forget_bias, seed=47):
+    """Forcing-like input and the temporal encoder's initialisation: Xavier
+    weights, zero bias except the forget block."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(batch, steps, n_vars))
+    w_x = rng.uniform(-1.0, 1.0, size=(n_vars, 4 * hid)) * np.sqrt(6.0 / (n_vars + 4 * hid))
+    w_h = rng.uniform(-1.0, 1.0, size=(hid, 4 * hid)) * np.sqrt(6.0 / (5 * hid))
+    b = np.zeros(4 * hid)
+    b[hid:2 * hid] = forget_bias
+    return [a.astype(dtype) for a in (x, w_x, w_h, b)]
 
 
 def _case_lstm_short(rng):
@@ -444,8 +457,67 @@ class TestForwardValues:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one [T, B, H] float32 history is 3.9 MB; a recorded call keeps seven
+        # one [T, B, H] float32 history is 3.9 MB; a recorded call keeps six
+        # (the gates and the h/c histories)
         assert peak < steps * batch * hid * 4
+
+    def test_lstm_backward_holds_no_sequence_gradient_buffer(self):
+        batch, steps, n_vars, hid = 64, 240, 5, 64
+        tensors = [Tensor(a, requires_grad=True) for a in
+                   _lstm_encoder_arrays(np.float32, batch, steps, n_vars, hid, 1.0)]
+        with GradTape() as tape:
+            loss = ad.mean_all(ad.lstm_sequence(*tensors))
+            tracemalloc.start()
+            try:
+                tape.backward(loss)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert all(t.grad is not None for t in tensors)
+        # below one [T, B, H] float32 array (3.9 MB); a [B, T, 4H] gradient
+        # buffer would be four of them
+        assert peak < steps * batch * hid * 4
+
+    @pytest.mark.parametrize("forget_bias", [0.0, 1.0])
+    def test_lstm_float32_gradients_agree_with_float64(self, forget_bias):
+        # forget bias 0 drives the f32 reverse pass into subnormals, where it
+        # ends early; every gradient must still match the f64 one
+        batch, steps, n_vars, hid = 8, 240, 5, 16
+        arrays = _lstm_encoder_arrays(np.float64, batch, steps, n_vars, hid,
+                                      forget_bias)
+        probe = np.random.default_rng(46).normal(size=(batch, hid))
+        grads = {}
+        for dtype in (np.float32, np.float64):
+            tensors = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+            with GradTape() as tape:
+                out = ad.lstm_sequence(*tensors)
+                tape.backward(ad.mean_all(ad.mul(out, Tensor(probe.astype(dtype)))))
+            grads[dtype] = [t.grad for t in tensors]
+        tol = 64 * np.finfo(np.float32).eps
+        for name, g32, g64 in zip(("x", "w_x", "w_h", "b"), grads[np.float32],
+                                  grads[np.float64]):
+            assert g32.dtype == np.float32 and g32.shape == g64.shape, name
+            scale = np.abs(g64).max()
+            assert scale > 0, name
+            assert np.abs(g32 - g64).max() <= tol * scale, name
+
+    def test_lstm_float32_backward_does_not_stall_in_subnormals(self):
+        batch, steps, n_vars, hid = 64, 240, 5, 64
+
+        def best_backward(forget_bias):
+            arrays = _lstm_encoder_arrays(np.float32, batch, steps, n_vars,
+                                          hid, forget_bias)
+            best = np.inf
+            for _ in range(3):
+                tensors = [Tensor(a, requires_grad=True) for a in arrays]
+                with GradTape() as tape:
+                    loss = ad.mean_all(ad.lstm_sequence(*tensors))
+                    start = time.perf_counter()
+                    tape.backward(loss)
+                    best = min(best, time.perf_counter() - start)
+            return best
+
+        assert best_backward(0.0) <= 3.0 * best_backward(1.0)
 
     def test_shape_ops_round_trip(self):
         rng = np.random.default_rng(9)

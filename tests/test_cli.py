@@ -186,6 +186,20 @@ class TestExitCodes:
         assert err.startswith("error:") and repr(lacks) in err
         assert "Traceback" not in err
 
+    def test_world_array_short_of_a_cell_is_clean_runtime_error(self, ws, tmp_path,
+                                                                capsys):
+        manifest, arrays = blobio.read_model_file(str(ws["world"] / "world.phw"))
+        arrays["window.soil4c"] = arrays["window.soil4c"][:-1]
+        world = tmp_path / "world"
+        world.mkdir()
+        blobio.write_model_file(str(world / "world.phw"), manifest, arrays)
+        rc = main(["build-dataset", "--world", str(world), "--seed", "1",
+                   "--out", str(tmp_path / "data")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "'window.soil4c'" in err
+        assert "Traceback" not in err
+
     def test_zero_fraction_is_usage_error(self, ws, tmp_path):
         rc = main(["fine-tune", "--model", str(ws["model"]),
                    "--data-fine", str(ws["data"]), "--fraction", "0",

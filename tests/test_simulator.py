@@ -514,6 +514,21 @@ class TestPersistence:
         with pytest.raises(ContractError, match="'grid'"):
             sim.load_world(cut)
 
+    def test_every_per_cell_array_is_shape_checked(self, world, tmp_path):
+        # an array one row short of the land cells is refused by name
+        path = str(tmp_path / "world.phw")
+        sim.save_world(world, path)
+        manifest, arrays = blobio.read_model_file(path)
+        per_cell = [name for name, arr in arrays.items()
+                    if name != "land_idx" and arr.shape[:1] == (world.n_cells,)]
+        assert any(n.startswith("params.") for n in per_cell)
+        assert any(n.startswith("window.") for n in per_cell)
+        cut = str(tmp_path / "cut.phw")
+        for name in per_cell:
+            blobio.write_model_file(cut, manifest, {**arrays, name: arrays[name][:-1]})
+            with pytest.raises(ContractError, match=re.escape(repr(name))):
+                sim.load_world(cut)
+
     def test_version_one_file_loads(self, world, tmp_path):
         # version 1 also stored the equilibria and the pre-window
         # intermediates; they are not read
