@@ -9,6 +9,14 @@ form u/k, which makes the simulator usable as an exact oracle: surrogate
 labels, restart validation, and long-spinup cross-checks all reduce to
 comparisons against u/k.
 
+Pool layout: the integrator steps every pool of every cell as one packed
+float64 block [n_cells, 4*n_pft + 3*n_layers], the pools' columns side by
+side in POOL_KEYS order (:func:`pool_columns`).  A run packs its initial
+:class:`PoolState` once, updates the block in place month by month, and
+unpacks the result; each element goes through the same operations, in the
+same order, as the per-pool form C + (u - (k/12) C), so results are
+bitwise those of stepping each pool on its own.
+
 Time layout: 6-hourly steps, 1460 per year.  Monthly aggregates use twelve
 uniform 30-day months per year (each year's trailing 20 steps are ignored).
 The 6-hourly series are never stored; they are regenerated on demand from
@@ -142,6 +150,34 @@ class PoolState:
 
     def copy(self):
         return PoolState(**{k: getattr(self, k).copy() for k in POOL_KEYS})
+
+
+def pool_columns(n_pft, n_layers):
+    """The packed layout: each pool's column slice of a block
+    [n_cells, 4*n_pft + 3*n_layers], pools in POOL_KEYS order."""
+    out, start = {}, 0
+    for key in POOL_KEYS:
+        width = n_pft if key in PFT_POOLS else n_layers
+        out[key] = slice(start, start + width)
+        start += width
+    return out
+
+
+def pack(pools, n_pft, n_layers):
+    """One block of per-pool arrays: ``pools`` maps each pool key to an
+    array [n_cells, width], or [n_cells, 1] to repeat across the width."""
+    columns = pool_columns(n_pft, n_layers)
+    n_cells = pools[POOL_KEYS[0]].shape[0]
+    block = np.empty((n_cells, columns[POOL_KEYS[-1]].stop))
+    for key, cols in columns.items():
+        block[:, cols] = pools[key]
+    return block
+
+
+def unpack(block, n_pft, n_layers):
+    """The :class:`PoolState` of a packed block, each pool a fresh array."""
+    return PoolState(**{key: block[:, cols].copy()
+                        for key, cols in pool_columns(n_pft, n_layers).items()})
 
 
 @dataclasses.dataclass
@@ -521,23 +557,31 @@ def kappa_annual(params):
     return {k: K_GROUP[k] * params.decomp for k in POOL_KEYS}
 
 
-def advance_month(state, npp_month, route, kappa):
-    """One forward-Euler month: C += (u - (k/12) C), clamped at zero.
-    The state change equals the computed net flux exactly (pre-clamp)."""
-    new = {}
-    for key in POOL_KEYS:
-        pool = getattr(state, key)
-        u = npp_month[:, None] * route[key]
-        kap = (kappa[key] / 12.0)[:, None]
-        updated = pool + (u - kap * pool)
-        new[key] = np.maximum(updated, 0.0)
-    return PoolState(**new)
-
-
-def _check_stability(kappa):
-    worst = max(float(np.max(k)) for k in kappa.values()) / 12.0
+def _monthly_operators(world):
+    """A run's routing fractions and monthly turnover k/12, packed blocks
+    [n_cells, 4*n_pft + 3*n_layers], after checking the step is stable."""
+    n_pft, n_layers = world.n_pft, world.n_layers
+    route = pack(route_weights(world.params), n_pft, n_layers)
+    k_month = pack({key: (k / 12.0)[:, None] for key, k in kappa_annual(world.params).items()},
+                   n_pft, n_layers)
+    worst = float(k_month.max())
     if worst >= 2.0:
         raise ConfigurationError(f"unstable monthly step: k*dt = {worst:.3f} >= 2")
+    return route, k_month
+
+
+def advance_month(pools, u, k_month, scratch):
+    """One forward-Euler month of the packed block ``pools``
+    [n_cells, 4*n_pft + 3*n_layers], in place: C += u - (k/12) C, clamped
+    at zero.  The month's input ``u`` and turnover ``k_month`` (k/12)
+    share the layout; ``scratch``, a block of the same shape, takes the
+    net flux, so nothing is allocated.  Each element sees the per-pool
+    form's operations in its order, so the result is bitwise that form's,
+    and the state change equals the computed net flux exactly (pre-clamp)."""
+    np.multiply(k_month, pools, out=scratch)
+    np.subtract(u, scratch, out=scratch)
+    np.add(pools, scratch, out=pools)
+    np.maximum(pools, 0.0, out=pools)
 
 
 def _schedule(world, year, month):
@@ -561,28 +605,36 @@ def spinup(world, years, initial=None):
     ``world.years`` follow the window's forcing; later years repeat the
     stationary climatology (see :func:`_schedule`).
 
+    The pools advance as one packed block (see :func:`advance_month`),
+    packed from ``initial`` and unpacked at the end; the last year's
+    months are summed in order as they pass and divided by 12.  Both
+    results are bitwise those of stepping each pool on its own and taking
+    ``np.mean`` over the last twelve states.
+
     Returns the final state and the mean state over the last simulated year.
     """
     if years < 1:
         raise ConfigurationError("spinup needs years >= 1")
     params = world.params
-    route = route_weights(params)
-    kappa = kappa_annual(params)
-    _check_stability(kappa)
-    state = PoolState.zeros(world.n_cells, world.n_pft, world.n_layers) \
-        if initial is None else initial.copy()
+    route, k_month = _monthly_operators(world)
+    n_pft, n_layers = world.n_pft, world.n_layers
+    pools = np.zeros_like(route) if initial is None else pack(vars(initial), n_pft, n_layers)
+    u, scratch, year_sum = np.empty_like(route), np.empty_like(route), np.empty_like(route)
     alpha, r = params.alpha, params.resp_frac
-    tail = []
+    last_year = 12 * (years - 1)
     for m in range(12 * years):
         year, month = divmod(m, 12)
         gbar, p = _schedule(world, year, month)
         _, _, npp = _flux_from_gbar(gbar, alpha, r, p)
-        state = advance_month(state, npp, route, kappa)
-        if m >= 12 * (years - 1):
-            tail.append(state)
-    mean = PoolState(**{k: np.mean([getattr(s, k) for s in tail], axis=0)
-                        for k in POOL_KEYS})
-    return SpinupResult(final=state, final_year_mean=mean)
+        np.multiply(npp[:, None], route, out=u)
+        advance_month(pools, u, k_month, scratch)
+        if m == last_year:
+            np.copyto(year_sum, pools)
+        elif m > last_year:
+            year_sum += pools
+    year_sum /= 12
+    return SpinupResult(final=unpack(pools, n_pft, n_layers),
+                        final_year_mean=unpack(year_sum, n_pft, n_layers))
 
 
 def _equilibrium_from(gbar12, params):
@@ -615,22 +667,28 @@ def restart_run(initial, world, years=100):
     equilibrium before and after, per-pool drift, and the speedup over a
     cold start: months for every slow-pool element to come within
     EQUILIBRIUM_BAND of u/k from zero pools over those from ``initial``, a
-    warm start inside the band counting one month."""
+    warm start inside the band counting one month.
+
+    The pools advance as one packed block (see :func:`advance_month`),
+    packed from ``initial`` and unpacked at the end, under an input
+    u = npp*route built once since npp is constant; the final state and
+    the reports are bitwise those of stepping each pool on its own."""
     if years < 1:
         raise ConfigurationError("restart_run needs years >= 1")
     params = world.params
-    route = route_weights(params)
+    route, k_month = _monthly_operators(world)
     kappa = kappa_annual(params)
-    _check_stability(kappa)
     eq = analytic_equilibrium(world)
     _, _, npp_m12 = _flux_from_gbar(world.gbar_stat12, params.alpha[:, None],
                                     params.resp_frac[:, None], params.nutrient[:, None])
-    npp_const = npp_m12.mean(axis=1)
+    u = npp_m12.mean(axis=1)[:, None] * route
 
-    state = initial.copy()
-    before = _distance_report(state, eq.pools)
+    pools = pack(vars(initial), world.n_pft, world.n_layers)
+    scratch = np.empty_like(pools)
+    before = _distance_report(initial, eq.pools)
     for _ in range(12 * years):
-        state = advance_month(state, npp_const, route, kappa)
+        advance_month(pools, u, k_month, scratch)
+    state = unpack(pools, world.n_pft, world.n_layers)
     after = _distance_report(state, eq.pools)
     drift = _distance_report(state, initial, pools=SLOW_POOLS)
 
@@ -835,8 +893,16 @@ def load_restart_state(world, path):
     cell_ids, pools, n_pft, n_layers = blobio.read_restart(path)
     if n_pft != world.n_pft or n_layers != world.n_layers:
         raise ContractError("restart dimensions do not match the world")
-    pos = {int(cid): i for i, cid in enumerate(cell_ids)}
     want = [int(v) for v in world.land_idx]
+    known = set(want)
+    pos = {}
+    for i, cid in enumerate(cell_ids.tolist()):
+        if cid in pos:
+            raise ContractError(f"restart file holds cell {cid} more than once")
+        if cid not in known:
+            raise ContractError(f"restart file holds cell {cid}, which is not a "
+                                "land cell of the world")
+        pos[cid] = i
     missing = [cid for cid in want if cid not in pos]
     if missing:
         raise ContractError(f"restart file is missing {len(missing)} cells "

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,33 @@ def world():
     return sim.generate_world(3, sim.GridSpec(8, 8, 1.0), years=20)
 
 
+def reference_step(state, npp_month, route, kappa):
+    """The per-pool forward-Euler month, C + (u - (k/12) C) clamped at
+    zero, from per-pool routes and annual turnovers: the reference the
+    packed stepper must equal bit for bit."""
+    new = {}
+    for key in sim.POOL_KEYS:
+        pool = getattr(state, key)
+        u = npp_month[:, None] * route[key]
+        kap = (kappa[key] / 12.0)[:, None]
+        new[key] = np.maximum(pool + (u - kap * pool), 0.0)
+    return sim.PoolState(**new)
+
+
+def stepper(state, npp_month, route, kappa):
+    """Packed pools, input, turnover and scratch blocks for advance_month
+    from a PoolState and per-pool routes and annual turnovers."""
+    n_pft, n_layers = state.leaf_c.shape[1], state.cwdc.shape[1]
+    pools = sim.pack(vars(state), n_pft, n_layers)
+    u = npp_month[:, None] * sim.pack(route, n_pft, n_layers)
+    k_month = sim.pack({key: (k / 12.0)[:, None] for key, k in kappa.items()},
+                       n_pft, n_layers)
+    return pools, u, k_month, np.empty_like(pools)
+
+
+SOIL3C = sim.pool_columns(1, 1)["soil3c"].start
+
+
 def single_pool_setup(k, n=1):
     """Integrator harness: everything routed into one soil3c layer."""
     route = {key: np.zeros((n, 1)) for key in sim.POOL_KEYS}
@@ -26,12 +54,15 @@ def single_pool_setup(k, n=1):
 
 
 def integrate_constant(state, u_annual, route, kappa, years):
+    """The packed stepper from ``state`` under constant input; returns the
+    final state and the soil3c trajectory [months + 1, n], start included."""
     npp_month = np.full(state.soil3c.shape[0], u_annual / 12.0)
-    states = [state]
+    pools, u, k_month, scratch = stepper(state, npp_month, route, kappa)
+    path = [pools[:, SOIL3C].copy()]
     for _ in range(12 * years):
-        state = sim.advance_month(state, npp_month, route, kappa)
-        states.append(state)
-    return state, states
+        sim.advance_month(pools, u, k_month, scratch)
+        path.append(pools[:, SOIL3C].copy())
+    return sim.unpack(pools, 1, 1), np.array(path)
 
 
 class TestIntegratorClosedForms:
@@ -57,8 +88,8 @@ class TestIntegratorClosedForms:
 
     def test_monotone_convergence_from_zero(self):
         state, route, kappa = single_pool_setup(0.03)
-        _, states = integrate_constant(state, 5.0, route, kappa, years=200)
-        values = np.array([s.soil3c[0, 0] for s in states])
+        _, path = integrate_constant(state, 5.0, route, kappa, years=200)
+        values = path[:, 0]
         assert np.all(np.diff(values) > 0)
         assert values[-1] < 5.0 / 0.03
 
@@ -73,18 +104,56 @@ class TestIntegratorClosedForms:
                  for key in sim.POOL_KEYS}
         kappa = {key: rng.uniform(0.001, 0.1, size=n) for key in sim.POOL_KEYS}
         npp = rng.uniform(10.0, 90.0, size=n)
-        before = state.copy()
-        after = sim.advance_month(state, npp, route, kappa)
+        pools, u, k_month, scratch = stepper(state, npp, route, kappa)
+        sim.advance_month(pools, u, k_month, scratch)
+        after = sim.unpack(pools, n_pft, n_layers)
         for key in sim.POOL_KEYS:
-            pool = getattr(before, key)
+            pool = getattr(state, key)
             delta = npp[:, None] * route[key] - (kappa[key] / 12.0)[:, None] * pool
             assert np.array_equal(getattr(after, key), pool + delta), key
 
     def test_clamps_negative_states_at_zero(self):
-        state, route, kappa = single_pool_setup(12.0)
+        # k/12 = 1.5: the month ends at 100 - 150 before the clamp
+        state, route, kappa = single_pool_setup(18.0)
         state.soil3c[0, 0] = 100.0
-        new = sim.advance_month(state, np.zeros(1), route, kappa)
-        assert new.soil3c[0, 0] == 0.0
+        pools, u, k_month, scratch = stepper(state, np.zeros(1), route, kappa)
+        sim.advance_month(pools, u, k_month, scratch)
+        assert pools[0, SOIL3C] == 0.0
+
+
+class TestPackedLayout:
+    @pytest.mark.parametrize("n_pft, n_layers", [(1, 1), (2, 3), (5, 9)])
+    def test_pack_unpack_round_trip(self, n_pft, n_layers):
+        rng = np.random.default_rng(10 * n_pft + n_layers)
+        state = sim.PoolState.zeros(4, n_pft, n_layers)
+        for key in sim.POOL_KEYS:
+            arr = getattr(state, key)
+            arr[:] = rng.uniform(0.0, 800.0, size=arr.shape)
+        block = sim.pack(vars(state), n_pft, n_layers)
+        assert block.shape == (4, 4 * n_pft + 3 * n_layers)
+        assert block.dtype == np.float64
+        # the pools' columns lie side by side in POOL_KEYS order
+        assert np.array_equal(block, np.concatenate(
+            [getattr(state, key) for key in sim.POOL_KEYS], axis=1))
+        back = sim.unpack(block, n_pft, n_layers)
+        for key in sim.POOL_KEYS:
+            assert np.array_equal(getattr(back, key), getattr(state, key)), key
+            assert not np.shares_memory(getattr(back, key), block), key
+
+    def test_months_allocate_nothing(self, world):
+        route, k_month = sim._monthly_operators(world)
+        u = (sim.analytic_equilibrium(world).npp / 12.0)[:, None] * route
+        pools = sim.pack(vars(world.window_end), world.n_pft, world.n_layers)
+        scratch = np.empty_like(pools)
+        tracemalloc.start()
+        try:
+            for _ in range(120):
+                sim.advance_month(pools, u, k_month, scratch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pools.shape == (world.n_cells, 47)
+        assert peak < pools.nbytes
 
 
 class TestFluxes:
@@ -396,20 +465,53 @@ class TestRestart:
                                   axis=1)
                            for k in sim.SLOW_POOLS], axis=0)
 
-        route = sim.route_weights(world.params)
-        kappa = sim.kappa_annual(world.params)
-        state, months, month = start, np.zeros(world.n_cells), 0
-        still = outside(state)
+        pools, u, k_month, scratch = stepper(start, eq.npp / 12.0,
+                                             sim.route_weights(world.params),
+                                             sim.kappa_annual(world.params))
+        months, month = np.zeros(world.n_cells), 0
+        still = outside(start)
         while still.any():
-            state = sim.advance_month(state, eq.npp / 12.0, route, kappa)
+            sim.advance_month(pools, u, k_month, scratch)
             month += 1
             months[still] = month
-            still = outside(state)
+            still = outside(sim.unpack(pools, world.n_pft, world.n_layers))
         assert months[0] == 0 and months[1:].min() > 12
         np.testing.assert_allclose(report.warm_start_years * 12.0,
                                    np.maximum(months, 1.0), atol=1.0)
         np.testing.assert_allclose(report.speedup, report.cold_start_years
                                    / report.warm_start_years, rtol=1e-12)
+
+    @pytest.mark.parametrize("start", ["perturbed", "zero", "clamped"])
+    def test_bitwise_equals_per_pool_reference(self, world, start):
+        eq = sim.analytic_equilibrium(world)
+        params = world.params
+        route, kappa = sim.route_weights(params), sim.kappa_annual(params)
+        _, _, npp_m12 = sim._flux_from_gbar(world.gbar_stat12, params.alpha[:, None],
+                                            params.resp_frac[:, None],
+                                            params.nutrient[:, None])
+        npp = npp_m12.mean(axis=1)
+        initial = eq.pools.copy()
+        if start == "perturbed":
+            rng = np.random.default_rng(9)
+            for key in sim.POOL_KEYS:
+                pool = getattr(initial, key)
+                pool *= rng.uniform(0.8, 1.2, size=pool.shape)
+        elif start == "zero":
+            initial = sim.PoolState.zeros(world.n_cells, world.n_pft, world.n_layers)
+        else:
+            # far enough below zero that the first month ends below zero
+            initial.leaf_c[::2] *= -100.0
+            first = reference_step(initial, npp, route, kappa)
+            assert np.all(first.leaf_c[::2] == 0.0)
+        final, report = sim.restart_run(initial, world, years=3)
+        state = initial.copy()
+        for _ in range(36):
+            state = reference_step(state, npp, route, kappa)
+        for key in sim.POOL_KEYS:
+            assert np.array_equal(getattr(final, key), getattr(state, key)), key
+        assert report.before == sim._distance_report(initial, eq.pools)
+        assert report.after == sim._distance_report(state, eq.pools)
+        assert report.drift == sim._distance_report(state, initial, pools=sim.SLOW_POOLS)
 
 
 class TestExportSamples:
@@ -554,39 +656,58 @@ class TestPersistence:
         with pytest.raises(ContractError):
             sim.load_world(path)
 
+    def restart_pools(self, world, rows):
+        eq = sim.analytic_equilibrium(world)
+        return {"deadcrootc": eq.pools.deadcrootc[rows], "deadstemc": eq.pools.deadstemc[rows],
+                "tlai": eq.tlai[rows], "cwdc": eq.pools.cwdc[rows],
+                "soil3c": eq.pools.soil3c[rows], "soil4c": eq.pools.soil4c[rows]}
+
     def test_restart_round_trip(self, world, tmp_path):
         eq = sim.analytic_equilibrium(world)
-        pools = {"deadcrootc": eq.pools.deadcrootc, "deadstemc": eq.pools.deadstemc,
-                 "tlai": eq.tlai, "cwdc": eq.pools.cwdc,
-                 "soil3c": eq.pools.soil3c, "soil4c": eq.pools.soil4c}
         path = str(tmp_path / "state.phr")
-        blobio.write_restart(path, world.land_idx, pools, world.n_pft,
-                             world.n_layers)
+        blobio.write_restart(path, world.land_idx, self.restart_pools(world, slice(None)),
+                             world.n_pft, world.n_layers)
         state, tlai = sim.load_restart_state(world, path)
         np.testing.assert_allclose(state.soil3c, eq.pools.soil3c, rtol=1e-6)
         np.testing.assert_allclose(tlai, eq.tlai, rtol=1e-6)
         assert np.all(state.leaf_c == 0.0) and np.all(state.froot_c == 0.0)
 
     def test_restart_missing_cells_rejected(self, world, tmp_path):
-        eq = sim.analytic_equilibrium(world)
         keep = world.n_cells - 1
-        pools = {"deadcrootc": eq.pools.deadcrootc[:keep],
-                 "deadstemc": eq.pools.deadstemc[:keep], "tlai": eq.tlai[:keep],
-                 "cwdc": eq.pools.cwdc[:keep], "soil3c": eq.pools.soil3c[:keep],
-                 "soil4c": eq.pools.soil4c[:keep]}
         path = str(tmp_path / "short.phr")
-        blobio.write_restart(path, world.land_idx[:keep], pools,
+        blobio.write_restart(path, world.land_idx[:keep],
+                             self.restart_pools(world, slice(None, keep)),
                              world.n_pft, world.n_layers)
         with pytest.raises(ContractError, match="missing"):
             sim.load_restart_state(world, path)
 
+    def test_restart_duplicate_cell_rejected(self, world, tmp_path):
+        # a cell appended again at 3x its pools would otherwise win
+        rows = np.append(np.arange(world.n_cells), 0)
+        pools = self.restart_pools(world, rows)
+        for name in pools:
+            pools[name][-1] *= 3.0
+        path = str(tmp_path / "twice.phr")
+        blobio.write_restart(path, world.land_idx[rows], pools, world.n_pft,
+                             world.n_layers)
+        with pytest.raises(ContractError, match=rf"cell {world.land_idx[0]} more than once"):
+            sim.load_restart_state(world, path)
+
+    def test_restart_foreign_cell_rejected(self, world, tmp_path):
+        foreign = min(set(range(world.grid.n_lat * world.grid.n_lon))
+                      - set(world.land_idx.tolist()))
+        rows = np.append(np.arange(world.n_cells), 1)
+        path = str(tmp_path / "foreign.phr")
+        blobio.write_restart(path, np.append(world.land_idx, foreign),
+                             self.restart_pools(world, rows), world.n_pft,
+                             world.n_layers)
+        with pytest.raises(ContractError, match=rf"cell {foreign}, which is not"):
+            sim.load_restart_state(world, path)
+
     def test_restart_negative_pool_rejected(self, world, tmp_path):
-        eq = sim.analytic_equilibrium(world)
-        bad = eq.pools.soil3c.copy()
-        bad[0, 0] = -5.0
-        pools = {"deadcrootc": eq.pools.deadcrootc, "deadstemc": eq.pools.deadstemc,
-                 "tlai": eq.tlai, "cwdc": eq.pools.cwdc,
-                 "soil3c": bad, "soil4c": eq.pools.soil4c}
+        pools = self.restart_pools(world, slice(None))
+        pools["soil3c"] = pools["soil3c"].copy()
+        pools["soil3c"][0, 0] = -5.0
         path = str(tmp_path / "neg.phr")
         blobio.write_restart(path, world.land_idx, pools, world.n_pft,
                              world.n_layers)
@@ -596,20 +717,26 @@ class TestPersistence:
 
 class TestSpinupBookkeeping:
     def test_final_year_mean_is_mean_of_last_twelve(self, world):
-        res = sim.spinup(world, 3)
-        # reference: the same monthly steps, one at a time, from zero pools
-        params = world.params
-        route, kappa = sim.route_weights(params), sim.kappa_annual(params)
-        state = sim.PoolState.zeros(world.n_cells, world.n_pft, world.n_layers)
-        last_year = []
-        for m in range(36):
-            gbar, p = sim._schedule(world, *divmod(m, 12))
-            _, _, npp = sim._flux_from_gbar(gbar, params.alpha, params.resp_frac, p)
-            state = sim.advance_month(state, npp, route, kappa)
-            last_year = (last_year + [state.cwdc])[-12:]
-        np.testing.assert_array_equal(res.final.cwdc, state.cwdc)
-        np.testing.assert_allclose(res.final_year_mean.cwdc, np.mean(last_year, axis=0),
-                                   rtol=1e-14)
+        # reference: the same monthly steps, pool by pool, through the
+        # window (from zero pools) and past its end (from the window-end
+        # state of a world with a one-year window)
+        short = dataclasses.replace(world, years=1)
+        for w, initial in ((world, None), (short, world.window_end)):
+            res = sim.spinup(w, 3, initial=initial)
+            params = w.params
+            route, kappa = sim.route_weights(params), sim.kappa_annual(params)
+            state = sim.PoolState.zeros(w.n_cells, w.n_pft, w.n_layers) \
+                if initial is None else initial.copy()
+            states = []
+            for m in range(36):
+                gbar, p = sim._schedule(w, *divmod(m, 12))
+                _, _, npp = sim._flux_from_gbar(gbar, params.alpha, params.resp_frac, p)
+                state = reference_step(state, npp, route, kappa)
+                states.append(state)
+            for key in sim.POOL_KEYS:
+                assert np.array_equal(getattr(res.final, key), getattr(state, key)), key
+                want = np.mean([getattr(s, key) for s in states[-12:]], axis=0)
+                assert np.array_equal(getattr(res.final_year_mean, key), want), key
 
     def test_window_response_is_per_month_gbar(self, world):
         # one month's response equals that month of the whole window's
