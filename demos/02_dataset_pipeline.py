@@ -27,6 +27,9 @@ def main():
     print(f"{samples.n} samples; row 0 is cell {samples.cell_id[0]} at "
           f"({samples.lat[0]:.1f}, {samples.lon[0]:.1f})")
     print(f"  g1 forcing window : {g['g1'].shape}  (cells x months x variables)")
+    print(f"                      the last {simulator.STATIONARY_YEARS} of "
+          f"{world.years} simulated yr; on a 20-yr window, the stationary "
+          f"years after the {simulator.TREND_RAMP_YEARS:.0f}-yr trend ramp")
     print(f"  g2 static         : {g['g2'].shape}  {pipeline.G2_FIELDS}")
     print(f"  g3 traits         : {g['g3'].shape}  (cells x types x traits)")
     print(f"  g4 type state     : {g['g4'].shape}")

@@ -49,7 +49,8 @@ def main():
                   f"{report.after[pool]['median']:>10.4f} "
                   f"{report.drift[pool]['median']:>10.4f}")
         print(f"\ncold start needs >= {report.cold_start_years.min():.0f} yr; "
-              f"the window behind this model is {report.window_years} yr")
+              f"the model read the last {model.config.window_months} months "
+              f"of a {report.window_years}-yr simulated window")
         print(f"warm start needs a median "
               f"{np.median(report.warm_start_years):.0f} yr to the same band")
         print(f"speedup: min {report.speedup_min:.2f}x, "

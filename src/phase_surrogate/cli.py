@@ -230,7 +230,7 @@ def _cmd_restart_check(args):
     from .model import Surrogate
     world = simulator.load_world(_world_path(args.world))
     model = Surrogate.load(args.model)
-    samples = simulator.export_samples(world)
+    samples = simulator.export_samples(world, model.config.window_months // 12)
     preds, z = model.predict(samples.groups)
 
     if model.ood_stats is not None:

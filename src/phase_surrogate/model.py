@@ -19,6 +19,7 @@ from .encoders import (LayeredEncoder, PftEncoder, StaticEncoder,
 from .errors import CompletenessError, ConfigurationError, ContractError, ShapeError
 from .fusion import ConcatFusion, TransformerFusion
 from .heads import TaskHeads, task_registry
+from .simulator import STATIONARY_YEARS
 
 VARIANTS = ("full", "no_cnn", "no_fc", "no_lstm", "no_trans",
             "baseline_mlp", "baseline_pinn")
@@ -55,7 +56,7 @@ class ModelConfig:
     channels: tuple = (16, 32)
     n_pft: int = 5
     n_layers: int = 9
-    window_months: int = 240
+    window_months: int = 12 * STATIONARY_YEARS
     variant: str = "full"
     masked_features: tuple = ()
 
@@ -214,6 +215,10 @@ class Surrogate:
         missing = [g for g in pipeline.GROUPS if g not in groups]
         if missing:
             raise ContractError(f"batch lacks groups: {', '.join(missing)}")
+        months = groups["g1"].shape[1]
+        if months != self.config.window_months:
+            raise ShapeError(f"g1 holds {months} months of forcing; the model "
+                             f"reads {self.config.window_months}")
         if self.feature_stats is None:
             raise ContractError("model carries no normalization stats")
         arrays = {g: a.astype(self.dtype, copy=False) for g, a in

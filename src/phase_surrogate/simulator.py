@@ -51,6 +51,10 @@ K_SLOW = 0.004
 
 TROPICS_LAT = 23.0
 TREND_RAMP_YEARS = 15.0
+# The trend stops after TREND_RAMP_YEARS, so the last 5 years of the default
+# 20-year window are stationary: the climate the u/k targets are built from.
+# A sample keeps these years of forcing unless asked for another window.
+STATIONARY_YEARS = 5
 NUTRIENT_RAMP_YEARS = 50.0
 EQUILIBRIUM_BAND = 1.0 / 200.0
 OBS_NOISE = 0.005
@@ -769,9 +773,12 @@ def generate_world(seed, grid, years=20):
 
 def export_samples(world, window_years=None):
     """Every cell's sample as one :class:`pipeline.Samples`: monthly forcing
-    over the last window_years, static attributes, traits, end-of-window
-    states with small observation noise, and exact equilibrium targets."""
-    wy = world.years if window_years is None else int(window_years)
+    over the last window_years (by default the last STATIONARY_YEARS, or the
+    whole span if shorter), static attributes, traits, end-of-window states
+    with small observation noise, and exact equilibrium targets."""
+    if window_years is None:
+        window_years = min(world.years, STATIONARY_YEARS)
+    wy = int(window_years)
     if wy > world.years:
         raise RangeError(f"window of {wy} yr exceeds simulated span of "
                          f"{world.years} yr")

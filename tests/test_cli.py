@@ -53,6 +53,20 @@ def ws(tmp_path_factory):
     return paths
 
 
+@pytest.fixture(scope="module")
+def short(ws, tmp_path_factory):
+    """The ws world's last year of forcing as a dataset, and a model trained
+    on it."""
+    root = tmp_path_factory.mktemp("short")
+    paths = {"data": root / "data", "model": root / "model.phm"}
+    assert main(["build-dataset", "--world", str(ws["world"]), "--seed", "1",
+                 "--out", str(paths["data"]), "--window-years", "1"]) == 0
+    assert main(["train", "--data", str(paths["data"]),
+                 "--config", str(ws["config"]),
+                 "--out", str(paths["model"])]) == 0
+    return paths
+
+
 class TestExitCodes:
     def test_no_arguments_is_usage_error(self):
         assert main([]) == 2
@@ -205,6 +219,44 @@ class TestExitCodes:
                    "--data-fine", str(ws["data"]), "--fraction", "0",
                    "--out", str(tmp_path / "t.phm")])
         assert rc == 2
+
+
+class TestWindow:
+    def test_default_window_is_the_stationary_years(self, ws, short):
+        # a 6-yr world keeps its last 5 years by default
+        assert Surrogate.load(str(ws["model"])).config.window_months == 60
+        assert Surrogate.load(str(short["model"])).config.window_months == 12
+
+    def test_eval_on_another_window_is_clean_runtime_error(self, ws, short,
+                                                           tmp_path, capsys):
+        rc = main(["eval", "--model", str(ws["model"]),
+                   "--data", str(short["data"]),
+                   "--out", str(tmp_path / "report")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "12 months" in err and "reads 60" in err
+        assert not (tmp_path / "report").exists()
+
+    def test_fine_tune_onto_another_window_is_clean_runtime_error(
+            self, ws, short, tmp_path, capsys):
+        out = tmp_path / "tuned.phm"
+        rc = main(["fine-tune", "--model", str(ws["model"]),
+                   "--data-fine", str(short["data"]), "--fraction", "0.5",
+                   "--config", str(ws["config"]), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "12 months" in err and "reads 60" in err
+        assert not out.exists()
+
+    def test_restart_check_exports_the_models_window(self, ws, short,
+                                                     tmp_path):
+        # the model refuses any other window, so exit 0 means restart-check
+        # exported the last 12 months
+        assert main(["restart-check", "--model", str(short["model"]),
+                     "--world", str(ws["world"]),
+                     "--out", str(tmp_path / "d.csv"), "--years", "1"]) == 0
 
 
 class TestConfigCommand:

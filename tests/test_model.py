@@ -3,7 +3,7 @@ import pytest
 
 from conftest import build_toy_dataset, toy_model_config
 from phase_surrogate import model as model_mod
-from phase_surrogate import pipeline
+from phase_surrogate import pipeline, simulator
 from phase_surrogate.cli import main
 from phase_surrogate.errors import (CompletenessError, ConfigurationError,
                                     ContractError, ShapeError)
@@ -48,6 +48,9 @@ class TestModelConfig:
                                masked_features=("g2.nutrient",))
         again = ModelConfig.from_dict(cfg.to_dict())
         assert again == cfg
+
+    def test_default_window_is_the_stationary_years(self):
+        assert ModelConfig().window_months == 12 * simulator.STATIONARY_YEARS
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigurationError, match="n_blocks"):
@@ -166,6 +169,16 @@ class TestForward:
             make("full").forward(batch)
         with pytest.raises(ContractError, match="g3"):
             make("full").predict(batch)
+
+    def test_other_window_rejected(self):
+        # the LSTM would run over any length, so the model itself refuses a
+        # g1 that is not the window it was trained on
+        model = make("full")
+        for months in (5, 12):
+            batch = toy_batch(months=months)
+            for call in (model.forward, model.predict, model.attention_weights):
+                with pytest.raises(ShapeError, match=f"{months} months.*reads 6"):
+                    call(batch)
 
     def test_attention_shape(self):
         model = make("full")

@@ -519,7 +519,7 @@ class TestExportSamples:
         s = sim.export_samples(world)
         n = world.n_cells
         assert s.n == n
-        assert s.groups["g1"].shape == (n, 240, 5)
+        assert s.groups["g1"].shape == (n, 60, 5)
         assert s.groups["g2"].shape == (n, 8)
         assert s.groups["g3"].shape == (n, world.n_pft, 3)
         assert s.groups["g4"].shape == (n, world.n_pft, 5)
@@ -559,10 +559,31 @@ class TestExportSamples:
             want = end * (1.0 + sim.OBS_NOISE * rng.standard_normal((world.n_pft, 5)))
             np.testing.assert_array_equal(g4[c], want)
 
+    def test_default_window_is_the_stationary_years(self):
+        # the trend ramp ends STATIONARY_YEARS before the end of a 20-yr run
+        assert sim.TREND_RAMP_YEARS + sim.STATIONARY_YEARS == 20
+        six = sim.generate_world(3, sim.GridSpec(4, 6, 1.0), years=6)
+        g1 = sim.export_samples(six).groups["g1"]
+        assert g1.shape == (six.n_cells, 60, 5)
+        np.testing.assert_array_equal(g1, six.forcing_monthly[:, -60:])
+
+    def test_default_window_of_a_short_world_is_its_span(self):
+        two = sim.generate_world(3, sim.GridSpec(4, 6, 1.0), years=2)
+        g1 = sim.export_samples(two).groups["g1"]
+        assert g1.shape == (two.n_cells, 24, 5)
+        np.testing.assert_array_equal(g1, two.forcing_monthly)
+
     def test_shorter_window_takes_recent_years(self, world):
         g1 = sim.export_samples(world, window_years=5).groups["g1"]
         assert g1.shape == (world.n_cells, 60, 5)
         np.testing.assert_array_equal(g1, world.forcing_monthly[:, -60:])
+
+    @pytest.mark.parametrize("window_years", [1, 20])
+    def test_explicit_window_overrides_default(self, world, window_years):
+        months = 12 * window_years
+        g1 = sim.export_samples(world, window_years=window_years).groups["g1"]
+        assert g1.shape == (world.n_cells, months, 5)
+        np.testing.assert_array_equal(g1, world.forcing_monthly[:, -months:])
 
     def test_window_longer_than_span_rejected(self, world):
         with pytest.raises(RangeError):
