@@ -557,22 +557,6 @@ def stack(tensors, axis=0):
     return _record(list(tensors), out, backward)
 
 
-def concat(tensors, axis=0):
-    sizes = [t.data.shape[axis] for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    bounds = np.cumsum([0] + sizes)
-
-    def backward(g):
-        outs = []
-        for i in range(len(tensors)):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(bounds[i], bounds[i + 1])
-            outs.append(g[tuple(sl)])
-        return tuple(outs)
-
-    return _record(list(tensors), out, backward)
-
-
 def mean_axis(a, axis):
     ad = a.data
     n = ad.shape[axis]

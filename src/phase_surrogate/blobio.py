@@ -1,16 +1,17 @@
 """Binary and JSON file formats shared across the package.
 
-Three container formats live here:
+Every binary file (world, model, dataset split, restart) is one container:
+magic ``PHM1``, the byte length of a JSON manifest as a little-endian u32,
+the manifest, then one tensor blob per name of the manifest's ``params``
+list, in that order, and nothing after.  A tensor blob is magic ``PHT1``,
+dtype code u8 (0 = f32, 1 = f64), ndim u8, dims as u64 little-endian, then
+the raw little-endian values (row-major).
 
-- tensor blobs: magic ``PHT1``, dtype code u8 (0 = f32, 1 = f64), ndim u8,
-  dims as u64 little-endian, then the raw little-endian values (row-major);
-- restart state files: magic ``PHRS``, version u8, n_pft u8, n_layers u8,
-  n_cells u64, then one fixed-size record per cell: the cell id as a
-  little-endian u64 (numpy ``<u8``), then each pool of ``RESTART_POOLS`` in
-  order as little-endian f4 values, n_pft wide for the three vegetation
-  pools and n_layers wide for the three layered pools;
-- model files: magic ``PHM1``, a length-prefixed JSON manifest, then one
-  tensor blob per parameter in manifest order.
+Each file kind declares its arrays once, as a layout: a map from array name
+to shape, each dimension an int or a name such as ``n_cells``.
+:func:`check_layout` checks a file's arrays against it.  A restart file
+(manifest format ``restart``, version 2) holds ``cell_id`` as float64 and
+each pool of ``RESTART_POOLS`` as float32.
 
 All writers go through a temp-file + rename so consumers never observe a
 partially written file.  Binary writers hand the file over in chunks (a
@@ -29,17 +30,18 @@ import numpy as np
 from .errors import CompletenessError, ContractError
 
 BLOB_MAGIC = b"PHT1"
-RESTART_MAGIC = b"PHRS"
 MODEL_MAGIC = b"PHM1"
-RESTART_VERSION = 1
+RESTART_VERSION = 2
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: "<f4", 1: "<f8"}
 
-# Per-cell vector order inside a restart file.
-RESTART_POOLS = ("deadcrootc", "deadstemc", "tlai", "cwdc", "soil3c", "soil4c")
-# version, n_pft, n_layers, n_cells after the restart magic
-_RESTART_HEAD = "<BBBQ"
+# The pools of a restart file, in file order, and their shapes.
+RESTART_POOLS = {**{name: ("n_cells", "n_pft")
+                    for name in ("deadcrootc", "deadstemc", "tlai")},
+                 **{name: ("n_cells", "n_layers")
+                    for name in ("cwdc", "soil3c", "soil4c")}}
+RESTART_LAYOUT = {"cell_id": ("n_cells",), **RESTART_POOLS}
 
 
 # ---------------------------------------------------------------------------
@@ -128,74 +130,8 @@ def read_tensor(fh):
     return arr.reshape(dims).astype(dtype.newbyteorder("="), copy=True)
 
 
-def save_blob_sequence(path, arrays):
-    """Write several blobs back-to-back; order is the caller's contract."""
-    atomic_write_bytes(path, (part for a in arrays for part in tensor_chunks(a)))
-
-
-def load_blob_sequence(path):
-    out = []
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        while fh.tell() < size:
-            out.append(read_tensor(fh))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Restart state files
-# ---------------------------------------------------------------------------
-
-def _restart_dtype(n_pft, n_layers):
-    """One restart record: the cell id, then every pool vector."""
-    widths = dict(zip(RESTART_POOLS, (n_pft,) * 3 + (n_layers,) * 3))
-    return np.dtype([("cell_id", "<u8")]
-                    + [(name, "<f4", (widths[name],)) for name in RESTART_POOLS])
-
-
-def write_restart(path, cell_ids, pools, n_pft, n_layers):
-    """Write ``pools`` (each [n_cells, width]) for ``cell_ids`` as a restart
-    file; every pool of ``RESTART_POOLS`` must be present."""
-    missing = [name for name in RESTART_POOLS if name not in pools]
-    if missing:
-        raise CompletenessError(f"restart state missing pools: {', '.join(missing)}")
-    cell_ids = np.asarray(cell_ids)
-    records = np.empty(cell_ids.shape[0], dtype=_restart_dtype(n_pft, n_layers))
-    records["cell_id"] = cell_ids
-    for name in RESTART_POOLS:
-        arr = np.asarray(pools[name])
-        if arr.shape != records[name].shape:
-            raise ContractError(f"restart pool {name} has shape {arr.shape}, "
-                                f"expected {records[name].shape}")
-        records[name] = arr
-    head = RESTART_MAGIC + struct.pack(_RESTART_HEAD, RESTART_VERSION, n_pft,
-                                       n_layers, records.shape[0])
-    atomic_write_bytes(path, (head, records))
-
-
-def read_restart(path):
-    """Returns (cell_ids int array, pools dict of [n_cells, width] f32, n_pft, n_layers)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != RESTART_MAGIC:
-        raise ContractError(f"bad restart file magic {data[:4]!r}")
-    start = 4 + struct.calcsize(_RESTART_HEAD)
-    if len(data) < start:
-        raise ContractError("truncated restart file header")
-    version, n_pft, n_layers, n_cells = struct.unpack_from(_RESTART_HEAD, data, 4)
-    if version != RESTART_VERSION:
-        raise ContractError(f"unsupported restart file version {version}")
-    dtype = _restart_dtype(n_pft, n_layers)
-    if len(data) - start != n_cells * dtype.itemsize:
-        raise ContractError(f"restart file holds {len(data) - start} record bytes; "
-                            f"its header claims {n_cells} cells of {dtype.itemsize}")
-    records = np.frombuffer(data, dtype=dtype, offset=start)
-    pools = {name: records[name].astype(np.float32) for name in RESTART_POOLS}
-    return records["cell_id"].astype(np.int64), pools, n_pft, n_layers
-
-
-# ---------------------------------------------------------------------------
-# Model files
+# The container
 # ---------------------------------------------------------------------------
 
 def write_model_file(path, manifest, arrays):
@@ -237,3 +173,52 @@ def read_model_file(path):
         if fh.read(1):
             raise ContractError("trailing bytes after model parameters")
     return manifest, arrays
+
+
+def check_layout(path, arrays, layout, dims):
+    """Check that ``arrays`` holds every array of ``layout`` in its declared
+    shape, and return the dimensions bound.  A dimension is an int or a
+    name; a name that ``dims`` does not give is bound by the first array
+    that uses it."""
+    bound = dict(dims)
+    for name, shape in layout.items():
+        if name not in arrays:
+            raise ContractError(f"{path} lacks array {name!r}")
+        have = arrays[name].shape
+        if len(have) == len(shape):
+            for dim, size in zip(shape, have):
+                if isinstance(dim, str):
+                    bound.setdefault(dim, size)
+        if have != tuple(bound.get(d) if isinstance(d, str) else d for d in shape):
+            want = ", ".join(f"{d}={bound[d]}" if d in bound else str(d)
+                             for d in shape)
+            raise ContractError(f"{path}: array {name!r} has shape {have}, "
+                                f"should be ({want})")
+    return bound
+
+
+# ---------------------------------------------------------------------------
+# Restart files
+# ---------------------------------------------------------------------------
+
+def write_restart(path, cell_ids, pools, n_pft, n_layers):
+    """Write ``pools`` (each [n_cells, width]) for ``cell_ids`` as a restart
+    file; every pool of ``RESTART_POOLS`` must be present."""
+    missing = [name for name in RESTART_POOLS if name not in pools]
+    if missing:
+        raise CompletenessError(f"restart state missing pools: {', '.join(missing)}")
+    arrays = {name: np.asarray(pools[name], dtype=np.float32) for name in RESTART_POOLS}
+    arrays["cell_id"] = np.asarray(cell_ids, dtype=np.float64)
+    check_layout(path, arrays, RESTART_LAYOUT, {"n_pft": n_pft, "n_layers": n_layers})
+    write_model_file(path, {"format": "restart", "version": RESTART_VERSION,
+                            "params": list(RESTART_LAYOUT)}, arrays)
+
+
+def read_restart(path):
+    """Returns (cell_ids int array, pools dict of [n_cells, width] f32, n_pft, n_layers)."""
+    manifest, arrays = read_model_file(path)
+    if (manifest.get("format"), manifest.get("version")) != ("restart", RESTART_VERSION):
+        raise ContractError(f"{path} is not a version {RESTART_VERSION} restart file")
+    dims = check_layout(path, arrays, RESTART_LAYOUT, {})
+    pools = {name: arrays[name].astype(np.float32) for name in RESTART_POOLS}
+    return arrays["cell_id"].astype(np.int64), pools, dims["n_pft"], dims["n_layers"]

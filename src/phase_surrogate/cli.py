@@ -205,7 +205,7 @@ def _cmd_fine_tune(args):
     return 0
 
 
-def _write_drift_csv(path, report):
+def _write_drift_csv(path, report, window_months):
     import numpy as np
     from . import blobio
     buf = io.StringIO()
@@ -216,6 +216,7 @@ def _write_drift_csv(path, report):
             buf.write(f"{section}_median,{pool},{stats['median']!r}\n")
             buf.write(f"{section}_max,{pool},{stats['max']!r}\n")
     buf.write(f"window_years,,{report.window_years}\n")
+    buf.write(f"window_months,,{window_months}\n")
     buf.write(f"restart_years,,{report.years}\n")
     buf.write(f"cold_start_years_min,,{float(report.cold_start_years.min())!r}\n")
     buf.write(f"warm_start_years_median,,{float(np.median(report.warm_start_years))!r}\n")
@@ -228,9 +229,13 @@ def _cmd_restart_check(args):
     from . import blobio, ood, pipeline, simulator
     from .heads import denormalize
     from .model import Surrogate
+    if args.years < 1:
+        raise ConfigurationError("--years must be at least 1")
     world = simulator.load_world(_world_path(args.world))
     model = Surrogate.load(args.model)
-    samples = simulator.export_samples(world, model.config.window_months // 12)
+    # whole years covering the model's window; any other length is refused
+    # by the model, naming both
+    samples = simulator.export_samples(world, -(-model.config.window_months // 12))
     preds, z = model.predict(samples.groups)
 
     if model.ood_stats is not None:
@@ -251,7 +256,7 @@ def _cmd_restart_check(args):
                          world.n_layers)
     initial, _ = simulator.load_restart_state(world, restart_path)
     _, report = simulator.restart_run(initial, world, years=args.years)
-    _write_drift_csv(args.out, report)
+    _write_drift_csv(args.out, report, samples.groups["g1"].shape[1])
     drift_max = max(s["max"] for s in report.drift.values())
     print(f"wrote {args.out}: spin-up speedup median "
           f"{report.speedup_median:.3g}x (min {report.speedup_min:.3g}x), "

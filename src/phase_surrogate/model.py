@@ -16,7 +16,7 @@ from . import pipeline
 from .autodiff import Tensor
 from .encoders import (LayeredEncoder, PftEncoder, StaticEncoder,
                        TemporalEncoder, xavier, zeros_param)
-from .errors import CompletenessError, ConfigurationError, ContractError, ShapeError
+from .errors import ConfigurationError, ContractError, ShapeError
 from .fusion import ConcatFusion, TransformerFusion
 from .heads import TaskHeads, task_registry
 from .simulator import STATIONARY_YEARS
@@ -322,16 +322,13 @@ class Surrogate:
         model = cls(config, rng=np.random.default_rng(0),
                     dtype=np.result_type(*widths) if widths else np.float32)
         params = model.named_params()
-        missing = [n for n in params if n not in arrays]
-        if missing:
-            raise CompletenessError(
-                f"model file lacks parameters: {', '.join(missing[:5])}")
+        layout = {name: tensor.data.shape for name, tensor in params.items()}
+        if "ood" in manifest:
+            layout.update({name: (config.dim,)
+                           for name in ("ood.latent_mean", "ood.latent_var")})
+        blobio.check_layout(path, arrays, layout, {})
         for name, tensor in params.items():
-            stored = arrays[name]
-            if stored.shape != tensor.data.shape:
-                raise ShapeError(f"parameter {name} has shape {stored.shape}, "
-                                 f"expected {tensor.data.shape}")
-            tensor.data = stored.astype(tensor.data.dtype)
+            tensor.data = arrays[name].astype(tensor.data.dtype)
         model.train_config = manifest.get("train_config")
         model.feature_stats = manifest.get("feature_stats")
         model.target_stats = manifest.get("target_stats")

@@ -53,9 +53,21 @@ SLOW_TASKS = ("deadcrootc", "deadstemc", "tlai", "cwdc", "soil3c", "soil4c")
 FLUX_TASKS = ("gpp", "ar", "npp")
 TASKS = SLOW_TASKS + FLUX_TASKS
 
-# One blob per column, in this order, in each split file of a dataset.
-COLUMNS = ("cell_id", "lat", "lon") + GROUPS + TASKS
-DATASET_VERSION = 3
+# The arrays of a split file, in file order; ``rows`` is the split's size
+# and the other dimension names are the manifest's ``dims``.
+SPLIT_LAYOUT = {
+    "cell_id": ("rows",), "lat": ("rows",), "lon": ("rows",),
+    "g1": ("rows", "months", len(G1_FIELDS)),
+    "g2": ("rows", len(G2_FIELDS)),
+    "g3": ("rows", "n_pft", len(G3_FIELDS)),
+    "g4": ("rows", "n_pft", len(G4_FIELDS)),
+    "g5": ("rows", "n_layers", len(G5_FIELDS)),
+    **{t: ("rows", "n_pft") for t in ("deadcrootc", "deadstemc", "tlai")},
+    **{t: ("rows", "n_layers") for t in ("cwdc", "soil3c", "soil4c")},
+    **{t: ("rows",) for t in FLUX_TASKS},
+}
+COLUMNS = tuple(SPLIT_LAYOUT)
+DATASET_VERSION = 4
 
 TRAIN_NUM, TRAIN_DEN = 8, 10
 
@@ -261,11 +273,10 @@ def normalize_targets(targets, stats):
 
 def build_dataset(samples, seed, out_dir, world_meta=None):
     """Clean and split the samples, normalize their targets, and write a
-    dataset directory:
-    ``manifest.json`` plus one blob sequence per split (``train.pht``,
-    ``test.pht``) holding one blob per column of :data:`COLUMNS`.  Each
-    split's rows are sorted by (lat, lon), so consecutive rows, and thus
-    training batches, are spatially coherent.
+    dataset directory: ``manifest.json`` plus one container per split
+    (``train.pht``, ``test.pht``) holding the arrays of
+    :data:`SPLIT_LAYOUT`.  Each split's rows are sorted by (lat, lon), so
+    consecutive rows, and thus training batches, are spatially coherent.
 
     Returns the in-memory :class:`Dataset` equal to what was written.
     """
@@ -290,10 +301,11 @@ def build_dataset(samples, seed, out_dir, world_meta=None):
         shutil.rmtree(tmp_dir)
     os.makedirs(tmp_dir)
     for name, split in (("train", train), ("test", test)):
-        columns = [split.cell_id.astype(np.float64), split.lat, split.lon]
-        columns += [split.groups[g] for g in GROUPS]
-        columns += [split.targets[t] for t in TASKS]
-        blobio.save_blob_sequence(os.path.join(tmp_dir, f"{name}.pht"), columns)
+        columns = {"cell_id": split.cell_id.astype(np.float64), "lat": split.lat,
+                   "lon": split.lon, **split.groups, **split.targets}
+        blobio.write_model_file(os.path.join(tmp_dir, f"{name}.pht"),
+                                {"format": "dataset split", "params": list(COLUMNS)},
+                                columns)
 
     manifest = {
         "format": "dataset",
@@ -302,7 +314,6 @@ def build_dataset(samples, seed, out_dir, world_meta=None):
         "n_samples": int(n),
         "n_train": int(train.n),
         "n_test": int(test.n),
-        "columns": list(COLUMNS),
         "feature_stats": feature_stats,
         "target_stats": target_stats,
         "dims": {
@@ -330,14 +341,15 @@ def load_dataset(path):
                             f"dataset, not version {DATASET_VERSION}; "
                             f"rebuild it with build-dataset")
 
+    dims = manifest.get("dims")
+    if not isinstance(dims, dict):
+        raise ContractError(f"{path} manifest lacks its dims")
+
     def read_split(name):
         split_path = os.path.join(path, f"{name}.pht")
-        arrays = blobio.load_blob_sequence(split_path)
-        rows = manifest.get(f"n_{name}")
-        if len(arrays) != len(COLUMNS) or any(a.shape[:1] != (rows,) for a in arrays):
-            raise ContractError(f"{split_path} does not hold {len(COLUMNS)} "
-                                f"columns of n_{name} = {rows!r} rows")
-        cols = dict(zip(COLUMNS, arrays))
+        _, cols = blobio.read_model_file(split_path)
+        blobio.check_layout(split_path, cols, SPLIT_LAYOUT,
+                            dict(dims, rows=manifest.get(f"n_{name}")))
         return DatasetSplit(
             cell_id=cols["cell_id"].astype(np.int64),
             lat=cols["lat"], lon=cols["lon"],

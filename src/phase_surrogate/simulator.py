@@ -32,6 +32,7 @@ across cells and emitted in deterministic cell order.
 import dataclasses
 import logging
 import math
+import operator
 
 import numpy as np
 
@@ -116,6 +117,11 @@ class GridSpec:
     def lon_centers(self):
         step = 360.0 / self.n_lon
         return -180.0 + step * (np.arange(self.n_lon) + 0.5)
+
+    @property
+    def n_points(self):
+        """Forcing points: one per 2x2 block of cells (:func:`_draw_points`)."""
+        return (self.n_lat // 2) * (self.n_lon // 2)
 
     @property
     def spread_scale(self):
@@ -816,6 +822,28 @@ def export_samples(world, window_years=None):
 # Persistence
 # ---------------------------------------------------------------------------
 
+# The arrays of a world file; a dimension is an int or a manifest dimension
+# (see :func:`blobio.check_layout`).  ``window.*`` are the window-end pools.
+WORLD_LAYOUT = {
+    "land_idx": ("n_cells",), "cell_lat": ("n_cells",), "cell_lon": ("n_cells",),
+    "cell_point": ("n_cells",),
+    **{f"points.{f.name}": ("n_points",) for f in dataclasses.fields(ForcingPoints)},
+    "forcing_monthly": ("n_cells", "months", len(pipeline.G1_FIELDS)),
+    "gbar_stat12": ("n_cells", 12),
+    **{f"params.{name}": ("n_cells",) for name in
+       ("alpha", "resp_frac", "nutrient", "decomp", "texture", "land_frac",
+        "deepest_valid_layer")},
+    **{f"params.{name}": ("n_cells", "n_pft") for name in
+       ("pft_weight", "sla", "crootfrac", "pft_code")},
+    "params.alloc": ("n_cells", "n_pft", len(PFT_POOLS) + 1),
+    "params.deposit": ("n_cells", len(LAYER_POOLS), "n_layers"),
+    **{f"window.{k}": ("n_cells", "n_pft") for k in PFT_POOLS},
+    **{f"window.{k}": ("n_cells", "n_layers") for k in LAYER_POOLS},
+}
+_INT_ARRAYS = ("land_idx", "cell_point", "params.pft_code",
+               "params.deepest_valid_layer")
+
+
 def save_world(world, path):
     manifest = {
         "format": "world",
@@ -829,68 +857,42 @@ def save_world(world, path):
         "n_pft": world.n_pft,
         "n_layers": world.n_layers,
         "turnover": {"k_fast": K_FAST, "k_wood": K_WOOD, "k_slow": K_SLOW},
+        "params": sorted(WORLD_LAYOUT),
     }
-    arrays = {
-        "land_idx": world.land_idx.astype(np.float64),
-        "cell_lat": world.cell_lat, "cell_lon": world.cell_lon,
-        "cell_point": world.cell_point.astype(np.float64),
-        "points.lat": world.points.lat, "points.lon": world.points.lon,
-        "points.trend": world.points.trend,
-        "points.rad_scale": world.points.rad_scale,
-        "points.precip_scale": world.points.precip_scale,
-        "forcing_monthly": world.forcing_monthly,
-        "gbar_stat12": world.gbar_stat12,
-    }
-    for f in dataclasses.fields(CellParams):
-        arrays[f"params.{f.name}"] = getattr(world.params, f.name).astype(np.float64)
-    arrays.update({f"window.{k}": getattr(world.window_end, k) for k in POOL_KEYS})
-    manifest["params"] = sorted(arrays)
+    field = lambda name: operator.attrgetter(name.replace("window.", "window_end."))(world)
+    arrays = {name: np.asarray(field(name), dtype=np.float64) for name in WORLD_LAYOUT}
     blobio.write_model_file(path, manifest, arrays)
 
 
 def load_world(path):
-    """Read a world file.  A file of an older version holds every array
-    this reads, and more, so it loads too."""
+    """Read a world file and check its arrays against :data:`WORLD_LAYOUT`.
+    A file of an older version holds every array this reads, and more, so
+    it loads too."""
     manifest, arrays = blobio.read_model_file(path)
     if manifest.get("format") != "world":
         raise ContractError(f"{path} is not a world file")
     try:
-        return _world_from(manifest, arrays)
+        g = manifest["grid"]
+        grid = GridSpec(g["n_lat"], g["n_lon"], g["resolution_deg"],
+                        g["land_fraction"])
+        seed, years = manifest["seed"], manifest["years"]
+        dims = {"n_cells": manifest["n_cells"], "n_pft": manifest["n_pft"],
+                "n_layers": manifest["n_layers"],
+                "months": 12 * years, "n_points": grid.n_points}
     except KeyError as exc:
         raise ContractError(f"world file {path} lacks {exc.args[0]!r}") from None
-
-
-def _world_from(manifest, arrays):
-    g = manifest["grid"]
-    grid = GridSpec(g["n_lat"], g["n_lon"], g["resolution_deg"], g["land_fraction"])
-    n_cells = arrays["land_idx"].shape[0]
-    per_cell = ("cell_lat", "cell_lon", "cell_point", "forcing_monthly",
-                "gbar_stat12",
-                *(f"params.{f.name}" for f in dataclasses.fields(CellParams)),
-                *(f"window.{k}" for k in POOL_KEYS))
-    for name in per_cell:
-        if arrays[name].shape[:1] != (n_cells,):
-            raise ContractError(f"world array {name!r} has shape "
-                                f"{arrays[name].shape}, not one row per land "
-                                f"cell ({n_cells})")
-    fields = {}
-    for f in dataclasses.fields(CellParams):
-        arr = arrays[f"params.{f.name}"]
-        if f.name in ("pft_code", "deepest_valid_layer"):
-            arr = arr.astype(np.int64)
-        fields[f.name] = arr
-    params = CellParams(**fields)
-    points = ForcingPoints(arrays["points.lat"], arrays["points.lon"],
-                           arrays["points.trend"], arrays["points.rad_scale"],
-                           arrays["points.precip_scale"])
-    return World(seed=manifest["seed"], years=manifest["years"], grid=grid,
-                 land_idx=arrays["land_idx"].astype(np.int64),
-                 cell_lat=arrays["cell_lat"], cell_lon=arrays["cell_lon"],
-                 cell_point=arrays["cell_point"].astype(np.int64),
-                 params=params, points=points,
-                 forcing_monthly=arrays["forcing_monthly"],
-                 gbar_stat12=arrays["gbar_stat12"],
-                 window_end=PoolState(**{k: arrays[f"window.{k}"] for k in POOL_KEYS}))
+    blobio.check_layout(path, arrays, WORLD_LAYOUT, dims)
+    a = {name: arrays[name].astype(np.int64) if name in _INT_ARRAYS else arrays[name]
+         for name in WORLD_LAYOUT}
+    group = lambda prefix: {name.split(".", 1)[1]: v for name, v in a.items()
+                            if name.startswith(prefix + ".")}
+    return World(seed=seed, years=years, grid=grid,
+                 land_idx=a["land_idx"], cell_lat=a["cell_lat"],
+                 cell_lon=a["cell_lon"], cell_point=a["cell_point"],
+                 params=CellParams(**group("params")),
+                 points=ForcingPoints(**group("points")),
+                 forcing_monthly=a["forcing_monthly"], gbar_stat12=a["gbar_stat12"],
+                 window_end=PoolState(**group("window")))
 
 
 def load_restart_state(world, path):

@@ -205,16 +205,6 @@ def _case_stack_mid(rng):
     return _probe_fn(lambda *xs: ad.stack(list(xs), axis=1), ts, rng), ts
 
 
-def _case_concat(rng):
-    ts = [_t(rng, (3, 4)), _t(rng, (2, 4))]
-    return _probe_fn(lambda a, b: ad.concat([a, b], axis=0), ts, rng), ts
-
-
-def _case_concat_cols(rng):
-    ts = [_t(rng, (3, 2)), _t(rng, (3, 5))]
-    return _probe_fn(lambda a, b: ad.concat([a, b], axis=1), ts, rng), ts
-
-
 def _case_mean_axis(rng):
     ts = [_t(rng, (3, 4, 5))]
     return _probe_fn(lambda a: ad.mean_axis(a, 1), ts, rng), ts
@@ -300,8 +290,6 @@ GRAD_CASES = [
     ("slice", _case_slice),
     ("stack", _case_stack),
     ("stack_mid", _case_stack_mid),
-    ("concat", _case_concat),
-    ("concat_cols", _case_concat_cols),
     ("mean_axis", _case_mean_axis),
     ("sum_all", _case_sum_all),
     ("mean_all", _case_mean_all),
@@ -527,8 +515,6 @@ class TestForwardValues:
         assert ad.slice_axis(x, 2, 1, 3).shape == (2, 3, 2)
         stacked = ad.stack([x, x], axis=0)
         assert stacked.shape == (2, 2, 3, 4)
-        joined = ad.concat([x, x], axis=1)
-        assert joined.shape == (2, 6, 4)
         assert ad.mean_axis(x, 0).shape == (3, 4)
         assert np.allclose(ad.mean_axis(x, 0).data, x.data.mean(axis=0))
         assert ad.sum_all(x).item() == pytest.approx(float(x.data.sum()), rel=1e-6)

@@ -16,6 +16,17 @@ def blob(arr):
     return b"".join(blobio.tensor_chunks(arr))
 
 
+def save(path, *arrays):
+    """A container holding ``arrays`` under the names a0, a1, ..."""
+    names = [f"a{i}" for i in range(len(arrays))]
+    blobio.write_model_file(path, {"params": names}, dict(zip(names, arrays)))
+
+
+def load(path):
+    manifest, arrays = blobio.read_model_file(path)
+    return [arrays[name] for name in manifest["params"]]
+
+
 class TestTensorBlobs:
     def test_exact_byte_layout(self):
         arr = np.array([1.0, 2.0], dtype=np.float32)
@@ -35,9 +46,9 @@ class TestTensorBlobs:
     def test_round_trip(self, tmp_path, shape, dtype):
         rng = np.random.default_rng(1)
         arr = rng.normal(size=shape).astype(dtype)
-        path = tmp_path / "t.pht"
-        blobio.save_blob_sequence(path, [arr])
-        (back,) = blobio.load_blob_sequence(path)
+        path = tmp_path / "t.phm"
+        save(path, arr)
+        (back,) = load(path)
         assert back.dtype == arr.dtype
         assert back.shape == arr.shape
         assert np.array_equal(back, arr)
@@ -47,9 +58,9 @@ class TestTensorBlobs:
         arrays = [rng.normal(size=(3, 2)).astype(np.float32),
                   rng.normal(size=(5,)).astype(np.float64),
                   np.float32(7.0).reshape(())]
-        path = tmp_path / "seq.pht"
-        blobio.save_blob_sequence(path, arrays)
-        back = blobio.load_blob_sequence(path)
+        path = tmp_path / "seq.phm"
+        save(path, *arrays)
+        back = load(path)
         assert len(back) == 3
         for a, b in zip(arrays, back):
             assert np.array_equal(a, b) and a.dtype == b.dtype
@@ -72,34 +83,29 @@ class TestTensorBlobs:
     def test_claimed_size_beyond_file_rejected(self, tmp_path, dims):
         # a float64 blob of a few bytes whose header claims far more values
         # than it holds; 2**64 values wrap to 0 in int64
-        path = tmp_path / "t.pht"
-        path.write_bytes(blobio.BLOB_MAGIC
+        path = tmp_path / "t.phm"
+        raw = json.dumps({"params": ["w"]}).encode("utf-8")
+        path.write_bytes(blobio.MODEL_MAGIC + struct.pack("<I", len(raw)) + raw
+                         + blobio.BLOB_MAGIC
                          + struct.pack(f"<BB{len(dims)}Q", 1, len(dims), *dims)
                          + b"\x00" * 6)
         with pytest.raises(ContractError, match="truncated"):
-            blobio.load_blob_sequence(path)
+            blobio.read_model_file(path)
 
     def test_trailing_bytes_detected(self, tmp_path):
-        path = tmp_path / "t.pht"
-        path.write_bytes(blob(np.ones(2, dtype=np.float32)) + b"junk")
-        # the junk is read as the next blob's magic
-        with pytest.raises(ContractError, match="magic"):
-            blobio.load_blob_sequence(path)
+        path = tmp_path / "t.phm"
+        save(path, np.ones(2, dtype=np.float32))
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(ContractError, match="trailing"):
+            blobio.read_model_file(path)
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
-        path = tmp_path / "t.pht"
-        blobio.save_blob_sequence(path, [np.ones(4, dtype=np.float32)])
-        blobio.save_blob_sequence(path, [np.zeros(4, dtype=np.float32)])
-        assert os.listdir(tmp_path) == ["t.pht"]
-        (back,) = blobio.load_blob_sequence(path)
+        path = tmp_path / "t.phm"
+        save(path, np.ones(4, dtype=np.float32))
+        save(path, np.zeros(4, dtype=np.float32))
+        assert os.listdir(tmp_path) == ["t.phm"]
+        (back,) = load(path)
         assert np.array_equal(back, np.zeros(4, dtype=np.float32))
-
-    def test_sequence_file_is_the_blobs_back_to_back(self, tmp_path):
-        path = tmp_path / "t.pht"
-        arrays = [np.arange(6, dtype=np.float64).reshape(2, 3).T,
-                  np.float32(2.5), np.ones((0, 3), dtype=np.float32)]
-        blobio.save_blob_sequence(path, arrays)
-        assert path.read_bytes() == b"".join(blob(a) for a in arrays)
 
     def test_atomic_write_takes_chunks(self, tmp_path):
         path = tmp_path / "f.bin"
@@ -108,12 +114,12 @@ class TestTensorBlobs:
         assert path.read_bytes() == b"abc" + struct.pack("<d", 1.0)
 
     def test_failed_chunked_write_keeps_old_file(self, tmp_path):
-        path = tmp_path / "t.pht"
-        blobio.save_blob_sequence(path, [np.ones(4, dtype=np.float32)])
+        path = tmp_path / "t.phm"
+        save(path, np.ones(4, dtype=np.float32))
         with pytest.raises(ContractError, match="float32/float64"):
-            blobio.save_blob_sequence(path, [np.zeros(4), np.arange(3)])
-        assert os.listdir(tmp_path) == ["t.pht"]
-        (back,) = blobio.load_blob_sequence(path)
+            save(path, np.zeros(4), np.arange(3))
+        assert os.listdir(tmp_path) == ["t.phm"]
+        (back,) = load(path)
         assert np.array_equal(back, np.ones(4, dtype=np.float32))
 
 
@@ -137,13 +143,17 @@ class TestRestartFiles:
             assert np.array_equal(back_pools[name], pools[name])
 
     def test_header_layout(self, tmp_path):
+        # a container: cell ids as float64, then every pool as float32
         rng = np.random.default_rng(4)
         path = tmp_path / "state.phr"
         blobio.write_restart(path, np.array([2]), self._pools(rng, 1), 5, 9)
-        raw = path.read_bytes()
-        assert raw[:4] == b"PHRS"
-        version, n_pft, n_layers, n_cells = struct.unpack("<BBBQ", raw[4:15])
-        assert (version, n_pft, n_layers, n_cells) == (1, 5, 9, 1)
+        manifest, arrays = blobio.read_model_file(path)
+        assert manifest == {"format": "restart", "version": 2,
+                            "params": ["cell_id", "deadcrootc", "deadstemc",
+                                       "tlai", "cwdc", "soil3c", "soil4c"]}
+        assert arrays["cell_id"].dtype == np.float64
+        assert {arrays[name].dtype for name in blobio.RESTART_POOLS} == {
+            np.dtype(np.float32)}
 
     def test_missing_pool_is_completeness_error(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -173,20 +183,6 @@ class TestRestartFiles:
             assert back[name].dtype == np.float32
             np.testing.assert_array_equal(back[name], arr.astype(np.float32))
 
-    def test_record_layout(self, tmp_path):
-        # reference: the header, then per cell a u64 id and every pool as f4
-        rng = np.random.default_rng(9)
-        pools = self._pools(rng, 3, n_pft=2, n_layers=3)
-        ids = np.array([7, 1, 40])
-        path = tmp_path / "state.phr"
-        blobio.write_restart(path, ids, pools, 2, 3)
-        want = [b"PHRS", struct.pack("<BBBQ", 1, 2, 3, 3)]
-        for c in range(3):
-            want.append(struct.pack("<Q", int(ids[c])))
-            want += [pools[name][c].astype("<f4").tobytes()
-                     for name in blobio.RESTART_POOLS]
-        assert path.read_bytes() == b"".join(want)
-
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.phr"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -194,8 +190,10 @@ class TestRestartFiles:
             blobio.read_restart(path)
 
     def test_truncated_header(self, tmp_path):
+        rng = np.random.default_rng(12)
         path = tmp_path / "x.phr"
-        path.write_bytes(b"PHRS" + b"\x01\x05\x09\x00")
+        blobio.write_restart(path, np.arange(2), self._pools(rng, 2), 5, 9)
+        path.write_bytes(path.read_bytes()[:6])
         with pytest.raises(ContractError, match="truncated"):
             blobio.read_restart(path)
 
@@ -205,7 +203,7 @@ class TestRestartFiles:
         path = tmp_path / "x.phr"
         blobio.write_restart(path, np.arange(3), self._pools(rng, 3), 5, 9)
         path.write_bytes(path.read_bytes()[:-cut])
-        with pytest.raises(ContractError, match="claims 3 cells"):
+        with pytest.raises(ContractError, match="truncated"):
             blobio.read_restart(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -213,7 +211,32 @@ class TestRestartFiles:
         path = tmp_path / "x.phr"
         blobio.write_restart(path, np.arange(2), self._pools(rng, 2), 5, 9)
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(ContractError, match="claims 2 cells"):
+        with pytest.raises(ContractError, match="trailing"):
+            blobio.read_restart(path)
+
+    def test_other_version_rejected(self, tmp_path):
+        rng = np.random.default_rng(13)
+        path = tmp_path / "x.phr"
+        blobio.write_restart(path, np.arange(2), self._pools(rng, 2), 5, 9)
+        manifest, arrays = blobio.read_model_file(path)
+        blobio.write_model_file(path, dict(manifest, version=1), arrays)
+        with pytest.raises(ContractError, match="version 2 restart file"):
+            blobio.read_restart(path)
+
+    @pytest.mark.parametrize("name,cut", [("cell_id", np.s_[:-1]),
+                                          ("soil3c", np.s_[:, :8]),
+                                          ("deadstemc", np.s_[:-1])])
+    def test_stored_array_of_wrong_shape_rejected(self, tmp_path, name, cut):
+        rng = np.random.default_rng(14)
+        path = tmp_path / "x.phr"
+        blobio.write_restart(path, np.arange(3), self._pools(rng, 3), 5, 9)
+        manifest, arrays = blobio.read_model_file(path)
+        arrays[name] = arrays[name][cut]
+        blobio.write_model_file(path, manifest, arrays)
+        # the cell ids come first and bind n_cells, the first vegetation and
+        # layered pools n_pft and n_layers
+        bad = "deadcrootc" if name == "cell_id" else name
+        with pytest.raises(ContractError, match=f"x.phr: array '{bad}'"):
             blobio.read_restart(path)
 
 
@@ -262,6 +285,57 @@ class TestModelFiles:
         with pytest.raises(CompletenessError, match="enc.b"):
             blobio.write_model_file(tmp_path / "m.phm",
                                     {"params": ["enc.b"]}, {})
+
+
+    def test_file_is_manifest_then_blobs(self, tmp_path):
+        arrays = {"b": np.arange(6, dtype=np.float64).reshape(2, 3).T,
+                  "a": np.float32(2.5), "c": np.ones((0, 3), dtype=np.float32)}
+        manifest = {"params": ["b", "a", "c"], "note": "x"}
+        path = tmp_path / "m.phm"
+        blobio.write_model_file(path, manifest, arrays)
+        raw = json.dumps(manifest, sort_keys=True,
+                         separators=(",", ":")).encode("utf-8")
+        assert path.read_bytes() == (
+            b"PHM1" + struct.pack("<I", len(raw)) + raw
+            + b"".join(blob(arrays[name]) for name in manifest["params"]))
+
+
+class TestCheckLayout:
+    LAYOUT = {"ids": ("n",), "x": ("n", "k", 3), "y": ("n", "k")}
+
+    def arrays(self, n=4, k=2):
+        return {"ids": np.zeros(n), "x": np.zeros((n, k, 3)),
+                "y": np.zeros((n, k)), "extra": np.zeros(7)}
+
+    def test_names_bound_by_first_use(self):
+        bound = blobio.check_layout("f", self.arrays(), self.LAYOUT, {"m": 1})
+        assert bound == {"m": 1, "n": 4, "k": 2}
+
+    def test_given_dims_are_checked(self):
+        with pytest.raises(ContractError,
+                           match=r"^f: array 'ids' has shape \(4,\), "
+                                 r"should be \(n=5\)$"):
+            blobio.check_layout("f", self.arrays(), self.LAYOUT, {"n": 5})
+
+    def test_missing_array(self):
+        arrays = self.arrays()
+        del arrays["y"]
+        with pytest.raises(ContractError, match="^f lacks array 'y'$"):
+            blobio.check_layout("f", arrays, self.LAYOUT, {})
+
+    @pytest.mark.parametrize("name,shape,want", [
+        ("x", (4, 2, 2), "(n=4, k=2, 3)"),
+        ("y", (4, 3), "(n=4, k=2)"),
+        ("y", (4, 2, 1), "(n=4, k=2)"),
+        ("x", (4,), "(n=4, k, 3)"),
+    ])
+    def test_wrong_shape_names_both_shapes(self, name, shape, want):
+        arrays = self.arrays()
+        arrays[name] = np.zeros(shape)
+        with pytest.raises(ContractError) as info:
+            blobio.check_layout("f", arrays, self.LAYOUT, {})
+        assert str(info.value) == (f"f: array {name!r} has shape {shape}, "
+                                   f"should be {want}")
 
 
 class TestJson:

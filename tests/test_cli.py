@@ -14,7 +14,7 @@ import pytest
 import phase_surrogate
 from phase_surrogate import blobio, pipeline, simulator
 from phase_surrogate.cli import main
-from phase_surrogate.model import Surrogate
+from phase_surrogate.model import ModelConfig, Surrogate
 
 TINY_CONFIG = {
     "model": {"dim": 16, "hidden": 16, "heads": 2, "depth": 1,
@@ -67,6 +67,18 @@ def short(ws, tmp_path_factory):
     return paths
 
 
+def untrained_model(ws, path, **config):
+    """Save an untrained model of the ws model's config with ``config``
+    changed, carrying the ws model's stats but no OOD guard."""
+    trained = Surrogate.load(str(ws["model"]))
+    model = Surrogate(ModelConfig.from_dict(dict(trained.config.to_dict(),
+                                                 **config)))
+    model.feature_stats = trained.feature_stats
+    model.target_stats = trained.target_stats
+    model.save(str(path))
+    return path
+
+
 class TestExitCodes:
     def test_no_arguments_is_usage_error(self):
         assert main([]) == 2
@@ -103,12 +115,14 @@ class TestExitCodes:
         data = tmp_path / "data"
         shutil.copytree(ws["data"], data)
         split = str(data / "test.pht")
-        blobio.save_blob_sequence(split, blobio.load_blob_sequence(split)[:4])
+        manifest, arrays = blobio.read_model_file(split)
+        blobio.write_model_file(split, dict(manifest, params=manifest["params"][:4]),
+                                arrays)
         rc = main(["eval", "--model", str(ws["model"]), "--data", str(data),
                    "--out", str(tmp_path / "report")])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error:") and "test.pht" in err
+        assert err.startswith("error:") and "test.pht lacks array 'g2'" in err
         assert "Traceback" not in err
 
     def test_dataset_without_stats_is_clean_runtime_error(self, ws, tmp_path,
@@ -214,11 +228,89 @@ class TestExitCodes:
         assert err.startswith("error:") and "'window.soil4c'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind,name,cut,command", [
+        pytest.param(kind, name, cut, command, id=f"{name}-{command}")
+        for kind, name, cut in [
+            ("world", "window.soil4c", np.s_[:, :8]),
+            ("world", "params.alloc", np.s_[..., :-1]),
+            ("world", "forcing_monthly", np.s_[..., :-1]),
+            ("world", "gbar_stat12", np.s_[:, :11]),
+            ("world", "points.lat", np.s_[:-1]),
+            ("data", "g1", np.s_[..., :4]),
+            ("model", "ood.latent_mean", np.s_[:-1]),
+        ]
+        for command in {"world": ("build-dataset", "restart-check"),
+                        "data": ("train", "eval"),
+                        "model": ("eval", "restart-check")}[kind]
+    ] + [pytest.param("restart", "cwdc", None, "restart-check",
+                      id="restart-cwdc-restart-check")])
+    def test_array_of_wrong_shape_is_clean_runtime_error(
+            self, ws, tmp_path, capsys, kind, name, cut, command):
+        inputs = {"world": tmp_path / "world", "data": tmp_path / "data",
+                  "model": tmp_path / "model.phm"}
+        shutil.copytree(ws["world"], inputs["world"])
+        shutil.copytree(ws["data"], inputs["data"])
+        shutil.copy(ws["model"], inputs["model"])
+        damaged = {"world": inputs["world"] / "world.phw",
+                   "data": inputs["data"] / "train.pht",
+                   "model": inputs["model"],
+                   "restart": tmp_path / "out.phr"}[kind]
+        if kind == "restart":
+            # a model for 8 soil layers on a world of 9: its layered pools
+            # are one column short of the restart file's
+            untrained_model(ws, inputs["model"], variant="no_cnn", n_layers=8)
+        else:
+            manifest, arrays = blobio.read_model_file(str(damaged))
+            arrays[name] = arrays[name][cut]
+            blobio.write_model_file(str(damaged), manifest, arrays)
+        out = str(tmp_path / "out")
+        args = {"build-dataset": ["--world", str(inputs["world"]), "--out", out],
+                "train": ["--data", str(inputs["data"]), "--config",
+                          str(ws["config"]), "--out", out],
+                "eval": ["--model", str(inputs["model"]), "--data",
+                         str(inputs["data"]), "--out", out],
+                "restart-check": ["--model", str(inputs["model"]), "--world",
+                                  str(inputs["world"]), "--out", out + ".csv",
+                                  "--years", "1"]}[command]
+        rc = main([command] + args)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"{damaged}: array {name!r} has shape" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "data", "model.phm", "world"]
+
     def test_zero_fraction_is_usage_error(self, ws, tmp_path):
         rc = main(["fine-tune", "--model", str(ws["model"]),
                    "--data-fine", str(ws["data"]), "--fraction", "0",
                    "--out", str(tmp_path / "t.phm")])
         assert rc == 2
+
+
+class TestRestartCheckInputs:
+    def test_zero_years_is_usage_error_and_writes_nothing(self, ws, tmp_path,
+                                                         capsys):
+        rc = main(["restart-check", "--model", str(ws["model"]),
+                   "--world", str(ws["world"]),
+                   "--out", str(tmp_path / "drift.csv"), "--years", "0"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "--years" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_window_short_of_a_year_names_both_lengths(self, ws, tmp_path,
+                                                       capsys):
+        # the forcing covers the window in whole years, which a 6-month
+        # model refuses
+        model = untrained_model(ws, tmp_path / "m6.phm", window_months=6)
+        rc = main(["restart-check", "--model", str(model),
+                   "--world", str(ws["world"]),
+                   "--out", str(tmp_path / "drift.csv"), "--years", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "12 months" in err and "reads 6" in err
+        assert list(tmp_path.iterdir()) == [model]
 
 
 class TestWindow:
@@ -325,6 +417,8 @@ class TestWorkflow:
         assert rows[("cold_start_years_min", "")] >= 1200.0
         assert rows[("warm_start_years_median", "")] >= 1.0 / 12.0
         assert rows[("restart_years", "")] == 2
+        assert rows[("window_years", "")] == 6
+        assert rows[("window_months", "")] == 60
         drift = [v for (n, _), v in rows.items() if n == "drift_max"]
         assert drift and all(np.isfinite(v) for v in drift)
         assert (ws["root"] / "drift.phr").exists()

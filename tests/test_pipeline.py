@@ -400,16 +400,31 @@ def damaged(built, tmp_path):
 class TestLoadRefusesMalformed:
     def test_split_file_short_of_a_column(self, damaged):
         path = str(damaged / "train.pht")
-        blobio.save_blob_sequence(path, blobio.load_blob_sequence(path)[:-1])
-        with pytest.raises(ContractError, match="train.pht"):
+        manifest, cols = blobio.read_model_file(path)
+        blobio.write_model_file(path, dict(manifest, params=manifest["params"][:-1]),
+                                cols)
+        with pytest.raises(ContractError, match="train.pht lacks array 'npp'"):
             pl.load_dataset(str(damaged))
 
     def test_column_short_of_a_row(self, damaged):
         path = str(damaged / "test.pht")
-        cols = blobio.load_blob_sequence(path)
-        cols[pl.COLUMNS.index("soil3c")] = cols[pl.COLUMNS.index("soil3c")][:-1]
-        blobio.save_blob_sequence(path, cols)
-        with pytest.raises(ContractError, match="n_test = 12"):
+        manifest, cols = blobio.read_model_file(path)
+        cols["soil3c"] = cols["soil3c"][:-1]
+        blobio.write_model_file(path, manifest, cols)
+        with pytest.raises(ContractError, match=r"test.pht: array 'soil3c' has "
+                                                r"shape \(11, 9\), should be "
+                                                r"\(rows=12, n_layers=9\)"):
+            pl.load_dataset(str(damaged))
+
+    @pytest.mark.parametrize("name,cut", [("g1", np.s_[..., :4]),
+                                          ("g3", np.s_[:, :-1]),
+                                          ("cell_id", np.s_[:-1])])
+    def test_column_of_wrong_shape(self, damaged, name, cut):
+        path = str(damaged / "train.pht")
+        manifest, cols = blobio.read_model_file(path)
+        cols[name] = cols[name][cut]
+        blobio.write_model_file(path, manifest, cols)
+        with pytest.raises(ContractError, match=f"train.pht: array '{name}'"):
             pl.load_dataset(str(damaged))
 
     def test_undecodable_manifest(self, damaged):
@@ -428,6 +443,21 @@ class TestLoadRefusesMalformed:
         path = str(damaged / "manifest.json")
         blobio.save_json(path, dict(blobio.load_json(path), version=2))
         with pytest.raises(ContractError, match="version 2.*rebuild it"):
+            pl.load_dataset(str(damaged))
+
+    def test_version_three_manifest(self, damaged):
+        # version 3 stored each split as a bare sequence of blobs
+        path = str(damaged / "manifest.json")
+        blobio.save_json(path, dict(blobio.load_json(path), version=3))
+        with pytest.raises(ContractError, match="version 3.*rebuild it"):
+            pl.load_dataset(str(damaged))
+
+    def test_manifest_without_dims(self, damaged):
+        path = str(damaged / "manifest.json")
+        manifest = blobio.load_json(path)
+        del manifest["dims"]
+        blobio.save_json(path, manifest)
+        with pytest.raises(ContractError, match="lacks its dims"):
             pl.load_dataset(str(damaged))
 
     @pytest.mark.parametrize("key", ["feature_stats", "target_stats"])
