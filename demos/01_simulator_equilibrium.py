@@ -23,7 +23,7 @@ def median_rel_distance(state, eq, pool):
 
 def main():
     grid = simulator.grid_spec("coarse")
-    world = simulator.generate_world(seed=0, grid=grid, years=6)
+    world = simulator.generate_world(seed=0, grid=grid)
     print(f"world: {world.n_cells} land cells on a "
           f"{grid.n_lat}x{grid.n_lon} grid, {world.years} yr forcing window")
 

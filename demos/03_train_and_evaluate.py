@@ -15,8 +15,7 @@ from phase_surrogate.model import active_branches
 
 def main():
     world = simulator.generate_world(seed=0,
-                                     grid=simulator.grid_spec("coarse"),
-                                     years=6)
+                                     grid=simulator.grid_spec("coarse"))
     samples = simulator.export_samples(world)
     with tempfile.TemporaryDirectory() as tmp:
         dataset = pipeline.build_dataset(samples, seed=0, out_dir=tmp)

@@ -150,28 +150,37 @@ def write_model_file(path, manifest, arrays):
 
 
 def read_model_file(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MODEL_MAGIC:
-            raise ContractError(f"bad model file magic {magic!r}")
-        head = fh.read(4)
-        if len(head) != 4:
-            raise ContractError("truncated model file manifest length")
-        (mlen,) = struct.unpack("<I", head)
-        raw = fh.read(mlen)
-        if len(raw) != mlen:
-            raise ContractError("truncated model file manifest")
-        try:
-            manifest = json.loads(raw.decode("utf-8"))
-        except ValueError as exc:
-            raise ContractError(f"undecodable model file manifest: {exc}") from None
-        names = manifest.get("params") if isinstance(manifest, dict) else None
-        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
-            raise ContractError("model file manifest must be an object with a "
-                                "params list of names")
-        arrays = {name: read_tensor(fh) for name in names}
-        if fh.read(1):
-            raise ContractError("trailing bytes after model parameters")
+    """The manifest and the arrays of a container; every error it raises
+    names ``path``."""
+    try:
+        with open(path, "rb") as fh:
+            return _read_container(fh)
+    except ContractError as exc:
+        raise ContractError(f"{path}: {exc}") from None
+
+
+def _read_container(fh):
+    magic = fh.read(4)
+    if magic != MODEL_MAGIC:
+        raise ContractError(f"bad model file magic {magic!r}")
+    head = fh.read(4)
+    if len(head) != 4:
+        raise ContractError("truncated model file manifest length")
+    (mlen,) = struct.unpack("<I", head)
+    raw = fh.read(mlen)
+    if len(raw) != mlen:
+        raise ContractError("truncated model file manifest")
+    try:
+        manifest = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise ContractError(f"undecodable model file manifest: {exc}") from None
+    names = manifest.get("params") if isinstance(manifest, dict) else None
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise ContractError("model file manifest must be an object with a "
+                            "params list of names")
+    arrays = {name: read_tensor(fh) for name in names}
+    if fh.read(1):
+        raise ContractError("trailing bytes after model parameters")
     return manifest, arrays
 
 

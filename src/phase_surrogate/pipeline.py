@@ -1,9 +1,10 @@
-"""Dataset construction: spatial alignment, temporal aggregation,
-splitting, and the on-disk dataset layout.
+"""Dataset construction: mapping cells to forcing points, normalization,
+the train/test split, cleaning, and the on-disk dataset layout.
 
 A sample is one land cell with five feature groups:
 
-- g1: monthly climate forcing [months x 5 vars]
+- g1: monthly climate forcing [months x 5 vars], as the simulator
+  synthesizes it (no sub-monthly series exists)
 - g2: static cell attributes [8]
 - g3: vegetation-type traits [n_pft x 3]
 - g4: vegetation-type state at the end of the input window [n_pft x 5]
@@ -26,13 +27,9 @@ import shutil
 import numpy as np
 
 from . import blobio
-from .errors import ContractError, RangeError
+from .errors import ContractError
 
 log = logging.getLogger(__name__)
-
-STEPS_PER_YEAR = 1460
-STEPS_PER_MONTH = 120
-MONTHS_PER_YEAR = 12
 
 G1_FIELDS = ("radiation", "precipitation", "pressure", "humidity", "temperature")
 G2_FIELDS = ("lat", "lon", "land_frac", "alpha", "resp_frac", "nutrient", "decomp", "texture")
@@ -116,33 +113,6 @@ def kdtree_map(model_points, forcing_points):
     d2 = np.square(model[:, :1] - forcing[:, 0])
     d2 += np.square(model[:, 1:] - forcing[:, 1])
     return d2.argmin(axis=1).astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
-# Temporal aggregation
-# ---------------------------------------------------------------------------
-
-def trim_to_months(series, steps_per_year=STEPS_PER_YEAR,
-                   steps_per_month=STEPS_PER_MONTH, months_per_year=MONTHS_PER_YEAR):
-    """Drop each year's tail steps so 12 uniform 30-day months remain."""
-    arr = np.asarray(series)
-    if arr.shape[0] % steps_per_year:
-        raise RangeError(f"series length {arr.shape[0]} is not whole years "
-                         f"of {steps_per_year} steps")
-    keep = steps_per_month * months_per_year
-    years = arr.shape[0] // steps_per_year
-    shaped = arr.reshape((years, steps_per_year) + arr.shape[1:])
-    return shaped[:, :keep].reshape((years * keep,) + arr.shape[1:])
-
-
-def aggregate_monthly(series, steps_per_month=STEPS_PER_MONTH):
-    """Mean of each consecutive block of ``steps_per_month`` values."""
-    arr = np.asarray(series, dtype=np.float64)
-    if arr.shape[0] % steps_per_month:
-        raise RangeError(f"series length {arr.shape[0]} is not divisible by "
-                         f"{steps_per_month}")
-    months = arr.shape[0] // steps_per_month
-    return arr.reshape((months, steps_per_month) + arr.shape[1:]).mean(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 A world is a lat/lon grid of land cells.  Each cell carries static
 parameters, per-vegetation-type traits, and layered soil pools.  Synthetic
-6-hourly forcing drives a smooth flux response; net primary production is
+monthly forcing drives a smooth flux response; net primary production is
 routed into a linear chain of carbon pools integrated with monthly forward
 Euler.  Because the chain is linear, every pool's equilibrium is the closed
 form u/k, which makes the simulator usable as an exact oracle: surrogate
@@ -17,13 +17,17 @@ unpacks the result; each element goes through the same operations, in the
 same order, as the per-pool form C + (u - (k/12) C), so results are
 bitwise those of stepping each pool on its own.
 
-Time layout: 6-hourly steps, 1460 per year.  Monthly aggregates use twelve
-uniform 30-day months per year (each year's trailing 20 steps are ignored).
-The 6-hourly series are never stored; they are regenerated on demand from
-the world seed.  Forcing synthesis needs numpy only: one pass over time, a
-month at a time across all cells, draws each cell's own noise stream and
-runs its AR(1) filter as an explicit recurrence, bit for bit what
-``scipy.signal.lfilter`` would return.
+Time layout: twelve uniform 30-day months per year.  A cell's forcing for
+a month is its forcing point's noise-free climatology for that month, plus
+the cell's constant offset, plus one draw of monthly noise, clipped to
+FORCING_BOUNDS once.  The climatology is the mean of a 6-hourly seasonal
+and diurnal cycle (120 steps a month) under the trend ramp, taken at the
+forcing points; no sub-monthly value is ever kept.  The monthly noise has
+the sd of a month's mean of a 6-hourly AR(1) process (see
+:data:`_MONTH_MEAN_SD`) and is independent from month to month; that
+process forgets within days, so its successive monthly means correlate by
+only about 0.02.  Each cell draws all its months' noise from its own stream
+in one call, so a cell's forcing does not depend on the other cells.
 
 Per-cell work is embarrassingly parallel; everything here is vectorized
 across cells and emitted in deterministic cell order.
@@ -61,8 +65,10 @@ EQUILIBRIUM_BAND = 1.0 / 200.0
 OBS_NOISE = 0.005
 AR1_RHO = 0.8
 
-STEPS_PER_YEAR = pipeline.STEPS_PER_YEAR
-STEPS_PER_MONTH = pipeline.STEPS_PER_MONTH
+# the 6-hourly resolution of the point climatology; a year's trailing 20
+# steps fall outside its twelve 30-day months
+STEPS_PER_YEAR = 1460
+STEPS_PER_MONTH = 120
 STEPS_PER_DAY = 4
 
 FORCING_BOUNDS = {
@@ -321,11 +327,13 @@ def _flux_from_gbar(gbar, alpha, resp_frac, nutrient):
 # ---------------------------------------------------------------------------
 
 class _PointClimate:
-    """Every forcing point's 6-hourly base series over the 1440 kept steps
-    of a year, time-major [1440, P, 5].  Pressure, humidity and temperature
-    do not depend on the year and are stored as they are; radiation and
-    precipitation grow with the trend ramp, so their slots hold the
-    seasonal cycle that :meth:`base` scales by 1 + trend*ramp."""
+    """Every forcing point's noise-free climate: a 6-hourly seasonal and
+    diurnal cycle over the twelve 30-day months of a year, time-major
+    [1440, P, 5], of which only monthly means leave this class
+    (:meth:`monthly`).  Pressure, humidity and temperature do not depend on
+    the year and are stored as they are; radiation and precipitation grow
+    with the trend ramp, so their slots hold the seasonal cycle that
+    :meth:`base` scales by 1 + trend*ramp."""
 
     def __init__(self, points):
         t = np.arange(12 * STEPS_PER_MONTH, dtype=np.float64)
@@ -360,9 +368,22 @@ class _PointClimate:
         out[..., 1] = self.points.precip_scale * growth * self.itcz * out[..., 1]
         return out
 
+    def monthly(self, month, ramp):
+        """Every point's mean of calendar month 0-11, [P, 5], under the
+        trend ramp ``ramp`` [120, 1] of the month's steps."""
+        return self.base(month, ramp).mean(axis=0)
+
 
 _OFFSET_SD = np.array([9.0, 0.35, 350.0, 0.0012, 1.2])
 _NOISE_SD = np.array([16.0, 0.9, 250.0, 0.001, 2.2])
+# The sd of a month's mean of a stationary 6-hourly AR(1) process with
+# coefficient AR1_RHO, as a fraction of its step sd: the square root of the
+# variance of the mean of N = STEPS_PER_MONTH unit-variance steps.  The
+# monthly noise is _NOISE_SD (times the grid's spread) times this factor.
+_MONTH_MEAN_SD = math.sqrt(
+    (1.0 + AR1_RHO) / ((1.0 - AR1_RHO) * STEPS_PER_MONTH)
+    - 2.0 * AR1_RHO * (1.0 - AR1_RHO ** STEPS_PER_MONTH)
+    / (STEPS_PER_MONTH * (1.0 - AR1_RHO)) ** 2)
 _FORCING_LO, _FORCING_HI = np.array([FORCING_BOUNDS[f] for f in pipeline.G1_FIELDS]).T
 
 
@@ -371,23 +392,6 @@ def _cell_offsets(seed, land_idx, spread):
     draws = [np.random.default_rng([seed, _SEED_NOISE, int(flat), 0]).standard_normal(5)
              for flat in land_idx]
     return np.stack(draws) * _OFFSET_SD * spread
-
-
-def _ar1_noise(streams, draws, x, y, noise_sd):
-    """Each cell's next AR(1) noise steps, y = AR1_RHO*y + noise_sd*eps,
-    into time-major x [steps, n_cells, 5], continuing from and updating
-    y [n_cells, 5].  Each stream draws its cell's eps into its row of
-    draws [n_cells, steps, 5].  Step by step this is exactly what
-    lfilter([1], [1, -AR1_RHO]) computes, bit for bit."""
-    for stream, row in zip(streams, draws):
-        stream.standard_normal(out=row)
-    np.multiply(draws.transpose(1, 0, 2), noise_sd, out=x)
-    prev = y
-    for step in x:
-        np.multiply(prev, AR1_RHO, out=y)
-        step += y
-        prev = step
-    y[...] = prev
 
 
 def _clip_bounds(series):
@@ -400,42 +404,35 @@ def _clip_bounds(series):
 
 
 def _window_monthly_forcing(seed, grid, years, land_idx, cell_point, climate, offsets):
-    """Monthly-mean forcing [n_cells, months, 5] over the simulated window.
+    """Monthly forcing [n_cells, months, 5] over the simulated window.
 
-    A cell's series is its point's base, plus its offset, plus its AR(1)
-    noise, clipped to FORCING_BOUNDS and averaged per month.  One pass runs
-    over time a month at a time across all cells.  Each year's trailing
-    steps are drawn and filtered as well, though no month keeps them, so
-    every cell's stream and filter state advance as one [years*1460, 5]
-    series would.
+    A cell's month is its point's climatology for the month under the
+    trend ramp (:meth:`_PointClimate.monthly`), plus its offset, plus its
+    noise, clipped to FORCING_BOUNDS.  Each cell draws every month's noise
+    in one call from its own stream, straight into its rows of the output,
+    and the climatology is added in place, one month at a time, so no
+    second [n_cells, months, 5] array is built.
     """
-    n = land_idx.shape[0]
-    streams = [np.random.default_rng([seed, _SEED_NOISE, int(flat), 1]) for flat in land_idx]
-    noise_sd = _NOISE_SD * grid.spread_scale * math.sqrt(1.0 - AR1_RHO ** 2)
-    tail = STEPS_PER_YEAR - 12 * STEPS_PER_MONTH
-    draws = np.empty((n, STEPS_PER_MONTH, 5))
-    series = np.empty((STEPS_PER_MONTH, n, 5))
-    y = np.zeros((n, 5))
-    out = np.empty((n, 12 * years, 5))
-    for year in range(years):
-        for month in range(12):
-            _ar1_noise(streams, draws, series, y, noise_sd)
-            t = np.arange(STEPS_PER_MONTH, dtype=np.float64)[:, None] \
-                + (year * STEPS_PER_YEAR + month * STEPS_PER_MONTH)
-            ramp = np.minimum((t / STEPS_PER_YEAR) / TREND_RAMP_YEARS, 1.0)
-            cell_base = np.take(climate.base(month, ramp), cell_point, axis=1)
-            cell_base += offsets
-            series += cell_base
-            out[:, 12 * year + month] = _clip_bounds(series).mean(axis=0)
-        _ar1_noise(streams, draws[:, :tail], series[:tail], y, noise_sd)
-    return out
+    out = np.empty((land_idx.shape[0], 12 * years, 5))
+    for row, flat in zip(out, land_idx):
+        np.random.default_rng([seed, _SEED_NOISE, int(flat), 1]).standard_normal(out=row)
+    out *= _NOISE_SD * grid.spread_scale * _MONTH_MEAN_SD
+    steps = np.arange(STEPS_PER_MONTH, dtype=np.float64)[:, None]
+    for m in range(12 * years):
+        year, month = divmod(m, 12)
+        t = steps + (year * STEPS_PER_YEAR + month * STEPS_PER_MONTH)
+        ramp = np.minimum((t / STEPS_PER_YEAR) / TREND_RAMP_YEARS, 1.0)
+        base = climate.monthly(month, ramp)[cell_point]
+        base += offsets
+        out[:, m] += base
+    return _clip_bounds(out)
 
 
 def _stationary_monthly(climate, cell_point, offsets, ramp_value):
     """Noise-free stationary-year monthly means [n_cells, 12, 5] with the
     trend ramp held constant."""
     ramp = np.full((STEPS_PER_MONTH, 1), float(ramp_value))
-    point_monthly = np.stack([climate.base(m, ramp).mean(axis=0) for m in range(12)], axis=1)
+    point_monthly = np.stack([climate.monthly(m, ramp) for m in range(12)], axis=1)
     return _clip_bounds(point_monthly[cell_point] + offsets[:, None])
 
 

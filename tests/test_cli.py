@@ -189,7 +189,7 @@ class TestExitCodes:
                    "--out", str(tmp_path / "d.csv"), "--years", "1"])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error:") and word in err
+        assert err.startswith(f"error: {paths[target]}: ") and word in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command,lacks", [("build-dataset", "window.soil4c"),

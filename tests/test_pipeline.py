@@ -1,4 +1,3 @@
-import math
 import os
 import shutil
 
@@ -10,7 +9,7 @@ from phase_surrogate import blobio
 from phase_surrogate import pipeline as pl
 from phase_surrogate import simulator as sim
 from phase_surrogate import training
-from phase_surrogate.errors import ContractError, RangeError
+from phase_surrogate.errors import ContractError
 
 
 def brute_nearest(model, forcing):
@@ -104,47 +103,6 @@ class TestKdtreeMap:
             forcing = np.stack([points.lat, points.lon], axis=1)
             np.testing.assert_array_equal(pl.kdtree_map(model, forcing),
                                           kdtree_nearest(model, forcing))
-
-
-class TestTemporalAggregation:
-    def test_trim_keeps_leading_steps_of_each_year(self):
-        two_years = np.arange(2 * 1460)
-        out = pl.trim_to_months(two_years)
-        assert out.shape == (2880,)
-        assert out[0] == 0 and out[1439] == 1439
-        assert out[1440] == 1460 and out[-1] == 1460 + 1439
-
-    def test_trim_preserves_trailing_axes(self):
-        arr = np.arange(1460 * 3).reshape(1460, 3)
-        out = pl.trim_to_months(arr)
-        assert out.shape == (1440, 3)
-        np.testing.assert_array_equal(out[:5], arr[:5])
-
-    def test_trim_rejects_partial_year(self):
-        with pytest.raises(RangeError):
-            pl.trim_to_months(np.zeros(1461))
-
-    def test_monthly_mean_matches_fsum_oracle(self):
-        rng = np.random.default_rng(11)
-        series = rng.uniform(-1e3, 1e3, size=1440).astype(np.float32)
-        out = pl.aggregate_monthly(series)
-        assert out.shape == (12,)
-        assert out.dtype == np.float64
-        for m in range(12):
-            block = series[m * 120:(m + 1) * 120]
-            want = math.fsum(float(v) for v in block) / 120.0
-            assert out[m] == pytest.approx(want, rel=1e-9)
-
-    def test_monthly_mean_vector_series(self):
-        rng = np.random.default_rng(12)
-        series = rng.normal(size=(240, 5))
-        out = pl.aggregate_monthly(series)
-        assert out.shape == (2, 5)
-        np.testing.assert_allclose(out[0], series[:120].mean(axis=0), rtol=1e-12)
-
-    def test_monthly_mean_rejects_ragged(self):
-        with pytest.raises(RangeError):
-            pl.aggregate_monthly(np.zeros(125))
 
 
 class TestMinMax:

@@ -272,30 +272,45 @@ class TestWorldGeneration:
             sim.spinup(bad, 1)
 
 
-def reference_forcing(seed, grid, years, flat, point, climate, offset):
-    """One cell's monthly forcing [months, 5] built the direct way: its
-    whole noise stream in one draw, an explicit AR(1) loop, per-field
-    clipping of the full 6-hourly series, then monthly means."""
-    steps = years * sim.STEPS_PER_YEAR
-    rng = np.random.default_rng([seed, sim._SEED_NOISE, int(flat), 1])
-    sd = sim._NOISE_SD * grid.spread_scale * math.sqrt(1.0 - sim.AR1_RHO ** 2)
-    eps = rng.standard_normal((steps, 5)) * sd
-    noise = np.empty_like(eps)
-    y = np.zeros(5)
-    for k in range(steps):
-        y = sim.AR1_RHO * y + eps[k]
-        noise[k] = y
-    noise = pl.trim_to_months(noise)
-    t = np.arange(steps, dtype=np.float64)
-    ramp = pl.trim_to_months(np.minimum((t / sim.STEPS_PER_YEAR) / sim.TREND_RAMP_YEARS, 1.0))
-    months = ramp.reshape(12 * years, sim.STEPS_PER_MONTH)
-    base = np.concatenate([climate.base(i % 12, r[:, None])[:, point]
-                           for i, r in enumerate(months)])
-    series = base + offset + noise
+def step_mean(steps):
+    """The mean of a month's 6-hourly rows [120, ...], summed one step at
+    a time."""
+    total = 0.0
+    for row in steps:
+        total = total + row
+    return total / sim.STEPS_PER_MONTH
+
+
+def clip_fields(series):
+    out = series.copy()
     for i, name in enumerate(pl.G1_FIELDS):
         lo, hi = sim.FORCING_BOUNDS[name]
-        series[:, i] = np.clip(series[:, i], lo, hi)
-    return pl.aggregate_monthly(series)
+        out[..., i] = np.clip(out[..., i], lo, hi)
+    return out
+
+
+def month_mean_sd(rho, steps):
+    """The sd of the mean of ``steps`` consecutive values of a stationary
+    unit-variance AR(1) process, from its autocorrelations rho^|i-j|."""
+    lag = np.abs(np.subtract.outer(np.arange(steps), np.arange(steps)))
+    return math.sqrt(float((rho ** lag).sum())) / steps
+
+
+def reference_forcing(seed, grid, years, flat, point, climate, offset):
+    """One cell's monthly forcing [months, 5] built the direct way: its
+    whole noise stream in one draw, and month by month its point's mean of
+    the 6-hourly climatology under that month's trend ramp, plus its offset
+    and its noise, clipped field by field."""
+    rng = np.random.default_rng([seed, sim._SEED_NOISE, int(flat), 1])
+    sd = sim._NOISE_SD * grid.spread_scale * sim._MONTH_MEAN_SD
+    noise = rng.standard_normal((12 * years, 5)) * sd
+    out = np.empty((12 * years, 5))
+    for m in range(12 * years):
+        start = (m // 12) * sim.STEPS_PER_YEAR + (m % 12) * sim.STEPS_PER_MONTH
+        t = np.arange(start, start + sim.STEPS_PER_MONTH, dtype=np.float64)
+        ramp = np.minimum((t / sim.STEPS_PER_YEAR) / sim.TREND_RAMP_YEARS, 1.0)
+        out[m] = step_mean(climate.base(m % 12, ramp[:, None])[:, point]) + offset + noise[m]
+    return clip_fields(out)
 
 
 class TestForcingSynthesis:
@@ -339,9 +354,7 @@ class TestForcingSynthesis:
     def test_one_clip_equals_per_field_clips(self, shape):
         lo, hi = np.array([sim.FORCING_BOUNDS[f] for f in pl.G1_FIELDS]).T
         x = lo + (hi - lo) * np.random.default_rng(0).uniform(-0.5, 1.5, shape)
-        ref = x.copy()
-        for i in range(5):
-            ref[..., i] = np.clip(ref[..., i], lo[i], hi[i])
+        ref = clip_fields(x)
         assert (ref != x).any()
         assert np.array_equal(sim._clip_bounds(x), ref)
 
@@ -350,13 +363,41 @@ class TestForcingSynthesis:
         stat = sim._stationary_monthly(climate, cell_point, offsets, ramp_value=1.0)
         ramp = np.ones((sim.STEPS_PER_MONTH, 1))
         for c in range(land_idx.shape[0]):
-            series = np.concatenate([climate.base(m, ramp)[:, cell_point[c]]
-                                     for m in range(12)])
-            series = pl.aggregate_monthly(series) + offsets[c]
-            for i, name in enumerate(pl.G1_FIELDS):
-                lo, hi = sim.FORCING_BOUNDS[name]
-                series[:, i] = np.clip(series[:, i], lo, hi)
-            assert np.array_equal(stat[c], series), c
+            means = np.stack([step_mean(climate.base(m, ramp)[:, cell_point[c]])
+                              for m in range(12)])
+            assert np.array_equal(stat[c], clip_fields(means + offsets[c])), c
+
+    def test_noise_free_window_ends_on_the_stationary_climatology(self, parts, monkeypatch):
+        # past the trend ramp, a month without noise is the target climate
+        land_idx, cell_point, climate, offsets, _ = parts
+        years = int(sim.TREND_RAMP_YEARS) + 2
+        monkeypatch.setattr(sim, "_NOISE_SD", np.zeros(5))
+        window = sim._window_monthly_forcing(self.SEED, self.GRID, years, land_idx,
+                                             cell_point, climate, offsets)
+        stat = sim._stationary_monthly(climate, cell_point, offsets, ramp_value=1.0)
+        for year in range(int(sim.TREND_RAMP_YEARS), years):
+            assert np.array_equal(window[:, 12 * year:12 * (year + 1)], stat), year
+        # before it, the ramp still moves radiation and precipitation
+        assert not np.array_equal(window[:, :12], stat)
+
+    def test_monthly_noise_keeps_the_ar1_monthly_sd(self, world):
+        # the stationary years are the target climate plus independent
+        # monthly noise; the clip never touches pressure or temperature
+        climate = sim._PointClimate(world.points)
+        offsets = sim._cell_offsets(world.seed, world.land_idx, world.grid.spread_scale)
+        stat = sim._stationary_monthly(climate, world.cell_point, offsets, ramp_value=1.0)
+        ramp_end = 12 * int(sim.TREND_RAMP_YEARS)
+        years = world.years - int(sim.TREND_RAMP_YEARS)
+        residual = world.forcing_monthly[:, ramp_end:] - np.tile(stat, (1, years, 1))
+        f = month_mean_sd(sim.AR1_RHO, sim.STEPS_PER_MONTH)
+        assert f == pytest.approx(0.2687, abs=1e-4)
+        assert sim._MONTH_MEAN_SD == pytest.approx(f, rel=1e-12)
+        for i in (pl.G1_FIELDS.index("pressure"), pl.G1_FIELDS.index("temperature")):
+            r = residual[..., i]
+            want = sim._NOISE_SD[i] * world.grid.spread_scale * f
+            assert r.std() == pytest.approx(want, rel=0.05), i
+            lag1 = np.corrcoef(r[:, 1:].ravel(), r[:, :-1].ravel())[0, 1]
+            assert abs(lag1) < 0.1, i
 
 
 class TestEquilibrium:
