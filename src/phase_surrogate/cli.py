@@ -166,12 +166,10 @@ def _cmd_eval(args):
     report = evaluate(model, dataset, args.split)
     os.makedirs(args.out, exist_ok=True)
     export_report(report, args.out)
-    if model.ood_stats is not None:
-        part = dataset.split(args.split)
-        flags, scores, reasons = ood.check(report.latent, part.groups,
-                                           model.ood_stats, model.feature_stats)
-        ood.write_report_csv(os.path.join(args.out, "ood.csv"),
-                             part.cell_id, flags, scores, reasons)
+    part = dataset.split(args.split)
+    flags, scores, reasons = ood.check(report.latent, part.groups, model)
+    ood.write_report_csv(os.path.join(args.out, "ood.csv"), part.cell_id,
+                         flags, scores, reasons)
     print(f"wrote {args.out}: mean slow-task R^2 = {report.mean_r2():.4f}")
     return 0
 
@@ -238,16 +236,11 @@ def _cmd_restart_check(args):
     samples = simulator.export_samples(world, -(-model.config.window_months // 12))
     preds, z = model.predict(samples.groups)
 
-    if model.ood_stats is not None:
-        flags, scores, reasons = ood.check(z, samples.groups, model.ood_stats,
-                                           model.feature_stats)
-        ood_path = os.path.splitext(args.out)[0] + "_ood.csv"
-        ood.write_report_csv(ood_path, samples.cell_id, flags, scores,
-                             reasons)
-        if args.ood_strict and flags.any():
-            raise ContractError(
-                f"{int(flags.sum())} of {len(flags)} cells flagged "
-                f"out-of-distribution; refusing to export a restart file")
+    flags, scores, reasons = ood.check(z, samples.groups, model)
+    if args.ood_strict and flags.any():
+        raise ContractError(
+            f"{int(flags.sum())} of {len(flags)} cells flagged "
+            f"out-of-distribution; refusing to export a restart file")
 
     slow = denormalize({t: preds[t] for t in pipeline.SLOW_TASKS},
                        model.target_stats)
@@ -257,6 +250,8 @@ def _cmd_restart_check(args):
     initial, _ = simulator.load_restart_state(world, restart_path)
     _, report = simulator.restart_run(initial, world, years=args.years)
     _write_drift_csv(args.out, report, samples.groups["g1"].shape[1])
+    ood.write_report_csv(os.path.splitext(args.out)[0] + "_ood.csv",
+                         samples.cell_id, flags, scores, reasons)
     drift_max = max(s["max"] for s in report.drift.values())
     print(f"wrote {args.out}: spin-up speedup median "
           f"{report.speedup_median:.3g}x (min {report.speedup_min:.3g}x), "

@@ -19,6 +19,7 @@ from .encoders import (LayeredEncoder, PftEncoder, StaticEncoder,
 from .errors import ConfigurationError, ContractError, ShapeError
 from .fusion import ConcatFusion, TransformerFusion
 from .heads import TaskHeads, task_registry
+from .ood import OodStats
 from .simulator import STATIONARY_YEARS
 
 VARIANTS = ("full", "no_cnn", "no_fc", "no_lstm", "no_trans",
@@ -292,7 +293,11 @@ class Surrogate:
     # -- persistence --------------------------------------------------------
 
     def save(self, path):
+        if self.ood_stats is None:
+            raise ContractError(f"{path}: refusing to save a model without "
+                                "an OOD guard")
         params = self.named_params()
+        ood_manifest, ood_arrays = self.ood_stats.to_manifest()
         manifest = {
             "format": "surrogate",
             "version": 1,
@@ -300,14 +305,11 @@ class Surrogate:
             "train_config": self.train_config,
             "feature_stats": self.feature_stats,
             "target_stats": self.target_stats,
-            "params": sorted(params),
+            "params": sorted(params) + sorted(ood_arrays),
+            "ood": ood_manifest,
         }
         arrays = {name: params[name].data for name in params}
-        if self.ood_stats is not None:
-            ood_manifest, ood_arrays = self.ood_stats.to_manifest()
-            manifest["ood"] = ood_manifest
-            manifest["params"] = sorted(params) + sorted(ood_arrays)
-            arrays.update(ood_arrays)
+        arrays.update(ood_arrays)
         blobio.write_model_file(path, manifest, arrays)
 
     @classmethod
@@ -316,6 +318,8 @@ class Surrogate:
         if manifest.get("format") != "surrogate":
             raise ContractError(f"not a surrogate model file: "
                                 f"{manifest.get('format')!r}")
+        if "ood" not in manifest:
+            raise ContractError(f"{path}: model file carries no OOD guard")
         config = ModelConfig.from_dict(manifest["config"])
         # the network is rebuilt in its stored parameters' width
         widths = [a.dtype for n, a in arrays.items() if not n.startswith("ood.")]
@@ -323,18 +327,15 @@ class Surrogate:
                     dtype=np.result_type(*widths) if widths else np.float32)
         params = model.named_params()
         layout = {name: tensor.data.shape for name, tensor in params.items()}
-        if "ood" in manifest:
-            layout.update({name: (config.dim,)
-                           for name in ("ood.latent_mean", "ood.latent_var")})
+        layout.update({name: (config.dim,)
+                       for name in ("ood.latent_mean", "ood.latent_var")})
         blobio.check_layout(path, arrays, layout, {})
         for name, tensor in params.items():
             tensor.data = arrays[name].astype(tensor.data.dtype)
         model.train_config = manifest.get("train_config")
         model.feature_stats = manifest.get("feature_stats")
         model.target_stats = manifest.get("target_stats")
-        if "ood" in manifest:
-            from .ood import OodStats
-            model.ood_stats = OodStats.from_manifest(manifest["ood"], arrays)
+        model.ood_stats = OodStats.from_manifest(manifest["ood"], arrays)
         return model
 
     def clone(self):
@@ -346,7 +347,6 @@ class Surrogate:
         twin.feature_stats = self.feature_stats
         twin.target_stats = self.target_stats
         twin.train_config = self.train_config
-        twin.ood_stats = self.ood_stats
         return twin
 
 

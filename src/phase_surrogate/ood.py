@@ -1,9 +1,12 @@
 """Out-of-distribution guard: the model's feature range plus latent distance.
 
-Two criteria, both from the training split only.  A sample is flagged when
-any physical-unit feature leaves the model's MinMax range [lo, hi], widened
-by tau times its span on each side, or when its diagonal-standardized
-squared latent distance exceeds the q-th percentile of the training scores.
+Two criteria.  A sample is flagged when any physical-unit feature leaves
+the model's MinMax range [lo, hi], widened by TAU times its span on each
+side, or when its diagonal-standardized squared latent distance exceeds the
+Q-th percentile of the scores of the rows the weights were last fitted to.
+Training fits the guard on the whole train split, fine-tuning refits it on
+the tune sample: a threshold only means something for the latent it was
+fitted on.  TAU and Q are fixed.
 """
 
 import dataclasses
@@ -15,29 +18,32 @@ from . import blobio
 from . import pipeline
 from .errors import ContractError, ShapeError
 
+# widening of the feature range, as a fraction of its span
+TAU = 0.05
+# percentile of the fitted rows' latent scores that sets the threshold
+Q = 99.0
+
 _VAR_FLOOR = 1e-12
 
 
 @dataclasses.dataclass
 class OodStats:
-    tau: float
     latent_mean: np.ndarray
     latent_var: np.ndarray
     threshold: float
-    q: float
 
     def to_manifest(self):
-        manifest = {"tau": self.tau, "q": self.q, "threshold": self.threshold}
+        manifest = {"threshold": self.threshold}
         arrays = {"ood.latent_mean": self.latent_mean,
                   "ood.latent_var": self.latent_var}
         return manifest, arrays
 
     @classmethod
     def from_manifest(cls, manifest, arrays):
-        return cls(tau=manifest["tau"],
-                   latent_mean=arrays["ood.latent_mean"],
+        # older files also hold tau and q, which were always TAU and Q
+        return cls(latent_mean=arrays["ood.latent_mean"],
                    latent_var=arrays["ood.latent_var"],
-                   threshold=manifest["threshold"], q=manifest["q"])
+                   threshold=manifest["threshold"])
 
 
 def _scores(z, stats):
@@ -45,23 +51,22 @@ def _scores(z, stats):
     return np.sum((z - stats.latent_mean) ** 2 / var, axis=-1)
 
 
-def fit_ood(model, dataset, tau=0.05, q=99.0):
-    """Latent moments and the score threshold from train data."""
-    if dataset.train.n == 0:
-        raise ContractError("cannot fit the anomaly guard on an empty train "
-                            "split")
-    z = model.predict(dataset.train.groups)[1].astype(np.float64)
-    mean = z.mean(axis=0)
-    var = z.var(axis=0)
-    stats = OodStats(tau=float(tau), latent_mean=mean, latent_var=var,
-                     threshold=0.0, q=float(q))
-    stats.threshold = float(np.percentile(_scores(z, stats), q))
+def fit_ood(model, groups):
+    """Latent moments and the score threshold from the physical-unit group
+    arrays the model's weights were fitted to."""
+    if groups["g1"].shape[0] == 0:
+        raise ContractError("cannot fit the anomaly guard on no rows")
+    z = model.predict(groups)[1].astype(np.float64)
+    stats = OodStats(latent_mean=z.mean(axis=0), latent_var=z.var(axis=0),
+                     threshold=0.0)
+    stats.threshold = float(np.percentile(_scores(z, stats), Q))
     return stats
 
 
-def check(z, groups, stats, feature_stats):
+def check(z, groups, model):
     """Flags each sample in a dict of physical-unit group arrays, given the
-    model's latent ``z`` [n, d] for them and its ``feature_stats``.
+    model's latent ``z`` [n, d] for them, against the model's feature range
+    and fitted guard.
 
     Returns (flags bool [n], scores float [n], reasons list of name lists);
     reasons name the offending feature channels or "latent".
@@ -73,24 +78,16 @@ def check(z, groups, stats, feature_stats):
     reasons = [[] for _ in range(n)]
     for name, g, i in pipeline.FEATURE_CHANNELS:
         arr = np.asarray(groups[g], dtype=np.float64)[..., i].reshape(n, -1)
-        lo, hi = feature_stats[name]
-        margin = stats.tau * (hi - lo)
+        lo, hi = model.feature_stats[name]
+        margin = TAU * (hi - lo)
         outside = (arr.min(axis=1) < lo - margin) | (arr.max(axis=1) > hi + margin)
         for j in np.flatnonzero(outside):
             reasons[j].append(name)
-    scores = _scores(z, stats)
-    for j in np.flatnonzero(scores > stats.threshold):
+    scores = _scores(z, model.ood_stats)
+    for j in np.flatnonzero(scores > model.ood_stats.threshold):
         reasons[j].append("latent")
     flags = np.array([len(r) > 0 for r in reasons], dtype=bool)
     return flags, scores, reasons
-
-
-def flag_rate(model, dataset, split, stats):
-    """Fraction of a dataset split the guard flags."""
-    groups = dataset.split(split).groups
-    flags, _, _ = check(model.predict(groups)[1], groups, stats,
-                        model.feature_stats)
-    return float(np.mean(flags))
 
 
 def write_report_csv(path, cell_ids, flags, scores, reasons):

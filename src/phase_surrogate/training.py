@@ -3,10 +3,15 @@
 Batches carry features in physical units, as the dataset stores them; the
 model scales them with the feature stats it adopts from the training split.
 Targets arrive MinMax-normalized, and all losses operate in that [0, 1]
-space.  The flux triple shares one pure scale factor, so the npp = gpp - ar
-relation holds in normalized space exactly when it holds physically and the
-soft constraint stays linear.
-"""
+space: the sum of the task MSEs plus phys_weight times a flux-balance
+penalty.  The flux triple shares one pure scale factor, so the
+npp = gpp - ar relation holds in normalized space exactly when it holds
+physically and the soft constraint stays linear.
+
+Training and fine-tuning end in one step: fit the weights to a split, less
+a held-out tenth for early stopping, then fit the OOD guard to that split,
+so a model's guard always describes the rows its weights were last fitted
+to."""
 
 import dataclasses
 import io
@@ -15,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import blobio
+from . import ood
 from . import pipeline
 from .autodiff import GradTape, Tensor
 from .errors import (ConfigurationError, ContractError, DivergenceError,
@@ -29,7 +35,6 @@ _INITIALS = {task: (g, i) for g in ("g4", "g5")
 
 @dataclasses.dataclass
 class TrainConfig:
-    task_weights: dict = None
     phys_weight: float = 1.0
     lr: float = 1e-3
     batch_size: int = 256
@@ -48,25 +53,10 @@ class TrainConfig:
                 "batch_size, max_epochs and patience must be >= 1")
         if self.width not in ("float32", "float64"):
             raise ConfigurationError(f"unknown numeric width {self.width!r}")
-        if self.task_weights is not None:
-            for task, w in self.task_weights.items():
-                if task not in pipeline.TASKS:
-                    raise ConfigurationError(f"unknown task {task!r} in "
-                                             "task_weights")
-                if w < 0:
-                    raise ConfigurationError("task weights must be >= 0")
-            if not any(w > 0 for w in self.task_weights.values()):
-                raise ConfigurationError("at least one task weight must be "
-                                         "positive")
 
     @property
     def dtype(self):
         return np.float32 if self.width == "float32" else np.float64
-
-    def weight(self, task):
-        if self.task_weights is None:
-            return 1.0
-        return float(self.task_weights.get(task, 0.0))
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -116,7 +106,7 @@ def pinn_delta_loss(pred_final, pred_delta, initial_state, target_final):
 
 
 def total_loss(preds, targets, config, deltas=None, initials=None):
-    """Weighted task losses plus the physics penalty.
+    """The sum of the task losses plus phys_weight times the physics penalty.
 
     Returns (scalar tensor, dict of per-component float values).  When delta
     predictions are supplied, slow tasks use the two-term delta-state loss.
@@ -124,7 +114,6 @@ def total_loss(preds, targets, config, deltas=None, initials=None):
     total = None
     components = {}
     for task in pipeline.TASKS:
-        w = config.weight(task)
         if deltas is not None and task in pipeline.SLOW_TASKS:
             if initials is None or task not in initials:
                 raise ContractError(f"missing initial state for {task}")
@@ -133,12 +122,7 @@ def total_loss(preds, targets, config, deltas=None, initials=None):
         else:
             part = task_loss(preds[task], targets[task])
         components[task] = part.data.item()
-        if w == 0.0:
-            continue
-        term = ad.mul_scalar(part, w)
-        total = term if total is None else ad.add(total, term)
-    if total is None:
-        raise ConfigurationError("all task weights are zero")
+        total = part if total is None else ad.add(total, part)
     phys = phys_loss(preds["npp"], preds["gpp"], preds["ar"])
     components["phys"] = phys.data.item()
     if config.phys_weight > 0:
@@ -305,6 +289,18 @@ def _optimize(model, train_split, val_split, config, history_path=None):
     return history
 
 
+def _fit(model, split, config, history_path):
+    """Fits the model's weights to a split, less a held-out tenth for early
+    stopping, then fits its OOD guard to the whole split."""
+    tr_idx, val_idx = _split_indices(split.n, config.seed)
+    model.history = _optimize(model, split.take(tr_idx), split.take(val_idx),
+                              config, history_path)
+    model.train_config = dataclasses.replace(
+        config, width=np.dtype(model.dtype).name).to_dict()
+    model.ood_stats = ood.fit_ood(model, split.groups)
+    return model
+
+
 def train(config, dataset, model_config=None, history_path=None):
     """Trains a surrogate on a built dataset; deterministic under the seed."""
     if dataset.train.n == 0:
@@ -319,15 +315,7 @@ def train(config, dataset, model_config=None, history_path=None):
                       dtype=config.dtype)
     model.feature_stats = dict(dataset.feature_stats)
     model.target_stats = dict(dataset.target_stats)
-
-    tr_idx, val_idx = _split_indices(dataset.train.n, config.seed)
-    history = _optimize(model, dataset.train.take(tr_idx),
-                        dataset.train.take(val_idx), config, history_path)
-    model.train_config = config.to_dict()
-    model.history = history
-    from .ood import fit_ood
-    model.ood_stats = fit_ood(model, dataset)
-    return model
+    return _fit(model, dataset.train, config, history_path)
 
 
 def _renorm_split(split, dataset, model):
@@ -342,7 +330,9 @@ def _renorm_split(split, dataset, model):
 
 
 def fine_tune(model, fine_dataset, fraction, config, history_path=None):
-    """Continues optimization on a seeded fraction of a new dataset.
+    """Continues optimization on a seeded fraction of a new dataset, in the
+    source model's width whatever the config says, and refits the guard on
+    that fraction.
 
     The model scales the fine features with its own stats, and the fine
     targets are renormalized with them, so both keep the meaning the weights
@@ -355,13 +345,4 @@ def fine_tune(model, fine_dataset, fraction, config, history_path=None):
     pick = np.sort(np.random.default_rng([config.seed, 23]).choice(
         n, size=min(k, n), replace=False))
     sub = _renorm_split(fine_dataset.train, fine_dataset, model).take(pick)
-
-    tuned = model.clone()
-    tr_idx, val_idx = _split_indices(len(pick), config.seed)
-    history = _optimize(tuned, sub.take(tr_idx), sub.take(val_idx), config,
-                        history_path)
-    # the tune runs in the source model's width, whatever the config says
-    tuned.train_config = dataclasses.replace(
-        config, width=np.dtype(tuned.dtype).name).to_dict()
-    tuned.history = history
-    return tuned
+    return _fit(model.clone(), sub, config, history_path)

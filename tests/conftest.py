@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phase_surrogate import pipeline
+from phase_surrogate import ood, pipeline
 from phase_surrogate.model import ModelConfig
 from phase_surrogate.pipeline import Dataset, DatasetSplit
 from phase_surrogate.training import TrainConfig, train
@@ -51,6 +51,14 @@ def build_toy_dataset(n=40, months=6, seed=0):
     return Dataset(train=split(slice(0, n_train)),
                    test=split(slice(n_train, n)),
                    feature_stats=feature_stats, target_stats=target_stats)
+
+
+def with_guard(model):
+    """``model`` with an OOD guard fitted to a toy train split in its window,
+    as a model must carry one to be saved."""
+    groups = build_toy_dataset(months=model.config.window_months).train.groups
+    model.ood_stats = ood.fit_ood(model, groups)
+    return model
 
 
 def toy_model_config(**overrides):

@@ -16,6 +16,8 @@ from phase_surrogate import blobio, pipeline, simulator
 from phase_surrogate.cli import main
 from phase_surrogate.model import ModelConfig, Surrogate
 
+from conftest import with_guard
+
 TINY_CONFIG = {
     "model": {"dim": 16, "hidden": 16, "heads": 2, "depth": 1,
               "ff_mult": 2, "channels": [4, 6]},
@@ -69,13 +71,13 @@ def short(ws, tmp_path_factory):
 
 def untrained_model(ws, path, **config):
     """Save an untrained model of the ws model's config with ``config``
-    changed, carrying the ws model's stats but no OOD guard."""
+    changed, carrying the ws model's stats and a toy-fitted OOD guard."""
     trained = Surrogate.load(str(ws["model"]))
     model = Surrogate(ModelConfig.from_dict(dict(trained.config.to_dict(),
                                                  **config)))
     model.feature_stats = trained.feature_stats
     model.target_stats = trained.target_stats
-    model.save(str(path))
+    with_guard(model).save(str(path))
     return path
 
 
@@ -450,6 +452,27 @@ class TestWorkflow:
         assert rc == 1
         assert not out.exists()
         assert not (tmp_path / "strict.phr").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "restart-check"])
+    def test_model_without_guard_refused(self, ws, tmp_path, capsys,
+                                         command):
+        # --ood-strict cannot pass a model it has no guard to check with
+        path = tmp_path / "bare.phm"
+        manifest, arrays = blobio.read_model_file(str(ws["model"]))
+        del manifest["ood"]
+        manifest["params"] = [n for n in manifest["params"]
+                              if not n.startswith("ood.")]
+        blobio.write_model_file(str(path), manifest, arrays)
+        out = tmp_path / "out"
+        args = {"eval": ["--data", str(ws["data"]), "--out", str(out)],
+                "restart-check": ["--world", str(ws["world"]), "--out",
+                                  str(out) + ".csv", "--years", "1",
+                                  "--ood-strict"]}[command]
+        rc = main([command, "--model", str(path)] + args)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and str(path) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bare.phm"]
 
     def test_inspect_attention_csv(self, ws, tmp_path):
         out = tmp_path / "att.csv"

@@ -1,5 +1,5 @@
-"""The fast demos run to completion, and every demo names only API that
-exists."""
+"""The fast demos run to completion, demo 06 does in the slow layer, and
+every demo names only API that exists."""
 
 import ast
 import importlib
@@ -15,10 +15,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(phase_surrogate.__file__))
 
 
-@pytest.mark.parametrize("name", ["01_simulator_equilibrium.py",
-                                  "02_dataset_pipeline.py"])
+@pytest.mark.parametrize("name", [
+    "01_simulator_equilibrium.py",
+    "02_dataset_pipeline.py",
+    # trains a coarse model and four fine-tunes, about 16 s on one core
+    pytest.param("06_ood_and_transfer.py", marks=pytest.mark.slow),
+])
 def test_demo_exits_zero(name, tmp_path):
-    env = dict(os.environ, PYTHONPATH=SRC, OMP_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=SRC, OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)],
                          cwd=tmp_path, env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import build_toy_dataset, toy_model_config
+from conftest import build_toy_dataset, toy_model_config, with_guard
 from phase_surrogate import model as model_mod
 from phase_surrogate import pipeline, simulator
 from phase_surrogate.cli import main
@@ -262,7 +262,7 @@ class TestFeatureMasking:
 
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
-        model = make("full")
+        model = with_guard(make("full"))
         path = str(tmp_path / "m.phm")
         model.save(path)
         again = Surrogate.load(path)
@@ -275,7 +275,7 @@ class TestPersistence:
         assert again.feature_stats == model.feature_stats
 
     def test_float64_model_reloads_in_float64(self, tmp_path):
-        model = make("full", dtype=np.float64)
+        model = with_guard(make("full", dtype=np.float64))
         path = str(tmp_path / "m.phm")
         model.save(path)
         again = Surrogate.load(path)
@@ -291,11 +291,17 @@ class TestPersistence:
         np.testing.assert_array_equal(zb, za)
 
     def test_save_is_byte_stable(self, tmp_path):
-        model = make("no_trans")
+        model = with_guard(make("no_trans"))
         p1, p2 = tmp_path / "a.phm", tmp_path / "b.phm"
         model.save(str(p1))
         model.save(str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_model_without_guard_not_saved(self, tmp_path):
+        path = tmp_path / "m.phm"
+        with pytest.raises(ContractError, match="OOD guard"):
+            make("full").save(str(path))
+        assert not path.exists()
 
     def test_wrong_format_rejected(self, tmp_path):
         from phase_surrogate import blobio
@@ -322,3 +328,8 @@ class TestPersistence:
         twin.named_params()["heads.gpp.w2"].data[:] += 1.0
         b, _ = model.forward(batch)
         np.testing.assert_array_equal(a["gpp"].data, b["gpp"].data)
+
+    def test_clone_leaves_the_guard_behind(self):
+        # a guard holds only for the weights it was fitted to, and a clone
+        # is made to be fitted again
+        assert with_guard(make("full")).clone().ood_stats is None

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from phase_surrogate import autodiff as ad
-from phase_surrogate import pipeline, training
+from phase_surrogate import ood, pipeline, training
 from phase_surrogate.autodiff import Tensor
 from phase_surrogate.errors import (ConfigurationError, ContractError,
                                     DivergenceError, RangeError, ShapeError)
@@ -27,8 +27,8 @@ def flux_preds(rng, n, consistent=True):
 
 class TestTrainConfig:
     def test_round_trip(self):
-        cfg = TrainConfig(task_weights={"gpp": 2.0}, phys_weight=0.5, lr=3e-4,
-                          batch_size=32, max_epochs=7, patience=2, seed=9)
+        cfg = TrainConfig(phys_weight=0.5, lr=3e-4, batch_size=32,
+                          max_epochs=7, patience=2, seed=9)
         again = TrainConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
@@ -43,19 +43,10 @@ class TestTrainConfig:
         {"max_epochs": 0},
         {"patience": 0},
         {"width": "float16"},
-        {"task_weights": {"carbon": 1.0}},
-        {"task_weights": {"gpp": -1.0}},
-        {"task_weights": {"gpp": 0.0, "ar": 0.0}},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):
             TrainConfig(**kwargs)
-
-    def test_weight_lookup(self):
-        assert TrainConfig().weight("soil3c") == 1.0
-        cfg = TrainConfig(task_weights={"gpp": 2.0})
-        assert cfg.weight("gpp") == 2.0
-        assert cfg.weight("soil3c") == 0.0
 
     def test_width_dtype(self):
         assert TrainConfig().dtype == np.float32
@@ -162,10 +153,9 @@ class TestTotalLoss:
         preds = random_preds(rng, 10)
         targets = {t: rng.uniform(0, 1, preds[t].data.shape)
                    for t in pipeline.TASKS}
-        cfg = TrainConfig(task_weights={"gpp": 2.0, "soil3c": 0.5},
-                          phys_weight=3.0)
+        cfg = TrainConfig(phys_weight=3.0)
         total, comps = training.total_loss(preds, targets, cfg)
-        want = (2.0 * comps["gpp"] + 0.5 * comps["soil3c"]
+        want = (math.fsum(comps[t] for t in pipeline.TASKS)
                 + 3.0 * comps["phys"])
         assert total.data.item() == pytest.approx(want, rel=1e-6)
         assert comps["total"] == pytest.approx(want, rel=1e-6)
@@ -195,15 +185,6 @@ class TestTotalLoss:
         want = math.fsum(comps[t] for t in pipeline.TASKS)
         assert total.data.item() == pytest.approx(want, rel=1e-6)
         assert comps["phys"] > 0.0
-
-    def test_zero_weights_rejected(self):
-        rng = np.random.default_rng(12)
-        preds = random_preds(rng, 4)
-        targets = {t: preds[t].data.copy() for t in pipeline.TASKS}
-        cfg = TrainConfig(phys_weight=1.0)
-        cfg.task_weights = {t: 0.0 for t in pipeline.TASKS}
-        with pytest.raises(ConfigurationError):
-            training.total_loss(preds, targets, cfg)
 
     def test_delta_route_requires_initials(self):
         rng = np.random.default_rng(13)
@@ -410,6 +391,21 @@ class TestFineTune:
         assert tuned.named_params()["heads.gpp.w1"].data.dtype == np.float64
         assert tuned.train_config["width"] == "float64"
         assert tuned.train_config["max_epochs"] == 1
+
+    def test_refits_guard_on_tune_rows(self, toy_model, toy_dataset):
+        # at fraction 1 the tune rows are the whole train split
+        tuned = training.fine_tune(toy_model, toy_dataset, 1.0,
+                                   quick_config(max_epochs=2))
+        groups = toy_dataset.train.groups
+        _, z = tuned.predict(groups)
+        np.testing.assert_array_equal(tuned.ood_stats.latent_mean,
+                                      z.astype(np.float64).mean(axis=0))
+        assert not np.array_equal(tuned.ood_stats.latent_mean,
+                                  toy_model.ood_stats.latent_mean)
+        # the Q=99 latent rule flags at most 1% of them, rounded up
+        _, _, reasons = ood.check(z, groups, tuned)
+        latent = sum("latent" in r for r in reasons)
+        assert latent <= math.ceil(0.01 * toy_dataset.train.n)
 
     def test_tiny_fraction_keeps_two_samples(self, toy_model, toy_dataset):
         tuned = training.fine_tune(toy_model, toy_dataset, 1e-9,
