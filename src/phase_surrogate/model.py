@@ -316,7 +316,7 @@ class Surrogate:
     def load(cls, path):
         manifest, arrays = blobio.read_model_file(path)
         if manifest.get("format") != "surrogate":
-            raise ContractError(f"not a surrogate model file: "
+            raise ContractError(f"{path}: not a surrogate model file: "
                                 f"{manifest.get('format')!r}")
         if "ood" not in manifest:
             raise ContractError(f"{path}: model file carries no OOD guard")

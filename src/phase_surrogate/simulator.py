@@ -22,7 +22,11 @@ a month is its forcing point's noise-free climatology for that month, plus
 the cell's constant offset, plus one draw of monthly noise, clipped to
 FORCING_BOUNDS once.  The climatology is the mean of a 6-hourly seasonal
 and diurnal cycle (120 steps a month) under the trend ramp, taken at the
-forcing points; no sub-monthly value is ever kept.  The monthly noise has
+forcing points.  Only radiation and precipitation grow with the ramp, so
+only their 6-hourly cycles are kept; pressure, humidity and temperature
+are kept as the twelve monthly means they have every year, and a month
+past the ramp is computed once for all years (:class:`_PointClimate`).
+No sub-monthly value of a cell is ever built.  The monthly noise has
 the sd of a month's mean of a 6-hourly AR(1) process (see
 :data:`_MONTH_MEAN_SD`) and is independent from month to month; that
 process forgets within days, so its successive monthly means correlate by
@@ -328,50 +332,74 @@ def _flux_from_gbar(gbar, alpha, resp_frac, nutrient):
 
 class _PointClimate:
     """Every forcing point's noise-free climate: a 6-hourly seasonal and
-    diurnal cycle over the twelve 30-day months of a year, time-major
-    [1440, P, 5], of which only monthly means leave this class
-    (:meth:`monthly`).  Pressure, humidity and temperature do not depend on
-    the year and are stored as they are; radiation and precipitation grow
-    with the trend ramp, so their slots hold the seasonal cycle that
-    :meth:`base` scales by 1 + trend*ramp."""
+    diurnal cycle over the twelve 30-day months of a year, of which only
+    monthly means [P, 5] leave this class (:meth:`monthly`).
+
+    Pressure, humidity and temperature do not depend on the year, so only
+    their monthly means are kept, ``static`` [12, P, 3].  Radiation and
+    precipitation grow with the trend ramp, so their 6-hourly seasonal
+    cycles are kept, ``cycle`` [2, 1440, P], and each month scales them by
+    1 + trend*ramp before taking the mean.  A month past the ramp is the
+    same every year: it is computed once and reused.  The cycles depend on
+    a point's latitude only through its hemisphere, whose seasons run half
+    a year apart, so each curve is computed once per hemisphere."""
 
     def __init__(self, points):
         t = np.arange(12 * STEPS_PER_MONTH, dtype=np.float64)
         frac = t / STEPS_PER_YEAR
         step_in_day = t % STEPS_PER_DAY
         diurnal = 4.0 * np.cos(2.0 * np.pi * (step_in_day / STEPS_PER_DAY) - np.pi)
-        self.season = np.empty((t.shape[0], points.n, 5))
-        self.sun = np.empty(points.n)
-        self.itcz = np.empty(points.n)
-        for j, lat in enumerate(points.lat.tolist()):
-            a = abs(lat) / 90.0
-            phase = 0.0 if lat >= 0 else 0.5
-            season = np.cos(2.0 * np.pi * (frac - 0.54 - phase))
-            temperature = 302.0 - 49.0 * a ** 1.3 + (2.0 + 28.0 * a) * season + diurnal
-            out = self.season[:, j]
-            out[:, 0] = 1.0 + 0.42 * np.cos(2.0 * np.pi * (frac - 0.5 - phase))
-            out[:, 1] = 1.0 + 0.45 * np.cos(2.0 * np.pi * (frac - 0.18 - phase))
-            out[:, 2] = 96500.0 + 4500.0 * math.cos(math.radians(lat)) ** 2 \
-                + 300.0 * np.cos(2.0 * np.pi * (frac - phase))
-            out[:, 3] = 0.002 + 0.023 * np.exp(-(((temperature - 302.0) / 35.0) ** 2))
-            out[:, 4] = temperature
-            self.sun[j] = max(0.22, math.cos(math.radians(lat)))
-            self.itcz[j] = 1.2 + 7.5 * math.exp(-(((abs(lat) - 12.0) / 26.0) ** 2))
+        # a yearly cosine [1440, 2] per hemisphere, peaking ``shift`` of a
+        # year in, the south's half a year later
+        cosine = lambda shift: np.stack([np.cos(2.0 * np.pi * (frac - shift - phase))
+                                         for phase in (0.0, 0.5)], axis=1)
+        season, pressure_cycle = cosine(0.54), cosine(0.0)
+        south = (points.lat < 0).astype(np.intp)
+        self.cycle = np.take(np.stack([1.0 + 0.42 * cosine(0.5), 1.0 + 0.45 * cosine(0.18)]),
+                             south, axis=2)
+        # per-point constants in Python float arithmetic, whose pow, cos and
+        # exp are the C library's; numpy's vectorized ones may round apart
+        lat = points.lat.tolist()
+        a = [abs(x) / 90.0 for x in lat]
+        t0 = np.array([302.0 - 49.0 * v ** 1.3 for v in a])
+        t_amp = np.array([2.0 + 28.0 * v for v in a])
+        p0 = np.array([96500.0 + 4500.0 * math.cos(math.radians(x)) ** 2 for x in lat])
+        self.sun = np.array([max(0.22, math.cos(math.radians(x))) for x in lat])
+        self.itcz = np.array([1.2 + 7.5 * math.exp(-(((abs(x) - 12.0) / 26.0) ** 2))
+                              for x in lat])
+        self.static = np.empty((12, points.n, 3))
+        block = np.empty((STEPS_PER_MONTH, points.n, 3))
+        for month in range(12):
+            rows = slice(month * STEPS_PER_MONTH, (month + 1) * STEPS_PER_MONTH)
+            temperature = t0 + t_amp * season[rows][:, south] + diurnal[rows, None]
+            block[..., 0] = p0 + 300.0 * pressure_cycle[rows][:, south]
+            block[..., 1] = 0.002 + 0.023 * np.exp(-(((temperature - 302.0) / 35.0) ** 2))
+            block[..., 2] = temperature
+            self.static[month] = block.mean(axis=0)
         self.points = points
-
-    def base(self, month, ramp):
-        """Base series [120, P, 5] of calendar month 0-11 under the trend
-        ramp ``ramp`` [120, 1]."""
-        out = self.season[month * STEPS_PER_MONTH:(month + 1) * STEPS_PER_MONTH].copy()
-        growth = 1.0 + self.points.trend * ramp
-        out[..., 0] = self.points.rad_scale * growth * 250.0 * self.sun * out[..., 0]
-        out[..., 1] = self.points.precip_scale * growth * self.itcz * out[..., 1]
-        return out
+        self._saturated = {}
 
     def monthly(self, month, ramp):
         """Every point's mean of calendar month 0-11, [P, 5], under the
-        trend ramp ``ramp`` [120, 1] of the month's steps."""
-        return self.base(month, ramp).mean(axis=0)
+        trend ramp ``ramp`` [120, 1] of the month's steps.  A ramp of all
+        ones returns the calendar month's one shared, read-only array."""
+        saturated = bool((ramp == 1.0).all())
+        if saturated and month in self._saturated:
+            return self._saturated[month]
+        cycle = self.cycle[:, month * STEPS_PER_MONTH:(month + 1) * STEPS_PER_MONTH]
+        growth = 1.0 + self.points.trend * ramp
+        # the two fields share each step's row, so the mean adds the 120
+        # rows one after another even when P is 1
+        ramped = np.empty((STEPS_PER_MONTH, 2, self.points.n))
+        ramped[:, 0] = self.points.rad_scale * growth * 250.0 * self.sun * cycle[0]
+        ramped[:, 1] = self.points.precip_scale * growth * self.itcz * cycle[1]
+        out = np.empty((self.points.n, 5))
+        out[:, :2] = ramped.mean(axis=0).T
+        out[:, 2:] = self.static[month]
+        if saturated:
+            out.flags.writeable = False
+            self._saturated[month] = out
+        return out
 
 
 _OFFSET_SD = np.array([9.0, 0.35, 350.0, 0.0012, 1.2])
@@ -408,23 +436,26 @@ def _window_monthly_forcing(seed, grid, years, land_idx, cell_point, climate, of
 
     A cell's month is its point's climatology for the month under the
     trend ramp (:meth:`_PointClimate.monthly`), plus its offset, plus its
-    noise, clipped to FORCING_BOUNDS.  Each cell draws every month's noise
-    in one call from its own stream, straight into its rows of the output,
-    and the climatology is added in place, one month at a time, so no
+    noise, clipped to FORCING_BOUNDS.  The points' climatology is taken
+    for every month first, [P, months, 5]; then each cell draws every
+    month's noise in one call from its own stream, straight into its rows
+    of the output, and adds its point's months and its offset there, so no
     second [n_cells, months, 5] array is built.
     """
-    out = np.empty((land_idx.shape[0], 12 * years, 5))
-    for row, flat in zip(out, land_idx):
-        np.random.default_rng([seed, _SEED_NOISE, int(flat), 1]).standard_normal(out=row)
-    out *= _NOISE_SD * grid.spread_scale * _MONTH_MEAN_SD
+    months = 12 * years
+    point_months = np.empty((climate.points.n, months, 5))
     steps = np.arange(STEPS_PER_MONTH, dtype=np.float64)[:, None]
-    for m in range(12 * years):
+    for m in range(months):
         year, month = divmod(m, 12)
         t = steps + (year * STEPS_PER_YEAR + month * STEPS_PER_MONTH)
         ramp = np.minimum((t / STEPS_PER_YEAR) / TREND_RAMP_YEARS, 1.0)
-        base = climate.monthly(month, ramp)[cell_point]
-        base += offsets
-        out[:, m] += base
+        point_months[:, m] = climate.monthly(month, ramp)
+    out = np.empty((land_idx.shape[0], months, 5))
+    sd = _NOISE_SD * grid.spread_scale * _MONTH_MEAN_SD
+    for row, flat, point, offset in zip(out, land_idx, cell_point, offsets):
+        np.random.default_rng([seed, _SEED_NOISE, int(flat), 1]).standard_normal(out=row)
+        row *= sd
+        row += point_months[point] + offset
     return _clip_bounds(out)
 
 
@@ -458,12 +489,11 @@ def _land_indices(seed, grid):
     return np.sort(chosen)
 
 
-def _spread_uniform(rng, lo, hi, scale, clip_lo=None, clip_hi=None, size=None):
+def _spread_uniform(u, lo, hi, scale, clip_lo, clip_hi):
+    """Uniform draws ``u`` in [-1, 1) mapped onto [lo, hi] widened by
+    ``scale`` about its middle, then clipped to [clip_lo, clip_hi]."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    vals = mid + rng.uniform(-1.0, 1.0, size=size) * half * scale
-    if clip_lo is not None or clip_hi is not None:
-        vals = np.clip(vals, clip_lo, clip_hi)
-    return vals
+    return np.clip(mid + u * half * scale, clip_lo, clip_hi)
 
 
 def _draw_points(seed, grid):
@@ -474,16 +504,13 @@ def _draw_points(seed, grid):
     lat = np.repeat(plat, m_lon)
     lon = np.tile(plon, m_lat)
     s = grid.spread_scale
-    n = lat.shape[0]
-    trend = np.empty(n)
-    rad_scale = np.empty(n)
-    precip_scale = np.empty(n)
-    for j in range(n):
-        rng = np.random.default_rng([seed, _SEED_POINT, j])
-        trend[j] = _spread_uniform(rng, -0.25, 0.25, s, -0.4, 0.4)
-        rad_scale[j] = _spread_uniform(rng, 0.85, 1.15, s, 0.7, 1.3)
-        precip_scale[j] = _spread_uniform(rng, 0.9, 1.1, s, 0.8, 1.2)
-    return ForcingPoints(lat, lon, trend, rad_scale, precip_scale)
+    u = np.empty((lat.shape[0], 3))
+    for j in range(u.shape[0]):
+        u[j] = np.random.default_rng([seed, _SEED_POINT, j]).uniform(-1.0, 1.0, size=3)
+    return ForcingPoints(lat, lon,
+                         trend=_spread_uniform(u[:, 0], -0.25, 0.25, s, -0.4, 0.4),
+                         rad_scale=_spread_uniform(u[:, 1], 0.85, 1.15, s, 0.7, 1.3),
+                         precip_scale=_spread_uniform(u[:, 2], 0.9, 1.1, s, 0.8, 1.2))
 
 
 # Characteristic per-type profiles: grassy types (low index) are leafy
@@ -502,41 +529,43 @@ _PFT_BASE_SLA = np.array([0.030, 0.025, 0.020, 0.016, 0.012])
 
 
 def _draw_cell_params(seed, grid, land_idx, cell_lat, n_pft, n_layers):
+    """Each cell draws from its own stream, in one fixed order: six scalar
+    parameters, the type weights, the two traits, the allocation, the
+    deposition groups and their depths.  The draws are then mapped and
+    normalized for all cells at once."""
     n = land_idx.shape[0]
     s = grid.spread_scale
-    alpha = np.empty(n)
-    resp_frac = np.empty(n)
-    nutrient = np.ones(n)
-    decomp = np.empty(n)
-    texture = np.empty(n)
-    land_frac = np.empty(n)
-    pft_weight = np.empty((n, n_pft))
-    sla = np.empty((n, n_pft))
-    crootfrac = np.empty((n, n_pft))
-    alloc = np.empty((n, n_pft, 5))
-    deposit = np.empty((n, 3, n_layers))
-    layers = np.arange(n_layers, dtype=np.float64)
+    u = np.empty((n, 6))
+    weight_draw = np.empty((n, n_pft))
+    trait_u = np.empty((n, 2, n_pft))
+    alloc_draw = np.empty((n, n_pft, 5))
+    group = np.empty((n, 3))
+    depth_u = np.empty((n, 3))
     for c, flat in enumerate(land_idx):
         rng = np.random.default_rng([seed, _SEED_CELL, int(flat)])
-        alpha[c] = _spread_uniform(rng, 1600.0, 2400.0, s, 800.0, 3600.0)
-        resp_frac[c] = _spread_uniform(rng, 0.86, 0.94, s, 0.84, 0.96)
-        decomp[c] = _spread_uniform(rng, 0.65, 1.08, s, 0.55, 1.095)
-        texture[c] = _spread_uniform(rng, 0.0, 1.0, s, 0.0, 1.0)
-        land_frac[c] = _spread_uniform(rng, 0.55, 1.0, s, 0.05, 1.0)
-        depletion = _spread_uniform(rng, 0.05, 0.45, s, 0.02, 0.6)
-        if abs(cell_lat[c]) < TROPICS_LAT:
-            nutrient[c] = 1.0 - depletion
-        w = _PFT_BASE_WEIGHT[:n_pft] * rng.gamma(16.0, size=n_pft)
-        pft_weight[c] = w / w.sum()
-        sla[c] = _PFT_BASE_SLA[:n_pft] * _spread_uniform(
-            rng, 0.85, 1.15, s, 0.6, 1.6, size=n_pft)
-        crootfrac[c] = _spread_uniform(rng, 0.1, 0.6, s, 0.02, 0.9, size=n_pft)
-        a = _PFT_BASE_ALLOC[:n_pft] * rng.gamma(25.0, size=(n_pft, 5))
-        alloc[c] = a / a.sum(axis=1, keepdims=True)
-        group = rng.gamma(5.0, size=3)
-        z0 = _spread_uniform(rng, 3.0, 5.0, s, 2.5, 6.0, size=3)
-        prof = group[:, None] * np.exp(-layers[None, :] / z0[:, None])
-        deposit[c] = prof / prof.sum()
+        u[c] = rng.uniform(-1.0, 1.0, size=6)
+        weight_draw[c] = rng.gamma(16.0, size=n_pft)
+        trait_u[c] = rng.uniform(-1.0, 1.0, size=(2, n_pft))
+        alloc_draw[c] = rng.gamma(25.0, size=(n_pft, 5))
+        group[c] = rng.gamma(5.0, size=3)
+        depth_u[c] = rng.uniform(-1.0, 1.0, size=3)
+    alpha = _spread_uniform(u[:, 0], 1600.0, 2400.0, s, 800.0, 3600.0)
+    resp_frac = _spread_uniform(u[:, 1], 0.86, 0.94, s, 0.84, 0.96)
+    decomp = _spread_uniform(u[:, 2], 0.65, 1.08, s, 0.55, 1.095)
+    texture = _spread_uniform(u[:, 3], 0.0, 1.0, s, 0.0, 1.0)
+    land_frac = _spread_uniform(u[:, 4], 0.55, 1.0, s, 0.05, 1.0)
+    depletion = _spread_uniform(u[:, 5], 0.05, 0.45, s, 0.02, 0.6)
+    nutrient = np.where(np.abs(cell_lat) < TROPICS_LAT, 1.0 - depletion, 1.0)
+    w = _PFT_BASE_WEIGHT[:n_pft] * weight_draw
+    pft_weight = w / w.sum(axis=1, keepdims=True)
+    sla = _PFT_BASE_SLA[:n_pft] * _spread_uniform(trait_u[:, 0], 0.85, 1.15, s, 0.6, 1.6)
+    crootfrac = _spread_uniform(trait_u[:, 1], 0.1, 0.6, s, 0.02, 0.9)
+    a = _PFT_BASE_ALLOC[:n_pft] * alloc_draw
+    alloc = a / a.sum(axis=2, keepdims=True)
+    z0 = _spread_uniform(depth_u, 3.0, 5.0, s, 2.5, 6.0)
+    layers = np.arange(n_layers, dtype=np.float64)
+    prof = group[:, :, None] * np.exp(-layers / z0[:, :, None])
+    deposit = prof / prof.sum(axis=(1, 2), keepdims=True)
     pft_code = np.tile(np.arange(n_pft, dtype=np.int64), (n, 1))
     deepest = np.full(n, n_layers, dtype=np.int64)
     return CellParams(alpha, resp_frac, nutrient, decomp, texture, land_frac,
@@ -867,7 +896,7 @@ def load_world(path):
     it loads too."""
     manifest, arrays = blobio.read_model_file(path)
     if manifest.get("format") != "world":
-        raise ContractError(f"{path} is not a world file")
+        raise ContractError(f"{path}: not a world file: {manifest.get('format')!r}")
     try:
         g = manifest["grid"]
         grid = GridSpec(g["n_lat"], g["n_lon"], g["resolution_deg"],

@@ -194,6 +194,22 @@ class TestExitCodes:
         assert err.startswith(f"error: {paths[target]}: ") and word in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["eval", "restart-check"])
+    def test_file_of_another_kind_is_named(self, ws, tmp_path, capsys, command):
+        # a world given as the model, or a model given as the world
+        world, model = str(ws["world"] / "world.phw"), str(ws["model"])
+        wrong, args = {
+            "eval": (world, ["--model", world, "--data", str(ws["data"]),
+                             "--out", str(tmp_path / "report")]),
+            "restart-check": (model, ["--model", model, "--world", model,
+                                      "--out", str(tmp_path / "d.csv"), "--years", "1"]),
+        }[command]
+        rc = main([command] + args)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {wrong}: not a ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command,lacks", [("build-dataset", "window.soil4c"),
                                                ("restart-check", "grid")])
     def test_incomplete_world_is_clean_runtime_error(self, ws, tmp_path,

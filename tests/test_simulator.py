@@ -281,6 +281,10 @@ def step_mean(steps):
     return total / sim.STEPS_PER_MONTH
 
 
+def bitwise_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def clip_fields(series):
     out = series.copy()
     for i, name in enumerate(pl.G1_FIELDS):
@@ -296,21 +300,129 @@ def month_mean_sd(rho, steps):
     return math.sqrt(float((rho ** lag).sum())) / steps
 
 
-def reference_forcing(seed, grid, years, flat, point, climate, offset):
-    """One cell's monthly forcing [months, 5] built the direct way: its
-    whole noise stream in one draw, and month by month its point's mean of
-    the 6-hourly climatology under that month's trend ramp, plus its offset
-    and its noise, clipped field by field."""
-    rng = np.random.default_rng([seed, sim._SEED_NOISE, int(flat), 1])
-    sd = sim._NOISE_SD * grid.spread_scale * sim._MONTH_MEAN_SD
-    noise = rng.standard_normal((12 * years, 5)) * sd
-    out = np.empty((12 * years, 5))
-    for m in range(12 * years):
+class StepClimate:
+    """The forcing points' 6-hourly climatology built the direct way, one
+    point at a time, every field time-major [1440, P, 5]; :meth:`base`
+    scales radiation and precipitation by the month's trend ramp.  The
+    simulator's monthly means must equal means of these rows bitwise."""
+
+    def __init__(self, points):
+        t = np.arange(12 * sim.STEPS_PER_MONTH, dtype=np.float64)
+        frac = t / sim.STEPS_PER_YEAR
+        step_in_day = t % sim.STEPS_PER_DAY
+        diurnal = 4.0 * np.cos(2.0 * np.pi * (step_in_day / sim.STEPS_PER_DAY) - np.pi)
+        self.season = np.empty((t.shape[0], points.n, 5))
+        self.sun = np.empty(points.n)
+        self.itcz = np.empty(points.n)
+        for j, lat in enumerate(points.lat.tolist()):
+            a = abs(lat) / 90.0
+            phase = 0.0 if lat >= 0 else 0.5
+            season = np.cos(2.0 * np.pi * (frac - 0.54 - phase))
+            temperature = 302.0 - 49.0 * a ** 1.3 + (2.0 + 28.0 * a) * season + diurnal
+            out = self.season[:, j]
+            out[:, 0] = 1.0 + 0.42 * np.cos(2.0 * np.pi * (frac - 0.5 - phase))
+            out[:, 1] = 1.0 + 0.45 * np.cos(2.0 * np.pi * (frac - 0.18 - phase))
+            out[:, 2] = 96500.0 + 4500.0 * math.cos(math.radians(lat)) ** 2 \
+                + 300.0 * np.cos(2.0 * np.pi * (frac - phase))
+            out[:, 3] = 0.002 + 0.023 * np.exp(-(((temperature - 302.0) / 35.0) ** 2))
+            out[:, 4] = temperature
+            self.sun[j] = max(0.22, math.cos(math.radians(lat)))
+            self.itcz[j] = 1.2 + 7.5 * math.exp(-(((abs(lat) - 12.0) / 26.0) ** 2))
+        self.points = points
+
+    def base(self, month, ramp):
+        """The 6-hourly rows [120, P, 5] of calendar month 0-11 under the
+        trend ramp ``ramp`` [120, 1]."""
+        steps = slice(month * sim.STEPS_PER_MONTH, (month + 1) * sim.STEPS_PER_MONTH)
+        out = self.season[steps].copy()
+        growth = 1.0 + self.points.trend * ramp
+        out[..., 0] = self.points.rad_scale * growth * 250.0 * self.sun * out[..., 0]
+        out[..., 1] = self.points.precip_scale * growth * self.itcz * out[..., 1]
+        return out
+
+    def window_month(self, m):
+        """Month ``m`` of the window at every point, [P, 5]: the mean of
+        its 6-hourly rows under that month's trend ramp."""
         start = (m // 12) * sim.STEPS_PER_YEAR + (m % 12) * sim.STEPS_PER_MONTH
         t = np.arange(start, start + sim.STEPS_PER_MONTH, dtype=np.float64)
         ramp = np.minimum((t / sim.STEPS_PER_YEAR) / sim.TREND_RAMP_YEARS, 1.0)
-        out[m] = step_mean(climate.base(m % 12, ramp[:, None])[:, point]) + offset + noise[m]
-    return clip_fields(out)
+        return step_mean(self.base(m % 12, ramp[:, None]))
+
+    def stationary(self, ramp_value):
+        """The twelve months at every point, [P, 12, 5], under a constant
+        trend ramp."""
+        ramp = np.full((sim.STEPS_PER_MONTH, 1), float(ramp_value))
+        return np.stack([step_mean(self.base(m, ramp)) for m in range(12)], axis=1)
+
+
+def reference_forcing(seed, grid, flat, point_months, offset):
+    """One cell's monthly forcing [months, 5] built the direct way: its
+    whole noise stream in one draw, and month by month its point's mean
+    climatology (``point_months`` [months, 5]) plus its offset and its
+    noise, clipped field by field."""
+    rng = np.random.default_rng([seed, sim._SEED_NOISE, int(flat), 1])
+    sd = sim._NOISE_SD * grid.spread_scale * sim._MONTH_MEAN_SD
+    noise = rng.standard_normal(point_months.shape) * sd
+    return clip_fields(point_months + offset + noise)
+
+
+def spread_uniform_scalar(rng, lo, hi, scale, clip_lo, clip_hi, size=None):
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return np.clip(mid + rng.uniform(-1.0, 1.0, size=size) * half * scale, clip_lo, clip_hi)
+
+
+def reference_points(seed, grid):
+    """The forcing points drawn one scalar at a time."""
+    m_lat, m_lon = grid.n_lat // 2, grid.n_lon // 2
+    dlat, dlon = 180.0 / m_lat, 360.0 / m_lon
+    lat = np.repeat(-90.0 + (np.arange(m_lat) + 0.37) * dlat, m_lon)
+    lon = np.tile(-180.0 + (np.arange(m_lon) + 0.37) * dlon, m_lat)
+    s = grid.spread_scale
+    draws = np.empty((lat.shape[0], 3))
+    for j in range(lat.shape[0]):
+        rng = np.random.default_rng([seed, sim._SEED_POINT, j])
+        draws[j] = (spread_uniform_scalar(rng, -0.25, 0.25, s, -0.4, 0.4),
+                    spread_uniform_scalar(rng, 0.85, 1.15, s, 0.7, 1.3),
+                    spread_uniform_scalar(rng, 0.9, 1.1, s, 0.8, 1.2))
+    return sim.ForcingPoints(lat, lon, *draws.T.copy())
+
+
+def reference_cell_params(seed, grid, land_idx, cell_lat, n_pft, n_layers):
+    """Every cell's parameters drawn and normalized one cell, and one
+    scalar parameter, at a time."""
+    n = land_idx.shape[0]
+    s = grid.spread_scale
+    scalars = np.empty((n, 6))
+    nutrient = np.ones(n)
+    pft_weight, sla, crootfrac = (np.empty((n, n_pft)) for _ in range(3))
+    alloc = np.empty((n, n_pft, 5))
+    deposit = np.empty((n, 3, n_layers))
+    layers = np.arange(n_layers, dtype=np.float64)
+    for c, flat in enumerate(land_idx):
+        rng = np.random.default_rng([seed, sim._SEED_CELL, int(flat)])
+        for i, (lo, hi, clip_lo, clip_hi) in enumerate([
+                (1600.0, 2400.0, 800.0, 3600.0), (0.86, 0.94, 0.84, 0.96),
+                (0.65, 1.08, 0.55, 1.095), (0.0, 1.0, 0.0, 1.0),
+                (0.55, 1.0, 0.05, 1.0), (0.05, 0.45, 0.02, 0.6)]):
+            scalars[c, i] = spread_uniform_scalar(rng, lo, hi, s, clip_lo, clip_hi)
+        if abs(cell_lat[c]) < sim.TROPICS_LAT:
+            nutrient[c] = 1.0 - scalars[c, 5]
+        w = sim._PFT_BASE_WEIGHT[:n_pft] * rng.gamma(16.0, size=n_pft)
+        pft_weight[c] = w / w.sum()
+        sla[c] = sim._PFT_BASE_SLA[:n_pft] * spread_uniform_scalar(
+            rng, 0.85, 1.15, s, 0.6, 1.6, size=n_pft)
+        crootfrac[c] = spread_uniform_scalar(rng, 0.1, 0.6, s, 0.02, 0.9, size=n_pft)
+        a = sim._PFT_BASE_ALLOC[:n_pft] * rng.gamma(25.0, size=(n_pft, 5))
+        alloc[c] = a / a.sum(axis=1, keepdims=True)
+        group = rng.gamma(5.0, size=3)
+        z0 = spread_uniform_scalar(rng, 3.0, 5.0, s, 2.5, 6.0, size=3)
+        prof = group[:, None] * np.exp(-layers[None, :] / z0[:, None])
+        deposit[c] = prof / prof.sum()
+    alpha, resp_frac, decomp, texture, land_frac, _ = scalars.T.copy()
+    return sim.CellParams(alpha, resp_frac, nutrient, decomp, texture, land_frac,
+                          pft_weight, sla, crootfrac,
+                          np.tile(np.arange(n_pft, dtype=np.int64), (n, 1)),
+                          np.full(n, n_layers, dtype=np.int64), alloc, deposit)
 
 
 class TestForcingSynthesis:
@@ -336,10 +448,13 @@ class TestForcingSynthesis:
         land_idx, cell_point, climate, offsets, full = parts
         assert full.shape == (land_idx.shape[0], 12 * self.YEARS, 5)
         assert len(set(cell_point.tolist())) > 1
+        ref = StepClimate(climate.points)
+        point_months = np.stack([ref.window_month(m) for m in range(12 * self.YEARS)],
+                                axis=1)
         for c, flat in enumerate(land_idx):
-            ref = reference_forcing(self.SEED, self.GRID, self.YEARS, flat,
-                                    cell_point[c], climate, offsets[c])
-            assert np.array_equal(full[c], ref), c
+            want = reference_forcing(self.SEED, self.GRID, flat,
+                                     point_months[cell_point[c]], offsets[c])
+            assert np.array_equal(full[c], want), c
 
     def test_cell_subset_gives_same_rows(self, parts):
         # each cell's forcing depends only on its own streams
@@ -349,6 +464,44 @@ class TestForcingSynthesis:
                                            land_idx[sub], cell_point[sub],
                                            climate, offsets[sub])
         assert np.array_equal(part, full[sub])
+
+    def test_saturated_month_is_computed_once(self, parts):
+        climate = parts[2]
+        ones = np.ones((sim.STEPS_PER_MONTH, 1))
+        first = climate.monthly(4, ones)
+        assert climate.monthly(4, ones.copy()) is first
+        assert not first.flags.writeable
+        ramp = np.full((sim.STEPS_PER_MONTH, 1), 0.5)
+        assert climate.monthly(4, ramp) is not climate.monthly(4, ramp)
+        assert np.array_equal(first, StepClimate(climate.points).stationary(1.0)[:, 4])
+
+    def test_world_equals_step_level_reference(self, world):
+        # the window's forcing, the stationary response and the window-end
+        # pools of a world built from the 6-hourly climatology and the
+        # per-scalar draws, through the ramp and the stationary years
+        seed, grid, years = world.seed, world.grid, world.years
+        assert years > sim.TREND_RAMP_YEARS
+        points = reference_points(seed, grid)
+        params = reference_cell_params(seed, grid, world.land_idx, world.cell_lat,
+                                       sim.N_PFT, sim.N_LAYERS)
+        offsets = sim._cell_offsets(seed, world.land_idx, grid.spread_scale)
+        ref = StepClimate(points)
+        point_months = np.stack([ref.window_month(m) for m in range(12 * years)], axis=1)
+        forcing = np.stack([reference_forcing(seed, grid, flat, point_months[point], offset)
+                            for flat, point, offset
+                            in zip(world.land_idx, world.cell_point, offsets)])
+        stationary = lambda ramp_value: clip_fields(
+            ref.stationary(ramp_value)[world.cell_point] + offsets[:, None])
+        gbar_stat12 = sim._gbar_of(stationary(1.0))
+        built = dataclasses.replace(world, params=params, points=points,
+                                    forcing_monthly=forcing, gbar_stat12=gbar_stat12)
+        pre_params = dataclasses.replace(params, nutrient=np.ones(world.n_cells))
+        eq_pre = sim._equilibrium_from(sim._gbar_of(stationary(0.0)), pre_params).pools
+        window_end = sim.spinup(built, years, initial=eq_pre).final
+        assert bitwise_equal(world.forcing_monthly, forcing)
+        assert bitwise_equal(world.gbar_stat12, gbar_stat12)
+        for key in sim.POOL_KEYS:
+            assert bitwise_equal(getattr(world.window_end, key), getattr(window_end, key)), key
 
     @pytest.mark.parametrize("shape", [(7, 11, 5), (3, 5)])
     def test_one_clip_equals_per_field_clips(self, shape):
@@ -360,12 +513,12 @@ class TestForcingSynthesis:
 
     def test_stationary_is_clipped_point_climatology(self, parts):
         land_idx, cell_point, climate, offsets, _ = parts
-        stat = sim._stationary_monthly(climate, cell_point, offsets, ramp_value=1.0)
-        ramp = np.ones((sim.STEPS_PER_MONTH, 1))
-        for c in range(land_idx.shape[0]):
-            means = np.stack([step_mean(climate.base(m, ramp)[:, cell_point[c]])
-                              for m in range(12)])
-            assert np.array_equal(stat[c], clip_fields(means + offsets[c])), c
+        for ramp_value in (0.0, 1.0):
+            stat = sim._stationary_monthly(climate, cell_point, offsets, ramp_value)
+            means = StepClimate(climate.points).stationary(ramp_value)
+            for c in range(land_idx.shape[0]):
+                want = clip_fields(means[cell_point[c]] + offsets[c])
+                assert np.array_equal(stat[c], want), (ramp_value, c)
 
     def test_noise_free_window_ends_on_the_stationary_climatology(self, parts, monkeypatch):
         # past the trend ramp, a month without noise is the target climate
@@ -398,6 +551,32 @@ class TestForcingSynthesis:
             assert r.std() == pytest.approx(want, rel=0.05), i
             lag1 = np.corrcoef(r[:, 1:].ravel(), r[:, :-1].ravel())[0, 1]
             assert abs(lag1) < 0.1, i
+
+
+class TestBatchedDraws:
+    SEED = 2
+
+    @pytest.mark.parametrize("name", ["coarse", "fine"])
+    def test_cell_params_equal_per_scalar_draws(self, name):
+        grid = sim.grid_spec(name)
+        land_idx = sim._land_indices(self.SEED, grid)[::4]
+        cell_lat = grid.lat_centers[land_idx // grid.n_lon]
+        got = sim._draw_cell_params(self.SEED, grid, land_idx, cell_lat,
+                                    sim.N_PFT, sim.N_LAYERS)
+        want = reference_cell_params(self.SEED, grid, land_idx, cell_lat,
+                                     sim.N_PFT, sim.N_LAYERS)
+        for field in dataclasses.fields(sim.CellParams):
+            assert bitwise_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+        # only the fine grid's wider spread carries draws past their clips
+        clipped = np.isin(got.texture, (0.0, 1.0)).any() or (got.decomp == 1.095).any()
+        assert clipped == (grid.spread_scale > 1.0)
+
+    @pytest.mark.parametrize("name", ["coarse", "fine"])
+    def test_points_equal_per_scalar_draws(self, name):
+        grid = sim.grid_spec(name)
+        got, want = sim._draw_points(self.SEED, grid), reference_points(self.SEED, grid)
+        for field in dataclasses.fields(sim.ForcingPoints):
+            assert bitwise_equal(getattr(got, field.name), getattr(want, field.name)), field.name
 
 
 class TestEquilibrium:
