@@ -48,7 +48,8 @@ def main():
                   f"{report.after[pool]['median']:>10.4f} "
                   f"{report.drift[pool]['median']:>10.4f}")
         print(f"\ncold start needs >= {report.cold_start_years.min():.0f} yr; "
-              f"the model read the last {model.config.window_months} months "
+              f"the model read the mean annual cycle of the last "
+              f"{model.config.window_months // 12} years "
               f"of a {report.window_years}-yr simulated window")
         print(f"warm start needs a median "
               f"{np.median(report.warm_start_years):.0f} yr to the same band")

@@ -229,11 +229,15 @@ def _cmd_restart_check(args):
     from .model import Surrogate
     if args.years < 1:
         raise ConfigurationError("--years must be at least 1")
-    world = simulator.load_world(_world_path(args.world))
+    world_path = _world_path(args.world)
+    world = simulator.load_world(world_path)
     model = Surrogate.load(args.model)
-    # whole years covering the model's window; any other length is refused
-    # by the model, naming both
-    samples = simulator.export_samples(world, -(-model.config.window_months // 12))
+    window_years = model.config.window_months // 12
+    if window_years > world.years:
+        raise ContractError(
+            f"{args.model} reads {model.config.window_months} months of "
+            f"forcing; {world_path} simulates {12 * world.years}")
+    samples = simulator.export_samples(world, window_years)
     preds, z = model.predict(samples.groups)
 
     flags, scores, reasons = ood.check(z, samples.groups, model)

@@ -35,6 +35,10 @@ _BRANCH_DROPS = {
 
 _CHANNEL_NAMES = tuple(name for name, _, _ in pipeline.FEATURE_CHANNELS)
 
+# Model file manifest version.  Version 2 models read g1 as its mean annual
+# cycle; a version-1 model has the same weight shapes but read every month.
+MODEL_VERSION = 2
+
 # Rows per forward pass in :meth:`Surrogate.predict`; bounds the inputs and
 # activations one forward pass holds at once, whatever the number of cells.
 PREDICT_ROWS = 512
@@ -49,6 +53,10 @@ def active_branches(variant):
 
 @dataclasses.dataclass
 class ModelConfig:
+    """Architecture of a :class:`Surrogate`.  ``window_months`` is the length
+    of the g1 forcing the model accepts, whole years only: the network reads
+    the window as its mean annual cycle, 12 steps, whatever its length."""
+
     dim: int = 64
     hidden: int = 64
     heads: int = 4
@@ -74,6 +82,9 @@ class ModelConfig:
                       "n_pft", "n_layers", "window_months"):
             if getattr(self, field) < 1:
                 raise ConfigurationError(f"{field} must be positive")
+        if self.window_months % 12:
+            raise ConfigurationError(
+                f"window_months must be whole years, got {self.window_months}")
         if len(self.channels) != 2 or min(self.channels) < 1:
             raise ConfigurationError("channels must be two positive widths")
         if self.dim % self.heads:
@@ -169,7 +180,7 @@ class Surrogate:
         self.trunk = None
         self.fusion = None
         if config.variant == "baseline_mlp":
-            flat = (config.window_months * n_g1 + n_g2
+            flat = (12 * n_g1 + n_g2
                     + config.n_pft * n_pft_fields + config.n_layers * n_g5)
             self.trunk = MlpTrunk(flat, hid, d, rng, dtype)
         elif config.variant == "no_trans":
@@ -210,20 +221,27 @@ class Surrogate:
     # -- forward ------------------------------------------------------------
 
     def _inputs(self, groups):
-        """Physical-unit groups as the network's inputs: scaled with the
-        model's own feature stats, cast to its dtype, masked channels
-        zeroed."""
+        """Physical-unit groups as the network's inputs: g1 folded into its
+        mean annual cycle [n, 12, V], in float64, then every group scaled
+        with the model's own feature stats, cast to its dtype, masked
+        channels zeroed."""
         missing = [g for g in pipeline.GROUPS if g not in groups]
         if missing:
             raise ContractError(f"batch lacks groups: {', '.join(missing)}")
+        if np.ndim(groups["g1"]) != 3:
+            raise ShapeError(f"g1 must be [batch, months, vars], got shape "
+                             f"{np.shape(groups['g1'])}")
         months = groups["g1"].shape[1]
         if months != self.config.window_months:
             raise ShapeError(f"g1 holds {months} months of forcing; the model "
                              f"reads {self.config.window_months}")
         if self.feature_stats is None:
             raise ContractError("model carries no normalization stats")
+        g1 = np.asarray(groups["g1"], dtype=np.float64)
+        cycle = g1.reshape(g1.shape[0], months // 12, 12, g1.shape[2]).mean(axis=1)
         arrays = {g: a.astype(self.dtype, copy=False) for g, a in
-                  pipeline.normalize_groups(groups, self.feature_stats).items()}
+                  pipeline.normalize_groups(dict(groups, g1=cycle),
+                                            self.feature_stats).items()}
         for name in self.config.masked_features:
             _, group, idx = next(c for c in pipeline.FEATURE_CHANNELS
                                  if c[0] == name)
@@ -300,7 +318,7 @@ class Surrogate:
         ood_manifest, ood_arrays = self.ood_stats.to_manifest()
         manifest = {
             "format": "surrogate",
-            "version": 1,
+            "version": MODEL_VERSION,
             "config": self.config.to_dict(),
             "train_config": self.train_config,
             "feature_stats": self.feature_stats,
@@ -318,6 +336,10 @@ class Surrogate:
         if manifest.get("format") != "surrogate":
             raise ContractError(f"{path}: not a surrogate model file: "
                                 f"{manifest.get('format')!r}")
+        if manifest.get("version") != MODEL_VERSION:
+            raise ContractError(f"{path}: model file version "
+                                f"{manifest.get('version')!r}; this version "
+                                f"reads {MODEL_VERSION}")
         if "ood" not in manifest:
             raise ContractError(f"{path}: model file carries no OOD guard")
         config = ModelConfig.from_dict(manifest["config"])

@@ -98,21 +98,30 @@ class Samples:
 # Spatial alignment
 # ---------------------------------------------------------------------------
 
+# bytes of one block of :func:`kdtree_map`'s squared-distance matrix
+MAP_BLOCK_BYTES = 2 << 20
+
+
 def kdtree_map(model_points, forcing_points):
     """Nearest forcing-point index for each model point, Euclidean in
-    (lat, lon) degrees.  Builds no tree: the row-wise ``argmin`` of one
-    [n_model, n_forcing] squared-distance matrix (about 25 MB at the fine
-    preset) returns the first minimizer, so exact ties resolve to the lowest
-    forcing index."""
+    (lat, lon) degrees.  Builds no tree: the row-wise ``argmin`` of the
+    [n_model, n_forcing] squared-distance matrix, taken MAP_BLOCK_BYTES of it
+    at a time, returns the first minimizer, so exact ties resolve to the
+    lowest forcing index."""
     model = np.asarray(model_points, dtype=np.float64)
     forcing = np.asarray(forcing_points, dtype=np.float64)
     if model.ndim != 2 or model.shape[1] != 2 or forcing.ndim != 2 or forcing.shape[1] != 2:
         raise ContractError("point lists must have shape [n, 2]")
     if model.shape[0] == 0 or forcing.shape[0] == 0:
         raise ContractError("point lists must be non-empty")
-    d2 = np.square(model[:, :1] - forcing[:, 0])
-    d2 += np.square(model[:, 1:] - forcing[:, 1])
-    return d2.argmin(axis=1).astype(np.int64)
+    rows = max(1, MAP_BLOCK_BYTES // (8 * forcing.shape[0]))
+    nearest = np.empty(model.shape[0], dtype=np.int64)
+    for start in range(0, model.shape[0], rows):
+        block = model[start:start + rows]
+        d2 = np.square(block[:, :1] - forcing[:, 0])
+        d2 += np.square(block[:, 1:] - forcing[:, 1])
+        nearest[start:start + rows] = d2.argmin(axis=1)
+    return nearest
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from phase_surrogate.pipeline import Dataset, DatasetSplit
 from phase_surrogate.training import TrainConfig, train
 
 
-def build_toy_dataset(n=40, months=6, seed=0):
+def build_toy_dataset(n=40, months=12, seed=0):
     """Small in-memory dataset with a smooth learnable input-target map.
 
     Every group influences every target so component-removal tests see a
@@ -63,7 +63,7 @@ def with_guard(model):
 
 def toy_model_config(**overrides):
     base = dict(dim=16, hidden=16, heads=2, depth=1, ff_mult=2,
-                channels=(4, 6), window_months=6)
+                channels=(4, 6), window_months=12)
     base.update(overrides)
     return ModelConfig(**base)
 

@@ -210,6 +210,25 @@ class TestExitCodes:
         assert err.startswith(f"error: {wrong}: not a ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["eval", "restart-check"])
+    def test_model_file_of_another_version_is_refused(self, ws, tmp_path,
+                                                      capsys, command):
+        # a version-1 model has the same weight shapes but read every month
+        manifest, arrays = blobio.read_model_file(str(ws["model"]))
+        old = tmp_path / "v1.phm"
+        blobio.write_model_file(str(old), dict(manifest, version=1), arrays)
+        args = {"eval": ["--data", str(ws["data"]),
+                         "--out", str(tmp_path / "report")],
+                "restart-check": ["--world", str(ws["world"]),
+                                  "--out", str(tmp_path / "d.csv"),
+                                  "--years", "1"]}[command]
+        rc = main([command, "--model", str(old)] + args)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {old}: ") and "version 1" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [old]
+
     @pytest.mark.parametrize("command,lacks", [("build-dataset", "window.soil4c"),
                                                ("restart-check", "grid")])
     def test_incomplete_world_is_clean_runtime_error(self, ws, tmp_path,
@@ -316,18 +335,17 @@ class TestRestartCheckInputs:
         assert err.startswith("error:") and "--years" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_window_short_of_a_year_names_both_lengths(self, ws, tmp_path,
-                                                       capsys):
-        # the forcing covers the window in whole years, which a 6-month
-        # model refuses
-        model = untrained_model(ws, tmp_path / "m6.phm", window_months=6)
+    def test_window_longer_than_the_world_names_both_lengths(self, ws, tmp_path,
+                                                             capsys):
+        # a 7-year model on the 6-year ws world
+        model = untrained_model(ws, tmp_path / "m84.phm", window_months=84)
         rc = main(["restart-check", "--model", str(model),
                    "--world", str(ws["world"]),
                    "--out", str(tmp_path / "drift.csv"), "--years", "1"])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error:") and "Traceback" not in err
-        assert "12 months" in err and "reads 6" in err
+        assert err.startswith(f"error: {model} ") and "Traceback" not in err
+        assert "reads 84 months" in err and "simulates 72" in err
         assert list(tmp_path.iterdir()) == [model]
 
 

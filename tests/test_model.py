@@ -12,7 +12,7 @@ from phase_surrogate.model import (ModelConfig, Surrogate, active_branches,
                                    config_from_file)
 
 
-def toy_batch(n=4, months=6, seed=1):
+def toy_batch(n=4, months=12, seed=1):
     rng = np.random.default_rng(seed)
     return {"g1": rng.uniform(0, 1, (n, months, 5)).astype(np.float32),
             "g2": rng.uniform(0, 1, (n, 8)).astype(np.float32),
@@ -51,6 +51,11 @@ class TestModelConfig:
 
     def test_default_window_is_the_stationary_years(self):
         assert ModelConfig().window_months == 12 * simulator.STATIONARY_YEARS
+
+    @pytest.mark.parametrize("months", [6, 18])
+    def test_window_of_part_of_a_year_refused(self, months):
+        with pytest.raises(ConfigurationError, match=f"whole years.*{months}"):
+            ModelConfig(window_months=months)
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigurationError, match="n_blocks"):
@@ -174,10 +179,10 @@ class TestForward:
         # the LSTM would run over any length, so the model itself refuses a
         # g1 that is not the window it was trained on
         model = make("full")
-        for months in (5, 12):
+        for months in (6, 24):
             batch = toy_batch(months=months)
             for call in (model.forward, model.predict, model.attention_weights):
-                with pytest.raises(ShapeError, match=f"{months} months.*reads 6"):
+                with pytest.raises(ShapeError, match=f"{months} months.*reads 12"):
                     call(batch)
 
     def test_attention_shape(self):
@@ -233,6 +238,53 @@ class TestForward:
         b, _ = model.forward(batch)
         for t in pipeline.TASKS:
             np.testing.assert_array_equal(a[t].data, b[t].data)
+
+
+class TestForcingFold:
+    """The network reads g1 as the mean annual cycle of its window."""
+
+    @pytest.mark.parametrize("variant", ["full", "baseline_mlp"])
+    def test_year_order_does_not_matter(self, variant):
+        model = make(variant, window_months=60)
+        batch = toy_batch(n=5, months=60)
+        years = batch["g1"].reshape(5, 5, 12, 5)
+        shuffled = dict(batch, g1=years[:, [3, 0, 4, 2, 1]].reshape(5, 60, 5))
+        a, za = model.predict(batch)
+        b, zb = model.predict(shuffled)
+        for t in pipeline.TASKS:
+            np.testing.assert_array_equal(b[t], a[t])
+        np.testing.assert_array_equal(zb, za)
+
+    def test_repeated_year_reads_as_that_year(self):
+        long = make("full", window_months=60)
+        one_year = make("full", window_months=12)
+        for name, tensor in one_year.named_params().items():
+            tensor.data = long.named_params()[name].data.copy()
+        batch = toy_batch(n=5, months=12)
+        repeated = dict(batch, g1=np.tile(batch["g1"], (1, 5, 1)))
+        a, za = one_year.predict(batch)
+        b, zb = long.predict(repeated)
+        for t in pipeline.TASKS:
+            np.testing.assert_allclose(b[t], a[t], rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(zb, za, rtol=1e-5, atol=1e-6)
+
+    def test_recurrence_runs_twelve_steps(self, monkeypatch):
+        from phase_surrogate import autodiff
+        shapes = []
+        lstm = autodiff.lstm_sequence
+
+        def spy(x, *args):
+            shapes.append(x.shape)
+            return lstm(x, *args)
+
+        monkeypatch.setattr(autodiff, "lstm_sequence", spy)
+        make("full", window_months=60).predict(toy_batch(n=3, months=60))
+        assert shapes == [(3, 12, 5)]
+
+    def test_dense_baseline_reads_one_year_of_forcing(self):
+        trunk = make("baseline_mlp", window_months=60).trunk
+        assert trunk.in_dim == make("baseline_mlp").trunk.in_dim
+        assert trunk.in_dim == 12 * 5 + 8 + 5 * (3 + 5) + 9 * 3
 
 
 class TestFeatureMasking:

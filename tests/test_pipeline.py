@@ -63,6 +63,28 @@ class TestKdtreeMap:
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got, kdtree_nearest(model, forcing))
 
+    @pytest.mark.parametrize("rows_per_block", [3, None])
+    def test_matches_tree_across_blocks(self, monkeypatch, rows_per_block):
+        # forcing on a shuffled integer lattice, so a model point at a
+        # half-integer is an exact tie; two such points sit on either side
+        # of the first block boundary
+        rng = np.random.default_rng(11)
+        lattice = np.stack(np.meshgrid(np.arange(8.0), np.arange(8.0)), -1)
+        forcing = rng.permutation(lattice.reshape(-1, 2))
+        if rows_per_block is not None:
+            monkeypatch.setattr(pl, "MAP_BLOCK_BYTES", 8 * 64 * rows_per_block)
+        rows = pl.MAP_BLOCK_BYTES // (8 * 64)
+        model = rng.uniform(-1.0, 8.0, size=(2 * rows + rows // 2 + 1, 2))
+        model[rows - 1] = [2.5, 3.5]
+        model[rows] = [4.5, 4.0]
+        got = pl.kdtree_map(model, forcing)
+        np.testing.assert_array_equal(got, kdtree_nearest(model, forcing))
+        np.testing.assert_array_equal(got, brute_nearest(model, forcing))
+        for row, tied in ((rows - 1, [[2, 3], [2, 4], [3, 3], [3, 4]]),
+                          (rows, [[4, 4], [5, 4]])):
+            idx = [int(np.flatnonzero((forcing == p).all(axis=1))[0]) for p in tied]
+            assert got[row] == min(idx)
+
     def test_tie_resolves_to_lowest_index(self):
         # model point at the origin, forcing points 3 and 7 exactly equidistant
         forcing = np.array([[50.0, 50.0], [60, 60], [70, 70], [0.0, 1.0],

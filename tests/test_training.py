@@ -336,11 +336,11 @@ class TestTrainLoop:
         assert len(model.history) == 2
 
     def test_nan_target_diverges(self):
-        ds = build_toy_dataset(n=24, months=4, seed=5)
+        ds = build_toy_dataset(n=24, months=12, seed=5)
         ds.train.targets["gpp"][0] = np.nan
         with pytest.raises(DivergenceError, match="epoch 0"):
             training.train(quick_config(), ds,
-                           model_config=toy_model_config(window_months=4))
+                           model_config=toy_model_config(window_months=12))
 
     def test_empty_dataset_rejected(self, toy_dataset):
         src = toy_dataset.test
