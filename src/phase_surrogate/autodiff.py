@@ -10,8 +10,10 @@ Conventions:
 - buffers are row-major ``numpy`` arrays, float32 for training or float64 for
   the tight finite-difference checks;
 - elementwise binary ops require identical shapes (scalar variants exist for
-  the scalar-broadcast case); bias-style broadcasts go through the dedicated
-  ``add_rowvec`` primitive instead of silent numpy broadcasting;
+  the scalar-broadcast case); a dense layer's bias goes through ``dense``,
+  one tape node that runs even a 3-D input as one 2-D GEMM, and any other
+  bias-style broadcast through ``add_rowvec``, never numpy broadcasting;
+- ``relu`` passes NaN through, so a diverging run reaches the loss check;
 - a tape is single-threaded: one training step builds and consumes one tape,
   and parallel workers must each use their own.
 """
@@ -37,7 +39,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":
             arr = arr.astype(np.float32)
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
@@ -226,8 +228,7 @@ def add_leading(a, b):
 
 def relu(a):
     ad = a.data
-    mask = ad > 0
-    return _record([a], np.where(mask, ad, 0), lambda g: (g * mask,))
+    return _record([a], np.maximum(ad, 0), lambda g: (g * (ad > 0),))
 
 
 def sigmoid(a):
@@ -283,7 +284,7 @@ def softmax(a, axis=-1):
 # ---------------------------------------------------------------------------
 
 def matmul(a, b):
-    """Matrix product: 2-D x 2-D, batched 3-D x 3-D, or batched 3-D x 2-D."""
+    """Matrix product: 2-D x 2-D or batched 3-D x 3-D."""
     ad, bd = a.data, b.data
     if ad.shape[-1] != bd.shape[-2 if bd.ndim > 1 else 0]:
         raise ShapeError(f"matmul: inner dims of {ad.shape} and {bd.shape} differ")
@@ -301,16 +302,37 @@ def matmul(a, b):
         def backward(g):
             return (g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g)
 
-    elif ad.ndim == 3 and bd.ndim == 2:
-        out = ad @ bd
-
-        def backward(g):
-            db = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            return (g @ bd.T, db)
-
     else:
         raise ShapeError(f"matmul: unsupported ranks {ad.ndim} and {bd.ndim}")
     return _record([a, b], out, backward)
+
+
+def dense(x, w, b=None, relu=False):
+    """Dense layer ``x @ w + b``, relu optional, as one tape node: the rows
+    of ``x`` [N, Din] or [B, N, Din] go through one 2-D GEMM with ``w``
+    [Din, Dout], and the bias [Dout] and the relu act in place on its output."""
+    xd, wd = x.data, w.data
+    if wd.ndim != 2 or xd.ndim not in (2, 3) or xd.shape[-1] != wd.shape[0]:
+        raise ShapeError(f"dense: input {xd.shape} incompatible with weights {wd.shape}")
+    if b is not None and b.data.shape != (wd.shape[1],):
+        raise ShapeError(f"dense: bias {b.data.shape} vs weights {wd.shape}")
+    rows = xd.reshape(-1, wd.shape[0])
+    out = rows @ wd
+    if b is not None:
+        out += b.data
+    if relu:
+        np.maximum(out, 0, out=out)
+
+    def backward(g):
+        g = g.reshape(out.shape)
+        if relu:
+            g = g * (out > 0)
+        dx = (g @ wd.T).reshape(xd.shape) if x.requires_grad else None
+        dw = rows.T @ g
+        return (dx, dw) if b is None else (dx, dw, g.sum(axis=0))
+
+    inputs = [x, w] if b is None else [x, w, b]
+    return _record(inputs, out.reshape(xd.shape[:-1] + (wd.shape[1],)), backward)
 
 
 def conv1d(x, kernels, stride=1, padding=0):
@@ -340,8 +362,8 @@ def conv1d(x, kernels, stride=1, padding=0):
     out = windows.reshape(batch, out_len, ksize * cin) @ wmat
 
     def backward(g):
-        flat = windows.reshape(batch, out_len, ksize * cin)
-        dk = np.einsum("bik,bio->ko", flat, g).reshape(ksize, cin, cout)
+        cols = windows.reshape(batch * out_len, ksize * cin)
+        dk = (cols.T @ g.reshape(-1, cout)).reshape(ksize, cin, cout)
         dcols = g @ wmat.T                                   # [B, L', K*Cin]
         dwin = dcols.reshape(batch, out_len, ksize, cin)
         dxp = np.zeros_like(xp)
@@ -494,10 +516,11 @@ def layer_norm(x, gain, bias, eps=1e-5):
     n = xd.shape[-1]
     if gain.data.shape != (n,) or bias.data.shape != (n,):
         raise ShapeError(f"layer_norm: gain/bias must have shape ({n},)")
-    mean = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
+    # the mean of the centred squares is np.var's own arithmetic
+    centred = xd - xd.mean(axis=-1, keepdims=True)
+    var = (centred * centred).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + xd.dtype.type(eps))
-    xhat = (xd - mean) * inv
+    xhat = centred * inv
     out = gain.data * xhat + bias.data
     lead = tuple(range(xd.ndim - 1))
 

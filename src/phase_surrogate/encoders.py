@@ -62,7 +62,7 @@ class TemporalEncoder:
         if n_vars != self.n_vars:
             raise ShapeError(f"expected {self.n_vars} forcing variables, got {n_vars}")
         h = ad.lstm_sequence(x, self.w_x, self.w_h, self.b)
-        return ad.add_rowvec(ad.matmul(h, self.w_p), self.b_p)
+        return ad.dense(h, self.w_p, self.b_p)
 
 
 class LayeredEncoder:
@@ -96,7 +96,7 @@ class LayeredEncoder:
         y = ad.relu(ad.add_rowvec(ad.conv1d(x, self.k1, padding=1), self.b1))
         y = ad.relu(ad.add_rowvec(ad.conv1d(y, self.k2, padding=1), self.b2))
         flat = ad.reshape(y, (batch, layers * self.k2.shape[2]))
-        return ad.add_rowvec(ad.matmul(flat, self.w), self.b)
+        return ad.dense(flat, self.w, self.b)
 
 
 class StaticEncoder:
@@ -119,8 +119,8 @@ class StaticEncoder:
         if x.shape[1] != self.n_fields:
             raise ShapeError(f"expected {self.n_fields} static fields, "
                              f"got {x.shape[1]}")
-        hidden = ad.relu(ad.add_rowvec(ad.matmul(x, self.w1), self.b1))
-        return ad.add_rowvec(ad.matmul(hidden, self.w2), self.b2)
+        hidden = ad.dense(x, self.w1, self.b1, relu=True)
+        return ad.dense(hidden, self.w2, self.b2)
 
 
 class PftEncoder:
@@ -148,5 +148,5 @@ class PftEncoder:
             raise ShapeError(f"expected [{self.n_pft}, {self.n_fields}] "
                              f"type-trait input, got [{n_pft}, {fields}]")
         flat = ad.reshape(x, (batch, n_pft * fields))
-        hidden = ad.relu(ad.add_rowvec(ad.matmul(flat, self.w1), self.b1))
-        return ad.add_rowvec(ad.matmul(hidden, self.w2), self.b2)
+        hidden = ad.dense(flat, self.w1, self.b1, relu=True)
+        return ad.dense(hidden, self.w2, self.b2)

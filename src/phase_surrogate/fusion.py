@@ -94,15 +94,15 @@ class TransformerFusion:
 
     def _attention(self, x, layer, batch, n):
         """Self-attention output and its softmax weights [batch, heads, n, n]."""
-        q = self._split_heads(ad.matmul(x, layer["wq"]), batch, n)
-        k = self._split_heads(ad.matmul(x, layer["wk"]), batch, n)
-        v = self._split_heads(ad.matmul(x, layer["wv"]), batch, n)
+        q = self._split_heads(ad.dense(x, layer["wq"]), batch, n)
+        k = self._split_heads(ad.dense(x, layer["wk"]), batch, n)
+        v = self._split_heads(ad.dense(x, layer["wv"]), batch, n)
         dh = self.dim // self.heads
         scores = ad.mul_scalar(ad.matmul(q, ad.transpose(k, (0, 2, 1))),
                                1.0 / np.sqrt(dh))
         attn = ad.softmax(scores, axis=-1)
         mixed = self._merge_heads(ad.matmul(attn, v), batch, n)
-        out = ad.matmul(mixed, layer["wo"])
+        out = ad.dense(mixed, layer["wo"])
         return out, attn.data.reshape(batch, self.heads, n, n)
 
     def _encode(self, z_list):
@@ -120,9 +120,8 @@ class TransformerFusion:
             weights.append(layer_weights)
             x = ad.add(x, att)
             normed = ad.layer_norm(x, layer["ln2_g"], layer["ln2_b"])
-            hidden = ad.relu(ad.add_rowvec(ad.matmul(normed, layer["ff1"]),
-                                           layer["ff1_b"]))
-            ffn = ad.add_rowvec(ad.matmul(hidden, layer["ff2"]), layer["ff2_b"])
+            hidden = ad.dense(normed, layer["ff1"], layer["ff1_b"], relu=True)
+            ffn = ad.dense(hidden, layer["ff2"], layer["ff2_b"])
             x = ad.add(x, ffn)
         return ad.layer_norm(x, self.ln_f_g, self.ln_f_b), weights[0]
 
@@ -152,7 +151,7 @@ class ConcatFusion:
     def fuse(self, z_list):
         x = _stack_groups(z_list, self.n_groups, self.dim)
         flat = ad.reshape(x, (x.shape[0], self.n_groups * self.dim))
-        return ad.add_rowvec(ad.matmul(flat, self.w), self.b)
+        return ad.dense(flat, self.w, self.b)
 
     def attention_weights(self, z_list):
         raise ContractError("concatenation fusion has no attention weights")

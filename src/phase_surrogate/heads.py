@@ -66,8 +66,8 @@ class TaskHeads:
             raise ShapeError(f"latent must be [batch, {self.in_dim}], "
                              f"got {z.shape}")
         p = self.params[task]
-        hidden = ad.relu(ad.add_rowvec(ad.matmul(z, p["w1"]), p["b1"]))
-        out = ad.add_rowvec(ad.matmul(hidden, p["w2"]), p["b2"])
+        hidden = ad.dense(z, p["w1"], p["b1"], relu=True)
+        out = ad.dense(hidden, p["w2"], p["b2"])
         if self.registry[task]["nonneg"]:
             out = ad.softplus(out)
         shape = self.registry[task]["shape"]

@@ -129,9 +129,9 @@ class MlpTrunk:
         if x.data.ndim != 2 or x.data.shape[1] != self.in_dim:
             raise ShapeError(f"expected [batch, {self.in_dim}] input, "
                              f"got {x.data.shape}")
-        h = ad.relu(ad.add_rowvec(ad.matmul(x, self.w1), self.b1))
-        h = ad.relu(ad.add_rowvec(ad.matmul(h, self.w2), self.b2))
-        return ad.add_rowvec(ad.matmul(h, self.w3), self.b3)
+        h = ad.dense(x, self.w1, self.b1, relu=True)
+        h = ad.dense(h, self.w2, self.b2, relu=True)
+        return ad.dense(h, self.w3, self.b3)
 
 
 def _delta_registry(n_pft, n_layers):

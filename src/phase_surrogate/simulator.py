@@ -431,40 +431,40 @@ def _clip_bounds(series):
                    out=series)
 
 
-def _window_monthly_forcing(seed, grid, years, land_idx, cell_point, climate, offsets):
-    """Monthly forcing [n_cells, months, 5] over the simulated window.
-
-    A cell's month is its point's climatology for the month under the
-    trend ramp (:meth:`_PointClimate.monthly`), plus its offset, plus its
-    noise, clipped to FORCING_BOUNDS.  The points' climatology is taken
-    for every month first, [P, months, 5]; then each cell draws every
-    month's noise in one call from its own stream, straight into its rows
-    of the output, and adds its point's months and its offset there, so no
-    second [n_cells, months, 5] array is built.
-    """
-    months = 12 * years
-    point_months = np.empty((climate.points.n, months, 5))
+def _point_climatologies(points, years):
+    """Every point's noise-free months: the window's [P, 12·years, 5] and the
+    stationary year's before and past the trend ramp, [P, 12, 5] each.  The
+    6-hourly cycles are freed on return, before any cell array is built."""
+    climate = _PointClimate(points)
+    window = np.empty((points.n, 12 * years, 5))
     steps = np.arange(STEPS_PER_MONTH, dtype=np.float64)[:, None]
-    for m in range(months):
+    for m in range(12 * years):
         year, month = divmod(m, 12)
         t = steps + (year * STEPS_PER_YEAR + month * STEPS_PER_MONTH)
         ramp = np.minimum((t / STEPS_PER_YEAR) / TREND_RAMP_YEARS, 1.0)
-        point_months[:, m] = climate.monthly(month, ramp)
-    out = np.empty((land_idx.shape[0], months, 5))
+        window[:, m] = climate.monthly(month, ramp)
+    pre, stat = (np.stack([climate.monthly(m, np.full((STEPS_PER_MONTH, 1), value))
+                           for m in range(12)], axis=1) for value in (0.0, 1.0))
+    return window, pre, stat
+
+
+def _window_monthly_forcing(seed, grid, land_idx, cell_point, point_months, offsets):
+    """Monthly forcing [n_cells, months, 5] over the simulated window.
+
+    A cell's month is its point's climatology for the month
+    (``point_months``, the window's from :func:`_point_climatologies`),
+    plus its offset, plus its noise, clipped to FORCING_BOUNDS.  Each cell
+    draws every month's noise in one call from its own stream, straight
+    into its rows of the output, and adds its point's months and its offset
+    there, so no second [n_cells, months, 5] array is built.
+    """
+    out = np.empty((land_idx.shape[0],) + point_months.shape[1:])
     sd = _NOISE_SD * grid.spread_scale * _MONTH_MEAN_SD
     for row, flat, point, offset in zip(out, land_idx, cell_point, offsets):
         np.random.default_rng([seed, _SEED_NOISE, int(flat), 1]).standard_normal(out=row)
         row *= sd
         row += point_months[point] + offset
     return _clip_bounds(out)
-
-
-def _stationary_monthly(climate, cell_point, offsets, ramp_value):
-    """Noise-free stationary-year monthly means [n_cells, 12, 5] with the
-    trend ramp held constant."""
-    ramp = np.full((STEPS_PER_MONTH, 1), float(ramp_value))
-    point_monthly = np.stack([climate.monthly(m, ramp) for m in range(12)], axis=1)
-    return _clip_bounds(point_monthly[cell_point] + offsets[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -781,12 +781,13 @@ def generate_world(seed, grid, years=20):
 
     log.info("generating forcing for %d cells (%d points, %d years)",
              land_idx.shape[0], points.n, years)
-    climate = _PointClimate(points)
+    window, pre, stat = _point_climatologies(points, years)
     offsets = _cell_offsets(seed, land_idx, grid.spread_scale)
-    forcing_monthly = _window_monthly_forcing(seed, grid, years, land_idx,
-                                              cell_point, climate, offsets)
-    pre = _stationary_monthly(climate, cell_point, offsets, ramp_value=0.0)
-    stat = _stationary_monthly(climate, cell_point, offsets, ramp_value=1.0)
+    forcing_monthly = _window_monthly_forcing(seed, grid, land_idx, cell_point,
+                                              window, offsets)
+    del window
+    # each cell's stationary year is its point's plus its offset, noise-free
+    pre, stat = (_clip_bounds(p[cell_point] + offsets[:, None]) for p in (pre, stat))
 
     world = World(seed=int(seed), years=int(years), grid=grid,
                   land_idx=land_idx, cell_lat=cell_lat, cell_lon=cell_lon,

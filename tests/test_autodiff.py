@@ -116,9 +116,29 @@ def _case_matmul_3d(rng):
     return _probe_fn(ad.matmul, ts, rng), ts
 
 
-def _case_matmul_3d_2d(rng):
+def _case_dense_2d(rng):
+    ts = [_t(rng, (3, 4)), _t(rng, (4, 5))]
+    return _probe_fn(ad.dense, ts, rng), ts
+
+
+def _case_dense_3d(rng):
     ts = [_t(rng, (2, 3, 4)), _t(rng, (4, 5))]
-    return _probe_fn(ad.matmul, ts, rng), ts
+    return _probe_fn(ad.dense, ts, rng), ts
+
+
+def _case_dense_2d_bias(rng):
+    ts = [_t(rng, (4, 3)), _t(rng, (3, 5)), _t(rng, (5,))]
+    return _probe_fn(ad.dense, ts, rng), ts
+
+
+def _case_dense_2d_relu(rng):
+    ts = [_t(rng, (4, 3)), _t(rng, (3, 5))]
+    return _probe_fn(lambda x, w: ad.dense(x, w, relu=True), ts, rng), ts
+
+
+def _case_dense_3d_bias_relu(rng):
+    ts = [_t(rng, (2, 3, 4)), _t(rng, (4, 5)), _t(rng, (5,))]
+    return _probe_fn(lambda x, w, b: ad.dense(x, w, b, relu=True), ts, rng), ts
 
 
 def _case_conv1d_plain(rng):
@@ -276,7 +296,11 @@ GRAD_CASES = [
     ("softmax_mid", _case_softmax_mid),
     ("matmul_2d", _case_matmul_2d),
     ("matmul_3d", _case_matmul_3d),
-    ("matmul_3d_2d", _case_matmul_3d_2d),
+    ("dense_2d", _case_dense_2d),
+    ("dense_3d", _case_dense_3d),
+    ("dense_2d_bias", _case_dense_2d_bias),
+    ("dense_2d_relu", _case_dense_2d_relu),
+    ("dense_3d_bias_relu", _case_dense_3d_bias_relu),
     ("conv1d_plain", _case_conv1d_plain),
     ("conv1d_stride", _case_conv1d_stride),
     ("conv1d_padded", _case_conv1d_padded),
@@ -336,6 +360,11 @@ class TestForwardValues:
         assert ad.softplus(z).data[0] == pytest.approx(np.log(2.0))
         assert np.array_equal(ad.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
 
+    def test_relu_propagates_nan(self):
+        out = ad.relu(Tensor(np.array([np.nan, -1.0, 2.0], dtype=np.float32)))
+        assert np.isnan(out.data[0])
+        assert np.array_equal(out.data[1:], [0.0, 2.0])
+
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(5, 7)).astype(np.float32))
@@ -368,6 +397,18 @@ class TestForwardValues:
         affine = ad.layer_norm(x, Tensor(np.full(16, 2.0)), Tensor(np.full(16, 3.0)))
         assert np.allclose(affine.data.mean(axis=-1), 3.0, atol=1e-5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm_forward_is_bitwise_the_var_form(self, dtype):
+        rng = np.random.default_rng(12)
+        x = rng.normal(0.5, 2.0, size=(64, 5, 48)).astype(dtype)
+        gain = rng.uniform(0.5, 1.5, size=48).astype(dtype)
+        bias = rng.normal(size=48).astype(dtype)
+        # the form with np.var that layer_norm replaced
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + dtype(1e-5))
+        expected = gain * ((x - x.mean(axis=-1, keepdims=True)) * inv) + bias
+        out = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias))
+        np.testing.assert_array_equal(out.data, expected)
+
     def test_conv1d_hand_case(self):
         x = Tensor(np.array([[[1.0], [2.0], [3.0], [4.0]]]))
         k = Tensor(np.array([1.0, 0.0, -1.0]).reshape(3, 1, 1))
@@ -382,6 +423,78 @@ class TestForwardValues:
         assert ad.conv1d(x, k, stride=2, padding=1).shape == (1, 5, 4)
         assert ad.conv1d(x, k, stride=1, padding=1).shape == (1, 10, 4)
         assert ad.conv1d(x, k, stride=1, padding=0).shape == (1, 8, 4)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0), (1, 2)])
+    def test_conv1d_kernel_gradient_matches_einsum_form(self, dtype, stride,
+                                                         padding):
+        rng = np.random.default_rng(13)
+        batch, length, cin, ksize, cout = 16, 9, 3, 3, 6
+        x = rng.normal(size=(batch, length, cin)).astype(dtype)
+        kernels = Tensor(rng.normal(size=(ksize, cin, cout)).astype(dtype),
+                         requires_grad=True)
+        with GradTape() as tape:
+            out = ad.conv1d(Tensor(x), kernels, stride=stride, padding=padding)
+            probe = rng.normal(size=out.shape).astype(dtype)
+            tape.backward(ad.sum_all(ad.mul(out, Tensor(probe))))
+        # the einsum over the windows that the GEMM form replaced
+        xp = np.pad(x, ((0, 0), (padding, padding), (0, 0)))
+        idx = (np.arange(out.shape[1])[:, None] * stride
+               + np.arange(ksize)[None, :])
+        windows = xp[:, idx, :].reshape(batch, out.shape[1], ksize * cin)
+        expected = np.einsum("bik,bio->ko", windows, probe).reshape(
+            ksize, cin, cout)
+        assert kernels.grad.dtype == dtype
+        np.testing.assert_allclose(kernels.grad, expected,
+                                   rtol=16 * np.finfo(dtype).eps,
+                                   atol=16 * np.finfo(dtype).eps
+                                   * np.abs(expected).max())
+
+    @pytest.mark.parametrize("shape", [(32, 24), (8, 5, 24)])
+    @pytest.mark.parametrize("bias,relu", [(False, False), (True, False),
+                                           (True, True)])
+    def test_dense_matches_per_op_layer(self, shape, bias, relu):
+        """One dense node against matmul -> add_rowvec (-> relu) in float32:
+        same values and gradients to float32 rounding."""
+        rng = np.random.default_rng(14)
+        x_np = rng.normal(size=shape).astype(np.float32)
+        w_np = rng.normal(scale=0.3, size=(24, 16)).astype(np.float32)
+        b_np = rng.normal(scale=0.3, size=16).astype(np.float32)
+        probe = Tensor(rng.normal(size=shape[:-1] + (16,)).astype(np.float32))
+        results = []
+        for fused in (True, False):
+            x = Tensor(x_np, requires_grad=True)
+            w = Tensor(w_np, requires_grad=True)
+            b = Tensor(b_np, requires_grad=True) if bias else None
+            with GradTape() as tape:
+                if fused:
+                    out = ad.dense(x, w, b, relu=relu)
+                else:
+                    out = ad.matmul(ad.reshape(x, (-1, 24)), w)
+                    if bias:
+                        out = ad.add_rowvec(out, b)
+                    if relu:
+                        out = ad.relu(out)
+                    out = ad.reshape(out, probe.shape)
+                tape.backward(ad.sum_all(ad.mul(out, probe)))
+            assert len(tape.nodes) == (3 if fused else 5 + bias + relu)
+            results.append([out.data, x.grad, w.grad]
+                           + ([b.grad] if bias else []))
+        tol = 8 * np.finfo(np.float32).eps
+        for got, want in zip(*results):
+            assert got.dtype == np.float32 and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=tol,
+                                       atol=tol * np.abs(want).max())
+
+    def test_dense_weight_gradient_with_a_constant_input(self):
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.normal(size=(4, 3)))
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        with GradTape() as tape:
+            tape.backward(ad.sum_all(ad.dense(x, w, relu=True)))
+        assert x.grad is None
+        np.testing.assert_array_equal(
+            w.grad, x.data.T @ (x.data @ w.data > 0).astype(x.data.dtype))
 
     def test_lstm_sequence_matches_stepwise_primitives(self):
         rng = np.random.default_rng(41)
@@ -592,6 +705,14 @@ class TestShapeErrors:
             ad.add(a, b)
         with pytest.raises(ShapeError):
             ad.matmul(a, Tensor(np.ones((2, 2))))
+        with pytest.raises(ShapeError):
+            ad.matmul(Tensor(np.ones((2, 2, 3))), a)
+        with pytest.raises(ShapeError):
+            ad.dense(a, Tensor(np.ones((2, 2))))
+        with pytest.raises(ShapeError):
+            ad.dense(a, b, Tensor(np.ones(3)))
+        with pytest.raises(ShapeError):
+            ad.dense(Tensor(np.ones((2, 2, 2, 3))), b)
         with pytest.raises(ShapeError):
             ad.add_rowvec(a, Tensor(np.ones(2)))
         with pytest.raises(ShapeError):

@@ -440,8 +440,9 @@ class TestForcingSynthesis:
             np.stack([points.lat, points.lon], axis=1))
         climate = sim._PointClimate(points)
         offsets = sim._cell_offsets(seed, land_idx, grid.spread_scale)
-        full = sim._window_monthly_forcing(seed, grid, self.YEARS, land_idx,
-                                           cell_point, climate, offsets)
+        window = sim._point_climatologies(points, self.YEARS)[0]
+        full = sim._window_monthly_forcing(seed, grid, land_idx, cell_point,
+                                           window, offsets)
         return land_idx, cell_point, climate, offsets, full
 
     def test_window_bitwise_equals_per_cell_reference(self, parts):
@@ -460,9 +461,9 @@ class TestForcingSynthesis:
         # each cell's forcing depends only on its own streams
         land_idx, cell_point, climate, offsets, full = parts
         sub = np.array([len(land_idx) - 1, 0, 2])
-        part = sim._window_monthly_forcing(self.SEED, self.GRID, self.YEARS,
-                                           land_idx[sub], cell_point[sub],
-                                           climate, offsets[sub])
+        window = sim._point_climatologies(climate.points, self.YEARS)[0]
+        part = sim._window_monthly_forcing(self.SEED, self.GRID, land_idx[sub],
+                                           cell_point[sub], window, offsets[sub])
         assert np.array_equal(part, full[sub])
 
     def test_saturated_month_is_computed_once(self, parts):
@@ -513,8 +514,9 @@ class TestForcingSynthesis:
 
     def test_stationary_is_clipped_point_climatology(self, parts):
         land_idx, cell_point, climate, offsets, _ = parts
-        for ramp_value in (0.0, 1.0):
-            stat = sim._stationary_monthly(climate, cell_point, offsets, ramp_value)
+        _, pre_points, stat_points = sim._point_climatologies(climate.points, 1)
+        for ramp_value, point_monthly in ((0.0, pre_points), (1.0, stat_points)):
+            stat = sim._clip_bounds(point_monthly[cell_point] + offsets[:, None])
             means = StepClimate(climate.points).stationary(ramp_value)
             for c in range(land_idx.shape[0]):
                 want = clip_fields(means[cell_point[c]] + offsets[c])
@@ -525,9 +527,10 @@ class TestForcingSynthesis:
         land_idx, cell_point, climate, offsets, _ = parts
         years = int(sim.TREND_RAMP_YEARS) + 2
         monkeypatch.setattr(sim, "_NOISE_SD", np.zeros(5))
-        window = sim._window_monthly_forcing(self.SEED, self.GRID, years, land_idx,
-                                             cell_point, climate, offsets)
-        stat = sim._stationary_monthly(climate, cell_point, offsets, ramp_value=1.0)
+        point_window, _, point_stat = sim._point_climatologies(climate.points, years)
+        window = sim._window_monthly_forcing(self.SEED, self.GRID, land_idx,
+                                             cell_point, point_window, offsets)
+        stat = sim._clip_bounds(point_stat[cell_point] + offsets[:, None])
         for year in range(int(sim.TREND_RAMP_YEARS), years):
             assert np.array_equal(window[:, 12 * year:12 * (year + 1)], stat), year
         # before it, the ramp still moves radiation and precipitation
@@ -536,9 +539,9 @@ class TestForcingSynthesis:
     def test_monthly_noise_keeps_the_ar1_monthly_sd(self, world):
         # the stationary years are the target climate plus independent
         # monthly noise; the clip never touches pressure or temperature
-        climate = sim._PointClimate(world.points)
         offsets = sim._cell_offsets(world.seed, world.land_idx, world.grid.spread_scale)
-        stat = sim._stationary_monthly(climate, world.cell_point, offsets, ramp_value=1.0)
+        stat = sim._point_climatologies(world.points, 1)[2][world.cell_point]
+        stat = sim._clip_bounds(stat + offsets[:, None])
         ramp_end = 12 * int(sim.TREND_RAMP_YEARS)
         years = world.years - int(sim.TREND_RAMP_YEARS)
         residual = world.forcing_monthly[:, ramp_end:] - np.tile(stat, (1, years, 1))

@@ -6,9 +6,10 @@ import pytest
 
 from phase_surrogate import autodiff as ad
 from phase_surrogate import ood, pipeline, training
-from phase_surrogate.autodiff import Tensor
+from phase_surrogate.autodiff import GradTape, Tensor
 from phase_surrogate.errors import (ConfigurationError, ContractError,
                                     DivergenceError, RangeError, ShapeError)
+from phase_surrogate.model import ModelConfig, Surrogate
 from phase_surrogate.training import Adam, TrainConfig
 
 from conftest import build_toy_dataset, toy_model_config
@@ -288,6 +289,18 @@ def quick_config(**overrides):
 
 
 class TestTrainLoop:
+    def test_default_model_step_records_149_tape_nodes(self):
+        """One training step of the default model: each dense layer is one
+        node, so per-op dense layers (190 nodes) would show up here."""
+        config = ModelConfig()
+        dataset = build_toy_dataset(n=20, months=config.window_months)
+        model = Surrogate(config)
+        model.feature_stats = dict(dataset.feature_stats)
+        model.target_stats = dict(dataset.target_stats)
+        with GradTape() as tape:
+            training._batch_loss(model, dataset.train, TrainConfig())
+        assert len(tape.nodes) == 149
+
     def test_loss_decreases(self, toy_dataset):
         model = training.train(quick_config(), toy_dataset,
                                model_config=toy_model_config())
