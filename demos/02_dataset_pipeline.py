@@ -7,7 +7,10 @@ aggregation of the forcing window, the seeded 80:20 train/test
 permutation, MinMax statistics fitted on the training split, and the
 dataset directory: a manifest plus one file per split, rows sorted by
 (lat, lon).  Features are stored in physical units and targets
-normalized; a model scales its own inputs with the recorded statistics.
+normalized.  A model built on the dataset takes its shapes from the
+manifest's dims (forcing months, vegetation types, soil layers) and both
+sets of statistics from the training split: it scales its own inputs, and
+it returns its predictions in physical units.
 """
 
 import os
@@ -47,7 +50,9 @@ def main():
         dataset = pipeline.build_dataset(samples, seed=0, out_dir=tmp)
         print(f"split: {dataset.train.n} train / {dataset.test.n} test "
               f"(seeded permutation of the cells)")
-        print(f"dataset files: {sorted(os.listdir(tmp))}\n")
+        print(f"dataset files: {sorted(os.listdir(tmp))}")
+        print(f"dims a model takes from it: "
+              f"{pipeline.group_dims(dataset.train.groups)}\n")
         stats = dataset.feature_stats
         for channel in ("g2.alpha", "g2.nutrient", "g1.temperature"):
             lo, hi = stats[channel]

@@ -19,7 +19,7 @@ from phase_surrogate.heads import TaskHeads, task_registry
 
 def positivity_probe():
     rng = np.random.default_rng(0)
-    heads = TaskHeads(task_registry(n_pft=5, n_layers=9), in_dim=64,
+    heads = TaskHeads(task_registry({"n_pft": 5, "n_layers": 9}), in_dim=64,
                       hidden=64, rng=rng)
     z = rng.uniform(-100.0, 100.0, size=(10_000, 64)).astype(np.float32)
     bundle = heads.predict_all(Tensor(z))

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Warm-starting the simulator from predicted pools.
 
-Trains a surrogate, has it predict the slow pools for every cell, writes
-those predictions into a restart file, and lets the simulator continue
-from there. The report compares the distance to true equilibrium before
+Trains a surrogate, has it predict the slow pools for every cell (in
+physical units, as the model returns them), writes those predictions into
+a restart file, and lets the simulator continue from there. The report compares the distance to true equilibrium before
 and after a short continuation run, the drift it would add, and the
 speedup over a cold start: cold-start over warm-start time to reach the
 equilibrium band.
@@ -15,7 +15,6 @@ import tempfile
 import numpy as np
 
 from phase_surrogate import blobio, pipeline, simulator, training
-from phase_surrogate.heads import denormalize
 
 
 def main():
@@ -28,13 +27,11 @@ def main():
         model = training.train(training.TrainConfig(seed=0, max_epochs=40),
                                dataset)
 
-        # predict every cell from its physical-unit features and write the
-        # restart file
+        # predict every cell's pools from its physical-unit features and
+        # write them, as predicted, into the restart file
         preds, _ = model.predict(samples.groups)
-        slow = denormalize({t: preds[t] for t in pipeline.SLOW_TASKS},
-                           model.target_stats)
         path = os.path.join(tmp, "warm.phr")
-        blobio.write_restart(path, samples.cell_id, slow, world.n_pft,
+        blobio.write_restart(path, samples.cell_id, preds, world.n_pft,
                              world.n_layers)
         print(f"wrote {os.path.basename(path)} for {world.n_cells} cells")
 
@@ -49,7 +46,7 @@ def main():
                   f"{report.drift[pool]['median']:>10.4f}")
         print(f"\ncold start needs >= {report.cold_start_years.min():.0f} yr; "
               f"the model read the mean annual cycle of the last "
-              f"{model.config.window_months // 12} years "
+              f"{model.dims['months'] // 12} years "
               f"of a {report.window_years}-yr simulated window")
         print(f"warm start needs a median "
               f"{np.median(report.warm_start_years):.0f} yr to the same band")

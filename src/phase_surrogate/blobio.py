@@ -211,8 +211,8 @@ def check_layout(path, arrays, layout, dims):
 # ---------------------------------------------------------------------------
 
 def write_restart(path, cell_ids, pools, n_pft, n_layers):
-    """Write ``pools`` (each [n_cells, width]) for ``cell_ids`` as a restart
-    file; every pool of ``RESTART_POOLS`` must be present."""
+    """Write the ``RESTART_POOLS`` of ``pools`` (each [n_cells, width]) for
+    ``cell_ids`` as a restart file; a missing pool is refused."""
     missing = [name for name in RESTART_POOLS if name not in pools]
     if missing:
         raise CompletenessError(f"restart state missing pools: {', '.join(missing)}")

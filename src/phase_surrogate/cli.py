@@ -224,20 +224,19 @@ def _write_drift_csv(path, report, window_months):
 
 
 def _cmd_restart_check(args):
-    from . import blobio, ood, pipeline, simulator
-    from .heads import denormalize
+    from . import blobio, ood, simulator
     from .model import Surrogate
     if args.years < 1:
         raise ConfigurationError("--years must be at least 1")
     world_path = _world_path(args.world)
     world = simulator.load_world(world_path)
     model = Surrogate.load(args.model)
-    window_years = model.config.window_months // 12
-    if window_years > world.years:
+    months = model.dims["months"]
+    if months > 12 * world.years:
         raise ContractError(
-            f"{args.model} reads {model.config.window_months} months of "
-            f"forcing; {world_path} simulates {12 * world.years}")
-    samples = simulator.export_samples(world, window_years)
+            f"{args.model} reads {months} months of forcing; {world_path} "
+            f"simulates {12 * world.years}")
+    samples = simulator.export_samples(world, months // 12)
     preds, z = model.predict(samples.groups)
 
     flags, scores, reasons = ood.check(z, samples.groups, model)
@@ -246,10 +245,8 @@ def _cmd_restart_check(args):
             f"{int(flags.sum())} of {len(flags)} cells flagged "
             f"out-of-distribution; refusing to export a restart file")
 
-    slow = denormalize({t: preds[t] for t in pipeline.SLOW_TASKS},
-                       model.target_stats)
     restart_path = args.restart_out or os.path.splitext(args.out)[0] + ".phr"
-    blobio.write_restart(restart_path, samples.cell_id, slow, world.n_pft,
+    blobio.write_restart(restart_path, samples.cell_id, preds, world.n_pft,
                          world.n_layers)
     initial, _ = simulator.load_restart_state(world, restart_path)
     _, report = simulator.restart_run(initial, world, years=args.years)

@@ -9,6 +9,9 @@ write into a restart file.
 The net primary production head is a free head, not the difference of the
 other two flux heads; the identity NPP = GPP - AR is enforced only softly
 during training, which keeps the physics residual informative.
+
+Heads predict in the MinMax space of the training targets; the model that
+owns them maps their outputs back to physical units.
 """
 
 import numpy as np
@@ -19,21 +22,14 @@ from .encoders import xavier, zeros_param
 from .errors import ContractError, ShapeError
 
 
-def task_registry(n_pft, n_layers):
-    """Default task set: per-type pools, per-layer pools, flux scalars.
-    Shapes may have any rank; a (type x layer) matrix head is legal."""
-    reg = {
-        "deadcrootc": (n_pft,),
-        "deadstemc": (n_pft,),
-        "tlai": (n_pft,),
-        "cwdc": (n_layers,),
-        "soil3c": (n_layers,),
-        "soil4c": (n_layers,),
-        "gpp": (),
-        "ar": (),
-        "npp": (),
-    }
-    return {name: {"shape": shape, "nonneg": True} for name, shape in reg.items()}
+def task_registry(dims):
+    """Default task set, in :data:`pipeline.TASKS` order: one strictly
+    positive head per task, shaped as the task's target array in
+    :data:`pipeline.SPLIT_LAYOUT` less its row axis, with the named
+    dimensions taken from ``dims``.  A head of any rank is legal."""
+    return {t: {"shape": tuple(dims[d] for d in pipeline.SPLIT_LAYOUT[t][1:]),
+                "nonneg": True}
+            for t in pipeline.TASKS}
 
 
 class TaskHeads:
@@ -75,15 +71,3 @@ class TaskHeads:
 
     def predict_all(self, z):
         return {task: self.predict(z, task) for task in self.registry}
-
-
-def denormalize(bundle, stats):
-    """Map normalized predictions back to physical units via the stored
-    per-task (min, max).  Takes and returns arrays."""
-    out = {}
-    for task, values in bundle.items():
-        if task not in stats:
-            raise ContractError(f"no normalization stats for task {task!r}")
-        out[task] = pipeline.minmax_invert(values, stats[task])
-    return out
-

@@ -1,7 +1,9 @@
 """Evaluation metrics and report exports.
 
 R-squared and per-dimension scores run on whatever space the caller passes
-in; RMSE is reported in physical units, so evaluation denormalizes first.
+in.  Evaluation scores the model's physical-unit predictions against the
+dataset's targets mapped back to physical units, so RMSE is in physical
+units; the physics residual is in the model's flux scale.
 """
 
 import dataclasses
@@ -14,7 +16,6 @@ from . import blobio
 from . import pipeline
 from .errors import (ContractError, RangeError, ShapeError,
                      UndefinedMetricError)
-from .heads import denormalize
 
 TROPICS_LAT = 23.0
 _QUANTILES = (5.0, 25.0, 50.0, 75.0, 95.0)
@@ -117,26 +118,28 @@ class EvalReport:
 
 
 def evaluate(model, dataset, split="test"):
-    """Per-task R^2 and physical-unit RMSE on one split."""
+    """Per-task R^2 and physical-unit RMSE on one split, and the physics
+    residual in the model's flux scale: divided by the square of the largest
+    training flux, the scale the training penalty sees."""
     part = dataset.split(split)
     if part.n == 0:
         raise ContractError(f"{split} split is empty")
-    preds_norm, latent = model.predict(part.groups)
-    preds_phys = denormalize(preds_norm, model.target_stats)
+    preds, latent = model.predict(part.groups)
     tasks = {}
     truths_phys = {}
     for t in pipeline.TASKS:
-        pred = preds_phys[t]
+        pred = preds[t]
         truth = dataset.denorm_target(t, part.targets[t])
         truths_phys[t] = truth
         entry = {"r2": r2(pred, truth), "rmse": rmse(pred, truth)}
         if pred.ndim > 1:
             entry["per_dim"] = per_dimension_scores(pred, truth)
         tasks[t] = entry
+    flux_scale = model.target_stats["gpp"][1]
     tasks["_phys_residual"] = physics_residual(
-        preds_norm["gpp"], preds_norm["ar"], preds_norm["npp"])
+        preds["gpp"], preds["ar"], preds["npp"]) / flux_scale ** 2
     return EvalReport(split=split, n=part.n, tasks=tasks, lat=part.lat,
-                      lon=part.lon, cell_id=part.cell_id, preds=preds_phys,
+                      lon=part.lon, cell_id=part.cell_id, preds=preds,
                       truths=truths_phys, latent=latent)
 
 

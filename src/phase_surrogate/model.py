@@ -1,7 +1,9 @@
 """Surrogate assembly: branch encoders, fusion, task heads, persistence.
 
 A :class:`Surrogate` owns one encoder per input group, a fusion module
-producing the unified latent, and one head per task.  Variants swap or drop
+producing the unified latent, and one head per task.  It takes its shapes
+(``dims``) and its input and output scales from its data, so a caller hands
+it physical units and gets physical units back.  Variants swap or drop
 components; everything else (heads, loss wiring, persistence) is shared so a
 variant differs from the full model by exactly the removed part.
 """
@@ -20,7 +22,6 @@ from .errors import ConfigurationError, ContractError, ShapeError
 from .fusion import ConcatFusion, TransformerFusion
 from .heads import TaskHeads, task_registry
 from .ood import OodStats
-from .simulator import STATIONARY_YEARS
 
 VARIANTS = ("full", "no_cnn", "no_fc", "no_lstm", "no_trans",
             "baseline_mlp", "baseline_pinn")
@@ -33,11 +34,13 @@ _BRANCH_DROPS = {
     "no_fc": ("static", "pft"),
 }
 
-_CHANNEL_NAMES = tuple(name for name, _, _ in pipeline.FEATURE_CHANNELS)
+# The shapes a model takes from its data, as in a dataset manifest's dims.
+DIMS = ("months", "n_pft", "n_layers")
 
-# Model file manifest version.  Version 2 models read g1 as its mean annual
-# cycle; a version-1 model has the same weight shapes but read every month.
-MODEL_VERSION = 2
+# Model file manifest version.  Version 3 files store the model's dims next
+# to its config; version 2 kept them in the config.  A version-1 model has
+# the same weight shapes but read every month of g1.
+MODEL_VERSION = 3
 
 # Rows per forward pass in :meth:`Surrogate.predict`; bounds the inputs and
 # activations one forward pass holds at once, whatever the number of cells.
@@ -51,11 +54,36 @@ def active_branches(variant):
     return tuple(b for b in BRANCHES if b not in dropped)
 
 
+def check_field_types(config):
+    """Refuse a config dataclass whose field holds a value of another type
+    than the field's; a float field also takes an integer, a tuple field a
+    list, and a tuple holds integers.  A bool is not a number here."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        want = {float: (int, float), tuple: (list, tuple)}.get(field.type,
+                                                                field.type)
+        items = value if field.type is tuple else ()
+        if (not isinstance(value, want) or isinstance(value, bool)
+                or not all(type(v) is int for v in items)):
+            kind = {int: "an integer", float: "a number", str: "a string",
+                    tuple: "a list of integers"}[field.type]
+            raise ConfigurationError(f"{field.name} must be {kind}, got "
+                                     f"{value!r}")
+
+
+def config_from_dict(cls, data, section):
+    """A ``cls`` config from a dict, refusing keys it has no field for."""
+    known = {f.name for f in dataclasses.fields(cls)}
+    for key in data:
+        if key not in known:
+            raise ConfigurationError(f"unknown {section} config key {key!r}")
+    return cls(**data)
+
+
 @dataclasses.dataclass
 class ModelConfig:
-    """Architecture of a :class:`Surrogate`.  ``window_months`` is the length
-    of the g1 forcing the model accepts, whole years only: the network reads
-    the window as its mean annual cycle, 12 steps, whatever its length."""
+    """Architecture of a :class:`Surrogate`.  The shapes of its inputs and
+    outputs are not configured: the model takes them from its data."""
 
     dim: int = 64
     hidden: int = 64
@@ -63,49 +91,45 @@ class ModelConfig:
     depth: int = 2
     ff_mult: int = 4
     channels: tuple = (16, 32)
-    n_pft: int = 5
-    n_layers: int = 9
-    window_months: int = 12 * STATIONARY_YEARS
     variant: str = "full"
-    masked_features: tuple = ()
 
     def __post_init__(self):
-        self.channels = tuple(int(c) for c in self.channels)
-        self.masked_features = tuple(self.masked_features)
+        check_field_types(self)
+        self.channels = tuple(self.channels)
         if self.variant == "no_phys":
             raise ConfigurationError(
                 "no_phys is a loss setting, not an architecture: use "
                 "--variant no_phys or train.phys_weight 0")
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
-        for field in ("dim", "hidden", "heads", "depth", "ff_mult",
-                      "n_pft", "n_layers", "window_months"):
+        for field in ("dim", "hidden", "heads", "depth", "ff_mult"):
             if getattr(self, field) < 1:
                 raise ConfigurationError(f"{field} must be positive")
-        if self.window_months % 12:
-            raise ConfigurationError(
-                f"window_months must be whole years, got {self.window_months}")
         if len(self.channels) != 2 or min(self.channels) < 1:
             raise ConfigurationError("channels must be two positive widths")
         if self.dim % self.heads:
             raise ConfigurationError("dim must be divisible by heads")
-        for name in self.masked_features:
-            if name not in _CHANNEL_NAMES:
-                raise ConfigurationError(f"unknown masked feature {name!r}")
 
     def to_dict(self):
-        d = dataclasses.asdict(self)
-        d["channels"] = list(self.channels)
-        d["masked_features"] = list(self.masked_features)
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data):
-        known = {f.name for f in dataclasses.fields(cls)}
-        for key in data:
-            if key not in known:
-                raise ConfigurationError(f"unknown model config key {key!r}")
-        return cls(**data)
+        return config_from_dict(cls, data, "model")
+
+
+def _checked_dims(dims):
+    """A copy of ``dims``, refused unless it gives each of :data:`DIMS` as a
+    positive integer and the months are whole years: the network reads the
+    forcing as its mean annual cycle."""
+    if not isinstance(dims, dict) or set(dims) != set(DIMS) or not all(
+            type(dims[k]) is int and dims[k] >= 1 for k in DIMS):
+        raise ContractError(f"dims must give {', '.join(DIMS)} as positive "
+                            f"integers, got {dims!r}")
+    if dims["months"] % 12:
+        raise ContractError(f"the forcing window must be whole years, got "
+                            f"{dims['months']} months")
+    return dict(dims)
 
 
 class MlpTrunk:
@@ -134,21 +158,15 @@ class MlpTrunk:
         return ad.dense(h, self.w3, self.b3)
 
 
-def _delta_registry(n_pft, n_layers):
-    reg = {}
-    for task, entry in task_registry(n_pft, n_layers).items():
-        if task in pipeline.SLOW_TASKS:
-            reg[task] = {"shape": entry["shape"], "nonneg": False}
-    return reg
-
-
 class Surrogate:
-    """Full heterogeneous-input multi-task model."""
+    """Full heterogeneous-input multi-task model for data of shape
+    ``dims``: {months, n_pft, n_layers}, a dataset manifest's dims."""
 
-    def __init__(self, config, rng=None, dtype=np.float32):
+    def __init__(self, config, dims, rng=None, dtype=np.float32):
         if rng is None:
             rng = np.random.default_rng(0)
         self.config = config
+        self.dims = dims = _checked_dims(dims)
         self.dtype = dtype
         self.feature_stats = None
         self.target_stats = None
@@ -167,21 +185,21 @@ class Surrogate:
                 n_g1, hidden=hid, out_dim=d, rng=rng, dtype=dtype)
         if "layered" in names:
             self.branches["layered"] = LayeredEncoder(
-                config.n_layers, n_g5, channels=config.channels, out_dim=d,
+                dims["n_layers"], n_g5, channels=config.channels, out_dim=d,
                 rng=rng, dtype=dtype)
         if "static" in names:
             self.branches["static"] = StaticEncoder(
                 n_g2, hidden=hid, out_dim=d, rng=rng, dtype=dtype)
         if "pft" in names:
             self.branches["pft"] = PftEncoder(
-                config.n_pft, n_pft_fields, hidden=hid, out_dim=d,
+                dims["n_pft"], n_pft_fields, hidden=hid, out_dim=d,
                 rng=rng, dtype=dtype)
 
         self.trunk = None
         self.fusion = None
         if config.variant == "baseline_mlp":
             flat = (12 * n_g1 + n_g2
-                    + config.n_pft * n_pft_fields + config.n_layers * n_g5)
+                    + dims["n_pft"] * n_pft_fields + dims["n_layers"] * n_g5)
             self.trunk = MlpTrunk(flat, hid, d, rng, dtype)
         elif config.variant == "no_trans":
             self.fusion = ConcatFusion(len(names), d, rng=rng, dtype=dtype)
@@ -190,13 +208,16 @@ class Surrogate:
                 len(names), dim=d, heads=config.heads, n_layers=config.depth,
                 ff_mult=config.ff_mult, rng=rng, dtype=dtype)
 
-        self.heads = TaskHeads(task_registry(config.n_pft, config.n_layers),
-                               in_dim=d, hidden=hid, rng=rng, dtype=dtype)
+        registry = task_registry(dims)
+        self.heads = TaskHeads(registry, in_dim=d, hidden=hid, rng=rng,
+                               dtype=dtype)
         self.delta_heads = None
         if config.variant == "baseline_pinn":
-            self.delta_heads = TaskHeads(
-                _delta_registry(config.n_pft, config.n_layers),
-                in_dim=d, hidden=hid, rng=rng, dtype=dtype)
+            # a change of state from the window end: either sign
+            deltas = {t: dict(registry[t], nonneg=False)
+                      for t in pipeline.SLOW_TASKS}
+            self.delta_heads = TaskHeads(deltas, in_dim=d, hidden=hid,
+                                         rng=rng, dtype=dtype)
 
     # -- parameters ---------------------------------------------------------
 
@@ -223,8 +244,7 @@ class Surrogate:
     def _inputs(self, groups):
         """Physical-unit groups as the network's inputs: g1 folded into its
         mean annual cycle [n, 12, V], in float64, then every group scaled
-        with the model's own feature stats, cast to its dtype, masked
-        channels zeroed."""
+        with the model's own feature stats and cast to its dtype."""
         missing = [g for g in pipeline.GROUPS if g not in groups]
         if missing:
             raise ContractError(f"batch lacks groups: {', '.join(missing)}")
@@ -232,21 +252,16 @@ class Surrogate:
             raise ShapeError(f"g1 must be [batch, months, vars], got shape "
                              f"{np.shape(groups['g1'])}")
         months = groups["g1"].shape[1]
-        if months != self.config.window_months:
+        if months != self.dims["months"]:
             raise ShapeError(f"g1 holds {months} months of forcing; the model "
-                             f"reads {self.config.window_months}")
+                             f"reads {self.dims['months']}")
         if self.feature_stats is None:
             raise ContractError("model carries no normalization stats")
         g1 = np.asarray(groups["g1"], dtype=np.float64)
         cycle = g1.reshape(g1.shape[0], months // 12, 12, g1.shape[2]).mean(axis=1)
-        arrays = {g: a.astype(self.dtype, copy=False) for g, a in
-                  pipeline.normalize_groups(dict(groups, g1=cycle),
-                                            self.feature_stats).items()}
-        for name in self.config.masked_features:
-            _, group, idx = next(c for c in pipeline.FEATURE_CHANNELS
-                                 if c[0] == name)
-            arrays[group][..., idx] = 0.0
-        return arrays
+        return {g: a.astype(self.dtype, copy=False) for g, a in
+                pipeline.normalize_groups(dict(groups, g1=cycle),
+                                          self.feature_stats).items()}
 
     def _branch_latents(self, arrays):
         z_list = []
@@ -287,8 +302,11 @@ class Surrogate:
 
     def predict(self, groups):
         """Forward pass over a dict of physical-unit group arrays,
-        PREDICT_ROWS rows at a time.  Returns (normalized predictions as
-        arrays per task, latent array [n, d])."""
+        PREDICT_ROWS rows at a time.  Returns (predictions per task in
+        physical units, float64 arrays mapped back with the model's target
+        stats; latent array [n, d])."""
+        if not set(self.heads.registry) <= set(self.target_stats or ()):
+            raise ContractError("model carries no target stats for its tasks")
         n = groups["g1"].shape[0]
         preds = {t: [] for t in self.heads.registry}
         latents = []
@@ -296,7 +314,8 @@ class Surrogate:
             out, z = self.forward(
                 {g: a[start:start + PREDICT_ROWS] for g, a in groups.items()})
             for t, p in out.items():
-                preds[t].append(p.data)
+                preds[t].append(pipeline.minmax_invert(p.data,
+                                                       self.target_stats[t]))
             latents.append(z.data)
         return ({t: np.concatenate(v, axis=0) for t, v in preds.items()},
                 np.concatenate(latents, axis=0))
@@ -320,6 +339,7 @@ class Surrogate:
             "format": "surrogate",
             "version": MODEL_VERSION,
             "config": self.config.to_dict(),
+            "dims": self.dims,
             "train_config": self.train_config,
             "feature_stats": self.feature_stats,
             "target_stats": self.target_stats,
@@ -345,8 +365,12 @@ class Surrogate:
         config = ModelConfig.from_dict(manifest["config"])
         # the network is rebuilt in its stored parameters' width
         widths = [a.dtype for n, a in arrays.items() if not n.startswith("ood.")]
-        model = cls(config, rng=np.random.default_rng(0),
-                    dtype=np.result_type(*widths) if widths else np.float32)
+        try:
+            model = cls(config, manifest.get("dims"),
+                        rng=np.random.default_rng(0),
+                        dtype=np.result_type(*widths) if widths else np.float32)
+        except ContractError as exc:
+            raise ContractError(f"{path}: {exc}") from None
         params = model.named_params()
         layout = {name: tensor.data.shape for name, tensor in params.items()}
         layout.update({name: (config.dim,)
@@ -361,7 +385,7 @@ class Surrogate:
         return model
 
     def clone(self):
-        twin = Surrogate(self.config, rng=np.random.default_rng(0),
+        twin = Surrogate(self.config, self.dims, rng=np.random.default_rng(0),
                          dtype=self.dtype)
         source = self.named_params()
         for name, tensor in twin.named_params().items():

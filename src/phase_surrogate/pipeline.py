@@ -14,9 +14,10 @@ plus nine regression targets (six equilibrium pool vectors, three flux
 scalars).  A dataset stores the feature groups in physical units (float64)
 and the targets MinMax-normalized (float32).  Feature and target stats are
 fitted on the training split only and recorded in the manifest; a model
-adopts the feature stats and scales its own inputs with
-:func:`normalize_groups`.  Nothing is clipped, so test-split excursions stay
-visible to the distribution-shift guard.
+adopts both, scales its own inputs with :func:`normalize_groups` and maps
+its predictions back to physical units, and takes its shapes from the
+groups (:func:`group_dims`).  Nothing is clipped, so test-split excursions
+stay visible to the distribution-shift guard.
 """
 
 import dataclasses
@@ -234,6 +235,13 @@ def normalize_groups(group_arrays, stats):
     return out
 
 
+def group_dims(groups):
+    """The dimension sizes of :data:`SPLIT_LAYOUT` that feature groups
+    carry: forcing months, vegetation types and soil layers."""
+    return {"months": int(groups["g1"].shape[1]),
+            "n_pft": int(groups["g3"].shape[1]),
+            "n_layers": int(groups["g5"].shape[1])}
+
 
 def fit_target_stats(targets):
     """Per-task MinMax stats.  The three flux tasks share one pure scale
@@ -295,11 +303,7 @@ def build_dataset(samples, seed, out_dir, world_meta=None):
         "n_test": int(test.n),
         "feature_stats": feature_stats,
         "target_stats": target_stats,
-        "dims": {
-            "months": int(groups["g1"].shape[1]),
-            "n_pft": int(groups["g3"].shape[1]),
-            "n_layers": int(groups["g5"].shape[1]),
-        },
+        "dims": group_dims(groups),
         "cleaned": {"dropped": dropped, "kept": int(n)},
         "world": world_meta or {},
     }

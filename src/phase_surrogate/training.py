@@ -3,8 +3,9 @@
 Batches carry features in physical units, as the dataset stores them; the
 model scales them with the feature stats it adopts from the training split.
 Targets arrive MinMax-normalized, and all losses operate in that [0, 1]
-space: the sum of the task MSEs plus phys_weight times a flux-balance
-penalty.  The flux triple shares one pure scale factor, so the
+space, on the outputs of ``Surrogate.forward`` (``predict`` maps them to
+physical units): the sum of the task MSEs plus phys_weight times a
+flux-balance penalty.  The flux triple shares one pure scale factor, so the
 npp = gpp - ar relation holds in normalized space exactly when it holds
 physically and the soft constraint stays linear.
 
@@ -25,7 +26,7 @@ from . import pipeline
 from .autodiff import GradTape, Tensor
 from .errors import (ConfigurationError, ContractError, DivergenceError,
                      RangeError, ShapeError)
-from .model import ModelConfig, Surrogate
+from .model import ModelConfig, Surrogate, check_field_types, config_from_dict
 
 # (group, trailing index) of each slow task's window-end observation
 _INITIALS = {task: (g, i) for g in ("g4", "g5")
@@ -41,9 +42,9 @@ class TrainConfig:
     max_epochs: int = 200
     patience: int = 10
     seed: int = 0
-    width: str = "float32"
 
     def __post_init__(self):
+        check_field_types(self)
         if self.phys_weight < 0:
             raise ConfigurationError("phys_weight must be >= 0")
         if self.lr <= 0:
@@ -51,23 +52,13 @@ class TrainConfig:
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ConfigurationError(
                 "batch_size, max_epochs and patience must be >= 1")
-        if self.width not in ("float32", "float64"):
-            raise ConfigurationError(f"unknown numeric width {self.width!r}")
-
-    @property
-    def dtype(self):
-        return np.float32 if self.width == "float32" else np.float64
 
     def to_dict(self):
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data):
-        known = {f.name for f in dataclasses.fields(cls)}
-        for key in data:
-            if key not in known:
-                raise ConfigurationError(f"unknown train config key {key!r}")
-        return cls(**data)
+        return config_from_dict(cls, data, "train")
 
 
 # ---------------------------------------------------------------------------
@@ -295,24 +286,20 @@ def _fit(model, split, config, history_path):
     tr_idx, val_idx = _split_indices(split.n, config.seed)
     model.history = _optimize(model, split.take(tr_idx), split.take(val_idx),
                               config, history_path)
-    model.train_config = dataclasses.replace(
-        config, width=np.dtype(model.dtype).name).to_dict()
+    model.train_config = config.to_dict()
     model.ood_stats = ood.fit_ood(model, split.groups)
     return model
 
 
 def train(config, dataset, model_config=None, history_path=None):
-    """Trains a surrogate on a built dataset; deterministic under the seed."""
+    """Trains a float32 surrogate, shaped by the dims of the training
+    split's arrays, on a built dataset; deterministic under the seed."""
     if dataset.train.n == 0:
         raise ContractError("dataset has no training samples")
     if model_config is None:
         model_config = ModelConfig()
-    months = dataset.train.groups["g1"].shape[1]
-    if model_config.window_months != months:
-        model_config = dataclasses.replace(model_config,
-                                           window_months=months)
-    model = Surrogate(model_config, rng=np.random.default_rng([config.seed, 5]),
-                      dtype=config.dtype)
+    model = Surrogate(model_config, pipeline.group_dims(dataset.train.groups),
+                      rng=np.random.default_rng([config.seed, 5]))
     model.feature_stats = dict(dataset.feature_stats)
     model.target_stats = dict(dataset.target_stats)
     return _fit(model, dataset.train, config, history_path)
@@ -331,8 +318,7 @@ def _renorm_split(split, dataset, model):
 
 def fine_tune(model, fine_dataset, fraction, config, history_path=None):
     """Continues optimization on a seeded fraction of a new dataset, in the
-    source model's width whatever the config says, and refits the guard on
-    that fraction.
+    source model's width, and refits the guard on that fraction.
 
     The model scales the fine features with its own stats, and the fine
     targets are renormalized with them, so both keep the meaning the weights

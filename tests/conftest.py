@@ -53,17 +53,21 @@ def build_toy_dataset(n=40, months=12, seed=0):
                    feature_stats=feature_stats, target_stats=target_stats)
 
 
+# the dims of build_toy_dataset's default arrays
+TOY_DIMS = {"months": 12, "n_pft": 5, "n_layers": 9}
+
+
 def with_guard(model):
     """``model`` with an OOD guard fitted to a toy train split in its window,
     as a model must carry one to be saved."""
-    groups = build_toy_dataset(months=model.config.window_months).train.groups
+    groups = build_toy_dataset(months=model.dims["months"]).train.groups
     model.ood_stats = ood.fit_ood(model, groups)
     return model
 
 
 def toy_model_config(**overrides):
     base = dict(dim=16, hidden=16, heads=2, depth=1, ff_mult=2,
-                channels=(4, 6), window_months=12)
+                channels=(4, 6))
     base.update(overrides)
     return ModelConfig(**base)
 

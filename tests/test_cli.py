@@ -69,12 +69,14 @@ def short(ws, tmp_path_factory):
     return paths
 
 
-def untrained_model(ws, path, **config):
-    """Save an untrained model of the ws model's config with ``config``
-    changed, carrying the ws model's stats and a toy-fitted OOD guard."""
+def untrained_model(ws, path, dims=(), **config):
+    """Save an untrained model of the ws model's config and dims with
+    ``config`` and ``dims`` changed, carrying the ws model's stats and a
+    toy-fitted OOD guard."""
     trained = Surrogate.load(str(ws["model"]))
     model = Surrogate(ModelConfig.from_dict(dict(trained.config.to_dict(),
-                                                 **config)))
+                                                 **config)),
+                      dict(trained.dims, **dict(dims)))
     model.feature_stats = trained.feature_stats
     model.target_stats = trained.target_stats
     with_guard(model).save(str(path))
@@ -93,6 +95,39 @@ class TestExitCodes:
 
     def test_missing_required_flag(self):
         assert main(["gen-data"]) == 2
+
+    @pytest.mark.parametrize("config", [
+        {"train": {"max_epochs": "5"}}, {"model": {"dim": "64"}},
+        {"model": {"channels": 5}}, {"train": {"lr": None}}],
+        ids=["max_epochs-str", "dim-str", "channels-int", "lr-null"])
+    def test_config_value_of_wrong_type_is_usage_error(self, ws, tmp_path,
+                                                       capsys, config):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        rc = main(["train", "--data", str(ws["data"]),
+                   "--config", str(bad), "--out", str(tmp_path / "m.phm")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        (key, _), = next(iter(config.values())).items()
+        assert key in err
+        assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "n_pft", 4), ("model", "n_layers", 9),
+        ("model", "window_months", 24), ("model", "masked_features", []),
+        ("train", "width", "float64")],
+        ids=["n_pft", "n_layers", "window_months", "masked_features", "width"])
+    def test_data_shape_or_width_key_is_usage_error(self, ws, tmp_path, capsys,
+                                                    section, key, value):
+        # the model takes its shapes from the dataset and trains in float32
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({section: {key: value}}))
+        rc = main(["train", "--data", str(ws["data"]),
+                   "--config", str(bad), "--out", str(tmp_path / "m.phm")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: unknown {section} config key {key!r}")
 
     def test_unknown_config_key(self, ws, tmp_path):
         bad = tmp_path / "bad.json"
@@ -229,6 +264,38 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == [old]
 
+    @pytest.mark.parametrize("change", [
+        "version-2", "no-dims", "dims-list", "dims-missing-key",
+        "dims-part-year"])
+    def test_model_file_of_version_two_or_bad_dims_is_refused(
+            self, ws, tmp_path, capsys, change):
+        manifest, arrays = blobio.read_model_file(str(ws["model"]))
+        dims = manifest.pop("dims")
+        if change == "version-2":
+            # version 2 kept the window and the type and layer counts in
+            # the config
+            manifest.update(version=2, config=dict(
+                manifest["config"], n_pft=dims["n_pft"],
+                n_layers=dims["n_layers"], window_months=dims["months"],
+                masked_features=[]))
+        elif change != "no-dims":
+            manifest["dims"] = {
+                "dims-list": list(dims.values()),
+                "dims-missing-key": {"months": dims["months"],
+                                     "n_pft": dims["n_pft"]},
+                "dims-part-year": dict(dims, months=18)}[change]
+        bad = tmp_path / "bad.phm"
+        blobio.write_model_file(str(bad), manifest, arrays)
+        rc = main(["eval", "--model", str(bad), "--data", str(ws["data"]),
+                   "--out", str(tmp_path / "report")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+        assert {"version-2": "model file version 2",
+                "dims-part-year": "whole years, got 18 months"}.get(
+                    change, "dims must give months, n_pft, n_layers") in err
+        assert list(tmp_path.iterdir()) == [bad]
+
     @pytest.mark.parametrize("command,lacks", [("build-dataset", "window.soil4c"),
                                                ("restart-check", "grid")])
     def test_incomplete_world_is_clean_runtime_error(self, ws, tmp_path,
@@ -295,7 +362,8 @@ class TestExitCodes:
         if kind == "restart":
             # a model for 8 soil layers on a world of 9: its layered pools
             # are one column short of the restart file's
-            untrained_model(ws, inputs["model"], variant="no_cnn", n_layers=8)
+            untrained_model(ws, inputs["model"], dims={"n_layers": 8},
+                            variant="no_cnn")
         else:
             manifest, arrays = blobio.read_model_file(str(damaged))
             arrays[name] = arrays[name][cut]
@@ -338,7 +406,7 @@ class TestRestartCheckInputs:
     def test_window_longer_than_the_world_names_both_lengths(self, ws, tmp_path,
                                                              capsys):
         # a 7-year model on the 6-year ws world
-        model = untrained_model(ws, tmp_path / "m84.phm", window_months=84)
+        model = untrained_model(ws, tmp_path / "m84.phm", dims={"months": 84})
         rc = main(["restart-check", "--model", str(model),
                    "--world", str(ws["world"]),
                    "--out", str(tmp_path / "drift.csv"), "--years", "1"])
@@ -352,8 +420,8 @@ class TestRestartCheckInputs:
 class TestWindow:
     def test_default_window_is_the_stationary_years(self, ws, short):
         # a 6-yr world keeps its last 5 years by default
-        assert Surrogate.load(str(ws["model"])).config.window_months == 60
-        assert Surrogate.load(str(short["model"])).config.window_months == 12
+        assert Surrogate.load(str(ws["model"])).dims["months"] == 60
+        assert Surrogate.load(str(short["model"])).dims["months"] == 12
 
     def test_eval_on_another_window_is_clean_runtime_error(self, ws, short,
                                                            tmp_path, capsys):
@@ -396,6 +464,14 @@ class TestConfigCommand:
         assert out["train"]["lr"] == pytest.approx(1e-3)
         assert out["train"]["patience"] == 10
         assert out["train"]["max_epochs"] == 200
+        # the architecture only: the data gives the shapes, and training
+        # runs in float32
+        assert sorted(out["model"]) == sorted([
+            "dim", "hidden", "heads", "depth", "ff_mult", "channels",
+            "variant"])
+        assert sorted(out["train"]) == sorted([
+            "phys_weight", "lr", "batch_size", "max_epochs", "patience",
+            "seed"])
 
     def test_defaults_stable(self, capsys):
         main(["config"])

@@ -1,4 +1,4 @@
-"""The fast demos run to completion, demo 06 does in the slow layer, and
+"""Demos 01-05 run to completion, demo 06 does in the slow layer, and
 every demo names only API that exists."""
 
 import ast
@@ -18,6 +18,10 @@ SRC = os.path.dirname(os.path.dirname(phase_surrogate.__file__))
 @pytest.mark.parametrize("name", [
     "01_simulator_equilibrium.py",
     "02_dataset_pipeline.py",
+    # 03-05 train coarse models for 25-40 epochs, 3-4 s each on one core
+    "03_train_and_evaluate.py",
+    "04_physics_constraints.py",
+    "05_restart_speedup.py",
     # trains a coarse model and four fine-tunes, about 16 s on one core
     pytest.param("06_ood_and_transfer.py", marks=pytest.mark.slow),
 ])
@@ -62,8 +66,8 @@ def package_references(path):
                                   "05_restart_speedup.py",
                                   "06_ood_and_transfer.py"])
 def test_demo_names_existing_api(name):
-    # these demos train models, too slow for this suite to run; a deleted
-    # or renamed function they call must still fail it
+    # a deleted or renamed function a training demo calls fails here at
+    # once, and for demo 06 also outside the slow layer
     refs = package_references(os.path.join(ROOT, "demos", name))
     assert refs
     missing = [f"{module}.{attr}" for module, attr in refs

@@ -163,6 +163,25 @@ class TestEvaluate:
         assert toy_report.tasks["_phys_residual"] == pytest.approx(
             want, rel=1e-5)
 
+    def test_residual_is_in_the_models_flux_scale(self, toy_report,
+                                                  toy_model, toy_dataset):
+        # the physical residual over the squared flux scale, the scale the
+        # training penalty sees: a model with thrice the flux scale and the
+        # same weights predicts thrice the fluxes and scores the same
+        model = toy_model.clone()
+        model.target_stats = dict(toy_model.target_stats,
+                                  **{t: [0.0, 3.0] for t in pipeline.FLUX_TASKS})
+        report = metrics.evaluate(model, toy_dataset, split="test")
+        np.testing.assert_allclose(report.preds["gpp"],
+                                   3.0 * toy_report.preds["gpp"], rtol=1e-12)
+        want = metrics.physics_residual(report.preds["gpp"],
+                                        report.preds["ar"],
+                                        report.preds["npp"]) / 9.0
+        assert report.tasks["_phys_residual"] == pytest.approx(want,
+                                                               rel=1e-12)
+        assert report.tasks["_phys_residual"] == pytest.approx(
+            toy_report.tasks["_phys_residual"], rel=1e-9)
+
     def test_mean_r2_over_slow_tasks(self, toy_report):
         want = np.mean([toy_report.tasks[t]["r2"]
                         for t in pipeline.SLOW_TASKS])

@@ -1,13 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
-from conftest import build_toy_dataset, toy_model_config, with_guard
+from conftest import TOY_DIMS, build_toy_dataset, toy_model_config, with_guard
 from phase_surrogate import model as model_mod
-from phase_surrogate import pipeline, simulator
+from phase_surrogate import pipeline
 from phase_surrogate.cli import main
 from phase_surrogate.errors import (CompletenessError, ConfigurationError,
                                     ContractError, ShapeError)
-from phase_surrogate.heads import denormalize
 from phase_surrogate.model import (ModelConfig, Surrogate, active_branches,
                                    config_from_file)
 
@@ -21,11 +22,12 @@ def toy_batch(n=4, months=12, seed=1):
             "g5": rng.uniform(0, 1, (n, 9, 3)).astype(np.float32)}
 
 
-def make(variant="full", dtype=np.float32, **overrides):
-    """A fresh model with :func:`fill_stats`' stats."""
-    cfg = toy_model_config(variant=variant, **overrides)
-    return fill_stats(Surrogate(cfg, rng=np.random.default_rng(0),
-                                dtype=dtype))
+def make(variant="full", dtype=np.float32, months=12):
+    """A fresh toy-dims model reading ``months`` of forcing, with
+    :func:`fill_stats`' stats."""
+    return fill_stats(Surrogate(toy_model_config(variant=variant),
+                                dict(TOY_DIMS, months=months),
+                                rng=np.random.default_rng(0), dtype=dtype))
 
 
 def param_count(model):
@@ -44,18 +46,17 @@ def fill_stats(model):
 
 class TestModelConfig:
     def test_round_trip(self):
-        cfg = toy_model_config(variant="no_cnn",
-                               masked_features=("g2.nutrient",))
-        again = ModelConfig.from_dict(cfg.to_dict())
+        # through JSON, as a model file stores it: channels come back a list
+        cfg = toy_model_config(variant="no_cnn")
+        again = ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
 
-    def test_default_window_is_the_stationary_years(self):
-        assert ModelConfig().window_months == 12 * simulator.STATIONARY_YEARS
-
-    @pytest.mark.parametrize("months", [6, 18])
-    def test_window_of_part_of_a_year_refused(self, months):
-        with pytest.raises(ConfigurationError, match=f"whole years.*{months}"):
-            ModelConfig(window_months=months)
+    @pytest.mark.parametrize("field,value", [
+        ("dim", "64"), ("dim", 64.0), ("dim", True), ("channels", 5),
+        ("channels", [16, 32.0]), ("variant", None)])
+    def test_value_of_another_type_refused(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ModelConfig(**{field: value})
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigurationError, match="n_blocks"):
@@ -79,10 +80,6 @@ class TestModelConfig:
         assert main(["train", "--data", str(tmp_path), "--config", str(path),
                      "--out", str(tmp_path / "m.phm")]) == 2
 
-    def test_unknown_masked_feature(self):
-        with pytest.raises(ConfigurationError, match="g2.magic"):
-            ModelConfig(masked_features=("g2.magic",))
-
     def test_config_file_sections(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"model": {"dim": 32}, "train": {"lr": 0.01}}')
@@ -91,6 +88,37 @@ class TestModelConfig:
         path.write_text('{"misc": {}}')
         with pytest.raises(ConfigurationError, match="misc"):
             config_from_file(str(path))
+
+
+class TestDims:
+    """A model takes its shapes from the dims of its data."""
+
+    @pytest.mark.parametrize("months", [6, 18])
+    def test_window_of_part_of_a_year_refused(self, months):
+        with pytest.raises(ContractError, match=f"whole years.*{months}"):
+            make(months=months)
+
+    @pytest.mark.parametrize("dims", [
+        None, [12, 5, 9], {"months": 12, "n_pft": 5},
+        dict(TOY_DIMS, depth=2), dict(TOY_DIMS, n_pft=0),
+        dict(TOY_DIMS, n_layers=9.0), dict(TOY_DIMS, n_layers=True)])
+    def test_malformed_dims_refused(self, dims):
+        with pytest.raises(ContractError, match="dims must give months, "
+                                                "n_pft, n_layers"):
+            Surrogate(toy_model_config(), dims)
+
+    def test_shapes_follow_the_dims(self):
+        dims = {"months": 24, "n_pft": 3, "n_layers": 4}
+        model = fill_stats(Surrogate(toy_model_config(), dims))
+        batch = toy_batch(n=2, months=24)
+        batch["g3"], batch["g4"] = batch["g3"][:, :3], batch["g4"][:, :3]
+        batch["g5"] = batch["g5"][:, :4]
+        preds, _ = model.predict(batch)
+        assert {t: p.shape for t, p in preds.items()} == {
+            **{t: (2, 3) for t in ("deadcrootc", "deadstemc", "tlai")},
+            **{t: (2, 4) for t in ("cwdc", "soil3c", "soil4c")},
+            **{t: (2,) for t in pipeline.FLUX_TASKS}}
+        assert model.dims == dims
 
 
 class TestVariantStructure:
@@ -201,8 +229,10 @@ class TestForward:
         assert set(preds) == set(whole)
         for t in pipeline.TASKS:
             assert preds[t].shape == whole[t].shape
-            np.testing.assert_allclose(preds[t], whole[t].data,
-                                       rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(
+                preds[t], pipeline.minmax_invert(whole[t].data,
+                                                 model.target_stats[t]),
+                rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(latent, z.data, rtol=1e-5, atol=1e-6)
 
     def test_predict_applies_feature_stats(self):
@@ -215,8 +245,10 @@ class TestForward:
                                for name in model.feature_stats}
         physical = {g: 4.0 * a - 1.0 for g, a in batch.items()}
         preds, latent = model.predict(physical)
-        np.testing.assert_allclose(preds["soil3c"], whole["soil3c"].data,
-                                   rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(
+            preds["soil3c"], pipeline.minmax_invert(
+                whole["soil3c"].data, model.target_stats["soil3c"]),
+            rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(latent, z.data, rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(model.attention_weights(physical),
                                    attention, rtol=1e-5, atol=1e-6)
@@ -230,6 +262,15 @@ class TestForward:
             model.predict(toy_batch())
         with pytest.raises(ContractError, match="normalization stats"):
             model.attention_weights(toy_batch())
+
+    def test_input_not_mutated(self):
+        model = make("full")
+        batch = toy_batch()
+        keep = {g: batch[g].copy() for g in batch}
+        model.forward(batch)
+        model.predict(batch)
+        for g in batch:
+            np.testing.assert_array_equal(batch[g], keep[g])
 
     def test_deterministic(self):
         model = make("full")
@@ -245,7 +286,7 @@ class TestForcingFold:
 
     @pytest.mark.parametrize("variant", ["full", "baseline_mlp"])
     def test_year_order_does_not_matter(self, variant):
-        model = make(variant, window_months=60)
+        model = make(variant, months=60)
         batch = toy_batch(n=5, months=60)
         years = batch["g1"].reshape(5, 5, 12, 5)
         shuffled = dict(batch, g1=years[:, [3, 0, 4, 2, 1]].reshape(5, 60, 5))
@@ -256,8 +297,8 @@ class TestForcingFold:
         np.testing.assert_array_equal(zb, za)
 
     def test_repeated_year_reads_as_that_year(self):
-        long = make("full", window_months=60)
-        one_year = make("full", window_months=12)
+        long = make("full", months=60)
+        one_year = make("full")
         for name, tensor in one_year.named_params().items():
             tensor.data = long.named_params()[name].data.copy()
         batch = toy_batch(n=5, months=12)
@@ -278,38 +319,13 @@ class TestForcingFold:
             return lstm(x, *args)
 
         monkeypatch.setattr(autodiff, "lstm_sequence", spy)
-        make("full", window_months=60).predict(toy_batch(n=3, months=60))
+        make("full", months=60).predict(toy_batch(n=3, months=60))
         assert shapes == [(3, 12, 5)]
 
     def test_dense_baseline_reads_one_year_of_forcing(self):
-        trunk = make("baseline_mlp", window_months=60).trunk
+        trunk = make("baseline_mlp", months=60).trunk
         assert trunk.in_dim == make("baseline_mlp").trunk.in_dim
         assert trunk.in_dim == 12 * 5 + 8 + 5 * (3 + 5) + 9 * 3
-
-
-class TestFeatureMasking:
-    def test_masked_channel_ignored(self):
-        masked = make("full", masked_features=("g2.nutrient",))
-        plain = make("full")
-        for name, tensor in masked.named_params().items():
-            plain.named_params()[name].data[:] = tensor.data
-        batch = toy_batch()
-        zeroed = dict(batch)
-        idx = pipeline.G2_FIELDS.index("nutrient")
-        zeroed["g2"] = batch["g2"].copy()
-        zeroed["g2"][:, idx] = 0.0
-        a, _ = masked.forward(batch)
-        b, _ = plain.forward(zeroed)
-        for t in pipeline.TASKS:
-            np.testing.assert_array_equal(a[t].data, b[t].data)
-
-    def test_input_not_mutated(self):
-        model = make("full", masked_features=("g4.tlai", "g2.nutrient"))
-        batch = toy_batch()
-        keep = {g: batch[g].copy() for g in batch}
-        model.forward(batch)
-        for g in batch:
-            np.testing.assert_array_equal(batch[g], keep[g])
 
 
 class TestPersistence:
@@ -325,6 +341,7 @@ class TestPersistence:
             np.testing.assert_array_equal(a[t].data, b[t].data)
         assert again.target_stats == model.target_stats
         assert again.feature_stats == model.feature_stats
+        assert again.dims == model.dims
 
     def test_float64_model_reloads_in_float64(self, tmp_path):
         model = with_guard(make("full", dtype=np.float64))
@@ -363,14 +380,18 @@ class TestPersistence:
             Surrogate.load(path)
 
     def test_predict_denormalizes(self):
+        # each head's output maps back with its own task's (min, max)
         model = make("full")
+        model.target_stats = {t: [float(i), 3.0 * i + 1.0]
+                              for i, t in enumerate(pipeline.TASKS)}
         batch = toy_batch()
-        preds, _ = model.forward(batch)
-        phys = denormalize(model.predict(batch)[0], model.target_stats)
-        scale = model.target_stats["ar"][1]
-        np.testing.assert_allclose(phys["ar"],
-                                   preds["ar"].data.astype(np.float64) * scale,
-                                   rtol=1e-6)
+        out, _ = model.forward(batch)
+        preds, _ = model.predict(batch)
+        for t, (lo, hi) in model.target_stats.items():
+            assert preds[t].dtype == np.float64
+            np.testing.assert_allclose(
+                preds[t], out[t].data.astype(np.float64) * (hi - lo) + lo,
+                rtol=1e-6)
 
     def test_clone_is_independent(self):
         model = make("full")

@@ -6,7 +6,9 @@ from phase_surrogate import blobio
 from phase_surrogate import encoders as enc
 from phase_surrogate import fusion as fus
 from phase_surrogate import heads as hd
+from phase_surrogate import pipeline
 from phase_surrogate.autodiff import Tensor
+from phase_surrogate.model import ModelConfig, Surrogate
 from phase_surrogate.errors import (CompletenessError, ConfigurationError,
                                     ContractError, ShapeError)
 
@@ -262,7 +264,7 @@ class TestConcatFusion:
 
 class TestTaskHeads:
     def make(self, n_pft=5, n_layers=9, dim=8, seed=0):
-        reg = hd.task_registry(n_pft, n_layers)
+        reg = hd.task_registry({"n_pft": n_pft, "n_layers": n_layers})
         return hd.TaskHeads(reg, in_dim=dim, hidden=6,
                             rng=np.random.default_rng(seed))
 
@@ -273,7 +275,18 @@ class TestTaskHeads:
         assert out["gpp"].shape == (3,)
         assert out["deadcrootc"].shape == (3, 5)
         assert out["soil4c"].shape == (3, 9)
-        assert set(out) == set(hd.task_registry(5, 9))
+        assert set(out) == set(pipeline.TASKS)
+
+    def test_registry_follows_the_split_layout(self):
+        # pipeline.TASKS order: the heads draw their weights in this order
+        dims = {"months": 12, "n_pft": 3, "n_layers": 4}
+        reg = hd.task_registry(dims)
+        assert list(reg) == list(pipeline.TASKS)
+        for task, spec in reg.items():
+            assert spec == {"shape": tuple(
+                dims[d] for d in pipeline.SPLIT_LAYOUT[task][1:]),
+                "nonneg": True}
+        assert reg["tlai"]["shape"] == (3,) and reg["cwdc"]["shape"] == (4,)
 
     def test_matrix_shaped_head(self):
         reg = {"profile": {"shape": (4, 6), "nonneg": True}}
@@ -319,35 +332,50 @@ class TestTaskHeads:
 
 
 class TestDenormalize:
+    """The heads predict in MinMax space; ``Surrogate.predict`` maps each
+    task back to physical units with ``pipeline.minmax_invert`` and the
+    task's target stats."""
+
     def test_endpoints_map_to_min_and_max(self):
-        stats = {"gpp": (10.0, 50.0)}
-        out = hd.denormalize({"gpp": np.array([0.0, 1.0, 0.5])}, stats)
-        np.testing.assert_allclose(out["gpp"], [10.0, 50.0, 30.0])
+        out = pipeline.minmax_invert(np.array([0.0, 1.0, 0.5]), (10.0, 50.0))
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, [10.0, 50.0, 30.0])
 
     def test_round_trip_with_normalization(self):
-        from phase_surrogate import pipeline as pl
         rng = np.random.default_rng(0)
         vals = rng.uniform(5.0, 80.0, size=200)
-        stats = pl.minmax_fit(vals)
-        norm = pl.minmax_apply(vals, stats)
-        back = hd.denormalize({"x": norm}, {"x": stats})["x"]
+        stats = pipeline.minmax_fit(vals)
+        norm = pipeline.minmax_apply(vals, stats).astype(np.float32)
+        back = pipeline.minmax_invert(norm, stats)
         assert np.abs(back - vals).max() < 1e-6 * (stats[1] - stats[0])
 
     def test_missing_stats_rejected(self):
-        with pytest.raises(ContractError):
-            hd.denormalize({"x": np.zeros(3)}, {})
+        model = Surrogate(ModelConfig(dim=8, hidden=8, heads=2, depth=1),
+                          {"months": 12, "n_pft": 5, "n_layers": 9})
+        model.feature_stats = {name: [0.0, 1.0]
+                               for name, _, _ in pipeline.FEATURE_CHANNELS}
+        groups = {g: np.zeros((1,) + shape) for g, shape in (
+            ("g1", (12, 5)), ("g2", (8,)), ("g3", (5, 3)), ("g4", (5, 5)),
+            ("g5", (9, 3)))}
+        with pytest.raises(ContractError, match="no target stats"):
+            model.predict(groups)
+        model.target_stats = {t: [0.0, 1.0] for t in pipeline.TASKS
+                              if t != "soil3c"}
+        with pytest.raises(ContractError, match="no target stats"):
+            model.predict(groups)
 
 
 class TestWriteRestartState:
-    # the restart writer fed as the CLI feeds it: denormalized slow-pool
-    # predictions (float64, physical units)
+    # the restart writer fed as the CLI feeds it: slow-pool predictions in
+    # physical units (float64)
     def predictions(self, n, n_pft=5, n_layers=9, seed=0):
         rng = np.random.default_rng(seed)
         widths = {"deadcrootc": n_pft, "deadstemc": n_pft, "tlai": n_pft,
                   "cwdc": n_layers, "soil3c": n_layers, "soil4c": n_layers}
         norm = {name: rng.uniform(0.0, 1.0, (n, w))
                 for name, w in widths.items()}
-        return hd.denormalize(norm, {name: (1.0, 50.0) for name in widths})
+        return {name: pipeline.minmax_invert(v, (1.0, 50.0))
+                for name, v in norm.items()}
 
     def test_missing_pool_rejected(self, tmp_path):
         preds = self.predictions(2)

@@ -12,7 +12,7 @@ from phase_surrogate.errors import (ConfigurationError, ContractError,
 from phase_surrogate.model import ModelConfig, Surrogate
 from phase_surrogate.training import Adam, TrainConfig
 
-from conftest import build_toy_dataset, toy_model_config
+from conftest import TOY_DIMS, build_toy_dataset, toy_model_config
 
 
 def t64(rng, *shape):
@@ -43,15 +43,18 @@ class TestTrainConfig:
         {"batch_size": 0},
         {"max_epochs": 0},
         {"patience": 0},
-        {"width": "float16"},
+        {"max_epochs": "5"},
+        {"max_epochs": 5.0},
+        {"lr": None},
+        {"lr": "0.01"},
+        {"seed": False},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):
             TrainConfig(**kwargs)
 
-    def test_width_dtype(self):
-        assert TrainConfig().dtype == np.float32
-        assert TrainConfig(width="float64").dtype == np.float64
+    def test_integer_accepted_for_a_float(self):
+        assert TrainConfig(lr=1, phys_weight=0).lr == 1
 
 
 class TestTaskLoss:
@@ -292,9 +295,8 @@ class TestTrainLoop:
     def test_default_model_step_records_149_tape_nodes(self):
         """One training step of the default model: each dense layer is one
         node, so per-op dense layers (190 nodes) would show up here."""
-        config = ModelConfig()
-        dataset = build_toy_dataset(n=20, months=config.window_months)
-        model = Surrogate(config)
+        dataset = build_toy_dataset(n=20)
+        model = Surrogate(ModelConfig(), TOY_DIMS)
         model.feature_stats = dict(dataset.feature_stats)
         model.target_stats = dict(dataset.target_stats)
         with GradTape() as tape:
@@ -353,7 +355,7 @@ class TestTrainLoop:
         ds.train.targets["gpp"][0] = np.nan
         with pytest.raises(DivergenceError, match="epoch 0"):
             training.train(quick_config(), ds,
-                           model_config=toy_model_config(window_months=12))
+                           model_config=toy_model_config())
 
     def test_empty_dataset_rejected(self, toy_dataset):
         src = toy_dataset.test
@@ -365,6 +367,16 @@ class TestTrainLoop:
         with pytest.raises(ContractError):
             training.train(quick_config(), empty,
                            model_config=toy_model_config())
+
+    def test_model_takes_its_dims_from_the_data(self):
+        # a float32 model shaped by the training split's arrays
+        ds = build_toy_dataset(n=20, months=24)
+        model = training.train(quick_config(max_epochs=1), ds,
+                               model_config=toy_model_config())
+        assert model.dims == dict(TOY_DIMS, months=24)
+        assert {t.data.dtype for t in model.named_params().values()} == {
+            np.dtype(np.float32)}
+        assert model.train_config == quick_config(max_epochs=1).to_dict()
 
     def test_pinn_variant_trains(self, toy_dataset):
         model = training.train(quick_config(max_epochs=2), toy_dataset,
@@ -395,15 +407,16 @@ class TestFineTune:
                 for _ in range(2)]
         assert runs[0].history == runs[1].history
 
-    def test_records_the_width_it_tuned_in(self, toy_dataset):
-        # a float64 model tunes in float64 under a float32 config
-        source = training.train(quick_config(max_epochs=1, width="float64"),
-                                toy_dataset, model_config=toy_model_config())
+    def test_tunes_in_the_source_models_width(self, toy_dataset):
+        # train builds float32 models; a float64 one tunes in float64
+        source = Surrogate(toy_model_config(), TOY_DIMS, dtype=np.float64)
+        source.feature_stats = dict(toy_dataset.feature_stats)
+        source.target_stats = dict(toy_dataset.target_stats)
         tuned = training.fine_tune(source, toy_dataset, 0.5,
                                    quick_config(max_epochs=1))
-        assert tuned.named_params()["heads.gpp.w1"].data.dtype == np.float64
-        assert tuned.train_config["width"] == "float64"
-        assert tuned.train_config["max_epochs"] == 1
+        assert {t.data.dtype for t in tuned.named_params().values()} == {
+            np.dtype(np.float64)}
+        assert tuned.train_config == quick_config(max_epochs=1).to_dict()
 
     def test_refits_guard_on_tune_rows(self, toy_model, toy_dataset):
         # at fraction 1 the tune rows are the whole train split
