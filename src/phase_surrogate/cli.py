@@ -189,10 +189,21 @@ def _cmd_ablate(args):
 
 def _cmd_fine_tune(args):
     from . import pipeline
-    from .model import Surrogate
-    from .training import fine_tune
-    _, train_cfg = _load_configs(args.config)
+    from .model import ModelConfig, Surrogate, config_from_file
+    from .training import TrainConfig, fine_tune
+    model_dict, train_dict = config_from_file(args.config) if args.config else ({}, {})
+    asked = ModelConfig.from_dict(model_dict).to_dict()
+    train_cfg = TrainConfig.from_dict(train_dict)
     model = Surrogate.load(args.model)
+    # the tuned model keeps the source's architecture, so a model section
+    # may only repeat it
+    have = model.config.to_dict()
+    changed = [key for key in model_dict if asked[key] != have[key]]
+    if changed:
+        raise ConfigurationError(
+            "fine-tune keeps the source model's architecture: --config asks for "
+            + ", ".join(f"{key} {asked[key]!r} where the model has {have[key]!r}"
+                        for key in changed))
     dataset = pipeline.load_dataset(args.data_fine)
     log = args.log or _default_log(args.out)
     tuned = fine_tune(model, dataset, args.fraction, train_cfg,

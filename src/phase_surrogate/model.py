@@ -10,6 +10,7 @@ variant differs from the full model by exactly the removed part.
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -56,8 +57,9 @@ def active_branches(variant):
 
 def check_field_types(config):
     """Refuse a config dataclass whose field holds a value of another type
-    than the field's; a float field also takes an integer, a tuple field a
-    list, and a tuple holds integers.  A bool is not a number here."""
+    than the field's; a float field also takes an integer, but neither NaN
+    nor an infinity, a tuple field a list, and a tuple holds integers.  A
+    bool is not a number here."""
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
         want = {float: (int, float), tuple: (list, tuple)}.get(field.type,
@@ -69,6 +71,8 @@ def check_field_types(config):
                     tuple: "a list of integers"}[field.type]
             raise ConfigurationError(f"{field.name} must be {kind}, got "
                                      f"{value!r}")
+        if field.type is float and not math.isfinite(value):
+            raise ConfigurationError(f"{field.name} must be finite, got {value!r}")
 
 
 def config_from_dict(cls, data, section):

@@ -28,7 +28,7 @@ import shutil
 import numpy as np
 
 from . import blobio
-from .errors import ContractError
+from .errors import ConfigurationError, ContractError
 
 log = logging.getLogger(__name__)
 
@@ -267,6 +267,8 @@ def build_dataset(samples, seed, out_dir, world_meta=None):
 
     Returns the in-memory :class:`Dataset` equal to what was written.
     """
+    if seed < 0:
+        raise ConfigurationError("seed must be >= 0")
     samples, dropped = clean(samples)
     n = samples.n
     if n < 5:

@@ -22,16 +22,18 @@ a month is its forcing point's noise-free climatology for that month, plus
 the cell's constant offset, plus one draw of monthly noise, clipped to
 FORCING_BOUNDS once.  The climatology is the mean of a 6-hourly seasonal
 and diurnal cycle (120 steps a month) under the trend ramp, taken at the
-forcing points.  Only radiation and precipitation grow with the ramp, so
-only their 6-hourly cycles are kept; pressure, humidity and temperature
-are kept as the twelve monthly means they have every year, and a month
-past the ramp is computed once for all years (:class:`_PointClimate`).
-No sub-monthly value of a cell is ever built.  The monthly noise has
+forcing points.  Pressure, humidity and temperature are kept as the
+twelve monthly means they have every year; radiation and precipitation
+grow with the ramp, which is linear in the step within a month, so their
+month means come in closed form from two moments of the seasonal cycle
+(:class:`_PointClimate`).  No sub-monthly value of a cell is ever built,
+and no 6-hourly value of radiation or precipitation.  The monthly noise has
 the sd of a month's mean of a 6-hourly AR(1) process (see
 :data:`_MONTH_MEAN_SD`) and is independent from month to month; that
 process forgets within days, so its successive monthly means correlate by
 only about 0.02.  Each cell draws all its months' noise from its own stream
-in one call, so a cell's forcing does not depend on the other cells.
+in one call, so a cell's forcing does not depend on the other cells; the
+streams of all cells are seeded in one pass (:func:`_cell_streams`).
 
 Per-cell work is embarrassingly parallel; everything here is vectorized
 across cells and emitted in deterministic cell order.
@@ -327,22 +329,104 @@ def _flux_from_gbar(gbar, alpha, resp_frac, nutrient):
 
 
 # ---------------------------------------------------------------------------
+# Per-cell random streams
+# ---------------------------------------------------------------------------
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_SS_HASH_A, _SS_HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_SS_MIX = (0xCA01F9DD, 0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+
+
+def _cell_streams(seed, code, flats, *suffix):
+    """Yield, for each flat index in ``flats``, one reused Generator in
+    exactly the state of ``np.random.default_rng([seed, code, flat, *suffix])``;
+    draw from it before taking the next.
+
+    SeedSequence's entropy mixing runs as uint32 array operations over all
+    flat indices at once (its hash constants do not depend on the data);
+    PCG64's seeding, two steps of its 128-bit LCG, runs in Python integers,
+    and the state is set on the one Generator.  Each key word is split into
+    uint32 words as SeedSequence splits it, so a seed of 2**32 or more
+    matches too; a flat index must fit one word."""
+    def words(value):
+        value = operator.index(value)
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        out = [value & _MASK32]
+        while value > _MASK32:
+            value >>= 32
+            out.append(value & _MASK32)
+        return out
+
+    def hasher(const, mult):
+        def hash_(value):
+            nonlocal const
+            value = value ^ np.uint32(const)
+            const = const * mult & _MASK32
+            value = value * np.uint32(const)
+            return value ^ value >> 16
+        return hash_
+
+    def mix(x, y):
+        value = np.uint32(_SS_MIX[0]) * x - np.uint32(_SS_MIX[1]) * y
+        return value ^ value >> 16
+
+    flats = np.asarray(flats)
+    n = flats.shape[0]
+    if n and not 0 <= flats.min() <= flats.max() <= _MASK32:
+        raise ValueError("flat indices must fit one uint32 word")
+    entropy = [np.full(n, w, np.uint32) for w in words(seed) + words(code)]
+    entropy.append(flats.astype(np.uint32))
+    entropy += [np.full(n, w, np.uint32) for value in suffix for w in words(value)]
+    entropy += [np.zeros(n, np.uint32)] * (4 - len(entropy))
+    # SeedSequence.mix_entropy into a pool of four words
+    hashmix = hasher(*_SS_HASH_A)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # SeedSequence.generate_state(4, np.uint64), little-endian word pairs
+    hashout = hasher(*_SS_HASH_B)
+    state = [hashout(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (state[2 * i] | state[2 * i + 1] << np.uint64(32)).tolist() for i in range(4))
+    rng = np.random.Generator(np.random.PCG64(0))
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        # pcg64_set_seed: state 0, step, add the seed, step
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        lcg = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        rng.bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": lcg, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
+# ---------------------------------------------------------------------------
 # Synthetic forcing
 # ---------------------------------------------------------------------------
 
 class _PointClimate:
-    """Every forcing point's noise-free climate: a 6-hourly seasonal and
-    diurnal cycle over the twelve 30-day months of a year, of which only
-    monthly means [P, 5] leave this class (:meth:`monthly`).
+    """Every forcing point's noise-free climate: the monthly means [P, 5]
+    of a 6-hourly seasonal and diurnal cycle over the twelve 30-day months
+    of a year (:meth:`monthly`).
 
-    Pressure, humidity and temperature do not depend on the year, so only
-    their monthly means are kept, ``static`` [12, P, 3].  Radiation and
-    precipitation grow with the trend ramp, so their 6-hourly seasonal
-    cycles are kept, ``cycle`` [2, 1440, P], and each month scales them by
-    1 + trend*ramp before taking the mean.  A month past the ramp is the
-    same every year: it is computed once and reused.  The cycles depend on
-    a point's latitude only through its hemisphere, whose seasons run half
-    a year apart, so each curve is computed once per hemisphere."""
+    Pressure, humidity and temperature do not depend on the year, so they
+    are kept as their twelve monthly means, ``static`` [12, P, 3].
+    Radiation and precipitation at step s are amp * (1 + trend * r_s) * c(s):
+    a per-point amplitude ``amp`` [2, P], the trend ramp r_s, and a seasonal
+    cycle c that depends on a point's latitude only through its hemisphere,
+    whose seasons run half a year apart.  So a month's mean is
+    amp * (m0 + trend * rbar), with ``m0`` the month's mean of c and rbar
+    the month's mean of r * c.  Inside the ramp r is linear in the step, so
+    rbar follows from m0 and ``m1``, the month's mean of k * c over its
+    steps k = 0..119 (:func:`_point_climatologies`).  Both moments are kept
+    per field, month and hemisphere, [2, 12, 2]."""
 
     def __init__(self, points):
         t = np.arange(12 * STEPS_PER_MONTH, dtype=np.float64)
@@ -355,8 +439,11 @@ class _PointClimate:
                                          for phase in (0.0, 0.5)], axis=1)
         season, pressure_cycle = cosine(0.54), cosine(0.0)
         south = (points.lat < 0).astype(np.intp)
-        self.cycle = np.take(np.stack([1.0 + 0.42 * cosine(0.5), 1.0 + 0.45 * cosine(0.18)]),
-                             south, axis=2)
+        cycle = np.stack([1.0 + 0.42 * cosine(0.5), 1.0 + 0.45 * cosine(0.18)]
+                         ).reshape(2, 12, STEPS_PER_MONTH, 2)
+        step = np.arange(STEPS_PER_MONTH, dtype=np.float64)[:, None]
+        self.m0 = cycle.mean(axis=2)
+        self.m1 = (step * cycle).mean(axis=2)
         # per-point constants in Python float arithmetic, whose pow, cos and
         # exp are the C library's; numpy's vectorized ones may round apart
         lat = points.lat.tolist()
@@ -364,9 +451,10 @@ class _PointClimate:
         t0 = np.array([302.0 - 49.0 * v ** 1.3 for v in a])
         t_amp = np.array([2.0 + 28.0 * v for v in a])
         p0 = np.array([96500.0 + 4500.0 * math.cos(math.radians(x)) ** 2 for x in lat])
-        self.sun = np.array([max(0.22, math.cos(math.radians(x))) for x in lat])
-        self.itcz = np.array([1.2 + 7.5 * math.exp(-(((abs(x) - 12.0) / 26.0) ** 2))
-                              for x in lat])
+        sun = np.array([max(0.22, math.cos(math.radians(x))) for x in lat])
+        itcz = np.array([1.2 + 7.5 * math.exp(-(((abs(x) - 12.0) / 26.0) ** 2))
+                         for x in lat])
+        self.amp = np.stack([points.rad_scale * 250.0 * sun, points.precip_scale * itcz])
         self.static = np.empty((12, points.n, 3))
         block = np.empty((STEPS_PER_MONTH, points.n, 3))
         for month in range(12):
@@ -376,29 +464,18 @@ class _PointClimate:
             block[..., 1] = 0.002 + 0.023 * np.exp(-(((temperature - 302.0) / 35.0) ** 2))
             block[..., 2] = temperature
             self.static[month] = block.mean(axis=0)
-        self.points = points
-        self._saturated = {}
+        self.south, self.trend = south, points.trend
 
-    def monthly(self, month, ramp):
-        """Every point's mean of calendar month 0-11, [P, 5], under the
-        trend ramp ``ramp`` [120, 1] of the month's steps.  A ramp of all
-        ones returns the calendar month's one shared, read-only array."""
-        saturated = bool((ramp == 1.0).all())
-        if saturated and month in self._saturated:
-            return self._saturated[month]
-        cycle = self.cycle[:, month * STEPS_PER_MONTH:(month + 1) * STEPS_PER_MONTH]
-        growth = 1.0 + self.points.trend * ramp
-        # the two fields share each step's row, so the mean adds the 120
-        # rows one after another even when P is 1
-        ramped = np.empty((STEPS_PER_MONTH, 2, self.points.n))
-        ramped[:, 0] = self.points.rad_scale * growth * 250.0 * self.sun * cycle[0]
-        ramped[:, 1] = self.points.precip_scale * growth * self.itcz * cycle[1]
-        out = np.empty((self.points.n, 5))
-        out[:, :2] = ramped.mean(axis=0).T
-        out[:, 2:] = self.static[month]
-        if saturated:
-            out.flags.writeable = False
-            self._saturated[month] = out
+    def monthly(self, month, rbar):
+        """Every point's means [P, M, 5] of the calendar months ``month``
+        [M] (0-11), given each month's mean of r * c per field and
+        hemisphere, ``rbar`` [2, M, 2]."""
+        out = np.empty((self.trend.shape[0], len(month), 5))
+        ramped = out[..., :2].transpose(2, 1, 0)
+        np.multiply(self.trend, rbar[..., self.south], out=ramped)
+        ramped += self.m0[:, month][..., self.south]
+        ramped *= self.amp[:, None]
+        out[..., 2:] = self.static[month].transpose(1, 0, 2)
         return out
 
 
@@ -417,8 +494,8 @@ _FORCING_LO, _FORCING_HI = np.array([FORCING_BOUNDS[f] for f in pipeline.G1_FIEL
 
 def _cell_offsets(seed, land_idx, spread):
     """Each cell's constant forcing offset, [n_cells, 5]."""
-    draws = [np.random.default_rng([seed, _SEED_NOISE, int(flat), 0]).standard_normal(5)
-             for flat in land_idx]
+    streams = _cell_streams(seed, _SEED_NOISE, land_idx, 0)
+    draws = [rng.standard_normal(5) for rng in streams]
     return np.stack(draws) * _OFFSET_SD * spread
 
 
@@ -433,19 +510,25 @@ def _clip_bounds(series):
 
 def _point_climatologies(points, years):
     """Every point's noise-free months: the window's [P, 12·years, 5] and the
-    stationary year's before and past the trend ramp, [P, 12, 5] each.  The
-    6-hourly cycles are freed on return, before any cell array is built."""
+    stationary year's before and past the trend ramp, [P, 12, 5] each.
+
+    The ramp r at step t is t / span up to span, the first step of year
+    TREND_RAMP_YEARS, and 1 from there on.  So a month starting at step
+    ``start`` lies wholly inside it, with rbar = (start * m0 + m1) / span,
+    or wholly past it, with rbar = m0; before the window rbar is 0
+    (:class:`_PointClimate`)."""
     climate = _PointClimate(points)
-    window = np.empty((points.n, 12 * years, 5))
-    steps = np.arange(STEPS_PER_MONTH, dtype=np.float64)[:, None]
-    for m in range(12 * years):
-        year, month = divmod(m, 12)
-        t = steps + (year * STEPS_PER_YEAR + month * STEPS_PER_MONTH)
-        ramp = np.minimum((t / STEPS_PER_YEAR) / TREND_RAMP_YEARS, 1.0)
-        window[:, m] = climate.monthly(month, ramp)
-    pre, stat = (np.stack([climate.monthly(m, np.full((STEPS_PER_MONTH, 1), value))
-                           for m in range(12)], axis=1) for value in (0.0, 1.0))
-    return window, pre, stat
+    month = np.tile(np.arange(12), years)
+    start = np.repeat(np.arange(years), 12) * STEPS_PER_YEAR + month * STEPS_PER_MONTH
+    span = TREND_RAMP_YEARS * STEPS_PER_YEAR
+    inside = start < span
+    # no month straddles the end of the ramp
+    assert np.all(start[inside] + STEPS_PER_MONTH - 1 <= span)
+    m0, m1 = climate.m0[:, month], climate.m1[:, month]
+    rbar = np.where(inside[:, None], (start[:, None] * m0 + m1) / span, m0)
+    year = np.arange(12)
+    return (climate.monthly(month, rbar), climate.monthly(year, np.zeros_like(climate.m0)),
+            climate.monthly(year, climate.m0))
 
 
 def _window_monthly_forcing(seed, grid, land_idx, cell_point, point_months, offsets):
@@ -460,8 +543,9 @@ def _window_monthly_forcing(seed, grid, land_idx, cell_point, point_months, offs
     """
     out = np.empty((land_idx.shape[0],) + point_months.shape[1:])
     sd = _NOISE_SD * grid.spread_scale * _MONTH_MEAN_SD
-    for row, flat, point, offset in zip(out, land_idx, cell_point, offsets):
-        np.random.default_rng([seed, _SEED_NOISE, int(flat), 1]).standard_normal(out=row)
+    streams = _cell_streams(seed, _SEED_NOISE, land_idx, 1)
+    for row, rng, point, offset in zip(out, streams, cell_point, offsets):
+        rng.standard_normal(out=row)
         row *= sd
         row += point_months[point] + offset
     return _clip_bounds(out)
@@ -505,8 +589,8 @@ def _draw_points(seed, grid):
     lon = np.tile(plon, m_lat)
     s = grid.spread_scale
     u = np.empty((lat.shape[0], 3))
-    for j in range(u.shape[0]):
-        u[j] = np.random.default_rng([seed, _SEED_POINT, j]).uniform(-1.0, 1.0, size=3)
+    for row, rng in zip(u, _cell_streams(seed, _SEED_POINT, np.arange(u.shape[0]))):
+        row[:] = rng.uniform(-1.0, 1.0, size=3)
     return ForcingPoints(lat, lon,
                          trend=_spread_uniform(u[:, 0], -0.25, 0.25, s, -0.4, 0.4),
                          rad_scale=_spread_uniform(u[:, 1], 0.85, 1.15, s, 0.7, 1.3),
@@ -541,8 +625,7 @@ def _draw_cell_params(seed, grid, land_idx, cell_lat, n_pft, n_layers):
     alloc_draw = np.empty((n, n_pft, 5))
     group = np.empty((n, 3))
     depth_u = np.empty((n, 3))
-    for c, flat in enumerate(land_idx):
-        rng = np.random.default_rng([seed, _SEED_CELL, int(flat)])
+    for c, rng in enumerate(_cell_streams(seed, _SEED_CELL, land_idx)):
         u[c] = rng.uniform(-1.0, 1.0, size=6)
         weight_draw[c] = rng.gamma(16.0, size=n_pft)
         trait_u[c] = rng.uniform(-1.0, 1.0, size=(2, n_pft))
@@ -769,6 +852,8 @@ def generate_world(seed, grid, years=20):
         raise ConfigurationError("grid must be a GridSpec")
     if years < 1:
         raise ConfigurationError("years must be >= 1")
+    if seed < 0:
+        raise ConfigurationError("seed must be >= 0")
     land_idx = _land_indices(seed, grid)
     ilat, ilon = np.divmod(land_idx, grid.n_lon)
     cell_lat = grid.lat_centers[ilat]
@@ -827,8 +912,7 @@ def export_samples(world, window_years=None):
     g5 = np.stack([w.cwdc, w.soil3c, w.soil4c], axis=2)
     # each cell draws its own noise, g4 before g5, from a stream keyed by
     # its flat grid index, so a cell's sample does not depend on the others
-    for c, flat in enumerate(world.land_idx):
-        rng = np.random.default_rng([world.seed, _SEED_OBS, int(flat)])
+    for c, rng in enumerate(_cell_streams(world.seed, _SEED_OBS, world.land_idx)):
         g4[c] *= 1.0 + OBS_NOISE * rng.standard_normal(g4.shape[1:])
         g5[c] *= 1.0 + OBS_NOISE * rng.standard_normal(g5.shape[1:])
     targets = {"deadcrootc": eq.pools.deadcrootc, "deadstemc": eq.pools.deadstemc,

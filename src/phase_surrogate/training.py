@@ -52,6 +52,8 @@ class TrainConfig:
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ConfigurationError(
                 "batch_size, max_epochs and patience must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
     def to_dict(self):
         return dataclasses.asdict(self)

@@ -129,6 +129,37 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith(f"error: unknown {section} config key {key!r}")
 
+    @pytest.mark.parametrize("key,value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("phys_weight", float("inf")),
+        ("phys_weight", float("-inf"))],
+        ids=["lr-nan", "lr-inf", "phys_weight-inf", "phys_weight-neg-inf"])
+    def test_non_finite_config_number_is_usage_error(self, ws, tmp_path, capsys,
+                                                     key, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"train": {key: value}}))
+        rc = main(["train", "--data", str(ws["data"]),
+                   "--config", str(bad), "--out", str(tmp_path / "m.phm")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {key} must be finite")
+        assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize("command", ["gen-data", "build-dataset", "train"])
+    def test_negative_seed_is_usage_error(self, ws, tmp_path, capsys, command):
+        out = str(tmp_path / "out")
+        config = tmp_path / "seed.json"
+        config.write_text(json.dumps({"train": {"seed": -1}}))
+        args = {"gen-data": ["--seed", "-1", "--years", "1", "--out", out],
+                "build-dataset": ["--world", str(ws["world"]), "--seed", "-1",
+                                  "--out", out],
+                "train": ["--data", str(ws["data"]), "--config", str(config),
+                          "--out", out]}[command]
+        rc = main([command] + args)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: seed must be >= 0") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_unknown_config_key(self, ws, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"train": {"momentum": 0.9}}))
@@ -384,6 +415,20 @@ class TestExitCodes:
         assert f"{damaged}: array {name!r} has shape" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "data", "model.phm", "world"]
+
+    def test_fine_tune_refuses_another_architecture(self, ws, tmp_path, capsys):
+        config = tmp_path / "tune.json"
+        config.write_text(json.dumps({"model": {"dim": 32},
+                                      "train": TINY_CONFIG["train"]}))
+        out = tmp_path / "t.phm"
+        rc = main(["fine-tune", "--model", str(ws["model"]),
+                   "--data-fine", str(ws["data"]), "--fraction", "0.5",
+                   "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: fine-tune keeps the source model's architecture")
+        assert "dim 32 where the model has 16" in err
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_zero_fraction_is_usage_error(self, ws, tmp_path):
         rc = main(["fine-tune", "--model", str(ws["model"]),

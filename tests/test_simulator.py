@@ -293,6 +293,34 @@ def clip_fields(series):
     return out
 
 
+# The closed-form month means of radiation and precipitation differ from
+# the reference's sums of 120 steps by rounding only, at most about 2e-15
+# relative on the coarse and fine grids.  No order of summation reproduces
+# the reference's own rounding, so these two fields, and whatever is
+# computed from them, are compared at about ten times that; the fields and
+# draws the closed form does not touch are compared bitwise.
+RAMPED = [pl.G1_FIELDS.index("radiation"), pl.G1_FIELDS.index("precipitation")]
+STATIC = [i for i in range(len(pl.G1_FIELDS)) if i not in RAMPED]
+ROUNDING = 2e-14
+
+
+def assert_rounding_close(got, want, axis=None):
+    """``got`` equals ``want`` but for rounding: within ROUNDING of the
+    largest magnitude of ``want`` (over ``axis``)."""
+    scale = np.abs(want).max(axis=axis, keepdims=axis is not None)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= ROUNDING * scale)
+
+
+def assert_forcing_matches(got, want):
+    """Forcing [..., 5]: pressure, humidity and temperature bitwise,
+    radiation and precipitation within rounding of each field's largest
+    value."""
+    assert bitwise_equal(got[..., STATIC], want[..., STATIC])
+    assert_rounding_close(got[..., RAMPED], want[..., RAMPED],
+                          axis=tuple(range(want.ndim - 1)))
+
+
 def month_mean_sd(rho, steps):
     """The sd of the mean of ``steps`` consecutive values of a stationary
     unit-variance AR(1) process, from its autocorrelations rho^|i-j|."""
@@ -304,7 +332,8 @@ class StepClimate:
     """The forcing points' 6-hourly climatology built the direct way, one
     point at a time, every field time-major [1440, P, 5]; :meth:`base`
     scales radiation and precipitation by the month's trend ramp.  The
-    simulator's monthly means must equal means of these rows bitwise."""
+    simulator's monthly means must equal means of these rows: bitwise for
+    pressure, humidity and temperature, within rounding for the other two."""
 
     def __init__(self, points):
         t = np.arange(12 * sim.STEPS_PER_MONTH, dtype=np.float64)
@@ -438,43 +467,35 @@ class TestForcingSynthesis:
         cell_point = pl.kdtree_map(
             np.stack([grid.lat_centers[ilat], grid.lon_centers[ilon]], axis=1),
             np.stack([points.lat, points.lon], axis=1))
-        climate = sim._PointClimate(points)
         offsets = sim._cell_offsets(seed, land_idx, grid.spread_scale)
         window = sim._point_climatologies(points, self.YEARS)[0]
         full = sim._window_monthly_forcing(seed, grid, land_idx, cell_point,
                                            window, offsets)
-        return land_idx, cell_point, climate, offsets, full
+        return land_idx, cell_point, points, offsets, full
 
     def test_window_bitwise_equals_per_cell_reference(self, parts):
-        land_idx, cell_point, climate, offsets, full = parts
+        land_idx, cell_point, points, offsets, full = parts
         assert full.shape == (land_idx.shape[0], 12 * self.YEARS, 5)
         assert len(set(cell_point.tolist())) > 1
-        ref = StepClimate(climate.points)
+        ref = StepClimate(points)
         point_months = np.stack([ref.window_month(m) for m in range(12 * self.YEARS)],
                                 axis=1)
+        got = sim._point_climatologies(points, self.YEARS)[0]
+        assert bitwise_equal(got[..., STATIC], point_months[..., STATIC])
+        assert np.allclose(got[..., RAMPED], point_months[..., RAMPED], rtol=ROUNDING, atol=0)
         for c, flat in enumerate(land_idx):
             want = reference_forcing(self.SEED, self.GRID, flat,
                                      point_months[cell_point[c]], offsets[c])
-            assert np.array_equal(full[c], want), c
+            assert_forcing_matches(full[c], want)
 
     def test_cell_subset_gives_same_rows(self, parts):
         # each cell's forcing depends only on its own streams
-        land_idx, cell_point, climate, offsets, full = parts
+        land_idx, cell_point, points, offsets, full = parts
         sub = np.array([len(land_idx) - 1, 0, 2])
-        window = sim._point_climatologies(climate.points, self.YEARS)[0]
+        window = sim._point_climatologies(points, self.YEARS)[0]
         part = sim._window_monthly_forcing(self.SEED, self.GRID, land_idx[sub],
                                            cell_point[sub], window, offsets[sub])
         assert np.array_equal(part, full[sub])
-
-    def test_saturated_month_is_computed_once(self, parts):
-        climate = parts[2]
-        ones = np.ones((sim.STEPS_PER_MONTH, 1))
-        first = climate.monthly(4, ones)
-        assert climate.monthly(4, ones.copy()) is first
-        assert not first.flags.writeable
-        ramp = np.full((sim.STEPS_PER_MONTH, 1), 0.5)
-        assert climate.monthly(4, ramp) is not climate.monthly(4, ramp)
-        assert np.array_equal(first, StepClimate(climate.points).stationary(1.0)[:, 4])
 
     def test_world_equals_step_level_reference(self, world):
         # the window's forcing, the stationary response and the window-end
@@ -499,10 +520,13 @@ class TestForcingSynthesis:
         pre_params = dataclasses.replace(params, nutrient=np.ones(world.n_cells))
         eq_pre = sim._equilibrium_from(sim._gbar_of(stationary(0.0)), pre_params).pools
         window_end = sim.spinup(built, years, initial=eq_pre).final
-        assert bitwise_equal(world.forcing_monthly, forcing)
-        assert bitwise_equal(world.gbar_stat12, gbar_stat12)
+        for part, ref_part in ((world.params, params), (world.points, points)):
+            for field in dataclasses.fields(ref_part):
+                assert bitwise_equal(getattr(part, field.name), getattr(ref_part, field.name))
+        assert_forcing_matches(world.forcing_monthly, forcing)
+        assert_rounding_close(world.gbar_stat12, gbar_stat12)
         for key in sim.POOL_KEYS:
-            assert bitwise_equal(getattr(world.window_end, key), getattr(window_end, key)), key
+            assert_rounding_close(getattr(world.window_end, key), getattr(window_end, key))
 
     @pytest.mark.parametrize("shape", [(7, 11, 5), (3, 5)])
     def test_one_clip_equals_per_field_clips(self, shape):
@@ -513,21 +537,21 @@ class TestForcingSynthesis:
         assert np.array_equal(sim._clip_bounds(x), ref)
 
     def test_stationary_is_clipped_point_climatology(self, parts):
-        land_idx, cell_point, climate, offsets, _ = parts
-        _, pre_points, stat_points = sim._point_climatologies(climate.points, 1)
+        land_idx, cell_point, points, offsets, _ = parts
+        _, pre_points, stat_points = sim._point_climatologies(points, 1)
         for ramp_value, point_monthly in ((0.0, pre_points), (1.0, stat_points)):
             stat = sim._clip_bounds(point_monthly[cell_point] + offsets[:, None])
-            means = StepClimate(climate.points).stationary(ramp_value)
+            means = StepClimate(points).stationary(ramp_value)
             for c in range(land_idx.shape[0]):
                 want = clip_fields(means[cell_point[c]] + offsets[c])
-                assert np.array_equal(stat[c], want), (ramp_value, c)
+                assert_forcing_matches(stat[c], want)
 
     def test_noise_free_window_ends_on_the_stationary_climatology(self, parts, monkeypatch):
         # past the trend ramp, a month without noise is the target climate
-        land_idx, cell_point, climate, offsets, _ = parts
+        land_idx, cell_point, points, offsets, _ = parts
         years = int(sim.TREND_RAMP_YEARS) + 2
         monkeypatch.setattr(sim, "_NOISE_SD", np.zeros(5))
-        point_window, _, point_stat = sim._point_climatologies(climate.points, years)
+        point_window, _, point_stat = sim._point_climatologies(points, years)
         window = sim._window_monthly_forcing(self.SEED, self.GRID, land_idx,
                                              cell_point, point_window, offsets)
         stat = sim._clip_bounds(point_stat[cell_point] + offsets[:, None])
@@ -580,6 +604,32 @@ class TestBatchedDraws:
         got, want = sim._draw_points(self.SEED, grid), reference_points(self.SEED, grid)
         for field in dataclasses.fields(sim.ForcingPoints):
             assert bitwise_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+class TestCellStreams:
+    FLATS = np.array([0, 1, 691, 2**32 - 1])
+
+    @pytest.mark.parametrize("seed", [0, 5_000_000_000])
+    @pytest.mark.parametrize("suffix", [(), (1,)], ids=["3-word", "4-word"])
+    def test_streams_equal_default_rng(self, seed, suffix):
+        streams = sim._cell_streams(seed, sim._SEED_NOISE, self.FLATS, *suffix)
+        n = 0
+        for flat, rng in zip(self.FLATS, streams):
+            want = np.random.default_rng([seed, sim._SEED_NOISE, int(flat), *suffix])
+            assert rng.bit_generator.state == want.bit_generator.state, flat
+            assert bitwise_equal(rng.uniform(-1.0, 1.0, size=3), want.uniform(-1.0, 1.0, size=3))
+            assert bitwise_equal(rng.gamma(5.0, size=(2, 3)), want.gamma(5.0, size=(2, 3)))
+            got = np.empty((4, 5))
+            rng.standard_normal(out=got)
+            assert bitwise_equal(got, want.standard_normal((4, 5)))
+            n += 1
+        assert n == len(self.FLATS)
+
+    def test_streams_refuse_keys_numpy_refuses(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            next(sim._cell_streams(-1, sim._SEED_CELL, self.FLATS))
+        with pytest.raises(ValueError, match="one uint32 word"):
+            next(sim._cell_streams(0, sim._SEED_CELL, np.array([2**32])))
 
 
 class TestEquilibrium:
