@@ -215,8 +215,7 @@ def _cmd_fine_tune(args):
 
 
 def _write_drift_csv(path, report, window_months):
-    import numpy as np
-    from . import blobio
+    from . import blobio, pipeline
     buf = io.StringIO()
     buf.write("name,pool,value\n")
     for section in ("before", "after", "drift"):
@@ -228,7 +227,7 @@ def _write_drift_csv(path, report, window_months):
     buf.write(f"window_months,,{window_months}\n")
     buf.write(f"restart_years,,{report.years}\n")
     buf.write(f"cold_start_years_min,,{float(report.cold_start_years.min())!r}\n")
-    buf.write(f"warm_start_years_median,,{float(np.median(report.warm_start_years))!r}\n")
+    buf.write(f"warm_start_years_median,,{pipeline.median(report.warm_start_years)!r}\n")
     buf.write(f"speedup_min,,{report.speedup_min!r}\n")
     buf.write(f"speedup_median,,{report.speedup_median!r}\n")
     blobio.atomic_write_bytes(path, buf.getvalue().encode("ascii"))

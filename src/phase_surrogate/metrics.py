@@ -80,7 +80,8 @@ def latitudinal_errors(lat, pred, truth, band):
     """Signed-error summary for one latitude band.
 
     Vector tasks contribute one error sample per component.  Returns a dict
-    with quantiles, mean, std and count.
+    with quantiles (numpy's default, linear ones; see
+    :func:`pipeline.sorted_quantile`), mean, std and count.
     """
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -92,8 +93,9 @@ def latitudinal_errors(lat, pred, truth, band):
     errors = (pred[mask] - truth[mask]).ravel()
     summary = {"band": band, "count": int(errors.size),
                "mean": float(errors.mean()), "std": float(errors.std())}
+    ordered = np.sort(errors)
     for q in _QUANTILES:
-        summary[f"q{int(q):02d}"] = float(np.percentile(errors, q))
+        summary[f"q{int(q):02d}"] = pipeline.sorted_quantile(ordered, q / 100)
     return summary
 
 
@@ -151,19 +153,30 @@ def format_mean_std(mean, std, digits=3):
 # CSV exports
 # ---------------------------------------------------------------------------
 
-def export_map_csv(path, lat, lon, pred, truth):
-    """(lat, lon, predicted, truth, difference) rows for one task component."""
+def _map_coords(lat, lon):
+    """Each cell's "lat,lon" as a map CSV row starts, formatted once for
+    every map of a report."""
+    lat = np.asarray(lat, dtype=np.float64)
+    lon = np.asarray(lon, dtype=np.float64)
+    if lat.ndim != 1 or lat.shape != lon.shape:
+        raise ShapeError("map export needs matching 1-D arrays")
+    return list(map("{!r},{!r}".format, lat.tolist(), lon.tolist()))
+
+
+def _write_map(path, coords, pred, truth):
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
-    if not lat.shape == lon.shape == pred.shape == truth.shape:
+    if not (len(coords),) == pred.shape == truth.shape:
         raise ShapeError("map export needs matching 1-D arrays")
-    buf = io.StringIO()
-    buf.write("lat,lon,predicted,truth,difference\n")
-    cols = [np.asarray(a, dtype=np.float64).tolist()
-            for a in (lat, lon, pred, truth, pred - truth)]
-    for row in zip(*cols):
-        buf.write(",".join(repr(v) for v in row) + "\n")
-    blobio.atomic_write_bytes(path, buf.getvalue().encode("ascii"))
+    cols = [map(repr, col.tolist()) for col in (pred, truth, pred - truth)]
+    text = "lat,lon,predicted,truth,difference\n" + "".join(
+        map("{},{},{},{}\n".format, coords, *cols))
+    blobio.atomic_write_bytes(path, text.encode("ascii"))
+
+
+def export_map_csv(path, lat, lon, pred, truth):
+    """(lat, lon, predicted, truth, difference) rows for one task component."""
+    _write_map(path, _map_coords(lat, lon), pred, truth)
 
 
 def export_report(report, out_dir):
@@ -201,8 +214,8 @@ def export_report(report, out_dir):
     blobio.atomic_write_bytes(os.path.join(out_dir, "latitude_bands.csv"),
                               buf.getvalue().encode("ascii"))
 
+    coords = _map_coords(report.lat, report.lon)
     for t in pipeline.SLOW_TASKS:
         for i in range(report.preds[t].shape[1]):
-            export_map_csv(os.path.join(out_dir, "maps", f"{t}_{i}.csv"),
-                           report.lat, report.lon, report.preds[t][:, i],
-                           report.truths[t][:, i])
+            _write_map(os.path.join(out_dir, "maps", f"{t}_{i}.csv"), coords,
+                       report.preds[t][:, i], report.truths[t][:, i])

@@ -136,6 +136,22 @@ def _checked_dims(dims):
     return dict(dims)
 
 
+class _NoDraws:
+    """Stands in for the random generator when every parameter is about to
+    take its value from elsewhere (:meth:`Surrogate.load`,
+    :meth:`Surrogate.clone`): each draw the builders ask for comes back as
+    zeros of its shape, so the network takes its shapes without drawing, or
+    importing, anything random."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
+
+    @staticmethod
+    def standard_normal(size):
+        return np.zeros(size)
+
+
 class MlpTrunk:
     """Concatenate-everything dense stack used by the plain baseline."""
 
@@ -370,8 +386,7 @@ class Surrogate:
         # the network is rebuilt in its stored parameters' width
         widths = [a.dtype for n, a in arrays.items() if not n.startswith("ood.")]
         try:
-            model = cls(config, manifest.get("dims"),
-                        rng=np.random.default_rng(0),
+            model = cls(config, manifest.get("dims"), rng=_NoDraws,
                         dtype=np.result_type(*widths) if widths else np.float32)
         except ContractError as exc:
             raise ContractError(f"{path}: {exc}") from None
@@ -389,7 +404,7 @@ class Surrogate:
         return model
 
     def clone(self):
-        twin = Surrogate(self.config, self.dims, rng=np.random.default_rng(0),
+        twin = Surrogate(self.config, self.dims, rng=_NoDraws,
                          dtype=self.dtype)
         source = self.named_params()
         for name, tensor in twin.named_params().items():

@@ -59,7 +59,7 @@ def fit_ood(model, groups):
     z = model.predict(groups)[1].astype(np.float64)
     stats = OodStats(latent_mean=z.mean(axis=0), latent_var=z.var(axis=0),
                      threshold=0.0)
-    stats.threshold = float(np.percentile(_scores(z, stats), Q))
+    stats.threshold = pipeline.sorted_quantile(np.sort(_scores(z, stats)), Q / 100)
     return stats
 
 

@@ -18,6 +18,10 @@ adopts both, scales its own inputs with :func:`normalize_groups` and maps
 its predictions back to physical units, and takes its shapes from the
 groups (:func:`group_dims`).  Nothing is clipped, so test-split excursions
 stay visible to the distribution-shift guard.
+
+The reports' order statistics (:func:`sorted_quantile`, :func:`median`)
+live here too: they equal numpy's bit for bit without importing numpy.ma,
+which ``np.percentile`` and ``np.median`` do on first use.
 """
 
 import dataclasses
@@ -148,6 +152,46 @@ def minmax_invert(values, stats):
     lo, hi = stats
     arr = np.asarray(values, dtype=np.float64)
     return arr * (hi - lo) + lo
+
+
+# ---------------------------------------------------------------------------
+# Order statistics
+# ---------------------------------------------------------------------------
+
+def sorted_quantile(ordered, q):
+    """Quantile ``q`` in [0, 1] of ``ordered``, a non-empty float64 array
+    sorted ascending, as numpy's default ``linear`` method gives it: bitwise
+    ``np.percentile(a, p)`` for ``q = p / 100``.  The index is (n-1)·q; an
+    index at or past the last element interpolates that element with itself
+    at weight index + 1, as numpy does.  A NaN, which sorts last, gives NaN."""
+    last = ordered.shape[0] - 1
+    if ordered[last] != ordered[last]:
+        return float(ordered[last])
+    v = last * q
+    if v >= last:
+        lo = hi = float(ordered[last])
+        t = v + 1.0
+    else:
+        i = int(v)
+        lo, hi = float(ordered[i]), float(ordered[i + 1])
+        t = v - i
+    diff = hi - lo
+    return hi - diff * (1.0 - t) if t >= 0.5 else lo + diff * t
+
+
+def median(values):
+    """Median of all of ``values``, a non-empty float64 array: bitwise
+    ``np.median``, which averages the middle element or pair of the sorted
+    values by a sum that starts from +0.0, so a median of -0.0 reads 0.0.
+    A NaN, which sorts last, gives NaN."""
+    ordered = np.sort(values, axis=None)
+    n = ordered.shape[0]
+    if ordered[n - 1] != ordered[n - 1]:
+        return float(ordered[n - 1])
+    mid = n // 2
+    if n % 2:
+        return 0.0 + float(ordered[mid])
+    return (0.0 + float(ordered[mid - 1]) + float(ordered[mid])) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -265,7 +265,7 @@ class RestartReport:
 
     @property
     def speedup_median(self):
-        return float(np.median(self.speedup))
+        return pipeline.median(self.speedup)
 
 
 @dataclasses.dataclass
@@ -703,19 +703,22 @@ def advance_month(pools, u, k_month, scratch):
     np.maximum(pools, 0.0, out=pools)
 
 
-def _schedule(world, year, month):
-    """Monthly response means and nutrient factor for a spin-up year.
-    During the simulated window the response follows the window's forcing
-    and the nutrient factor is 1; afterwards the stationary climatology
-    repeats and the factor phases in linearly."""
-    if year < world.years:
-        gbar = _gbar_of(world.forcing_monthly[:, 12 * year + month])
-        p = np.ones(world.n_cells)
-    else:
-        gbar = world.gbar_stat12[:, month]
-        frac = min(1.0, (year - world.years + 1) / NUTRIENT_RAMP_YEARS)
-        p = 1.0 + (world.params.nutrient - 1.0) * frac
-    return gbar, p
+def _schedule(world, years):
+    """Monthly response means and nutrient factor for each month of a
+    spin-up of ``years``, in order.  During the simulated window the
+    response follows the window's forcing, computed a year of months per
+    call, and the nutrient factor is 1; afterwards the stationary
+    climatology repeats and the factor phases in linearly, year by year."""
+    for year in range(years):
+        if year < world.years:
+            gbar = _gbar_of(world.forcing_monthly[:, 12 * year:12 * year + 12])
+            p = 1.0
+        else:
+            gbar = world.gbar_stat12
+            frac = min(1.0, (year - world.years + 1) / NUTRIENT_RAMP_YEARS)
+            p = 1.0 + (world.params.nutrient - 1.0) * frac
+        for month in range(12):
+            yield gbar[:, month], p
 
 
 def spinup(world, years, initial=None):
@@ -741,9 +744,7 @@ def spinup(world, years, initial=None):
     u, scratch, year_sum = np.empty_like(route), np.empty_like(route), np.empty_like(route)
     alpha, r = params.alpha, params.resp_frac
     last_year = 12 * (years - 1)
-    for m in range(12 * years):
-        year, month = divmod(m, 12)
-        gbar, p = _schedule(world, year, month)
+    for m, (gbar, p) in enumerate(_schedule(world, years)):
         _, _, npp = _flux_from_gbar(gbar, alpha, r, p)
         np.multiply(npp[:, None], route, out=u)
         advance_month(pools, u, k_month, scratch)
@@ -835,7 +836,7 @@ def _distance_report(state, reference, pools=POOL_KEYS):
         b = getattr(reference, key)
         denom = np.maximum(np.abs(b), 1e-30)
         rel = np.abs(a - b) / denom
-        out[key] = {"median": float(np.median(rel)), "max": float(rel.max())}
+        out[key] = {"median": pipeline.median(rel), "max": float(rel.max())}
     return out
 
 

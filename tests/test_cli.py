@@ -688,12 +688,31 @@ class TestDeterminism:
         assert filecmp.cmp(ws["model"], again, shallow=False)
 
 
+def loaded_modules(argvs, names):
+    """Runs the phase commands ``argvs`` in one fresh process, after a bare
+    ``import numpy``, and returns the modules among ``names``, or their
+    submodules, that the process has loaded."""
+    src = os.path.dirname(os.path.dirname(phase_surrogate.__file__))
+    code = ("import json, sys\n"
+            "import numpy\n"
+            "from phase_surrogate.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "names = tuple(json.loads(sys.argv[2]))\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m in names\n"
+            "                        or m.startswith(tuple(n + '.' for n in names)))))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(argvs),
+                             json.dumps(names)],
+                            env=env, capture_output=True, text=True, check=True)
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
 class TestImports:
     def test_commands_import_no_scipy(self, ws, tmp_path):
         # scipy is a test-only dependency: importing it costs about a
         # second and 76 MB, so every command, run here in one fresh
         # process, must load no scipy module
-        src = os.path.dirname(os.path.dirname(phase_surrogate.__file__))
         out = tmp_path
         argvs = [
             ["gen-data", "--seed", "9", "--grid", "coarse", "--years", "1",
@@ -707,14 +726,21 @@ class TestImports:
             ["restart-check", "--model", str(ws["model"]), "--world",
              str(ws["world"]), "--out", str(out / "drift.csv"), "--years", "5"],
         ]
-        code = ("import json, sys\n"
-                "from phase_surrogate.cli import main\n"
-                "for argv in json.loads(sys.argv[1]):\n"
-                "    assert main(argv) == 0, argv\n"
-                "print(sorted(m for m in sys.modules\n"
-                "             if m == 'scipy' or m.startswith('scipy.')))\n")
-        env = dict(os.environ, PYTHONPATH=src)
-        result = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
-                                env=env, capture_output=True, text=True,
-                                check=True)
-        assert result.stdout.strip().splitlines()[-1] == "[]"
+        assert loaded_modules(argvs, ["scipy"]) == []
+
+    def test_commands_import_no_masked_arrays(self, ws, tmp_path):
+        # numpy imports numpy.ma on the first np.percentile or np.median,
+        # and numpy.random on first use; eval needs neither, and train and
+        # restart-check need no numpy.ma
+        lazy = ["numpy.ma", "numpy.random"]
+        if loaded_modules([], lazy):
+            pytest.skip("this numpy loads numpy.ma and numpy.random on import")
+        assert loaded_modules([["eval", "--model", str(ws["model"]), "--data",
+                                str(ws["data"]), "--out", str(tmp_path / "report")]],
+                              lazy) == []
+        for argv in (["train", "--data", str(ws["data"]), "--config",
+                      str(ws["config"]), "--out", str(tmp_path / "model.phm")],
+                     ["restart-check", "--model", str(ws["model"]), "--world",
+                      str(ws["world"]), "--out", str(tmp_path / "drift.csv"),
+                      "--years", "5"]):
+            assert "numpy.ma" not in loaded_modules([argv], lazy), argv[0]

@@ -393,6 +393,30 @@ class TestPersistence:
                 preds[t], out[t].data.astype(np.float64) * (hi - lo) + lo,
                 rtol=1e-6)
 
+    @pytest.mark.parametrize("variant", model_mod.VARIANTS)
+    def test_load_and_clone_predict_as_the_source_without_drawing(
+            self, variant, tmp_path, monkeypatch):
+        # every weight comes from the file or the source model, so building
+        # the network to hold them draws nothing
+        model = with_guard(make(variant))
+        path = str(tmp_path / "m.phm")
+        model.save(path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("weights drawn for a loaded or cloned model")
+
+        for name in ("default_rng", "Generator", "RandomState"):
+            monkeypatch.setattr(np.random, name, no_draws)
+        copies = (Surrogate.load(path), model.clone())
+        monkeypatch.undo()
+        batch = toy_batch(n=5)
+        want, want_z = model.predict(batch)
+        for twin in copies:
+            got, z = twin.predict(batch)
+            for t in pipeline.TASKS:
+                np.testing.assert_array_equal(got[t], want[t])
+            np.testing.assert_array_equal(z, want_z)
+
     def test_clone_is_independent(self):
         model = make("full")
         twin = model.clone()

@@ -170,6 +170,75 @@ class TestMinMax:
             pl.minmax_fit(np.zeros(0))
 
 
+def same_bits(got, want):
+    """Equal as float64 bit patterns; any NaN matches any NaN."""
+    want = np.float64(want)
+    if np.isnan(want):
+        return np.isnan(got)
+    return np.float64(got).tobytes() == want.tobytes()
+
+
+ORDER_CASES = {
+    "one": [3.5],
+    "two": [2.0, -1.0],
+    "odd": [0.3, -7.25, 1e-3, 12.0, 4.5, -0.1, 2.0],
+    "even": [0.3, -7.25, 1e-3, 12.0, 4.5, -0.1, 2.0, 9.75],
+    "duplicates": [1.0, 2.0, 1.0, 1.0, 2.0, 0.5, 2.0, 2.0],
+    "all_equal": [0.1] * 6,
+    "negative_zero": [-0.0, -0.0, 1.0, -0.0],
+    "one_inf": [np.inf],
+    "infinities": [np.inf, -np.inf, 1.0, 2.0, -3.0],
+    "inf_pair": [-np.inf, np.inf],
+    "inf_duplicates": [np.inf, np.inf, 1.0, -np.inf, -np.inf, 0.5],
+    "nan": [1.0, np.nan, 2.0],
+    "nan_and_inf": [np.inf, np.nan, -np.inf, 4.0],
+    "one_nan": [np.nan],
+}
+
+
+class TestOrderStatistics:
+    # the reports take their quantiles and medians from these helpers
+    # instead of np.percentile and np.median, which import numpy.ma; they
+    # must agree with numpy bit for bit
+
+    @pytest.mark.parametrize("name", ORDER_CASES)
+    def test_quantiles_match_numpy(self, name):
+        values = np.array(ORDER_CASES[name])
+        ordered = np.sort(values)
+        for p in (5.0, 25.0, 50.0, 75.0, 95.0, 99.0):
+            with np.errstate(invalid="ignore"):
+                want = np.percentile(values, p)
+            got = pl.sorted_quantile(ordered, p / 100)
+            assert type(got) is float
+            assert same_bits(got, want), (p, got, want)
+
+    @pytest.mark.parametrize("name", ORDER_CASES)
+    def test_median_matches_numpy(self, name):
+        values = np.array(ORDER_CASES[name])
+        with np.errstate(invalid="ignore"):
+            want = np.median(values)
+        got = pl.median(values)
+        assert type(got) is float
+        assert same_bits(got, want), (got, want)
+
+    def test_median_of_a_block_takes_every_element(self):
+        values = np.random.default_rng(5).standard_normal((7, 4))
+        assert same_bits(pl.median(values), np.median(values))
+
+    def test_random_samples_match_numpy(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 40):
+            if n % 3:
+                values = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6)
+            else:
+                values = rng.integers(-4, 5, n) * 0.25  # ties
+            ordered = np.sort(values)
+            for p in (5.0, 25.0, 50.0, 75.0, 95.0, 99.0):
+                assert same_bits(pl.sorted_quantile(ordered, p / 100),
+                                 np.percentile(values, p)), (n, p)
+            assert same_bits(pl.median(values), np.median(values)), n
+
+
 class TestSplitShuffle:
     def test_documented_sizes(self):
         ids = np.arange(20975)

@@ -1022,8 +1022,7 @@ class TestSpinupBookkeeping:
             state = sim.PoolState.zeros(w.n_cells, w.n_pft, w.n_layers) \
                 if initial is None else initial.copy()
             states = []
-            for m in range(36):
-                gbar, p = sim._schedule(w, *divmod(m, 12))
+            for gbar, p in sim._schedule(w, 3):
                 _, _, npp = sim._flux_from_gbar(gbar, params.alpha, params.resp_frac, p)
                 state = reference_step(state, npp, route, kappa)
                 states.append(state)
@@ -1033,12 +1032,13 @@ class TestSpinupBookkeeping:
                 assert np.array_equal(getattr(res.final_year_mean, key), want), key
 
     def test_window_response_is_per_month_gbar(self, world):
-        # one month's response equals that month of the whole window's
-        full = sim._gbar_of(world.forcing_monthly)
-        for m in range(world.months):
-            gbar, p = sim._schedule(world, *divmod(m, 12))
-            assert np.array_equal(gbar, full[:, m]), m
-            assert np.array_equal(p, np.ones(world.n_cells))
+        # the window's response, computed a year of months at a time, is
+        # bitwise each month's response computed on its own
+        schedule = list(sim._schedule(world, world.years))
+        assert len(schedule) == world.months
+        for m, (gbar, p) in enumerate(schedule):
+            assert np.array_equal(gbar, sim._gbar_of(world.forcing_monthly[:, m])), m
+            assert p == 1.0
 
     def test_rejects_zero_years(self, world):
         with pytest.raises(ConfigurationError):
