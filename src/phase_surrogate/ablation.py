@@ -1,8 +1,8 @@
 """Component-removal study: trains each variant and tabulates held-out R^2.
 
-Variants differ from the full model by exactly one designated component;
-the physics-off variant shares the full architecture and differs only in
-the loss weight.
+Variants differ from the full model by exactly one designated component.
+The table covers the slow tasks only: every variant computes the fluxes in
+the same closed form, so their scores do not differ between variants.
 """
 
 import dataclasses
@@ -14,30 +14,17 @@ from . import blobio
 from . import pipeline
 from .errors import ConfigurationError
 from .metrics import evaluate, format_mean_std
-from .model import ModelConfig
+from .model import VARIANTS, ModelConfig
 from .training import TrainConfig, train
 
 TABLE_TASKS = pipeline.SLOW_TASKS
 
-# The study's columns: the model's architecture variants plus no_phys, the
-# full architecture trained with the physics penalty off.
-VARIANTS = ("full", "no_cnn", "no_fc", "no_lstm", "no_trans", "no_phys",
-            "baseline_mlp", "baseline_pinn")
-
 
 def build_variant(name, model_config=None, train_config=None):
-    """Model and train configs for one ablation run."""
-    if name not in VARIANTS:
-        raise ConfigurationError(f"unknown variant {name!r}")
-    if model_config is None:
-        model_config = ModelConfig()
-    if train_config is None:
-        train_config = TrainConfig()
-    arch = "full" if name == "no_phys" else name
-    model_config = dataclasses.replace(model_config, variant=arch)
-    if name == "no_phys":
-        train_config = dataclasses.replace(train_config, phys_weight=0.0)
-    return model_config, train_config
+    """Model and train configs for one ablation run: the given ones, or the
+    defaults, with the model's variant set to ``name``."""
+    return (dataclasses.replace(model_config or ModelConfig(), variant=name),
+            train_config or TrainConfig())
 
 
 def run_variant(name, dataset, seed, model_config=None, train_config=None):

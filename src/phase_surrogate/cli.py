@@ -151,7 +151,7 @@ def _cmd_train(args):
     model.save(args.out)
     # the saved weights are the best epoch's: the first with the lowest
     # validation loss
-    epoch, _, val, _ = min(model.history, key=lambda row: row[2])
+    epoch, _, val = min(model.history, key=lambda row: row[2])
     print(f"wrote {args.out}: {len(model.history)} epochs, "
           f"restored epoch {epoch} with val loss {val:.6f}")
     return 0

@@ -1,14 +1,10 @@
 """Task-specific prediction heads with a hard positivity constraint.
 
 Each registered task owns a dense(relu)dense stack from the fused latent
-to its output shape.  Tasks flagged non-negative (all nine defaults) end
-in softplus, so every prediction is strictly positive no matter how
-extreme the latent: the property that makes the predicted state safe to
-write into a restart file.
-
-The net primary production head is a free head, not the difference of the
-other two flux heads; the identity NPP = GPP - AR is enforced only softly
-during training, which keeps the physics residual informative.
+to its output shape.  Tasks flagged non-negative (the six slow pool tasks;
+the fluxes have no head) end in softplus, so every prediction is strictly
+positive no matter how extreme the latent: the property that makes the
+predicted state safe to write into a restart file.
 
 Heads predict in the MinMax space of the training targets; the model that
 owns them maps their outputs back to physical units.
@@ -23,13 +19,13 @@ from .errors import ContractError, ShapeError
 
 
 def task_registry(dims):
-    """Default task set, in :data:`pipeline.TASKS` order: one strictly
-    positive head per task, shaped as the task's target array in
+    """Default task set, in :data:`pipeline.SLOW_TASKS` order: one strictly
+    positive head per slow task, shaped as the task's target array in
     :data:`pipeline.SPLIT_LAYOUT` less its row axis, with the named
     dimensions taken from ``dims``.  A head of any rank is legal."""
     return {t: {"shape": tuple(dims[d] for d in pipeline.SPLIT_LAYOUT[t][1:]),
                 "nonneg": True}
-            for t in pipeline.TASKS}
+            for t in pipeline.SLOW_TASKS}
 
 
 class TaskHeads:

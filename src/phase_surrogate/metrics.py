@@ -3,7 +3,8 @@
 R-squared and per-dimension scores run on whatever space the caller passes
 in.  Evaluation scores the model's physical-unit predictions against the
 dataset's targets mapped back to physical units, so RMSE is in physical
-units; the physics residual is in the model's flux scale.
+units.  The physics residual is a regression check: the model computes its
+fluxes in closed form, so NPP = GPP - AR holds to rounding.
 """
 
 import dataclasses
@@ -121,8 +122,9 @@ class EvalReport:
 
 def evaluate(model, dataset, split="test"):
     """Per-task R^2 and physical-unit RMSE on one split, and the physics
-    residual in the model's flux scale: divided by the square of the largest
-    training flux, the scale the training penalty sees."""
+    residual of the predicted fluxes divided by the square of the dataset's
+    largest training GPP, so that it reads as a fraction of the flux
+    scale."""
     part = dataset.split(split)
     if part.n == 0:
         raise ContractError(f"{split} split is empty")
@@ -137,7 +139,7 @@ def evaluate(model, dataset, split="test"):
         if pred.ndim > 1:
             entry["per_dim"] = per_dimension_scores(pred, truth)
         tasks[t] = entry
-    flux_scale = model.target_stats["gpp"][1]
+    flux_scale = dataset.target_stats["gpp"][1]
     tasks["_phys_residual"] = physics_residual(
         preds["gpp"], preds["ar"], preds["npp"]) / flux_scale ** 2
     return EvalReport(split=split, n=part.n, tasks=tasks, lat=part.lat,

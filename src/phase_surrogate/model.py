@@ -1,11 +1,13 @@
 """Surrogate assembly: branch encoders, fusion, task heads, persistence.
 
 A :class:`Surrogate` owns one encoder per input group, a fusion module
-producing the unified latent, and one head per task.  It takes its shapes
-(``dims``) and its input and output scales from its data, so a caller hands
-it physical units and gets physical units back.  Variants swap or drop
-components; everything else (heads, loss wiring, persistence) is shared so a
-variant differs from the full model by exactly the removed part.
+producing the unified latent, and one head per slow pool task.  It takes
+its shapes (``dims``) and its input and output scales from its data, so a
+caller hands it physical units and gets physical units back.  The fluxes
+are not learned but computed in closed form, so NPP = GPP - AR holds
+exactly whatever the weights.  Variants swap or drop components;
+everything else (heads, loss wiring, persistence) is shared so a variant
+differs from the full model by exactly the removed part.
 """
 
 import dataclasses
@@ -38,14 +40,32 @@ _BRANCH_DROPS = {
 # The shapes a model takes from its data, as in a dataset manifest's dims.
 DIMS = ("months", "n_pft", "n_layers")
 
-# Model file manifest version.  Version 3 files store the model's dims next
-# to its config; version 2 kept them in the config.  A version-1 model has
-# the same weight shapes but read every month of g1.
-MODEL_VERSION = 3
+# Model file manifest version.  Version 3 files also carry flux heads,
+# version 2 keeps the dims in the config, and version 1 reads every month.
+MODEL_VERSION = 4
 
 # Rows per forward pass in :meth:`Surrogate.predict`; bounds the inputs and
 # activations one forward pass holds at once, whatever the number of cells.
 PREDICT_ROWS = 512
+
+
+def _annual_cycle(g1):
+    """Monthly forcing [n, months, V] over whole years as its mean annual
+    cycle [n, 12, V], in float64."""
+    g1 = np.asarray(g1, dtype=np.float64)
+    n, months, n_vars = g1.shape
+    return g1.reshape(n, months // 12, 12, n_vars).mean(axis=1)
+
+
+def _fluxes(groups):
+    """GPP, AR and NPP [n] of physical-unit samples in closed form: the
+    simulator's annual fluxes over each sample's mean annual forcing cycle,
+    under its own alpha, resp_frac and nutrient."""
+    g2 = np.asarray(groups["g2"], dtype=np.float64)
+    col = pipeline.G2_FIELDS.index
+    return dict(zip(pipeline.FLUX_TASKS, pipeline.annual_fluxes(
+        pipeline._gbar_of(_annual_cycle(groups["g1"])), g2[:, col("alpha")],
+        g2[:, col("resp_frac")], g2[:, col("nutrient")])))
 
 
 def active_branches(variant):
@@ -100,10 +120,6 @@ class ModelConfig:
     def __post_init__(self):
         check_field_types(self)
         self.channels = tuple(self.channels)
-        if self.variant == "no_phys":
-            raise ConfigurationError(
-                "no_phys is a loss setting, not an architecture: use "
-                "--variant no_phys or train.phys_weight 0")
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
         for field in ("dim", "hidden", "heads", "depth", "ff_mult"):
@@ -277,11 +293,10 @@ class Surrogate:
                              f"reads {self.dims['months']}")
         if self.feature_stats is None:
             raise ContractError("model carries no normalization stats")
-        g1 = np.asarray(groups["g1"], dtype=np.float64)
-        cycle = g1.reshape(g1.shape[0], months // 12, 12, g1.shape[2]).mean(axis=1)
         return {g: a.astype(self.dtype, copy=False) for g, a in
-                pipeline.normalize_groups(dict(groups, g1=cycle),
-                                          self.feature_stats).items()}
+                pipeline.normalize_groups(
+                    dict(groups, g1=_annual_cycle(groups["g1"])),
+                    self.feature_stats).items()}
 
     def _branch_latents(self, arrays):
         z_list = []
@@ -323,19 +338,22 @@ class Surrogate:
     def predict(self, groups):
         """Forward pass over a dict of physical-unit group arrays,
         PREDICT_ROWS rows at a time.  Returns (predictions per task in
-        physical units, float64 arrays mapped back with the model's target
-        stats; latent array [n, d])."""
+        physical units, as float64 arrays; latent array [n, d]).  The heads'
+        outputs map back with the model's target stats; the fluxes are the
+        closed form of each sample's inputs (:func:`_fluxes`)."""
         if not set(self.heads.registry) <= set(self.target_stats or ()):
             raise ContractError("model carries no target stats for its tasks")
         n = groups["g1"].shape[0]
-        preds = {t: [] for t in self.heads.registry}
+        preds = {t: [] for t in (*self.heads.registry, *pipeline.FLUX_TASKS)}
         latents = []
         for start in range(0, n, PREDICT_ROWS):
-            out, z = self.forward(
-                {g: a[start:start + PREDICT_ROWS] for g, a in groups.items()})
+            chunk = {g: a[start:start + PREDICT_ROWS] for g, a in groups.items()}
+            out, z = self.forward(chunk)
             for t, p in out.items():
                 preds[t].append(pipeline.minmax_invert(p.data,
                                                        self.target_stats[t]))
+            for t, flux in _fluxes(chunk).items():
+                preds[t].append(flux)
             latents.append(z.data)
         return ({t: np.concatenate(v, axis=0) for t, v in preds.items()},
                 np.concatenate(latents, axis=0))

@@ -11,8 +11,9 @@ A sample is one land cell with five feature groups:
 - g5: layered pools at the end of the input window [n_layers x 3]
 
 plus nine regression targets (six equilibrium pool vectors, three flux
-scalars).  A dataset stores the feature groups in physical units (float64)
-and the targets MinMax-normalized (float32).  Feature and target stats are
+scalars; a model computes the fluxes with :func:`annual_fluxes`).  A
+dataset stores the feature groups in physical units (float64) and the
+targets MinMax-normalized (float32).  Feature and target stats are
 fitted on the training split only and recorded in the manifest; a model
 adopts both, scales its own inputs with :func:`normalize_groups` and maps
 its predictions back to physical units, and takes its shapes from the
@@ -72,6 +73,38 @@ COLUMNS = tuple(SPLIT_LAYOUT)
 DATASET_VERSION = 4
 
 TRAIN_NUM, TRAIN_DEN = 8, 10
+
+
+# The simulator's flux formula, kept with G1_FIELDS, whose order
+# ``_gbar_of`` indexes, so a model reads it without importing the simulator.
+
+def _gbar_of(forcing_monthly):
+    """Smooth positive flux response in (0, 1] of monthly forcing [..., 5]:
+    light saturation times moisture saturation times a thermal optimum at
+    290 K."""
+    fm = np.asarray(forcing_monthly, dtype=np.float64)
+    rad, pre, tmp = fm[..., 0], fm[..., 1], fm[..., 4]
+    light = rad / (rad + 120.0)
+    moisture = pre / (pre + 2.0)
+    thermal = np.exp(-(((tmp - 290.0) / 26.0) ** 2))
+    return light * moisture * thermal
+
+
+def _flux_from_gbar(gbar, alpha, resp_frac, nutrient):
+    gpp = alpha * nutrient * gbar / 12.0
+    ar = resp_frac * gpp
+    npp = gpp - ar
+    return gpp, ar, npp
+
+
+def annual_fluxes(gbar12, alpha, resp_frac, nutrient):
+    """Annual GPP, AR and NPP [n] of monthly responses ``gbar12`` [n, 12]
+    under per-cell ``alpha``, ``resp_frac`` and ``nutrient`` [n]."""
+    gpp_m, _, _ = _flux_from_gbar(gbar12, alpha[:, None], resp_frac[:, None],
+                                  nutrient[:, None])
+    gpp = 12.0 * gpp_m.mean(axis=1)
+    ar = resp_frac * gpp
+    return gpp, ar, gpp - ar
 
 
 @dataclasses.dataclass
@@ -287,17 +320,6 @@ def group_dims(groups):
             "n_layers": int(groups["g5"].shape[1])}
 
 
-def fit_target_stats(targets):
-    """Per-task MinMax stats.  The three flux tasks share one pure scale
-    (min 0, max = largest training flux) so their linear relation survives
-    normalization."""
-    stats = {t: list(minmax_fit(targets[t])) for t in SLOW_TASKS}
-    flux_max = max(float(np.max(targets[t])) for t in FLUX_TASKS)
-    for t in FLUX_TASKS:
-        stats[t] = [0.0, flux_max]
-    return stats
-
-
 def normalize_targets(targets, stats):
     return {t: minmax_apply(targets[t], stats[t]).astype(np.float32) for t in TASKS}
 
@@ -322,7 +344,7 @@ def build_dataset(samples, seed, out_dir, world_meta=None):
 
     feature_stats = {name: list(minmax_fit(groups[g][train_pos][..., i]))
                      for name, g, i in FEATURE_CHANNELS}
-    target_stats = fit_target_stats({t: targets[t][train_pos] for t in TASKS})
+    target_stats = {t: list(minmax_fit(targets[t][train_pos])) for t in TASKS}
 
     stored = DatasetSplit(samples.cell_id, samples.lat, samples.lon, groups,
                           normalize_targets(targets, target_stats))

@@ -2,12 +2,12 @@
 
 A world is a lat/lon grid of land cells.  Each cell carries static
 parameters, per-vegetation-type traits, and layered soil pools.  Synthetic
-monthly forcing drives a smooth flux response; net primary production is
-routed into a linear chain of carbon pools integrated with monthly forward
-Euler.  Because the chain is linear, every pool's equilibrium is the closed
-form u/k, which makes the simulator usable as an exact oracle: surrogate
-labels, restart validation, and long-spinup cross-checks all reduce to
-comparisons against u/k.
+monthly forcing drives a smooth flux response (its formula lives in
+:mod:`pipeline`); net primary production is routed into a linear chain of
+carbon pools integrated with monthly forward Euler.  Because the chain is
+linear, every pool's equilibrium is the closed form u/k, which makes the
+simulator usable as an exact oracle: surrogate labels, restart validation,
+and long-spinup cross-checks all reduce to comparisons against u/k.
 
 Pool layout: the integrator steps every pool of every cell as one packed
 float64 block [n_cells, 4*n_pft + 3*n_layers], the pools' columns side by
@@ -303,29 +303,6 @@ class World:
     @property
     def months(self):
         return 12 * self.years
-
-
-# ---------------------------------------------------------------------------
-# Flux response
-# ---------------------------------------------------------------------------
-
-def _gbar_of(forcing_monthly):
-    """Smooth positive flux response in (0, 1] of monthly forcing [..., 5]:
-    light saturation times moisture saturation times a thermal optimum at
-    290 K."""
-    fm = np.asarray(forcing_monthly, dtype=np.float64)
-    rad, pre, tmp = fm[..., 0], fm[..., 1], fm[..., 4]
-    light = rad / (rad + 120.0)
-    moisture = pre / (pre + 2.0)
-    thermal = np.exp(-(((tmp - 290.0) / 26.0) ** 2))
-    return light * moisture * thermal
-
-
-def _flux_from_gbar(gbar, alpha, resp_frac, nutrient):
-    gpp = alpha * nutrient * gbar / 12.0
-    ar = resp_frac * gpp
-    npp = gpp - ar
-    return gpp, ar, npp
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +688,7 @@ def _schedule(world, years):
     climatology repeats and the factor phases in linearly, year by year."""
     for year in range(years):
         if year < world.years:
-            gbar = _gbar_of(world.forcing_monthly[:, 12 * year:12 * year + 12])
+            gbar = pipeline._gbar_of(world.forcing_monthly[:, 12 * year:12 * year + 12])
             p = 1.0
         else:
             gbar = world.gbar_stat12
@@ -745,7 +722,7 @@ def spinup(world, years, initial=None):
     alpha, r = params.alpha, params.resp_frac
     last_year = 12 * (years - 1)
     for m, (gbar, p) in enumerate(_schedule(world, years)):
-        _, _, npp = _flux_from_gbar(gbar, alpha, r, p)
+        _, _, npp = pipeline._flux_from_gbar(gbar, alpha, r, p)
         np.multiply(npp[:, None], route, out=u)
         advance_month(pools, u, k_month, scratch)
         if m == last_year:
@@ -759,11 +736,8 @@ def spinup(world, years, initial=None):
 
 def _equilibrium_from(gbar12, params):
     """Closed-form equilibria u/k for the stationary monthly climatology."""
-    alpha, r, p = params.alpha, params.resp_frac, params.nutrient
-    gpp_m, ar_m, npp_m = _flux_from_gbar(gbar12, alpha[:, None], r[:, None], p[:, None])
-    gpp = 12.0 * gpp_m.mean(axis=1)
-    ar = r * gpp
-    npp = gpp - ar
+    gpp, ar, npp = pipeline.annual_fluxes(gbar12, params.alpha,
+                                          params.resp_frac, params.nutrient)
     route = route_weights(params)
     kappa = kappa_annual(params)
     pools = {}
@@ -799,8 +773,9 @@ def restart_run(initial, world, years=100):
     route, k_month = _monthly_operators(world)
     kappa = kappa_annual(params)
     eq = analytic_equilibrium(world)
-    _, _, npp_m12 = _flux_from_gbar(world.gbar_stat12, params.alpha[:, None],
-                                    params.resp_frac[:, None], params.nutrient[:, None])
+    _, _, npp_m12 = pipeline._flux_from_gbar(
+        world.gbar_stat12, params.alpha[:, None], params.resp_frac[:, None],
+        params.nutrient[:, None])
     u = npp_m12.mean(axis=1)[:, None] * route
 
     pools = pack(vars(initial), world.n_pft, world.n_layers)
@@ -878,10 +853,10 @@ def generate_world(seed, grid, years=20):
     world = World(seed=int(seed), years=int(years), grid=grid,
                   land_idx=land_idx, cell_lat=cell_lat, cell_lon=cell_lon,
                   cell_point=cell_point, params=params, points=points,
-                  forcing_monthly=forcing_monthly, gbar_stat12=_gbar_of(stat),
+                  forcing_monthly=forcing_monthly, gbar_stat12=pipeline._gbar_of(stat),
                   window_end=None)
     pre_params = dataclasses.replace(params, nutrient=np.ones(world.n_cells))
-    eq_pre = _equilibrium_from(_gbar_of(pre), pre_params).pools
+    eq_pre = _equilibrium_from(pipeline._gbar_of(pre), pre_params).pools
     world.window_end = spinup(world, years, initial=eq_pre).final
     return world
 

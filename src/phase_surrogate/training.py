@@ -2,12 +2,11 @@
 
 Batches carry features in physical units, as the dataset stores them; the
 model scales them with the feature stats it adopts from the training split.
-Targets arrive MinMax-normalized, and all losses operate in that [0, 1]
+Targets arrive MinMax-normalized, and the loss operates in that [0, 1]
 space, on the outputs of ``Surrogate.forward`` (``predict`` maps them to
-physical units): the sum of the task MSEs plus phys_weight times a
-flux-balance penalty.  The flux triple shares one pure scale factor, so the
-npp = gpp - ar relation holds in normalized space exactly when it holds
-physically and the soft constraint stays linear.
+physical units): the sum of the slow-task MSEs.  The flux targets take no
+part: the model computes the fluxes in closed form, so NPP = GPP - AR
+holds exactly without a penalty.
 
 Training and fine-tuning end in one step: fit the weights to a split, less
 a held-out tenth for early stopping, then fit the OOD guard to that split,
@@ -36,7 +35,6 @@ _INITIALS = {task: (g, i) for g in ("g4", "g5")
 
 @dataclasses.dataclass
 class TrainConfig:
-    phys_weight: float = 1.0
     lr: float = 1e-3
     batch_size: int = 256
     max_epochs: int = 200
@@ -45,8 +43,6 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.phys_weight < 0:
-            raise ConfigurationError("phys_weight must be >= 0")
         if self.lr <= 0:
             raise ConfigurationError("lr must be positive")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
@@ -77,14 +73,6 @@ def task_loss(pred, target):
     return ad.mean_all(ad.square(diff))
 
 
-def phys_loss(npp, gpp, ar):
-    """Mean over samples of (npp - (gpp - ar))^2, the soft-constraint term."""
-    if not npp.data.shape == gpp.data.shape == ar.data.shape:
-        raise ShapeError("flux predictions must share one shape")
-    residual = ad.sub(npp, ad.sub(gpp, ar))
-    return ad.mean_all(ad.square(residual))
-
-
 def pinn_delta_loss(pred_final, pred_delta, initial_state, target_final):
     """Data term plus state-evolution term, equally weighted."""
     if initial_state is None:
@@ -98,16 +86,17 @@ def pinn_delta_loss(pred_final, pred_delta, initial_state, target_final):
                   task_loss(evolved, target_final))
 
 
-def total_loss(preds, targets, config, deltas=None, initials=None):
-    """The sum of the task losses plus phys_weight times the physics penalty.
+def total_loss(preds, targets, deltas=None, initials=None):
+    """The sum of the slow-task losses; other entries of ``preds`` and
+    ``targets`` are ignored.
 
     Returns (scalar tensor, dict of per-component float values).  When delta
-    predictions are supplied, slow tasks use the two-term delta-state loss.
+    predictions are supplied, the tasks use the two-term delta-state loss.
     """
     total = None
     components = {}
-    for task in pipeline.TASKS:
-        if deltas is not None and task in pipeline.SLOW_TASKS:
+    for task in pipeline.SLOW_TASKS:
+        if deltas is not None:
             if initials is None or task not in initials:
                 raise ContractError(f"missing initial state for {task}")
             part = pinn_delta_loss(preds[task], deltas[task], initials[task],
@@ -116,10 +105,6 @@ def total_loss(preds, targets, config, deltas=None, initials=None):
             part = task_loss(preds[task], targets[task])
         components[task] = part.data.item()
         total = part if total is None else ad.add(total, part)
-    phys = phys_loss(preds["npp"], preds["gpp"], preds["ar"])
-    components["phys"] = phys.data.item()
-    if config.phys_weight > 0:
-        total = ad.add(total, ad.mul_scalar(phys, config.phys_weight))
     components["total"] = total.data.item()
     return total, components
 
@@ -193,27 +178,24 @@ def _batches(split, batch_size):
             for start in range(0, split.n, batch_size)]
 
 
-def _batch_loss(model, batch, config):
+def _batch_loss(model, batch):
     preds, z = model.forward(batch.groups)
     deltas = None
     initials = None
     if model.delta_heads is not None:
         deltas = model.delta_forward(z)
         initials = pinn_initial_states(batch.groups, model.target_stats)
-    return total_loss(preds, batch.targets, config, deltas, initials)
+    total, _ = total_loss(preds, batch.targets, deltas, initials)
+    return total
 
 
-def _eval_loss(model, batches, config):
+def _eval_loss(model, batches):
     loss_sum = 0.0
-    phys_sum = 0.0
     n = 0
     for batch in batches:
-        k = batch.n
-        total, comps = _batch_loss(model, batch, config)
-        loss_sum += total.data.item() * k
-        phys_sum += comps["phys"] * k
-        n += k
-    return loss_sum / n, phys_sum / n
+        loss_sum += _batch_loss(model, batch).data.item() * batch.n
+        n += batch.n
+    return loss_sum / n
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +213,9 @@ def _restore(params, state):
 
 def _write_history(path, rows):
     buf = io.StringIO()
-    buf.write("epoch,train_loss,val_loss,phys_residual\n")
-    for epoch, tr, val, phys in rows:
-        buf.write(f"{epoch},{tr!r},{val!r},{phys!r}\n")
+    buf.write("epoch,train_loss,val_loss\n")
+    for epoch, tr, val in rows:
+        buf.write(f"{epoch},{tr!r},{val!r}\n")
     blobio.atomic_write_bytes(path, buf.getvalue().encode("ascii"))
 
 
@@ -254,7 +236,7 @@ def _optimize(model, train_split, val_split, config, history_path=None):
         for b in order:
             batch = batches[b]
             with GradTape() as tape:
-                total, _ = _batch_loss(model, batch, config)
+                total = _batch_loss(model, batch)
             if not np.isfinite(total.data):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             opt.zero_grad()
@@ -263,11 +245,11 @@ def _optimize(model, train_split, val_split, config, history_path=None):
             loss_sum += total.data.item() * batch.n
             n_seen += batch.n
         train_loss = loss_sum / n_seen
-        val_loss, val_phys = _eval_loss(model, val_batches, config)
+        val_loss = _eval_loss(model, val_batches)
         if not np.isfinite(val_loss):
             raise DivergenceError(f"non-finite validation loss at epoch "
                                   f"{epoch}")
-        history.append((epoch, train_loss, val_loss, val_phys))
+        history.append((epoch, train_loss, val_loss))
         if val_loss < best_val:
             best_val = val_loss
             best_state = _snapshot(params)
@@ -303,18 +285,19 @@ def train(config, dataset, model_config=None, history_path=None):
     model = Surrogate(model_config, pipeline.group_dims(dataset.train.groups),
                       rng=np.random.default_rng([config.seed, 5]))
     model.feature_stats = dict(dataset.feature_stats)
-    model.target_stats = dict(dataset.target_stats)
+    model.target_stats = {t: dataset.target_stats[t] for t in pipeline.SLOW_TASKS}
     return _fit(model, dataset.train, config, history_path)
 
 
 def _renorm_split(split, dataset, model):
-    """A foreign dataset split with its targets re-expressed in the model's
-    target stats; its physical-unit features need no change."""
+    """A foreign dataset split with its slow targets re-expressed in the
+    model's target stats, the only targets a loss reads; its physical-unit
+    features need no change."""
     if model.target_stats is None:
         raise ContractError("model carries no normalization stats")
     targets = {t: pipeline.minmax_apply(dataset.denorm_target(t, split.targets[t]),
                                         model.target_stats[t]).astype(np.float32)
-               for t in pipeline.TASKS}
+               for t in pipeline.SLOW_TASKS}
     return dataclasses.replace(split, targets=targets)
 
 

@@ -10,9 +10,9 @@ from phase_surrogate.training import TrainConfig, train
 def build_toy_dataset(n=40, months=12, seed=0):
     """Small in-memory dataset with a smooth learnable input-target map.
 
-    Every group influences every target so component-removal tests see a
-    signal; flux targets satisfy npp = gpp - ar exactly under their shared
-    scale.
+    Every group influences every slow target so component-removal tests
+    see a signal.  The flux targets satisfy npp = gpp - ar but are not the
+    closed form a model computes from these inputs.
     """
     rng = np.random.default_rng(seed)
     g1 = rng.uniform(0.05, 0.95, (n, months, 5)).astype(np.float32)

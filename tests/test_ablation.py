@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phase_surrogate import ablation, pipeline
+from phase_surrogate import model as model_mod
 from phase_surrogate.errors import ConfigurationError
 from phase_surrogate.ablation import VARIANTS
 from phase_surrogate.model import ModelConfig
@@ -18,21 +19,20 @@ class TestBuildVariant:
             ablation.build_variant("no_attention")
 
     def test_architecture_variants_pass_through(self):
+        assert VARIANTS == model_mod.VARIANTS
         for name in VARIANTS:
             mc, tc = ablation.build_variant(name)
-            want_arch = "full" if name == "no_phys" else name
-            assert mc.variant == want_arch
+            assert mc.variant == name
 
-    def test_no_phys_keeps_architecture_zeros_weight(self):
-        mc, tc = ablation.build_variant("no_phys")
-        assert mc.variant == "full"
-        assert tc.phys_weight == 0.0
+    def test_no_phys_is_unknown(self):
+        # there is no flux penalty to turn off: the fluxes are a closed form
+        with pytest.raises(ConfigurationError, match="no_phys"):
+            ablation.build_variant("no_phys")
 
-    def test_other_variants_keep_phys_weight(self):
-        _, tc = ablation.build_variant("no_cnn",
-                                       train_config=TrainConfig(
-                                           phys_weight=2.0))
-        assert tc.phys_weight == 2.0
+    def test_train_config_passes_through(self):
+        tc0 = TrainConfig(lr=0.01, seed=4)
+        _, tc = ablation.build_variant("no_cnn", train_config=tc0)
+        assert tc == tc0
 
     def test_preserves_caller_configs(self):
         mc0 = ModelConfig(dim=32, heads=2)

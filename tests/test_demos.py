@@ -18,7 +18,8 @@ SRC = os.path.dirname(os.path.dirname(phase_surrogate.__file__))
 @pytest.mark.parametrize("name", [
     "01_simulator_equilibrium.py",
     "02_dataset_pipeline.py",
-    # 03-05 train coarse models for 25-40 epochs, 3-4 s each on one core
+    # 03 and 05 train coarse models for 30-40 epochs, 3-4 s each on one
+    # core; 04 trains nothing, under 1 s
     "03_train_and_evaluate.py",
     "04_physics_constraints.py",
     "05_restart_speedup.py",

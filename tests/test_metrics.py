@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -151,8 +152,8 @@ class TestEvaluate:
         # the toy stats are identity, so physical == normalized
         batch = {g: toy_dataset.test.groups[g] for g in pipeline.GROUPS}
         out, z = toy_model.forward(batch)
-        np.testing.assert_allclose(toy_report.preds["gpp"],
-                                   out["gpp"].data.astype(np.float64),
+        np.testing.assert_allclose(toy_report.preds["soil3c"],
+                                   out["soil3c"].data.astype(np.float64),
                                    rtol=1e-6)
         np.testing.assert_allclose(toy_report.latent, z.data, rtol=1e-6)
 
@@ -163,24 +164,23 @@ class TestEvaluate:
         assert toy_report.tasks["_phys_residual"] == pytest.approx(
             want, rel=1e-5)
 
-    def test_residual_is_in_the_models_flux_scale(self, toy_report,
-                                                  toy_model, toy_dataset):
-        # the physical residual over the squared flux scale, the scale the
-        # training penalty sees: a model with thrice the flux scale and the
-        # same weights predicts thrice the fluxes and scores the same
+    def test_residual_is_in_the_datasets_flux_scale(self, toy_model,
+                                                    toy_dataset, monkeypatch):
+        # the physical residual over the square of the dataset's largest
+        # training GPP: an NPP off by 1 at a GPP scale of 3 scores 1/9
+        dataset = dataclasses.replace(toy_dataset, target_stats=dict(
+            toy_dataset.target_stats, gpp=[0.0, 3.0]))
         model = toy_model.clone()
-        model.target_stats = dict(toy_model.target_stats,
-                                  **{t: [0.0, 3.0] for t in pipeline.FLUX_TASKS})
-        report = metrics.evaluate(model, toy_dataset, split="test")
-        np.testing.assert_allclose(report.preds["gpp"],
-                                   3.0 * toy_report.preds["gpp"], rtol=1e-12)
-        want = metrics.physics_residual(report.preds["gpp"],
-                                        report.preds["ar"],
-                                        report.preds["npp"]) / 9.0
-        assert report.tasks["_phys_residual"] == pytest.approx(want,
-                                                               rel=1e-12)
-        assert report.tasks["_phys_residual"] == pytest.approx(
-            toy_report.tasks["_phys_residual"], rel=1e-9)
+        predict = model.predict
+
+        def npp_off_by_one(groups):
+            preds, latent = predict(groups)
+            return dict(preds, npp=preds["npp"] + 1.0), latent
+
+        monkeypatch.setattr(model, "predict", npp_off_by_one)
+        report = metrics.evaluate(model, dataset, split="test")
+        assert report.tasks["_phys_residual"] == pytest.approx(1.0 / 9.0,
+                                                               rel=1e-9)
 
     def test_mean_r2_over_slow_tasks(self, toy_report):
         want = np.mean([toy_report.tasks[t]["r2"]

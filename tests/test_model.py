@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import TOY_DIMS, build_toy_dataset, toy_model_config, with_guard
+from phase_surrogate import metrics, pipeline, simulator
 from phase_surrogate import model as model_mod
-from phase_surrogate import pipeline
 from phase_surrogate.cli import main
 from phase_surrogate.errors import (CompletenessError, ConfigurationError,
                                     ContractError, ShapeError)
@@ -71,9 +71,8 @@ class TestModelConfig:
             ModelConfig(variant="no_heads")
 
     def test_no_phys_refused(self, tmp_path):
-        # a loss setting, reachable only through the ablation study, where
-        # it also zeroes phys_weight
-        with pytest.raises(ConfigurationError, match="phys_weight"):
+        # there is no flux penalty to turn off: the fluxes are a closed form
+        with pytest.raises(ConfigurationError, match="unknown variant"):
             ModelConfig(variant="no_phys")
         path = tmp_path / "cfg.json"
         path.write_text('{"model": {"variant": "no_phys"}}')
@@ -184,9 +183,10 @@ class TestForward:
         model = make("full")
         preds, z = model.forward(toy_batch(n=3))
         assert z.data.shape == (3, 16)
-        assert preds["gpp"].data.shape == (3,)
+        assert set(preds) == set(pipeline.SLOW_TASKS)
         assert preds["tlai"].data.shape == (3, 5)
         assert preds["cwdc"].data.shape == (3, 9)
+        assert model.predict(toy_batch(n=3))[0]["gpp"].shape == (3,)
 
     def test_every_variant_forward(self):
         batch = toy_batch()
@@ -226,13 +226,16 @@ class TestForward:
         batch = toy_batch(n=7)
         whole, z = model.forward(batch)
         preds, latent = model.predict(batch)
-        assert set(preds) == set(whole)
-        for t in pipeline.TASKS:
+        assert set(preds) == set(pipeline.TASKS)
+        for t in pipeline.SLOW_TASKS:
             assert preds[t].shape == whole[t].shape
             np.testing.assert_allclose(
                 preds[t], pipeline.minmax_invert(whole[t].data,
                                                  model.target_stats[t]),
                 rtol=1e-5, atol=1e-6)
+        fluxes = model_mod._fluxes(batch)
+        for t in pipeline.FLUX_TASKS:
+            np.testing.assert_array_equal(preds[t], fluxes[t])
         np.testing.assert_allclose(latent, z.data, rtol=1e-5, atol=1e-6)
 
     def test_predict_applies_feature_stats(self):
@@ -277,7 +280,7 @@ class TestForward:
         batch = toy_batch()
         a, _ = model.forward(batch)
         b, _ = model.forward(batch)
-        for t in pipeline.TASKS:
+        for t in pipeline.SLOW_TASKS:
             np.testing.assert_array_equal(a[t].data, b[t].data)
 
 
@@ -337,7 +340,7 @@ class TestPersistence:
         batch = toy_batch()
         a, _ = model.forward(batch)
         b, _ = again.forward(batch)
-        for t in pipeline.TASKS:
+        for t in pipeline.SLOW_TASKS:
             np.testing.assert_array_equal(a[t].data, b[t].data)
         assert again.target_stats == model.target_stats
         assert again.feature_stats == model.feature_stats
@@ -387,7 +390,8 @@ class TestPersistence:
         batch = toy_batch()
         out, _ = model.forward(batch)
         preds, _ = model.predict(batch)
-        for t, (lo, hi) in model.target_stats.items():
+        for t in pipeline.SLOW_TASKS:
+            lo, hi = model.target_stats[t]
             assert preds[t].dtype == np.float64
             np.testing.assert_allclose(
                 preds[t], out[t].data.astype(np.float64) * (hi - lo) + lo,
@@ -422,11 +426,45 @@ class TestPersistence:
         twin = model.clone()
         batch = toy_batch()
         a, _ = model.forward(batch)
-        twin.named_params()["heads.gpp.w2"].data[:] += 1.0
+        twin.named_params()["heads.soil3c.w2"].data[:] += 1.0
         b, _ = model.forward(batch)
-        np.testing.assert_array_equal(a["gpp"].data, b["gpp"].data)
+        np.testing.assert_array_equal(a["soil3c"].data, b["soil3c"].data)
 
     def test_clone_leaves_the_guard_behind(self):
         # a guard holds only for the weights it was fitted to, and a clone
         # is made to be fitted again
         assert with_guard(make("full")).clone().ood_stats is None
+
+
+@pytest.fixture(scope="module")
+def coarse_samples():
+    world = simulator.generate_world(0, simulator.grid_spec("coarse"))
+    return simulator.export_samples(world)
+
+
+class TestClosedFormFluxes:
+    """The fluxes are the simulator's closed form of each sample's own
+    forcing and parameters, so they hold whatever the weights."""
+
+    def test_no_flux_heads(self):
+        for variant in model_mod.VARIANTS:
+            model = make(variant)
+            assert set(model.heads.registry) == set(pipeline.SLOW_TASKS)
+            assert not any(".gpp." in name or ".ar." in name
+                           or ".npp." in name for name in model.named_params())
+
+    @pytest.mark.parametrize("variant", model_mod.VARIANTS)
+    def test_untrained_model_meets_the_equilibrium_fluxes(
+            self, coarse_samples, variant):
+        groups = coarse_samples.groups
+        model = Surrogate(toy_model_config(variant=variant),
+                          pipeline.group_dims(groups))
+        model.feature_stats = {
+            name: list(pipeline.minmax_fit(groups[g][..., i]))
+            for name, g, i in pipeline.FEATURE_CHANNELS}
+        model.target_stats = {t: [0.0, 1.0] for t in pipeline.SLOW_TASKS}
+        preds, _ = model.predict(groups)
+        for t in pipeline.FLUX_TASKS:
+            assert metrics.r2(preds[t], coarse_samples.targets[t]) >= 0.999, t
+        gap = np.abs(preds["npp"] - (preds["gpp"] - preds["ar"]))
+        assert np.all(gap <= 1e-12 * preds["gpp"])

@@ -272,16 +272,17 @@ class TestTaskHeads:
         h = self.make()
         z = Tensor(np.random.default_rng(1).normal(size=(3, 8)).astype(np.float32))
         out = h.predict_all(z)
-        assert out["gpp"].shape == (3,)
         assert out["deadcrootc"].shape == (3, 5)
         assert out["soil4c"].shape == (3, 9)
-        assert set(out) == set(pipeline.TASKS)
+        # the fluxes have no head: the model computes them in closed form
+        assert set(out) == set(pipeline.SLOW_TASKS)
 
     def test_registry_follows_the_split_layout(self):
-        # pipeline.TASKS order: the heads draw their weights in this order
+        # pipeline.SLOW_TASKS order: the heads draw their weights in this
+        # order
         dims = {"months": 12, "n_pft": 3, "n_layers": 4}
         reg = hd.task_registry(dims)
-        assert list(reg) == list(pipeline.TASKS)
+        assert list(reg) == list(pipeline.SLOW_TASKS)
         for task, spec in reg.items():
             assert spec == {"shape": tuple(
                 dims[d] for d in pipeline.SPLIT_LAYOUT[task][1:]),
@@ -328,7 +329,7 @@ class TestTaskHeads:
     def test_bad_latent_shape_rejected(self):
         h = self.make()
         with pytest.raises(ShapeError):
-            h.predict(Tensor(np.zeros((2, 7), dtype=np.float32)), "gpp")
+            h.predict(Tensor(np.zeros((2, 7), dtype=np.float32)), "soil3c")
 
 
 class TestDenormalize:

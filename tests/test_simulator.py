@@ -157,9 +157,9 @@ class TestPackedLayout:
 
 
 class TestFluxes:
-    # the formula spin-up and the equilibria run
+    # the formula spin-up, the equilibria and a model's flux predictions run
     def fluxes(self, fm, alpha=2000.0, resp_frac=0.9, nutrient=1.0):
-        return sim._flux_from_gbar(sim._gbar_of(fm), alpha, resp_frac, nutrient)
+        return pl._flux_from_gbar(pl._gbar_of(fm), alpha, resp_frac, nutrient)
 
     def random_forcing(self, rng, n):
         cols = []
@@ -192,7 +192,7 @@ class TestFluxes:
     def test_response_is_positive_and_bounded(self):
         rng = np.random.default_rng(3)
         fm = self.random_forcing(rng, 500)
-        g = sim._gbar_of(fm)
+        g = pl._gbar_of(fm)
         assert np.all(g >= 0.0) and np.all(g <= 1.0)
 
 
@@ -514,11 +514,11 @@ class TestForcingSynthesis:
                             in zip(world.land_idx, world.cell_point, offsets)])
         stationary = lambda ramp_value: clip_fields(
             ref.stationary(ramp_value)[world.cell_point] + offsets[:, None])
-        gbar_stat12 = sim._gbar_of(stationary(1.0))
+        gbar_stat12 = pl._gbar_of(stationary(1.0))
         built = dataclasses.replace(world, params=params, points=points,
                                     forcing_monthly=forcing, gbar_stat12=gbar_stat12)
         pre_params = dataclasses.replace(params, nutrient=np.ones(world.n_cells))
-        eq_pre = sim._equilibrium_from(sim._gbar_of(stationary(0.0)), pre_params).pools
+        eq_pre = sim._equilibrium_from(pl._gbar_of(stationary(0.0)), pre_params).pools
         window_end = sim.spinup(built, years, initial=eq_pre).final
         for part, ref_part in ((world.params, params), (world.points, points)):
             for field in dataclasses.fields(ref_part):
@@ -759,9 +759,9 @@ class TestRestart:
         eq = sim.analytic_equilibrium(world)
         params = world.params
         route, kappa = sim.route_weights(params), sim.kappa_annual(params)
-        _, _, npp_m12 = sim._flux_from_gbar(world.gbar_stat12, params.alpha[:, None],
-                                            params.resp_frac[:, None],
-                                            params.nutrient[:, None])
+        _, _, npp_m12 = pl._flux_from_gbar(world.gbar_stat12, params.alpha[:, None],
+                                           params.resp_frac[:, None],
+                                           params.nutrient[:, None])
         npp = npp_m12.mean(axis=1)
         initial = eq.pools.copy()
         if start == "perturbed":
@@ -1023,7 +1023,7 @@ class TestSpinupBookkeeping:
                 if initial is None else initial.copy()
             states = []
             for gbar, p in sim._schedule(w, 3):
-                _, _, npp = sim._flux_from_gbar(gbar, params.alpha, params.resp_frac, p)
+                _, _, npp = pl._flux_from_gbar(gbar, params.alpha, params.resp_frac, p)
                 state = reference_step(state, npp, route, kappa)
                 states.append(state)
             for key in sim.POOL_KEYS:
@@ -1037,7 +1037,7 @@ class TestSpinupBookkeeping:
         schedule = list(sim._schedule(world, world.years))
         assert len(schedule) == world.months
         for m, (gbar, p) in enumerate(schedule):
-            assert np.array_equal(gbar, sim._gbar_of(world.forcing_monthly[:, m])), m
+            assert np.array_equal(gbar, pl._gbar_of(world.forcing_monthly[:, m])), m
             assert p == 1.0
 
     def test_rejects_zero_years(self, world):

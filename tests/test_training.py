@@ -19,17 +19,10 @@ def t64(rng, *shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
-def flux_preds(rng, n, consistent=True):
-    gpp = Tensor(rng.uniform(0.4, 0.9, n), requires_grad=True)
-    ar = Tensor(gpp.data * 0.7, requires_grad=True)
-    npp = gpp.data - ar.data if consistent else rng.uniform(0, 1, n)
-    return {"gpp": gpp, "ar": ar, "npp": Tensor(npp.copy(), requires_grad=True)}
-
-
 class TestTrainConfig:
     def test_round_trip(self):
-        cfg = TrainConfig(phys_weight=0.5, lr=3e-4, batch_size=32,
-                          max_epochs=7, patience=2, seed=9)
+        cfg = TrainConfig(lr=3e-4, batch_size=32, max_epochs=7, patience=2,
+                          seed=9)
         again = TrainConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
@@ -38,7 +31,7 @@ class TestTrainConfig:
             TrainConfig.from_dict({"momentum": 0.9})
 
     @pytest.mark.parametrize("kwargs", [
-        {"phys_weight": -0.1},
+        {"lr": -1e-3},
         {"lr": 0.0},
         {"batch_size": 0},
         {"max_epochs": 0},
@@ -54,7 +47,7 @@ class TestTrainConfig:
             TrainConfig(**kwargs)
 
     def test_integer_accepted_for_a_float(self):
-        assert TrainConfig(lr=1, phys_weight=0).lr == 1
+        assert TrainConfig(lr=1).lr == 1
 
 
 class TestTaskLoss:
@@ -79,29 +72,6 @@ class TestTaskLoss:
         pred = t64(rng, 5, 3)
         target = rng.standard_normal((5, 3))
         ad.gradcheck(lambda p: training.task_loss(p, target), [pred])
-
-
-class TestPhysLoss:
-    def test_consistent_fluxes_give_zero(self):
-        preds = flux_preds(np.random.default_rng(3), 40)
-        loss = training.phys_loss(preds["npp"], preds["gpp"], preds["ar"])
-        assert loss.data.item() == 0.0
-
-    def test_constant_offset_squares(self):
-        preds = flux_preds(np.random.default_rng(4), 25)
-        shifted = Tensor(preds["npp"].data + 3.0)
-        loss = training.phys_loss(shifted, preds["gpp"], preds["ar"])
-        assert loss.data.item() == pytest.approx(9.0, rel=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            training.phys_loss(Tensor(np.zeros(3)), Tensor(np.zeros(4)),
-                               Tensor(np.zeros(4)))
-
-    def test_gradcheck(self):
-        rng = np.random.default_rng(5)
-        npp, gpp, ar = t64(rng, 8), t64(rng, 8), t64(rng, 8)
-        ad.gradcheck(training.phys_loss, [npp, gpp, ar])
 
 
 class TestPinnDeltaLoss:
@@ -147,57 +117,64 @@ def random_preds(rng, n):
     for task in pipeline.SLOW_TASKS:
         width = 5 if task in ("deadcrootc", "deadstemc", "tlai") else 9
         preds[task] = Tensor(rng.uniform(0, 1, (n, width)))
-    preds.update(flux_preds(rng, n, consistent=False))
     return preds
+
+
+def random_targets(rng, preds):
+    """Targets for ``preds`` and for the three fluxes, which the loss
+    ignores."""
+    targets = {t: rng.uniform(0, 1, preds[t].data.shape)
+               for t in pipeline.SLOW_TASKS}
+    targets.update({t: rng.uniform(0, 1, preds["tlai"].data.shape[0])
+                    for t in pipeline.FLUX_TASKS})
+    return targets
 
 
 class TestTotalLoss:
     def test_composes_weighted_terms(self):
         rng = np.random.default_rng(8)
         preds = random_preds(rng, 10)
-        targets = {t: rng.uniform(0, 1, preds[t].data.shape)
-                   for t in pipeline.TASKS}
-        cfg = TrainConfig(phys_weight=3.0)
-        total, comps = training.total_loss(preds, targets, cfg)
-        want = (math.fsum(comps[t] for t in pipeline.TASKS)
-                + 3.0 * comps["phys"])
+        total, comps = training.total_loss(preds, random_targets(rng, preds))
+        want = math.fsum(comps[t] for t in pipeline.SLOW_TASKS)
         assert total.data.item() == pytest.approx(want, rel=1e-6)
         assert comps["total"] == pytest.approx(want, rel=1e-6)
 
     def test_all_components_reported(self):
         rng = np.random.default_rng(9)
         preds = random_preds(rng, 6)
-        targets = {t: preds[t].data.copy() for t in pipeline.TASKS}
-        _, comps = training.total_loss(preds, targets, TrainConfig())
-        assert set(comps) == set(pipeline.TASKS) | {"phys", "total"}
+        _, comps = training.total_loss(preds, random_targets(rng, preds))
+        assert set(comps) == set(pipeline.SLOW_TASKS) | {"total"}
 
     def test_perfect_and_consistent_is_zero(self):
         rng = np.random.default_rng(10)
         preds = random_preds(rng, 6)
-        preds.update(flux_preds(rng, 6, consistent=True))
-        targets = {t: preds[t].data.copy() for t in pipeline.TASKS}
-        total, _ = training.total_loss(preds, targets, TrainConfig())
+        targets = dict(random_targets(rng, preds),
+                       **{t: preds[t].data.copy() for t in pipeline.SLOW_TASKS})
+        total, _ = training.total_loss(preds, targets)
         assert total.data.item() == 0.0
 
-    def test_lambda_zero_drops_physics_term(self):
+    def test_flux_entries_take_no_part(self):
+        # a flux prediction or target, even a NaN one, leaves the loss as
+        # it is: the model computes the fluxes in closed form
         rng = np.random.default_rng(11)
         preds = random_preds(rng, 6)
-        targets = {t: rng.uniform(0, 1, preds[t].data.shape)
-                   for t in pipeline.TASKS}
-        total, comps = training.total_loss(preds, targets,
-                                           TrainConfig(phys_weight=0.0))
-        want = math.fsum(comps[t] for t in pipeline.TASKS)
-        assert total.data.item() == pytest.approx(want, rel=1e-6)
-        assert comps["phys"] > 0.0
+        targets = random_targets(rng, preds)
+        want, _ = training.total_loss(preds, targets)
+        nan = np.full(6, np.nan)
+        got, comps = training.total_loss(
+            dict(preds, **{t: Tensor(nan) for t in pipeline.FLUX_TASKS}),
+            dict(targets, **{t: nan for t in pipeline.FLUX_TASKS}))
+        assert got.data.item() == want.data.item()
+        assert not set(comps) & set(pipeline.FLUX_TASKS)
 
     def test_delta_route_requires_initials(self):
         rng = np.random.default_rng(13)
         preds = random_preds(rng, 4)
-        targets = {t: preds[t].data.copy() for t in pipeline.TASKS}
+        targets = random_targets(rng, preds)
         deltas = {t: Tensor(np.zeros_like(preds[t].data))
                   for t in pipeline.SLOW_TASKS}
         with pytest.raises(ContractError, match="deadcrootc"):
-            training.total_loss(preds, targets, TrainConfig(), deltas, {})
+            training.total_loss(preds, targets, deltas, {})
 
 
 class TestPinnInitialStates:
@@ -292,16 +269,16 @@ def quick_config(**overrides):
 
 
 class TestTrainLoop:
-    def test_default_model_step_records_149_tape_nodes(self):
+    def test_default_model_step_records_119_tape_nodes(self):
         """One training step of the default model: each dense layer is one
-        node, so per-op dense layers (190 nodes) would show up here."""
+        node, so per-op dense layers (151 nodes) would show up here."""
         dataset = build_toy_dataset(n=20)
         model = Surrogate(ModelConfig(), TOY_DIMS)
         model.feature_stats = dict(dataset.feature_stats)
         model.target_stats = dict(dataset.target_stats)
         with GradTape() as tape:
-            training._batch_loss(model, dataset.train, TrainConfig())
-        assert len(tape.nodes) == 149
+            training._batch_loss(model, dataset.train)
+        assert len(tape.nodes) == 119
 
     def test_loss_decreases(self, toy_dataset):
         model = training.train(quick_config(), toy_dataset,
@@ -340,7 +317,7 @@ class TestTrainLoop:
         _, val_idx = training._split_indices(toy_dataset.train.n, cfg.seed)
         batches = training._batches(toy_dataset.train.take(val_idx),
                                     cfg.batch_size)
-        val_loss, _ = training._eval_loss(model, batches, cfg)
+        val_loss = training._eval_loss(model, batches)
         assert val_loss == pytest.approx(min(h[2] for h in model.history),
                                          rel=1e-6)
 
@@ -352,7 +329,7 @@ class TestTrainLoop:
 
     def test_nan_target_diverges(self):
         ds = build_toy_dataset(n=24, months=12, seed=5)
-        ds.train.targets["gpp"][0] = np.nan
+        ds.train.targets["soil3c"][0, 0] = np.nan
         with pytest.raises(DivergenceError, match="epoch 0"):
             training.train(quick_config(), ds,
                            model_config=toy_model_config())
@@ -374,6 +351,8 @@ class TestTrainLoop:
         model = training.train(quick_config(max_epochs=1), ds,
                                model_config=toy_model_config())
         assert model.dims == dict(TOY_DIMS, months=24)
+        # the model maps back only what its heads predict
+        assert set(model.target_stats) == set(pipeline.SLOW_TASKS)
         assert {t.data.dtype for t in model.named_params().values()} == {
             np.dtype(np.float32)}
         assert model.train_config == quick_config(max_epochs=1).to_dict()
@@ -393,11 +372,11 @@ class TestFineTune:
                 training.fine_tune(toy_model, toy_dataset, bad, quick_config())
 
     def test_leaves_source_model_untouched(self, toy_model, toy_dataset):
-        before = toy_model.named_params()["heads.gpp.w1"].data.copy()
+        before = toy_model.named_params()["heads.soil3c.w1"].data.copy()
         tuned = training.fine_tune(toy_model, toy_dataset, 0.5,
                                    quick_config(max_epochs=2))
         np.testing.assert_array_equal(
-            toy_model.named_params()["heads.gpp.w1"].data, before)
+            toy_model.named_params()["heads.soil3c.w1"].data, before)
         assert tuned is not toy_model
         assert len(tuned.history) == 2
 
@@ -443,13 +422,15 @@ class TestRenormSplit:
     def test_rescales_to_model_stats(self, toy_model, toy_dataset):
         model = toy_model.clone()
         model.target_stats = dict(toy_model.target_stats)
-        model.target_stats["gpp"] = (0.0, 3.0)
+        model.target_stats["soil3c"] = (0.0, 3.0)
         split = training._renorm_split(toy_dataset.train, toy_dataset, model)
-        np.testing.assert_allclose(split.targets["gpp"],
-                                   toy_dataset.train.targets["gpp"] / 3.0,
+        np.testing.assert_allclose(split.targets["soil3c"],
+                                   toy_dataset.train.targets["soil3c"] / 3.0,
                                    rtol=1e-6)
-        np.testing.assert_array_equal(split.targets["soil3c"],
-                                      toy_dataset.train.targets["soil3c"])
+        np.testing.assert_array_equal(split.targets["cwdc"],
+                                      toy_dataset.train.targets["cwdc"])
+        # no loss reads the flux targets
+        assert set(split.targets) == set(pipeline.SLOW_TASKS)
         # physical-unit features are the same in any model's hands
         for g in pipeline.GROUPS:
             assert split.groups[g] is toy_dataset.train.groups[g]
