@@ -20,17 +20,11 @@ from .training import TrainConfig, train
 TABLE_TASKS = pipeline.SLOW_TASKS
 
 
-def build_variant(name, model_config=None, train_config=None):
-    """Model and train configs for one ablation run: the given ones, or the
-    defaults, with the model's variant set to ``name``."""
-    return (dataclasses.replace(model_config or ModelConfig(), variant=name),
-            train_config or TrainConfig())
-
-
 def run_variant(name, dataset, seed, model_config=None, train_config=None):
-    """Trains one variant at one seed; returns (model, report)."""
-    mc, tc = build_variant(name, model_config, train_config)
-    tc = dataclasses.replace(tc, seed=seed)
+    """Trains one variant at one seed, from the given configs or the
+    defaults; returns (model, report)."""
+    mc = dataclasses.replace(model_config or ModelConfig(), variant=name)
+    tc = dataclasses.replace(train_config or TrainConfig(), seed=seed)
     model = train(tc, dataset, model_config=mc)
     return model, evaluate(model, dataset, "test")
 

@@ -22,11 +22,6 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 
-# Above this threshold softplus(x) is x to <1e-13, and exp(x) would overflow
-# float32 anyway.
-_SOFTPLUS_LINEAR_CUTOFF = 30.0
-
-
 class Tensor:
     """A dense n-dimensional value participating in the gradient graph.
 
@@ -239,24 +234,6 @@ def sigmoid(a):
 def tanh(a):
     out = np.tanh(a.data)
     return _record([a], out, lambda g: (g * (1.0 - out * out),))
-
-
-def softplus(a):
-    """ln(1 + e^x), linear above the overflow cutoff, strictly positive.
-
-    The result is clamped to the smallest positive normal of the dtype so
-    positivity survives underflow at very negative inputs.
-    """
-    ad = a.data
-    linear = ad > _SOFTPLUS_LINEAR_CUTOFF
-    safe = np.where(linear, 0.0, ad)
-    out = np.where(linear, ad, np.log1p(np.exp(safe)))
-    out = np.maximum(out, np.finfo(ad.dtype).tiny)
-
-    def backward(g):
-        return (g * np.where(linear, 1.0, _stable_sigmoid(safe)),)
-
-    return _record([a], out, backward)
 
 
 def _stable_sigmoid(x):

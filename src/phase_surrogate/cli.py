@@ -137,13 +137,12 @@ def _default_log(out):
 
 
 def _cmd_train(args):
+    import dataclasses
     from . import pipeline
-    from .ablation import build_variant
     from .training import train
     model_cfg, train_cfg = _load_configs(args.config)
     if args.variant is not None:
-        model_cfg, train_cfg = build_variant(args.variant, model_cfg,
-                                             train_cfg)
+        model_cfg = dataclasses.replace(model_cfg, variant=args.variant)
     dataset = pipeline.load_dataset(args.data)
     log = args.log or _default_log(args.out)
     model = train(train_cfg, dataset, model_config=model_cfg,

@@ -1,13 +1,10 @@
-"""Task-specific prediction heads with a hard positivity constraint.
+"""Task-specific prediction heads.
 
 Each registered task owns a dense(relu)dense stack from the fused latent
-to its output shape.  Tasks flagged non-negative (the six slow pool tasks;
-the fluxes have no head) end in softplus, so every prediction is strictly
-positive no matter how extreme the latent: the property that makes the
-predicted state safe to write into a restart file.
-
-Heads predict in the MinMax space of the training targets; the model that
-owns them maps their outputs back to physical units.
+to its output shape, whose output layer starts at zero.  The model that
+owns the heads reads their outputs as log ratios to the observed pools,
+so an untrained head predicts the observed state, and maps them back to
+physical units; the fluxes have no head.
 """
 
 import numpy as np
@@ -19,12 +16,11 @@ from .errors import ContractError, ShapeError
 
 
 def task_registry(dims):
-    """Default task set, in :data:`pipeline.SLOW_TASKS` order: one strictly
-    positive head per slow task, shaped as the task's target array in
+    """Default task set, in :data:`pipeline.SLOW_TASKS` order: each slow
+    task's output shape, that of its target array in
     :data:`pipeline.SPLIT_LAYOUT` less its row axis, with the named
     dimensions taken from ``dims``.  A head of any rank is legal."""
-    return {t: {"shape": tuple(dims[d] for d in pipeline.SPLIT_LAYOUT[t][1:]),
-                "nonneg": True}
+    return {t: tuple(dims[d] for d in pipeline.SPLIT_LAYOUT[t][1:])
             for t in pipeline.SLOW_TASKS}
 
 
@@ -34,12 +30,12 @@ class TaskHeads:
         self.registry = dict(registry)
         self.in_dim = in_dim
         self.params = {}
-        for name, spec in self.registry.items():
-            width = int(np.prod(spec["shape"])) if spec["shape"] else 1
+        for name, shape in self.registry.items():
+            width = int(np.prod(shape))
             self.params[name] = {
                 "w1": xavier(rng, (in_dim, hidden), dtype),
                 "b1": zeros_param(hidden, dtype),
-                "w2": xavier(rng, (hidden, width), dtype),
+                "w2": zeros_param((hidden, width), dtype),
                 "b2": zeros_param(width, dtype),
             }
 
@@ -60,10 +56,7 @@ class TaskHeads:
         p = self.params[task]
         hidden = ad.dense(z, p["w1"], p["b1"], relu=True)
         out = ad.dense(hidden, p["w2"], p["b2"])
-        if self.registry[task]["nonneg"]:
-            out = ad.softplus(out)
-        shape = self.registry[task]["shape"]
-        return ad.reshape(out, (z.shape[0],) + shape)
+        return ad.reshape(out, (z.shape[0],) + self.registry[task])
 
     def predict_all(self, z):
         return {task: self.predict(z, task) for task in self.registry}

@@ -2,12 +2,16 @@
 
 A :class:`Surrogate` owns one encoder per input group, a fusion module
 producing the unified latent, and one head per slow pool task.  It takes
-its shapes (``dims``) and its input and output scales from its data, so a
-caller hands it physical units and gets physical units back.  The fluxes
-are not learned but computed in closed form, so NPP = GPP - AR holds
-exactly whatever the weights.  Variants swap or drop components;
-everything else (heads, loss wiring, persistence) is shared so a variant
-differs from the full model by exactly the removed part.
+its shapes (``dims``) and its input scale from its data, so a caller hands
+it physical units and gets physical units back.  Each slow head predicts
+the log ratio r = log(y / obs) of its pools to the sample's own observed
+window-end pools (g4/g5), and the model returns obs * exp(r): no pool is
+negative, and an untrained model, whose output layers start at zero,
+predicts the observed state.  The fluxes are not learned but computed in
+closed form, so NPP = GPP - AR holds exactly whatever the weights.
+Variants swap or drop components; everything else (heads, loss wiring,
+persistence) is shared so a variant differs from the full model by
+exactly the removed part.
 """
 
 import dataclasses
@@ -40,9 +44,16 @@ _BRANCH_DROPS = {
 # The shapes a model takes from its data, as in a dataset manifest's dims.
 DIMS = ("months", "n_pft", "n_layers")
 
-# Model file manifest version.  Version 3 files also carry flux heads,
-# version 2 keeps the dims in the config, and version 1 reads every month.
-MODEL_VERSION = 4
+# Model file manifest version.  Version 4 heads predict MinMax-scaled pools
+# through softplus, version 3 files also carry flux heads, version 2 keeps
+# the dims in the config, and version 1 reads every month.
+MODEL_VERSION = 5
+
+# (group, trailing index) of each slow task's observed window-end pools,
+# the state its head predicts a log ratio to
+OBSERVED = {task: (g, i) for g in ("g4", "g5")
+            for i, task in enumerate(pipeline.GROUP_FIELDS[g])
+            if task in pipeline.SLOW_TASKS}
 
 # Rows per forward pass in :meth:`Surrogate.predict`; bounds the inputs and
 # activations one forward pass holds at once, whatever the number of cells.
@@ -66,6 +77,28 @@ def _fluxes(groups):
     return dict(zip(pipeline.FLUX_TASKS, pipeline.annual_fluxes(
         pipeline._gbar_of(_annual_cycle(groups["g1"])), g2[:, col("alpha")],
         g2[:, col("resp_frac")], g2[:, col("nutrient")])))
+
+
+def observed(groups):
+    """Each slow task's observed window-end pools [n, *shape], float64,
+    from the physical-unit g4/g5 groups."""
+    return {t: np.asarray(groups[g][..., i], dtype=np.float64)
+            for t, (g, i) in OBSERVED.items()}
+
+
+def log_ratios(groups, pools):
+    """Positive physical-unit slow pools as what the heads predict: the log
+    ratio to each sample's observed pools, float64."""
+    obs = observed(groups)
+    return {t: np.log(pools[t] / obs[t]) for t in pools}
+
+
+def from_log_ratios(groups, ratios):
+    """Slow pools in physical units, float64, from log ratios to each
+    sample's observed pools: obs * exp(r), never negative."""
+    obs = observed(groups)
+    return {t: obs[t] * np.exp(np.asarray(r, dtype=np.float64))
+            for t, r in ratios.items()}
 
 
 def active_branches(variant):
@@ -205,7 +238,6 @@ class Surrogate:
         self.dims = dims = _checked_dims(dims)
         self.dtype = dtype
         self.feature_stats = None
-        self.target_stats = None
         self.train_config = None
         self.ood_stats = None
         d, hid = config.dim, config.hidden
@@ -249,10 +281,8 @@ class Surrogate:
                                dtype=dtype)
         self.delta_heads = None
         if config.variant == "baseline_pinn":
-            # a change of state from the window end: either sign
-            deltas = {t: dict(registry[t], nonneg=False)
-                      for t in pipeline.SLOW_TASKS}
-            self.delta_heads = TaskHeads(deltas, in_dim=d, hidden=hid,
+            # a change of state from the window end, whose log ratio is 0
+            self.delta_heads = TaskHeads(registry, in_dim=d, hidden=hid,
                                          rng=rng, dtype=dtype)
 
     # -- parameters ---------------------------------------------------------
@@ -291,6 +321,12 @@ class Surrogate:
         if months != self.dims["months"]:
             raise ShapeError(f"g1 holds {months} months of forcing; the model "
                              f"reads {self.dims['months']}")
+        # every variant reads the observed pools of g4 and g5
+        for g, dim in (("g3", "n_pft"), ("g4", "n_pft"), ("g5", "n_layers")):
+            if np.shape(groups[g])[1:2] != (self.dims[dim],):
+                raise ShapeError(f"{g} must be [batch, {dim}, fields] with "
+                                 f"{dim} {self.dims[dim]}, got shape "
+                                 f"{np.shape(groups[g])}")
         if self.feature_stats is None:
             raise ContractError("model carries no normalization stats")
         return {g: a.astype(self.dtype, copy=False) for g, a in
@@ -324,7 +360,7 @@ class Surrogate:
         return self.fusion.fuse(self._branch_latents(arrays))
 
     def forward(self, batch):
-        """Returns (predictions dict of normalized tensors, latent tensor)
+        """Returns (log-ratio predictions dict of tensors, latent tensor)
         for a dict of physical-unit groups."""
         z = self.latent(batch)
         return self.heads.predict_all(z), z
@@ -339,21 +375,17 @@ class Surrogate:
         """Forward pass over a dict of physical-unit group arrays,
         PREDICT_ROWS rows at a time.  Returns (predictions per task in
         physical units, as float64 arrays; latent array [n, d]).  The heads'
-        outputs map back with the model's target stats; the fluxes are the
+        log ratios map back with :func:`from_log_ratios`; the fluxes are the
         closed form of each sample's inputs (:func:`_fluxes`)."""
-        if not set(self.heads.registry) <= set(self.target_stats or ()):
-            raise ContractError("model carries no target stats for its tasks")
         n = groups["g1"].shape[0]
         preds = {t: [] for t in (*self.heads.registry, *pipeline.FLUX_TASKS)}
         latents = []
         for start in range(0, n, PREDICT_ROWS):
             chunk = {g: a[start:start + PREDICT_ROWS] for g, a in groups.items()}
             out, z = self.forward(chunk)
-            for t, p in out.items():
-                preds[t].append(pipeline.minmax_invert(p.data,
-                                                       self.target_stats[t]))
-            for t, flux in _fluxes(chunk).items():
-                preds[t].append(flux)
+            pools = from_log_ratios(chunk, {t: p.data for t, p in out.items()})
+            for t, v in (*pools.items(), *_fluxes(chunk).items()):
+                preds[t].append(v)
             latents.append(z.data)
         return ({t: np.concatenate(v, axis=0) for t, v in preds.items()},
                 np.concatenate(latents, axis=0))
@@ -380,7 +412,6 @@ class Surrogate:
             "dims": self.dims,
             "train_config": self.train_config,
             "feature_stats": self.feature_stats,
-            "target_stats": self.target_stats,
             "params": sorted(params) + sorted(ood_arrays),
             "ood": ood_manifest,
         }
@@ -417,7 +448,6 @@ class Surrogate:
             tensor.data = arrays[name].astype(tensor.data.dtype)
         model.train_config = manifest.get("train_config")
         model.feature_stats = manifest.get("feature_stats")
-        model.target_stats = manifest.get("target_stats")
         model.ood_stats = OodStats.from_manifest(manifest["ood"], arrays)
         return model
 
@@ -428,7 +458,6 @@ class Surrogate:
         for name, tensor in twin.named_params().items():
             tensor.data = source[name].data.copy()
         twin.feature_stats = self.feature_stats
-        twin.target_stats = self.target_stats
         twin.train_config = self.train_config
         return twin
 

@@ -2,11 +2,13 @@
 
 Batches carry features in physical units, as the dataset stores them; the
 model scales them with the feature stats it adopts from the training split.
-Targets arrive MinMax-normalized, and the loss operates in that [0, 1]
-space, on the outputs of ``Surrogate.forward`` (``predict`` maps them to
-physical units): the sum of the slow-task MSEs.  The flux targets take no
-part: the model computes the fluxes in closed form, so NPP = GPP - AR
-holds exactly without a penalty.
+The slow targets are mapped once, from the dataset's MinMax space through
+physical units to the model's log ratios to each sample's observed pools
+(:func:`model.log_ratios`), and the loss operates in that space, on the
+outputs of ``Surrogate.forward``: the sum of the slow-task MSEs.  A row
+whose slow target or observation is 0 has no finite log ratio and is left
+out of the fit.  The flux targets take no part: the model computes the
+fluxes in closed form, so NPP = GPP - AR holds exactly without a penalty.
 
 Training and fine-tuning end in one step: fit the weights to a split, less
 a held-out tenth for early stopping, then fit the OOD guard to that split,
@@ -15,6 +17,7 @@ to."""
 
 import dataclasses
 import io
+import logging
 
 import numpy as np
 
@@ -25,12 +28,10 @@ from . import pipeline
 from .autodiff import GradTape, Tensor
 from .errors import (ConfigurationError, ContractError, DivergenceError,
                      RangeError, ShapeError)
-from .model import ModelConfig, Surrogate, check_field_types, config_from_dict
+from .model import (ModelConfig, Surrogate, check_field_types,
+                    config_from_dict, log_ratios, observed)
 
-# (group, trailing index) of each slow task's window-end observation
-_INITIALS = {task: (g, i) for g in ("g4", "g5")
-             for i, task in enumerate(pipeline.GROUP_FIELDS[g])
-             if task in pipeline.SLOW_TASKS}
+log = logging.getLogger(__name__)
 
 
 @dataclasses.dataclass
@@ -73,53 +74,25 @@ def task_loss(pred, target):
     return ad.mean_all(ad.square(diff))
 
 
-def pinn_delta_loss(pred_final, pred_delta, initial_state, target_final):
-    """Data term plus state-evolution term, equally weighted."""
-    if initial_state is None:
-        raise ContractError("delta-state loss requires initial states")
-    initial = np.asarray(initial_state)
-    if initial.shape != pred_delta.data.shape:
-        raise ShapeError(f"initial state shape {initial.shape} does not match "
-                         f"delta shape {pred_delta.data.shape}")
-    evolved = ad.add(Tensor(initial.astype(pred_delta.data.dtype)), pred_delta)
+def pinn_delta_loss(pred_final, pred_delta, target_final):
+    """Data term plus state-evolution term, equally weighted.  In log-ratio
+    space the window-end state is 0, so the evolved state is the delta."""
     return ad.add(task_loss(pred_final, target_final),
-                  task_loss(evolved, target_final))
+                  task_loss(pred_delta, target_final))
 
 
-def total_loss(preds, targets, deltas=None, initials=None):
-    """The sum of the slow-task losses; other entries of ``preds`` and
-    ``targets`` are ignored.
-
-    Returns (scalar tensor, dict of per-component float values).  When delta
-    predictions are supplied, the tasks use the two-term delta-state loss.
-    """
+def total_loss(preds, targets, deltas=None):
+    """The sum of the slow-task losses, a scalar tensor; other entries of
+    ``preds`` and ``targets`` are ignored.  When delta predictions are
+    supplied, the tasks use the two-term delta-state loss."""
     total = None
-    components = {}
     for task in pipeline.SLOW_TASKS:
         if deltas is not None:
-            if initials is None or task not in initials:
-                raise ContractError(f"missing initial state for {task}")
-            part = pinn_delta_loss(preds[task], deltas[task], initials[task],
-                                   targets[task])
+            part = pinn_delta_loss(preds[task], deltas[task], targets[task])
         else:
             part = task_loss(preds[task], targets[task])
-        components[task] = part.data.item()
         total = part if total is None else ad.add(total, part)
-    components["total"] = total.data.item()
-    return total, components
-
-
-def pinn_initial_states(groups, target_stats):
-    """Window-end slow-pool states in normalized target space.
-
-    The observed year-20 pools arrive as physical-unit features; the delta
-    head needs them on the same scale as the targets.
-    """
-    if target_stats is None:
-        raise ContractError("initial states need target stats")
-    return {task: pipeline.minmax_apply(groups[g][..., i],
-                                        target_stats[task]).astype(np.float32)
-            for task, (g, i) in _INITIALS.items()}
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +153,8 @@ def _batches(split, batch_size):
 
 def _batch_loss(model, batch):
     preds, z = model.forward(batch.groups)
-    deltas = None
-    initials = None
-    if model.delta_heads is not None:
-        deltas = model.delta_forward(z)
-        initials = pinn_initial_states(batch.groups, model.target_stats)
-    total, _ = total_loss(preds, batch.targets, deltas, initials)
-    return total
+    deltas = model.delta_forward(z) if model.delta_heads is not None else None
+    return total_loss(preds, batch.targets, deltas)
 
 
 def _eval_loss(model, batches):
@@ -264,9 +232,30 @@ def _optimize(model, train_split, val_split, config, history_path=None):
     return history
 
 
-def _fit(model, split, config, history_path):
-    """Fits the model's weights to a split, less a held-out tenth for early
-    stopping, then fits its OOD guard to the whole split."""
+def _log_ratio_split(dataset, split):
+    """``split`` with its slow targets as log ratios to its observed pools,
+    less each row where a slow target or its observation is 0."""
+    pools = {t: dataset.denorm_target(t, split.targets[t])
+             for t in pipeline.SLOW_TASKS}
+    obs = observed(split.groups)
+    zero = np.zeros(split.n, dtype=bool)
+    for t in pools:
+        zero |= ((pools[t] == 0) | (obs[t] == 0)).reshape(split.n, -1).any(axis=1)
+    if zero.any():
+        log.warning("left %d of %d rows out of the fit: a slow target or its "
+                    "observation is 0", int(zero.sum()), split.n)
+        keep = np.flatnonzero(~zero)
+        split = split.take(keep)
+        pools = {t: v[keep] for t, v in pools.items()}
+    return dataclasses.replace(split, targets=log_ratios(split.groups, pools))
+
+
+def _fit(model, dataset, split, config, history_path):
+    """Fits the model's weights to a split of ``dataset`` in log-ratio
+    space, less its rows with a zero slow target or observation and a
+    held-out tenth for early stopping, then fits its OOD guard to the
+    fitted rows."""
+    split = _log_ratio_split(dataset, split)
     tr_idx, val_idx = _split_indices(split.n, config.seed)
     model.history = _optimize(model, split.take(tr_idx), split.take(val_idx),
                               config, history_path)
@@ -285,29 +274,16 @@ def train(config, dataset, model_config=None, history_path=None):
     model = Surrogate(model_config, pipeline.group_dims(dataset.train.groups),
                       rng=np.random.default_rng([config.seed, 5]))
     model.feature_stats = dict(dataset.feature_stats)
-    model.target_stats = {t: dataset.target_stats[t] for t in pipeline.SLOW_TASKS}
-    return _fit(model, dataset.train, config, history_path)
-
-
-def _renorm_split(split, dataset, model):
-    """A foreign dataset split with its slow targets re-expressed in the
-    model's target stats, the only targets a loss reads; its physical-unit
-    features need no change."""
-    if model.target_stats is None:
-        raise ContractError("model carries no normalization stats")
-    targets = {t: pipeline.minmax_apply(dataset.denorm_target(t, split.targets[t]),
-                                        model.target_stats[t]).astype(np.float32)
-               for t in pipeline.SLOW_TASKS}
-    return dataclasses.replace(split, targets=targets)
+    return _fit(model, dataset, dataset.train, config, history_path)
 
 
 def fine_tune(model, fine_dataset, fraction, config, history_path=None):
     """Continues optimization on a seeded fraction of a new dataset, in the
     source model's width, and refits the guard on that fraction.
 
-    The model scales the fine features with its own stats, and the fine
-    targets are renormalized with them, so both keep the meaning the weights
-    were trained against.
+    The model scales the fine features with its own stats and predicts
+    each sample's log ratio to its own observed pools, so neither needs
+    re-scaling for another dataset.
     """
     if not 0.0 < fraction <= 1.0:
         raise RangeError(f"fraction must lie in (0, 1], got {fraction}")
@@ -315,5 +291,5 @@ def fine_tune(model, fine_dataset, fraction, config, history_path=None):
     k = max(2, int(round(fraction * n)))
     pick = np.sort(np.random.default_rng([config.seed, 23]).choice(
         n, size=min(k, n), replace=False))
-    sub = _renorm_split(fine_dataset.train, fine_dataset, model).take(pick)
-    return _fit(model.clone(), sub, config, history_path)
+    return _fit(model.clone(), fine_dataset, fine_dataset.train.take(pick),
+                config, history_path)

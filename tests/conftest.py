@@ -58,9 +58,13 @@ TOY_DIMS = {"months": 12, "n_pft": 5, "n_layers": 9}
 
 
 def with_guard(model):
-    """``model`` with an OOD guard fitted to a toy train split in its window,
+    """``model`` with an OOD guard fitted to a toy train split in its dims,
     as a model must carry one to be saved."""
-    groups = build_toy_dataset(months=model.dims["months"]).train.groups
+    dims = model.dims
+    groups = build_toy_dataset(months=dims["months"]).train.groups
+    groups = dict(groups, g3=groups["g3"][:, :dims["n_pft"]],
+                  g4=groups["g4"][:, :dims["n_pft"]],
+                  g5=groups["g5"][:, :dims["n_layers"]])
     model.ood_stats = ood.fit_ood(model, groups)
     return model
 

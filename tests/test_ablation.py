@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,30 +15,39 @@ from conftest import toy_model_config
 
 
 class TestBuildVariant:
+    """A variant's configs, as ``run_variant`` and ``train --variant`` build
+    them: the caller's model config with its variant replaced, which
+    ``ModelConfig`` checks."""
+
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError, match="no_attention"):
-            ablation.build_variant("no_attention")
+            dataclasses.replace(ModelConfig(), variant="no_attention")
 
     def test_architecture_variants_pass_through(self):
         assert VARIANTS == model_mod.VARIANTS
         for name in VARIANTS:
-            mc, tc = ablation.build_variant(name)
-            assert mc.variant == name
+            assert dataclasses.replace(ModelConfig(),
+                                       variant=name).variant == name
 
-    def test_no_phys_is_unknown(self):
+    def test_no_phys_is_unknown(self, toy_dataset):
         # there is no flux penalty to turn off: the fluxes are a closed form
         with pytest.raises(ConfigurationError, match="no_phys"):
-            ablation.build_variant("no_phys")
+            ablation.run_variant("no_phys", toy_dataset, seed=0)
 
-    def test_train_config_passes_through(self):
-        tc0 = TrainConfig(lr=0.01, seed=4)
-        _, tc = ablation.build_variant("no_cnn", train_config=tc0)
-        assert tc == tc0
+    def test_train_config_passes_through(self, toy_dataset):
+        # all but the seed, which the suite sets per run
+        tc0 = TrainConfig(lr=0.01, max_epochs=1, batch_size=16, seed=4)
+        model, _ = ablation.run_variant("no_cnn", toy_dataset, seed=2,
+                                        model_config=toy_model_config(),
+                                        train_config=tc0)
+        assert model.train_config == dict(tc0.to_dict(), seed=2)
 
-    def test_preserves_caller_configs(self):
-        mc0 = ModelConfig(dim=32, heads=2)
-        mc, _ = ablation.build_variant("no_lstm", model_config=mc0)
-        assert mc.dim == 32 and mc.variant == "no_lstm"
+    def test_preserves_caller_configs(self, toy_dataset):
+        mc0 = toy_model_config(dim=8)
+        model, _ = ablation.run_variant(
+            "no_lstm", toy_dataset, seed=0, model_config=mc0,
+            train_config=TrainConfig(max_epochs=1, batch_size=16))
+        assert model.config.dim == 8 and model.config.variant == "no_lstm"
         assert mc0.variant == "full"
 
 

@@ -1,5 +1,7 @@
 """Acceptance layer: the default configuration, trained to the end on the
-coarse grid, meets its accuracy targets at world and split seeds 0 and 7.
+coarse grid, meets its accuracy targets at world and split seeds 0 and 7,
+and its restart file spins the held-out cells up at least as fast as a
+restart from their observed window-end pools.
 
 Each seed's pipeline takes about half a minute on one core, so the module
 is marked ``slow`` and the default run deselects it; run it with
@@ -17,16 +19,20 @@ import numpy as np
 import pytest
 
 import phase_surrogate
-from phase_surrogate import pipeline
+from phase_surrogate import blobio, pipeline, simulator
+from phase_surrogate.model import observed
 
 pytestmark = pytest.mark.slow
 
 SRC = os.path.dirname(os.path.dirname(phase_surrogate.__file__))
 
-# with the fluxes in closed form, test slow-task R^2 is 0.915 at seed 0 and
-# 0.913 at seed 7 (0.902-0.924 over train seeds 0-3 at both), flux R^2 is
-# 0.99984 and 0.99986 or more, and the residual is 0 at both
-MIN_SLOW_R2 = 0.89
+# with the slow tasks as log ratios to the observed pools, test slow-task
+# R^2 is 0.990 at seed 0 and 0.992 at seed 7 (0.980-0.991 over train seeds
+# 0-3 at both), flux R^2 is 0.99984 and 0.99986 or more, and the residual
+# is 0 at both.  The held-out median restart speedup is 1.895x and 2.008x,
+# against 1.674x and 1.583x for persistence (1.726-2.025x over train seeds
+# 0-3 at both)
+MIN_SLOW_R2 = 0.97
 MIN_FLUX_R2 = 0.999
 MAX_PHYS_RESIDUAL = 1e-12
 
@@ -40,9 +46,9 @@ def phase(*argv):
 
 
 @pytest.fixture(scope="module", params=[0, 7], ids=lambda seed: f"seed{seed}")
-def metrics(request, tmp_path_factory):
-    """Rows of eval's metrics.csv for the default model on the world and
-    split of one seed, keyed by task."""
+def run(request, tmp_path_factory):
+    """The directory of the default pipeline on the world and split of one
+    seed: world, dataset, model, eval report and restart-check output."""
     seed = str(request.param)
     root = tmp_path_factory.mktemp(f"acceptance-seed{seed}")
     phase("gen-data", "--seed", seed, "--grid", "coarse",
@@ -53,9 +59,26 @@ def metrics(request, tmp_path_factory):
           "--out", str(root / "model.phm"))
     phase("eval", "--model", str(root / "model.phm"),
           "--data", str(root / "data"), "--out", str(root / "report"))
-    with open(root / "report" / "metrics.csv", newline="",
+    phase("restart-check", "--model", str(root / "model.phm"),
+          "--world", str(root / "world"), "--out", str(root / "drift.csv"))
+    return root
+
+
+@pytest.fixture(scope="module")
+def metrics(run):
+    """Rows of eval's metrics.csv, keyed by task."""
+    with open(run / "report" / "metrics.csv", newline="",
               encoding="ascii") as fh:
         return {row["task"]: row for row in csv.DictReader(fh)}
+
+
+def held_out_speedup(world, restart_path, test_ids):
+    """Median restart speedup over the test split's cells, starting from
+    the slow pools of a restart file."""
+    initial, _ = simulator.load_restart_state(world, str(restart_path))
+    _, report = simulator.restart_run(initial, world, years=1)
+    row = {int(c): i for i, c in enumerate(world.land_idx)}
+    return pipeline.median(report.speedup[[row[int(c)] for c in test_ids]])
 
 
 def test_test_split_slow_task_r2(metrics):
@@ -70,3 +93,15 @@ def test_test_split_flux_r2(metrics):
 
 def test_physics_residual(metrics):
     assert float(metrics["_phys_residual"]["rmse"]) <= MAX_PHYS_RESIDUAL
+
+
+def test_held_out_speedup_at_least_persistence(run, tmp_path):
+    world = simulator.load_world(str(run / "world" / "world.phw"))
+    test_ids = pipeline.load_dataset(str(run / "data")).test.cell_id
+    samples = simulator.export_samples(world)
+    persistence = tmp_path / "persistence.phr"
+    blobio.write_restart(str(persistence), samples.cell_id,
+                         observed(samples.groups), world.n_pft,
+                         world.n_layers)
+    assert (held_out_speedup(world, run / "drift.phr", test_ids)
+            >= held_out_speedup(world, persistence, test_ids))

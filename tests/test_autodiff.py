@@ -86,16 +86,6 @@ def _case_tanh(rng):
     return _probe_fn(ad.tanh, ts, rng), ts
 
 
-def _case_softplus(rng):
-    ts = [_t(rng, (3, 4), -6.0, 6.0)]
-    return _probe_fn(ad.softplus, ts, rng), ts
-
-
-def _case_softplus_near_cutoff(rng):
-    ts = [_t(rng, (8,), 28.0, 32.0)]
-    return _probe_fn(ad.softplus, ts, rng), ts
-
-
 def _case_softmax_last(rng):
     ts = [_t(rng, (4, 6), -2.0, 2.0)]
     return _probe_fn(ad.softmax, ts, rng), ts
@@ -249,7 +239,7 @@ def _case_mlp(rng):
 
     def fn(x, w1, b1, w2, b2):
         h = ad.tanh(ad.add_rowvec(ad.matmul(x, w1), b1))
-        y = ad.softplus(ad.add_rowvec(ad.matmul(h, w2), b2))
+        y = ad.relu(ad.add_rowvec(ad.matmul(h, w2), b2))
         return ad.mean_all(y)
 
     return fn, [x, w1, b1, w2, b2]
@@ -290,8 +280,6 @@ GRAD_CASES = [
     ("relu", _case_relu),
     ("sigmoid", _case_sigmoid),
     ("tanh", _case_tanh),
-    ("softplus", _case_softplus),
-    ("softplus_near_cutoff", _case_softplus_near_cutoff),
     ("softmax_last", _case_softmax_last),
     ("softmax_mid", _case_softmax_mid),
     ("matmul_2d", _case_matmul_2d),
@@ -357,7 +345,6 @@ class TestForwardValues:
         z = Tensor([0.0])
         assert ad.sigmoid(z).data[0] == pytest.approx(0.5)
         assert ad.tanh(z).data[0] == pytest.approx(0.0)
-        assert ad.softplus(z).data[0] == pytest.approx(np.log(2.0))
         assert np.array_equal(ad.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
 
     def test_relu_propagates_nan(self):
@@ -379,14 +366,6 @@ class TestForwardValues:
         huge = ad.softmax(Tensor(np.array([[0.0, 5000.0, 0.0]])))
         assert np.all(np.isfinite(huge.data))
         assert huge.data[0, 1] == pytest.approx(1.0)
-
-    def test_softplus_linear_branch_and_positivity(self):
-        x = Tensor(np.array([40.0, 31.0], dtype=np.float64))
-        out = ad.softplus(x)
-        assert np.array_equal(out.data, x.data)
-        for dtype in (np.float32, np.float64):
-            deep = ad.softplus(Tensor(np.array([-1e4, -500.0, -100.0], dtype=dtype)))
-            assert np.all(deep.data > 0.0)
 
     def test_layer_norm_normalizes_then_affines(self):
         rng = np.random.default_rng(11)
@@ -730,6 +709,6 @@ class TestDeterminism:
             x = Tensor(rng.normal(size=(8, 5)).astype(np.float32))
             w = Tensor(rng.normal(size=(5, 4)).astype(np.float32))
             b = Tensor(rng.normal(size=4).astype(np.float32))
-            return ad.softplus(ad.add_rowvec(ad.matmul(x, w), b)).data
+            return ad.relu(ad.add_rowvec(ad.matmul(x, w), b)).data
 
         assert np.array_equal(run(), run())

@@ -71,14 +71,13 @@ def short(ws, tmp_path_factory):
 
 def untrained_model(ws, path, dims=(), **config):
     """Save an untrained model of the ws model's config and dims with
-    ``config`` and ``dims`` changed, carrying the ws model's stats and a
-    toy-fitted OOD guard."""
+    ``config`` and ``dims`` changed, carrying the ws model's feature stats
+    and a toy-fitted OOD guard."""
     trained = Surrogate.load(str(ws["model"]))
     model = Surrogate(ModelConfig.from_dict(dict(trained.config.to_dict(),
                                                  **config)),
                       dict(trained.dims, **dict(dims)))
     model.feature_stats = trained.feature_stats
-    model.target_stats = trained.target_stats
     with_guard(model).save(str(path))
     return path
 
@@ -389,7 +388,7 @@ class TestExitCodes:
     ] + [pytest.param("restart", "cwdc", None, "restart-check",
                       id="restart-cwdc-restart-check")])
     def test_array_of_wrong_shape_is_clean_runtime_error(
-            self, ws, tmp_path, capsys, kind, name, cut, command):
+            self, ws, tmp_path, capsys, monkeypatch, kind, name, cut, command):
         inputs = {"world": tmp_path / "world", "data": tmp_path / "data",
                   "model": tmp_path / "model.phm"}
         shutil.copytree(ws["world"], inputs["world"])
@@ -400,10 +399,15 @@ class TestExitCodes:
                    "model": inputs["model"],
                    "restart": tmp_path / "out.phr"}[kind]
         if kind == "restart":
-            # a model for 8 soil layers on a world of 9: its layered pools
-            # are one column short of the restart file's
-            untrained_model(ws, inputs["model"], dims={"n_layers": 8},
-                            variant="no_cnn")
+            # layered pools one column short of the restart file's; a model
+            # of other dims refuses the world before it predicts (below)
+            predict = Surrogate.predict
+
+            def short(model, groups):
+                preds, z = predict(model, groups)
+                return dict(preds, cwdc=preds["cwdc"][:, :-1]), z
+
+            monkeypatch.setattr(Surrogate, "predict", short)
         else:
             manifest, arrays = blobio.read_model_file(str(damaged))
             arrays[name] = arrays[name][cut]
@@ -424,6 +428,21 @@ class TestExitCodes:
         assert f"{damaged}: array {name!r} has shape" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "data", "model.phm", "world"]
+
+    def test_model_of_other_dims_is_clean_runtime_error(self, ws, tmp_path,
+                                                       capsys):
+        # a model for 8 soil layers on a world of 9: even a variant without
+        # the layered encoder reads the observed soil pools
+        model = untrained_model(ws, tmp_path / "model.phm",
+                                dims={"n_layers": 8}, variant="no_cnn")
+        rc = main(["restart-check", "--model", str(model), "--world",
+                   str(ws["world"]), "--out", str(tmp_path / "out.csv"),
+                   "--years", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: g5 must be [batch, n_layers, fields] "
+                              "with n_layers 8, got shape (")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.phm"]
 
     def test_fine_tune_refuses_another_architecture(self, ws, tmp_path, capsys):
         config = tmp_path / "tune.json"

@@ -23,7 +23,7 @@ SRC = os.path.dirname(os.path.dirname(phase_surrogate.__file__))
     "03_train_and_evaluate.py",
     "04_physics_constraints.py",
     "05_restart_speedup.py",
-    # trains a coarse model and four fine-tunes, about 16 s on one core
+    # trains a coarse model and four fine-tunes, about 8 s on one core
     pytest.param("06_ood_and_transfer.py", marks=pytest.mark.slow),
 ])
 def test_demo_exits_zero(name, tmp_path):

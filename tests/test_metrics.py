@@ -149,12 +149,13 @@ class TestEvaluate:
 
     def test_physical_space_round_trip(self, toy_report, toy_model,
                                        toy_dataset):
-        # the toy stats are identity, so physical == normalized
+        # the head's log ratio onto the observed soil3c pools of g5
         batch = {g: toy_dataset.test.groups[g] for g in pipeline.GROUPS}
         out, z = toy_model.forward(batch)
-        np.testing.assert_allclose(toy_report.preds["soil3c"],
-                                   out["soil3c"].data.astype(np.float64),
-                                   rtol=1e-6)
+        np.testing.assert_allclose(
+            toy_report.preds["soil3c"],
+            batch["g5"][..., 1] * np.exp(out["soil3c"].data.astype(np.float64)),
+            rtol=1e-6)
         np.testing.assert_allclose(toy_report.latent, z.data, rtol=1e-6)
 
     def test_residual_matches_flux_identity(self, toy_report):

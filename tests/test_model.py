@@ -24,10 +24,16 @@ def toy_batch(n=4, months=12, seed=1):
 
 def make(variant="full", dtype=np.float32, months=12):
     """A fresh toy-dims model reading ``months`` of forcing, with
-    :func:`fill_stats`' stats."""
-    return fill_stats(Surrogate(toy_model_config(variant=variant),
-                                dict(TOY_DIMS, months=months),
-                                rng=np.random.default_rng(0), dtype=dtype))
+    :func:`fill_stats`' stats and random head output layers, as a trained
+    model has them: an untrained head predicts a log ratio of 0."""
+    model = fill_stats(Surrogate(toy_model_config(variant=variant),
+                                 dict(TOY_DIMS, months=months),
+                                 rng=np.random.default_rng(0), dtype=dtype))
+    rng = np.random.default_rng(1)
+    for name, tensor in model.named_params().items():
+        if name.endswith(".w2") and name.split(".")[0] in ("heads", "delta"):
+            tensor.data = rng.normal(0.0, 0.3, tensor.data.shape).astype(dtype)
+    return model
 
 
 def param_count(model):
@@ -35,12 +41,9 @@ def param_count(model):
 
 
 def fill_stats(model):
-    """Identity feature stats, so physical units are the network's inputs,
-    and a distinct scale per task."""
+    """Identity feature stats, so physical units are the network's inputs."""
     model.feature_stats = {name: [0.0, 1.0]
                            for name, _, _ in pipeline.FEATURE_CHANNELS}
-    model.target_stats = {t: [0.0, float(i + 1)]
-                          for i, t in enumerate(pipeline.TASKS)}
     return model
 
 
@@ -227,12 +230,11 @@ class TestForward:
         whole, z = model.forward(batch)
         preds, latent = model.predict(batch)
         assert set(preds) == set(pipeline.TASKS)
+        pools = model_mod.from_log_ratios(
+            batch, {t: whole[t].data for t in pipeline.SLOW_TASKS})
         for t in pipeline.SLOW_TASKS:
             assert preds[t].shape == whole[t].shape
-            np.testing.assert_allclose(
-                preds[t], pipeline.minmax_invert(whole[t].data,
-                                                 model.target_stats[t]),
-                rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(preds[t], pools[t], rtol=1e-5)
         fluxes = model_mod._fluxes(batch)
         for t in pipeline.FLUX_TASKS:
             np.testing.assert_array_equal(preds[t], fluxes[t])
@@ -249,9 +251,9 @@ class TestForward:
         physical = {g: 4.0 * a - 1.0 for g, a in batch.items()}
         preds, latent = model.predict(physical)
         np.testing.assert_allclose(
-            preds["soil3c"], pipeline.minmax_invert(
-                whole["soil3c"].data, model.target_stats["soil3c"]),
-            rtol=1e-5, atol=1e-6)
+            preds["soil3c"], model_mod.from_log_ratios(
+                physical, {"soil3c": whole["soil3c"].data})["soil3c"],
+            rtol=1e-5)
         np.testing.assert_allclose(latent, z.data, rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(model.attention_weights(physical),
                                    attention, rtol=1e-5, atol=1e-6)
@@ -342,7 +344,6 @@ class TestPersistence:
         b, _ = again.forward(batch)
         for t in pipeline.SLOW_TASKS:
             np.testing.assert_array_equal(a[t].data, b[t].data)
-        assert again.target_stats == model.target_stats
         assert again.feature_stats == model.feature_stats
         assert again.dims == model.dims
 
@@ -383,19 +384,29 @@ class TestPersistence:
             Surrogate.load(path)
 
     def test_predict_denormalizes(self):
-        # each head's output maps back with its own task's (min, max)
+        # each head's log ratio maps back onto its own task's observed
+        # pools: tlai is g4's last field, soil3c g5's middle one
         model = make("full")
-        model.target_stats = {t: [float(i), 3.0 * i + 1.0]
-                              for i, t in enumerate(pipeline.TASKS)}
         batch = toy_batch()
         out, _ = model.forward(batch)
         preds, _ = model.predict(batch)
-        for t in pipeline.SLOW_TASKS:
-            lo, hi = model.target_stats[t]
+        for t, obs in (("tlai", batch["g4"][..., 4]),
+                       ("soil3c", batch["g5"][..., 1])):
             assert preds[t].dtype == np.float64
             np.testing.assert_allclose(
-                preds[t], out[t].data.astype(np.float64) * (hi - lo) + lo,
-                rtol=1e-6)
+                preds[t], obs * np.exp(out[t].data.astype(np.float64)),
+                rtol=1e-12)
+
+    def test_version_4_file_refused(self, tmp_path):
+        # a version-4 model's heads predict MinMax-scaled pools
+        from phase_surrogate import blobio
+        path = str(tmp_path / "old.phm")
+        model = with_guard(make("full"))
+        model.save(path)
+        manifest, arrays = blobio.read_model_file(path)
+        blobio.write_model_file(path, dict(manifest, version=4), arrays)
+        with pytest.raises(ContractError, match="model file version 4"):
+            Surrogate.load(path)
 
     @pytest.mark.parametrize("variant", model_mod.VARIANTS)
     def test_load_and_clone_predict_as_the_source_without_drawing(
@@ -462,9 +473,58 @@ class TestClosedFormFluxes:
         model.feature_stats = {
             name: list(pipeline.minmax_fit(groups[g][..., i]))
             for name, g, i in pipeline.FEATURE_CHANNELS}
-        model.target_stats = {t: [0.0, 1.0] for t in pipeline.SLOW_TASKS}
         preds, _ = model.predict(groups)
         for t in pipeline.FLUX_TASKS:
             assert metrics.r2(preds[t], coarse_samples.targets[t]) >= 0.999, t
         gap = np.abs(preds["npp"] - (preds["gpp"] - preds["ar"]))
         assert np.all(gap <= 1e-12 * preds["gpp"])
+
+
+class TestLogRatios:
+    """Each slow head predicts the log ratio of its pools to the sample's
+    observed window-end pools, so the model starts from persistence."""
+
+    @pytest.mark.parametrize("variant", model_mod.VARIANTS)
+    def test_untrained_model_predicts_the_observed_pools(
+            self, coarse_samples, variant):
+        groups = coarse_samples.groups
+        model = Surrogate(toy_model_config(variant=variant),
+                          pipeline.group_dims(groups))
+        model.feature_stats = {
+            name: list(pipeline.minmax_fit(groups[g][..., i]))
+            for name, g, i in pipeline.FEATURE_CHANNELS}
+        preds, _ = model.predict(groups)
+        for t, (g, i) in model_mod.OBSERVED.items():
+            np.testing.assert_array_equal(preds[t], groups[g][..., i])
+
+    def test_observed_fields(self):
+        assert model_mod.OBSERVED == {
+            "deadcrootc": ("g4", 2), "deadstemc": ("g4", 3), "tlai": ("g4", 4),
+            "cwdc": ("g5", 0), "soil3c": ("g5", 1), "soil4c": ("g5", 2)}
+
+    def test_round_trip(self, coarse_samples):
+        groups, targets = coarse_samples.groups, coarse_samples.targets
+        pools = {t: targets[t] for t in pipeline.SLOW_TASKS}
+        ratios = model_mod.log_ratios(groups, pools)
+        back = model_mod.from_log_ratios(groups, ratios)
+        for t in pipeline.SLOW_TASKS:
+            assert ratios[t].dtype == np.float64
+            np.testing.assert_allclose(back[t], pools[t], rtol=1e-13)
+
+    def test_strict_positivity_on_extreme_latents(self):
+        # trained output layers and latents far outside any fitted range
+        from phase_surrogate.autodiff import Tensor
+        from phase_surrogate.heads import TaskHeads, task_registry
+        rng = np.random.default_rng(4)
+        heads = TaskHeads(task_registry(TOY_DIMS), in_dim=8, hidden=6,
+                          rng=rng)
+        for p in heads.params.values():
+            p["w2"].data = rng.normal(0.0, 0.3, p["w2"].data.shape)
+        z = rng.normal(size=(1000, 8)).astype(np.float32) * 10.0
+        z[:10] = 100.0
+        z[10:20] = -100.0
+        ratios = {t: r.data for t, r in heads.predict_all(Tensor(z)).items()}
+        assert max(np.abs(r).max() for r in ratios.values()) > 20.0
+        pools = model_mod.from_log_ratios(toy_batch(n=1000), ratios)
+        for task, pool in pools.items():
+            assert np.all(pool > 0.0) and np.all(np.isfinite(pool)), task

@@ -8,7 +8,6 @@ from phase_surrogate import fusion as fus
 from phase_surrogate import heads as hd
 from phase_surrogate import pipeline
 from phase_surrogate.autodiff import Tensor
-from phase_surrogate.model import ModelConfig, Surrogate
 from phase_surrogate.errors import (CompletenessError, ConfigurationError,
                                     ContractError, ShapeError)
 
@@ -283,36 +282,33 @@ class TestTaskHeads:
         dims = {"months": 12, "n_pft": 3, "n_layers": 4}
         reg = hd.task_registry(dims)
         assert list(reg) == list(pipeline.SLOW_TASKS)
-        for task, spec in reg.items():
-            assert spec == {"shape": tuple(
-                dims[d] for d in pipeline.SPLIT_LAYOUT[task][1:]),
-                "nonneg": True}
-        assert reg["tlai"]["shape"] == (3,) and reg["cwdc"]["shape"] == (4,)
+        for task, shape in reg.items():
+            assert shape == tuple(
+                dims[d] for d in pipeline.SPLIT_LAYOUT[task][1:])
+        assert reg["tlai"] == (3,) and reg["cwdc"] == (4,)
 
     def test_matrix_shaped_head(self):
-        reg = {"profile": {"shape": (4, 6), "nonneg": True}}
+        reg = {"profile": (4, 6)}
         h = hd.TaskHeads(reg, in_dim=8, hidden=5, rng=np.random.default_rng(2))
         z = Tensor(np.random.default_rng(3).normal(size=(2, 8)).astype(np.float32))
         out = h.predict(z, "profile")
         assert out.shape == (2, 4, 6)
-        assert np.all(out.data > 0)
 
-    def test_strict_positivity_on_extreme_latents(self):
+    def test_output_layer_starts_at_zero(self):
+        # an untrained head predicts a log ratio of 0: the observed state
         h = self.make()
-        rng = np.random.default_rng(4)
-        z = rng.normal(size=(1000, 8)).astype(np.float32) * 10.0
-        z[:10] = 100.0
-        z[10:20] = -100.0
-        out = h.predict_all(Tensor(z))
-        for task, pred in out.items():
-            assert np.all(pred.data > 0.0), task
+        z = np.random.default_rng(4).normal(size=(50, 8)).astype(np.float32)
+        for task, pred in h.predict_all(Tensor(100.0 * z)).items():
+            assert np.all(pred.data == 0.0), task
 
     def test_gradcheck_through_head(self):
         rng = np.random.default_rng(5)
-        reg = {"vec": {"shape": (3,), "nonneg": True}}
+        reg = {"vec": (3,)}
         h = hd.TaskHeads(reg, in_dim=4, hidden=5, rng=rng, dtype=np.float64)
         z = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
         p = h.params["vec"]
+        # a trained output layer, so every parameter's gradient is nonzero
+        p["w2"].data = rng.normal(size=(5, 3))
         probe = rng.normal(size=(2, 3))
 
         def fn(zt, w1, b1, w2, b2):
@@ -333,9 +329,9 @@ class TestTaskHeads:
 
 
 class TestDenormalize:
-    """The heads predict in MinMax space; ``Surrogate.predict`` maps each
-    task back to physical units with ``pipeline.minmax_invert`` and the
-    task's target stats."""
+    """A dataset stores its targets in MinMax space; ``Dataset.denorm_target``
+    maps each task back to physical units with ``pipeline.minmax_invert``
+    and the task's target stats."""
 
     def test_endpoints_map_to_min_and_max(self):
         out = pipeline.minmax_invert(np.array([0.0, 1.0, 0.5]), (10.0, 50.0))
@@ -349,21 +345,6 @@ class TestDenormalize:
         norm = pipeline.minmax_apply(vals, stats).astype(np.float32)
         back = pipeline.minmax_invert(norm, stats)
         assert np.abs(back - vals).max() < 1e-6 * (stats[1] - stats[0])
-
-    def test_missing_stats_rejected(self):
-        model = Surrogate(ModelConfig(dim=8, hidden=8, heads=2, depth=1),
-                          {"months": 12, "n_pft": 5, "n_layers": 9})
-        model.feature_stats = {name: [0.0, 1.0]
-                               for name, _, _ in pipeline.FEATURE_CHANNELS}
-        groups = {g: np.zeros((1,) + shape) for g, shape in (
-            ("g1", (12, 5)), ("g2", (8,)), ("g3", (5, 3)), ("g4", (5, 5)),
-            ("g5", (9, 3)))}
-        with pytest.raises(ContractError, match="no target stats"):
-            model.predict(groups)
-        model.target_stats = {t: [0.0, 1.0] for t in pipeline.TASKS
-                              if t != "soil3c"}
-        with pytest.raises(ContractError, match="no target stats"):
-            model.predict(groups)
 
 
 class TestWriteRestartState:

@@ -75,40 +75,31 @@ class TestTaskLoss:
 
 
 class TestPinnDeltaLoss:
+    """In log-ratio space the window-end state is 0, so the evolved state
+    is the delta itself."""
+
     def test_perfect_prediction_is_zero(self):
-        rng = np.random.default_rng(6)
-        target = rng.uniform(0, 1, (7, 5))
-        initial = rng.uniform(0, 1, (7, 5))
+        target = np.random.default_rng(6).uniform(-1, 1, (7, 5))
         loss = training.pinn_delta_loss(Tensor(target.copy()),
-                                        Tensor(target - initial),
-                                        initial, target)
-        assert loss.data.item() == pytest.approx(0.0, abs=1e-15)
+                                        Tensor(target.copy()), target)
+        assert loss.data.item() == 0.0
 
     def test_sums_both_error_terms(self):
-        target = np.zeros((4, 2))
-        initial = np.zeros((4, 2))
-        loss = training.pinn_delta_loss(Tensor(np.full((4, 2), 2.0)),
-                                        Tensor(np.full((4, 2), 3.0)),
-                                        initial, target)
+        target = np.ones((4, 2))
+        loss = training.pinn_delta_loss(Tensor(np.full((4, 2), 3.0)),
+                                        Tensor(np.full((4, 2), 4.0)), target)
         assert loss.data.item() == pytest.approx(4.0 + 9.0, rel=1e-12)
-
-    def test_missing_initial_state(self):
-        with pytest.raises(ContractError):
-            training.pinn_delta_loss(Tensor(np.zeros(3)), Tensor(np.zeros(3)),
-                                     None, np.zeros(3))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            training.pinn_delta_loss(Tensor(np.zeros(3)), Tensor(np.zeros(3)),
-                                     np.zeros(4), np.zeros(3))
+            training.pinn_delta_loss(Tensor(np.zeros(3)), Tensor(np.zeros(4)),
+                                     np.zeros(3))
 
     def test_gradcheck(self):
         rng = np.random.default_rng(7)
         final, delta = t64(rng, 6, 2), t64(rng, 6, 2)
-        initial = rng.standard_normal((6, 2))
         target = rng.standard_normal((6, 2))
-        ad.gradcheck(lambda f, d: training.pinn_delta_loss(f, d, initial,
-                                                           target),
+        ad.gradcheck(lambda f, d: training.pinn_delta_loss(f, d, target),
                      [final, delta])
 
 
@@ -132,25 +123,21 @@ def random_targets(rng, preds):
 
 class TestTotalLoss:
     def test_composes_weighted_terms(self):
+        # the sum of the slow tasks' MSEs, each task at weight 1
         rng = np.random.default_rng(8)
         preds = random_preds(rng, 10)
-        total, comps = training.total_loss(preds, random_targets(rng, preds))
-        want = math.fsum(comps[t] for t in pipeline.SLOW_TASKS)
-        assert total.data.item() == pytest.approx(want, rel=1e-6)
-        assert comps["total"] == pytest.approx(want, rel=1e-6)
-
-    def test_all_components_reported(self):
-        rng = np.random.default_rng(9)
-        preds = random_preds(rng, 6)
-        _, comps = training.total_loss(preds, random_targets(rng, preds))
-        assert set(comps) == set(pipeline.SLOW_TASKS) | {"total"}
+        targets = random_targets(rng, preds)
+        total = training.total_loss(preds, targets)
+        want = math.fsum(np.mean((preds[t].data - targets[t]) ** 2)
+                         for t in pipeline.SLOW_TASKS)
+        assert total.data.item() == pytest.approx(want, rel=1e-12)
 
     def test_perfect_and_consistent_is_zero(self):
         rng = np.random.default_rng(10)
         preds = random_preds(rng, 6)
         targets = dict(random_targets(rng, preds),
                        **{t: preds[t].data.copy() for t in pipeline.SLOW_TASKS})
-        total, _ = training.total_loss(preds, targets)
+        total = training.total_loss(preds, targets)
         assert total.data.item() == 0.0
 
     def test_flux_entries_take_no_part(self):
@@ -159,42 +146,25 @@ class TestTotalLoss:
         rng = np.random.default_rng(11)
         preds = random_preds(rng, 6)
         targets = random_targets(rng, preds)
-        want, _ = training.total_loss(preds, targets)
+        want = training.total_loss(preds, targets)
         nan = np.full(6, np.nan)
-        got, comps = training.total_loss(
+        got = training.total_loss(
             dict(preds, **{t: Tensor(nan) for t in pipeline.FLUX_TASKS}),
             dict(targets, **{t: nan for t in pipeline.FLUX_TASKS}))
         assert got.data.item() == want.data.item()
-        assert not set(comps) & set(pipeline.FLUX_TASKS)
 
-    def test_delta_route_requires_initials(self):
+    def test_delta_route_adds_the_evolution_term(self):
+        # a zero delta is the window-end state, log ratio 0, so its term is
+        # the mean square of each task's target
         rng = np.random.default_rng(13)
         preds = random_preds(rng, 4)
         targets = random_targets(rng, preds)
         deltas = {t: Tensor(np.zeros_like(preds[t].data))
                   for t in pipeline.SLOW_TASKS}
-        with pytest.raises(ContractError, match="deadcrootc"):
-            training.total_loss(preds, targets, deltas, {})
-
-
-class TestPinnInitialStates:
-    def test_rescales_between_spaces(self):
-        # physical-unit observations in, normalized target space out
-        rng = np.random.default_rng(14)
-        groups = {"g4": rng.uniform(0, 2, (6, 5, 5)),
-                  "g5": rng.uniform(0, 2, (6, 9, 3))}
-        target_stats = {t: (0.0, 4.0) for t in pipeline.TASKS}
-        out = training.pinn_initial_states(groups, target_stats)
-        assert set(out) == set(pipeline.SLOW_TASKS)
-        assert out["soil3c"].dtype == np.float32
-        np.testing.assert_allclose(out["soil3c"], groups["g5"][..., 1] / 4.0,
-                                   rtol=1e-6)
-        np.testing.assert_allclose(out["tlai"], groups["g4"][..., 4] / 4.0,
-                                   rtol=1e-6)
-
-    def test_missing_stats(self):
-        with pytest.raises(ContractError):
-            training.pinn_initial_states({}, None)
+        got = training.total_loss(preds, targets, deltas)
+        want = training.total_loss(preds, targets).data.item() + math.fsum(
+            np.mean(targets[t] ** 2) for t in pipeline.SLOW_TASKS)
+        assert got.data.item() == pytest.approx(want, rel=1e-12)
 
 
 class TestAdam:
@@ -269,16 +239,15 @@ def quick_config(**overrides):
 
 
 class TestTrainLoop:
-    def test_default_model_step_records_119_tape_nodes(self):
+    def test_default_model_step_records_113_tape_nodes(self):
         """One training step of the default model: each dense layer is one
-        node, so per-op dense layers (151 nodes) would show up here."""
+        node, so per-op dense layers (145 nodes) would show up here."""
         dataset = build_toy_dataset(n=20)
         model = Surrogate(ModelConfig(), TOY_DIMS)
         model.feature_stats = dict(dataset.feature_stats)
-        model.target_stats = dict(dataset.target_stats)
         with GradTape() as tape:
             training._batch_loss(model, dataset.train)
-        assert len(tape.nodes) == 119
+        assert len(tape.nodes) == 113
 
     def test_loss_decreases(self, toy_dataset):
         model = training.train(quick_config(), toy_dataset,
@@ -315,8 +284,8 @@ class TestTrainLoop:
         model = training.train(cfg, toy_dataset,
                                model_config=toy_model_config())
         _, val_idx = training._split_indices(toy_dataset.train.n, cfg.seed)
-        batches = training._batches(toy_dataset.train.take(val_idx),
-                                    cfg.batch_size)
+        fitted = training._log_ratio_split(toy_dataset, toy_dataset.train)
+        batches = training._batches(fitted.take(val_idx), cfg.batch_size)
         val_loss = training._eval_loss(model, batches)
         assert val_loss == pytest.approx(min(h[2] for h in model.history),
                                          rel=1e-6)
@@ -351,8 +320,6 @@ class TestTrainLoop:
         model = training.train(quick_config(max_epochs=1), ds,
                                model_config=toy_model_config())
         assert model.dims == dict(TOY_DIMS, months=24)
-        # the model maps back only what its heads predict
-        assert set(model.target_stats) == set(pipeline.SLOW_TASKS)
         assert {t.data.dtype for t in model.named_params().values()} == {
             np.dtype(np.float32)}
         assert model.train_config == quick_config(max_epochs=1).to_dict()
@@ -390,7 +357,6 @@ class TestFineTune:
         # train builds float32 models; a float64 one tunes in float64
         source = Surrogate(toy_model_config(), TOY_DIMS, dtype=np.float64)
         source.feature_stats = dict(toy_dataset.feature_stats)
-        source.target_stats = dict(toy_dataset.target_stats)
         tuned = training.fine_tune(source, toy_dataset, 0.5,
                                    quick_config(max_epochs=1))
         assert {t.data.dtype for t in tuned.named_params().values()} == {
@@ -418,26 +384,56 @@ class TestFineTune:
         assert len(tuned.history) == 1
 
 
-class TestRenormSplit:
-    def test_rescales_to_model_stats(self, toy_model, toy_dataset):
-        model = toy_model.clone()
-        model.target_stats = dict(toy_model.target_stats)
-        model.target_stats["soil3c"] = (0.0, 3.0)
-        split = training._renorm_split(toy_dataset.train, toy_dataset, model)
-        np.testing.assert_allclose(split.targets["soil3c"],
-                                   toy_dataset.train.targets["soil3c"] / 3.0,
-                                   rtol=1e-6)
-        np.testing.assert_array_equal(split.targets["cwdc"],
-                                      toy_dataset.train.targets["cwdc"])
-        # no loss reads the flux targets
+class TestLogRatioTargets:
+    """Training fits each slow task's log ratio to the sample's observed
+    pools, whatever scale the dataset stores its targets in."""
+
+    def test_other_target_stats_need_no_rescaling(self, toy_model,
+                                                  toy_dataset):
+        # the same physical targets stored over (0, 4): the tuned model is
+        # the same, since the fit reads them in physical units
+        other = dataclasses.replace(
+            toy_dataset,
+            train=dataclasses.replace(toy_dataset.train, targets={
+                t: v / 4.0 for t, v in toy_dataset.train.targets.items()}),
+            target_stats={t: [0.0, 4.0] for t in pipeline.TASKS})
+        runs = [training.fine_tune(toy_model, ds, 0.5,
+                                   quick_config(max_epochs=2))
+                for ds in (toy_dataset, other)]
+        assert runs[0].history == runs[1].history
+        for name, tensor in runs[0].named_params().items():
+            np.testing.assert_array_equal(
+                runs[1].named_params()[name].data, tensor.data)
+
+    @pytest.mark.parametrize("task,group,index", [
+        ("soil3c", None, None), (None, "g4", 2)])
+    def test_zero_target_or_observation_left_out(self, task, group, index,
+                                                 caplog):
+        # a zero u/k or a zero observed pool has no finite log ratio
+        ds = build_toy_dataset(n=24, seed=5)
+        if task is not None:
+            ds.train.targets[task][3, 2] = 0.0
+        else:
+            ds.train.groups[group][3, 1, index] = 0.0
+        with caplog.at_level("WARNING", logger="phase_surrogate.training"):
+            model = training.train(quick_config(max_epochs=3), ds,
+                                   model_config=toy_model_config())
+        assert np.all(np.isfinite(np.array(model.history)))
+        assert "left 1 of 19 rows out of the fit" in caplog.text
+        # the guard describes the rows the weights were fitted to
+        kept = np.arange(ds.train.n) != 3
+        _, z = model.predict(ds.train.take(kept).groups)
+        np.testing.assert_array_equal(model.ood_stats.latent_mean,
+                                      z.astype(np.float64).mean(axis=0))
+
+    def test_log_ratio_targets(self, toy_dataset):
+        split = training._log_ratio_split(toy_dataset, toy_dataset.train)
         assert set(split.targets) == set(pipeline.SLOW_TASKS)
+        obs = toy_dataset.train.groups["g5"][..., 1].astype(np.float64)
+        np.testing.assert_allclose(
+            split.targets["soil3c"],
+            np.log(toy_dataset.train.targets["soil3c"] / obs), rtol=1e-12)
         # physical-unit features are the same in any model's hands
         for g in pipeline.GROUPS:
-            assert split.groups[g] is toy_dataset.train.groups[g]
-        np.testing.assert_array_equal(split.cell_id, toy_dataset.train.cell_id)
-
-    def test_requires_model_stats(self, toy_model, toy_dataset):
-        bare = toy_model.clone()
-        bare.target_stats = None
-        with pytest.raises(ContractError):
-            training._renorm_split(toy_dataset.train, toy_dataset, bare)
+            np.testing.assert_array_equal(split.groups[g],
+                                          toy_dataset.train.groups[g])
