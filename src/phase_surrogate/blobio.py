@@ -212,11 +212,18 @@ def check_layout(path, arrays, layout, dims):
 
 def write_restart(path, cell_ids, pools, n_pft, n_layers):
     """Write the ``RESTART_POOLS`` of ``pools`` (each [n_cells, width]) for
-    ``cell_ids`` as a restart file; a missing pool is refused."""
+    ``cell_ids`` as a restart file.  A missing pool is refused, and so is a
+    pool that is negative or not finite as the float32 the file stores (a
+    value past float32's range becomes inf), before any file is opened."""
     missing = [name for name in RESTART_POOLS if name not in pools]
     if missing:
         raise CompletenessError(f"restart state missing pools: {', '.join(missing)}")
-    arrays = {name: np.asarray(pools[name], dtype=np.float32) for name in RESTART_POOLS}
+    with np.errstate(over="ignore"):
+        arrays = {name: np.asarray(pools[name], dtype=np.float32) for name in RESTART_POOLS}
+    for name, arr in arrays.items():
+        if not np.all((arr >= 0.0) & (arr < np.inf)):
+            raise ContractError(f"restart pool {name} must be finite and non-negative "
+                                "as float32")
     arrays["cell_id"] = np.asarray(cell_ids, dtype=np.float64)
     check_layout(path, arrays, RESTART_LAYOUT, {"n_pft": n_pft, "n_layers": n_layers})
     write_model_file(path, {"format": "restart", "version": RESTART_VERSION,

@@ -214,7 +214,7 @@ def _cmd_fine_tune(args):
 
 
 def _write_drift_csv(path, report, window_months):
-    from . import blobio, pipeline
+    from . import blobio
     buf = io.StringIO()
     buf.write("name,pool,value\n")
     for section in ("before", "after", "drift"):
@@ -226,9 +226,10 @@ def _write_drift_csv(path, report, window_months):
     buf.write(f"window_months,,{window_months}\n")
     buf.write(f"restart_years,,{report.years}\n")
     buf.write(f"cold_start_years_min,,{float(report.cold_start_years.min())!r}\n")
-    buf.write(f"warm_start_years_median,,{pipeline.median(report.warm_start_years)!r}\n")
+    buf.write(f"warm_start_years_median,,{report.warm_start_years_median!r}\n")
     buf.write(f"speedup_min,,{report.speedup_min!r}\n")
     buf.write(f"speedup_median,,{report.speedup_median!r}\n")
+    buf.write(f"zero_equilibrium_cells,,{report.zero_equilibrium_cells}\n")
     blobio.atomic_write_bytes(path, buf.getvalue().encode("ascii"))
 
 
@@ -263,8 +264,10 @@ def _cmd_restart_check(args):
     ood.write_report_csv(os.path.splitext(args.out)[0] + "_ood.csv",
                          samples.cell_id, flags, scores, reasons)
     drift_max = max(s["max"] for s in report.drift.values())
+    zero = (f", {report.zero_equilibrium_cells} zero-equilibrium cells left out"
+            if report.zero_equilibrium_cells else "")
     print(f"wrote {args.out}: spin-up speedup median "
-          f"{report.speedup_median:.3g}x (min {report.speedup_min:.3g}x), "
+          f"{report.speedup_median:.3g}x (min {report.speedup_min:.3g}x{zero}), "
           f"slow-pool drift max {drift_max:.2%}")
     return 0
 

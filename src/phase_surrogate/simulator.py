@@ -9,13 +9,19 @@ linear, every pool's equilibrium is the closed form u/k, which makes the
 simulator usable as an exact oracle: surrogate labels, restart validation,
 and long-spinup cross-checks all reduce to comparisons against u/k.
 
-Pool layout: the integrator steps every pool of every cell as one packed
-float64 block [n_cells, 4*n_pft + 3*n_layers], the pools' columns side by
-side in POOL_KEYS order (:func:`pool_columns`).  A run packs its initial
-:class:`PoolState` once, updates the block in place month by month, and
-unpacks the result; each element goes through the same operations, in the
-same order, as the per-pool form C + (u - (k/12) C), so results are
-bitwise those of stepping each pool on its own.
+Pool layout: every pool of every cell lives in one packed float64 block
+[n_cells, 4*n_pft + 3*n_layers], the pools' columns side by side in
+POOL_KEYS order (:func:`pool_columns`).  The spin-up packs its initial
+:class:`PoolState` once, updates the block in place month by month, since
+the window's forcing changes from month to month, and unpacks the result;
+each element goes through the same operations, in the same order, as the
+per-pool form C + (u - (k/12) C), so results are bitwise those of stepping
+each pool on its own.  A restart runs under constant forcing, so
+:func:`restart_run` takes all its months at once, in closed form.
+
+Observations: a world keeps its end-of-window state twice, as the exact
+pools and as observed with noise (:func:`_observe`), drawn once when the
+world is generated; samples copy the observation and draw nothing.
 
 Time layout: twelve uniform 30-day months per year.  A cell's forcing for
 a month is its forcing point's noise-free climatology for that month, plus
@@ -258,23 +264,50 @@ class RestartReport:
     cold_start_years: np.ndarray
     warm_start_years: np.ndarray
     speedup: np.ndarray
+    zero_equilibrium: np.ndarray
+
+    @property
+    def zero_equilibrium_cells(self):
+        return int(self.zero_equilibrium.sum())
+
+    def _over_defined(self, stat, values):
+        """``stat`` of ``values`` over the cells with a defined speedup,
+        those not counted in ``zero_equilibrium``; NaN if there are none."""
+        values = values[~self.zero_equilibrium]
+        return float(stat(values)) if values.size else math.nan
 
     @property
     def speedup_min(self):
-        return float(self.speedup.min())
+        return self._over_defined(np.min, self.speedup)
 
     @property
     def speedup_median(self):
-        return pipeline.median(self.speedup)
+        return self._over_defined(pipeline.median, self.speedup)
+
+    @property
+    def warm_start_years_median(self):
+        return self._over_defined(pipeline.median, self.warm_start_years)
+
+
+@dataclasses.dataclass
+class Observations:
+    """The observed end-of-window state, with observation noise: the type
+    pools and tlai ``g4`` [n_cells, n_pft, 5] and the layered pools ``g5``
+    [n_cells, n_layers, 3], in the field order of the samples' groups."""
+    g4: np.ndarray
+    g5: np.ndarray
 
 
 @dataclasses.dataclass
 class World:
     """The state of a simulation: the grid and its land cells, their
     parameters, the forcing network, the monthly forcing of the window,
-    the flux response to the stationary end-of-window climatology, and the
-    pools at the end of the window.  Everything else is derived from these
-    where it is needed; the equilibria u/k by :func:`analytic_equilibrium`."""
+    the flux response to the stationary end-of-window climatology, the
+    pools at the end of the window, and their observation.  The
+    observation is simulator output, drawn once when the world is
+    generated (:func:`_observe`) and read from then on, as a land model's
+    history file is.  Everything else is derived from these where it is
+    needed; the equilibria u/k by :func:`analytic_equilibrium`."""
     seed: int
     years: int
     grid: GridSpec
@@ -287,6 +320,7 @@ class World:
     forcing_monthly: np.ndarray
     gbar_stat12: np.ndarray
     window_end: PoolState
+    observed: Observations
 
     @property
     def n_cells(self):
@@ -673,7 +707,9 @@ def advance_month(pools, u, k_month, scratch):
     share the layout; ``scratch``, a block of the same shape, takes the
     net flux, so nothing is allocated.  Each element sees the per-pool
     form's operations in its order, so the result is bitwise that form's,
-    and the state change equals the computed net flux exactly (pre-clamp)."""
+    and the state change equals the computed net flux exactly (pre-clamp).
+    This is the spin-up's step; :func:`restart_run` takes its months under
+    constant input in closed form instead."""
     np.multiply(k_month, pools, out=scratch)
     np.subtract(u, scratch, out=scratch)
     np.add(pools, scratch, out=pools)
@@ -756,21 +792,36 @@ def analytic_equilibrium(world):
 
 
 def restart_run(initial, world, years=100):
-    """Integrate every cell from a supplied state under constant
+    """Run every cell on from a supplied state under constant
     stationary-mean forcing and report distances to the analytic
     equilibrium before and after, per-pool drift, and the speedup over a
     cold start: months for every slow-pool element to come within
     EQUILIBRIUM_BAND of u/k from zero pools over those from ``initial``, a
-    warm start inside the band counting one month.
+    warm start inside the band counting one month.  A cell with a slow
+    equilibrium element of 0 has no band to reach; it is counted apart
+    (``zero_equilibrium``) and left out of the speedup's median and minimum.
 
-    The pools advance as one packed block (see :func:`advance_month`),
-    packed from ``initial`` and unpacked at the end, under an input
-    u = npp*route built once since npp is constant; the final state and
-    the reports are bitwise those of stepping each pool on its own."""
+    The input u = npp*route is constant, so the monthly step of
+    :func:`advance_month` is linear with the fixed point C* = u/(k/12), and
+    n = 12*years months of it take C_0 to C* + (1 - k/12)^n (C_0 - C*).
+    Each element is computed as exp(L) C_0 - expm1(L) C*, with
+    L = n log1p(-k/12): expm1 keeps 1 - (1 - k/12)^n accurate when it is
+    small, where the difference form loses digits (3e-13 relative from
+    zero pools); it matches the monthly loop to about 1e-14 relative.
+    ``initial`` must be finite and non-negative and every k/12 in (0, 1]:
+    the state is then a convex combination of C_0 and C*, so the loop's
+    zero clamp never binds."""
     if years < 1:
         raise ConfigurationError("restart_run needs years >= 1")
     params = world.params
     route, k_month = _monthly_operators(world)
+    if not np.all((k_month > 0.0) & (k_month <= 1.0)):
+        raise ConfigurationError("restart_run needs every monthly turnover k/12 "
+                                 "in (0, 1]")
+    for key in POOL_KEYS:
+        pool = getattr(initial, key)
+        if not np.all((pool >= 0.0) & (pool < np.inf)):
+            raise ContractError(f"initial pool {key} must be finite and non-negative")
     kappa = kappa_annual(params)
     eq = analytic_equilibrium(world)
     _, _, npp_m12 = pipeline._flux_from_gbar(
@@ -778,18 +829,19 @@ def restart_run(initial, world, years=100):
         params.nutrient[:, None])
     u = npp_m12.mean(axis=1)[:, None] * route
 
-    pools = pack(vars(initial), world.n_pft, world.n_layers)
-    scratch = np.empty_like(pools)
-    before = _distance_report(initial, eq.pools)
-    for _ in range(12 * years):
-        advance_month(pools, u, k_month, scratch)
+    with np.errstate(divide="ignore"):  # k/12 = 1 reaches C* in one month
+        decay = 12 * years * np.log1p(-k_month)
+    pools = np.exp(decay) * pack(vars(initial), world.n_pft, world.n_layers)
+    pools -= np.expm1(decay) * (u / k_month)
     state = unpack(pools, world.n_pft, world.n_layers)
+    before = _distance_report(initial, eq.pools)
     after = _distance_report(state, eq.pools)
     drift = _distance_report(state, initial, pools=SLOW_POOLS)
 
     warm = cold = 1.0
+    zero = np.zeros(world.n_cells, dtype=bool)
     for key in SLOW_POOLS:
-        # closed form of the monthly step: C_n - C* = (1 - k/12)^n (C_0 - C*)
+        # months to the band, from the same closed form
         target = getattr(eq.pools, key)
         log_rate = np.log1p(-kappa[key] / 12.0)
         gap = np.abs(getattr(initial, key) - target)
@@ -797,10 +849,11 @@ def restart_run(initial, world, years=100):
             months = np.ceil(np.log(EQUILIBRIUM_BAND * target / gap) / log_rate[:, None])
         warm = np.maximum(warm, np.where(gap > EQUILIBRIUM_BAND * target, months, 0.0).max(axis=1))
         cold = np.maximum(cold, np.ceil(math.log(EQUILIBRIUM_BAND) / log_rate))
+        zero |= (target == 0.0).any(axis=1)
     report = RestartReport(years=years, window_years=world.years,
                            before=before, after=after, drift=drift,
                            cold_start_years=cold / 12.0, warm_start_years=warm / 12.0,
-                           speedup=cold / warm)
+                           speedup=cold / warm, zero_equilibrium=zero)
     return state, report
 
 
@@ -822,8 +875,9 @@ def _distance_report(state, reference, pools=POOL_KEYS):
 def generate_world(seed, grid, years=20):
     """Build a fully specified world: land cells, parameters, forcing
     network, monthly forcing window, the stationary end-of-window response,
-    and the end-of-window pool state, spun through the window from the
-    equilibrium of the noise-free pre-window climatology."""
+    the end-of-window pool state, spun through the window from the
+    equilibrium of the noise-free pre-window climatology, and its noisy
+    observation (:func:`_observe`)."""
     if not isinstance(grid, GridSpec):
         raise ConfigurationError("grid must be a GridSpec")
     if years < 1:
@@ -854,11 +908,27 @@ def generate_world(seed, grid, years=20):
                   land_idx=land_idx, cell_lat=cell_lat, cell_lon=cell_lon,
                   cell_point=cell_point, params=params, points=points,
                   forcing_monthly=forcing_monthly, gbar_stat12=pipeline._gbar_of(stat),
-                  window_end=None)
+                  window_end=None, observed=None)
     pre_params = dataclasses.replace(params, nutrient=np.ones(world.n_cells))
     eq_pre = _equilibrium_from(pipeline._gbar_of(pre), pre_params).pools
     world.window_end = spinup(world, years, initial=eq_pre).final
+    world.observed = _observe(world)
     return world
+
+
+def _observe(world):
+    """The window-end state as observed: each pool, and tlai = sla * leaf_c,
+    times 1 + OBS_NOISE * a standard normal draw, clamped at zero.  Each
+    cell draws its own noise, g4 before g5, from a stream keyed by its flat
+    grid index, so a cell's observation does not depend on the others."""
+    p, w = world.params, world.window_end
+    g4 = np.stack([w.leaf_c, w.froot_c, w.deadcrootc, w.deadstemc,
+                   p.sla * w.leaf_c], axis=2)
+    g5 = np.stack([w.cwdc, w.soil3c, w.soil4c], axis=2)
+    for c, rng in enumerate(_cell_streams(world.seed, _SEED_OBS, world.land_idx)):
+        g4[c] *= 1.0 + OBS_NOISE * rng.standard_normal(g4.shape[1:])
+        g5[c] *= 1.0 + OBS_NOISE * rng.standard_normal(g5.shape[1:])
+    return Observations(g4=np.maximum(g4, 0.0, out=g4), g5=np.maximum(g5, 0.0, out=g5))
 
 
 # ---------------------------------------------------------------------------
@@ -868,8 +938,9 @@ def generate_world(seed, grid, years=20):
 def export_samples(world, window_years=None):
     """Every cell's sample as one :class:`pipeline.Samples`: monthly forcing
     over the last window_years (by default the last STATIONARY_YEARS, or the
-    whole span if shorter), static attributes, traits, end-of-window states
-    with small observation noise, and exact equilibrium targets."""
+    whole span if shorter), static attributes, traits, the world's observed
+    end-of-window states (copied; nothing is drawn here), and exact
+    equilibrium targets."""
     if window_years is None:
         window_years = min(world.years, STATIONARY_YEARS)
     wy = int(window_years)
@@ -879,18 +950,10 @@ def export_samples(world, window_years=None):
     if wy < 1:
         raise RangeError("window must cover at least 1 yr")
     months = 12 * wy
-    p, w, eq = world.params, world.window_end, analytic_equilibrium(world)
+    p, eq = world.params, analytic_equilibrium(world)
     g2 = np.stack([world.cell_lat, world.cell_lon, p.land_frac, p.alpha,
                    p.resp_frac, p.nutrient, p.decomp, p.texture], axis=1)
     g3 = np.stack([p.pft_weight, p.sla, p.crootfrac], axis=2)
-    g4 = np.stack([w.leaf_c, w.froot_c, w.deadcrootc, w.deadstemc,
-                   p.sla * w.leaf_c], axis=2)
-    g5 = np.stack([w.cwdc, w.soil3c, w.soil4c], axis=2)
-    # each cell draws its own noise, g4 before g5, from a stream keyed by
-    # its flat grid index, so a cell's sample does not depend on the others
-    for c, rng in enumerate(_cell_streams(world.seed, _SEED_OBS, world.land_idx)):
-        g4[c] *= 1.0 + OBS_NOISE * rng.standard_normal(g4.shape[1:])
-        g5[c] *= 1.0 + OBS_NOISE * rng.standard_normal(g5.shape[1:])
     targets = {"deadcrootc": eq.pools.deadcrootc, "deadstemc": eq.pools.deadstemc,
                "tlai": eq.tlai, "cwdc": eq.pools.cwdc, "soil3c": eq.pools.soil3c,
                "soil4c": eq.pools.soil4c, "gpp": eq.gpp, "ar": eq.ar, "npp": eq.npp}
@@ -901,7 +964,7 @@ def export_samples(world, window_years=None):
         deepest_valid_layer=p.deepest_valid_layer.copy(),
         groups={"g1": world.forcing_monthly[:, world.months - months:].copy(),
                 "g2": g2, "g3": g3,
-                "g4": np.maximum(g4, 0.0), "g5": np.maximum(g5, 0.0)},
+                "g4": world.observed.g4.copy(), "g5": world.observed.g5.copy()},
         targets={t: v.copy() for t, v in targets.items()})
 
 
@@ -910,7 +973,9 @@ def export_samples(world, window_years=None):
 # ---------------------------------------------------------------------------
 
 # The arrays of a world file; a dimension is an int or a manifest dimension
-# (see :func:`blobio.check_layout`).  ``window.*`` are the window-end pools.
+# (see :func:`blobio.check_layout`).  ``window.*`` are the window-end pools
+# and ``observed.*`` their observation.
+WORLD_VERSION = 3
 WORLD_LAYOUT = {
     "land_idx": ("n_cells",), "cell_lat": ("n_cells",), "cell_lon": ("n_cells",),
     "cell_point": ("n_cells",),
@@ -926,6 +991,8 @@ WORLD_LAYOUT = {
     "params.deposit": ("n_cells", len(LAYER_POOLS), "n_layers"),
     **{f"window.{k}": ("n_cells", "n_pft") for k in PFT_POOLS},
     **{f"window.{k}": ("n_cells", "n_layers") for k in LAYER_POOLS},
+    "observed.g4": ("n_cells", "n_pft", len(PFT_POOLS) + 1),
+    "observed.g5": ("n_cells", "n_layers", len(LAYER_POOLS)),
 }
 _INT_ARRAYS = ("land_idx", "cell_point", "params.pft_code",
                "params.deepest_valid_layer")
@@ -934,7 +1001,7 @@ _INT_ARRAYS = ("land_idx", "cell_point", "params.pft_code",
 def save_world(world, path):
     manifest = {
         "format": "world",
-        "version": 2,
+        "version": WORLD_VERSION,
         "seed": world.seed,
         "years": world.years,
         "grid": {"n_lat": world.grid.n_lat, "n_lon": world.grid.n_lon,
@@ -953,11 +1020,15 @@ def save_world(world, path):
 
 def load_world(path):
     """Read a world file and check its arrays against :data:`WORLD_LAYOUT`.
-    A file of an older version holds every array this reads, and more, so
-    it loads too."""
+    A file of another version is refused: those before version 3 hold no
+    observed state."""
     manifest, arrays = blobio.read_model_file(path)
     if manifest.get("format") != "world":
         raise ContractError(f"{path}: not a world file: {manifest.get('format')!r}")
+    if manifest.get("version") != WORLD_VERSION:
+        raise ContractError(f"{path}: world file version {manifest.get('version')}; "
+                            f"this build reads version {WORLD_VERSION}, which "
+                            "holds the observed state: rerun gen-data")
     try:
         g = manifest["grid"]
         grid = GridSpec(g["n_lat"], g["n_lon"], g["resolution_deg"],
@@ -979,7 +1050,8 @@ def load_world(path):
                  params=CellParams(**group("params")),
                  points=ForcingPoints(**group("points")),
                  forcing_monthly=a["forcing_monthly"], gbar_stat12=a["gbar_stat12"],
-                 window_end=PoolState(**group("window")))
+                 window_end=PoolState(**group("window")),
+                 observed=Observations(**group("observed")))
 
 
 def load_restart_state(world, path):

@@ -155,6 +155,17 @@ class TestRestartFiles:
         assert {arrays[name].dtype for name in blobio.RESTART_POOLS} == {
             np.dtype(np.float32)}
 
+    @pytest.mark.parametrize("value", [1e39, -1e-3, np.nan, np.inf],
+                             ids=["past-float32", "negative", "nan", "inf"])
+    def test_pool_not_finite_and_non_negative_as_float32_refused(self, tmp_path, value):
+        # 1e39 is finite in float64 but past float32's largest value
+        pools = {name: arr.astype(np.float64)
+                 for name, arr in self._pools(np.random.default_rng(8), 2).items()}
+        pools["cwdc"][1, 4] = value
+        with pytest.raises(ContractError, match="restart pool cwdc"):
+            blobio.write_restart(tmp_path / "x.phr", np.array([0, 1]), pools, 5, 9)
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_pool_is_completeness_error(self, tmp_path):
         rng = np.random.default_rng(5)
         pools = self._pools(rng, 2)

@@ -489,6 +489,39 @@ class TestRestartCheckInputs:
         assert "reads 84 months" in err and "simulates 72" in err
         assert list(tmp_path.iterdir()) == [model]
 
+    def test_pools_past_float32_exit_1_and_write_nothing(self, ws, tmp_path, capsys):
+        # every head outputs the log ratio 100, so each predicted pool is
+        # its observation times e^100, about 2.7e43, past float32's range
+        model = Surrogate.load(str(ws["model"]))
+        for task in model.heads.registry:
+            model.heads.params[task]["w2"].data[:] = 0.0
+            model.heads.params[task]["b2"].data[:] = 100.0
+        path = tmp_path / "r100.phm"
+        model.save(str(path))
+        rc = main(["restart-check", "--model", str(path), "--world", str(ws["world"]),
+                   "--out", str(tmp_path / "drift.csv"), "--years", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: restart pool deadcrootc must be finite")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_version_two_world_names_gen_data(self, ws, tmp_path, capsys):
+        # version 2 held no observed state
+        manifest, arrays = blobio.read_model_file(str(ws["world"] / "world.phw"))
+        arrays = {k: v for k, v in arrays.items() if not k.startswith("observed.")}
+        world = tmp_path / "world"
+        world.mkdir()
+        blobio.write_model_file(str(world / "world.phw"),
+                                dict(manifest, version=2, params=sorted(arrays)), arrays)
+        rc = main(["restart-check", "--model", str(ws["model"]), "--world", str(world),
+                   "--out", str(tmp_path / "drift.csv"), "--years", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {world / 'world.phw'}: world file version 2;")
+        assert err.rstrip().endswith("rerun gen-data") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [world]
+
 
 class TestWindow:
     def test_default_window_is_the_stationary_years(self, ws, short):
@@ -603,6 +636,7 @@ class TestWorkflow:
         assert rows[("restart_years", "")] == 2
         assert rows[("window_years", "")] == 6
         assert rows[("window_months", "")] == 60
+        assert rows[("zero_equilibrium_cells", "")] == 0
         drift = [v for (n, _), v in rows.items() if n == "drift_max"]
         assert drift and all(np.isfinite(v) for v in drift)
         assert (ws["root"] / "drift.phr").exists()
@@ -771,3 +805,21 @@ class TestImports:
                       str(ws["world"]), "--out", str(tmp_path / "drift.csv"),
                       "--years", "5"]):
             assert "numpy.ma" not in loaded_modules([argv], lazy), argv[0]
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="numpy < 2 loads numpy.random on import")
+    def test_restart_check_imports_no_numpy_random(self, ws, tmp_path):
+        # the world file holds the observations, so nothing is drawn; the
+        # command runs as ``python -m``, and -X importtime lists each import
+        src = os.path.dirname(os.path.dirname(phase_surrogate.__file__))
+        out = tmp_path / "drift.csv"
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "phase_surrogate.cli",
+             "restart-check", "--model", str(ws["model"]), "--world", str(ws["world"]),
+             "--out", str(out), "--years", "5"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            check=True)
+        imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert out.exists() and "numpy" in imported
+        assert sorted(m for m in imported if m.split(".")[:2] == ["numpy", "random"]) == []

@@ -17,6 +17,19 @@ def world():
     return sim.generate_world(3, sim.GridSpec(8, 8, 1.0), years=20)
 
 
+@pytest.fixture(scope="module")
+def preset_world():
+    """Gives the default 20-year world of a grid preset and seed, each
+    built once per module."""
+    worlds = {}
+
+    def get(grid, seed):
+        if (grid, seed) not in worlds:
+            worlds[grid, seed] = sim.generate_world(seed, sim.grid_spec(grid))
+        return worlds[grid, seed]
+    return get
+
+
 def reference_step(state, npp_month, route, kappa):
     """The per-pool forward-Euler month, C + (u - (k/12) C) clamped at
     zero, from per-pool routes and annual turnovers: the reference the
@@ -754,8 +767,10 @@ class TestRestart:
         np.testing.assert_allclose(report.speedup, report.cold_start_years
                                    / report.warm_start_years, rtol=1e-12)
 
-    @pytest.mark.parametrize("start", ["perturbed", "zero", "clamped"])
+    @pytest.mark.parametrize("start", ["perturbed", "zero"])
     def test_bitwise_equals_per_pool_reference(self, world, start):
+        # the closed form against the per-pool monthly loop, to rounding:
+        # the state and the after and drift reports; before is exact
         eq = sim.analytic_equilibrium(world)
         params = world.params
         route, kappa = sim.route_weights(params), sim.kappa_annual(params)
@@ -769,22 +784,100 @@ class TestRestart:
             for key in sim.POOL_KEYS:
                 pool = getattr(initial, key)
                 pool *= rng.uniform(0.8, 1.2, size=pool.shape)
-        elif start == "zero":
-            initial = sim.PoolState.zeros(world.n_cells, world.n_pft, world.n_layers)
         else:
-            # far enough below zero that the first month ends below zero
-            initial.leaf_c[::2] *= -100.0
-            first = reference_step(initial, npp, route, kappa)
-            assert np.all(first.leaf_c[::2] == 0.0)
+            initial = sim.PoolState.zeros(world.n_cells, world.n_pft, world.n_layers)
         final, report = sim.restart_run(initial, world, years=3)
         state = initial.copy()
         for _ in range(36):
             state = reference_step(state, npp, route, kappa)
         for key in sim.POOL_KEYS:
-            assert np.array_equal(getattr(final, key), getattr(state, key)), key
+            np.testing.assert_allclose(getattr(final, key), getattr(state, key),
+                                       rtol=1e-13, atol=0, err_msg=key)
         assert report.before == sim._distance_report(initial, eq.pools)
-        assert report.after == sim._distance_report(state, eq.pools)
-        assert report.drift == sim._distance_report(state, initial, pools=sim.SLOW_POOLS)
+        want = (sim._distance_report(state, eq.pools),
+                sim._distance_report(state, initial, pools=sim.SLOW_POOLS))
+        for got, ref in zip((report.after, report.drift), want):
+            assert got.keys() == ref.keys()
+            for key, stats in got.items():
+                for stat, value in stats.items():
+                    assert value == pytest.approx(ref[key][stat], rel=1e-12, abs=1e-15), \
+                        (key, stat)
+
+    @pytest.mark.parametrize("grid,seed,zero_cells", [("coarse", 0, 0), ("coarse", 7, 0),
+                                                      ("fine", 1, 3)])
+    def test_matches_monthly_loop_on_preset_worlds(self, preset_world, grid, seed,
+                                                   zero_cells):
+        # from the window-end pools and from zero, over 1 and 100 years; the
+        # fine world has three cells of zero NPP, the coarse worlds none
+        w = preset_world(grid, seed)
+        params = w.params
+        _, _, npp_m12 = pl._flux_from_gbar(w.gbar_stat12, params.alpha[:, None],
+                                           params.resp_frac[:, None],
+                                           params.nutrient[:, None])
+        zero = sim.PoolState.zeros(w.n_cells, w.n_pft, w.n_layers)
+        for initial in (w.window_end, zero):
+            pools, u, k_month, scratch = stepper(initial, npp_m12.mean(axis=1),
+                                                 sim.route_weights(params),
+                                                 sim.kappa_annual(params))
+            month = 0
+            for years in (1, 100):
+                while month < 12 * years:
+                    sim.advance_month(pools, u, k_month, scratch)
+                    month += 1
+                final, report = sim.restart_run(initial, w, years=years)
+                closed = sim.pack(vars(final), w.n_pft, w.n_layers)
+                np.testing.assert_allclose(closed, pools, rtol=1e-13, atol=0,
+                                           err_msg=f"{years} yr")
+                assert report.zero_equilibrium_cells == zero_cells
+
+    @pytest.mark.parametrize("value", [-1e-3, np.nan, np.inf])
+    def test_negative_or_non_finite_initial_pool_refused(self, world, value):
+        eq = sim.analytic_equilibrium(world)
+        initial = eq.pools.copy()
+        initial.soil4c[2, 3] = value
+        with pytest.raises(ContractError, match="initial pool soil4c"):
+            sim.restart_run(initial, world, years=1)
+
+    def test_turnover_past_one_per_month_refused(self, world):
+        # K_FAST * 150 / 12 = 1.25: the monthly step would overshoot zero
+        fast = dataclasses.replace(world, params=dataclasses.replace(
+            world.params, decomp=np.full(world.n_cells, 150.0)))
+        zero = sim.PoolState.zeros(world.n_cells, world.n_pft, world.n_layers)
+        with pytest.raises(ConfigurationError, match=r"k/12 in \(0, 1\]"):
+            sim.restart_run(zero, fast, years=1)
+
+    def test_zero_equilibrium_cell_counted_apart(self, world):
+        # a cell with alpha 0 has zero NPP, so every u/k of it is 0 and no
+        # restart of positive pools reaches its band
+        dead = dataclasses.replace(world, params=dataclasses.replace(
+            world.params, alpha=np.where(np.arange(world.n_cells) == 2, 0.0,
+                                         world.params.alpha)))
+        eq = sim.analytic_equilibrium(dead)
+        assert np.all(eq.npp[2] == 0.0) and np.all(eq.npp[np.arange(world.n_cells) != 2] > 0)
+        rng = np.random.default_rng(4)
+        initial = eq.pools.copy()
+        for key in sim.SLOW_POOLS:
+            pool = getattr(initial, key)
+            pool *= rng.uniform(0.98, 1.02, size=pool.shape)
+            pool[2] = 50.0
+        _, report = sim.restart_run(initial, dead, years=1)
+        assert report.zero_equilibrium_cells == 1
+        assert report.zero_equilibrium.tolist() == [c == 2 for c in range(world.n_cells)]
+        assert report.speedup[2] == 0.0
+        rest = np.delete(report.speedup, 2)
+        assert report.speedup_min == rest.min() > 0.0
+        assert report.speedup_median == pl.median(rest)
+        assert report.warm_start_years_median == pl.median(
+            np.delete(report.warm_start_years, 2))
+        assert np.isfinite(report.warm_start_years_median)
+
+    def test_no_cell_with_a_speedup_gives_nan(self, world):
+        dead = dataclasses.replace(world, params=dataclasses.replace(
+            world.params, alpha=np.zeros(world.n_cells)))
+        zero = sim.PoolState.zeros(world.n_cells, world.n_pft, world.n_layers)
+        _, report = sim.restart_run(zero, dead, years=1)
+        assert report.zero_equilibrium_cells == world.n_cells
+        assert math.isnan(report.speedup_min) and math.isnan(report.speedup_median)
 
 
 class TestExportSamples:
@@ -831,6 +924,28 @@ class TestExportSamples:
             rng = np.random.default_rng([world.seed, 7, int(world.land_idx[c])])
             want = end * (1.0 + sim.OBS_NOISE * rng.standard_normal((world.n_pft, 5)))
             np.testing.assert_array_equal(g4[c], want)
+
+    def test_groups_g4_g5_copy_the_observation(self, world):
+        s = sim.export_samples(world)
+        for g in ("g4", "g5"):
+            np.testing.assert_array_equal(s.groups[g], getattr(world.observed, g))
+            assert not np.shares_memory(s.groups[g], getattr(world.observed, g)), g
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_observation_equals_per_cell_redraw(self, preset_world, seed):
+        # the reference: each cell's own default_rng([seed, 7, flat]), g4's
+        # noise before g5's, then the clamp at zero, one cell at a time
+        w = preset_world("coarse", seed)
+        p, end = w.params, w.window_end
+        for c, flat in enumerate(w.land_idx.tolist()):
+            rng = np.random.default_rng([seed, 7, flat])
+            g4 = np.stack([end.leaf_c[c], end.froot_c[c], end.deadcrootc[c],
+                           end.deadstemc[c], p.sla[c] * end.leaf_c[c]], axis=1)
+            g5 = np.stack([end.cwdc[c], end.soil3c[c], end.soil4c[c]], axis=1)
+            g4 = g4 * (1.0 + sim.OBS_NOISE * rng.standard_normal(g4.shape))
+            g5 = g5 * (1.0 + sim.OBS_NOISE * rng.standard_normal(g5.shape))
+            assert np.array_equal(w.observed.g4[c], np.maximum(g4, 0.0)), c
+            assert np.array_equal(w.observed.g5[c], np.maximum(g5, 0.0)), c
 
     def test_default_window_is_the_stationary_years(self):
         # the trend ramp ends STATIONARY_YEARS before the end of a 20-yr run
@@ -882,16 +997,19 @@ class TestPersistence:
         for key in sim.POOL_KEYS:
             assert np.array_equal(getattr(loaded.window_end, key),
                                   getattr(world.window_end, key)), key
+        for g in ("g4", "g5"):
+            assert np.array_equal(getattr(loaded.observed, g), getattr(world.observed, g)), g
         assert loaded.params.pft_code.dtype == np.int64
         got = sim.export_samples(loaded).targets
         for name, want in sim.export_samples(world).targets.items():
             assert np.array_equal(got[name], want), name
 
-    def test_manifest_is_version_two(self, world, tmp_path):
+    def test_manifest_is_version_three(self, world, tmp_path):
         path = str(tmp_path / "world.phw")
         sim.save_world(world, path)
         manifest, arrays = blobio.read_model_file(path)
-        assert manifest["version"] == 2
+        assert manifest["version"] == 3
+        assert {"observed.g4", "observed.g5"} <= set(arrays)
         assert not any(name.startswith(("eq", "gbar_pre")) for name in arrays)
 
     def test_every_stored_array_is_read(self, world, tmp_path):
@@ -925,24 +1043,23 @@ class TestPersistence:
             with pytest.raises(ContractError, match=re.escape(repr(name))):
                 sim.load_world(cut)
 
-    def test_version_one_file_loads(self, world, tmp_path):
-        # version 1 also stored the equilibria and the pre-window
-        # intermediates; they are not read
+    def test_older_versions_refused(self, world, tmp_path):
+        # versions 1 and 2 held no observed state; version 1 also stored
+        # the equilibria and the pre-window intermediates
         path = str(tmp_path / "world.phw")
         sim.save_world(world, path)
         manifest, arrays = blobio.read_model_file(path)
+        old_arrays = {k: v for k, v in arrays.items() if not k.startswith("observed.")}
         eq = sim.analytic_equilibrium(world)
         extra = {f"{prefix}.{k}": getattr(eq.pools, k)
                  for prefix in ("eq", "eq_pre") for k in sim.POOL_KEYS}
-        extra.update({f"eq.{k}": getattr(eq, k) for k in ("tlai", "gpp", "ar", "npp")})
         extra["gbar_pre12"] = world.gbar_stat12
         old = str(tmp_path / "old.phw")
-        blobio.write_model_file(old, dict(manifest, version=1,
-                                          params=sorted({**arrays, **extra})),
-                                {**arrays, **extra})
-        loaded = sim.load_world(old)
-        assert np.array_equal(loaded.forcing_monthly, world.forcing_monthly)
-        assert np.array_equal(loaded.window_end.soil4c, world.window_end.soil4c)
+        for version, stored in ((1, {**old_arrays, **extra}), (2, old_arrays)):
+            blobio.write_model_file(old, dict(manifest, version=version,
+                                              params=sorted(stored)), stored)
+            with pytest.raises(ContractError, match=rf"version {version}; .*rerun gen-data"):
+                sim.load_world(old)
 
     def test_load_rejects_other_files(self, tmp_path):
         path = str(tmp_path / "other.phm")
@@ -999,12 +1116,13 @@ class TestPersistence:
             sim.load_restart_state(world, path)
 
     def test_restart_negative_pool_rejected(self, world, tmp_path):
-        pools = self.restart_pools(world, slice(None))
-        pools["soil3c"] = pools["soil3c"].copy()
-        pools["soil3c"][0, 0] = -5.0
+        # write_restart refuses the pool too, so the file is forged
         path = str(tmp_path / "neg.phr")
-        blobio.write_restart(path, world.land_idx, pools, world.n_pft,
-                             world.n_layers)
+        blobio.write_restart(path, world.land_idx, self.restart_pools(world, slice(None)),
+                             world.n_pft, world.n_layers)
+        manifest, arrays = blobio.read_model_file(path)
+        arrays["soil3c"][0, 0] = -5.0
+        blobio.write_model_file(path, manifest, arrays)
         with pytest.raises(ContractError, match="non-negative"):
             sim.load_restart_state(world, path)
 
