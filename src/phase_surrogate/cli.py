@@ -120,7 +120,10 @@ def _cmd_gen_data(args):
 
 def _cmd_build_dataset(args):
     from . import pipeline, simulator
-    world = simulator.load_world(_world_path(args.world))
+    # only the window's months of forcing are read; export_samples checks it
+    window = (simulator.STATIONARY_YEARS if args.window_years is None
+              else max(args.window_years, 1))
+    world = simulator.load_world(_world_path(args.world), 12 * window)
     samples = simulator.export_samples(world, args.window_years)
     meta = {"seed": world.seed, "years": world.years,
             "grid": [world.grid.n_lat, world.grid.n_lon,
@@ -143,7 +146,7 @@ def _cmd_train(args):
     model_cfg, train_cfg = _load_configs(args.config)
     if args.variant is not None:
         model_cfg = dataclasses.replace(model_cfg, variant=args.variant)
-    dataset = pipeline.load_dataset(args.data)
+    dataset = pipeline.load_dataset(args.data, splits=("train",))
     log = args.log or _default_log(args.out)
     model = train(train_cfg, dataset, model_config=model_cfg,
                   history_path=log)
@@ -161,7 +164,7 @@ def _cmd_eval(args):
     from .metrics import evaluate, export_report
     from .model import Surrogate
     model = Surrogate.load(args.model)
-    dataset = pipeline.load_dataset(args.data)
+    dataset = pipeline.load_dataset(args.data, splits=(args.split,))
     report = evaluate(model, dataset, args.split)
     os.makedirs(args.out, exist_ok=True)
     export_report(report, args.out)
@@ -203,7 +206,7 @@ def _cmd_fine_tune(args):
             "fine-tune keeps the source model's architecture: --config asks for "
             + ", ".join(f"{key} {asked[key]!r} where the model has {have[key]!r}"
                         for key in changed))
-    dataset = pipeline.load_dataset(args.data_fine)
+    dataset = pipeline.load_dataset(args.data_fine, splits=("train",))
     log = args.log or _default_log(args.out)
     tuned = fine_tune(model, dataset, args.fraction, train_cfg,
                       history_path=log)
@@ -239,9 +242,10 @@ def _cmd_restart_check(args):
     if args.years < 1:
         raise ConfigurationError("--years must be at least 1")
     world_path = _world_path(args.world)
-    world = simulator.load_world(world_path)
     model = Surrogate.load(args.model)
     months = model.dims["months"]
+    # only the months of forcing the model reads are loaded
+    world = simulator.load_world(world_path, months)
     if months > 12 * world.years:
         raise ContractError(
             f"{args.model} reads {months} months of forcing; {world_path} "
@@ -276,7 +280,7 @@ def _cmd_inspect_attention(args):
     from . import blobio, pipeline
     from .model import Surrogate, active_branches
     model = Surrogate.load(args.model)
-    dataset = pipeline.load_dataset(args.data)
+    dataset = pipeline.load_dataset(args.data, splits=("test",))
     part = dataset.split("test")
     if not 0 <= args.sample < part.n:
         raise RangeError(f"sample {args.sample} outside test split of "

@@ -445,7 +445,7 @@ class Surrogate:
                        for name in ("ood.latent_mean", "ood.latent_var")})
         blobio.check_layout(path, arrays, layout, {})
         for name, tensor in params.items():
-            tensor.data = arrays[name].astype(tensor.data.dtype)
+            tensor.data = arrays[name].astype(tensor.data.dtype, copy=False)
         model.train_config = manifest.get("train_config")
         model.feature_stats = manifest.get("feature_stats")
         model.ood_stats = OodStats.from_manifest(manifest["ood"], arrays)

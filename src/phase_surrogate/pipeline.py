@@ -71,6 +71,7 @@ SPLIT_LAYOUT = {
 }
 COLUMNS = tuple(SPLIT_LAYOUT)
 DATASET_VERSION = 4
+SPLITS = ("train", "test")
 
 TRAIN_NUM, TRAIN_DEN = 8, 10
 
@@ -285,15 +286,20 @@ class DatasetSplit:
 
 @dataclasses.dataclass
 class Dataset:
+    """A dataset's splits and its manifest's scaling stats; a split that
+    :func:`load_dataset` was not asked for is ``None``."""
     train: DatasetSplit
     test: DatasetSplit
     feature_stats: dict
     target_stats: dict
 
     def split(self, name):
-        if name not in ("train", "test"):
+        if name not in SPLITS:
             raise ContractError(f"unknown split {name!r}")
-        return self.train if name == "train" else self.test
+        part = getattr(self, name)
+        if part is None:
+            raise ContractError(f"the {name} split was not loaded")
+        return part
 
     def denorm_target(self, task, values):
         return minmax_invert(values, self.target_stats[task])
@@ -383,7 +389,10 @@ def build_dataset(samples, seed, out_dir, world_meta=None):
     return Dataset(train, test, feature_stats, target_stats)
 
 
-def load_dataset(path):
+def load_dataset(path, splits=SPLITS):
+    """Read a dataset directory: its manifest, and of its splits only those
+    named in ``splits``, each checked against :data:`SPLIT_LAYOUT`; a split
+    not named is ``None`` and its file is not opened."""
     manifest = blobio.load_json(os.path.join(path, "manifest.json"))
     if not isinstance(manifest, dict) or manifest.get("format") != "dataset":
         raise ContractError(f"{path} is not a dataset directory")
@@ -405,7 +414,7 @@ def load_dataset(path):
             cell_id=cols["cell_id"].astype(np.int64),
             lat=cols["lat"], lon=cols["lon"],
             groups={g: np.asarray(cols[g], dtype=np.float64) for g in GROUPS},
-            targets={t: cols[t].astype(np.float32) for t in TASKS},
+            targets={t: cols[t].astype(np.float32, copy=False) for t in TASKS},
         )
 
     def read_stats(key, names):
@@ -417,6 +426,7 @@ def load_dataset(path):
                                 f"pair per channel")
         return stats
 
-    return Dataset(read_split("train"), read_split("test"),
+    train, test = (read_split(name) if name in splits else None for name in SPLITS)
+    return Dataset(train, test,
                    read_stats("feature_stats", [c[0] for c in FEATURE_CHANNELS]),
                    read_stats("target_stats", TASKS))

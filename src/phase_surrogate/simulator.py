@@ -734,6 +734,13 @@ def _schedule(world, years):
             yield gbar[:, month], p
 
 
+def _require_whole_window(world, what):
+    held = world.forcing_monthly.shape[1]
+    if held < world.months:
+        raise ContractError(f"{what} needs the whole {world.months}-month forcing "
+                            f"window; this world was loaded with its last {held}")
+
+
 def spinup(world, years, initial=None):
     """Monthly forward-Euler integration of every cell over the given
     number of years, from zero pools or from ``initial``.  The first
@@ -750,6 +757,7 @@ def spinup(world, years, initial=None):
     """
     if years < 1:
         raise ConfigurationError("spinup needs years >= 1")
+    _require_whole_window(world, "spinup")
     params = world.params
     route, k_month = _monthly_operators(world)
     n_pft, n_layers = world.n_pft, world.n_layers
@@ -798,8 +806,9 @@ def restart_run(initial, world, years=100):
     cold start: months for every slow-pool element to come within
     EQUILIBRIUM_BAND of u/k from zero pools over those from ``initial``, a
     warm start inside the band counting one month.  A cell with a slow
-    equilibrium element of 0 has no band to reach; it is counted apart
-    (``zero_equilibrium``) and left out of the speedup's median and minimum.
+    equilibrium element of 0 has no band to reach, and no relative distance
+    to it; it is counted apart (``zero_equilibrium``) and left out of the
+    speedup's median and minimum and of the distances before and after.
 
     The input u = npp*route is constant, so the monthly step of
     :func:`advance_month` is linear with the fixed point C* = u/(k/12), and
@@ -834,9 +843,6 @@ def restart_run(initial, world, years=100):
     pools = np.exp(decay) * pack(vars(initial), world.n_pft, world.n_layers)
     pools -= np.expm1(decay) * (u / k_month)
     state = unpack(pools, world.n_pft, world.n_layers)
-    before = _distance_report(initial, eq.pools)
-    after = _distance_report(state, eq.pools)
-    drift = _distance_report(state, initial, pools=SLOW_POOLS)
 
     warm = cold = 1.0
     zero = np.zeros(world.n_cells, dtype=bool)
@@ -850,6 +856,9 @@ def restart_run(initial, world, years=100):
         warm = np.maximum(warm, np.where(gap > EQUILIBRIUM_BAND * target, months, 0.0).max(axis=1))
         cold = np.maximum(cold, np.ceil(math.log(EQUILIBRIUM_BAND) / log_rate))
         zero |= (target == 0.0).any(axis=1)
+    before = _distance_report(initial, eq.pools, cells=~zero)
+    after = _distance_report(state, eq.pools, cells=~zero)
+    drift = _distance_report(state, initial, pools=SLOW_POOLS)
     report = RestartReport(years=years, window_years=world.years,
                            before=before, after=after, drift=drift,
                            cold_start_years=cold / 12.0, warm_start_years=warm / 12.0,
@@ -857,14 +866,17 @@ def restart_run(initial, world, years=100):
     return state, report
 
 
-def _distance_report(state, reference, pools=POOL_KEYS):
+def _distance_report(state, reference, pools=POOL_KEYS, cells=slice(None)):
+    """Median and max relative distance of each pool of ``state`` to
+    ``reference`` over ``cells``; NaN if they are none."""
     out = {}
     for key in pools:
-        a = getattr(state, key)
-        b = getattr(reference, key)
+        a = getattr(state, key)[cells]
+        b = getattr(reference, key)[cells]
         denom = np.maximum(np.abs(b), 1e-30)
         rel = np.abs(a - b) / denom
-        out[key] = {"median": pipeline.median(rel), "max": float(rel.max())}
+        out[key] = ({"median": pipeline.median(rel), "max": float(rel.max())}
+                    if rel.size else {"median": math.nan, "max": math.nan})
     return out
 
 
@@ -949,7 +961,10 @@ def export_samples(world, window_years=None):
                          f"{world.years} yr")
     if wy < 1:
         raise RangeError("window must cover at least 1 yr")
-    months = 12 * wy
+    months, held = 12 * wy, world.forcing_monthly.shape[1]
+    if months > held:
+        raise RangeError(f"window of {months} months exceeds the {held} months "
+                         f"of forcing this world was loaded with")
     p, eq = world.params, analytic_equilibrium(world)
     g2 = np.stack([world.cell_lat, world.cell_lon, p.land_frac, p.alpha,
                    p.resp_frac, p.nutrient, p.decomp, p.texture], axis=1)
@@ -962,7 +977,7 @@ def export_samples(world, window_years=None):
         lat=world.cell_lat.copy(), lon=world.cell_lon.copy(),
         pft_code=p.pft_code.copy(),
         deepest_valid_layer=p.deepest_valid_layer.copy(),
-        groups={"g1": world.forcing_monthly[:, world.months - months:].copy(),
+        groups={"g1": world.forcing_monthly[:, held - months:].copy(),
                 "g2": g2, "g3": g3,
                 "g4": world.observed.g4.copy(), "g5": world.observed.g5.copy()},
         targets={t: v.copy() for t, v in targets.items()})
@@ -999,6 +1014,7 @@ _INT_ARRAYS = ("land_idx", "cell_point", "params.pft_code",
 
 
 def save_world(world, path):
+    _require_whole_window(world, "save_world")
     manifest = {
         "format": "world",
         "version": WORLD_VERSION,
@@ -1018,11 +1034,21 @@ def save_world(world, path):
     blobio.write_model_file(path, manifest, arrays)
 
 
-def load_world(path):
+def load_world(path, months=None):
     """Read a world file and check its arrays against :data:`WORLD_LAYOUT`.
     A file of another version is refused: those before version 3 hold no
-    observed state."""
-    manifest, arrays = blobio.read_model_file(path)
+    observed state.
+
+    With ``months``, only the last ``months`` of the monthly forcing are
+    read (all of them if the world holds fewer), a chunk of cells at a time
+    (see :func:`blobio.read_tensor`), so the whole forcing block is never
+    held.  Such a world serves :func:`export_samples` over at most that
+    window, and :func:`restart_run`; :func:`spinup` and :func:`save_world`
+    refuse it."""
+    if months is not None and months < 1:
+        raise RangeError(f"a world is read with at least 1 month of forcing, not {months}")
+    tails = None if months is None else {"forcing_monthly": months}
+    manifest, arrays = blobio.read_model_file(path, tails)
     if manifest.get("format") != "world":
         raise ContractError(f"{path}: not a world file: {manifest.get('format')!r}")
     if manifest.get("version") != WORLD_VERSION:
@@ -1036,7 +1062,8 @@ def load_world(path):
         seed, years = manifest["seed"], manifest["years"]
         dims = {"n_cells": manifest["n_cells"], "n_pft": manifest["n_pft"],
                 "n_layers": manifest["n_layers"],
-                "months": 12 * years, "n_points": grid.n_points}
+                "months": 12 * years if months is None else min(12 * years, months),
+                "n_points": grid.n_points}
     except KeyError as exc:
         raise ContractError(f"world file {path} lacks {exc.args[0]!r}") from None
     blobio.check_layout(path, arrays, WORLD_LAYOUT, dims)

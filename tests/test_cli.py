@@ -394,8 +394,10 @@ class TestExitCodes:
         shutil.copytree(ws["world"], inputs["world"])
         shutil.copytree(ws["data"], inputs["data"])
         shutil.copy(ws["model"], inputs["model"])
+        # eval reads only the split it scores
+        split = "test" if command == "eval" else "train"
         damaged = {"world": inputs["world"] / "world.phw",
-                   "data": inputs["data"] / "train.pht",
+                   "data": inputs["data"] / f"{split}.pht",
                    "model": inputs["model"],
                    "restart": tmp_path / "out.phr"}[kind]
         if kind == "restart":
@@ -559,6 +561,48 @@ class TestWindow:
         assert main(["restart-check", "--model", str(short["model"]),
                      "--world", str(ws["world"]),
                      "--out", str(tmp_path / "d.csv"), "--years", "1"]) == 0
+
+
+class TestOneSplitPerCommand:
+    @pytest.fixture
+    def data_without(self, ws, tmp_path):
+        """A copy of the ws dataset without one of its split files."""
+        def without(split):
+            data = tmp_path / f"no-{split}"
+            shutil.copytree(ws["data"], data)
+            (data / f"{split}.pht").unlink()
+            return data
+        return without
+
+    @pytest.mark.parametrize("split", ["test", "train"])
+    def test_eval_reads_only_the_split_it_scores(self, ws, tmp_path, data_without,
+                                                 split):
+        other = {"test": "train", "train": "test"}[split]
+        out, again = tmp_path / "report", tmp_path / "again"
+        for data, report in ((ws["data"], out), (data_without(other), again)):
+            assert main(["eval", "--model", str(ws["model"]), "--data", str(data),
+                         "--out", str(report), "--split", split]) == 0
+        first = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        assert first == sorted(p.relative_to(again) for p in again.rglob("*") if p.is_file())
+        for rel in first:
+            assert filecmp.cmp(out / rel, again / rel, shallow=False), rel
+
+    def test_train_and_fine_tune_read_only_the_train_split(self, ws, tmp_path,
+                                                           data_without):
+        data = data_without("test")
+        out = tmp_path / "model.phm"
+        assert main(["train", "--data", str(data), "--config", str(ws["config"]),
+                     "--out", str(out)]) == 0
+        assert filecmp.cmp(out, ws["model"], shallow=False)
+        assert main(["fine-tune", "--model", str(ws["model"]), "--data-fine", str(data),
+                     "--fraction", "0.5", "--config", str(ws["config"]),
+                     "--out", str(tmp_path / "tuned.phm")]) == 0
+
+    def test_inspect_attention_reads_only_the_test_split(self, ws, tmp_path,
+                                                         data_without):
+        assert main(["inspect-attention", "--model", str(ws["model"]),
+                     "--data", str(data_without("train")),
+                     "--out", str(tmp_path / "att.csv")]) == 0
 
 
 class TestConfigCommand:

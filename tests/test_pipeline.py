@@ -433,6 +433,19 @@ class TestBuildDataset:
         with pytest.raises(ContractError):
             pl.build_dataset(samples, seed=0, out_dir=str(tmp_path / "x"))
 
+    @pytest.mark.parametrize("split", pl.SPLITS)
+    def test_load_reads_only_the_splits_asked_for(self, built, damaged, split):
+        # the other split's file is neither opened nor checked
+        _, ds, _ = built
+        other = {"train": "test", "test": "train"}[split]
+        (damaged / f"{other}.pht").write_bytes(b"junk")
+        loaded = pl.load_dataset(str(damaged), splits=(split,))
+        assert getattr(loaded, other) is None
+        np.testing.assert_array_equal(loaded.split(split).cell_id, ds.split(split).cell_id)
+        assert loaded.target_stats == ds.target_stats
+        with pytest.raises(ContractError, match=f"the {other} split was not loaded"):
+            loaded.split(other)
+
     def test_load_rejects_non_dataset(self, tmp_path):
         blobio.save_json(str(tmp_path / "manifest.json"), {"format": "other"})
         with pytest.raises(ContractError):

@@ -871,6 +871,26 @@ class TestRestart:
             np.delete(report.warm_start_years, 2))
         assert np.isfinite(report.warm_start_years_median)
 
+    def test_zero_equilibrium_cell_left_out_of_the_distances(self, world):
+        # the zero-NPP cell has no relative distance to its equilibrium of
+        # 0; the drift, relative to the restart state, keeps every cell
+        dead = dataclasses.replace(world, params=dataclasses.replace(
+            world.params, alpha=np.where(np.arange(world.n_cells) == 2, 0.0,
+                                         world.params.alpha)))
+        eq = sim.analytic_equilibrium(dead)
+        initial = eq.pools.copy()
+        for key in sim.POOL_KEYS:
+            getattr(initial, key)[:] *= 1.01
+            getattr(initial, key)[2] = 50.0
+        state, report = sim.restart_run(initial, dead, years=1)
+        rest = np.arange(world.n_cells) != 2
+        assert report.before == sim._distance_report(initial, eq.pools, cells=rest)
+        assert report.after == sim._distance_report(state, eq.pools, cells=rest)
+        assert report.drift == sim._distance_report(state, initial, pools=sim.SLOW_POOLS)
+        for key in sim.POOL_KEYS:
+            assert report.before[key]["max"] == pytest.approx(0.01)
+            assert report.after[key]["max"] < 0.01
+
     def test_no_cell_with_a_speedup_gives_nan(self, world):
         dead = dataclasses.replace(world, params=dataclasses.replace(
             world.params, alpha=np.zeros(world.n_cells)))
@@ -878,6 +898,8 @@ class TestRestart:
         _, report = sim.restart_run(zero, dead, years=1)
         assert report.zero_equilibrium_cells == world.n_cells
         assert math.isnan(report.speedup_min) and math.isnan(report.speedup_median)
+        for stats in (*report.before.values(), *report.after.values()):
+            assert math.isnan(stats["median"]) and math.isnan(stats["max"])
 
 
 class TestExportSamples:
@@ -1060,6 +1082,62 @@ class TestPersistence:
                                               params=sorted(stored)), stored)
             with pytest.raises(ContractError, match=rf"version {version}; .*rerun gen-data"):
                 sim.load_world(old)
+
+    @pytest.fixture
+    def world_path(self, world, tmp_path):
+        path = str(tmp_path / "world.phw")
+        sim.save_world(world, path)
+        return path
+
+    @pytest.mark.parametrize("months", [12, 60, 240, 300])
+    def test_forcing_tail_is_the_slice_of_a_full_load(self, world, world_path, months):
+        full, tail = sim.load_world(world_path), sim.load_world(world_path, months)
+        kept = min(months, world.months)
+        assert tail.forcing_monthly.shape == (world.n_cells, kept, 5)
+        assert tail.forcing_monthly.tobytes() == full.forcing_monthly[:, -kept:].tobytes()
+        assert tail.years == full.years
+        assert np.array_equal(tail.observed.g4, full.observed.g4)
+        for months_out in {12, kept}:
+            a = sim.export_samples(full, months_out // 12)
+            b = sim.export_samples(tail, months_out // 12)
+            for g in pl.GROUPS:
+                assert np.array_equal(a.groups[g], b.groups[g]), g
+
+    def test_forcing_tail_load_peaks_below_half_the_forcing_block(self, preset_world,
+                                                                  tmp_path):
+        world = preset_world("coarse", 0)
+        path = str(tmp_path / "world.phw")
+        sim.save_world(world, path)
+        tracemalloc.start()
+        try:
+            tail = sim.load_world(path, 60)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tail.forcing_monthly.shape[1] == 60
+        assert peak < world.forcing_monthly.nbytes / 2
+
+    def test_forcing_tail_world_refuses_spinup_and_save(self, world_path, tmp_path):
+        tail = sim.load_world(world_path, 60)
+        with pytest.raises(ContractError, match="spinup needs the whole 240-month "
+                                                "forcing window; .* its last 60"):
+            sim.spinup(tail, 1)
+        with pytest.raises(ContractError, match="save_world needs the whole"):
+            sim.save_world(tail, str(tmp_path / "again.phw"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["world.phw"]
+
+    def test_export_refuses_a_window_past_the_loaded_forcing(self, world_path):
+        tail = sim.load_world(world_path, 24)
+        assert sim.export_samples(tail, 2).groups["g1"].shape[1] == 24
+        with pytest.raises(RangeError, match="36 months exceeds the 24 months"):
+            sim.export_samples(tail, 3)
+        # the default window, the last 5 of the world's 20 years
+        with pytest.raises(RangeError, match="60 months exceeds the 24 months"):
+            sim.export_samples(tail)
+
+    def test_forcing_tail_of_no_months_refused(self, world_path):
+        with pytest.raises(RangeError, match="at least 1 month"):
+            sim.load_world(world_path, 0)
 
     def test_load_rejects_other_files(self, tmp_path):
         path = str(tmp_path / "other.phm")
