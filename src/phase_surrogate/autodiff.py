@@ -5,6 +5,15 @@ primitive operations in this module.  Each primitive records itself on the
 active :class:`GradTape` when any input requires gradients; ``GradTape.backward``
 replays the tape in reverse and accumulates ``grad`` buffers on the leaves.
 
+A tape holds graph nodes, not tensors.  A node keeps its pullback, which
+closes over only the arrays its backward formula reads, and its parents:
+the node that made each input on the same tape, or the input itself when
+it is a leaf that takes a gradient.  An op's output tensor points at its
+node (``Tensor.node``), so an activation the backward does not read is
+freed as soon as the forward drops it.  A tape is used once: its
+``backward`` frees each node's pullback and parents when the sweep ends,
+and a second ``backward`` raises.
+
 Conventions:
 
 - buffers are row-major ``numpy`` arrays, float32 for training or float64 for
@@ -26,11 +35,12 @@ class Tensor:
     """A dense n-dimensional value participating in the gradient graph.
 
     ``data`` is the (row-major) buffer, ``grad`` the accumulated gradient of
-    the most recent backward pass (same shape, or None).  Tensors are treated
-    as immutable once created; ops return fresh tensors.
+    the most recent backward pass (same shape, or None), ``node`` the tape
+    node that recorded it (or None).  Tensors are treated as immutable once
+    created; ops return fresh tensors.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -39,6 +49,7 @@ class Tensor:
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self.node = None
 
     @property
     def shape(self):
@@ -71,14 +82,18 @@ class Tensor:
 
 
 class _TapeNode:
-    """One recorded primitive: output, inputs, and the pullback closure."""
+    """One recorded primitive: its pullback, one parent per input (the node
+    that made the input on the same tape, the input itself when it is a
+    leaf that takes a gradient, or None), and the gradient flowing into it
+    during the sweep.  ``owner`` identifies the tape."""
 
-    __slots__ = ("inputs", "output", "backward_fn")
+    __slots__ = ("owner", "backward_fn", "parents", "grad")
 
-    def __init__(self, inputs, output, backward_fn):
-        self.inputs = inputs
-        self.output = output
+    def __init__(self, owner, backward_fn, parents):
+        self.owner = owner
         self.backward_fn = backward_fn
+        self.parents = parents
+        self.grad = None
 
 
 class GradTape:
@@ -87,11 +102,14 @@ class GradTape:
     Creation order is topological (an op's parents exist before the op runs),
     so a single reverse sweep visits each op exactly once.  Use as a context
     manager around the forward pass, then call :meth:`backward` on the scalar
-    loss.
+    loss, once.
     """
 
     def __init__(self):
         self.nodes = []
+        # a plain token, not the tape, so that nodes hold no cycle
+        self._owner = object()
+        self._swept = False
 
     def __enter__(self):
         _push_tape(self)
@@ -102,35 +120,50 @@ class GradTape:
         return False
 
     def record(self, inputs, output, backward_fn):
-        self.nodes.append(_TapeNode(inputs, output, backward_fn))
+        # a tensor made on another tape is a leaf on this one
+        parents = tuple(
+            t.node if t.node is not None and t.node.owner is self._owner
+            else t if t.requires_grad else None
+            for t in inputs)
+        output.node = _TapeNode(self._owner, backward_fn, parents)
+        self.nodes.append(output.node)
 
     def backward(self, loss):
         """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
-        Gradients accumulate additively both across multiple uses of a tensor
-        within the graph and across repeated backward calls (use ``zero_grad``
-        between optimizer steps).
+        Gradients add up across the uses of a tensor within the graph, and
+        on a leaf across the tapes it takes part in (use ``zero_grad``
+        between optimizer steps).  A tensor made on another tape is a leaf
+        here.  When the sweep ends, each node's pullback and parents are
+        freed and the node list is kept; a second call raises
+        ContractError.
         """
         if not isinstance(loss, Tensor) or loss.data.size != 1:
             raise ContractError("backward requires a scalar loss tensor")
-        produced = {id(node.output) for node in self.nodes}
-        flowing = {id(loss): np.ones_like(loss.data)}
+        if self._swept:
+            raise ContractError("backward already ran on this tape")
+        self._swept = True
+        if loss.node is not None and loss.node.owner is self._owner:
+            loss.node.grad = np.ones_like(loss.data)
         for node in reversed(self.nodes):
-            g_out = flowing.pop(id(node.output), None)
+            g_out, node.grad = node.grad, None
             if g_out is None:
                 continue
-            grads_in = node.backward_fn(g_out)
-            for tensor, g in zip(node.inputs, grads_in):
-                if g is None or not tensor.requires_grad:
+            for parent, g in zip(node.parents, node.backward_fn(g_out)):
+                if g is None or parent is None:
                     continue
-                key = id(tensor)
-                if id(tensor) in produced:
-                    if key in flowing:
-                        flowing[key] = flowing[key] + g
-                    else:
-                        flowing[key] = g
+                if isinstance(parent, Tensor):
+                    parent.accumulate_grad(g)
+                elif parent.grad is None:
+                    parent.grad = g
                 else:
-                    tensor.accumulate_grad(g)
+                    parent.grad = parent.grad + g
+        # Freed after the sweep, oldest first, not node by node during it:
+        # freeing as it goes lowers the peak a little more, but lets malloc
+        # trim the heap every step and fault it back in, which costs more
+        # time than it saves.
+        for node in self.nodes:
+            node.backward_fn = node.parents = None
 
 
 _TAPE_STACK = []
@@ -287,7 +320,9 @@ def matmul(a, b):
 def dense(x, w, b=None, relu=False):
     """Dense layer ``x @ w + b``, relu optional, as one tape node: the rows
     of ``x`` [N, Din] or [B, N, Din] go through one 2-D GEMM with ``w``
-    [Din, Dout], and the bias [Dout] and the relu act in place on its output."""
+    [Din, Dout], and the bias [Dout] and the relu act in place on its output.
+    A recorded call keeps the input rows, and its output only under relu,
+    where the output is the mask."""
     xd, wd = x.data, w.data
     if wd.ndim != 2 or xd.ndim not in (2, 3) or xd.shape[-1] != wd.shape[0]:
         raise ShapeError(f"dense: input {xd.shape} incompatible with weights {wd.shape}")
@@ -299,14 +334,17 @@ def dense(x, w, b=None, relu=False):
         out += b.data
     if relu:
         np.maximum(out, 0, out=out)
+    mask = out if relu else None
+    rows_shape, x_shape, x_grad = out.shape, xd.shape, x.requires_grad
+    has_bias = b is not None
 
     def backward(g):
-        g = g.reshape(out.shape)
-        if relu:
-            g = g * (out > 0)
-        dx = (g @ wd.T).reshape(xd.shape) if x.requires_grad else None
+        g = g.reshape(rows_shape)
+        if mask is not None:
+            g = g * (mask > 0)
+        dx = (g @ wd.T).reshape(x_shape) if x_grad else None
         dw = rows.T @ g
-        return (dx, dw) if b is None else (dx, dw, g.sum(axis=0))
+        return (dx, dw, g.sum(axis=0)) if has_bias else (dx, dw)
 
     inputs = [x, w] if b is None else [x, w, b]
     return _record(inputs, out.reshape(xd.shape[:-1] + (wd.shape[1],)), backward)
@@ -343,7 +381,7 @@ def conv1d(x, kernels, stride=1, padding=0):
         dk = (cols.T @ g.reshape(-1, cout)).reshape(ksize, cin, cout)
         dcols = g @ wmat.T                                   # [B, L', K*Cin]
         dwin = dcols.reshape(batch, out_len, ksize, cin)
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros((batch, padded_len, cin), dtype=windows.dtype)
         # Positions within one kernel tap are distinct, so fancy += is exact;
         # overlap between taps is handled by the loop.
         for j in range(ksize):
@@ -372,14 +410,18 @@ def lstm_sequence(x, w_x, w_h, b):
     rows gives ``σ(z) = 0.5·tanh(z/2) + 0.5`` and ``g = tanh(z)``.
 
     Only a recorded call (a tape is active and some input requires
-    gradients) keeps caches for the backward: the gates ``[T, 4H, B]`` and
-    the ``h``/``c`` histories ``[T+1, H, B]`` each; ``tanh(c)`` is
-    recomputed.  The backward accumulates the weight gradients step by step
-    from one ``[4H, B]`` slab, computes the input gradient only when ``x``
-    requires it, and ends the reverse loop once ``max(|dh|, |dc|)`` falls
-    below ``tiny / eps`` of the working dtype: every remaining contribution
-    is then below one ulp of anything it could be added to, and running on
-    would only grind through subnormals.
+    gradients) keeps caches for the backward.  It keeps arrays, no tensor:
+    the gates ``[T, 4H, B]``, the cell history ``[T+1, H, B]`` and the
+    input with its bias column ``[T, B, V+1]``, besides the weights'
+    own buffers.  It keeps no hidden history: the backward recomputes
+    ``h_t = o_{t-1}·tanh(c_t)`` from the gates and the cell history, with
+    the ``tanh(c)`` it computes anyway.  The backward accumulates the
+    weight gradients step by step from one ``[4H, B]`` slab, computes the
+    input gradient only when ``x`` requires it, and ends the reverse loop
+    once ``max(|dh|, |dc|)`` falls below ``tiny / eps`` of the working
+    dtype: every remaining contribution is then below one ulp of anything
+    it could be added to, and running on would only grind through
+    subnormals.
     """
     xd, wxd, whd, bd = x.data, w_x.data, w_h.data, b.data
     if xd.ndim != 3:
@@ -407,10 +449,11 @@ def lstm_sequence(x, w_x, w_h, b):
     xb = np.ones((steps, batch, n_vars + 1), dtype=dtype)   # [T, B, V+1]
     xb[:, :, :n_vars] = xd.transpose(1, 0, 2)
     wb_t = (np.vstack([wxd, bd]) * half).T                   # [4H, V+1]
-    # A recorded call keeps every step; forward-only cycles through two
-    # history slots and one gate slab.
+    # A recorded call keeps every step's gates and cell state; forward-only
+    # cycles through two cell slots and one gate slab.  The hidden state
+    # always cycles through two slots.
     slots = steps + 1 if records else 2
-    hs = np.empty((slots, hid, batch), dtype=dtype)
+    hs = np.empty((2, hid, batch), dtype=dtype)
     cs = np.empty((slots, hid, batch), dtype=dtype)
     hs[0] = 0.0
     cs[0] = 0.0
@@ -418,8 +461,8 @@ def lstm_sequence(x, w_x, w_h, b):
     proj = np.empty((4 * hid, batch), dtype=dtype)
     tmp = np.empty((hid, batch), dtype=dtype)
     for t in range(steps):
-        h, c = hs[t % slots], cs[t % slots]
-        h_next, c_next = hs[(t + 1) % slots], cs[(t + 1) % slots]
+        h, c = hs[t % 2], cs[t % slots]
+        h_next, c_next = hs[(t + 1) % 2], cs[(t + 1) % slots]
         z = gates[t % len(gates)]
         np.matmul(wh_t, h, out=z)
         np.matmul(wb_t, xb[t].T, out=proj)
@@ -434,22 +477,26 @@ def lstm_sequence(x, w_x, w_h, b):
         c_next += tmp
         np.tanh(c_next, out=tmp)
         np.multiply(o, tmp, out=h_next)
-    h_out = hs[steps % slots].T
+    h_out = hs[steps % 2].T
+    x_grad = x.requires_grad
 
     def backward(g_out):
         work = np.result_type(g_out.dtype, dtype)
         floor = np.finfo(work).tiny / np.finfo(work).eps
         dh = np.array(g_out.T, dtype=work, order="C")       # [H, B]
         dc = np.zeros_like(dh)
-        tc = np.empty_like(dh)
+        # tanh(c_{t+1}) for step t, and tanh(c_t) for h_t and step t - 1
+        tcs = np.empty((2, hid, batch), dtype=work)
+        np.tanh(cs[steps], out=tcs[steps % 2])
+        h = np.empty((hid, batch), dtype=dtype)
         dz = np.empty((4 * hid, batch), dtype=work)
         dz_i, dz_f, dz_g, dz_o = dz.reshape(4, hid, batch)
         dwh_t = np.zeros((4 * hid, hid), dtype=work)
         dwb_t = np.zeros((4 * hid, n_vars + 1), dtype=work)
-        dx = np.zeros((steps, batch, n_vars), dtype=work) if x.requires_grad else None
+        dx = np.zeros((steps, batch, n_vars), dtype=work) if x_grad else None
         for t in range(steps - 1, -1, -1):
             i, f, g, o = gates[t].reshape(4, hid, batch)
-            np.tanh(cs[t + 1], out=tc)
+            tc = tcs[(t + 1) % 2]
             # dc += dh * o * (1 - tanh(c)^2), with dz_g as scratch
             np.multiply(tc, tc, out=dz_g)
             np.subtract(1.0, dz_g, out=dz_g)
@@ -472,7 +519,13 @@ def lstm_sequence(x, w_x, w_h, b):
             np.subtract(1.0, dz_g, out=dz_g)
             dz_g *= i
             dz_g *= dc
-            dwh_t += dz @ hs[t].T
+            # h_t = o_{t-1}·tanh(c_t), as the forward made it; h_0 = 0
+            if t:
+                np.tanh(cs[t], out=tcs[t % 2])
+                np.multiply(gates[t - 1, 3 * hid:], tcs[t % 2], out=h)
+            else:
+                h.fill(0.0)
+            dwh_t += dz @ h.T
             dwb_t += dz @ xb[t]
             if dx is not None:
                 np.matmul(dz.T, wxd.T, out=dx[t])
@@ -500,9 +553,10 @@ def layer_norm(x, gain, bias, eps=1e-5):
     xhat = centred * inv
     out = gain.data * xhat + bias.data
     lead = tuple(range(xd.ndim - 1))
+    gd = gain.data
 
     def backward(g):
-        gg = g * gain.data
+        gg = g * gd
         m1 = gg.mean(axis=-1, keepdims=True)
         m2 = (gg * xhat).mean(axis=-1, keepdims=True)
         dx = (gg - m1 - xhat * m2) * inv
@@ -534,9 +588,10 @@ def slice_axis(a, axis, start, stop):
     sl[axis] = slice(start, stop)
     sl = tuple(sl)
     out = a.data[sl].copy()
+    shape, dtype = a.data.shape, a.data.dtype
 
     def backward(g):
-        da = np.zeros_like(a.data)
+        da = np.zeros(shape, dtype=dtype)
         da[sl] = g
         return (da,)
 
@@ -549,10 +604,11 @@ def stack(tensors, axis=0):
     if len(shapes) != 1:
         raise ShapeError(f"stack: mismatched shapes {sorted(shapes)}")
     out = np.stack([t.data for t in tensors], axis=axis)
+    n = len(tensors)
 
     def backward(g):
         parts = np.moveaxis(g, axis, 0)
-        return tuple(parts[i] for i in range(len(tensors)))
+        return tuple(parts[i] for i in range(n))
 
     return _record(list(tensors), out, backward)
 
@@ -569,16 +625,15 @@ def mean_axis(a, axis):
 
 
 def sum_all(a):
-    shape = a.data.shape
-    return _record([a], np.asarray(a.data.sum(), dtype=a.data.dtype),
-                   lambda g: (np.full(shape, g, dtype=a.data.dtype),))
+    shape, dtype = a.data.shape, a.data.dtype
+    return _record([a], np.asarray(a.data.sum(), dtype=dtype),
+                   lambda g: (np.full(shape, g, dtype=dtype),))
 
 
 def mean_all(a):
-    shape = a.data.shape
-    n = a.data.size
-    return _record([a], np.asarray(a.data.mean(), dtype=a.data.dtype),
-                   lambda g: (np.full(shape, g / n, dtype=a.data.dtype),))
+    shape, dtype, n = a.data.shape, a.data.dtype, a.data.size
+    return _record([a], np.asarray(a.data.mean(), dtype=dtype),
+                   lambda g: (np.full(shape, g / n, dtype=dtype),))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Tensor engine tests: forward values against hand results, gradients
 against central finite differences in float64."""
 
+import gc
 import time
 import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -322,6 +324,21 @@ class TestGradientChecks:
             fn, tensors = builder(rng)
             ad.gradcheck(fn, tensors, h=1e-5, rtol=1e-4)
 
+    @pytest.mark.parametrize("name,builder", GRAD_CASES, ids=[c[0] for c in GRAD_CASES])
+    def test_pullbacks_hold_no_tensor(self, name, builder):
+        """A pullback that held a tensor would keep its array alive until
+        the sweep ends, where the backward reads only a flag, a shape or
+        nothing of it."""
+        fn, tensors = builder(np.random.default_rng(zlib.crc32(name.encode())))
+        with GradTape() as tape:
+            fn(*tensors)
+        assert tape.nodes
+        for node in tape.nodes:
+            cells = [c.cell_contents for c in node.backward_fn.__closure__ or ()]
+            held = [v for c in cells
+                    for v in (c if isinstance(c, (tuple, list)) else (c,))]
+            assert not any(isinstance(v, Tensor) for v in held)
+
     def test_numeric_gradient_matches_analytic_square(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
@@ -537,9 +554,30 @@ class TestForwardValues:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one [T, B, H] float32 history is 3.9 MB; a recorded call keeps six
-        # (the gates and the h/c histories)
+        # one [T, B, H] float32 history is 3.9 MB; a recorded call keeps five
+        # (the gates and the cell history)
         assert peak < steps * batch * hid * 4
+
+    def test_recorded_lstm_keeps_no_hidden_history(self):
+        batch, steps, n_vars, hid = 32, 120, 5, 32
+        tensors = [Tensor(a, requires_grad=True) for a in
+                   _lstm_encoder_arrays(np.float32, batch, steps, n_vars, hid, 1.0)]
+        tracemalloc.start()
+        try:
+            with GradTape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                ad.lstm_sequence(*tensors)
+                kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape.nodes) == 1
+        # the gates [T, 4H, B], the cell history [T+1, H, B] and the input
+        # with its bias column [T, B, V+1]; a hidden history would add
+        # another [T+1, H, B]
+        caches = 4 * (steps * 4 * hid * batch + (steps + 1) * hid * batch
+                      + steps * batch * (n_vars + 1))
+        history = 4 * (steps + 1) * hid * batch
+        assert caches <= kept < caches + history // 2
 
     def test_lstm_backward_holds_no_sequence_gradient_buffer(self):
         batch, steps, n_vars, hid = 64, 240, 5, 64
@@ -658,6 +696,49 @@ class TestTapeDiscipline:
         with GradTape() as tape:
             ad.add(Tensor(np.ones(2)), Tensor(np.ones(2)))
         assert tape.nodes == []
+
+    def test_backward_runs_once_per_tape(self):
+        x = Tensor(np.array([2.0], dtype=np.float64), requires_grad=True)
+        with GradTape() as tape:
+            loss = ad.sum_all(ad.square(x))
+        tape.backward(loss)
+        with pytest.raises(ContractError):
+            tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, [4.0])
+        assert len(tape.nodes) == 2
+
+    def test_tensor_made_on_another_tape_is_a_leaf(self):
+        x = Tensor(np.array([1.0, -2.0], dtype=np.float64), requires_grad=True)
+        with GradTape() as first:
+            y = ad.mul_scalar(x, 3.0)
+            first_loss = ad.sum_all(y)
+        with GradTape() as second:
+            second.backward(ad.sum_all(ad.square(y)))
+        np.testing.assert_array_equal(y.grad, 2.0 * y.data)
+        assert x.grad is None
+        first.backward(first_loss)
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_backward_frees_activations_without_the_collector(self):
+        """The tape holds nodes, not tensors, and its nodes hold no cycle:
+        once the sweep is over, an activation a pullback read is freed by
+        reference counting alone."""
+        rng = np.random.default_rng(48)
+        x = Tensor(rng.normal(size=(8, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        gc.disable()
+        try:
+            with GradTape() as tape:
+                hidden = ad.matmul(x, w)
+                activation = weakref.ref(hidden.data)
+                loss = ad.sum_all(ad.relu(hidden))
+                del hidden
+            assert activation() is not None  # the relu pullback reads it
+            tape.backward(loss)
+            assert activation() is None
+        finally:
+            gc.enable()
+        assert x.grad is not None and w.grad is not None
 
     def test_backward_rejects_non_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)

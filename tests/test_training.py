@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,8 +248,34 @@ class TestTrainLoop:
         model = Surrogate(ModelConfig(), TOY_DIMS)
         model.feature_stats = dict(dataset.feature_stats)
         with GradTape() as tape:
-            training._batch_loss(model, dataset.train)
+            loss = training._batch_loss(model, dataset.train)
         assert len(tape.nodes) == 113
+        tape.backward(loss)
+        assert len(tape.nodes) == 113
+
+    def test_default_model_step_memory(self):
+        """One 256-row step of the default model: the tape keeps only what
+        the pullbacks read (a traced peak of 23.9 MB when it kept every
+        tensor, 15.9 MB now), and after backward only the gradients stay,
+        with no cycle left for the collector."""
+        dataset = build_toy_dataset(n=320)
+        assert dataset.train.n == 256
+        model = Surrogate(ModelConfig(), TOY_DIMS)
+        model.feature_stats = dict(dataset.feature_stats)
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            with GradTape() as tape:
+                loss = training._batch_loss(model, dataset.train)
+            tape.backward(loss)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        grads = sum(p.grad.nbytes for p in model.named_params().values())
+        assert peak < 17.5e6
+        assert current < grads + 0.25e6
 
     def test_loss_decreases(self, toy_dataset):
         model = training.train(quick_config(), toy_dataset,
