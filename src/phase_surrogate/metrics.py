@@ -18,7 +18,6 @@ from . import pipeline
 from .errors import (ContractError, RangeError, ShapeError,
                      UndefinedMetricError)
 
-TROPICS_LAT = 23.0
 _QUANTILES = (5.0, 25.0, 50.0, 75.0, 95.0)
 
 
@@ -73,7 +72,7 @@ def band_mask(lat, band):
     """Cells in ``band``: "tropics" or "extratropics"."""
     if band not in ("tropics", "extratropics"):
         raise ContractError(f"unknown latitude band {band!r}")
-    tropics = np.abs(np.asarray(lat, dtype=np.float64)) < TROPICS_LAT
+    tropics = np.abs(np.asarray(lat, dtype=np.float64)) < pipeline.TROPICS_LAT
     return tropics if band == "tropics" else ~tropics
 
 

@@ -30,8 +30,7 @@ from .fusion import ConcatFusion, TransformerFusion
 from .heads import TaskHeads, task_registry
 from .ood import OodStats
 
-VARIANTS = ("full", "no_cnn", "no_fc", "no_lstm", "no_trans",
-            "baseline_mlp", "baseline_pinn")
+VARIANTS = ("full", "no_cnn", "no_fc", "no_lstm", "no_trans", "baseline_mlp")
 
 BRANCHES = ("temporal", "layered", "static", "pft")
 
@@ -130,6 +129,9 @@ def check_field_types(config):
 
 def config_from_dict(cls, data, section):
     """A ``cls`` config from a dict, refusing keys it has no field for."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"the {section} config must be an object, "
+                                 f"got {data!r}")
     known = {f.name for f in dataclasses.fields(cls)}
     for key in data:
         if key not in known:
@@ -276,14 +278,8 @@ class Surrogate:
                 len(names), dim=d, heads=config.heads, n_layers=config.depth,
                 ff_mult=config.ff_mult, rng=rng, dtype=dtype)
 
-        registry = task_registry(dims)
-        self.heads = TaskHeads(registry, in_dim=d, hidden=hid, rng=rng,
-                               dtype=dtype)
-        self.delta_heads = None
-        if config.variant == "baseline_pinn":
-            # a change of state from the window end, whose log ratio is 0
-            self.delta_heads = TaskHeads(registry, in_dim=d, hidden=hid,
-                                         rng=rng, dtype=dtype)
+        self.heads = TaskHeads(task_registry(dims), in_dim=d, hidden=hid,
+                               rng=rng, dtype=dtype)
 
     # -- parameters ---------------------------------------------------------
 
@@ -300,9 +296,6 @@ class Surrogate:
                 out[f"fusion.{key}"] = tensor
         for key, tensor in self.heads.named_params().items():
             out[f"heads.{key}"] = tensor
-        if self.delta_heads is not None:
-            for key, tensor in self.delta_heads.named_params().items():
-                out[f"delta.{key}"] = tensor
         return out
 
     # -- forward ------------------------------------------------------------
@@ -365,12 +358,6 @@ class Surrogate:
         z = self.latent(batch)
         return self.heads.predict_all(z), z
 
-    def delta_forward(self, z):
-        if self.delta_heads is None:
-            raise ContractError("delta heads exist only on the baseline_pinn "
-                                "variant")
-        return self.delta_heads.predict_all(z)
-
     def predict(self, groups):
         """Forward pass over a dict of physical-unit group arrays,
         PREDICT_ROWS rows at a time.  Returns (predictions per task in
@@ -429,15 +416,23 @@ class Surrogate:
             raise ContractError(f"{path}: model file version "
                                 f"{manifest.get('version')!r}; this version "
                                 f"reads {MODEL_VERSION}")
-        if "ood" not in manifest:
+        guard = manifest.get("ood")
+        if not isinstance(guard, dict):
             raise ContractError(f"{path}: model file carries no OOD guard")
-        config = ModelConfig.from_dict(manifest["config"])
+        threshold = guard.get("threshold")
+        if type(threshold) not in (int, float) or not math.isfinite(threshold):
+            raise ContractError(f"{path}: the OOD threshold must be a finite "
+                                f"number, got {threshold!r}")
+        feature_stats = pipeline.checked_stats(
+            manifest, "feature_stats",
+            [c[0] for c in pipeline.FEATURE_CHANNELS], f"{path}: model file")
         # the network is rebuilt in its stored parameters' width
         widths = [a.dtype for n, a in arrays.items() if not n.startswith("ood.")]
         try:
+            config = ModelConfig.from_dict(manifest.get("config"))
             model = cls(config, manifest.get("dims"), rng=_NoDraws,
                         dtype=np.result_type(*widths) if widths else np.float32)
-        except ContractError as exc:
+        except (ConfigurationError, ContractError) as exc:
             raise ContractError(f"{path}: {exc}") from None
         params = model.named_params()
         layout = {name: tensor.data.shape for name, tensor in params.items()}
@@ -447,8 +442,8 @@ class Surrogate:
         for name, tensor in params.items():
             tensor.data = arrays[name].astype(tensor.data.dtype, copy=False)
         model.train_config = manifest.get("train_config")
-        model.feature_stats = manifest.get("feature_stats")
-        model.ood_stats = OodStats.from_manifest(manifest["ood"], arrays)
+        model.feature_stats = feature_stats
+        model.ood_stats = OodStats.from_manifest(guard, arrays)
         return model
 
     def clone(self):

@@ -27,6 +27,7 @@ which ``np.percentile`` and ``np.median`` do on first use.
 
 import dataclasses
 import logging
+import math
 import os
 import shutil
 
@@ -74,6 +75,9 @@ DATASET_VERSION = 4
 SPLITS = ("train", "test")
 
 TRAIN_NUM, TRAIN_DEN = 8, 10
+
+# a cell is tropical below this |latitude|, in degrees
+TROPICS_LAT = 23.0
 
 
 # The simulator's flux formula, kept with G1_FIELDS, whose order
@@ -172,6 +176,23 @@ def minmax_fit(values):
     if arr.size == 0:
         raise ContractError("cannot fit normalization on an empty feature")
     return float(arr.min()), float(arr.max())
+
+
+def checked_stats(manifest, key, names, where):
+    """``manifest[key]``, refused unless it gives each of ``names`` as a
+    [lo, hi] pair of finite numbers with lo <= hi, as :func:`minmax_fit`
+    fits it; ``where`` names the manifest in the message."""
+    stats = manifest.get(key)
+    if not isinstance(stats, dict):
+        raise ContractError(f"{where} lacks {key}")
+    for name in names:
+        pair = stats.get(name)
+        if not (isinstance(pair, list) and len(pair) == 2 and all(
+                type(v) in (int, float) and math.isfinite(v) for v in pair)
+                and pair[0] <= pair[1]):
+            raise ContractError(f"{where} {key} gives {name!r} as {pair!r}, "
+                                f"not a [lo, hi] pair of finite numbers, lo <= hi")
+    return stats
 
 
 def minmax_apply(values, stats):
@@ -417,16 +438,9 @@ def load_dataset(path, splits=SPLITS):
             targets={t: cols[t].astype(np.float32, copy=False) for t in TASKS},
         )
 
-    def read_stats(key, names):
-        stats = manifest.get(key)
-        if not isinstance(stats, dict) or not all(
-                isinstance(stats.get(k), list) and len(stats[k]) == 2
-                for k in names):
-            raise ContractError(f"{path} manifest lacks {key} as a [lo, hi] "
-                                f"pair per channel")
-        return stats
-
+    where = f"{path} manifest"
     train, test = (read_split(name) if name in splits else None for name in SPLITS)
     return Dataset(train, test,
-                   read_stats("feature_stats", [c[0] for c in FEATURE_CHANNELS]),
-                   read_stats("target_stats", TASKS))
+                   checked_stats(manifest, "feature_stats",
+                                 [c[0] for c in FEATURE_CHANNELS], where),
+                   checked_stats(manifest, "target_stats", TASKS, where))

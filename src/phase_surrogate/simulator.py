@@ -66,7 +66,6 @@ K_FAST = 0.1
 K_WOOD = 0.005
 K_SLOW = 0.004
 
-TROPICS_LAT = 23.0
 TREND_RAMP_YEARS = 15.0
 # The trend stops after TREND_RAMP_YEARS, so the last 5 years of the default
 # 20-year window are stationary: the climate the u/k targets are built from.
@@ -94,7 +93,6 @@ FORCING_BOUNDS = {
 PFT_POOLS = ("leaf_c", "froot_c", "deadcrootc", "deadstemc")
 LAYER_POOLS = ("cwdc", "soil3c", "soil4c")
 POOL_KEYS = PFT_POOLS + LAYER_POOLS
-FAST_POOLS = ("leaf_c", "froot_c")
 SLOW_POOLS = ("deadcrootc", "deadstemc", "cwdc", "soil3c", "soil4c")
 
 K_GROUP = {"leaf_c": K_FAST, "froot_c": K_FAST,
@@ -649,7 +647,7 @@ def _draw_cell_params(seed, grid, land_idx, cell_lat, n_pft, n_layers):
     texture = _spread_uniform(u[:, 3], 0.0, 1.0, s, 0.0, 1.0)
     land_frac = _spread_uniform(u[:, 4], 0.55, 1.0, s, 0.05, 1.0)
     depletion = _spread_uniform(u[:, 5], 0.05, 0.45, s, 0.02, 0.6)
-    nutrient = np.where(np.abs(cell_lat) < TROPICS_LAT, 1.0 - depletion, 1.0)
+    nutrient = np.where(np.abs(cell_lat) < pipeline.TROPICS_LAT, 1.0 - depletion, 1.0)
     w = _PFT_BASE_WEIGHT[:n_pft] * weight_draw
     pft_weight = w / w.sum(axis=1, keepdims=True)
     sla = _PFT_BASE_SLA[:n_pft] * _spread_uniform(trait_u[:, 0], 0.85, 1.15, s, 0.6, 1.6)

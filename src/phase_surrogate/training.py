@@ -74,23 +74,12 @@ def task_loss(pred, target):
     return ad.mean_all(ad.square(diff))
 
 
-def pinn_delta_loss(pred_final, pred_delta, target_final):
-    """Data term plus state-evolution term, equally weighted.  In log-ratio
-    space the window-end state is 0, so the evolved state is the delta."""
-    return ad.add(task_loss(pred_final, target_final),
-                  task_loss(pred_delta, target_final))
-
-
-def total_loss(preds, targets, deltas=None):
+def total_loss(preds, targets):
     """The sum of the slow-task losses, a scalar tensor; other entries of
-    ``preds`` and ``targets`` are ignored.  When delta predictions are
-    supplied, the tasks use the two-term delta-state loss."""
+    ``preds`` and ``targets`` are ignored."""
     total = None
     for task in pipeline.SLOW_TASKS:
-        if deltas is not None:
-            part = pinn_delta_loss(preds[task], deltas[task], targets[task])
-        else:
-            part = task_loss(preds[task], targets[task])
+        part = task_loss(preds[task], targets[task])
         total = part if total is None else ad.add(total, part)
     return total
 
@@ -152,9 +141,7 @@ def _batches(split, batch_size):
 
 
 def _batch_loss(model, batch):
-    preds, z = model.forward(batch.groups)
-    deltas = model.delta_forward(z) if model.delta_heads is not None else None
-    return total_loss(preds, batch.targets, deltas)
+    return total_loss(model.forward(batch.groups)[0], batch.targets)
 
 
 def _eval_loss(model, batches):

@@ -305,24 +305,47 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("change", [
         "version-2", "no-dims", "dims-list", "dims-missing-key",
-        "dims-part-year"])
+        "dims-part-year", "variant-baseline_pinn", "dim-string", "no-config",
+        "stats-missing-channel", "stats-not-pair", "stats-reversed",
+        "stats-nan", "no-stats", "ood-no-threshold", "ood-string-threshold",
+        "ood-infinite-threshold"])
     def test_model_file_of_version_two_or_bad_dims_is_refused(
             self, ws, tmp_path, capsys, change):
+        # every malformed manifest entry is a runtime error naming the file
         manifest, arrays = blobio.read_model_file(str(ws["model"]))
-        dims = manifest.pop("dims")
-        if change == "version-2":
+        dims = manifest["dims"]
+        config = manifest["config"]
+        stats = manifest["feature_stats"]
+        edits = {
             # version 2 kept the window and the type and layer counts in
             # the config
-            manifest.update(version=2, config=dict(
-                manifest["config"], n_pft=dims["n_pft"],
-                n_layers=dims["n_layers"], window_months=dims["months"],
-                masked_features=[]))
-        elif change != "no-dims":
-            manifest["dims"] = {
-                "dims-list": list(dims.values()),
-                "dims-missing-key": {"months": dims["months"],
-                                     "n_pft": dims["n_pft"]},
-                "dims-part-year": dict(dims, months=18)}[change]
+            "version-2": dict(version=2, dims=None, config=dict(
+                config, n_pft=dims["n_pft"], n_layers=dims["n_layers"],
+                window_months=dims["months"], masked_features=[])),
+            "no-dims": dict(dims=None),
+            "dims-list": dict(dims=list(dims.values())),
+            "dims-missing-key": dict(dims={"months": dims["months"],
+                                           "n_pft": dims["n_pft"]}),
+            "dims-part-year": dict(dims=dict(dims, months=18)),
+            "variant-baseline_pinn": dict(config=dict(
+                config, variant="baseline_pinn")),
+            "dim-string": dict(config=dict(config, dim="64")),
+            "no-config": dict(config=None),
+            "stats-missing-channel": dict(feature_stats={
+                k: v for k, v in stats.items() if k != "g2.alpha"}),
+            "stats-not-pair": dict(feature_stats=dict(stats,
+                                                      **{"g2.alpha": 0.5})),
+            "stats-reversed": dict(feature_stats=dict(
+                stats, **{"g2.alpha": stats["g2.alpha"][::-1]})),
+            "stats-nan": dict(feature_stats=dict(
+                stats, **{"g2.alpha": [float("nan"), 1.0]})),
+            "no-stats": dict(feature_stats=None),
+            "ood-no-threshold": dict(ood={}),
+            "ood-string-threshold": dict(ood={"threshold": "12.5"}),
+            "ood-infinite-threshold": dict(ood={"threshold": float("inf")}),
+        }[change]
+        manifest.update(edits)
+        manifest = {k: v for k, v in manifest.items() if v is not None}
         bad = tmp_path / "bad.phm"
         blobio.write_model_file(str(bad), manifest, arrays)
         rc = main(["eval", "--model", str(bad), "--data", str(ws["data"]),
@@ -331,7 +354,20 @@ class TestExitCodes:
         assert rc == 1
         assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
         assert {"version-2": "model file version 2",
-                "dims-part-year": "whole years, got 18 months"}.get(
+                "dims-part-year": "whole years, got 18 months",
+                "variant-baseline_pinn": "unknown variant 'baseline_pinn'",
+                "dim-string": "dim must be an integer, got '64'",
+                "no-config": "model config must be an object, got None",
+                "stats-missing-channel": "'g2.alpha' as None, not a [lo, hi]",
+                "stats-not-pair": "'g2.alpha' as 0.5, not a [lo, hi]",
+                "stats-reversed": "finite numbers, lo <= hi",
+                "stats-nan": "'g2.alpha' as [nan, 1.0], not a [lo, hi] pair "
+                             "of finite numbers",
+                "no-stats": "model file lacks feature_stats",
+                "ood-no-threshold": "threshold must be a finite number, "
+                                    "got None",
+                "ood-string-threshold": "got '12.5'",
+                "ood-infinite-threshold": "got inf"}.get(
                     change, "dims must give months, n_pft, n_layers") in err
         assert list(tmp_path.iterdir()) == [bad]
 

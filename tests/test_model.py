@@ -74,13 +74,16 @@ class TestModelConfig:
             ModelConfig(variant="no_heads")
 
     def test_no_phys_refused(self, tmp_path):
-        # there is no flux penalty to turn off: the fluxes are a closed form
-        with pytest.raises(ConfigurationError, match="unknown variant"):
-            ModelConfig(variant="no_phys")
+        # there is no flux penalty to turn off: the fluxes are a closed form;
+        # and no delta heads to add: in log-ratio space they would fit the
+        # same target as the pool heads
         path = tmp_path / "cfg.json"
-        path.write_text('{"model": {"variant": "no_phys"}}')
-        assert main(["train", "--data", str(tmp_path), "--config", str(path),
-                     "--out", str(tmp_path / "m.phm")]) == 2
+        for variant in ("no_phys", "baseline_pinn"):
+            with pytest.raises(ConfigurationError, match="unknown variant"):
+                ModelConfig(variant=variant)
+            path.write_text(f'{{"model": {{"variant": "{variant}"}}}}')
+            assert main(["train", "--data", str(tmp_path), "--config",
+                         str(path), "--out", str(tmp_path / "m.phm")]) == 2
 
     def test_config_file_sections(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -163,23 +166,6 @@ class TestVariantStructure:
         with pytest.raises(ContractError):
             mlp.attention_weights(toy_batch())
 
-    def test_baseline_pinn_adds_delta_heads(self):
-        pinn = make("baseline_pinn")
-        names = pinn.named_params()
-        assert any(k.startswith("delta.soil3c") for k in names)
-        preds, z = pinn.forward(toy_batch())
-        deltas = pinn.delta_forward(z)
-        assert set(deltas) == set(pipeline.SLOW_TASKS)
-        assert deltas["soil3c"].data.shape == (4, 9)
-        stacked = np.concatenate([deltas[t].data.ravel() for t in deltas])
-        assert (stacked < 0).any()  # deltas are unconstrained in sign
-
-    def test_delta_forward_rejected_elsewhere(self):
-        full = make("full")
-        _, z = full.forward(toy_batch())
-        with pytest.raises(ContractError):
-            full.delta_forward(z)
-
 
 class TestForward:
     def test_prediction_shapes(self):
@@ -193,8 +179,7 @@ class TestForward:
 
     def test_every_variant_forward(self):
         batch = toy_batch()
-        for variant in ("full", "no_cnn", "no_fc", "no_lstm", "no_trans",
-                        "baseline_mlp", "baseline_pinn"):
+        for variant in model_mod.VARIANTS:
             preds, _ = make(variant).forward(batch)
             assert preds["soil4c"].data.shape == (4, 9), variant
 

@@ -540,3 +540,16 @@ class TestLoadRefusesMalformed:
         blobio.save_json(path, manifest)
         with pytest.raises(ContractError, match="feature_stats"):
             pl.load_dataset(str(damaged))
+
+    @pytest.mark.parametrize("pair", [[1.0, 0.0], [float("nan"), 1.0],
+                                      [0.0, float("inf")], [0.0, "1"],
+                                      [False, 1.0]])
+    def test_stats_pair_not_finite_lo_to_hi(self, damaged, pair):
+        # the bounds minmax_fit gives: two finite numbers, lo <= hi
+        path = str(damaged / "manifest.json")
+        manifest = blobio.load_json(path)
+        manifest["target_stats"]["soil3c"] = pair
+        blobio.save_json(path, manifest)
+        with pytest.raises(ContractError,
+                           match=r"target_stats gives 'soil3c' as .*lo <= hi"):
+            pl.load_dataset(str(damaged))

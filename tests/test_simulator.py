@@ -231,7 +231,7 @@ class TestWorldGeneration:
             assert series[..., i].min() >= lo and series[..., i].max() <= hi, name
 
     def test_nutrient_only_deviates_in_tropics(self, world):
-        tropical = np.abs(world.cell_lat) < sim.TROPICS_LAT
+        tropical = np.abs(world.cell_lat) < pl.TROPICS_LAT
         assert tropical.any() and (~tropical).any()
         assert np.all(world.params.nutrient[tropical] < 1.0)
         assert np.all(world.params.nutrient[~tropical] == 1.0)
@@ -447,7 +447,7 @@ def reference_cell_params(seed, grid, land_idx, cell_lat, n_pft, n_layers):
                 (0.65, 1.08, 0.55, 1.095), (0.0, 1.0, 0.0, 1.0),
                 (0.55, 1.0, 0.05, 1.0), (0.05, 0.45, 0.02, 0.6)]):
             scalars[c, i] = spread_uniform_scalar(rng, lo, hi, s, clip_lo, clip_hi)
-        if abs(cell_lat[c]) < sim.TROPICS_LAT:
+        if abs(cell_lat[c]) < pl.TROPICS_LAT:
             nutrient[c] = 1.0 - scalars[c, 5]
         w = sim._PFT_BASE_WEIGHT[:n_pft] * rng.gamma(16.0, size=n_pft)
         pft_weight[c] = w / w.sum()

@@ -76,35 +76,6 @@ class TestTaskLoss:
         ad.gradcheck(lambda p: training.task_loss(p, target), [pred])
 
 
-class TestPinnDeltaLoss:
-    """In log-ratio space the window-end state is 0, so the evolved state
-    is the delta itself."""
-
-    def test_perfect_prediction_is_zero(self):
-        target = np.random.default_rng(6).uniform(-1, 1, (7, 5))
-        loss = training.pinn_delta_loss(Tensor(target.copy()),
-                                        Tensor(target.copy()), target)
-        assert loss.data.item() == 0.0
-
-    def test_sums_both_error_terms(self):
-        target = np.ones((4, 2))
-        loss = training.pinn_delta_loss(Tensor(np.full((4, 2), 3.0)),
-                                        Tensor(np.full((4, 2), 4.0)), target)
-        assert loss.data.item() == pytest.approx(4.0 + 9.0, rel=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            training.pinn_delta_loss(Tensor(np.zeros(3)), Tensor(np.zeros(4)),
-                                     np.zeros(3))
-
-    def test_gradcheck(self):
-        rng = np.random.default_rng(7)
-        final, delta = t64(rng, 6, 2), t64(rng, 6, 2)
-        target = rng.standard_normal((6, 2))
-        ad.gradcheck(lambda f, d: training.pinn_delta_loss(f, d, target),
-                     [final, delta])
-
-
 def random_preds(rng, n):
     preds = {}
     for task in pipeline.SLOW_TASKS:
@@ -154,19 +125,6 @@ class TestTotalLoss:
             dict(preds, **{t: Tensor(nan) for t in pipeline.FLUX_TASKS}),
             dict(targets, **{t: nan for t in pipeline.FLUX_TASKS}))
         assert got.data.item() == want.data.item()
-
-    def test_delta_route_adds_the_evolution_term(self):
-        # a zero delta is the window-end state, log ratio 0, so its term is
-        # the mean square of each task's target
-        rng = np.random.default_rng(13)
-        preds = random_preds(rng, 4)
-        targets = random_targets(rng, preds)
-        deltas = {t: Tensor(np.zeros_like(preds[t].data))
-                  for t in pipeline.SLOW_TASKS}
-        got = training.total_loss(preds, targets, deltas)
-        want = training.total_loss(preds, targets).data.item() + math.fsum(
-            np.mean(targets[t] ** 2) for t in pipeline.SLOW_TASKS)
-        assert got.data.item() == pytest.approx(want, rel=1e-12)
 
 
 class TestAdam:
@@ -351,13 +309,6 @@ class TestTrainLoop:
         assert {t.data.dtype for t in model.named_params().values()} == {
             np.dtype(np.float32)}
         assert model.train_config == quick_config(max_epochs=1).to_dict()
-
-    def test_pinn_variant_trains(self, toy_dataset):
-        model = training.train(quick_config(max_epochs=2), toy_dataset,
-                               model_config=toy_model_config(
-                                   variant="baseline_pinn"))
-        assert model.delta_heads is not None
-        assert len(model.history) == 2
 
 
 class TestFineTune:
