@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """The two physics guards: hard positivity and the hard flux identity.
 
-The model predicts each slow pool as obs * exp(r), where obs is the
-cell's observed window-end pool and r the head's log ratio. First it
-pushes absurd latents through heads with trained-size output layers to
-show that every pool stays positive whatever r is (the property that
-makes predicted pools safe to write into a restart file), and that an
-untrained model, whose output layers start at zero, predicts the observed
-state exactly. Then it scores the fluxes of that untrained model on
+The model predicts each slow pool as obs * exp(s + r), where obs is the
+cell's observed window-end pool, s the spin-up prior of its turnover
+group and r the head's residual for that group. First it pushes absurd
+latents through a head with a trained-size output layer to show that
+every pool stays positive whatever r is (the property that makes
+predicted pools safe to write into a restart file), and that an
+untrained model, whose output layer starts at zero, predicts
+obs * exp(s), the prior, exactly. Then it scores the fluxes of that untrained model on
 held-out cells: the model computes GPP, AR and NPP from each cell's own
 forcing and parameters with the simulator's formula, so NPP = GPP - AR
 holds to rounding and the fluxes match the equilibrium targets without
@@ -20,27 +21,25 @@ import numpy as np
 
 from phase_surrogate import metrics, model as model_mod, pipeline, simulator
 from phase_surrogate.autodiff import Tensor
-from phase_surrogate.heads import TaskHeads, task_registry
+from phase_surrogate.heads import TaskHeads
 from phase_surrogate.model import ModelConfig, Surrogate
 
 
 def positivity_probe(groups):
     rng = np.random.default_rng(0)
-    heads = TaskHeads(task_registry(pipeline.group_dims(groups)), in_dim=64,
-                      hidden=64, rng=rng)
+    heads = TaskHeads(in_dim=64, hidden=64, rng=rng)
     # a trained head's output layer is not zero
-    for p in heads.params.values():
-        p["w2"].data = rng.normal(0.0, 0.1, p["w2"].data.shape).astype(np.float32)
+    w2 = heads.params["w2"]
+    w2.data = rng.normal(0.0, 0.1, w2.data.shape).astype(np.float32)
     n = groups["g1"].shape[0]
     z = rng.uniform(-100.0, 100.0, size=(n, 64)).astype(np.float32)
-    ratios = {t: r.data for t, r in heads.predict_all(Tensor(z)).items()}
-    pools = model_mod.from_log_ratios(groups, ratios)
-    spread = max(float(np.abs(r).max()) for r in ratios.values())
+    residual = heads.predict_all(Tensor(z)).data
+    pools = model_mod.pools_from(groups, residual)
     worst = min(float(v.min()) for v in pools.values())
     count = sum(v.size for v in pools.values())
     print(f"hard constraint: {count} pools from latents in [-100, 100], "
-          f"log ratios up to {spread:.0f} in size, minimum pool "
-          f"{worst:.3e} (exp keeps all > 0)")
+          f"residuals up to {float(np.abs(residual).max()):.0f} in size, "
+          f"minimum pool {worst:.3e} (exp keeps all > 0)")
 
 
 def main():
@@ -54,12 +53,12 @@ def main():
     model = Surrogate(ModelConfig(), pipeline.group_dims(dataset.train.groups))
     model.feature_stats = dict(dataset.feature_stats)
     report = metrics.evaluate(model, dataset, "test")
-    observed = model_mod.observed(dataset.test.groups)
-    if any(not np.array_equal(report.preds[t], observed[t])
+    prior = model_mod.pools_from(dataset.test.groups, 0.0)
+    if any(not np.array_equal(report.preds[t], prior[t])
            for t in pipeline.SLOW_TASKS):
-        raise SystemExit("the untrained model left the observed state")
-    print("persistence: the untrained model predicts the observed "
-          "window-end pools exactly\n")
+        raise SystemExit("the untrained model left the prior")
+    print("prior: the untrained model predicts obs * exp(prior) "
+          "exactly\n")
     print("hard flux identity: an untrained model, held-out cells")
     for task in pipeline.FLUX_TASKS:
         print(f"  {task:<4} R2 = {report.tasks[task]['r2']:.5f}")

@@ -211,12 +211,6 @@ def sub(a, b):
     return _record([a, b], a.data - b.data, lambda g: (g, -g))
 
 
-def mul(a, b):
-    _check_same_shape(a, b, "mul")
-    ad, bd = a.data, b.data
-    return _record([a, b], ad * bd, lambda g: (g * bd, g * ad))
-
-
 def mul_scalar(a, s):
     s = a.data.dtype.type(s)
     return _record([a], a.data * s, lambda g: (g * s,))
@@ -257,16 +251,6 @@ def add_leading(a, b):
 def relu(a):
     ad = a.data
     return _record([a], np.maximum(ad, 0), lambda g: (g * (ad > 0),))
-
-
-def sigmoid(a):
-    out = _stable_sigmoid(a.data)
-    return _record([a], out, lambda g: (g * out * (1.0 - out),))
-
-
-def tanh(a):
-    out = np.tanh(a.data)
-    return _record([a], out, lambda g: (g * (1.0 - out * out),))
 
 
 def _stable_sigmoid(x):
@@ -582,22 +566,6 @@ def transpose(a, axes):
     return _record([a], a.data.transpose(axes), lambda g: (g.transpose(inverse),))
 
 
-def slice_axis(a, axis, start, stop):
-    """Contiguous slice along one axis; gradient scatters back into zeros."""
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(start, stop)
-    sl = tuple(sl)
-    out = a.data[sl].copy()
-    shape, dtype = a.data.shape, a.data.dtype
-
-    def backward(g):
-        da = np.zeros(shape, dtype=dtype)
-        da[sl] = g
-        return (da,)
-
-    return _record([a], out, backward)
-
-
 def stack(tensors, axis=0):
     """Stack same-shape tensors along a new axis."""
     shapes = {t.data.shape for t in tensors}
@@ -624,67 +592,7 @@ def mean_axis(a, axis):
     return _record([a], out, backward)
 
 
-def sum_all(a):
-    shape, dtype = a.data.shape, a.data.dtype
-    return _record([a], np.asarray(a.data.sum(), dtype=dtype),
-                   lambda g: (np.full(shape, g, dtype=dtype),))
-
-
 def mean_all(a):
     shape, dtype, n = a.data.shape, a.data.dtype, a.data.size
     return _record([a], np.asarray(a.data.mean(), dtype=dtype),
                    lambda g: (np.full(shape, g / n, dtype=dtype),))
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference oracle
-# ---------------------------------------------------------------------------
-
-def numeric_gradient(fn, tensors, index, h=1e-5):
-    """Central-difference gradient of scalar-valued ``fn`` w.r.t. one input.
-
-    ``fn`` maps the tensors to a scalar Tensor and is evaluated forward-only;
-    this is the independent check against the tape's reverse sweep.  Use
-    float64 tensors for tight tolerances.
-    """
-    target = tensors[index]
-    base = target.data.copy()
-    grad = np.zeros_like(base)
-    flat = base.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        target.data = base.reshape(base.shape)
-        fplus = fn(*tensors).item()
-        flat[i] = orig - h
-        fminus = fn(*tensors).item()
-        flat[i] = orig
-        gflat[i] = (fplus - fminus) / (2.0 * h)
-    target.data = base
-    return grad
-
-
-def gradcheck(fn, tensors, h=1e-5, rtol=1e-4, atol=1e-7):
-    """Compare tape gradients of scalar ``fn`` against central differences.
-
-    Returns the worst relative error over all differentiable inputs; raises
-    AssertionError if it exceeds ``rtol``.
-    """
-    for t in tensors:
-        t.zero_grad()
-    with GradTape() as tape:
-        loss = fn(*tensors)
-        tape.backward(loss)
-    worst = 0.0
-    for i, t in enumerate(tensors):
-        if not t.requires_grad:
-            continue
-        numeric = numeric_gradient(fn, list(tensors), i, h=h)
-        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        scale = np.maximum(np.abs(numeric), np.abs(analytic))
-        err = np.abs(analytic - numeric) / np.maximum(scale, atol / rtol)
-        worst = max(worst, float(err.max()) if err.size else 0.0)
-    if worst > rtol:
-        raise AssertionError(f"gradient check failed: max relative error {worst:.3e} > {rtol:.0e}")
-    return worst

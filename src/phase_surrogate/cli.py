@@ -120,14 +120,12 @@ def _cmd_gen_data(args):
 
 def _cmd_build_dataset(args):
     from . import pipeline, simulator
-    # only the window's months of forcing are read; export_samples checks it
-    window = (simulator.STATIONARY_YEARS if args.window_years is None
-              else max(args.window_years, 1))
-    world = simulator.load_world(_world_path(args.world), 12 * window)
+    world = simulator.load_world(_world_path(args.world))
     samples = simulator.export_samples(world, args.window_years)
     meta = {"seed": world.seed, "years": world.years,
             "grid": [world.grid.n_lat, world.grid.n_lon,
                      world.grid.resolution_deg]}
+    del world  # the whole window's forcing is needed only for the prior
     dataset = pipeline.build_dataset(samples, args.seed, args.out,
                                      world_meta=meta)
     print(f"wrote {args.out}: {dataset.train.n} train / "
@@ -216,7 +214,7 @@ def _cmd_fine_tune(args):
     return 0
 
 
-def _write_drift_csv(path, report, window_months):
+def _write_drift_csv(path, report, window_months, references):
     from . import blobio
     buf = io.StringIO()
     buf.write("name,pool,value\n")
@@ -232,25 +230,27 @@ def _write_drift_csv(path, report, window_months):
     buf.write(f"warm_start_years_median,,{report.warm_start_years_median!r}\n")
     buf.write(f"speedup_min,,{report.speedup_min!r}\n")
     buf.write(f"speedup_median,,{report.speedup_median!r}\n")
+    for name, value in references.items():
+        buf.write(f"{name}_speedup_median,,{value!r}\n")
     buf.write(f"zero_equilibrium_cells,,{report.zero_equilibrium_cells}\n")
     blobio.atomic_write_bytes(path, buf.getvalue().encode("ascii"))
 
 
 def _cmd_restart_check(args):
     from . import blobio, ood, simulator
-    from .model import Surrogate
+    from .model import Surrogate, observed, pools_from
     if args.years < 1:
         raise ConfigurationError("--years must be at least 1")
     world_path = _world_path(args.world)
     model = Surrogate.load(args.model)
     months = model.dims["months"]
-    # only the months of forcing the model reads are loaded
-    world = simulator.load_world(world_path, months)
-    if months > 12 * world.years:
+    world = simulator.load_world(world_path)
+    if months > world.months:
         raise ContractError(
             f"{args.model} reads {months} months of forcing; {world_path} "
-            f"simulates {12 * world.years}")
+            f"simulates {world.months}")
     samples = simulator.export_samples(world, months // 12)
+    world.forcing_monthly = None  # only the prior reads the whole window
     preds, z = model.predict(samples.groups)
 
     flags, scores, reasons = ood.check(z, samples.groups, model)
@@ -264,14 +264,20 @@ def _cmd_restart_check(args):
                          world.n_layers)
     initial, _ = simulator.load_restart_state(world, restart_path)
     _, report = simulator.restart_run(initial, world, years=args.years)
-    _write_drift_csv(args.out, report, samples.groups["g1"].shape[1])
+    # the references, scored as restarts from the file's float32 pools
+    references = {name: simulator.speedup_median(
+        simulator.restart_state(world, pools), world) for name, pools in (
+            ("prior", pools_from(samples.groups, 0.0)),
+            ("persistence", observed(samples.groups)))}
+    _write_drift_csv(args.out, report, months, references)
     ood.write_report_csv(os.path.splitext(args.out)[0] + "_ood.csv",
                          samples.cell_id, flags, scores, reasons)
     drift_max = max(s["max"] for s in report.drift.values())
     zero = (f", {report.zero_equilibrium_cells} zero-equilibrium cells left out"
             if report.zero_equilibrium_cells else "")
     print(f"wrote {args.out}: spin-up speedup median "
-          f"{report.speedup_median:.3g}x (min {report.speedup_min:.3g}x{zero}), "
+          f"{report.speedup_median:.3g}x (min {report.speedup_min:.3g}x{zero}; "
+          f"prior alone {references['prior']:.3g}x), "
           f"slow-pool drift max {drift_max:.2%}")
     return 0
 

@@ -1,15 +1,17 @@
-"""Surrogate assembly: branch encoders, fusion, task heads, persistence.
+"""Surrogate assembly: branch encoders, fusion, the head, persistence.
 
 A :class:`Surrogate` owns one encoder per input group, a fusion module
-producing the unified latent, and one head per slow pool task.  It takes
-its shapes (``dims``) and its input scale from its data, so a caller hands
-it physical units and gets physical units back.  Each slow head predicts
-the log ratio r = log(y / obs) of its pools to the sample's own observed
-window-end pools (g4/g5), and the model returns obs * exp(r): no pool is
-negative, and an untrained model, whose output layers start at zero,
-predicts the observed state.  The fluxes are not learned but computed in
-closed form, so NPP = GPP - AR holds exactly whatever the weights.
-Variants swap or drop components; everything else (heads, loss wiring,
+producing the unified latent, and one head.  It takes its shapes
+(``dims``) and its input scale from its data, so a caller hands it
+physical units and gets physical units back.  The physics is the output
+and the network a residual (Reichstein et al. 2019): a sample carries the
+spin-up prior s, one log factor per turnover group from its observed
+window-end pools (g4/g5) to u/k, the head predicts one residual r per
+group, and every pool of a group is obs * exp(s + r).  No pool is
+negative, and an untrained model, whose output layer starts at zero,
+predicts obs * exp(s).  The fluxes are not learned but computed in closed
+form, so NPP = GPP - AR holds exactly whatever the weights.
+Variants swap or drop components; everything else (the head, loss wiring,
 persistence) is shared so a variant differs from the full model by
 exactly the removed part.
 """
@@ -27,7 +29,7 @@ from .encoders import (LayeredEncoder, PftEncoder, StaticEncoder,
                        TemporalEncoder, xavier, zeros_param)
 from .errors import ConfigurationError, ContractError, ShapeError
 from .fusion import ConcatFusion, TransformerFusion
-from .heads import TaskHeads, task_registry
+from .heads import TaskHeads
 from .ood import OodStats
 
 VARIANTS = ("full", "no_cnn", "no_fc", "no_lstm", "no_trans", "baseline_mlp")
@@ -43,16 +45,21 @@ _BRANCH_DROPS = {
 # The shapes a model takes from its data, as in a dataset manifest's dims.
 DIMS = ("months", "n_pft", "n_layers")
 
-# Model file manifest version.  Version 4 heads predict MinMax-scaled pools
+# Model file manifest version.  Version 5 heads predict a log ratio to the
+# observed pools per slow-pool element, version 4 heads MinMax-scaled pools
 # through softplus, version 3 files also carry flux heads, version 2 keeps
 # the dims in the config, and version 1 reads every month.
-MODEL_VERSION = 5
+MODEL_VERSION = 6
 
 # (group, trailing index) of each slow task's observed window-end pools,
-# the state its head predicts a log ratio to
+# the state its prediction scales
 OBSERVED = {task: (g, i) for g in ("g4", "g5")
             for i, task in enumerate(pipeline.GROUP_FIELDS[g])
             if task in pipeline.SLOW_TASKS}
+
+# each slow task's turnover group: its column of the prior and the residual
+GROUP_OF = {task: g for g, tasks in enumerate(pipeline.PRIOR_GROUPS)
+            for task in tasks}
 
 # Rows per forward pass in :meth:`Surrogate.predict`; bounds the inputs and
 # activations one forward pass holds at once, whatever the number of cells.
@@ -85,19 +92,23 @@ def observed(groups):
             for t, (g, i) in OBSERVED.items()}
 
 
-def log_ratios(groups, pools):
-    """Positive physical-unit slow pools as what the heads predict: the log
-    ratio to each sample's observed pools, float64."""
+def pools_from(groups, residual):
+    """Slow pools in physical units, float64: each task's observed pools
+    times exp(prior + residual) of its turnover group, never negative."""
     obs = observed(groups)
-    return {t: np.log(pools[t] / obs[t]) for t in pools}
+    factor = np.exp(np.asarray(groups["prior"], dtype=np.float64) + residual)
+    return {t: obs[t] * factor[:, GROUP_OF[t], None] for t in pipeline.SLOW_TASKS}
 
 
-def from_log_ratios(groups, ratios):
-    """Slow pools in physical units, float64, from log ratios to each
-    sample's observed pools: obs * exp(r), never negative."""
+def residual_targets(groups, pools):
+    """What the head fits for positive physical-unit slow ``pools``: each
+    turnover group's mean log ratio to the observed pools, less the prior,
+    [n, groups], float64."""
     obs = observed(groups)
-    return {t: obs[t] * np.exp(np.asarray(r, dtype=np.float64))
-            for t, r in ratios.items()}
+    n = obs["tlai"].shape[0]
+    mean = [np.concatenate([np.log(pools[t] / obs[t]).reshape(n, -1) for t in tasks],
+                           axis=1).mean(axis=1) for tasks in pipeline.PRIOR_GROUPS]
+    return np.stack(mean, axis=1) - groups["prior"]
 
 
 def active_branches(variant):
@@ -278,8 +289,7 @@ class Surrogate:
                 len(names), dim=d, heads=config.heads, n_layers=config.depth,
                 ff_mult=config.ff_mult, rng=rng, dtype=dtype)
 
-        self.heads = TaskHeads(task_registry(dims), in_dim=d, hidden=hid,
-                               rng=rng, dtype=dtype)
+        self.heads = TaskHeads(in_dim=d, hidden=hid, rng=rng, dtype=dtype)
 
     # -- parameters ---------------------------------------------------------
 
@@ -353,24 +363,29 @@ class Surrogate:
         return self.fusion.fuse(self._branch_latents(arrays))
 
     def forward(self, batch):
-        """Returns (log-ratio predictions dict of tensors, latent tensor)
-        for a dict of physical-unit groups."""
+        """Returns (residuals tensor [B, groups], latent tensor) for a dict
+        of physical-unit groups."""
         z = self.latent(batch)
         return self.heads.predict_all(z), z
 
     def predict(self, groups):
         """Forward pass over a dict of physical-unit group arrays,
         PREDICT_ROWS rows at a time.  Returns (predictions per task in
-        physical units, as float64 arrays; latent array [n, d]).  The heads'
-        log ratios map back with :func:`from_log_ratios`; the fluxes are the
-        closed form of each sample's inputs (:func:`_fluxes`)."""
+        physical units, as float64 arrays; latent array [n, d]).  The slow
+        pools add the head's residuals to the groups' prior
+        (:func:`pools_from`); the fluxes are the closed form of each
+        sample's inputs (:func:`_fluxes`)."""
         n = groups["g1"].shape[0]
-        preds = {t: [] for t in (*self.heads.registry, *pipeline.FLUX_TASKS)}
+        width = len(pipeline.PRIOR_GROUPS)
+        if np.shape(groups.get("prior")) != (n, width):
+            raise ShapeError(f"prior must be [batch, {width}], got shape "
+                             f"{np.shape(groups.get('prior'))}")
+        preds = {t: [] for t in pipeline.TASKS}
         latents = []
         for start in range(0, n, PREDICT_ROWS):
             chunk = {g: a[start:start + PREDICT_ROWS] for g, a in groups.items()}
-            out, z = self.forward(chunk)
-            pools = from_log_ratios(chunk, {t: p.data for t, p in out.items()})
+            residual, z = self.forward(chunk)
+            pools = pools_from(chunk, residual.data)
             for t, v in (*pools.items(), *_fluxes(chunk).items()):
                 preds[t].append(v)
             latents.append(z.data)
@@ -415,7 +430,7 @@ class Surrogate:
         if manifest.get("version") != MODEL_VERSION:
             raise ContractError(f"{path}: model file version "
                                 f"{manifest.get('version')!r}; this version "
-                                f"reads {MODEL_VERSION}")
+                                f"reads {MODEL_VERSION}: retrain it with train")
         guard = manifest.get("ood")
         if not isinstance(guard, dict):
             raise ContractError(f"{path}: model file carries no OOD guard")

@@ -10,14 +10,16 @@ A sample is one land cell with five feature groups:
 - g4: vegetation-type state at the end of the input window [n_pft x 5]
 - g5: layered pools at the end of the input window [n_layers x 3]
 
-plus nine regression targets (six equilibrium pool vectors, three flux
-scalars; a model computes the fluxes with :func:`annual_fluxes`).  A
-dataset stores the feature groups in physical units (float64) and the
-targets MinMax-normalized (float32).  Feature and target stats are
-fitted on the training split only and recorded in the manifest; a model
-adopts both, scales its own inputs with :func:`normalize_groups` and maps
-its predictions back to physical units, and takes its shapes from the
-groups (:func:`group_dims`).  Nothing is clipped, so test-split excursions
+plus the spin-up prior [3], each turnover group's log factor from the
+observed pools to u/k (``simulator.spinup_prior``), which is not a network
+input, and nine regression targets (six equilibrium pool vectors, three
+flux scalars; a model computes the fluxes with :func:`annual_fluxes`).  A
+dataset stores the feature groups and the prior in physical units
+(float64) and the targets MinMax-normalized (float32).  Feature and
+target stats are fitted on the training split only and recorded in the
+manifest; a model adopts the feature stats, scales its own inputs with
+:func:`normalize_groups`, and takes its shapes from the groups
+(:func:`group_dims`).  Nothing is clipped, so test-split excursions
 stay visible to the distribution-shift guard.
 
 The reports' order statistics (:func:`sorted_quantile`, :func:`median`)
@@ -56,6 +58,9 @@ FEATURE_CHANNELS = tuple((f"{g}.{name}", g, i)
 SLOW_TASKS = ("deadcrootc", "deadstemc", "tlai", "cwdc", "soil3c", "soil4c")
 FLUX_TASKS = ("gpp", "ar", "npp")
 TASKS = SLOW_TASKS + FLUX_TASKS
+# The slow tasks by turnover group, fast, wood and slow soil, in the order
+# of a sample's prior; a model predicts one residual per group.
+PRIOR_GROUPS = (("tlai",), ("deadcrootc", "deadstemc", "cwdc"), ("soil3c", "soil4c"))
 
 # The arrays of a split file, in file order; ``rows`` is the split's size
 # and the other dimension names are the manifest's ``dims``.
@@ -66,12 +71,13 @@ SPLIT_LAYOUT = {
     "g3": ("rows", "n_pft", len(G3_FIELDS)),
     "g4": ("rows", "n_pft", len(G4_FIELDS)),
     "g5": ("rows", "n_layers", len(G5_FIELDS)),
+    "prior": ("rows", len(PRIOR_GROUPS)),
     **{t: ("rows", "n_pft") for t in ("deadcrootc", "deadstemc", "tlai")},
     **{t: ("rows", "n_layers") for t in ("cwdc", "soil3c", "soil4c")},
     **{t: ("rows",) for t in FLUX_TASKS},
 }
 COLUMNS = tuple(SPLIT_LAYOUT)
-DATASET_VERSION = 4
+DATASET_VERSION = 5
 SPLITS = ("train", "test")
 
 TRAIN_NUM, TRAIN_DEN = 8, 10
@@ -116,7 +122,7 @@ def annual_fluxes(gbar12, alpha, resp_frac, nutrient):
 class Samples:
     """Raw (physical-unit) features and targets, one row per cell: every
     array, including each of ``groups`` and ``targets``, has a leading cell
-    axis."""
+    axis.  ``groups`` holds g1..g5 and the prior."""
     cell_id: np.ndarray
     lat: np.ndarray
     lon: np.ndarray
@@ -434,7 +440,8 @@ def load_dataset(path, splits=SPLITS):
         return DatasetSplit(
             cell_id=cols["cell_id"].astype(np.int64),
             lat=cols["lat"], lon=cols["lon"],
-            groups={g: np.asarray(cols[g], dtype=np.float64) for g in GROUPS},
+            groups={g: np.asarray(cols[g], dtype=np.float64)
+                    for g in (*GROUPS, "prior")},
             targets={t: cols[t].astype(np.float32, copy=False) for t in TASKS},
         )
 

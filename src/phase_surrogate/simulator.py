@@ -95,6 +95,9 @@ LAYER_POOLS = ("cwdc", "soil3c", "soil4c")
 POOL_KEYS = PFT_POOLS + LAYER_POOLS
 SLOW_POOLS = ("deadcrootc", "deadstemc", "cwdc", "soil3c", "soil4c")
 
+# the turnover rate of each of pipeline.PRIOR_GROUPS
+PRIOR_K = (K_FAST, K_WOOD, K_SLOW)
+
 K_GROUP = {"leaf_c": K_FAST, "froot_c": K_FAST,
            "deadcrootc": K_WOOD, "deadstemc": K_WOOD, "cwdc": K_WOOD,
            "soil3c": K_SLOW, "soil4c": K_SLOW}
@@ -268,23 +271,25 @@ class RestartReport:
     def zero_equilibrium_cells(self):
         return int(self.zero_equilibrium.sum())
 
-    def _over_defined(self, stat, values):
-        """``stat`` of ``values`` over the cells with a defined speedup,
-        those not counted in ``zero_equilibrium``; NaN if there are none."""
-        values = values[~self.zero_equilibrium]
-        return float(stat(values)) if values.size else math.nan
-
     @property
     def speedup_min(self):
-        return self._over_defined(np.min, self.speedup)
+        return _over_defined(np.min, self.speedup, self.zero_equilibrium)
 
     @property
     def speedup_median(self):
-        return self._over_defined(pipeline.median, self.speedup)
+        return _over_defined(pipeline.median, self.speedup, self.zero_equilibrium)
 
     @property
     def warm_start_years_median(self):
-        return self._over_defined(pipeline.median, self.warm_start_years)
+        return _over_defined(pipeline.median, self.warm_start_years,
+                             self.zero_equilibrium)
+
+
+def _over_defined(stat, values, zero):
+    """``stat`` of ``values`` over the cells with a defined speedup, those
+    not counted in ``zero``; NaN if there are none."""
+    values = values[~zero]
+    return float(stat(values)) if values.size else math.nan
 
 
 @dataclasses.dataclass
@@ -829,7 +834,6 @@ def restart_run(initial, world, years=100):
         pool = getattr(initial, key)
         if not np.all((pool >= 0.0) & (pool < np.inf)):
             raise ContractError(f"initial pool {key} must be finite and non-negative")
-    kappa = kappa_annual(params)
     eq = analytic_equilibrium(world)
     _, _, npp_m12 = pipeline._flux_from_gbar(
         world.gbar_stat12, params.alpha[:, None], params.resp_frac[:, None],
@@ -842,18 +846,7 @@ def restart_run(initial, world, years=100):
     pools -= np.expm1(decay) * (u / k_month)
     state = unpack(pools, world.n_pft, world.n_layers)
 
-    warm = cold = 1.0
-    zero = np.zeros(world.n_cells, dtype=bool)
-    for key in SLOW_POOLS:
-        # months to the band, from the same closed form
-        target = getattr(eq.pools, key)
-        log_rate = np.log1p(-kappa[key] / 12.0)
-        gap = np.abs(getattr(initial, key) - target)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            months = np.ceil(np.log(EQUILIBRIUM_BAND * target / gap) / log_rate[:, None])
-        warm = np.maximum(warm, np.where(gap > EQUILIBRIUM_BAND * target, months, 0.0).max(axis=1))
-        cold = np.maximum(cold, np.ceil(math.log(EQUILIBRIUM_BAND) / log_rate))
-        zero |= (target == 0.0).any(axis=1)
+    cold, warm, zero = _months_to_band(initial, world, eq)
     before = _distance_report(initial, eq.pools, cells=~zero)
     after = _distance_report(state, eq.pools, cells=~zero)
     drift = _distance_report(state, initial, pools=SLOW_POOLS)
@@ -862,6 +855,33 @@ def restart_run(initial, world, years=100):
                            cold_start_years=cold / 12.0, warm_start_years=warm / 12.0,
                            speedup=cold / warm, zero_equilibrium=zero)
     return state, report
+
+
+def _months_to_band(initial, world, eq):
+    """Each cell's months for every slow-pool element to come within
+    EQUILIBRIUM_BAND of u/k (``eq``) from zero pools and from ``initial``,
+    in closed form, a warm start inside the band counting one month, and
+    whether the cell has a slow equilibrium element of 0."""
+    kappa = kappa_annual(world.params)
+    warm = cold = 1.0
+    zero = np.zeros(world.n_cells, dtype=bool)
+    for key in SLOW_POOLS:
+        target = getattr(eq.pools, key)
+        log_rate = np.log1p(-kappa[key] / 12.0)
+        gap = np.abs(getattr(initial, key) - target)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            months = np.ceil(np.log(EQUILIBRIUM_BAND * target / gap) / log_rate[:, None])
+        warm = np.maximum(warm, np.where(gap > EQUILIBRIUM_BAND * target, months, 0.0).max(axis=1))
+        cold = np.maximum(cold, np.ceil(math.log(EQUILIBRIUM_BAND) / log_rate))
+        zero |= (target == 0.0).any(axis=1)
+    return cold, warm, zero
+
+
+def speedup_median(initial, world):
+    """The median speedup :func:`restart_run` reports for a restart from
+    ``initial``, without running the restart."""
+    cold, warm, zero = _months_to_band(initial, world, analytic_equilibrium(world))
+    return _over_defined(pipeline.median, cold / warm, zero)
 
 
 def _distance_report(state, reference, pools=POOL_KEYS, cells=slice(None)):
@@ -945,12 +965,73 @@ def _observe(world):
 # Sample export
 # ---------------------------------------------------------------------------
 
+def _ramp_fit(world):
+    """Each cell's annual NPP before the window and at equilibrium, [n]
+    each, estimated from the window's forcing alone.  For each calendar
+    month, radiation and precipitation are fitted over the window's years
+    as A + B·ρ, with ρ the trend ramp at the month's middle step; the other
+    fields take their mean over the years.  NPP before the window is that
+    of A, and at equilibrium the nutrient-scaled NPP of A + B, each clipped
+    to FORCING_BOUNDS first.  The fit assumes the synthetic forcing's ramp,
+    linear from the window's first month for TREND_RAMP_YEARS; a window of
+    one year has no spread in ρ, and B is 0."""
+    n, months, n_vars = world.forcing_monthly.shape
+    years = months // 12
+    forcing = world.forcing_monthly.reshape(n, years, 12, n_vars)
+    start = np.arange(years)[:, None] * STEPS_PER_YEAR + np.arange(12) * STEPS_PER_MONTH
+    rho = np.minimum((start + (STEPS_PER_MONTH - 1) / 2)
+                     / (TREND_RAMP_YEARS * STEPS_PER_YEAR), 1.0)
+    dev = rho - rho.mean(axis=0)
+    spread = np.square(dev).sum(axis=0)
+    slope = (np.einsum("yc,nycf->ncf", dev, forcing[..., :2])
+             / np.where(spread > 0.0, spread, 1.0)[:, None])
+    before = forcing.mean(axis=1)
+    before[..., :2] -= slope * rho.mean(axis=0)[:, None]
+    after = before.copy()
+    after[..., :2] += slope
+    p = world.params
+    return tuple(pipeline.annual_fluxes(pipeline._gbar_of(_clip_bounds(climate)),
+                                        p.alpha, p.resp_frac, nutrient)[2]
+                 for climate, nutrient in ((before, np.ones(n)), (after, p.nutrient)))
+
+
+def _prior_from(world, npp_pre, npp_star):
+    """Each cell's log factor [n, 3] from its window-end pools to u/k, per
+    group of :data:`pipeline.PRIOR_GROUPS`, given its annual NPP before the
+    window ``npp_pre`` and at equilibrium ``npp_star`` [n].
+
+    A pool starts the window at npp_pre·route/k and takes M months of
+    C ← a·C + npp_m·route, a = 1 - k/12, with npp_m each month's NPP of the
+    window's forcing; its u/k is npp_star·route/k.  So the ratio is the same
+    for every pool of a group, npp_star / D with
+    D = a^M·npp_pre + k·Σ_m a^(M-1-m)·npp_m, taken here month by month."""
+    p = world.params
+    k = np.multiply.outer(p.decomp, PRIOR_K)
+    a = 1.0 - k / 12.0
+    _, _, npp = pipeline._flux_from_gbar(pipeline._gbar_of(world.forcing_monthly),
+                                         p.alpha[:, None], p.resp_frac[:, None], 1.0)
+    d = np.repeat(npp_pre[:, None], len(PRIOR_K), axis=1)
+    for month in npp.T:
+        d *= a
+        d += k * month[:, None]
+    return np.log(npp_star[:, None] / d)
+
+
+def spinup_prior(world):
+    """The semi-analytic spin-up prior (Xia et al. 2012): each cell's log
+    factor [n, 3] from its window-end pools to u/k per turnover group, from
+    the whole window's forcing (:func:`_ramp_fit`, :func:`_prior_from`)."""
+    _require_whole_window(world, "spinup_prior")
+    return _prior_from(world, *_ramp_fit(world))
+
+
 def export_samples(world, window_years=None):
     """Every cell's sample as one :class:`pipeline.Samples`: monthly forcing
     over the last window_years (by default the last STATIONARY_YEARS, or the
     whole span if shorter), static attributes, traits, the world's observed
-    end-of-window states (copied; nothing is drawn here), and exact
-    equilibrium targets."""
+    end-of-window states (copied; nothing is drawn here), the spin-up prior
+    of the whole window (:func:`spinup_prior`), and exact equilibrium
+    targets."""
     if window_years is None:
         window_years = min(world.years, STATIONARY_YEARS)
     wy = int(window_years)
@@ -959,10 +1040,7 @@ def export_samples(world, window_years=None):
                          f"{world.years} yr")
     if wy < 1:
         raise RangeError("window must cover at least 1 yr")
-    months, held = 12 * wy, world.forcing_monthly.shape[1]
-    if months > held:
-        raise RangeError(f"window of {months} months exceeds the {held} months "
-                         f"of forcing this world was loaded with")
+    prior = spinup_prior(world)
     p, eq = world.params, analytic_equilibrium(world)
     g2 = np.stack([world.cell_lat, world.cell_lon, p.land_frac, p.alpha,
                    p.resp_frac, p.nutrient, p.decomp, p.texture], axis=1)
@@ -975,9 +1053,10 @@ def export_samples(world, window_years=None):
         lat=world.cell_lat.copy(), lon=world.cell_lon.copy(),
         pft_code=p.pft_code.copy(),
         deepest_valid_layer=p.deepest_valid_layer.copy(),
-        groups={"g1": world.forcing_monthly[:, held - months:].copy(),
+        groups={"g1": world.forcing_monthly[:, world.months - 12 * wy:].copy(),
                 "g2": g2, "g3": g3,
-                "g4": world.observed.g4.copy(), "g5": world.observed.g5.copy()},
+                "g4": world.observed.g4.copy(), "g5": world.observed.g5.copy(),
+                "prior": prior},
         targets={t: v.copy() for t, v in targets.items()})
 
 
@@ -1040,9 +1119,9 @@ def load_world(path, months=None):
     With ``months``, only the last ``months`` of the monthly forcing are
     read (all of them if the world holds fewer), a chunk of cells at a time
     (see :func:`blobio.read_tensor`), so the whole forcing block is never
-    held.  Such a world serves :func:`export_samples` over at most that
-    window, and :func:`restart_run`; :func:`spinup` and :func:`save_world`
-    refuse it."""
+    held.  Such a world serves :func:`restart_run`; :func:`spinup`,
+    :func:`save_world` and :func:`export_samples`, whose prior reads the
+    whole window, refuse it."""
     if months is not None and months < 1:
         raise RangeError(f"a world is read with at least 1 month of forcing, not {months}")
     tails = None if months is None else {"forcing_monthly": months}
@@ -1101,12 +1180,19 @@ def load_restart_state(world, path):
         raise ContractError(f"restart file is missing {len(missing)} cells "
                             f"(first: {missing[:3]})")
     order = np.array([pos[cid] for cid in want])
+    return (restart_state(world, {key: pools[key][order] for key in SLOW_POOLS}),
+            pools["tlai"][order].astype(np.float64))
+
+
+def restart_state(world, pools):
+    """The initial state of a restart from the slow ``pools`` of every cell,
+    in world order, as a restart file holds them: each pool as float32,
+    read back as float64, and the fast pools zero."""
     state = PoolState.zeros(world.n_cells, world.n_pft, world.n_layers)
     for key in SLOW_POOLS:
-        vals = pools[key][order].astype(np.float64)
+        vals = np.asarray(pools[key], dtype=np.float32).astype(np.float64)
         if not np.all(np.isfinite(vals)) or vals.min() < 0:
             raise ContractError(f"restart pool {key} must be finite and "
                                 "non-negative")
         setattr(state, key, vals)
-    return state, pools["tlai"][order].astype(np.float64)
-
+    return state

@@ -1,14 +1,15 @@
-"""Composite loss, Adam optimizer, training loop, and fine-tuning.
+"""Loss, Adam optimizer, training loop, and fine-tuning.
 
 Batches carry features in physical units, as the dataset stores them; the
 model scales them with the feature stats it adopts from the training split.
 The slow targets are mapped once, from the dataset's MinMax space through
-physical units to the model's log ratios to each sample's observed pools
-(:func:`model.log_ratios`), and the loss operates in that space, on the
-outputs of ``Surrogate.forward``: the sum of the slow-task MSEs.  A row
-whose slow target or observation is 0 has no finite log ratio and is left
-out of the fit.  The flux targets take no part: the model computes the
-fluxes in closed form, so NPP = GPP - AR holds exactly without a penalty.
+physical units to what the model's head predicts: each turnover group's
+mean log ratio of u/k to the observed pools, less the sample's prior
+(:func:`model.residual_targets`).  The loss is one MSE between those and
+the outputs of ``Surrogate.forward``.  A row whose slow target or
+observation is 0 has no finite log ratio and is left out of the fit.  The
+flux targets take no part: the model computes the fluxes in closed form,
+so NPP = GPP - AR holds exactly without a penalty.
 
 Training and fine-tuning end in one step: fit the weights to a split, less
 a held-out tenth for early stopping, then fit the OOD guard to that split,
@@ -29,7 +30,7 @@ from .autodiff import GradTape, Tensor
 from .errors import (ConfigurationError, ContractError, DivergenceError,
                      RangeError, ShapeError)
 from .model import (ModelConfig, Surrogate, check_field_types,
-                    config_from_dict, log_ratios, observed)
+                    config_from_dict, observed, residual_targets)
 
 log = logging.getLogger(__name__)
 
@@ -61,27 +62,18 @@ class TrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# Loss components
+# Loss
 # ---------------------------------------------------------------------------
 
-def task_loss(pred, target):
-    """Mean squared error over all samples and task components."""
+def total_loss(pred, target):
+    """Mean squared error over all samples and components, a scalar
+    tensor."""
     target = np.asarray(target)
     if pred.data.shape != target.shape:
         raise ShapeError(f"prediction shape {pred.data.shape} does not match "
                          f"target shape {target.shape}")
     diff = ad.sub(pred, Tensor(target.astype(pred.data.dtype)))
     return ad.mean_all(ad.square(diff))
-
-
-def total_loss(preds, targets):
-    """The sum of the slow-task losses, a scalar tensor; other entries of
-    ``preds`` and ``targets`` are ignored."""
-    total = None
-    for task in pipeline.SLOW_TASKS:
-        part = task_loss(preds[task], targets[task])
-        total = part if total is None else ad.add(total, part)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +133,7 @@ def _batches(split, batch_size):
 
 
 def _batch_loss(model, batch):
-    return total_loss(model.forward(batch.groups)[0], batch.targets)
+    return total_loss(model.forward(batch.groups)[0], batch.targets["residual"])
 
 
 def _eval_loss(model, batches):
@@ -219,9 +211,10 @@ def _optimize(model, train_split, val_split, config, history_path=None):
     return history
 
 
-def _log_ratio_split(dataset, split):
-    """``split`` with its slow targets as log ratios to its observed pools,
-    less each row where a slow target or its observation is 0."""
+def _residual_split(dataset, split):
+    """``split`` with its one target, ``residual``, what the head fits
+    (:func:`model.residual_targets`), less each row where a slow target or
+    its observation is 0."""
     pools = {t: dataset.denorm_target(t, split.targets[t])
              for t in pipeline.SLOW_TASKS}
     obs = observed(split.groups)
@@ -234,15 +227,16 @@ def _log_ratio_split(dataset, split):
         keep = np.flatnonzero(~zero)
         split = split.take(keep)
         pools = {t: v[keep] for t, v in pools.items()}
-    return dataclasses.replace(split, targets=log_ratios(split.groups, pools))
+    return dataclasses.replace(
+        split, targets={"residual": residual_targets(split.groups, pools)})
 
 
 def _fit(model, dataset, split, config, history_path):
-    """Fits the model's weights to a split of ``dataset`` in log-ratio
-    space, less its rows with a zero slow target or observation and a
+    """Fits the model's weights to the residuals of a split of ``dataset``
+    (:func:`_residual_split`), less its rows with a zero slow target or observation and a
     held-out tenth for early stopping, then fits its OOD guard to the
     fitted rows."""
-    split = _log_ratio_split(dataset, split)
+    split = _residual_split(dataset, split)
     tr_idx, val_idx = _split_indices(split.n, config.seed)
     model.history = _optimize(model, split.take(tr_idx), split.take(val_idx),
                               config, history_path)
@@ -269,8 +263,8 @@ def fine_tune(model, fine_dataset, fraction, config, history_path=None):
     source model's width, and refits the guard on that fraction.
 
     The model scales the fine features with its own stats and predicts
-    each sample's log ratio to its own observed pools, so neither needs
-    re-scaling for another dataset.
+    residuals to each sample's own prior, so neither needs re-scaling for
+    another dataset.
     """
     if not 0.0 < fraction <= 1.0:
         raise RangeError(f"fraction must lie in (0, 1], got {fraction}")

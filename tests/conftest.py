@@ -12,7 +12,8 @@ def build_toy_dataset(n=40, months=12, seed=0):
 
     Every group influences every slow target so component-removal tests
     see a signal.  The flux targets satisfy npp = gpp - ar but are not the
-    closed form a model computes from these inputs.
+    closed form a model computes from these inputs, and the prior is noise
+    about 0, not the spin-up prior of these pools.
     """
     rng = np.random.default_rng(seed)
     g1 = rng.uniform(0.05, 0.95, (n, months, 5)).astype(np.float32)
@@ -34,6 +35,7 @@ def build_toy_dataset(n=40, months=12, seed=0):
     targets["gpp"] = gpp
     targets["ar"] = ar
     targets["npp"] = gpp - ar
+    prior = np.random.default_rng([seed, 1]).uniform(-0.2, 0.2, (n, 3))
 
     def split(sl):
         return DatasetSplit(
@@ -41,7 +43,7 @@ def build_toy_dataset(n=40, months=12, seed=0):
             lat=rng.uniform(-60, 60, n)[sl],
             lon=rng.uniform(0, 360, n)[sl],
             groups={"g1": g1[sl], "g2": g2[sl], "g3": g3[sl],
-                    "g4": g4[sl], "g5": g5[sl]},
+                    "g4": g4[sl], "g5": g5[sl], "prior": prior[sl]},
             targets={t: v[sl] for t, v in targets.items()})
 
     n_train = (n * 8) // 10

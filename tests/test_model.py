@@ -19,19 +19,20 @@ def toy_batch(n=4, months=12, seed=1):
             "g2": rng.uniform(0, 1, (n, 8)).astype(np.float32),
             "g3": rng.uniform(0, 1, (n, 5, 3)).astype(np.float32),
             "g4": rng.uniform(0, 1, (n, 5, 5)).astype(np.float32),
-            "g5": rng.uniform(0, 1, (n, 9, 3)).astype(np.float32)}
+            "g5": rng.uniform(0, 1, (n, 9, 3)).astype(np.float32),
+            "prior": rng.uniform(-0.5, 0.5, (n, 3))}
 
 
 def make(variant="full", dtype=np.float32, months=12):
     """A fresh toy-dims model reading ``months`` of forcing, with
-    :func:`fill_stats`' stats and random head output layers, as a trained
-    model has them: an untrained head predicts a log ratio of 0."""
+    :func:`fill_stats`' stats and a random head output layer, as a trained
+    model has it: an untrained head predicts a residual of 0."""
     model = fill_stats(Surrogate(toy_model_config(variant=variant),
                                  dict(TOY_DIMS, months=months),
                                  rng=np.random.default_rng(0), dtype=dtype))
     rng = np.random.default_rng(1)
     for name, tensor in model.named_params().items():
-        if name.endswith(".w2") and name.split(".")[0] in ("heads", "delta"):
+        if name == "heads.w2":
             tensor.data = rng.normal(0.0, 0.3, tensor.data.shape).astype(dtype)
     return model
 
@@ -170,18 +171,19 @@ class TestVariantStructure:
 class TestForward:
     def test_prediction_shapes(self):
         model = make("full")
-        preds, z = model.forward(toy_batch(n=3))
+        residual, z = model.forward(toy_batch(n=3))
         assert z.data.shape == (3, 16)
-        assert set(preds) == set(pipeline.SLOW_TASKS)
-        assert preds["tlai"].data.shape == (3, 5)
-        assert preds["cwdc"].data.shape == (3, 9)
-        assert model.predict(toy_batch(n=3))[0]["gpp"].shape == (3,)
+        assert residual.data.shape == (3, len(pipeline.PRIOR_GROUPS))
+        preds = model.predict(toy_batch(n=3))[0]
+        assert preds["tlai"].shape == (3, 5)
+        assert preds["cwdc"].shape == (3, 9)
+        assert preds["gpp"].shape == (3,)
 
     def test_every_variant_forward(self):
         batch = toy_batch()
         for variant in model_mod.VARIANTS:
-            preds, _ = make(variant).forward(batch)
-            assert preds["soil4c"].data.shape == (4, 9), variant
+            residual, _ = make(variant).forward(batch)
+            assert residual.data.shape == (4, 3), variant
 
     def test_missing_group_rejected(self):
         batch = toy_batch()
@@ -215,10 +217,9 @@ class TestForward:
         whole, z = model.forward(batch)
         preds, latent = model.predict(batch)
         assert set(preds) == set(pipeline.TASKS)
-        pools = model_mod.from_log_ratios(
-            batch, {t: whole[t].data for t in pipeline.SLOW_TASKS})
+        pools = model_mod.pools_from(batch, whole.data)
         for t in pipeline.SLOW_TASKS:
-            assert preds[t].shape == whole[t].shape
+            assert preds[t].shape == pools[t].shape
             np.testing.assert_allclose(preds[t], pools[t], rtol=1e-5)
         fluxes = model_mod._fluxes(batch)
         for t in pipeline.FLUX_TASKS:
@@ -234,10 +235,10 @@ class TestForward:
         model.feature_stats = {name: [-1.0, 3.0]
                                for name in model.feature_stats}
         physical = {g: 4.0 * a - 1.0 for g, a in batch.items()}
+        physical["prior"] = batch["prior"]  # not a network input
         preds, latent = model.predict(physical)
         np.testing.assert_allclose(
-            preds["soil3c"], model_mod.from_log_ratios(
-                physical, {"soil3c": whole["soil3c"].data})["soil3c"],
+            preds["soil3c"], model_mod.pools_from(physical, whole.data)["soil3c"],
             rtol=1e-5)
         np.testing.assert_allclose(latent, z.data, rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(model.attention_weights(physical),
@@ -267,8 +268,7 @@ class TestForward:
         batch = toy_batch()
         a, _ = model.forward(batch)
         b, _ = model.forward(batch)
-        for t in pipeline.SLOW_TASKS:
-            np.testing.assert_array_equal(a[t].data, b[t].data)
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 class TestForcingFold:
@@ -327,8 +327,7 @@ class TestPersistence:
         batch = toy_batch()
         a, _ = model.forward(batch)
         b, _ = again.forward(batch)
-        for t in pipeline.SLOW_TASKS:
-            np.testing.assert_array_equal(a[t].data, b[t].data)
+        np.testing.assert_array_equal(a.data, b.data)
         assert again.feature_stats == model.feature_stats
         assert again.dims == model.dims
 
@@ -369,18 +368,20 @@ class TestPersistence:
             Surrogate.load(path)
 
     def test_predict_denormalizes(self):
-        # each head's log ratio maps back onto its own task's observed
-        # pools: tlai is g4's last field, soil3c g5's middle one
+        # each group's prior and residual map back onto its own tasks'
+        # observed pools: tlai is g4's last field and the fast group,
+        # deadstemc g4's fourth and wood, soil3c g5's middle one and slow
         model = make("full")
         batch = toy_batch()
         out, _ = model.forward(batch)
         preds, _ = model.predict(batch)
-        for t, obs in (("tlai", batch["g4"][..., 4]),
-                       ("soil3c", batch["g5"][..., 1])):
+        log_factor = batch["prior"] + out.data.astype(np.float64)
+        for t, obs, group in (("tlai", batch["g4"][..., 4], 0),
+                              ("deadstemc", batch["g4"][..., 3], 1),
+                              ("soil3c", batch["g5"][..., 1], 2)):
             assert preds[t].dtype == np.float64
             np.testing.assert_allclose(
-                preds[t], obs * np.exp(out[t].data.astype(np.float64)),
-                rtol=1e-12)
+                preds[t], obs * np.exp(log_factor[:, group, None]), rtol=1e-12)
 
     def test_version_4_file_refused(self, tmp_path):
         # a version-4 model's heads predict MinMax-scaled pools
@@ -391,6 +392,19 @@ class TestPersistence:
         manifest, arrays = blobio.read_model_file(path)
         blobio.write_model_file(path, dict(manifest, version=4), arrays)
         with pytest.raises(ContractError, match="model file version 4"):
+            Surrogate.load(path)
+
+    def test_version_5_file_refused(self, tmp_path):
+        # a version-5 model has a head per slow task, predicting a log
+        # ratio per pool element
+        from phase_surrogate import blobio
+        path = str(tmp_path / "old.phm")
+        model = with_guard(make("full"))
+        model.save(path)
+        manifest, arrays = blobio.read_model_file(path)
+        blobio.write_model_file(path, dict(manifest, version=5), arrays)
+        with pytest.raises(ContractError, match="model file version 5; this "
+                                                "version reads 6: retrain it"):
             Surrogate.load(path)
 
     @pytest.mark.parametrize("variant", model_mod.VARIANTS)
@@ -422,9 +436,9 @@ class TestPersistence:
         twin = model.clone()
         batch = toy_batch()
         a, _ = model.forward(batch)
-        twin.named_params()["heads.soil3c.w2"].data[:] += 1.0
+        twin.named_params()["heads.w2"].data[:] += 1.0
         b, _ = model.forward(batch)
-        np.testing.assert_array_equal(a["soil3c"].data, b["soil3c"].data)
+        np.testing.assert_array_equal(a.data, b.data)
 
     def test_clone_leaves_the_guard_behind(self):
         # a guard holds only for the weights it was fitted to, and a clone
@@ -443,9 +457,10 @@ class TestClosedFormFluxes:
     forcing and parameters, so they hold whatever the weights."""
 
     def test_no_flux_heads(self):
+        # one head, one output per turnover group
         for variant in model_mod.VARIANTS:
             model = make(variant)
-            assert set(model.heads.registry) == set(pipeline.SLOW_TASKS)
+            assert model.heads.params["b2"].data.shape == (len(pipeline.PRIOR_GROUPS),)
             assert not any(".gpp." in name or ".ar." in name
                            or ".npp." in name for name in model.named_params())
 
@@ -466,21 +481,38 @@ class TestClosedFormFluxes:
 
 
 class TestLogRatios:
-    """Each slow head predicts the log ratio of its pools to the sample's
-    observed window-end pools, so the model starts from persistence."""
+    """The head predicts one residual per turnover group to the sample's
+    prior, the log factor from its observed window-end pools to u/k, so the
+    model starts from the prior."""
 
-    @pytest.mark.parametrize("variant", model_mod.VARIANTS)
-    def test_untrained_model_predicts_the_observed_pools(
-            self, coarse_samples, variant):
-        groups = coarse_samples.groups
+    @staticmethod
+    def untrained_predictions(groups, variant):
         model = Surrogate(toy_model_config(variant=variant),
                           pipeline.group_dims(groups))
         model.feature_stats = {
             name: list(pipeline.minmax_fit(groups[g][..., i]))
             for name, g, i in pipeline.FEATURE_CHANNELS}
-        preds, _ = model.predict(groups)
+        return model.predict(groups)[0]
+
+    @pytest.mark.parametrize("variant", model_mod.VARIANTS)
+    def test_untrained_model_predicts_the_observed_pools(
+            self, coarse_samples, variant):
+        # with a prior of 0 the model starts from persistence
+        groups = dict(coarse_samples.groups,
+                      prior=np.zeros_like(coarse_samples.groups["prior"]))
+        preds = self.untrained_predictions(groups, variant)
         for t, (g, i) in model_mod.OBSERVED.items():
             np.testing.assert_array_equal(preds[t], groups[g][..., i])
+
+    @pytest.mark.parametrize("variant", model_mod.VARIANTS)
+    def test_untrained_model_predicts_the_prior(self, coarse_samples, variant):
+        groups = coarse_samples.groups
+        preds = self.untrained_predictions(groups, variant)
+        for group, tasks in enumerate(pipeline.PRIOR_GROUPS):
+            for t in tasks:
+                g, i = model_mod.OBSERVED[t]
+                np.testing.assert_array_equal(
+                    preds[t], groups[g][..., i] * np.exp(groups["prior"][:, group, None]))
 
     def test_observed_fields(self):
         assert model_mod.OBSERVED == {
@@ -488,28 +520,46 @@ class TestLogRatios:
             "cwdc": ("g5", 0), "soil3c": ("g5", 1), "soil4c": ("g5", 2)}
 
     def test_round_trip(self, coarse_samples):
-        groups, targets = coarse_samples.groups, coarse_samples.targets
-        pools = {t: targets[t] for t in pipeline.SLOW_TASKS}
-        ratios = model_mod.log_ratios(groups, pools)
-        back = model_mod.from_log_ratios(groups, ratios)
+        # pools one factor per group away from the observed ones come back
+        # from the residuals they give
+        groups = coarse_samples.groups
+        obs = model_mod.observed(groups)
+        factor = np.exp(np.random.default_rng(3).normal(size=(len(obs["tlai"]), 3)))
+        pools = {t: obs[t] * factor[:, model_mod.GROUP_OF[t], None]
+                 for t in pipeline.SLOW_TASKS}
+        residual = model_mod.residual_targets(groups, pools)
+        assert residual.dtype == np.float64 and residual.shape == factor.shape
+        back = model_mod.pools_from(groups, residual)
         for t in pipeline.SLOW_TASKS:
-            assert ratios[t].dtype == np.float64
             np.testing.assert_allclose(back[t], pools[t], rtol=1e-13)
 
+    def test_residual_is_the_group_mean_log_ratio_less_the_prior(self):
+        batch = toy_batch(n=6)
+        rng = np.random.default_rng(5)
+        pools = {t: rng.uniform(0.5, 2.0, batch[g][..., i].shape)
+                 for t, (g, i) in model_mod.OBSERVED.items()}
+        ratio = {t: np.log(pools[t] / batch[g][..., i].astype(np.float64))
+                 for t, (g, i) in model_mod.OBSERVED.items()}
+        want = np.stack([ratio["tlai"].mean(axis=1),
+                         np.concatenate([ratio["deadcrootc"], ratio["deadstemc"],
+                                         ratio["cwdc"]], axis=1).mean(axis=1),
+                         np.concatenate([ratio["soil3c"], ratio["soil4c"]],
+                                        axis=1).mean(axis=1)], axis=1)
+        np.testing.assert_allclose(model_mod.residual_targets(batch, pools),
+                                   want - batch["prior"], rtol=1e-12, atol=1e-15)
+
     def test_strict_positivity_on_extreme_latents(self):
-        # trained output layers and latents far outside any fitted range
+        # a trained output layer and latents far outside any fitted range
         from phase_surrogate.autodiff import Tensor
-        from phase_surrogate.heads import TaskHeads, task_registry
+        from phase_surrogate.heads import TaskHeads
         rng = np.random.default_rng(4)
-        heads = TaskHeads(task_registry(TOY_DIMS), in_dim=8, hidden=6,
-                          rng=rng)
-        for p in heads.params.values():
-            p["w2"].data = rng.normal(0.0, 0.3, p["w2"].data.shape)
+        heads = TaskHeads(in_dim=8, hidden=6, rng=rng)
+        heads.params["w2"].data = rng.normal(0.0, 0.3, heads.params["w2"].data.shape)
         z = rng.normal(size=(1000, 8)).astype(np.float32) * 10.0
         z[:10] = 100.0
         z[10:20] = -100.0
-        ratios = {t: r.data for t, r in heads.predict_all(Tensor(z)).items()}
-        assert max(np.abs(r).max() for r in ratios.values()) > 20.0
-        pools = model_mod.from_log_ratios(toy_batch(n=1000), ratios)
+        residual = heads.predict_all(Tensor(z)).data
+        assert np.abs(residual).max() > 20.0
+        pools = model_mod.pools_from(toy_batch(n=1000), residual)
         for task, pool in pools.items():
             assert np.all(pool > 0.0) and np.all(np.isfinite(pool)), task

@@ -11,10 +11,12 @@ from phase_surrogate.autodiff import Tensor
 from phase_surrogate.errors import (CompletenessError, ConfigurationError,
                                     ContractError, ShapeError)
 
+import reference_ops as ref
+
 
 def probe_sum(z, rng):
     w = Tensor(rng.normal(size=z.shape))
-    return ad.sum_all(ad.mul(z, w))
+    return ref.sum_all(ref.mul(z, w))
 
 
 class TestTemporalEncoder:
@@ -47,9 +49,9 @@ class TestTemporalEncoder:
         probe = rng.normal(size=(2, 3))
 
         def fn(xt, w_x, w_h, b, w_p, b_p):
-            return ad.sum_all(ad.mul(e.encode(xt), Tensor(probe)))
+            return ref.sum_all(ref.mul(e.encode(xt), Tensor(probe)))
 
-        ad.gradcheck(fn, [x, e.w_x, e.w_h, e.b, e.w_p, e.b_p], h=1e-5, rtol=1e-4)
+        ref.gradcheck(fn, [x, e.w_x, e.w_h, e.b, e.w_p, e.b_p], h=1e-5, rtol=1e-4)
 
     def test_empty_sequence_rejected(self):
         e = enc.TemporalEncoder(3, hidden=4, out_dim=3)
@@ -87,9 +89,9 @@ class TestLayeredEncoder:
         probe = rng.normal(size=(2, 4))
 
         def fn(xt, k1, b1, k2, b2, w, b):
-            return ad.sum_all(ad.mul(e.encode(xt), Tensor(probe)))
+            return ref.sum_all(ref.mul(e.encode(xt), Tensor(probe)))
 
-        ad.gradcheck(fn, [x, e.k1, e.b1, e.k2, e.b2, e.w, e.b], h=1e-5, rtol=1e-4)
+        ref.gradcheck(fn, [x, e.k1, e.b1, e.k2, e.b2, e.w, e.b], h=1e-5, rtol=1e-4)
 
     def test_wrong_layer_count_rejected(self):
         e = enc.LayeredEncoder(9, 3)
@@ -119,17 +121,17 @@ class TestDenseEncoders:
         probe = rng.normal(size=(2, 3))
 
         def fn_s(x, w1, b1, w2, b2):
-            return ad.sum_all(ad.mul(st.encode(x), Tensor(probe)))
+            return ref.sum_all(ref.mul(st.encode(x), Tensor(probe)))
 
-        ad.gradcheck(fn_s, [xs, st.w1, st.b1, st.w2, st.b2], h=1e-5, rtol=1e-4)
+        ref.gradcheck(fn_s, [xs, st.w1, st.b1, st.w2, st.b2], h=1e-5, rtol=1e-4)
 
         pf = enc.PftEncoder(3, 4, hidden=5, out_dim=3, rng=rng, dtype=np.float64)
         xp = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
 
         def fn_p(x, w1, b1, w2, b2):
-            return ad.sum_all(ad.mul(pf.encode(x), Tensor(probe)))
+            return ref.sum_all(ref.mul(pf.encode(x), Tensor(probe)))
 
-        ad.gradcheck(fn_p, [xp, pf.w1, pf.b1, pf.w2, pf.b2], h=1e-5, rtol=1e-4)
+        ref.gradcheck(fn_p, [xp, pf.w1, pf.b1, pf.w2, pf.b2], h=1e-5, rtol=1e-4)
 
     def test_dimension_mismatches_rejected(self):
         with pytest.raises(ShapeError):
@@ -219,9 +221,9 @@ class TestTransformerFusion:
         layer = f.layers[0]
 
         def fn(a, b, embed, wq, wv, ff1, ln2_g):
-            return ad.sum_all(ad.mul(f.fuse([a, b]), Tensor(probe)))
+            return ref.sum_all(ref.mul(f.fuse([a, b]), Tensor(probe)))
 
-        ad.gradcheck(fn, [z1, z2, f.embed, layer["wq"], layer["wv"],
+        ref.gradcheck(fn, [z1, z2, f.embed, layer["wq"], layer["wv"],
                           layer["ff1"], layer["ln2_g"]], h=1e-5, rtol=1e-4)
 
     def test_width_and_count_mismatches_rejected(self):
@@ -256,76 +258,46 @@ class TestConcatFusion:
         probe = rng.normal(size=(2, 3))
 
         def fn(a, b, w, bias):
-            return ad.sum_all(ad.mul(f.fuse([a, b]), Tensor(probe)))
+            return ref.sum_all(ref.mul(f.fuse([a, b]), Tensor(probe)))
 
-        ad.gradcheck(fn, [z1, z2, f.w, f.b], h=1e-5, rtol=1e-4)
+        ref.gradcheck(fn, [z1, z2, f.w, f.b], h=1e-5, rtol=1e-4)
 
 
 class TestTaskHeads:
-    def make(self, n_pft=5, n_layers=9, dim=8, seed=0):
-        reg = hd.task_registry({"n_pft": n_pft, "n_layers": n_layers})
-        return hd.TaskHeads(reg, in_dim=dim, hidden=6,
-                            rng=np.random.default_rng(seed))
+    def make(self, dim=8, seed=0):
+        return hd.TaskHeads(in_dim=dim, hidden=6, rng=np.random.default_rng(seed))
 
-    def test_registry_shapes(self):
+    def test_one_output_per_turnover_group(self):
+        # the fluxes have no head: the model computes them in closed form
         h = self.make()
         z = Tensor(np.random.default_rng(1).normal(size=(3, 8)).astype(np.float32))
-        out = h.predict_all(z)
-        assert out["deadcrootc"].shape == (3, 5)
-        assert out["soil4c"].shape == (3, 9)
-        # the fluxes have no head: the model computes them in closed form
-        assert set(out) == set(pipeline.SLOW_TASKS)
-
-    def test_registry_follows_the_split_layout(self):
-        # pipeline.SLOW_TASKS order: the heads draw their weights in this
-        # order
-        dims = {"months": 12, "n_pft": 3, "n_layers": 4}
-        reg = hd.task_registry(dims)
-        assert list(reg) == list(pipeline.SLOW_TASKS)
-        for task, shape in reg.items():
-            assert shape == tuple(
-                dims[d] for d in pipeline.SPLIT_LAYOUT[task][1:])
-        assert reg["tlai"] == (3,) and reg["cwdc"] == (4,)
-
-    def test_matrix_shaped_head(self):
-        reg = {"profile": (4, 6)}
-        h = hd.TaskHeads(reg, in_dim=8, hidden=5, rng=np.random.default_rng(2))
-        z = Tensor(np.random.default_rng(3).normal(size=(2, 8)).astype(np.float32))
-        out = h.predict(z, "profile")
-        assert out.shape == (2, 4, 6)
+        assert h.predict_all(z).shape == (3, len(pipeline.PRIOR_GROUPS))
+        assert sorted(h.named_params()) == ["b1", "b2", "w1", "w2"]
 
     def test_output_layer_starts_at_zero(self):
-        # an untrained head predicts a log ratio of 0: the observed state
+        # an untrained head predicts a residual of 0: the prior
         h = self.make()
         z = np.random.default_rng(4).normal(size=(50, 8)).astype(np.float32)
-        for task, pred in h.predict_all(Tensor(100.0 * z)).items():
-            assert np.all(pred.data == 0.0), task
+        assert np.all(h.predict_all(Tensor(100.0 * z)).data == 0.0)
 
     def test_gradcheck_through_head(self):
         rng = np.random.default_rng(5)
-        reg = {"vec": (3,)}
-        h = hd.TaskHeads(reg, in_dim=4, hidden=5, rng=rng, dtype=np.float64)
+        h = hd.TaskHeads(in_dim=4, hidden=5, rng=rng, dtype=np.float64)
         z = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-        p = h.params["vec"]
+        p = h.params
         # a trained output layer, so every parameter's gradient is nonzero
         p["w2"].data = rng.normal(size=(5, 3))
         probe = rng.normal(size=(2, 3))
 
         def fn(zt, w1, b1, w2, b2):
-            return ad.sum_all(ad.mul(h.predict(zt, "vec"), Tensor(probe)))
+            return ref.sum_all(ref.mul(h.predict_all(zt), Tensor(probe)))
 
-        ad.gradcheck(fn, [z, p["w1"], p["b1"], p["w2"], p["b2"]], h=1e-5, rtol=1e-4)
-
-    def test_unregistered_task_rejected(self):
-        h = self.make()
-        z = Tensor(np.zeros((1, 8), dtype=np.float32))
-        with pytest.raises(ContractError):
-            h.predict(z, "humus")
+        ref.gradcheck(fn, [z, p["w1"], p["b1"], p["w2"], p["b2"]], h=1e-5, rtol=1e-4)
 
     def test_bad_latent_shape_rejected(self):
         h = self.make()
         with pytest.raises(ShapeError):
-            h.predict(Tensor(np.zeros((2, 7), dtype=np.float32)), "soil3c")
+            h.predict_all(Tensor(np.zeros((2, 7), dtype=np.float32)))
 
 
 class TestDenormalize:

@@ -46,6 +46,7 @@ def make_samples(n, seed, n_pft=5, n_layers=9, months=240):
     targets = {t: rng.uniform(1.0, 5.0, size=(n, n_pft)) for t in ("deadcrootc", "deadstemc", "tlai")}
     targets.update({t: rng.uniform(1.0, 5.0, size=(n, n_layers)) for t in ("cwdc", "soil3c", "soil4c")})
     targets.update({t: rng.uniform(0.5, 2.0, size=n) for t in ("gpp", "ar", "npp")})
+    groups["prior"] = np.random.default_rng([seed, 1]).uniform(-0.5, 0.5, size=(n, 3))
     return pl.Samples(cell_id=np.arange(n, dtype=np.int64),
                       lat=rng.uniform(-90, 90, size=n), lon=rng.uniform(0, 360, size=n),
                       pft_code=np.tile(np.arange(n_pft), (n, 1)),
@@ -373,7 +374,7 @@ class TestBuildDataset:
         for part in ("train", "test"):
             a, b = ds.split(part), loaded.split(part)
             np.testing.assert_array_equal(a.cell_id, b.cell_id)
-            for g in pl.GROUPS:
+            for g in (*pl.GROUPS, "prior"):
                 np.testing.assert_array_equal(a.groups[g], b.groups[g])
             for t in pl.TASKS:
                 np.testing.assert_array_equal(a.targets[t], b.targets[t])
@@ -391,7 +392,7 @@ class TestBuildDataset:
         row = {int(c): i for i, c in enumerate(samples.cell_id)}
         for part in (loaded.train, loaded.test):
             rows = [row[int(c)] for c in part.cell_id]
-            for g in pl.GROUPS:
+            for g in (*pl.GROUPS, "prior"):
                 assert part.groups[g].dtype == np.float64
                 np.testing.assert_array_equal(part.groups[g],
                                               samples.groups[g][rows])
@@ -514,6 +515,18 @@ class TestLoadRefusesMalformed:
         path = str(damaged / "manifest.json")
         blobio.save_json(path, dict(blobio.load_json(path), version=3))
         with pytest.raises(ContractError, match="version 3.*rebuild it"):
+            pl.load_dataset(str(damaged))
+
+    def test_version_four_manifest(self, damaged):
+        # version 4 carried no prior
+        path = str(damaged / "manifest.json")
+        blobio.save_json(path, dict(blobio.load_json(path), version=4))
+        for name in ("train", "test"):
+            split = str(damaged / f"{name}.pht")
+            manifest, cols = blobio.read_model_file(split)
+            del cols["prior"]
+            blobio.write_model_file(split, dict(manifest, params=list(cols)), cols)
+        with pytest.raises(ContractError, match="version 4.*rebuild it"):
             pl.load_dataset(str(damaged))
 
     def test_manifest_without_dims(self, damaged):

@@ -912,6 +912,7 @@ class TestExportSamples:
         assert s.groups["g3"].shape == (n, world.n_pft, 3)
         assert s.groups["g4"].shape == (n, world.n_pft, 5)
         assert s.groups["g5"].shape == (n, world.n_layers, 3)
+        assert s.groups["prior"].shape == (n, len(pl.PRIOR_GROUPS))
         assert s.pft_code.shape == (n, world.n_pft)
         assert s.lat.shape == s.lon.shape == s.deepest_valid_layer.shape == (n,)
         for t in pl.TASKS:
@@ -1002,8 +1003,75 @@ class TestExportSamples:
     def test_deterministic(self, world):
         a = sim.export_samples(world)
         b = sim.export_samples(world)
-        for g in pl.GROUPS:
+        for g in (*pl.GROUPS, "prior"):
             assert np.array_equal(a.groups[g], b.groups[g])
+
+
+def exact_npp_terms(world):
+    """A world's exact annual NPP before the window, of its noise-free
+    pre-window climatology at nutrient factor 1, as generate_world spins
+    the window up from it, and at equilibrium."""
+    pre = sim._point_climatologies(world.points, world.years)[1]
+    offsets = sim._cell_offsets(world.seed, world.land_idx, world.grid.spread_scale)
+    pre = sim._clip_bounds(pre[world.cell_point] + offsets[:, None])
+    p = world.params
+    npp_pre = pl.annual_fluxes(pl._gbar_of(pre), p.alpha, p.resp_frac,
+                               np.ones(world.n_cells))[2]
+    return npp_pre, sim.analytic_equilibrium(world).npp
+
+
+class TestSpinupPrior:
+    """The prior is each turnover group's log factor from the window-end
+    pools to u/k, in closed form over the window's monthly NPP."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_closed_form_with_exact_npp_is_the_window_end_log_ratio(
+            self, preset_world, seed):
+        w = preset_world("coarse", seed)
+        prior = sim._prior_from(w, *exact_npp_terms(w))
+        eq, end = sim.analytic_equilibrium(w), w.window_end
+        ratios = {"tlai": eq.tlai / (w.params.sla * end.leaf_c),
+                  **{k: getattr(eq.pools, k) / getattr(end, k) for k in sim.SLOW_POOLS}}
+        for group, tasks in enumerate(pl.PRIOR_GROUPS):
+            for t in tasks:
+                gap = np.abs(np.log(ratios[t]) - prior[:, group, None])
+                assert gap.max() < 1e-12, t
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_forcing_fit_estimates_the_npp_terms(self, preset_world, seed):
+        # a median error of 0.28-0.42% at these seeds, 29-42% at worst, in
+        # cells whose precipitation is clipped at 0 in some months
+        w = preset_world("coarse", seed)
+        for fit, exact in zip(sim._ramp_fit(w), exact_npp_terms(w)):
+            err = np.abs(fit / exact - 1.0)
+            assert np.median(err) < 0.005 and err.max() < 0.5
+        assert np.array_equal(sim.export_samples(w).groups["prior"], sim.spinup_prior(w))
+
+    def test_one_year_world_fits_no_slope(self):
+        w = sim.generate_world(3, sim.GridSpec(8, 8, 1.0), years=1)
+        npp_pre, npp_star = sim._ramp_fit(w)
+        np.testing.assert_allclose(npp_star, w.params.nutrient * npp_pre, rtol=1e-13)
+        assert np.all(np.isfinite(sim.spinup_prior(w)))
+
+    def test_one_year_world_builds_and_restarts(self, tmp_path):
+        from phase_surrogate.cli import main
+        config = tmp_path / "config.json"
+        config.write_text('{"model": {"dim": 8, "hidden": 8, "heads": 2, "depth": 1, '
+                          '"ff_mult": 2, "channels": [4, 6]}, '
+                          '"train": {"max_epochs": 2, "seed": 0}}')
+        world, data, model = tmp_path / "world", tmp_path / "data", tmp_path / "m.phm"
+        for argv in (["gen-data", "--seed", "3", "--years", "1", "--out", str(world)],
+                     ["build-dataset", "--world", str(world), "--out", str(data)],
+                     ["train", "--data", str(data), "--config", str(config),
+                      "--out", str(model)],
+                     ["restart-check", "--model", str(model), "--world", str(world),
+                      "--out", str(tmp_path / "drift.csv"), "--years", "1"]):
+            assert main(argv) == 0, argv
+        assert pl.load_dataset(str(data)).train.groups["g1"].shape[1] == 12
+        lines = (tmp_path / "drift.csv").read_text().splitlines()[1:]
+        rows = {name: float(value)
+                for name, _, value in (line.split(",") for line in lines)}
+        assert math.isfinite(rows["prior_speedup_median"])
 
 
 class TestPersistence:
@@ -1099,8 +1167,13 @@ class TestPersistence:
         assert np.array_equal(tail.observed.g4, full.observed.g4)
         for months_out in {12, kept}:
             a = sim.export_samples(full, months_out // 12)
+            if kept < world.months:
+                # the prior reads the whole window
+                with pytest.raises(ContractError, match="needs the whole"):
+                    sim.export_samples(tail, months_out // 12)
+                continue
             b = sim.export_samples(tail, months_out // 12)
-            for g in pl.GROUPS:
+            for g in (*pl.GROUPS, "prior"):
                 assert np.array_equal(a.groups[g], b.groups[g]), g
 
     def test_forcing_tail_load_peaks_below_half_the_forcing_block(self, preset_world,
@@ -1127,13 +1200,12 @@ class TestPersistence:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["world.phw"]
 
     def test_export_refuses_a_window_past_the_loaded_forcing(self, world_path):
+        # the prior reads all 240 months, past any window of a tail
         tail = sim.load_world(world_path, 24)
-        assert sim.export_samples(tail, 2).groups["g1"].shape[1] == 24
-        with pytest.raises(RangeError, match="36 months exceeds the 24 months"):
-            sim.export_samples(tail, 3)
-        # the default window, the last 5 of the world's 20 years
-        with pytest.raises(RangeError, match="60 months exceeds the 24 months"):
-            sim.export_samples(tail)
+        for years in (2, 3, None):
+            with pytest.raises(ContractError, match="needs the whole 240-month "
+                                                    "forcing window; .* its last 24"):
+                sim.export_samples(tail, years)
 
     def test_forcing_tail_of_no_months_refused(self, world_path):
         with pytest.raises(RangeError, match="at least 1 month"):

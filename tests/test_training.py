@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phase_surrogate import autodiff as ad
 from phase_surrogate import ood, pipeline, training
 from phase_surrogate.autodiff import GradTape, Tensor
 from phase_surrogate.errors import (ConfigurationError, ContractError,
@@ -14,6 +13,7 @@ from phase_surrogate.errors import (ConfigurationError, ContractError,
 from phase_surrogate.model import ModelConfig, Surrogate
 from phase_surrogate.training import Adam, TrainConfig
 
+import reference_ops as ref
 from conftest import TOY_DIMS, build_toy_dataset, toy_model_config
 
 
@@ -53,78 +53,29 @@ class TestTrainConfig:
 
 
 class TestTaskLoss:
+    """The one loss: the mean squared error of the head's residuals."""
+
     def test_perfect_prediction_is_zero(self):
         vals = np.random.default_rng(0).uniform(0, 1, (6, 4))
-        assert training.task_loss(Tensor(vals), vals).data.item() == 0.0
+        assert training.total_loss(Tensor(vals), vals).data.item() == 0.0
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(1)
         pred = rng.standard_normal((50, 3))
         target = rng.standard_normal((50, 3))
-        got = training.task_loss(Tensor(pred), target).data.item()
+        got = training.total_loss(Tensor(pred), target).data.item()
         want = math.fsum((pred - target).ravel() ** 2) / pred.size
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            training.task_loss(Tensor(np.zeros((4, 2))), np.zeros((4, 3)))
+            training.total_loss(Tensor(np.zeros((4, 2))), np.zeros((4, 3)))
 
     def test_gradcheck(self):
         rng = np.random.default_rng(2)
         pred = t64(rng, 5, 3)
         target = rng.standard_normal((5, 3))
-        ad.gradcheck(lambda p: training.task_loss(p, target), [pred])
-
-
-def random_preds(rng, n):
-    preds = {}
-    for task in pipeline.SLOW_TASKS:
-        width = 5 if task in ("deadcrootc", "deadstemc", "tlai") else 9
-        preds[task] = Tensor(rng.uniform(0, 1, (n, width)))
-    return preds
-
-
-def random_targets(rng, preds):
-    """Targets for ``preds`` and for the three fluxes, which the loss
-    ignores."""
-    targets = {t: rng.uniform(0, 1, preds[t].data.shape)
-               for t in pipeline.SLOW_TASKS}
-    targets.update({t: rng.uniform(0, 1, preds["tlai"].data.shape[0])
-                    for t in pipeline.FLUX_TASKS})
-    return targets
-
-
-class TestTotalLoss:
-    def test_composes_weighted_terms(self):
-        # the sum of the slow tasks' MSEs, each task at weight 1
-        rng = np.random.default_rng(8)
-        preds = random_preds(rng, 10)
-        targets = random_targets(rng, preds)
-        total = training.total_loss(preds, targets)
-        want = math.fsum(np.mean((preds[t].data - targets[t]) ** 2)
-                         for t in pipeline.SLOW_TASKS)
-        assert total.data.item() == pytest.approx(want, rel=1e-12)
-
-    def test_perfect_and_consistent_is_zero(self):
-        rng = np.random.default_rng(10)
-        preds = random_preds(rng, 6)
-        targets = dict(random_targets(rng, preds),
-                       **{t: preds[t].data.copy() for t in pipeline.SLOW_TASKS})
-        total = training.total_loss(preds, targets)
-        assert total.data.item() == 0.0
-
-    def test_flux_entries_take_no_part(self):
-        # a flux prediction or target, even a NaN one, leaves the loss as
-        # it is: the model computes the fluxes in closed form
-        rng = np.random.default_rng(11)
-        preds = random_preds(rng, 6)
-        targets = random_targets(rng, preds)
-        want = training.total_loss(preds, targets)
-        nan = np.full(6, np.nan)
-        got = training.total_loss(
-            dict(preds, **{t: Tensor(nan) for t in pipeline.FLUX_TASKS}),
-            dict(targets, **{t: nan for t in pipeline.FLUX_TASKS}))
-        assert got.data.item() == want.data.item()
+        ref.gradcheck(lambda p: training.total_loss(p, target), [pred])
 
 
 class TestAdam:
@@ -199,25 +150,27 @@ def quick_config(**overrides):
 
 
 class TestTrainLoop:
-    def test_default_model_step_records_113_tape_nodes(self):
+    def test_default_model_step_records_77_tape_nodes(self):
         """One training step of the default model: each dense layer is one
-        node, so per-op dense layers (145 nodes) would show up here."""
+        node, so per-op dense layers (94 nodes) would show up here."""
         dataset = build_toy_dataset(n=20)
+        batch = training._residual_split(dataset, dataset.train)
         model = Surrogate(ModelConfig(), TOY_DIMS)
         model.feature_stats = dict(dataset.feature_stats)
         with GradTape() as tape:
-            loss = training._batch_loss(model, dataset.train)
-        assert len(tape.nodes) == 113
+            loss = training._batch_loss(model, batch)
+        assert len(tape.nodes) == 77
         tape.backward(loss)
-        assert len(tape.nodes) == 113
+        assert len(tape.nodes) == 77
 
     def test_default_model_step_memory(self):
         """One 256-row step of the default model: the tape keeps only what
         the pullbacks read (a traced peak of 23.9 MB when it kept every
-        tensor, 15.9 MB now), and after backward only the gradients stay,
+        tensor, 15.5 MB now), and after backward only the gradients stay,
         with no cycle left for the collector."""
         dataset = build_toy_dataset(n=320)
         assert dataset.train.n == 256
+        batch = training._residual_split(dataset, dataset.train)
         model = Surrogate(ModelConfig(), TOY_DIMS)
         model.feature_stats = dict(dataset.feature_stats)
         gc.collect()
@@ -225,7 +178,7 @@ class TestTrainLoop:
         tracemalloc.start()
         try:
             with GradTape() as tape:
-                loss = training._batch_loss(model, dataset.train)
+                loss = training._batch_loss(model, batch)
             tape.backward(loss)
             current, peak = tracemalloc.get_traced_memory()
         finally:
@@ -270,7 +223,7 @@ class TestTrainLoop:
         model = training.train(cfg, toy_dataset,
                                model_config=toy_model_config())
         _, val_idx = training._split_indices(toy_dataset.train.n, cfg.seed)
-        fitted = training._log_ratio_split(toy_dataset, toy_dataset.train)
+        fitted = training._residual_split(toy_dataset, toy_dataset.train)
         batches = training._batches(fitted.take(val_idx), cfg.batch_size)
         val_loss = training._eval_loss(model, batches)
         assert val_loss == pytest.approx(min(h[2] for h in model.history),
@@ -318,11 +271,11 @@ class TestFineTune:
                 training.fine_tune(toy_model, toy_dataset, bad, quick_config())
 
     def test_leaves_source_model_untouched(self, toy_model, toy_dataset):
-        before = toy_model.named_params()["heads.soil3c.w1"].data.copy()
+        before = toy_model.named_params()["heads.w1"].data.copy()
         tuned = training.fine_tune(toy_model, toy_dataset, 0.5,
                                    quick_config(max_epochs=2))
         np.testing.assert_array_equal(
-            toy_model.named_params()["heads.soil3c.w1"].data, before)
+            toy_model.named_params()["heads.w1"].data, before)
         assert tuned is not toy_model
         assert len(tuned.history) == 2
 
@@ -364,8 +317,9 @@ class TestFineTune:
 
 
 class TestLogRatioTargets:
-    """Training fits each slow task's log ratio to the sample's observed
-    pools, whatever scale the dataset stores its targets in."""
+    """Training fits each turnover group's mean log ratio of u/k to the
+    sample's observed pools, less its prior, whatever scale the dataset
+    stores its targets in."""
 
     def test_other_target_stats_need_no_rescaling(self, toy_model,
                                                   toy_dataset):
@@ -406,13 +360,16 @@ class TestLogRatioTargets:
                                       z.astype(np.float64).mean(axis=0))
 
     def test_log_ratio_targets(self, toy_dataset):
-        split = training._log_ratio_split(toy_dataset, toy_dataset.train)
-        assert set(split.targets) == set(pipeline.SLOW_TASKS)
-        obs = toy_dataset.train.groups["g5"][..., 1].astype(np.float64)
+        split = training._residual_split(toy_dataset, toy_dataset.train)
+        assert set(split.targets) == {"residual"}
+        groups, targets = toy_dataset.train.groups, toy_dataset.train.targets
+        ratios = [np.log(targets[t] / groups["g5"][..., i].astype(np.float64))
+                  for t, i in (("soil3c", 1), ("soil4c", 2))]
         np.testing.assert_allclose(
-            split.targets["soil3c"],
-            np.log(toy_dataset.train.targets["soil3c"] / obs), rtol=1e-12)
+            split.targets["residual"][:, 2],
+            np.concatenate(ratios, axis=1).mean(axis=1) - groups["prior"][:, 2],
+            rtol=1e-12)
         # physical-unit features are the same in any model's hands
-        for g in pipeline.GROUPS:
+        for g in (*pipeline.GROUPS, "prior"):
             np.testing.assert_array_equal(split.groups[g],
                                           toy_dataset.train.groups[g])
