@@ -253,12 +253,6 @@ def relu(a):
     return _record([a], np.maximum(ad, 0), lambda g: (g * (ad > 0),))
 
 
-def _stable_sigmoid(x):
-    # the tanh form cannot overflow, unlike 1 / (1 + exp(-x)) at large
-    # negative inputs, and keeps the input's float dtype
-    return 0.5 * np.tanh(0.5 * x) + 0.5
-
-
 def softmax(a, axis=-1):
     """Softmax along ``axis``, computed with max-subtraction for stability."""
     ad = a.data

@@ -17,9 +17,7 @@ All writers go through a temp-file + rename so consumers never observe a
 partially written file.  Binary writers hand the file over in chunks (a
 header, then each array's own buffer), so no writer holds a second copy of
 the file in memory.  Readers read each payload once, straight into the
-array they return; a reader that keeps only the tail of an array's second
-axis reads its rows in chunks of about ``_CHUNK_BYTES``, so it never holds
-the whole array either.
+array they return.
 """
 
 import itertools
@@ -103,21 +101,14 @@ def tensor_chunks(arr):
     return header + dims, np.ascontiguousarray(arr, dtype=_CODE_DTYPES[code])
 
 
-# About the most bytes of rows a tail read (see read_tensor) buffers at once.
-_CHUNK_BYTES = 1 << 20
-
-
 def _truncated(nbytes, left):
     return ContractError(f"truncated tensor blob payload: its header "
                          f"claims {nbytes} bytes, {left} remain")
 
 
-def read_tensor(fh, tail=None):
+def read_tensor(fh):
     """Decode the next PHT1 blob from a seekable binary stream, reading its
-    payload once, into the array returned.  With ``tail``, only the last
-    ``tail`` entries of the blob's second axis are kept (all of them if it
-    holds fewer): its rows pass through a buffer of about ``_CHUNK_BYTES``,
-    a chunk of rows at a time."""
+    payload once, into the array returned."""
     magic = fh.read(4)
     if magic != BLOB_MAGIC:
         raise ContractError(f"bad tensor blob magic {magic!r}")
@@ -140,26 +131,10 @@ def read_tensor(fh, tail=None):
     fh.seek(start)
     if nbytes > left:
         raise _truncated(nbytes, left)
-    if tail is None:
-        arr = np.empty(dims, dtype)
-        got = fh.readinto(arr)
-        if got != nbytes:
-            raise _truncated(nbytes, got)
-    else:
-        if ndim < 2:
-            raise ContractError(f"a tail read needs a second axis; the blob has "
-                                f"shape {dims}")
-        n_rows, skip = dims[0], dims[1] - min(tail, dims[1])
-        row_bytes = nbytes // n_rows if n_rows else 0
-        step = max(1, _CHUNK_BYTES // row_bytes) if row_bytes else max(1, n_rows)
-        arr = np.empty((n_rows, dims[1] - skip) + dims[2:], dtype)
-        buf = np.empty((min(step, n_rows),) + dims[1:], dtype)
-        for r in range(0, n_rows, step):
-            rows = buf[:min(step, n_rows - r)]
-            got = fh.readinto(rows)
-            if got != rows.nbytes:
-                raise _truncated(nbytes, r * row_bytes + got)
-            arr[r:r + len(rows)] = rows[:, skip:]
+    arr = np.empty(dims, dtype)
+    got = fh.readinto(arr)
+    if got != nbytes:
+        raise _truncated(nbytes, got)
     native = dtype.newbyteorder("=")
     return arr if dtype == native else arr.byteswap(inplace=True).view(native)
 
@@ -183,19 +158,17 @@ def write_model_file(path, manifest, arrays):
     atomic_write_bytes(path, itertools.chain(head, blobs))
 
 
-def read_model_file(path, tails=None):
+def read_model_file(path):
     """The manifest and the arrays of a container; every error it raises
-    names ``path``.  ``tails`` maps an array name to a count: of that array
-    only the last ``count`` entries of its second axis are read (see
-    :func:`read_tensor`)."""
+    names ``path``."""
     try:
         with open(path, "rb") as fh:
-            return _read_container(fh, tails or {})
+            return _read_container(fh)
     except ContractError as exc:
         raise ContractError(f"{path}: {exc}") from None
 
 
-def _read_container(fh, tails):
+def _read_container(fh):
     magic = fh.read(4)
     if magic != MODEL_MAGIC:
         raise ContractError(f"bad model file magic {magic!r}")
@@ -214,7 +187,7 @@ def _read_container(fh, tails):
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
         raise ContractError("model file manifest must be an object with a "
                             "params list of names")
-    arrays = {name: read_tensor(fh, tails.get(name)) for name in names}
+    arrays = {name: read_tensor(fh) for name in names}
     if fh.read(1):
         raise ContractError("trailing bytes after model parameters")
     return manifest, arrays

@@ -49,7 +49,6 @@ def _build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--out", required=True, help="model file path")
-    p.add_argument("--variant", default=None)
     p.add_argument("--log", default=None, help="loss log CSV path")
 
     p = sub.add_parser("eval", help="score a model on a dataset split")
@@ -138,12 +137,9 @@ def _default_log(out):
 
 
 def _cmd_train(args):
-    import dataclasses
     from . import pipeline
     from .training import train
     model_cfg, train_cfg = _load_configs(args.config)
-    if args.variant is not None:
-        model_cfg = dataclasses.replace(model_cfg, variant=args.variant)
     dataset = pipeline.load_dataset(args.data, splits=("train",))
     log = args.log or _default_log(args.out)
     model = train(train_cfg, dataset, model_config=model_cfg,

@@ -175,11 +175,6 @@ def _write_map(path, coords, pred, truth):
     blobio.atomic_write_bytes(path, text.encode("ascii"))
 
 
-def export_map_csv(path, lat, lon, pred, truth):
-    """(lat, lon, predicted, truth, difference) rows for one task component."""
-    _write_map(path, _map_coords(lat, lon), pred, truth)
-
-
 def export_report(report, out_dir):
     """Writes metrics.csv, per_dimension.csv, latitude_bands.csv and maps/."""
     os.makedirs(os.path.join(out_dir, "maps"), exist_ok=True)

@@ -45,10 +45,11 @@ _BRANCH_DROPS = {
 # The shapes a model takes from its data, as in a dataset manifest's dims.
 DIMS = ("months", "n_pft", "n_layers")
 
-# Model file manifest version.  Version 5 heads predict a log ratio to the
-# observed pools per slow-pool element, version 4 heads MinMax-scaled pools
-# through softplus, version 3 files also carry flux heads, version 2 keeps
-# the dims in the config, and version 1 reads every month.
+# Model file manifest version.  Version 6 heads predict one residual per
+# turnover group, added to the sample's prior; version 5 heads a log ratio
+# to the observed pools per slow-pool element, version 4 heads MinMax-scaled
+# pools through softplus, version 3 files also carry flux heads, version 2
+# keeps the dims in the config, and version 1 reads every month.
 MODEL_VERSION = 6
 
 # (group, trailing index) of each slow task's observed window-end pools,

@@ -737,13 +737,6 @@ def _schedule(world, years):
             yield gbar[:, month], p
 
 
-def _require_whole_window(world, what):
-    held = world.forcing_monthly.shape[1]
-    if held < world.months:
-        raise ContractError(f"{what} needs the whole {world.months}-month forcing "
-                            f"window; this world was loaded with its last {held}")
-
-
 def spinup(world, years, initial=None):
     """Monthly forward-Euler integration of every cell over the given
     number of years, from zero pools or from ``initial``.  The first
@@ -760,7 +753,6 @@ def spinup(world, years, initial=None):
     """
     if years < 1:
         raise ConfigurationError("spinup needs years >= 1")
-    _require_whole_window(world, "spinup")
     params = world.params
     route, k_month = _monthly_operators(world)
     n_pft, n_layers = world.n_pft, world.n_layers
@@ -1021,7 +1013,6 @@ def spinup_prior(world):
     """The semi-analytic spin-up prior (Xia et al. 2012): each cell's log
     factor [n, 3] from its window-end pools to u/k per turnover group, from
     the whole window's forcing (:func:`_ramp_fit`, :func:`_prior_from`)."""
-    _require_whole_window(world, "spinup_prior")
     return _prior_from(world, *_ramp_fit(world))
 
 
@@ -1091,7 +1082,6 @@ _INT_ARRAYS = ("land_idx", "cell_point", "params.pft_code",
 
 
 def save_world(world, path):
-    _require_whole_window(world, "save_world")
     manifest = {
         "format": "world",
         "version": WORLD_VERSION,
@@ -1111,21 +1101,11 @@ def save_world(world, path):
     blobio.write_model_file(path, manifest, arrays)
 
 
-def load_world(path, months=None):
+def load_world(path):
     """Read a world file and check its arrays against :data:`WORLD_LAYOUT`.
     A file of another version is refused: those before version 3 hold no
-    observed state.
-
-    With ``months``, only the last ``months`` of the monthly forcing are
-    read (all of them if the world holds fewer), a chunk of cells at a time
-    (see :func:`blobio.read_tensor`), so the whole forcing block is never
-    held.  Such a world serves :func:`restart_run`; :func:`spinup`,
-    :func:`save_world` and :func:`export_samples`, whose prior reads the
-    whole window, refuse it."""
-    if months is not None and months < 1:
-        raise RangeError(f"a world is read with at least 1 month of forcing, not {months}")
-    tails = None if months is None else {"forcing_monthly": months}
-    manifest, arrays = blobio.read_model_file(path, tails)
+    observed state."""
+    manifest, arrays = blobio.read_model_file(path)
     if manifest.get("format") != "world":
         raise ContractError(f"{path}: not a world file: {manifest.get('format')!r}")
     if manifest.get("version") != WORLD_VERSION:
@@ -1139,7 +1119,7 @@ def load_world(path, months=None):
         seed, years = manifest["seed"], manifest["years"]
         dims = {"n_cells": manifest["n_cells"], "n_pft": manifest["n_pft"],
                 "n_layers": manifest["n_layers"],
-                "months": 12 * years if months is None else min(12 * years, months),
+                "months": 12 * years,
                 "n_points": grid.n_points}
     except KeyError as exc:
         raise ContractError(f"world file {path} lacks {exc.args[0]!r}") from None

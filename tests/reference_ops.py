@@ -5,8 +5,7 @@ the engine's tape as its own ops do."""
 
 import numpy as np
 
-from phase_surrogate.autodiff import (GradTape, _check_same_shape, _record,
-                                      _stable_sigmoid)
+from phase_surrogate.autodiff import GradTape, _check_same_shape, _record
 
 
 def mul(a, b):
@@ -16,7 +15,9 @@ def mul(a, b):
 
 
 def sigmoid(a):
-    out = _stable_sigmoid(a.data)
+    # the tanh form cannot overflow, unlike 1 / (1 + exp(-x)) at large
+    # negative inputs, and keeps the input's float dtype
+    out = 0.5 * np.tanh(0.5 * a.data) + 0.5
     return _record([a], out, lambda g: (g * out * (1.0 - out),))
 
 

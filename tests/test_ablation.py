@@ -15,9 +15,9 @@ from conftest import toy_model_config
 
 
 class TestBuildVariant:
-    """A variant's configs, as ``run_variant`` and ``train --variant`` build
-    them: the caller's model config with its variant replaced, which
-    ``ModelConfig`` checks."""
+    """A variant's configs, as ``run_variant`` builds them: the caller's
+    model config with its variant replaced, which ``ModelConfig`` checks.
+    ``train`` reads a variant from its config file's ``model.variant``."""
 
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError, match="no_attention"):

@@ -156,12 +156,11 @@ class TestSingleCopyReads:
                            r"its header claims 40 bytes, 36 remain$"):
             blobio.read_tensor(io.BytesIO(raw[:-4]))
 
-    @pytest.mark.parametrize("tail", [None, 2])
-    def test_short_read_is_the_same_truncation(self, tail):
+    def test_short_read_is_the_same_truncation(self):
         raw = blob(np.ones((3, 4), dtype=np.float64))
         with pytest.raises(ContractError, match=r"^truncated tensor blob payload: "
                            r"its header claims 96 bytes, 92 remain$"):
-            blobio.read_tensor(ShortStream(raw), tail)
+            blobio.read_tensor(ShortStream(raw))
 
     def test_read_holds_one_copy_of_the_payload(self, tmp_path):
         path = tmp_path / "t.phm"
@@ -181,44 +180,6 @@ class TestSingleCopyReads:
         back = blobio.read_tensor(io.BytesIO(blob(arr)))
         assert back.flags.owndata and back.flags.writeable
         assert back.dtype == np.dtype(np.float64) and np.array_equal(back, arr)
-
-
-class TestTailReads:
-    ROW_BYTES = 12 * 2 * 8  # a (rows, 12, 2) float64 blob
-
-    @pytest.mark.parametrize("rows", [3, 4, 10], ids=["under-a-chunk", "one-chunk",
-                                                      "not-a-multiple"])
-    @pytest.mark.parametrize("tail", [1, 5, 12, 30])
-    def test_tail_is_the_slice_of_a_full_read(self, monkeypatch, rows, tail):
-        # chunks of 4 rows
-        monkeypatch.setattr(blobio, "_CHUNK_BYTES", 4 * self.ROW_BYTES)
-        arr = np.random.default_rng(3).normal(size=(rows, 12, 2))
-        raw = blob(arr) + blob(np.ones(2))
-        full = blobio.read_tensor(io.BytesIO(raw))
-        fh = io.BytesIO(raw)
-        got = blobio.read_tensor(fh, tail)
-        assert got.shape == (rows, min(tail, 12), 2) and got.flags.c_contiguous
-        assert got.tobytes() == full[:, 12 - min(tail, 12):].tobytes()
-        # the stream is left at the next blob
-        assert np.array_equal(blobio.read_tensor(fh), np.ones(2))
-
-    def test_float32_and_empty_rows(self):
-        arr = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
-        assert np.array_equal(blobio.read_tensor(io.BytesIO(blob(arr)), 2), arr[:, 1:])
-        empty = np.zeros((0, 5, 2))
-        assert blobio.read_tensor(io.BytesIO(blob(empty)), 3).shape == (0, 3, 2)
-
-    def test_named_in_a_container(self, tmp_path):
-        path = tmp_path / "t.phm"
-        arr = np.arange(30.0).reshape(3, 10)
-        save(path, arr, arr)
-        _, arrays = blobio.read_model_file(path, {"a1": 4})
-        assert np.array_equal(arrays["a0"], arr)
-        assert np.array_equal(arrays["a1"], arr[:, -4:])
-
-    def test_one_axis_refused(self):
-        with pytest.raises(ContractError, match="second axis"):
-            blobio.read_tensor(io.BytesIO(blob(np.ones(4))), 2)
 
 
 class TestRestartFiles:

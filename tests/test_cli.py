@@ -697,6 +697,16 @@ class TestWorkflow:
         assert message.rstrip().endswith(
             f"val loss {rows['val_loss'].min():.6f}")
 
+    def test_train_takes_the_variant_from_its_config(self, ws, tmp_path):
+        config = tmp_path / "no_cnn.json"
+        config.write_text(json.dumps({
+            "model": dict(TINY_CONFIG["model"], variant="no_cnn"),
+            "train": dict(TINY_CONFIG["train"], max_epochs=1)}))
+        out = tmp_path / "no_cnn.phm"
+        assert main(["train", "--data", str(ws["data"]), "--config", str(config),
+                     "--out", str(out)]) == 0
+        assert Surrogate.load(str(out)).config.variant == "no_cnn"
+
     def test_eval_report_files(self, ws):
         lines = (ws["report"] / "metrics.csv").read_text().splitlines()
         assert lines[0] == "task,r2,rmse"

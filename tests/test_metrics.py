@@ -204,31 +204,37 @@ def read_map(path):
 
 
 class TestMapCsv:
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(9)
-        lat = rng.uniform(-90, 90, 12)
-        lon = rng.uniform(-180, 180, 12)
-        pred = rng.standard_normal(12)
-        truth = rng.standard_normal(12)
-        path = tmp_path / "map.csv"
-        metrics.export_map_csv(str(path), lat, lon, pred, truth)
-        back = read_map(path)
+    """The maps :func:`metrics.export_report` writes, one per slow-task
+    component."""
+
+    def test_round_trip_exact(self, toy_report, tmp_path):
+        metrics.export_report(toy_report, str(tmp_path))
+        back = read_map(tmp_path / "maps" / "soil3c_2.csv")
+        pred = toy_report.preds["soil3c"][:, 2].astype(np.float64)
+        truth = toy_report.truths["soil3c"][:, 2].astype(np.float64)
+        np.testing.assert_array_equal(back[:, 0], toy_report.lat)
+        np.testing.assert_array_equal(back[:, 1], toy_report.lon)
         np.testing.assert_array_equal(back[:, 2], pred)
         np.testing.assert_array_equal(back[:, 3], truth)
         np.testing.assert_array_equal(back[:, 4], pred - truth)
         assert metrics.r2(back[:, 2], back[:, 3]) == \
             pytest.approx(metrics.r2(pred, truth), rel=1e-12)
 
-    def test_single_row_file(self, tmp_path):
-        path = tmp_path / "one.csv"
-        metrics.export_map_csv(str(path), np.ones(1), np.ones(1),
-                               np.ones(1), np.zeros(1))
-        assert read_map(path).shape == (1, 5)
+    def test_single_row_file(self, toy_report, tmp_path):
+        first = lambda arrays: {t: v[:1] for t, v in arrays.items()}
+        one = dataclasses.replace(toy_report, n=1, lat=toy_report.lat[:1],
+                                  lon=toy_report.lon[:1],
+                                  cell_id=toy_report.cell_id[:1],
+                                  preds=first(toy_report.preds),
+                                  truths=first(toy_report.truths))
+        metrics.export_report(one, str(tmp_path))
+        assert read_map(tmp_path / "maps" / "tlai_0.csv").shape == (1, 5)
 
-    def test_shape_mismatch(self, tmp_path):
+    def test_shape_mismatch(self, toy_report, tmp_path):
+        short = dataclasses.replace(toy_report, preds=dict(
+            toy_report.preds, soil3c=toy_report.preds["soil3c"][:-1]))
         with pytest.raises(ShapeError):
-            metrics.export_map_csv(str(tmp_path / "bad.csv"), np.ones(2),
-                                   np.ones(2), np.ones(2), np.ones(3))
+            metrics.export_report(short, str(tmp_path))
 
 
 class TestExportReport:

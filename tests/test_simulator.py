@@ -1090,9 +1090,11 @@ class TestPersistence:
         for g in ("g4", "g5"):
             assert np.array_equal(getattr(loaded.observed, g), getattr(world.observed, g)), g
         assert loaded.params.pft_code.dtype == np.int64
-        got = sim.export_samples(loaded).targets
-        for name, want in sim.export_samples(world).targets.items():
-            assert np.array_equal(got[name], want), name
+        got, want = sim.export_samples(loaded), sim.export_samples(world)
+        for g in (*pl.GROUPS, "prior"):
+            assert np.array_equal(got.groups[g], want.groups[g]), g
+        for name in want.targets:
+            assert np.array_equal(got.targets[name], want.targets[name]), name
 
     def test_manifest_is_version_three(self, world, tmp_path):
         path = str(tmp_path / "world.phw")
@@ -1150,66 +1152,6 @@ class TestPersistence:
                                               params=sorted(stored)), stored)
             with pytest.raises(ContractError, match=rf"version {version}; .*rerun gen-data"):
                 sim.load_world(old)
-
-    @pytest.fixture
-    def world_path(self, world, tmp_path):
-        path = str(tmp_path / "world.phw")
-        sim.save_world(world, path)
-        return path
-
-    @pytest.mark.parametrize("months", [12, 60, 240, 300])
-    def test_forcing_tail_is_the_slice_of_a_full_load(self, world, world_path, months):
-        full, tail = sim.load_world(world_path), sim.load_world(world_path, months)
-        kept = min(months, world.months)
-        assert tail.forcing_monthly.shape == (world.n_cells, kept, 5)
-        assert tail.forcing_monthly.tobytes() == full.forcing_monthly[:, -kept:].tobytes()
-        assert tail.years == full.years
-        assert np.array_equal(tail.observed.g4, full.observed.g4)
-        for months_out in {12, kept}:
-            a = sim.export_samples(full, months_out // 12)
-            if kept < world.months:
-                # the prior reads the whole window
-                with pytest.raises(ContractError, match="needs the whole"):
-                    sim.export_samples(tail, months_out // 12)
-                continue
-            b = sim.export_samples(tail, months_out // 12)
-            for g in (*pl.GROUPS, "prior"):
-                assert np.array_equal(a.groups[g], b.groups[g]), g
-
-    def test_forcing_tail_load_peaks_below_half_the_forcing_block(self, preset_world,
-                                                                  tmp_path):
-        world = preset_world("coarse", 0)
-        path = str(tmp_path / "world.phw")
-        sim.save_world(world, path)
-        tracemalloc.start()
-        try:
-            tail = sim.load_world(path, 60)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert tail.forcing_monthly.shape[1] == 60
-        assert peak < world.forcing_monthly.nbytes / 2
-
-    def test_forcing_tail_world_refuses_spinup_and_save(self, world_path, tmp_path):
-        tail = sim.load_world(world_path, 60)
-        with pytest.raises(ContractError, match="spinup needs the whole 240-month "
-                                                "forcing window; .* its last 60"):
-            sim.spinup(tail, 1)
-        with pytest.raises(ContractError, match="save_world needs the whole"):
-            sim.save_world(tail, str(tmp_path / "again.phw"))
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["world.phw"]
-
-    def test_export_refuses_a_window_past_the_loaded_forcing(self, world_path):
-        # the prior reads all 240 months, past any window of a tail
-        tail = sim.load_world(world_path, 24)
-        for years in (2, 3, None):
-            with pytest.raises(ContractError, match="needs the whole 240-month "
-                                                    "forcing window; .* its last 24"):
-                sim.export_samples(tail, years)
-
-    def test_forcing_tail_of_no_months_refused(self, world_path):
-        with pytest.raises(RangeError, match="at least 1 month"):
-            sim.load_world(world_path, 0)
 
     def test_load_rejects_other_files(self, tmp_path):
         path = str(tmp_path / "other.phm")
