@@ -2,13 +2,13 @@
 """From raw world to a train/test dataset.
 
 Walks the cells' samples (one array per feature group, one row per cell)
-through the data pipeline: nearest forcing-point alignment, monthly
-aggregation of the forcing window, the seeded 80:20 train/test
+through the data pipeline: nearest forcing-point alignment, the mean
+annual cycle of the stationary forcing years, the seeded 80:20 train/test
 permutation, MinMax statistics fitted on the training split, and the
 dataset directory: a manifest plus one file per split, rows sorted by
 (lat, lon).  Features are stored in physical units and targets
 normalized.  A model built on the dataset takes its shapes from the
-manifest's dims (forcing months, vegetation types, soil layers) and both
+manifest's dims (vegetation types, soil layers) and both
 sets of statistics from the training split: it scales its own inputs, and
 it returns its predictions in physical units.
 """
@@ -28,8 +28,8 @@ def main():
     g = samples.groups
     print(f"{samples.n} samples; row 0 is cell {samples.cell_id[0]} at "
           f"({samples.lat[0]:.1f}, {samples.lon[0]:.1f})")
-    print(f"  g1 forcing window : {g['g1'].shape}  (cells x months x variables)")
-    print(f"                      the last {simulator.STATIONARY_YEARS} of "
+    print(f"  g1 annual cycle   : {g['g1'].shape}  (cells x months x variables)")
+    print(f"                      the mean of the last {simulator.STATIONARY_YEARS} of "
           f"{world.years} simulated yr: the stationary years after the "
           f"{simulator.TREND_RAMP_YEARS:.0f}-yr trend ramp")
     print(f"  g2 static         : {g['g2'].shape}  {pipeline.G2_FIELDS}")

@@ -46,7 +46,7 @@ def main():
                   f"{report.drift[pool]['median']:>10.4f}")
         print(f"\ncold start needs >= {report.cold_start_years.min():.0f} yr; "
               f"the model read the mean annual cycle of the last "
-              f"{model.dims['months'] // 12} years "
+              f"{simulator.STATIONARY_YEARS} years "
               f"of a {report.window_years}-yr simulated window")
         print(f"warm start needs a median "
               f"{np.median(report.warm_start_years):.0f} yr to the same band")

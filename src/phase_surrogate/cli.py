@@ -43,7 +43,6 @@ def _build_parser():
     p.add_argument("--world", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="dataset directory")
-    p.add_argument("--window-years", type=int, default=None)
 
     p = sub.add_parser("train", help="fit a surrogate on a dataset")
     p.add_argument("--data", required=True)
@@ -120,11 +119,11 @@ def _cmd_gen_data(args):
 def _cmd_build_dataset(args):
     from . import pipeline, simulator
     world = simulator.load_world(_world_path(args.world))
-    samples = simulator.export_samples(world, args.window_years)
+    samples = simulator.export_samples(world)
     meta = {"seed": world.seed, "years": world.years,
             "grid": [world.grid.n_lat, world.grid.n_lon,
                      world.grid.resolution_deg]}
-    del world  # the whole window's forcing is needed only for the prior
+    del world  # frees the forcing before the dataset is built
     dataset = pipeline.build_dataset(samples, args.seed, args.out,
                                      world_meta=meta)
     print(f"wrote {args.out}: {dataset.train.n} train / "
@@ -160,7 +159,6 @@ def _cmd_eval(args):
     model = Surrogate.load(args.model)
     dataset = pipeline.load_dataset(args.data, splits=(args.split,))
     report = evaluate(model, dataset, args.split)
-    os.makedirs(args.out, exist_ok=True)
     export_report(report, args.out)
     part = dataset.split(args.split)
     flags, scores, reasons = ood.check(report.latent, part.groups, model)
@@ -210,7 +208,7 @@ def _cmd_fine_tune(args):
     return 0
 
 
-def _write_drift_csv(path, report, window_months, references):
+def _write_drift_csv(path, report, references):
     from . import blobio
     buf = io.StringIO()
     buf.write("name,pool,value\n")
@@ -220,7 +218,6 @@ def _write_drift_csv(path, report, window_months, references):
             buf.write(f"{section}_median,{pool},{stats['median']!r}\n")
             buf.write(f"{section}_max,{pool},{stats['max']!r}\n")
     buf.write(f"window_years,,{report.window_years}\n")
-    buf.write(f"window_months,,{window_months}\n")
     buf.write(f"restart_years,,{report.years}\n")
     buf.write(f"cold_start_years_min,,{float(report.cold_start_years.min())!r}\n")
     buf.write(f"warm_start_years_median,,{report.warm_start_years_median!r}\n")
@@ -237,16 +234,10 @@ def _cmd_restart_check(args):
     from .model import Surrogate, observed, pools_from
     if args.years < 1:
         raise ConfigurationError("--years must be at least 1")
-    world_path = _world_path(args.world)
     model = Surrogate.load(args.model)
-    months = model.dims["months"]
-    world = simulator.load_world(world_path)
-    if months > world.months:
-        raise ContractError(
-            f"{args.model} reads {months} months of forcing; {world_path} "
-            f"simulates {world.months}")
-    samples = simulator.export_samples(world, months // 12)
-    world.forcing_monthly = None  # only the prior reads the whole window
+    world = simulator.load_world(_world_path(args.world))
+    samples = simulator.export_samples(world)
+    world.forcing_monthly = None  # the restart reads no forcing
     preds, z = model.predict(samples.groups)
 
     flags, scores, reasons = ood.check(z, samples.groups, model)
@@ -265,7 +256,7 @@ def _cmd_restart_check(args):
         simulator.restart_state(world, pools), world) for name, pools in (
             ("prior", pools_from(samples.groups, 0.0)),
             ("persistence", observed(samples.groups)))}
-    _write_drift_csv(args.out, report, months, references)
+    _write_drift_csv(args.out, report, references)
     ood.write_report_csv(os.path.splitext(args.out)[0] + "_ood.csv",
                          samples.cell_id, flags, scores, reasons)
     drift_max = max(s["max"] for s in report.drift.values())

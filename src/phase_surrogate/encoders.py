@@ -35,7 +35,7 @@ def _check_batch(x, ndim):
 class TemporalEncoder:
     """Single-layer gated recurrent network over a monthly sequence; the
     final hidden state is projected to the latent width.  The surrogate
-    hands it the mean annual cycle of its forcing window, 12 steps."""
+    hands it a sample's g1, the mean annual forcing cycle: 12 steps."""
 
     def __init__(self, n_vars, hidden=64, out_dim=64, rng=None, dtype=np.float32):
         rng = rng or np.random.default_rng(0)

@@ -14,7 +14,7 @@ class ConfigurationError(ValueError):
 
 
 class RangeError(ValueError):
-    """A requested window, band, or length is out of range."""
+    """A requested band, sample or fraction is out of range."""
 
 
 class CompletenessError(ValueError):

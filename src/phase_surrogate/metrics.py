@@ -167,8 +167,6 @@ def _map_coords(lat, lon):
 def _write_map(path, coords, pred, truth):
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
-    if not (len(coords),) == pred.shape == truth.shape:
-        raise ShapeError("map export needs matching 1-D arrays")
     cols = [map(repr, col.tolist()) for col in (pred, truth, pred - truth)]
     text = "lat,lon,predicted,truth,difference\n" + "".join(
         map("{},{},{},{}\n".format, coords, *cols))
@@ -176,7 +174,15 @@ def _write_map(path, coords, pred, truth):
 
 
 def export_report(report, out_dir):
-    """Writes metrics.csv, per_dimension.csv, latitude_bands.csv and maps/."""
+    """Writes metrics.csv, per_dimension.csv, latitude_bands.csv and maps/.
+    A report whose slow-task predictions and truths are not one row per
+    cell, of one shape, is refused before any file is written."""
+    coords = _map_coords(report.lat, report.lon)
+    for t in pipeline.SLOW_TASKS:
+        pred, truth = np.shape(report.preds[t]), np.shape(report.truths[t])
+        if pred != truth or pred[:1] != (len(coords),):
+            raise ShapeError(f"{t}: predictions of shape {pred} and truths of "
+                             f"shape {truth} for {len(coords)} cells")
     os.makedirs(os.path.join(out_dir, "maps"), exist_ok=True)
     buf = io.StringIO()
     buf.write("task,r2,rmse\n")
@@ -210,7 +216,6 @@ def export_report(report, out_dir):
     blobio.atomic_write_bytes(os.path.join(out_dir, "latitude_bands.csv"),
                               buf.getvalue().encode("ascii"))
 
-    coords = _map_coords(report.lat, report.lon)
     for t in pipeline.SLOW_TASKS:
         for i in range(report.preds[t].shape[1]):
             _write_map(os.path.join(out_dir, "maps", f"{t}_{i}.csv"), coords,

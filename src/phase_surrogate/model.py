@@ -43,14 +43,15 @@ _BRANCH_DROPS = {
 }
 
 # The shapes a model takes from its data, as in a dataset manifest's dims.
-DIMS = ("months", "n_pft", "n_layers")
+DIMS = ("n_pft", "n_layers")
 
-# Model file manifest version.  Version 6 heads predict one residual per
+# Model file manifest version.  Version 7 takes g1 as its annual cycle, with
+# no forcing window in its dims; version 6 heads predict one residual per
 # turnover group, added to the sample's prior; version 5 heads a log ratio
 # to the observed pools per slow-pool element, version 4 heads MinMax-scaled
 # pools through softplus, version 3 files also carry flux heads, version 2
 # keeps the dims in the config, and version 1 reads every month.
-MODEL_VERSION = 6
+MODEL_VERSION = 7
 
 # (group, trailing index) of each slow task's observed window-end pools,
 # the state its prediction scales
@@ -67,22 +68,14 @@ GROUP_OF = {task: g for g, tasks in enumerate(pipeline.PRIOR_GROUPS)
 PREDICT_ROWS = 512
 
 
-def _annual_cycle(g1):
-    """Monthly forcing [n, months, V] over whole years as its mean annual
-    cycle [n, 12, V], in float64."""
-    g1 = np.asarray(g1, dtype=np.float64)
-    n, months, n_vars = g1.shape
-    return g1.reshape(n, months // 12, 12, n_vars).mean(axis=1)
-
-
 def _fluxes(groups):
     """GPP, AR and NPP [n] of physical-unit samples in closed form: the
-    simulator's annual fluxes over each sample's mean annual forcing cycle,
+    simulator's annual fluxes over each sample's annual forcing cycle (g1),
     under its own alpha, resp_frac and nutrient."""
     g2 = np.asarray(groups["g2"], dtype=np.float64)
     col = pipeline.G2_FIELDS.index
     return dict(zip(pipeline.FLUX_TASKS, pipeline.annual_fluxes(
-        pipeline._gbar_of(_annual_cycle(groups["g1"])), g2[:, col("alpha")],
+        pipeline._gbar_of(groups["g1"]), g2[:, col("alpha")],
         g2[:, col("resp_frac")], g2[:, col("nutrient")])))
 
 
@@ -187,15 +180,11 @@ class ModelConfig:
 
 def _checked_dims(dims):
     """A copy of ``dims``, refused unless it gives each of :data:`DIMS` as a
-    positive integer and the months are whole years: the network reads the
-    forcing as its mean annual cycle."""
+    positive integer."""
     if not isinstance(dims, dict) or set(dims) != set(DIMS) or not all(
             type(dims[k]) is int and dims[k] >= 1 for k in DIMS):
         raise ContractError(f"dims must give {', '.join(DIMS)} as positive "
                             f"integers, got {dims!r}")
-    if dims["months"] % 12:
-        raise ContractError(f"the forcing window must be whole years, got "
-                            f"{dims['months']} months")
     return dict(dims)
 
 
@@ -243,7 +232,7 @@ class MlpTrunk:
 
 class Surrogate:
     """Full heterogeneous-input multi-task model for data of shape
-    ``dims``: {months, n_pft, n_layers}, a dataset manifest's dims."""
+    ``dims``: {n_pft, n_layers}, a dataset manifest's dims."""
 
     def __init__(self, config, dims, rng=None, dtype=np.float32):
         if rng is None:
@@ -312,19 +301,14 @@ class Surrogate:
     # -- forward ------------------------------------------------------------
 
     def _inputs(self, groups):
-        """Physical-unit groups as the network's inputs: g1 folded into its
-        mean annual cycle [n, 12, V], in float64, then every group scaled
+        """Physical-unit groups as the network's inputs: every group scaled
         with the model's own feature stats and cast to its dtype."""
         missing = [g for g in pipeline.GROUPS if g not in groups]
         if missing:
             raise ContractError(f"batch lacks groups: {', '.join(missing)}")
-        if np.ndim(groups["g1"]) != 3:
-            raise ShapeError(f"g1 must be [batch, months, vars], got shape "
+        if np.ndim(groups["g1"]) != 3 or np.shape(groups["g1"])[1] != 12:
+            raise ShapeError(f"g1 must be [batch, 12, vars], got shape "
                              f"{np.shape(groups['g1'])}")
-        months = groups["g1"].shape[1]
-        if months != self.dims["months"]:
-            raise ShapeError(f"g1 holds {months} months of forcing; the model "
-                             f"reads {self.dims['months']}")
         # every variant reads the observed pools of g4 and g5
         for g, dim in (("g3", "n_pft"), ("g4", "n_pft"), ("g5", "n_layers")):
             if np.shape(groups[g])[1:2] != (self.dims[dim],):
@@ -334,9 +318,7 @@ class Surrogate:
         if self.feature_stats is None:
             raise ContractError("model carries no normalization stats")
         return {g: a.astype(self.dtype, copy=False) for g, a in
-                pipeline.normalize_groups(
-                    dict(groups, g1=_annual_cycle(groups["g1"])),
-                    self.feature_stats).items()}
+                pipeline.normalize_groups(groups, self.feature_stats).items()}
 
     def _branch_latents(self, arrays):
         z_list = []

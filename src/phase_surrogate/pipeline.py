@@ -3,8 +3,8 @@ the train/test split, cleaning, and the on-disk dataset layout.
 
 A sample is one land cell with five feature groups:
 
-- g1: monthly climate forcing [months x 5 vars], as the simulator
-  synthesizes it (no sub-monthly series exists)
+- g1: the mean annual cycle of the monthly climate forcing [12 x 5 vars]
+  over the stationary years (``simulator.export_samples``)
 - g2: static cell attributes [8]
 - g3: vegetation-type traits [n_pft x 3]
 - g4: vegetation-type state at the end of the input window [n_pft x 5]
@@ -66,7 +66,7 @@ PRIOR_GROUPS = (("tlai",), ("deadcrootc", "deadstemc", "cwdc"), ("soil3c", "soil
 # and the other dimension names are the manifest's ``dims``.
 SPLIT_LAYOUT = {
     "cell_id": ("rows",), "lat": ("rows",), "lon": ("rows",),
-    "g1": ("rows", "months", len(G1_FIELDS)),
+    "g1": ("rows", 12, len(G1_FIELDS)),
     "g2": ("rows", len(G2_FIELDS)),
     "g3": ("rows", "n_pft", len(G3_FIELDS)),
     "g4": ("rows", "n_pft", len(G4_FIELDS)),
@@ -77,7 +77,7 @@ SPLIT_LAYOUT = {
     **{t: ("rows",) for t in FLUX_TASKS},
 }
 COLUMNS = tuple(SPLIT_LAYOUT)
-DATASET_VERSION = 5
+DATASET_VERSION = 6
 SPLITS = ("train", "test")
 
 TRAIN_NUM, TRAIN_DEN = 8, 10
@@ -347,9 +347,8 @@ def normalize_groups(group_arrays, stats):
 
 def group_dims(groups):
     """The dimension sizes of :data:`SPLIT_LAYOUT` that feature groups
-    carry: forcing months, vegetation types and soil layers."""
-    return {"months": int(groups["g1"].shape[1]),
-            "n_pft": int(groups["g3"].shape[1]),
+    carry: vegetation types and soil layers."""
+    return {"n_pft": int(groups["g3"].shape[1]),
             "n_layers": int(groups["g5"].shape[1])}
 
 

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import blobio
 from . import pipeline
-from .errors import ConfigurationError, ContractError, RangeError
+from .errors import ConfigurationError, ContractError
 
 log = logging.getLogger(__name__)
 
@@ -69,7 +69,7 @@ K_SLOW = 0.004
 TREND_RAMP_YEARS = 15.0
 # The trend stops after TREND_RAMP_YEARS, so the last 5 years of the default
 # 20-year window are stationary: the climate the u/k targets are built from.
-# A sample keeps these years of forcing unless asked for another window.
+# A sample's forcing is the mean annual cycle of these years.
 STATIONARY_YEARS = 5
 NUTRIENT_RAMP_YEARS = 50.0
 EQUILIBRIUM_BAND = 1.0 / 200.0
@@ -817,7 +817,6 @@ def restart_run(initial, world, years=100):
     zero clamp never binds."""
     if years < 1:
         raise ConfigurationError("restart_run needs years >= 1")
-    params = world.params
     route, k_month = _monthly_operators(world)
     if not np.all((k_month > 0.0) & (k_month <= 1.0)):
         raise ConfigurationError("restart_run needs every monthly turnover k/12 "
@@ -827,10 +826,7 @@ def restart_run(initial, world, years=100):
         if not np.all((pool >= 0.0) & (pool < np.inf)):
             raise ContractError(f"initial pool {key} must be finite and non-negative")
     eq = analytic_equilibrium(world)
-    _, _, npp_m12 = pipeline._flux_from_gbar(
-        world.gbar_stat12, params.alpha[:, None], params.resp_frac[:, None],
-        params.nutrient[:, None])
-    u = npp_m12.mean(axis=1)[:, None] * route
+    u = (eq.npp / 12)[:, None] * route
 
     with np.errstate(divide="ignore"):  # k/12 = 1 reaches C* in one month
         decay = 12 * years * np.log1p(-k_month)
@@ -1016,21 +1012,15 @@ def spinup_prior(world):
     return _prior_from(world, *_ramp_fit(world))
 
 
-def export_samples(world, window_years=None):
-    """Every cell's sample as one :class:`pipeline.Samples`: monthly forcing
-    over the last window_years (by default the last STATIONARY_YEARS, or the
-    whole span if shorter), static attributes, traits, the world's observed
+def export_samples(world):
+    """Every cell's sample as one :class:`pipeline.Samples`: the mean annual
+    forcing cycle [n, 12, 5] of the last STATIONARY_YEARS (or of the whole
+    span if shorter), static attributes, traits, the world's observed
     end-of-window states (copied; nothing is drawn here), the spin-up prior
     of the whole window (:func:`spinup_prior`), and exact equilibrium
     targets."""
-    if window_years is None:
-        window_years = min(world.years, STATIONARY_YEARS)
-    wy = int(window_years)
-    if wy > world.years:
-        raise RangeError(f"window of {wy} yr exceeds simulated span of "
-                         f"{world.years} yr")
-    if wy < 1:
-        raise RangeError("window must cover at least 1 yr")
+    years = min(world.years, STATIONARY_YEARS)
+    g1 = world.forcing_monthly[:, -12 * years:].reshape(world.n_cells, years, 12, -1)
     prior = spinup_prior(world)
     p, eq = world.params, analytic_equilibrium(world)
     g2 = np.stack([world.cell_lat, world.cell_lon, p.land_frac, p.alpha,
@@ -1044,8 +1034,7 @@ def export_samples(world, window_years=None):
         lat=world.cell_lat.copy(), lon=world.cell_lon.copy(),
         pft_code=p.pft_code.copy(),
         deepest_valid_layer=p.deepest_valid_layer.copy(),
-        groups={"g1": world.forcing_monthly[:, world.months - 12 * wy:].copy(),
-                "g2": g2, "g3": g3,
+        groups={"g1": g1.mean(axis=1), "g2": g2, "g3": g3,
                 "g4": world.observed.g4.copy(), "g5": world.observed.g5.copy(),
                 "prior": prior},
         targets={t: v.copy() for t, v in targets.items()})

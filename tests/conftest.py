@@ -7,7 +7,7 @@ from phase_surrogate.pipeline import Dataset, DatasetSplit
 from phase_surrogate.training import TrainConfig, train
 
 
-def build_toy_dataset(n=40, months=12, seed=0):
+def build_toy_dataset(n=40, seed=0):
     """Small in-memory dataset with a smooth learnable input-target map.
 
     Every group influences every slow target so component-removal tests
@@ -16,7 +16,7 @@ def build_toy_dataset(n=40, months=12, seed=0):
     about 0, not the spin-up prior of these pools.
     """
     rng = np.random.default_rng(seed)
-    g1 = rng.uniform(0.05, 0.95, (n, months, 5)).astype(np.float32)
+    g1 = rng.uniform(0.05, 0.95, (n, 12, 5)).astype(np.float32)
     g2 = rng.uniform(0.05, 0.95, (n, 8)).astype(np.float32)
     g3 = rng.uniform(0.05, 0.95, (n, 5, 3)).astype(np.float32)
     g4 = rng.uniform(0.05, 0.95, (n, 5, 5)).astype(np.float32)
@@ -56,14 +56,14 @@ def build_toy_dataset(n=40, months=12, seed=0):
 
 
 # the dims of build_toy_dataset's default arrays
-TOY_DIMS = {"months": 12, "n_pft": 5, "n_layers": 9}
+TOY_DIMS = {"n_pft": 5, "n_layers": 9}
 
 
 def with_guard(model):
     """``model`` with an OOD guard fitted to a toy train split in its dims,
     as a model must carry one to be saved."""
     dims = model.dims
-    groups = build_toy_dataset(months=dims["months"]).train.groups
+    groups = build_toy_dataset().train.groups
     groups = dict(groups, g3=groups["g3"][:, :dims["n_pft"]],
                   g4=groups["g4"][:, :dims["n_pft"]],
                   g5=groups["g5"][:, :dims["n_layers"]])

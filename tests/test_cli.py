@@ -55,20 +55,6 @@ def ws(tmp_path_factory):
     return paths
 
 
-@pytest.fixture(scope="module")
-def short(ws, tmp_path_factory):
-    """The ws world's last year of forcing as a dataset, and a model trained
-    on it."""
-    root = tmp_path_factory.mktemp("short")
-    paths = {"data": root / "data", "model": root / "model.phm"}
-    assert main(["build-dataset", "--world", str(ws["world"]), "--seed", "1",
-                 "--out", str(paths["data"]), "--window-years", "1"]) == 0
-    assert main(["train", "--data", str(paths["data"]),
-                 "--config", str(ws["config"]),
-                 "--out", str(paths["model"])]) == 0
-    return paths
-
-
 def untrained_model(ws, path, dims=(), **config):
     """Save an untrained model of the ws model's config and dims with
     ``config`` and ``dims`` changed, carrying the ws model's feature stats
@@ -305,7 +291,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("change", [
         "version-2", "no-dims", "dims-list", "dims-missing-key",
-        "dims-part-year", "variant-baseline_pinn", "dim-string", "no-config",
+        "variant-baseline_pinn", "dim-string", "no-config",
         "stats-missing-channel", "stats-not-pair", "stats-reversed",
         "stats-nan", "no-stats", "ood-no-threshold", "ood-string-threshold",
         "ood-infinite-threshold"])
@@ -321,12 +307,10 @@ class TestExitCodes:
             # the config
             "version-2": dict(version=2, dims=None, config=dict(
                 config, n_pft=dims["n_pft"], n_layers=dims["n_layers"],
-                window_months=dims["months"], masked_features=[])),
+                window_months=60, masked_features=[])),
             "no-dims": dict(dims=None),
             "dims-list": dict(dims=list(dims.values())),
-            "dims-missing-key": dict(dims={"months": dims["months"],
-                                           "n_pft": dims["n_pft"]}),
-            "dims-part-year": dict(dims=dict(dims, months=18)),
+            "dims-missing-key": dict(dims={"n_pft": dims["n_pft"]}),
             "variant-baseline_pinn": dict(config=dict(
                 config, variant="baseline_pinn")),
             "dim-string": dict(config=dict(config, dim="64")),
@@ -354,7 +338,6 @@ class TestExitCodes:
         assert rc == 1
         assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
         assert {"version-2": "model file version 2",
-                "dims-part-year": "whole years, got 18 months",
                 "variant-baseline_pinn": "unknown variant 'baseline_pinn'",
                 "dim-string": "dim must be an integer, got '64'",
                 "no-config": "model config must be an object, got None",
@@ -368,7 +351,7 @@ class TestExitCodes:
                                     "got None",
                 "ood-string-threshold": "got '12.5'",
                 "ood-infinite-threshold": "got inf"}.get(
-                    change, "dims must give months, n_pft, n_layers") in err
+                    change, "dims must give n_pft, n_layers") in err
         assert list(tmp_path.iterdir()) == [bad]
 
     @pytest.mark.parametrize("command,lacks", [("build-dataset", "window.soil4c"),
@@ -514,19 +497,6 @@ class TestRestartCheckInputs:
         assert err.startswith("error:") and "--years" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_window_longer_than_the_world_names_both_lengths(self, ws, tmp_path,
-                                                             capsys):
-        # a 7-year model on the 6-year ws world
-        model = untrained_model(ws, tmp_path / "m84.phm", dims={"months": 84})
-        rc = main(["restart-check", "--model", str(model),
-                   "--world", str(ws["world"]),
-                   "--out", str(tmp_path / "drift.csv"), "--years", "1"])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith(f"error: {model} ") and "Traceback" not in err
-        assert "reads 84 months" in err and "simulates 72" in err
-        assert list(tmp_path.iterdir()) == [model]
-
     def test_pools_past_float32_exit_1_and_write_nothing(self, ws, tmp_path, capsys):
         # the head outputs the residual 100 for every group, so each
         # predicted pool is its observation times e^(100 + prior), about
@@ -559,44 +529,6 @@ class TestRestartCheckInputs:
         assert err.startswith(f"error: {world / 'world.phw'}: world file version 2;")
         assert err.rstrip().endswith("rerun gen-data") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [world]
-
-
-class TestWindow:
-    def test_default_window_is_the_stationary_years(self, ws, short):
-        # a 6-yr world keeps its last 5 years by default
-        assert Surrogate.load(str(ws["model"])).dims["months"] == 60
-        assert Surrogate.load(str(short["model"])).dims["months"] == 12
-
-    def test_eval_on_another_window_is_clean_runtime_error(self, ws, short,
-                                                           tmp_path, capsys):
-        rc = main(["eval", "--model", str(ws["model"]),
-                   "--data", str(short["data"]),
-                   "--out", str(tmp_path / "report")])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error:") and "Traceback" not in err
-        assert "12 months" in err and "reads 60" in err
-        assert not (tmp_path / "report").exists()
-
-    def test_fine_tune_onto_another_window_is_clean_runtime_error(
-            self, ws, short, tmp_path, capsys):
-        out = tmp_path / "tuned.phm"
-        rc = main(["fine-tune", "--model", str(ws["model"]),
-                   "--data-fine", str(short["data"]), "--fraction", "0.5",
-                   "--config", str(ws["config"]), "--out", str(out)])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error:") and "Traceback" not in err
-        assert "12 months" in err and "reads 60" in err
-        assert not out.exists()
-
-    def test_restart_check_exports_the_models_window(self, ws, short,
-                                                     tmp_path):
-        # the model refuses any other window, so exit 0 means restart-check
-        # exported the last 12 months
-        assert main(["restart-check", "--model", str(short["model"]),
-                     "--world", str(ws["world"]),
-                     "--out", str(tmp_path / "d.csv"), "--years", "1"]) == 0
 
 
 class TestOneSplitPerCommand:
@@ -725,7 +657,6 @@ class TestWorkflow:
         assert rows[("warm_start_years_median", "")] >= 1.0 / 12.0
         assert rows[("restart_years", "")] == 2
         assert rows[("window_years", "")] == 6
-        assert rows[("window_months", "")] == 60
         assert rows[("zero_equilibrium_cells", "")] == 0
         drift = [v for (n, _), v in rows.items() if n == "drift_max"]
         assert drift and all(np.isfinite(v) for v in drift)

@@ -252,6 +252,19 @@ class TestExportReport:
         assert len(maps) == 3 * 5 + 3 * 9
         assert "soil3c_0.csv" in maps and "tlai_4.csv" in maps
 
+    def test_rows_short_of_the_cells_refused_before_any_file(self, toy_report,
+                                                            tmp_path):
+        # predictions and truths agree with each other but are one row short
+        # of the report's cells: a band mask over lat would index past them
+        drop = lambda arrays: {t: v[:-1] for t, v in arrays.items()}
+        short = dataclasses.replace(toy_report, preds=drop(toy_report.preds),
+                                    truths=drop(toy_report.truths))
+        n = toy_report.lat.shape[0]
+        with pytest.raises(ShapeError, match=rf"deadcrootc: predictions of shape "
+                                             rf"\({n - 1}, 5\) .* for {n} cells"):
+            metrics.export_report(short, str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
     def test_metrics_csv_parses_back(self, toy_report, tmp_path):
         out = tmp_path / "report"
         metrics.export_report(toy_report, str(out))

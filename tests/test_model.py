@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -23,12 +24,11 @@ def toy_batch(n=4, months=12, seed=1):
             "prior": rng.uniform(-0.5, 0.5, (n, 3))}
 
 
-def make(variant="full", dtype=np.float32, months=12):
-    """A fresh toy-dims model reading ``months`` of forcing, with
-    :func:`fill_stats`' stats and a random head output layer, as a trained
-    model has it: an untrained head predicts a residual of 0."""
-    model = fill_stats(Surrogate(toy_model_config(variant=variant),
-                                 dict(TOY_DIMS, months=months),
+def make(variant="full", dtype=np.float32):
+    """A fresh toy-dims model, with :func:`fill_stats`' stats and a random
+    head output layer, as a trained model has it: an untrained head
+    predicts a residual of 0."""
+    model = fill_stats(Surrogate(toy_model_config(variant=variant), TOY_DIMS,
                                  rng=np.random.default_rng(0), dtype=dtype))
     rng = np.random.default_rng(1)
     for name, tensor in model.named_params().items():
@@ -99,24 +99,18 @@ class TestModelConfig:
 class TestDims:
     """A model takes its shapes from the dims of its data."""
 
-    @pytest.mark.parametrize("months", [6, 18])
-    def test_window_of_part_of_a_year_refused(self, months):
-        with pytest.raises(ContractError, match=f"whole years.*{months}"):
-            make(months=months)
-
     @pytest.mark.parametrize("dims", [
-        None, [12, 5, 9], {"months": 12, "n_pft": 5},
+        None, [5, 9], {"n_pft": 5}, dict(TOY_DIMS, months=60),
         dict(TOY_DIMS, depth=2), dict(TOY_DIMS, n_pft=0),
         dict(TOY_DIMS, n_layers=9.0), dict(TOY_DIMS, n_layers=True)])
     def test_malformed_dims_refused(self, dims):
-        with pytest.raises(ContractError, match="dims must give months, "
-                                                "n_pft, n_layers"):
+        with pytest.raises(ContractError, match="dims must give n_pft, n_layers"):
             Surrogate(toy_model_config(), dims)
 
     def test_shapes_follow_the_dims(self):
-        dims = {"months": 24, "n_pft": 3, "n_layers": 4}
+        dims = {"n_pft": 3, "n_layers": 4}
         model = fill_stats(Surrogate(toy_model_config(), dims))
-        batch = toy_batch(n=2, months=24)
+        batch = toy_batch(n=2)
         batch["g3"], batch["g4"] = batch["g3"][:, :3], batch["g4"][:, :3]
         batch["g5"] = batch["g5"][:, :4]
         preds, _ = model.predict(batch)
@@ -195,12 +189,13 @@ class TestForward:
 
     def test_other_window_rejected(self):
         # the LSTM would run over any length, so the model itself refuses a
-        # g1 that is not the window it was trained on
+        # g1 that is not an annual cycle
         model = make("full")
         for months in (6, 24):
             batch = toy_batch(months=months)
             for call in (model.forward, model.predict, model.attention_weights):
-                with pytest.raises(ShapeError, match=f"{months} months.*reads 12"):
+                with pytest.raises(ShapeError, match=rf"g1 must be \[batch, 12, "
+                                                     rf"vars\], got shape \(4, {months}, 5\)"):
                     call(batch)
 
     def test_attention_shape(self):
@@ -272,29 +267,34 @@ class TestForward:
 
 
 class TestForcingFold:
-    """The network reads g1 as the mean annual cycle of its window."""
+    """The network reads g1, a sample's mean annual forcing cycle, as 12
+    steps; ``simulator.export_samples`` folds the forcing."""
 
     @pytest.mark.parametrize("variant", ["full", "baseline_mlp"])
-    def test_year_order_does_not_matter(self, variant):
-        model = make(variant, months=60)
-        batch = toy_batch(n=5, months=60)
-        years = batch["g1"].reshape(5, 5, 12, 5)
-        shuffled = dict(batch, g1=years[:, [3, 0, 4, 2, 1]].reshape(5, 60, 5))
-        a, za = model.predict(batch)
+    def test_year_order_does_not_matter(self, coarse_world, variant):
+        # the prior is held fixed: only what the network reads of the
+        # forcing is compared, equal up to the rounding of the fold's sum
+        world = coarse_world
+        window = 12 * simulator.STATIONARY_YEARS
+        years = world.forcing_monthly[:, -window:].reshape(
+            world.n_cells, simulator.STATIONARY_YEARS, 12, -1)
+        forcing = world.forcing_monthly.copy()
+        forcing[:, -window:] = years[:, [3, 0, 4, 2, 1]].reshape(
+            world.n_cells, window, -1)
+        groups = simulator.export_samples(world).groups
+        shuffled = dict(groups, g1=simulator.export_samples(
+            dataclasses.replace(world, forcing_monthly=forcing)).groups["g1"])
+        model = Surrogate(toy_model_config(variant=variant),
+                          pipeline.group_dims(groups),
+                          rng=np.random.default_rng(0))
+        model.feature_stats = {
+            name: list(pipeline.minmax_fit(groups[g][..., i]))
+            for name, g, i in pipeline.FEATURE_CHANNELS}
+        head = model.named_params()["heads.w2"]
+        head.data = np.random.default_rng(1).normal(
+            0.0, 0.3, head.data.shape).astype(head.data.dtype)
+        a, za = model.predict(groups)
         b, zb = model.predict(shuffled)
-        for t in pipeline.TASKS:
-            np.testing.assert_array_equal(b[t], a[t])
-        np.testing.assert_array_equal(zb, za)
-
-    def test_repeated_year_reads_as_that_year(self):
-        long = make("full", months=60)
-        one_year = make("full")
-        for name, tensor in one_year.named_params().items():
-            tensor.data = long.named_params()[name].data.copy()
-        batch = toy_batch(n=5, months=12)
-        repeated = dict(batch, g1=np.tile(batch["g1"], (1, 5, 1)))
-        a, za = one_year.predict(batch)
-        b, zb = long.predict(repeated)
         for t in pipeline.TASKS:
             np.testing.assert_allclose(b[t], a[t], rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(zb, za, rtol=1e-5, atol=1e-6)
@@ -309,13 +309,11 @@ class TestForcingFold:
             return lstm(x, *args)
 
         monkeypatch.setattr(autodiff, "lstm_sequence", spy)
-        make("full", months=60).predict(toy_batch(n=3, months=60))
+        make("full").predict(toy_batch(n=3))
         assert shapes == [(3, 12, 5)]
 
     def test_dense_baseline_reads_one_year_of_forcing(self):
-        trunk = make("baseline_mlp", months=60).trunk
-        assert trunk.in_dim == make("baseline_mlp").trunk.in_dim
-        assert trunk.in_dim == 12 * 5 + 8 + 5 * (3 + 5) + 9 * 3
+        assert make("baseline_mlp").trunk.in_dim == 12 * 5 + 8 + 5 * (3 + 5) + 9 * 3
 
 
 class TestPersistence:
@@ -404,7 +402,20 @@ class TestPersistence:
         manifest, arrays = blobio.read_model_file(path)
         blobio.write_model_file(path, dict(manifest, version=5), arrays)
         with pytest.raises(ContractError, match="model file version 5; this "
-                                                "version reads 6: retrain it"):
+                                                "version reads 7: retrain it"):
+            Surrogate.load(path)
+
+    def test_version_6_file_refused(self, tmp_path):
+        # a version-6 model kept its forcing window in its dims and folded
+        # g1 into its annual cycle itself
+        from phase_surrogate import blobio
+        path = str(tmp_path / "old.phm")
+        with_guard(make("full")).save(path)
+        manifest, arrays = blobio.read_model_file(path)
+        blobio.write_model_file(path, dict(manifest, version=6, dims=dict(
+            manifest["dims"], months=60)), arrays)
+        with pytest.raises(ContractError, match="model file version 6; this version "
+                                                "reads 7: retrain it with train"):
             Surrogate.load(path)
 
     @pytest.mark.parametrize("variant", model_mod.VARIANTS)
@@ -447,9 +458,13 @@ class TestPersistence:
 
 
 @pytest.fixture(scope="module")
-def coarse_samples():
-    world = simulator.generate_world(0, simulator.grid_spec("coarse"))
-    return simulator.export_samples(world)
+def coarse_world():
+    return simulator.generate_world(0, simulator.grid_spec("coarse"))
+
+
+@pytest.fixture(scope="module")
+def coarse_samples(coarse_world):
+    return simulator.export_samples(coarse_world)
 
 
 class TestClosedFormFluxes:

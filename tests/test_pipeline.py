@@ -36,9 +36,9 @@ def kdtree_nearest(model, forcing):
         return candidates.min(axis=1).astype(np.int64)
 
 
-def make_samples(n, seed, n_pft=5, n_layers=9, months=240):
+def make_samples(n, seed, n_pft=5, n_layers=9):
     rng = np.random.default_rng(seed)
-    groups = {"g1": rng.uniform(0, 1, size=(n, months, 5)),
+    groups = {"g1": rng.uniform(0, 1, size=(n, 12, 5)),
               "g2": rng.uniform(0, 1, size=(n, 8)),
               "g3": rng.uniform(0, 1, size=(n, n_pft, 3)),
               "g4": rng.uniform(0, 1, size=(n, n_pft, 5)),
@@ -272,7 +272,7 @@ class TestBatchByLatLon:
     sorted by (lat, lon)."""
 
     def test_chunks_follow_lat_lon_sort(self, tmp_path):
-        samples = make_samples(700, seed=9, months=12)
+        samples = make_samples(700, seed=9)
         ds = pl.build_dataset(samples, seed=3, out_dir=str(tmp_path / "ds"))
         chunks = training._batches(ds.train, 256)
         assert [c.n for c in chunks] == [256, 256, 48]
@@ -284,7 +284,7 @@ class TestBatchByLatLon:
             assert np.all(np.diff(c.lat) >= 0)
 
     def test_partition(self, tmp_path):
-        samples = make_samples(5, seed=1, months=12)
+        samples = make_samples(5, seed=1)
         samples.lat[:] = [3.0, 1.0, 2.0, 5.0, 4.0]
         samples.lon[:] = 0.0
         ds = pl.build_dataset(samples, seed=0, out_dir=str(tmp_path / "ds"))
@@ -527,6 +527,21 @@ class TestLoadRefusesMalformed:
             del cols["prior"]
             blobio.write_model_file(split, dict(manifest, params=list(cols)), cols)
         with pytest.raises(ContractError, match="version 4.*rebuild it"):
+            pl.load_dataset(str(damaged))
+
+    def test_version_five_manifest(self, damaged):
+        # version 5 stored 60 months of forcing, not their annual cycle
+        path = str(damaged / "manifest.json")
+        manifest = blobio.load_json(path)
+        blobio.save_json(path, dict(manifest, version=5,
+                                    dims=dict(manifest["dims"], months=60)))
+        for name in ("train", "test"):
+            split = str(damaged / f"{name}.pht")
+            header, cols = blobio.read_model_file(split)
+            cols["g1"] = np.tile(cols["g1"], (1, 5, 1))
+            blobio.write_model_file(split, header, cols)
+        with pytest.raises(ContractError, match="version 5 dataset, not version 6; "
+                                                "rebuild it with build-dataset"):
             pl.load_dataset(str(damaged))
 
     def test_manifest_without_dims(self, damaged):

@@ -9,7 +9,7 @@ import pytest
 from phase_surrogate import blobio
 from phase_surrogate import pipeline as pl
 from phase_surrogate import simulator as sim
-from phase_surrogate.errors import ConfigurationError, ContractError, RangeError
+from phase_surrogate.errors import ConfigurationError, ContractError
 
 
 @pytest.fixture(scope="module")
@@ -774,10 +774,7 @@ class TestRestart:
         eq = sim.analytic_equilibrium(world)
         params = world.params
         route, kappa = sim.route_weights(params), sim.kappa_annual(params)
-        _, _, npp_m12 = pl._flux_from_gbar(world.gbar_stat12, params.alpha[:, None],
-                                           params.resp_frac[:, None],
-                                           params.nutrient[:, None])
-        npp = npp_m12.mean(axis=1)
+        npp = eq.npp / 12.0
         initial = eq.pools.copy()
         if start == "perturbed":
             rng = np.random.default_rng(9)
@@ -810,13 +807,10 @@ class TestRestart:
         # from the window-end pools and from zero, over 1 and 100 years; the
         # fine world has three cells of zero NPP, the coarse worlds none
         w = preset_world(grid, seed)
-        params = w.params
-        _, _, npp_m12 = pl._flux_from_gbar(w.gbar_stat12, params.alpha[:, None],
-                                           params.resp_frac[:, None],
-                                           params.nutrient[:, None])
+        params, npp = w.params, sim.analytic_equilibrium(w).npp / 12.0
         zero = sim.PoolState.zeros(w.n_cells, w.n_pft, w.n_layers)
         for initial in (w.window_end, zero):
-            pools, u, k_month, scratch = stepper(initial, npp_m12.mean(axis=1),
+            pools, u, k_month, scratch = stepper(initial, npp,
                                                  sim.route_weights(params),
                                                  sim.kappa_annual(params))
             month = 0
@@ -907,7 +901,7 @@ class TestExportSamples:
         s = sim.export_samples(world)
         n = world.n_cells
         assert s.n == n
-        assert s.groups["g1"].shape == (n, 60, 5)
+        assert s.groups["g1"].shape == (n, 12, 5)
         assert s.groups["g2"].shape == (n, 8)
         assert s.groups["g3"].shape == (n, world.n_pft, 3)
         assert s.groups["g4"].shape == (n, world.n_pft, 5)
@@ -971,34 +965,46 @@ class TestExportSamples:
             assert np.array_equal(w.observed.g5[c], np.maximum(g5, 0.0)), c
 
     def test_default_window_is_the_stationary_years(self):
-        # the trend ramp ends STATIONARY_YEARS before the end of a 20-yr run
+        # the trend ramp ends STATIONARY_YEARS before the end of a 20-yr run;
+        # g1 is the mean annual cycle of those years, bit for bit
         assert sim.TREND_RAMP_YEARS + sim.STATIONARY_YEARS == 20
         six = sim.generate_world(3, sim.GridSpec(4, 6, 1.0), years=6)
         g1 = sim.export_samples(six).groups["g1"]
-        assert g1.shape == (six.n_cells, 60, 5)
-        np.testing.assert_array_equal(g1, six.forcing_monthly[:, -60:])
+        want = six.forcing_monthly[:, -60:].reshape(six.n_cells, 5, 12, 5).mean(axis=1)
+        assert g1.shape == (six.n_cells, 12, 5) and g1.dtype == np.float64
+        assert bitwise_equal(g1, want)
 
     def test_default_window_of_a_short_world_is_its_span(self):
         two = sim.generate_world(3, sim.GridSpec(4, 6, 1.0), years=2)
         g1 = sim.export_samples(two).groups["g1"]
-        assert g1.shape == (two.n_cells, 24, 5)
-        np.testing.assert_array_equal(g1, two.forcing_monthly)
+        assert bitwise_equal(g1, two.forcing_monthly.reshape(two.n_cells, 2, 12, 5).mean(axis=1))
+
+    def test_one_year_world_gives_its_own_year(self):
+        one = sim.generate_world(3, sim.GridSpec(4, 6, 1.0), years=1)
+        assert bitwise_equal(sim.export_samples(one).groups["g1"], one.forcing_monthly)
 
     def test_shorter_window_takes_recent_years(self, world):
-        g1 = sim.export_samples(world, window_years=5).groups["g1"]
-        assert g1.shape == (world.n_cells, 60, 5)
-        np.testing.assert_array_equal(g1, world.forcing_monthly[:, -60:])
+        g1 = sim.export_samples(world).groups["g1"]
+        want = world.forcing_monthly[:, -60:].reshape(world.n_cells, 5, 12, 5).mean(axis=1)
+        assert bitwise_equal(g1, want)
 
-    @pytest.mark.parametrize("window_years", [1, 20])
-    def test_explicit_window_overrides_default(self, world, window_years):
-        months = 12 * window_years
-        g1 = sim.export_samples(world, window_years=window_years).groups["g1"]
-        assert g1.shape == (world.n_cells, months, 5)
-        np.testing.assert_array_equal(g1, world.forcing_monthly[:, -months:])
+    def test_year_order_does_not_matter(self, world):
+        # up to the rounding of the sum's order
+        years = world.forcing_monthly[:, -60:].reshape(world.n_cells, 5, 12, 5)
+        forcing = world.forcing_monthly.copy()
+        forcing[:, -60:] = years[:, [3, 0, 4, 2, 1]].reshape(world.n_cells, 60, 5)
+        shuffled = dataclasses.replace(world, forcing_monthly=forcing)
+        np.testing.assert_allclose(sim.export_samples(shuffled).groups["g1"],
+                                   sim.export_samples(world).groups["g1"],
+                                   rtol=1e-15, atol=0)
 
-    def test_window_longer_than_span_rejected(self, world):
-        with pytest.raises(RangeError):
-            sim.export_samples(world, window_years=21)
+    def test_repeated_year_reads_as_that_year(self, world):
+        forcing = world.forcing_monthly.copy()
+        last = forcing[:, -12:]
+        forcing[:, -60:] = np.tile(last, (1, 5, 1))
+        repeated = dataclasses.replace(world, forcing_monthly=forcing)
+        np.testing.assert_allclose(sim.export_samples(repeated).groups["g1"], last,
+                                   rtol=1e-15, atol=0)
 
     def test_deterministic(self, world):
         a = sim.export_samples(world)

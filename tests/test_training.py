@@ -236,7 +236,7 @@ class TestTrainLoop:
         assert len(model.history) == 2
 
     def test_nan_target_diverges(self):
-        ds = build_toy_dataset(n=24, months=12, seed=5)
+        ds = build_toy_dataset(n=24, seed=5)
         ds.train.targets["soil3c"][0, 0] = np.nan
         with pytest.raises(DivergenceError, match="epoch 0"):
             training.train(quick_config(), ds,
@@ -254,11 +254,18 @@ class TestTrainLoop:
                            model_config=toy_model_config())
 
     def test_model_takes_its_dims_from_the_data(self):
-        # a float32 model shaped by the training split's arrays
-        ds = build_toy_dataset(n=20, months=24)
+        # a float32 model shaped by the training split's arrays: here the
+        # toy data's top 4 soil layers
+        def top_layers(part):
+            return dataclasses.replace(
+                part, groups=dict(part.groups, g5=part.groups["g5"][:, :4]),
+                targets={t: v[:, :4] if t in ("cwdc", "soil3c", "soil4c") else v
+                         for t, v in part.targets.items()})
+        ds = build_toy_dataset(n=20)
+        ds = dataclasses.replace(ds, train=top_layers(ds.train), test=top_layers(ds.test))
         model = training.train(quick_config(max_epochs=1), ds,
                                model_config=toy_model_config())
-        assert model.dims == dict(TOY_DIMS, months=24)
+        assert model.dims == dict(TOY_DIMS, n_layers=4)
         assert {t.data.dtype for t in model.named_params().values()} == {
             np.dtype(np.float32)}
         assert model.train_config == quick_config(max_epochs=1).to_dict()
