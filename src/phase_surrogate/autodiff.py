@@ -18,10 +18,11 @@ Conventions:
 
 - buffers are row-major ``numpy`` arrays, float32 for training or float64 for
   the tight finite-difference checks;
-- elementwise binary ops require identical shapes (scalar variants exist for
-  the scalar-broadcast case); a dense layer's bias goes through ``dense``,
-  one tape node that runs even a 3-D input as one 2-D GEMM, and any other
-  bias-style broadcast through ``add_rowvec``, never numpy broadcasting;
+- elementwise binary ops require identical shapes; a dense layer's bias
+  goes through ``dense``, one tape node that runs even a 3-D input as one
+  2-D GEMM, a whole transformer block through ``transformer_layer``, one
+  node too, and any other bias-style broadcast through ``add_rowvec``,
+  never numpy broadcasting;
 - ``relu`` passes NaN through, so a diverging run reaches the loss check;
 - a tape is single-threaded: one training step builds and consumes one tape,
   and parallel workers must each use their own.
@@ -159,9 +160,9 @@ class GradTape:
                 else:
                     parent.grad = parent.grad + g
         # Freed after the sweep, oldest first, not node by node during it:
-        # freeing as it goes lowers the peak a little more, but lets malloc
-        # trim the heap every step and fault it back in, which costs more
-        # time than it saves.
+        # freeing as it goes lowers a default 256-row step's traced peak
+        # from 15.0 to 14.3 MB, but made the bench train command about 8%
+        # slower, with the heap thresholds fixed (cli._steady_heap) or not.
         for node in self.nodes:
             node.backward_fn = node.parents = None
 
@@ -201,19 +202,9 @@ def _check_same_shape(a, b, op):
 # Elementwise primitives
 # ---------------------------------------------------------------------------
 
-def add(a, b):
-    _check_same_shape(a, b, "add")
-    return _record([a, b], a.data + b.data, lambda g: (g, g))
-
-
 def sub(a, b):
     _check_same_shape(a, b, "sub")
     return _record([a, b], a.data - b.data, lambda g: (g, -g))
-
-
-def mul_scalar(a, s):
-    s = a.data.dtype.type(s)
-    return _record([a], a.data * s, lambda g: (g * s,))
 
 
 def square(a):
@@ -222,26 +213,18 @@ def square(a):
 
 
 def add_rowvec(a, v):
-    """Add a vector along the last axis of ``a`` (bias add).
+    """Add ``v`` to every trailing block of ``a``: a bias vector along the
+    last axis, or a per-position table ``[n, d]`` across a batch ``[B, n,
+    d]``.  ``v.shape`` must equal the trailing dims of ``a``.
 
     Non-scalar broadcasts go through dedicated primitives like this one so the
     gradient (sum over the leading axes) stays explicit.
     """
-    if v.data.ndim != 1 or a.data.shape[-1] != v.data.shape[0]:
-        raise ShapeError(f"add_rowvec: last axis {a.data.shape} vs vector {v.data.shape}")
-    lead = tuple(range(a.data.ndim - 1))
-    return _record([a, v], a.data + v.data, lambda g: (g, g.sum(axis=lead) if lead else g.copy()))
-
-
-def add_leading(a, b):
-    """Add ``b`` to every slice of ``a`` along its first axis.
-
-    ``b.shape`` must equal ``a.shape[1:]``; the gradient of ``b`` sums over the
-    leading axis.  Used for per-position tables applied across a batch.
-    """
-    if a.data.shape[1:] != b.data.shape:
-        raise ShapeError(f"add_leading: trailing dims of {a.data.shape} vs {b.data.shape}")
-    return _record([a, b], a.data + b.data, lambda g: (g, g.sum(axis=0)))
+    vd = v.data
+    if not 1 <= vd.ndim <= a.data.ndim or a.data.shape[-vd.ndim:] != vd.shape:
+        raise ShapeError(f"add_rowvec: trailing dims of {a.data.shape} vs {vd.shape}")
+    lead = tuple(range(a.data.ndim - vd.ndim))
+    return _record([a, v], a.data + vd, lambda g: (g, g.sum(axis=lead) if lead else g.copy()))
 
 
 # ---------------------------------------------------------------------------
@@ -253,47 +236,9 @@ def relu(a):
     return _record([a], np.maximum(ad, 0), lambda g: (g * (ad > 0),))
 
 
-def softmax(a, axis=-1):
-    """Softmax along ``axis``, computed with max-subtraction for stability."""
-    ad = a.data
-    shifted = ad - ad.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    out = ex / ex.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return _record([a], out, backward)
-
-
 # ---------------------------------------------------------------------------
 # Linear algebra
 # ---------------------------------------------------------------------------
-
-def matmul(a, b):
-    """Matrix product: 2-D x 2-D or batched 3-D x 3-D."""
-    ad, bd = a.data, b.data
-    if ad.shape[-1] != bd.shape[-2 if bd.ndim > 1 else 0]:
-        raise ShapeError(f"matmul: inner dims of {ad.shape} and {bd.shape} differ")
-    if ad.ndim == 2 and bd.ndim == 2:
-        out = ad @ bd
-
-        def backward(g):
-            return (g @ bd.T, ad.T @ g)
-
-    elif ad.ndim == 3 and bd.ndim == 3:
-        if ad.shape[0] != bd.shape[0]:
-            raise ShapeError(f"matmul: batch dims of {ad.shape} and {bd.shape} differ")
-        out = ad @ bd
-
-        def backward(g):
-            return (g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g)
-
-    else:
-        raise ShapeError(f"matmul: unsupported ranks {ad.ndim} and {bd.ndim}")
-    return _record([a, b], out, backward)
-
 
 def dense(x, w, b=None, relu=False):
     """Dense layer ``x @ w + b``, relu optional, as one tape node: the rows
@@ -517,32 +462,171 @@ def lstm_sequence(x, w_x, w_h, b):
     return _record(inputs, h_out, backward)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
-    """Normalize the last axis to zero mean / unit variance, then apply affine
-    gain and bias (both shaped like the last axis)."""
+# ---------------------------------------------------------------------------
+# Transformer blocks
+# ---------------------------------------------------------------------------
+
+def _norm_rows(rows, gain, bias, eps=1e-5):
+    """Layer norm of each row of ``rows`` [N, d], then gain and bias [d]:
+    (the normalized rows, their inverse deviations [N, 1], the output).
+    The row means and variances are GEMVs with a 1/d vector, which beat
+    numpy's reductions over a short trailing axis."""
+    mean_w = np.full(rows.shape[1], 1.0 / rows.shape[1], dtype=rows.dtype)
+    xhat = rows - (rows @ mean_w)[:, None]
+    inv = (xhat * xhat) @ mean_w
+    inv += rows.dtype.type(eps)
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    inv = inv[:, None]
+    xhat *= inv
+    out = xhat * gain
+    out += bias
+    return xhat, inv, out
+
+
+def _norm_rows_backward(g, xhat, inv, gain):
+    """(rows, gain, bias) gradients of :func:`_norm_rows` for the output
+    gradient ``g`` [N, d], which becomes the rows' gradient in place.  The
+    row means are GEMVs with a 1/d vector and the gain and bias gradients
+    GEMVs with a ones vector."""
+    ones = np.ones(g.shape[0], dtype=g.dtype)
+    mean_w = np.full(g.shape[1], 1.0 / g.shape[1], dtype=g.dtype)
+    g_xhat = g * xhat
+    d_gain = ones @ g_xhat
+    d_bias = ones @ g
+    g_xhat *= gain
+    dx = g
+    dx *= gain
+    dx -= (dx @ mean_w)[:, None]
+    np.multiply(xhat, (g_xhat @ mean_w)[:, None], out=g_xhat)
+    dx -= g_xhat
+    dx *= inv
+    return dx, d_gain, d_bias
+
+
+def transformer_layer(x, ln1_g, ln1_b, wq, wk, wv, wo, ln2_g, ln2_b,
+                      ff1, ff1_b, ff2, ff2_b, heads):
+    """One pre-norm transformer block over tokens ``x`` [B, n, d], as one
+    tape node: ``x1 = x + attention(LN1(x)) @ wo``, then ``x1 +
+    relu(LN2(x1) @ ff1 + ff1_b) @ ff2 + ff2_b``, with ``heads`` scaled
+    dot-product heads of width d / heads.  Returns the output tensor
+    [B, n, d] and the softmax weights [B, heads, n, n] (query by key), an
+    array.
+
+    The B·n tokens are the rows of one matrix, so each projection is one
+    GEMM, the query, key and value ones a single [d, 3d] product whose
+    query columns carry the 1/sqrt(d / heads) scale.  The per-head batched
+    products read and write [B, heads, n, dh] views of those token rows,
+    so no head is copied out or back.  The weights are held key-leading,
+    [n, B, heads, n], so the softmax reduces over the keys by adding
+    contiguous slabs, not along a trailing axis of length n.  Layer norms
+    take their row moments, and bias gradients their column sums, as
+    GEMVs.  Only a recorded call keeps what its backward reads: per norm
+    the normalized rows, inverse deviations and output, the query, key
+    and value rows, the weights, the mixed values and the ReLU layer.
+    """
     xd = x.data
-    n = xd.shape[-1]
-    if gain.data.shape != (n,) or bias.data.shape != (n,):
-        raise ShapeError(f"layer_norm: gain/bias must have shape ({n},)")
-    # the mean of the centred squares is np.var's own arithmetic
-    centred = xd - xd.mean(axis=-1, keepdims=True)
-    var = (centred * centred).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + xd.dtype.type(eps))
-    xhat = centred * inv
-    out = gain.data * xhat + bias.data
-    lead = tuple(range(xd.ndim - 1))
+    if xd.ndim != 3:
+        raise ShapeError(f"transformer_layer: input must be [B, n, d], got {xd.shape}")
+    batch, n, d = xd.shape
+    if heads < 1 or d % heads:
+        raise ShapeError(f"transformer_layer: width {d} not divisible by {heads} heads")
+    ff = ff1.data.shape[-1]
+    params = (ln1_g, ln1_b, wq, wk, wv, wo, ln2_g, ln2_b, ff1, ff1_b, ff2, ff2_b)
+    shapes = ((d,), (d,), (d, d), (d, d), (d, d), (d, d), (d,), (d,),
+              (d, ff), (ff,), (ff, d), (d,))
+    if any(p.data.shape != s for p, s in zip(params, shapes)):
+        raise ShapeError(f"transformer_layer: parameters "
+                         f"{[p.data.shape for p in params]} do not fit width {d}")
+    dh = d // heads
+    dtype = xd.dtype
+    scale = dtype.type(1.0 / np.sqrt(dh))
+    ln1_gd, ln2_gd, wo_d, ff1_d, ff2_d = (ln1_g.data, ln2_g.data, wo.data,
+                                          ff1.data, ff2.data)
+    rows = xd.reshape(-1, d)
+    w_qkv = np.concatenate([wq.data * scale, wk.data, wv.data], axis=1)
+    xhat1, inv1, h1 = _norm_rows(rows, ln1_gd, ln1_b.data)
+    # [B, heads, n, dh] views of the token-major products, which the
+    # batched products read and write in place
+    qkv = (h1 @ w_qkv).reshape(batch, n, 3, heads, dh)
+    q, k, v = (qkv[:, :, i].transpose(0, 2, 1, 3) for i in range(3))
+    att = np.empty((n, batch, heads, n), dtype=dtype)
+    np.matmul(k, q.transpose(0, 1, 3, 2), out=att.transpose(1, 2, 0, 3))
+    att -= att.max(axis=0)
+    np.exp(att, out=att)
+    att /= att.sum(axis=0)
+    mixed = np.empty((batch, n, heads, dh), dtype=dtype)
+    np.matmul(att.transpose(1, 2, 3, 0), v, out=mixed.transpose(0, 2, 1, 3))
+    mixed = mixed.reshape(-1, d)
+    x1 = mixed @ wo_d
+    x1 += rows
+    xhat2, inv2, h2 = _norm_rows(x1, ln2_gd, ln2_b.data)
+    hidden = h2 @ ff1_d
+    hidden += ff1_b.data
+    np.maximum(hidden, 0, out=hidden)
+    out = hidden @ ff2_d
+    out += ff2_b.data
+    out += x1
+
+    def backward(g):
+        # each large temporary is dropped once read, as the peak of a
+        # step is the forward's caches plus what one pullback holds
+        g = g.reshape(-1, d)
+        ones = np.ones(len(g), dtype=g.dtype)
+        d_ff2, d_ff2_b = hidden.T @ g, ones @ g
+        d_hidden = g @ ff2_d.T
+        d_hidden *= hidden > 0
+        d_ff1, d_ff1_b = h2.T @ d_hidden, ones @ d_hidden
+        d_h2 = d_hidden @ ff1_d.T
+        del d_hidden
+        d_x1, d_ln2_g, d_ln2_b = _norm_rows_backward(d_h2, xhat2, inv2, ln2_gd)
+        d_x1 += g
+        d_wo = mixed.T @ d_x1
+        d_mixed = (d_x1 @ wo_d.T).reshape(batch, n, heads, dh).transpose(0, 2, 1, 3)
+        d_qkv = np.empty((batch, n, 3, heads, dh), dtype=d_mixed.dtype)
+        dq, dk, dv = (d_qkv[:, :, i].transpose(0, 2, 1, 3) for i in range(3))
+        np.matmul(att.transpose(1, 2, 0, 3), d_mixed, out=dv)
+        d_att = np.empty_like(att)
+        np.matmul(v, d_mixed.transpose(0, 1, 3, 2), out=d_att.transpose(1, 2, 0, 3))
+        del d_mixed
+        d_att -= (att * d_att).sum(axis=0)
+        d_att *= att
+        np.matmul(d_att.transpose(1, 2, 3, 0), k, out=dq)
+        np.matmul(d_att.transpose(1, 2, 0, 3), q, out=dk)
+        del d_att
+        d_qkv = d_qkv.reshape(-1, 3 * d)
+        d_w_qkv = h1.T @ d_qkv
+        d_h1 = d_qkv @ w_qkv.T
+        del d_qkv
+        dx, d_ln1_g, d_ln1_b = _norm_rows_backward(d_h1, xhat1, inv1, ln1_gd)
+        dx += d_x1
+        return (dx.reshape(batch, n, d), d_ln1_g, d_ln1_b,
+                d_w_qkv[:, :d] * scale, d_w_qkv[:, d:2 * d], d_w_qkv[:, 2 * d:],
+                d_wo, d_ln2_g, d_ln2_b, d_ff1, d_ff1_b, d_ff2, d_ff2_b)
+
+    weights = att.transpose(1, 2, 3, 0)
+    return _record((x,) + params, out.reshape(batch, n, d), backward), weights
+
+
+def norm_pool(x, gain, bias):
+    """Layer norm of each token of ``x`` [B, n, d], with gain and bias
+    [d], then the mean over the n tokens: [B, d], as one tape node."""
+    xd = x.data
+    if xd.ndim != 3:
+        raise ShapeError(f"norm_pool: input must be [B, n, d], got {xd.shape}")
+    batch, n, d = xd.shape
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise ShapeError(f"norm_pool: gain/bias must have shape ({d},)")
+    xhat, inv, normed = _norm_rows(xd.reshape(-1, d), gain.data, bias.data)
     gd = gain.data
 
     def backward(g):
-        gg = g * gd
-        m1 = gg.mean(axis=-1, keepdims=True)
-        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-        dx = (gg - m1 - xhat * m2) * inv
-        dgain = (g * xhat).sum(axis=lead) if lead else (g * xhat).copy()
-        dbias = g.sum(axis=lead) if lead else g.copy()
-        return (dx, dgain, dbias)
+        dx, d_gain, d_bias = _norm_rows_backward(np.repeat(g / n, n, axis=0),
+                                                 xhat, inv, gd)
+        return dx.reshape(batch, n, d), d_gain, d_bias
 
-    return _record([x, gain, bias], out, backward)
+    return _record([x, gain, bias], normed.reshape(batch, n, d).mean(axis=1),
+                   backward)
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +637,6 @@ def reshape(a, shape):
     old = a.data.shape
     out = a.data.reshape(shape)
     return _record([a], out, lambda g: (g.reshape(old),))
-
-
-def transpose(a, axes):
-    inverse = tuple(np.argsort(axes))
-    return _record([a], a.data.transpose(axes), lambda g: (g.transpose(inverse),))
 
 
 def stack(tensors, axis=0):
@@ -573,17 +652,6 @@ def stack(tensors, axis=0):
         return tuple(parts[i] for i in range(n))
 
     return _record(list(tensors), out, backward)
-
-
-def mean_axis(a, axis):
-    ad = a.data
-    n = ad.shape[axis]
-    out = ad.mean(axis=axis)
-
-    def backward(g):
-        return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
-
-    return _record([a], out, backward)
 
 
 def mean_all(a):

@@ -6,6 +6,7 @@ so a failed run leaves no partial files behind.
 """
 
 import argparse
+import ctypes
 import io
 import json
 import os
@@ -24,6 +25,30 @@ def _set_thread_env():
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(var, "1")
+
+
+# (mallopt parameter, value) pairs main fixes: glibc's M_MMAP_THRESHOLD
+# and M_TRIM_THRESHOLD (malloc.h)
+_HEAP_THRESHOLDS = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+def _steady_heap(libc=None):
+    """Fix glibc's heap thresholds once, so that each training step or
+    inference chunk reuses the heap pages of the one before instead of
+    faulting fresh ones in: blocks up to 32 MiB come from the heap, not
+    from their own mmap, and the heap is trimmed only when 64 MiB at its
+    top are free.  Both are fixed, since fixing the trim threshold alone
+    turns off glibc's dynamic mmap threshold, which then stays at 128 KiB.
+    ``libc`` defaults to the process's own symbols; one without
+    ``mallopt`` is left as it is."""
+    mallopt = getattr(ctypes.CDLL(None) if libc is None else libc,
+                      "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _HEAP_THRESHOLDS:
+        mallopt(param, value)
 
 
 def _build_parser():
@@ -317,6 +342,7 @@ _HANDLERS = {
 
 def main(argv=None):
     _set_thread_env()
+    _steady_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

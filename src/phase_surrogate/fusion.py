@@ -2,9 +2,11 @@
 
 The branch outputs are stacked into a short sequence (one position per
 feature group), tagged with learned modality embeddings, passed through a
-small stack of self-attention blocks, and mean-pooled back to a single
-latent.  Because the pool is symmetric, permuting the groups together with
-their embeddings leaves the fused latent unchanged.
+small stack of self-attention blocks (one ``autodiff.transformer_layer``
+node each), then normalized and mean-pooled back to a single latent (one
+``autodiff.norm_pool`` node).  Because the pool is symmetric, permuting
+the groups together with their embeddings leaves the fused latent
+unchanged.
 
 A concatenate+dense variant offers the same call surface so the fusion
 stage can be swapped out wholesale in ablation runs.
@@ -80,55 +82,24 @@ class TransformerFusion:
                 out[f"layer{i}.{key}"] = tensor
         return out
 
-    def _split_heads(self, t, batch, n):
-        dh = self.dim // self.heads
-        t = ad.reshape(t, (batch, n, self.heads, dh))
-        t = ad.transpose(t, (0, 2, 1, 3))
-        return ad.reshape(t, (batch * self.heads, n, dh))
-
-    def _merge_heads(self, t, batch, n):
-        dh = self.dim // self.heads
-        t = ad.reshape(t, (batch, self.heads, n, dh))
-        t = ad.transpose(t, (0, 2, 1, 3))
-        return ad.reshape(t, (batch, n, self.dim))
-
-    def _attention(self, x, layer, batch, n):
-        """Self-attention output and its softmax weights [batch, heads, n, n]."""
-        q = self._split_heads(ad.dense(x, layer["wq"]), batch, n)
-        k = self._split_heads(ad.dense(x, layer["wk"]), batch, n)
-        v = self._split_heads(ad.dense(x, layer["wv"]), batch, n)
-        dh = self.dim // self.heads
-        scores = ad.mul_scalar(ad.matmul(q, ad.transpose(k, (0, 2, 1))),
-                               1.0 / np.sqrt(dh))
-        attn = ad.softmax(scores, axis=-1)
-        mixed = self._merge_heads(ad.matmul(attn, v), batch, n)
-        out = ad.dense(mixed, layer["wo"])
-        return out, attn.data.reshape(batch, self.heads, n, n)
-
     def _encode(self, z_list):
         """Encoded group sequence [batch, n, d] and the first layer's
         attention weights."""
-        x = _stack_groups(z_list, self.n_groups, self.dim)
-        batch, n = x.shape[0], x.shape[1]
-        x = ad.add_leading(x, self.embed)
+        x = ad.add_rowvec(_stack_groups(z_list, self.n_groups, self.dim),
+                          self.embed)
         # normalize before each sublayer and keep the residual path clean,
         # which trains stably at the default learning rate without warmup
         weights = []
         for layer in self.layers:
-            normed = ad.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
-            att, layer_weights = self._attention(normed, layer, batch, n)
+            x, layer_weights = ad.transformer_layer(x, heads=self.heads,
+                                                    **layer)
             weights.append(layer_weights)
-            x = ad.add(x, att)
-            normed = ad.layer_norm(x, layer["ln2_g"], layer["ln2_b"])
-            hidden = ad.dense(normed, layer["ff1"], layer["ff1_b"], relu=True)
-            ffn = ad.dense(hidden, layer["ff2"], layer["ff2_b"])
-            x = ad.add(x, ffn)
-        return ad.layer_norm(x, self.ln_f_g, self.ln_f_b), weights[0]
+        return x, weights[0]
 
     def fuse(self, z_list):
         """[n_groups] latents of [batch, d] -> fused [batch, d]."""
         x, _ = self._encode(z_list)
-        return ad.mean_axis(x, axis=1)
+        return ad.norm_pool(x, self.ln_f_g, self.ln_f_b)
 
     def attention_weights(self, z_list):
         """First-layer softmax attention: [batch, heads, n, n]."""

@@ -449,7 +449,7 @@ class Surrogate:
                          dtype=self.dtype)
         source = self.named_params()
         for name, tensor in twin.named_params().items():
-            tensor.data = source[name].data.copy()
+            np.copyto(tensor.data, source[name].data)
         twin.feature_stats = self.feature_stats
         twin.train_config = self.train_config
         return twin

@@ -81,7 +81,15 @@ def total_loss(pred, target):
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adaptive moment optimizer over a named parameter dict."""
+    """Adaptive moment optimizer over a named parameter dict.
+
+    The parameters become views of one flat buffer, and the moments and
+    the gathered gradients are flat buffers of the same layout, so a step
+    is a fixed number of whole-buffer ops, however many parameters there
+    are.  Every op is elementwise, so each element takes the same
+    arithmetic as in a per-array update, bit for bit.  A parameter without
+    a gradient keeps its value and moments, as if it were skipped.
+    """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = dict(params)
@@ -89,26 +97,54 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = {k: np.zeros_like(t.data) for k, t in self.params.items()}
-        self.v = {k: np.zeros_like(t.data) for k, t in self.params.items()}
+        tensors = list(self.params.values())
+        dtypes = {t.data.dtype for t in tensors}
+        if len(dtypes) > 1:
+            raise ContractError(f"Adam needs parameters of one dtype, got "
+                                f"{sorted(d.name for d in dtypes)}")
+        self.flat = np.concatenate([t.data.reshape(-1) for t in tensors])
+        ends = np.cumsum([t.data.size for t in tensors])
+        self._spans = [slice(end - t.data.size, end)
+                       for t, end in zip(tensors, ends)]
+        for t, span in zip(tensors, self._spans):
+            t.data = self.flat[span].reshape(t.data.shape)
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self._grad = np.empty_like(self.flat)
+        self._tmp = np.empty_like(self.flat)
         self.t = 0
 
     def step(self):
         self.t += 1
         bias1 = 1.0 - self.beta1 ** self.t
         bias2 = 1.0 - self.beta2 ** self.t
-        for key, tensor in self.params.items():
-            g = tensor.grad
-            if g is None:
-                continue
-            m = self.m[key]
-            v = self.v[key]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            tensor.data = tensor.data - self.lr * update
+        g, m, v, p, tmp = self._grad, self.m, self.v, self.flat, self._tmp
+        grads = [t.grad for t in self.params.values()]
+        # a parameter without a gradient takes a zero one, and gets its
+        # value and moments back after the update
+        kept = [(span, p[span].copy(), m[span].copy(), v[span].copy())
+                for span, grad in zip(self._spans, grads) if grad is None]
+        np.concatenate([np.zeros(span.stop - span.start, dtype=p.dtype)
+                        if grad is None else grad.reshape(-1)
+                        for span, grad in zip(self._spans, grads)], out=g)
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        m += tmp
+        v *= self.beta2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - self.beta2
+        v += tmp
+        # (m / bias1) / (sqrt(v / bias2) + eps), then p - lr * update,
+        # with the gradient's buffer as the denominator's
+        np.divide(m, bias1, out=tmp)
+        np.divide(v, bias2, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        tmp /= g
+        tmp *= self.lr
+        p -= tmp
+        for span, p_old, m_old, v_old in kept:
+            p[span], m[span], v[span] = p_old, m_old, v_old
 
     def zero_grad(self):
         for tensor in self.params.values():
@@ -154,8 +190,10 @@ def _snapshot(params):
 
 
 def _restore(params, state):
+    """Copies ``state`` into the parameters' own buffers, which may be
+    views of an optimizer's flat buffer."""
     for key, tensor in params.items():
-        tensor.data = state[key].copy()
+        np.copyto(tensor.data, state[key])
 
 
 def _write_history(path, rows):

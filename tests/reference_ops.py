@@ -1,11 +1,119 @@
 """Tape-recording ops and the finite-difference oracle that only the tests
 use: the reference LSTM is built from the elementwise ops and slices here,
-and every gradient check runs through :func:`gradcheck`.  They record on
-the engine's tape as its own ops do."""
+the reference attention fusion (``test_fused_layer.py``) from the
+per-op layer norm, softmax and matmuls, and every gradient check runs
+through :func:`gradcheck`.  They record on the engine's tape as its own
+ops do."""
 
 import numpy as np
 
 from phase_surrogate.autodiff import GradTape, _check_same_shape, _record
+from phase_surrogate.errors import ShapeError
+
+
+def add(a, b):
+    _check_same_shape(a, b, "add")
+    return _record([a, b], a.data + b.data, lambda g: (g, g))
+
+
+def mul_scalar(a, s):
+    s = a.data.dtype.type(s)
+    return _record([a], a.data * s, lambda g: (g * s,))
+
+
+def add_leading(a, b):
+    """Add ``b`` to every slice of ``a`` along its first axis.
+
+    ``b.shape`` must equal ``a.shape[1:]``; the gradient of ``b`` sums over the
+    leading axis.  Used for per-position tables applied across a batch.
+    """
+    if a.data.shape[1:] != b.data.shape:
+        raise ShapeError(f"add_leading: trailing dims of {a.data.shape} vs {b.data.shape}")
+    return _record([a, b], a.data + b.data, lambda g: (g, g.sum(axis=0)))
+
+
+def softmax(a, axis=-1):
+    """Softmax along ``axis``, computed with max-subtraction for stability."""
+    ad = a.data
+    shifted = ad - ad.max(axis=axis, keepdims=True)
+    ex = np.exp(shifted)
+    out = ex / ex.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        dot = (g * out).sum(axis=axis, keepdims=True)
+        return (out * (g - dot),)
+
+    return _record([a], out, backward)
+
+
+def matmul(a, b):
+    """Matrix product: 2-D x 2-D or batched 3-D x 3-D."""
+    ad, bd = a.data, b.data
+    if ad.shape[-1] != bd.shape[-2 if bd.ndim > 1 else 0]:
+        raise ShapeError(f"matmul: inner dims of {ad.shape} and {bd.shape} differ")
+    if ad.ndim == 2 and bd.ndim == 2:
+        out = ad @ bd
+
+        def backward(g):
+            return (g @ bd.T, ad.T @ g)
+
+    elif ad.ndim == 3 and bd.ndim == 3:
+        if ad.shape[0] != bd.shape[0]:
+            raise ShapeError(f"matmul: batch dims of {ad.shape} and {bd.shape} differ")
+        out = ad @ bd
+
+        def backward(g):
+            return (g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g)
+
+    else:
+        raise ShapeError(f"matmul: unsupported ranks {ad.ndim} and {bd.ndim}")
+    return _record([a, b], out, backward)
+
+
+def layer_norm(x, gain, bias, eps=1e-5):
+    """Normalize the last axis to zero mean / unit variance, then apply affine
+    gain and bias (both shaped like the last axis)."""
+    xd = x.data
+    n = xd.shape[-1]
+    if gain.data.shape != (n,) or bias.data.shape != (n,):
+        raise ShapeError(f"layer_norm: gain/bias must have shape ({n},)")
+    # the mean of the centred squares is np.var's own arithmetic
+    centred = xd - xd.mean(axis=-1, keepdims=True)
+    var = (centred * centred).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + xd.dtype.type(eps))
+    xhat = centred * inv
+    out = gain.data * xhat + bias.data
+    lead = tuple(range(xd.ndim - 1))
+    gd = gain.data
+
+    def backward(g):
+        gg = g * gd
+        m1 = gg.mean(axis=-1, keepdims=True)
+        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+        dx = (gg - m1 - xhat * m2) * inv
+        dgain = (g * xhat).sum(axis=lead) if lead else (g * xhat).copy()
+        dbias = g.sum(axis=lead) if lead else g.copy()
+        return (dx, dgain, dbias)
+
+    return _record([x, gain, bias], out, backward)
+
+
+def transpose(a, axes):
+    inverse = tuple(np.argsort(axes))
+    return _record([a], a.data.transpose(axes), lambda g: (g.transpose(inverse),))
+
+
+def mean_axis(a, axis):
+    ad = a.data
+    n = ad.shape[axis]
+    out = ad.mean(axis=axis)
+
+    def backward(g):
+        return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
+
+    return _record([a], out, backward)
+
+
 
 
 def mul(a, b):

@@ -7,12 +7,13 @@ import shutil
 import struct
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
 import phase_surrogate
-from phase_surrogate import blobio, pipeline, simulator
+from phase_surrogate import blobio, cli, pipeline, simulator
 from phase_surrogate.cli import main
 from phase_surrogate.model import ModelConfig, Surrogate
 
@@ -865,3 +866,19 @@ class TestImports:
                     if line.startswith("import time:")}
         assert out.exists() and "numpy" in imported
         assert sorted(m for m in imported if m.split(".")[:2] == ["numpy", "random"]) == []
+
+
+class TestSteadyHeap:
+    def test_fixes_both_thresholds(self):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        cli._steady_heap(types.SimpleNamespace(mallopt=mallopt))
+        # M_MMAP_THRESHOLD 32 MiB, then M_TRIM_THRESHOLD 64 MiB
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_libc_without_mallopt_is_left_alone(self):
+        cli._steady_heap(types.SimpleNamespace())
