@@ -21,19 +21,20 @@ import numpy as np
 
 from phase_surrogate import metrics, model as model_mod, pipeline, simulator
 from phase_surrogate.autodiff import Tensor
-from phase_surrogate.heads import TaskHeads
+from phase_surrogate.encoders import Mlp
 from phase_surrogate.model import ModelConfig, Surrogate
 
 
 def positivity_probe(groups):
     rng = np.random.default_rng(0)
-    heads = TaskHeads(in_dim=64, hidden=64, rng=rng)
-    # a trained head's output layer is not zero
+    # the default model's head, 64 latents to one residual per turnover
+    # group; a trained head's output layer is not zero
+    heads = Mlp((64,), (64, len(pipeline.PRIOR_GROUPS)), rng=rng)
     w2 = heads.params["w2"]
     w2.data = rng.normal(0.0, 0.1, w2.data.shape).astype(np.float32)
     n = groups["g1"].shape[0]
     z = rng.uniform(-100.0, 100.0, size=(n, 64)).astype(np.float32)
-    residual = heads.predict_all(Tensor(z)).data
+    residual = heads.encode(Tensor(z)).data
     pools = model_mod.pools_from(groups, residual)
     worst = min(float(v.min()) for v in pools.values())
     count = sum(v.size for v in pools.values())

@@ -17,7 +17,6 @@ _SUBMODULES = (
     "encoders",
     "errors",
     "fusion",
-    "heads",
     "metrics",
     "model",
     "ood",

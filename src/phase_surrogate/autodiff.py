@@ -273,11 +273,11 @@ def dense(x, w, b=None, relu=False):
     return _record(inputs, out.reshape(xd.shape[:-1] + (wd.shape[1],)), backward)
 
 
-def conv1d(x, kernels, stride=1, padding=0):
-    """1-D convolution over the length axis of a batch.
+def conv1d(x, kernels, padding=0):
+    """1-D convolution over the length axis of a batch, stride 1.
 
     ``x`` is ``[B, L, Cin]`` (batches only); ``kernels`` is ``[K, Cin, Cout]``.
-    Output length is ``floor((L + 2*padding - K)/stride) + 1``.
+    Output length is ``L + 2*padding - K + 1``.
     """
     xd, kd = x.data, kernels.data
     if kd.ndim != 3:
@@ -289,13 +289,12 @@ def conv1d(x, kernels, stride=1, padding=0):
     padded_len = length + 2 * padding
     if ksize > padded_len:
         raise ShapeError(f"conv1d: kernel size {ksize} exceeds padded length {padded_len}")
-    out_len = (padded_len - ksize) // stride + 1
+    out_len = padded_len - ksize + 1
 
     xp = np.zeros((batch, padded_len, cin), dtype=xd.dtype)
     xp[:, padding:padding + length, :] = xd
-    # windows[b, i, j, c] = xp[b, i*stride + j, c]
-    idx = (np.arange(out_len)[:, None] * stride + np.arange(ksize)[None, :])
-    windows = xp[:, idx, :]                                  # [B, L', K, Cin]
+    # windows[b, i, j, c] = xp[b, i + j, c]
+    windows = np.stack([xp[:, j:j + out_len] for j in range(ksize)], axis=2)
     wmat = kd.reshape(ksize * cin, cout)
     out = windows.reshape(batch, out_len, ksize * cin) @ wmat
 
@@ -305,10 +304,8 @@ def conv1d(x, kernels, stride=1, padding=0):
         dcols = g @ wmat.T                                   # [B, L', K*Cin]
         dwin = dcols.reshape(batch, out_len, ksize, cin)
         dxp = np.zeros((batch, padded_len, cin), dtype=windows.dtype)
-        # Positions within one kernel tap are distinct, so fancy += is exact;
-        # overlap between taps is handled by the loop.
         for j in range(ksize):
-            dxp[:, idx[:, j], :] += dwin[:, :, j, :]
+            dxp[:, j:j + out_len] += dwin[:, :, j]
         return (dxp[:, padding:padding + length, :], dk)
 
     return _record([x, kernels], out, backward)

@@ -3,11 +3,15 @@ latent width.
 
 Four branches cover the five feature groups: a gated recurrent branch for
 the monthly forcing sequence, a depth-convolution branch for layered
-pools, and two dense branches (static cell attributes; per-type traits
-concatenated with per-type states, flattened).  Every branch takes a
-batch (the leading axis) and nothing else, raising ``ShapeError`` on an
-unbatched sample, and emits [batch, d] so the fusion stage can stack them.
+pools, and two dense stacks (:class:`Mlp`: static cell attributes;
+per-type traits concatenated with per-type states, flattened).  Every
+branch takes a batch (the leading axis) and nothing else, raising
+``ShapeError`` on an unbatched sample, and emits [batch, d] so the fusion
+stage can stack them.  The model's head and the dense baseline's trunk
+are dense stacks too.
 """
+
+import math
 
 import numpy as np
 
@@ -99,54 +103,33 @@ class LayeredEncoder:
         return ad.dense(flat, self.w, self.b)
 
 
-class StaticEncoder:
-    """Two dense layers with relu for flat per-cell attributes."""
+class Mlp:
+    """A dense stack: flattens a [batch, *in_shape] input, then one dense
+    layer per entry of ``widths``, with relu on every layer but the last.
+    Its parameters are w1, b1, w2, b2, ... in layer order, and each weight
+    is drawn in that order."""
 
-    def __init__(self, n_fields, hidden=64, out_dim=64, rng=None, dtype=np.float32):
+    def __init__(self, in_shape, widths, rng=None, dtype=np.float32):
         rng = rng or np.random.default_rng(0)
-        self.n_fields = n_fields
-        self.out_dim = out_dim
-        self.w1 = xavier(rng, (n_fields, hidden), dtype)
-        self.b1 = zeros_param(hidden, dtype)
-        self.w2 = xavier(rng, (hidden, out_dim), dtype)
-        self.b2 = zeros_param(out_dim, dtype)
+        self.in_shape = tuple(in_shape)
+        self.params = {}
+        fan_in = math.prod(self.in_shape)
+        for i, width in enumerate(widths, 1):
+            self.params[f"w{i}"] = xavier(rng, (fan_in, width), dtype)
+            self.params[f"b{i}"] = zeros_param(width, dtype)
+            fan_in = width
 
     def named_params(self):
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
+        return dict(self.params)
 
     def encode(self, x):
-        _check_batch(x, 2)
-        if x.shape[1] != self.n_fields:
-            raise ShapeError(f"expected {self.n_fields} static fields, "
-                             f"got {x.shape[1]}")
-        hidden = ad.dense(x, self.w1, self.b1, relu=True)
-        return ad.dense(hidden, self.w2, self.b2)
-
-
-class PftEncoder:
-    """Flattens the vegetation-type axis, then two dense layers with relu.
-    The input is per-type traits concatenated with per-type states."""
-
-    def __init__(self, n_pft, n_fields, hidden=64, out_dim=64, rng=None,
-                 dtype=np.float32):
-        rng = rng or np.random.default_rng(0)
-        self.n_pft = n_pft
-        self.n_fields = n_fields
-        self.out_dim = out_dim
-        self.w1 = xavier(rng, (n_pft * n_fields, hidden), dtype)
-        self.b1 = zeros_param(hidden, dtype)
-        self.w2 = xavier(rng, (hidden, out_dim), dtype)
-        self.b2 = zeros_param(out_dim, dtype)
-
-    def named_params(self):
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-    def encode(self, x):
-        _check_batch(x, 3)
-        batch, n_pft, fields = x.shape
-        if n_pft != self.n_pft or fields != self.n_fields:
-            raise ShapeError(f"expected [{self.n_pft}, {self.n_fields}] "
-                             f"type-trait input, got [{n_pft}, {fields}]")
-        flat = ad.reshape(x, (batch, n_pft * fields))
-        hidden = ad.dense(flat, self.w1, self.b1, relu=True)
-        return ad.dense(hidden, self.w2, self.b2)
+        if x.shape[1:] != self.in_shape:
+            raise ShapeError(f"expected a batch of {self.in_shape} samples, "
+                             f"got shape {x.shape}")
+        if len(self.in_shape) > 1:
+            x = ad.reshape(x, (x.shape[0], -1))
+        depth = len(self.params) // 2
+        for i in range(1, depth + 1):
+            x = ad.dense(x, self.params[f"w{i}"], self.params[f"b{i}"],
+                         relu=i < depth)
+        return x

@@ -1,7 +1,8 @@
 """Surrogate assembly: branch encoders, fusion, the head, persistence.
 
-A :class:`Surrogate` owns one encoder per input group, a fusion module
-producing the unified latent, and one head.  It takes its shapes
+A :class:`Surrogate` owns one encoder per input branch
+(:data:`BRANCH_GROUPS`), a fusion module producing the unified latent,
+and one head.  It takes its shapes
 (``dims``) and its input scale from its data, so a caller hands it
 physical units and gets physical units back.  The physics is the output
 and the network a residual (Reichstein et al. 2019): a sample carries the
@@ -13,7 +14,8 @@ predicts obs * exp(s).  The fluxes are not learned but computed in closed
 form, so NPP = GPP - AR holds exactly whatever the weights.
 Variants swap or drop components; everything else (the head, loss wiring,
 persistence) is shared so a variant differs from the full model by
-exactly the removed part.
+exactly the removed part.  The dense baseline has one branch, a trunk over
+every group, and no fusion.
 """
 
 import dataclasses
@@ -25,25 +27,25 @@ import numpy as np
 from . import blobio
 from . import pipeline
 from .autodiff import Tensor
-from .encoders import (LayeredEncoder, PftEncoder, StaticEncoder,
-                       TemporalEncoder, xavier, zeros_param)
+from .encoders import LayeredEncoder, Mlp, TemporalEncoder
 from .errors import ConfigurationError, ContractError, ShapeError
 from .fusion import ConcatFusion, TransformerFusion
-from .heads import TaskHeads
 from .ood import OodStats
 
 VARIANTS = ("full", "no_cnn", "no_fc", "no_lstm", "no_trans", "baseline_mlp")
 
 BRANCHES = ("temporal", "layered", "static", "pft")
 
+# The scaled groups each branch reads; several groups are joined along
+# their last axis, the trunk's after flattening each sample.
+BRANCH_GROUPS = {"temporal": ("g1",), "layered": ("g5",), "static": ("g2",),
+                 "pft": ("g3", "g4"), "trunk": pipeline.GROUPS}
+
 _BRANCH_DROPS = {
     "no_lstm": ("temporal",),
     "no_cnn": ("layered",),
     "no_fc": ("static", "pft"),
 }
-
-# The shapes a model takes from its data, as in a dataset manifest's dims.
-DIMS = ("n_pft", "n_layers")
 
 # Model file manifest version.  Version 7 takes g1 as its annual cycle, with
 # no forcing window in its dims; version 6 heads predict one residual per
@@ -107,7 +109,7 @@ def residual_targets(groups, pools):
 
 def active_branches(variant):
     if variant == "baseline_mlp":
-        return ()
+        return ("trunk",)
     dropped = _BRANCH_DROPS.get(variant, ())
     return tuple(b for b in BRANCHES if b not in dropped)
 
@@ -179,11 +181,12 @@ class ModelConfig:
 
 
 def _checked_dims(dims):
-    """A copy of ``dims``, refused unless it gives each of :data:`DIMS` as a
-    positive integer."""
-    if not isinstance(dims, dict) or set(dims) != set(DIMS) or not all(
-            type(dims[k]) is int and dims[k] >= 1 for k in DIMS):
-        raise ContractError(f"dims must give {', '.join(DIMS)} as positive "
+    """A copy of ``dims``, refused unless it gives each of
+    :data:`pipeline.DIMS` as a positive integer."""
+    names = pipeline.DIMS
+    if not isinstance(dims, dict) or set(dims) != set(names) or not all(
+            type(dims[k]) is int and dims[k] >= 1 for k in names):
+        raise ContractError(f"dims must give {', '.join(names)} as positive "
                             f"integers, got {dims!r}")
     return dict(dims)
 
@@ -204,35 +207,10 @@ class _NoDraws:
         return np.zeros(size)
 
 
-class MlpTrunk:
-    """Concatenate-everything dense stack used by the plain baseline."""
-
-    def __init__(self, in_dim, hidden, out_dim, rng, dtype=np.float32):
-        self.in_dim = in_dim
-        self.w1 = xavier(rng, (in_dim, hidden), dtype)
-        self.b1 = zeros_param(hidden, dtype)
-        self.w2 = xavier(rng, (hidden, hidden), dtype)
-        self.b2 = zeros_param(hidden, dtype)
-        self.w3 = xavier(rng, (hidden, out_dim), dtype)
-        self.b3 = zeros_param(out_dim, dtype)
-
-    def named_params(self):
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
-                "w3": self.w3, "b3": self.b3}
-
-    def encode(self, x):
-        from . import autodiff as ad
-        if x.data.ndim != 2 or x.data.shape[1] != self.in_dim:
-            raise ShapeError(f"expected [batch, {self.in_dim}] input, "
-                             f"got {x.data.shape}")
-        h = ad.dense(x, self.w1, self.b1, relu=True)
-        h = ad.dense(h, self.w2, self.b2, relu=True)
-        return ad.dense(h, self.w3, self.b3)
-
-
 class Surrogate:
     """Full heterogeneous-input multi-task model for data of shape
-    ``dims``: {n_pft, n_layers}, a dataset manifest's dims."""
+    ``dims``: {n_pft, n_layers}, the dims its groups carry
+    (:func:`pipeline.group_dims`)."""
 
     def __init__(self, config, dims, rng=None, dtype=np.float32):
         if rng is None:
@@ -244,42 +222,36 @@ class Surrogate:
         self.train_config = None
         self.ood_stats = None
         d, hid = config.dim, config.hidden
-        n_g1 = len(pipeline.G1_FIELDS)
-        n_g2 = len(pipeline.G2_FIELDS)
-        n_pft_fields = len(pipeline.G3_FIELDS) + len(pipeline.G4_FIELDS)
-        n_g5 = len(pipeline.G5_FIELDS)
-
-        self.branches = {}
+        fields = {g: len(pipeline.GROUP_FIELDS[g]) for g in pipeline.GROUPS}
+        n_pft, n_layers = dims["n_pft"], dims["n_layers"]
+        n_pft_fields = fields["g3"] + fields["g4"]
+        flat = (12 * fields["g1"] + fields["g2"] + n_pft * n_pft_fields
+                + n_layers * fields["g5"])
+        build = {
+            "temporal": lambda: TemporalEncoder(
+                fields["g1"], hidden=hid, out_dim=d, rng=rng, dtype=dtype),
+            "layered": lambda: LayeredEncoder(
+                n_layers, fields["g5"], channels=config.channels, out_dim=d,
+                rng=rng, dtype=dtype),
+            "static": lambda: Mlp((fields["g2"],), (hid, d), rng, dtype),
+            "pft": lambda: Mlp((n_pft, n_pft_fields), (hid, d), rng, dtype),
+            "trunk": lambda: Mlp((flat,), (hid, hid, d), rng, dtype),
+        }
         names = active_branches(config.variant)
-        if "temporal" in names:
-            self.branches["temporal"] = TemporalEncoder(
-                n_g1, hidden=hid, out_dim=d, rng=rng, dtype=dtype)
-        if "layered" in names:
-            self.branches["layered"] = LayeredEncoder(
-                dims["n_layers"], n_g5, channels=config.channels, out_dim=d,
-                rng=rng, dtype=dtype)
-        if "static" in names:
-            self.branches["static"] = StaticEncoder(
-                n_g2, hidden=hid, out_dim=d, rng=rng, dtype=dtype)
-        if "pft" in names:
-            self.branches["pft"] = PftEncoder(
-                dims["n_pft"], n_pft_fields, hidden=hid, out_dim=d,
-                rng=rng, dtype=dtype)
+        self.branches = {name: build[name]() for name in names}
 
-        self.trunk = None
         self.fusion = None
-        if config.variant == "baseline_mlp":
-            flat = (12 * n_g1 + n_g2
-                    + dims["n_pft"] * n_pft_fields + dims["n_layers"] * n_g5)
-            self.trunk = MlpTrunk(flat, hid, d, rng, dtype)
-        elif config.variant == "no_trans":
+        if config.variant == "no_trans":
             self.fusion = ConcatFusion(len(names), d, rng=rng, dtype=dtype)
-        else:
+        elif "trunk" not in names:
             self.fusion = TransformerFusion(
                 len(names), dim=d, heads=config.heads, n_layers=config.depth,
                 ff_mult=config.ff_mult, rng=rng, dtype=dtype)
 
-        self.heads = TaskHeads(in_dim=d, hidden=hid, rng=rng, dtype=dtype)
+        # the output layer starts at zero, so an untrained model predicts
+        # the prior
+        self.heads = Mlp((d,), (hid, len(pipeline.PRIOR_GROUPS)), rng, dtype)
+        self.heads.params["w2"].data[...] = 0
 
     # -- parameters ---------------------------------------------------------
 
@@ -288,9 +260,6 @@ class Surrogate:
         for name, branch in self.branches.items():
             for key, tensor in branch.named_params().items():
                 out[f"{name}.{key}"] = tensor
-        if self.trunk is not None:
-            for key, tensor in self.trunk.named_params().items():
-                out[f"trunk.{key}"] = tensor
         if self.fusion is not None:
             for key, tensor in self.fusion.named_params().items():
                 out[f"fusion.{key}"] = tensor
@@ -322,34 +291,24 @@ class Surrogate:
 
     def _branch_latents(self, arrays):
         z_list = []
-        for name in active_branches(self.config.variant):
-            enc = self.branches[name]
-            if name == "temporal":
-                z_list.append(enc.encode(Tensor(arrays["g1"])))
-            elif name == "layered":
-                z_list.append(enc.encode(Tensor(arrays["g5"])))
-            elif name == "static":
-                z_list.append(enc.encode(Tensor(arrays["g2"])))
-            else:
-                pft_in = np.concatenate([arrays["g3"], arrays["g4"]], axis=-1)
-                z_list.append(enc.encode(Tensor(pft_in)))
+        for name, enc in self.branches.items():
+            parts = [arrays[g] for g in BRANCH_GROUPS[name]]
+            if name == "trunk":
+                parts = [a.reshape(len(a), -1) for a in parts]
+            x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+            z_list.append(enc.encode(Tensor(x)))
         return z_list
 
     def latent(self, batch):
         """Unified latent [B, d] for a dict of physical-unit groups g1..g5."""
-        arrays = self._inputs(batch)
-        if self.trunk is not None:
-            n = arrays["g1"].shape[0]
-            flat = np.concatenate(
-                [arrays[g].reshape(n, -1) for g in pipeline.GROUPS], axis=1)
-            return self.trunk.encode(Tensor(flat))
-        return self.fusion.fuse(self._branch_latents(arrays))
+        z_list = self._branch_latents(self._inputs(batch))
+        return z_list[0] if self.fusion is None else self.fusion.fuse(z_list)
 
     def forward(self, batch):
         """Returns (residuals tensor [B, groups], latent tensor) for a dict
         of physical-unit groups."""
         z = self.latent(batch)
-        return self.heads.predict_all(z), z
+        return self.heads.encode(z), z
 
     def predict(self, groups):
         """Forward pass over a dict of physical-unit group arrays,

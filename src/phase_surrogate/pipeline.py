@@ -63,7 +63,7 @@ TASKS = SLOW_TASKS + FLUX_TASKS
 PRIOR_GROUPS = (("tlai",), ("deadcrootc", "deadstemc", "cwdc"), ("soil3c", "soil4c"))
 
 # The arrays of a split file, in file order; ``rows`` is the split's size
-# and the other dimension names are the manifest's ``dims``.
+# and the other dimension names are :data:`DIMS`.
 SPLIT_LAYOUT = {
     "cell_id": ("rows",), "lat": ("rows",), "lon": ("rows",),
     "g1": ("rows", 12, len(G1_FIELDS)),
@@ -77,6 +77,10 @@ SPLIT_LAYOUT = {
     **{t: ("rows",) for t in FLUX_TASKS},
 }
 COLUMNS = tuple(SPLIT_LAYOUT)
+# The sizes the feature groups carry besides their rows, vegetation types
+# and soil layers: the dims a model takes from its data.
+DIMS = tuple(dict.fromkeys(d for g in GROUPS for d in SPLIT_LAYOUT[g][1:]
+                           if isinstance(d, str)))
 DATASET_VERSION = 6
 SPLITS = ("train", "test")
 
@@ -346,10 +350,9 @@ def normalize_groups(group_arrays, stats):
 
 
 def group_dims(groups):
-    """The dimension sizes of :data:`SPLIT_LAYOUT` that feature groups
-    carry: vegetation types and soil layers."""
-    return {"n_pft": int(groups["g3"].shape[1]),
-            "n_layers": int(groups["g5"].shape[1])}
+    """The sizes of :data:`DIMS` that the feature groups carry."""
+    return {d: int(np.shape(groups[g])[i]) for g in GROUPS
+            for i, d in enumerate(SPLIT_LAYOUT[g]) if d in DIMS}
 
 
 def normalize_targets(targets, stats):
@@ -403,7 +406,6 @@ def build_dataset(samples, seed, out_dir, world_meta=None):
         "n_test": int(test.n),
         "feature_stats": feature_stats,
         "target_stats": target_stats,
-        "dims": group_dims(groups),
         "cleaned": {"dropped": dropped, "kept": int(n)},
         "world": world_meta or {},
     }
@@ -427,15 +429,15 @@ def load_dataset(path, splits=SPLITS):
                             f"dataset, not version {DATASET_VERSION}; "
                             f"rebuild it with build-dataset")
 
-    dims = manifest.get("dims")
-    if not isinstance(dims, dict):
-        raise ContractError(f"{path} manifest lacks its dims")
+    # the first split read binds the dims, and the second is held to them
+    dims = {}
 
     def read_split(name):
         split_path = os.path.join(path, f"{name}.pht")
         _, cols = blobio.read_model_file(split_path)
-        blobio.check_layout(split_path, cols, SPLIT_LAYOUT,
-                            dict(dims, rows=manifest.get(f"n_{name}")))
+        bound = blobio.check_layout(split_path, cols, SPLIT_LAYOUT,
+                                    dict(dims, rows=manifest.get(f"n_{name}")))
+        dims.update((d, bound[d]) for d in DIMS)
         return DatasetSplit(
             cell_id=cols["cell_id"].astype(np.int64),
             lat=cols["lat"], lon=cols["lon"],

@@ -142,17 +142,12 @@ def _case_dense_3d_bias_relu(rng):
 
 def _case_conv1d_plain(rng):
     ts = [_t(rng, (1, 8, 3)), _t(rng, (3, 3, 4))]
-    return _probe_fn(lambda x, k: ad.conv1d(x, k, stride=1, padding=1), ts, rng), ts
-
-
-def _case_conv1d_stride(rng):
-    ts = [_t(rng, (2, 9, 2)), _t(rng, (3, 2, 3))]
-    return _probe_fn(lambda x, k: ad.conv1d(x, k, stride=2, padding=0), ts, rng), ts
+    return _probe_fn(lambda x, k: ad.conv1d(x, k, padding=1), ts, rng), ts
 
 
 def _case_conv1d_padded(rng):
     ts = [_t(rng, (2, 6, 2)), _t(rng, (5, 2, 2))]
-    return _probe_fn(lambda x, k: ad.conv1d(x, k, stride=1, padding=2), ts, rng), ts
+    return _probe_fn(lambda x, k: ad.conv1d(x, k, padding=2), ts, rng), ts
 
 
 def _case_layer_norm_2d(rng):
@@ -314,7 +309,6 @@ GRAD_CASES = [
     ("dense_2d_relu", _case_dense_2d_relu),
     ("dense_3d_bias_relu", _case_dense_3d_bias_relu),
     ("conv1d_plain", _case_conv1d_plain),
-    ("conv1d_stride", _case_conv1d_stride),
     ("conv1d_padded", _case_conv1d_padded),
     ("layer_norm_2d", _case_layer_norm_2d),
     ("layer_norm_3d", _case_layer_norm_3d),
@@ -440,27 +434,25 @@ class TestForwardValues:
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(1, 10, 2)).astype(np.float32))
         k = Tensor(rng.normal(size=(3, 2, 4)).astype(np.float32))
-        assert ad.conv1d(x, k, stride=2, padding=1).shape == (1, 5, 4)
-        assert ad.conv1d(x, k, stride=1, padding=1).shape == (1, 10, 4)
-        assert ad.conv1d(x, k, stride=1, padding=0).shape == (1, 8, 4)
+        assert ad.conv1d(x, k, padding=1).shape == (1, 10, 4)
+        assert ad.conv1d(x, k, padding=0).shape == (1, 8, 4)
+        assert ad.conv1d(x, k, padding=2).shape == (1, 12, 4)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0), (1, 2)])
-    def test_conv1d_kernel_gradient_matches_einsum_form(self, dtype, stride,
-                                                         padding):
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_conv1d_kernel_gradient_matches_einsum_form(self, dtype, padding):
         rng = np.random.default_rng(13)
         batch, length, cin, ksize, cout = 16, 9, 3, 3, 6
         x = rng.normal(size=(batch, length, cin)).astype(dtype)
         kernels = Tensor(rng.normal(size=(ksize, cin, cout)).astype(dtype),
                          requires_grad=True)
         with GradTape() as tape:
-            out = ad.conv1d(Tensor(x), kernels, stride=stride, padding=padding)
+            out = ad.conv1d(Tensor(x), kernels, padding=padding)
             probe = rng.normal(size=out.shape).astype(dtype)
             tape.backward(ref.sum_all(ref.mul(out, Tensor(probe))))
         # the einsum over the windows that the GEMM form replaced
         xp = np.pad(x, ((0, 0), (padding, padding), (0, 0)))
-        idx = (np.arange(out.shape[1])[:, None] * stride
-               + np.arange(ksize)[None, :])
+        idx = np.arange(out.shape[1])[:, None] + np.arange(ksize)[None, :]
         windows = xp[:, idx, :].reshape(batch, out.shape[1], ksize * cin)
         expected = np.einsum("bik,bio->ko", windows, probe).reshape(
             ksize, cin, cout)
@@ -469,6 +461,30 @@ class TestForwardValues:
                                    rtol=16 * np.finfo(dtype).eps,
                                    atol=16 * np.finfo(dtype).eps
                                    * np.abs(expected).max())
+
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_conv1d_equals_the_gathered_windows_bit_for_bit(self, padding):
+        # the sliced windows and their gradient's scatter touch the same
+        # elements in the same order as an index-array gather and scatter
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.normal(size=(8, 9, 3)).astype(np.float32),
+                   requires_grad=True)
+        kernels = rng.normal(size=(3, 3, 5)).astype(np.float32)
+        with GradTape() as tape:
+            out = ad.conv1d(x, Tensor(kernels, requires_grad=True),
+                            padding=padding)
+            probe = rng.normal(size=out.shape).astype(np.float32)
+            tape.backward(ref.sum_all(ref.mul(out, Tensor(probe))))
+        xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0)))
+        idx = np.arange(out.shape[1])[:, None] + np.arange(3)[None, :]
+        wmat = kernels.reshape(9, 5)
+        np.testing.assert_array_equal(
+            out.data, xp[:, idx, :].reshape(8, out.shape[1], 9) @ wmat)
+        dwin = (probe @ wmat.T).reshape(8, out.shape[1], 3, 3)
+        dxp = np.zeros_like(xp)
+        for j in range(3):
+            dxp[:, idx[:, j], :] += dwin[:, :, j, :]
+        np.testing.assert_array_equal(x.grad, dxp[:, padding:padding + 9])
 
     @pytest.mark.parametrize("shape", [(32, 24), (8, 5, 24)])
     @pytest.mark.parametrize("bias,relu", [(False, False), (True, False),

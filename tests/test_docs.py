@@ -42,3 +42,16 @@ def test_library_quickstart_prints_what_its_comments_say(tmp_path):
     printed = out.stdout.splitlines()
     for line in promised:
         assert line in printed
+
+
+def test_what_is_inside_names_every_module():
+    # each list item of "What is inside" names its modules in parentheses
+    with open(README, encoding="utf-8") as fh:
+        section = re.search(r"## What is inside\n(.*?)\n## ", fh.read(),
+                            re.S).group(1)
+    named = re.findall(r"`(\w+\.py)`", " ".join(
+        re.findall(r"^- `[^`]+` \(([^)]*)\)", section, re.M)))
+    package = os.path.dirname(phase_surrogate.__file__)
+    modules = {name for name in os.listdir(package) if name.endswith(".py")}
+    assert sorted(set(named) - modules) == []
+    assert sorted(modules - set(named)) == ["__init__.py", "errors.py"]

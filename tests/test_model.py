@@ -129,7 +129,7 @@ class TestVariantStructure:
         assert active_branches("no_cnn") == ("temporal", "static", "pft")
         assert active_branches("no_fc") == ("temporal", "layered")
         assert active_branches("no_trans") == active_branches("full")
-        assert active_branches("baseline_mlp") == ()
+        assert active_branches("baseline_mlp") == ("trunk",)
 
     def test_removal_drops_exactly_that_component(self):
         full = make("full")
@@ -153,6 +153,50 @@ class TestVariantStructure:
         cut = make("no_trans")
         assert not any(".wq" in k or "embed" in k
                        for k in cut.named_params())
+
+    def test_parameter_layout_of_every_variant(self):
+        # the names and shapes a model file stores at the default config; a
+        # change here needs a MODEL_VERSION bump
+        temporal = {"temporal.w_x": (5, 256), "temporal.w_h": (64, 256),
+                    "temporal.b": (256,), "temporal.w_p": (64, 64),
+                    "temporal.b_p": (64,)}
+        layered = {"layered.k1": (3, 3, 16), "layered.b1": (16,),
+                   "layered.k2": (3, 16, 32), "layered.b2": (32,),
+                   "layered.w": (288, 64), "layered.b": (64,)}
+        static = {"static.w1": (8, 64), "static.b1": (64,),
+                  "static.w2": (64, 64), "static.b2": (64,)}
+        pft = {"pft.w1": (40, 64), "pft.b1": (64,), "pft.w2": (64, 64),
+               "pft.b2": (64,)}
+        head = {"heads.w1": (64, 64), "heads.b1": (64,), "heads.w2": (64, 3),
+                "heads.b2": (3,)}
+        trunk = {"trunk.w1": (135, 64), "trunk.b1": (64,),
+                 "trunk.w2": (64, 64), "trunk.b2": (64,),
+                 "trunk.w3": (64, 64), "trunk.b3": (64,)}
+        block = {"wq": (64, 64), "wk": (64, 64), "wv": (64, 64),
+                 "wo": (64, 64), "ln1_g": (64,), "ln1_b": (64,),
+                 "ln2_g": (64,), "ln2_b": (64,), "ff1": (64, 256),
+                 "ff1_b": (256,), "ff2": (256, 64), "ff2_b": (64,)}
+
+        def attention(n_branches):
+            return {"fusion.embed": (n_branches, 64), "fusion.ln_f_g": (64,),
+                    "fusion.ln_f_b": (64,),
+                    **{f"fusion.layer{i}.{k}": v for i in (0, 1)
+                       for k, v in block.items()}}
+
+        want = {
+            "full": {**temporal, **layered, **static, **pft, **attention(4)},
+            "no_cnn": {**temporal, **static, **pft, **attention(3)},
+            "no_fc": {**temporal, **layered, **attention(2)},
+            "no_lstm": {**layered, **static, **pft, **attention(3)},
+            "no_trans": {**temporal, **layered, **static, **pft,
+                         "fusion.w": (256, 64), "fusion.b": (64,)},
+            "baseline_mlp": trunk,
+        }
+        assert set(want) == set(model_mod.VARIANTS)
+        for variant, layout in want.items():
+            model = Surrogate(ModelConfig(variant=variant), TOY_DIMS)
+            have = sorted((k, t.shape) for k, t in model.named_params().items())
+            assert have == sorted({**layout, **head}.items()), variant
 
     def test_baseline_mlp_uses_trunk(self):
         mlp = make("baseline_mlp")
@@ -313,7 +357,8 @@ class TestForcingFold:
         assert shapes == [(3, 12, 5)]
 
     def test_dense_baseline_reads_one_year_of_forcing(self):
-        assert make("baseline_mlp").trunk.in_dim == 12 * 5 + 8 + 5 * (3 + 5) + 9 * 3
+        trunk = make("baseline_mlp").branches["trunk"]
+        assert trunk.in_shape == (12 * 5 + 8 + 5 * (3 + 5) + 9 * 3,)
 
 
 class TestPersistence:
@@ -566,14 +611,14 @@ class TestLogRatios:
     def test_strict_positivity_on_extreme_latents(self):
         # a trained output layer and latents far outside any fitted range
         from phase_surrogate.autodiff import Tensor
-        from phase_surrogate.heads import TaskHeads
+        from phase_surrogate.encoders import Mlp
         rng = np.random.default_rng(4)
-        heads = TaskHeads(in_dim=8, hidden=6, rng=rng)
+        heads = Mlp((8,), (6, len(pipeline.PRIOR_GROUPS)), rng=rng)
         heads.params["w2"].data = rng.normal(0.0, 0.3, heads.params["w2"].data.shape)
         z = rng.normal(size=(1000, 8)).astype(np.float32) * 10.0
         z[:10] = 100.0
         z[10:20] = -100.0
-        residual = heads.predict_all(Tensor(z)).data
+        residual = heads.encode(Tensor(z)).data
         assert np.abs(residual).max() > 20.0
         pools = model_mod.pools_from(toy_batch(n=1000), residual)
         for task, pool in pools.items():

@@ -5,13 +5,14 @@ from phase_surrogate import autodiff as ad
 from phase_surrogate import blobio
 from phase_surrogate import encoders as enc
 from phase_surrogate import fusion as fus
-from phase_surrogate import heads as hd
 from phase_surrogate import pipeline
 from phase_surrogate.autodiff import Tensor
 from phase_surrogate.errors import (CompletenessError, ConfigurationError,
                                     ContractError, ShapeError)
+from phase_surrogate.model import VARIANTS, Surrogate
 
 import reference_ops as ref
+from conftest import TOY_DIMS, toy_model_config
 
 
 def probe_sum(z, rng):
@@ -100,8 +101,11 @@ class TestLayeredEncoder:
 
 
 class TestDenseEncoders:
+    """The one dense stack, ``encoders.Mlp``: the static and PFT branches,
+    the dense baseline's trunk and the head."""
+
     def test_static_shapes_and_zero_case(self):
-        e = enc.StaticEncoder(8, hidden=6, out_dim=5, rng=np.random.default_rng(0))
+        e = enc.Mlp((8,), (6, 5), rng=np.random.default_rng(0))
         x = Tensor(np.random.default_rng(1).normal(size=(4, 8)).astype(np.float32))
         assert e.encode(x).shape == (4, 5)
         z = e.encode(Tensor(np.zeros((1, 8), dtype=np.float32)))
@@ -109,38 +113,57 @@ class TestDenseEncoders:
         assert np.all(z.data == 0.0)  # zero input, zero biases
 
     def test_pft_flattens_and_encodes(self):
-        e = enc.PftEncoder(5, 8, hidden=6, out_dim=7, rng=np.random.default_rng(2))
-        x = Tensor(np.random.default_rng(3).normal(size=(3, 5, 8)).astype(np.float32))
-        assert e.encode(x).shape == (3, 7)
+        e = enc.Mlp((5, 8), (6, 7), rng=np.random.default_rng(2))
+        x = np.random.default_rng(3).normal(size=(3, 5, 8)).astype(np.float32)
+        z = e.encode(Tensor(x)).data
+        assert z.shape == (3, 7)
         assert np.all(e.encode(Tensor(np.zeros((1, 5, 8), dtype=np.float32))).data == 0.0)
+        # the same weights over the flattened samples give the same latents
+        flat = enc.Mlp((40,), (6, 7), rng=np.random.default_rng(2))
+        np.testing.assert_array_equal(flat.encode(Tensor(x.reshape(3, 40))).data, z)
+
+    def test_parameters_drawn_in_layer_order(self):
+        e = enc.Mlp((4,), (6, 6, 3), rng=np.random.default_rng(0))
+        assert {k: t.shape for k, t in e.named_params().items()} == {
+            "w1": (4, 6), "b1": (6,), "w2": (6, 6), "b2": (6,),
+            "w3": (6, 3), "b3": (3,)}
+        rng = np.random.default_rng(0)
+        for name, shape in (("w1", (4, 6)), ("w2", (6, 6)), ("w3", (6, 3))):
+            np.testing.assert_array_equal(e.params[name].data,
+                                          enc.xavier(rng, shape).data)
+        assert not any(e.params[f"b{i}"].data.any() for i in (1, 2, 3))
+
+    def test_relu_on_every_layer_but_the_last(self):
+        e = enc.Mlp((1,), (1, 1), rng=np.random.default_rng(0))
+        for name, value in (("w1", 1.0), ("b1", 0.0), ("w2", 1.0), ("b2", -1.0)):
+            e.params[name].data[...] = value
+        x = Tensor(np.array([[-2.0], [3.0]], dtype=np.float32))
+        # relu(x) - 1: the hidden layer clips, the output does not
+        np.testing.assert_array_equal(e.encode(x).data, [[-1.0], [2.0]])
 
     def test_gradchecks(self):
+        # float64 through a 2-layer stack and a flattening 3-layer stack
         rng = np.random.default_rng(4)
-        st = enc.StaticEncoder(4, hidden=5, out_dim=3, rng=rng, dtype=np.float64)
-        xs = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-        probe = rng.normal(size=(2, 3))
+        for in_shape, widths in (((4,), (5, 3)), ((3, 4), (5, 5, 3))):
+            e = enc.Mlp(in_shape, widths, rng=rng, dtype=np.float64)
+            x = Tensor(rng.normal(size=(2, *in_shape)), requires_grad=True)
+            probe = rng.normal(size=(2, widths[-1]))
 
-        def fn_s(x, w1, b1, w2, b2):
-            return ref.sum_all(ref.mul(st.encode(x), Tensor(probe)))
+            def fn(xt, *params):
+                return ref.sum_all(ref.mul(e.encode(xt), Tensor(probe)))
 
-        ref.gradcheck(fn_s, [xs, st.w1, st.b1, st.w2, st.b2], h=1e-5, rtol=1e-4)
-
-        pf = enc.PftEncoder(3, 4, hidden=5, out_dim=3, rng=rng, dtype=np.float64)
-        xp = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-
-        def fn_p(x, w1, b1, w2, b2):
-            return ref.sum_all(ref.mul(pf.encode(x), Tensor(probe)))
-
-        ref.gradcheck(fn_p, [xp, pf.w1, pf.b1, pf.w2, pf.b2], h=1e-5, rtol=1e-4)
+            ref.gradcheck(fn, [x, *e.named_params().values()], h=1e-5, rtol=1e-4)
 
     def test_dimension_mismatches_rejected(self):
         with pytest.raises(ShapeError):
-            enc.StaticEncoder(8).encode(Tensor(np.zeros((2, 7), dtype=np.float32)))
+            enc.Mlp((8,), (4, 3)).encode(Tensor(np.zeros((2, 7), dtype=np.float32)))
         with pytest.raises(ShapeError):
-            enc.PftEncoder(5, 8).encode(Tensor(np.zeros((2, 4, 8), dtype=np.float32)))
+            enc.Mlp((5, 8), (4, 3)).encode(Tensor(np.zeros((2, 4, 8), dtype=np.float32)))
+        with pytest.raises(ShapeError):
+            enc.Mlp((5, 8), (4, 3)).encode(Tensor(np.zeros((2, 40), dtype=np.float32)))
 
     def test_deterministic(self):
-        e = enc.StaticEncoder(6, rng=np.random.default_rng(7))
+        e = enc.Mlp((6,), (64, 64), rng=np.random.default_rng(7))
         x = Tensor(np.random.default_rng(8).normal(size=(2, 6)).astype(np.float32))
         assert np.array_equal(e.encode(x).data, e.encode(x).data)
 
@@ -148,8 +171,8 @@ class TestDenseEncoders:
 @pytest.mark.parametrize("call, sample_shape", [
     (enc.TemporalEncoder(5, hidden=4, out_dim=3).encode, (12, 5)),
     (enc.LayeredEncoder(9, 3, out_dim=3).encode, (9, 3)),
-    (enc.StaticEncoder(8, out_dim=3).encode, (8,)),
-    (enc.PftEncoder(5, 8, out_dim=3).encode, (5, 8)),
+    (enc.Mlp((8,), (4, 3)).encode, (8,)),
+    (enc.Mlp((5, 8), (4, 3)).encode, (5, 8)),
     (lambda x: fus.TransformerFusion(2, dim=8, heads=2).fuse([x, x]), (8,)),
     (lambda x: fus.ConcatFusion(2, dim=8).fuse([x, x]), (8,)),
     (lambda x: ad.conv1d(x, Tensor(np.zeros((3, 2, 4)))), (6, 2)),
@@ -264,40 +287,44 @@ class TestConcatFusion:
 
 
 class TestTaskHeads:
-    def make(self, dim=8, seed=0):
-        return hd.TaskHeads(in_dim=dim, hidden=6, rng=np.random.default_rng(seed))
+    """The model's head: a dense stack from the fused latent to one residual
+    per turnover group, whose output layer starts at zero."""
+
+    def make(self, variant="full"):
+        return Surrogate(toy_model_config(variant=variant), TOY_DIMS,
+                         rng=np.random.default_rng(0)).heads
 
     def test_one_output_per_turnover_group(self):
         # the fluxes have no head: the model computes them in closed form
         h = self.make()
-        z = Tensor(np.random.default_rng(1).normal(size=(3, 8)).astype(np.float32))
-        assert h.predict_all(z).shape == (3, len(pipeline.PRIOR_GROUPS))
+        z = Tensor(np.random.default_rng(1).normal(size=(3, 16)).astype(np.float32))
+        assert h.encode(z).shape == (3, len(pipeline.PRIOR_GROUPS))
         assert sorted(h.named_params()) == ["b1", "b2", "w1", "w2"]
 
     def test_output_layer_starts_at_zero(self):
-        # an untrained head predicts a residual of 0: the prior
-        h = self.make()
-        z = np.random.default_rng(4).normal(size=(50, 8)).astype(np.float32)
-        assert np.all(h.predict_all(Tensor(100.0 * z)).data == 0.0)
+        # an untrained model's head predicts a residual of 0: the prior
+        z = np.random.default_rng(4).normal(size=(50, 16)).astype(np.float32)
+        for variant in VARIANTS:
+            h = self.make(variant)
+            assert h.params["w1"].data.any()
+            assert np.all(h.encode(Tensor(100.0 * z)).data == 0.0)
 
     def test_gradcheck_through_head(self):
         rng = np.random.default_rng(5)
-        h = hd.TaskHeads(in_dim=4, hidden=5, rng=rng, dtype=np.float64)
+        h = enc.Mlp((4,), (5, 3), rng=rng, dtype=np.float64)
         z = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
         p = h.params
-        # a trained output layer, so every parameter's gradient is nonzero
-        p["w2"].data = rng.normal(size=(5, 3))
         probe = rng.normal(size=(2, 3))
 
         def fn(zt, w1, b1, w2, b2):
-            return ref.sum_all(ref.mul(h.predict_all(zt), Tensor(probe)))
+            return ref.sum_all(ref.mul(h.encode(zt), Tensor(probe)))
 
         ref.gradcheck(fn, [z, p["w1"], p["b1"], p["w2"], p["b2"]], h=1e-5, rtol=1e-4)
 
     def test_bad_latent_shape_rejected(self):
         h = self.make()
         with pytest.raises(ShapeError):
-            h.predict_all(Tensor(np.zeros((2, 7), dtype=np.float32)))
+            h.encode(Tensor(np.zeros((2, 7), dtype=np.float32)))
 
 
 class TestDenormalize:

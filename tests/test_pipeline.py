@@ -489,7 +489,10 @@ class TestLoadRefusesMalformed:
         manifest, cols = blobio.read_model_file(path)
         cols[name] = cols[name][cut]
         blobio.write_model_file(path, manifest, cols)
-        with pytest.raises(ContractError, match=f"train.pht: array '{name}'"):
+        # g3 is the first array with n_pft, so it binds n_pft and g4, the
+        # next, is the one refused
+        named = {"g3": "g4"}.get(name, name)
+        with pytest.raises(ContractError, match=f"train.pht: array '{named}'"):
             pl.load_dataset(str(damaged))
 
     def test_undecodable_manifest(self, damaged):
@@ -532,9 +535,7 @@ class TestLoadRefusesMalformed:
     def test_version_five_manifest(self, damaged):
         # version 5 stored 60 months of forcing, not their annual cycle
         path = str(damaged / "manifest.json")
-        manifest = blobio.load_json(path)
-        blobio.save_json(path, dict(manifest, version=5,
-                                    dims=dict(manifest["dims"], months=60)))
+        blobio.save_json(path, dict(blobio.load_json(path), version=5))
         for name in ("train", "test"):
             split = str(damaged / f"{name}.pht")
             header, cols = blobio.read_model_file(split)
@@ -544,12 +545,21 @@ class TestLoadRefusesMalformed:
                                                 "rebuild it with build-dataset"):
             pl.load_dataset(str(damaged))
 
-    def test_manifest_without_dims(self, damaged):
-        path = str(damaged / "manifest.json")
-        manifest = blobio.load_json(path)
-        del manifest["dims"]
-        blobio.save_json(path, manifest)
-        with pytest.raises(ContractError, match="lacks its dims"):
+    def test_splits_that_disagree_on_n_pft(self, damaged):
+        # the split arrays give the dims, so the manifest does not; the
+        # first split read binds them and the second is held to them
+        assert "dims" not in blobio.load_json(str(damaged / "manifest.json"))
+        path = str(damaged / "test.pht")
+        manifest, cols = blobio.read_model_file(path)
+        for name, shape in pl.SPLIT_LAYOUT.items():
+            if "n_pft" in shape:
+                cols[name] = cols[name][:, :-1]
+        blobio.write_model_file(path, manifest, cols)
+        assert pl.load_dataset(str(damaged), splits=("test",)).test.groups[
+            "g3"].shape[1] == 4
+        with pytest.raises(ContractError, match=r"test.pht: array 'g3' has "
+                                                r"shape \(12, 4, 3\), should be "
+                                                r"\(rows=12, n_pft=5, 3\)"):
             pl.load_dataset(str(damaged))
 
     @pytest.mark.parametrize("key", ["feature_stats", "target_stats"])
