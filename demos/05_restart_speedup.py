@@ -35,7 +35,7 @@ def main():
                              world.n_layers)
         print(f"wrote {os.path.basename(path)} for {world.n_cells} cells")
 
-        initial, _ = simulator.load_restart_state(world, path)
+        initial = simulator.load_restart_state(world, path)
         _, report = simulator.restart_run(initial, world, years=100)
 
         print(f"\n{'pool':>12} {'before':>10} {'after':>10} {'drift':>10}"

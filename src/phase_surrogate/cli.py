@@ -274,7 +274,7 @@ def _cmd_restart_check(args):
     restart_path = args.restart_out or os.path.splitext(args.out)[0] + ".phr"
     blobio.write_restart(restart_path, samples.cell_id, preds, world.n_pft,
                          world.n_layers)
-    initial, _ = simulator.load_restart_state(world, restart_path)
+    initial = simulator.load_restart_state(world, restart_path)
     _, report = simulator.restart_run(initial, world, years=args.years)
     # the references, scored as restarts from the file's float32 pools
     references = {name: simulator.speedup_median(

@@ -1,5 +1,5 @@
 """Dataset construction: mapping cells to forcing points, normalization,
-the train/test split, cleaning, and the on-disk dataset layout.
+the train/test split, and the on-disk dataset layout.
 
 A sample is one land cell with five feature groups:
 
@@ -28,7 +28,6 @@ which ``np.percentile`` and ``np.median`` do on first use.
 """
 
 import dataclasses
-import logging
 import math
 import os
 import shutil
@@ -37,8 +36,6 @@ import numpy as np
 
 from . import blobio
 from .errors import ConfigurationError, ContractError
-
-log = logging.getLogger(__name__)
 
 G1_FIELDS = ("radiation", "precipitation", "pressure", "humidity", "temperature")
 G2_FIELDS = ("lat", "lon", "land_frac", "alpha", "resp_frac", "nutrient", "decomp", "texture")
@@ -124,14 +121,13 @@ def annual_fluxes(gbar12, alpha, resp_frac, nutrient):
 
 @dataclasses.dataclass
 class Samples:
-    """Raw (physical-unit) features and targets, one row per cell: every
-    array, including each of ``groups`` and ``targets``, has a leading cell
-    axis.  ``groups`` holds g1..g5 and the prior."""
+    """Features and targets, one row per cell: every array, including each
+    of ``groups`` and ``targets``, has a leading cell axis.  ``groups`` holds
+    g1..g5 and the prior, in physical units; ``targets`` are physical as
+    exported and MinMax-normalized in a dataset's splits."""
     cell_id: np.ndarray
     lat: np.ndarray
     lon: np.ndarray
-    pft_code: np.ndarray
-    deepest_valid_layer: np.ndarray
     groups: dict
     targets: dict
 
@@ -140,9 +136,8 @@ class Samples:
         return int(self.cell_id.shape[0])
 
     def take(self, rows):
-        """The samples at ``rows`` (indices or a boolean mask)."""
+        """The samples at ``rows`` (indices, a slice or a boolean mask)."""
         return Samples(self.cell_id[rows], self.lat[rows], self.lon[rows],
-                       self.pft_code[rows], self.deepest_valid_layer[rows],
                        {g: v[rows] for g, v in self.groups.items()},
                        {t: v[rows] for t, v in self.targets.items()})
 
@@ -260,7 +255,7 @@ def median(values):
 
 
 # ---------------------------------------------------------------------------
-# Split and cleaning
+# Split
 # ---------------------------------------------------------------------------
 
 def split_shuffle(ids, seed):
@@ -274,53 +269,16 @@ def split_shuffle(ids, seed):
     return ids[perm[:n_train]].copy(), ids[perm[n_train:]].copy()
 
 
-def clean(samples):
-    """Drop physically invalid samples; returns (kept, drop counts).  A row
-    with a bad vegetation code counts under ``pft_code`` only."""
-    codes = samples.pft_code
-    bad_code = (codes.min(axis=1) < 0) | (codes.max(axis=1) >= samples.groups["g3"].shape[1])
-    g5 = samples.groups["g5"]
-    below = np.arange(g5.shape[1])[None, :] >= samples.deepest_valid_layer[:, None]
-    below_depth = np.any(below[:, :, None] & (g5 > 0), axis=(1, 2)) & ~bad_code
-    dropped = {"pft_code": int(bad_code.sum()), "below_valid_depth": int(below_depth.sum())}
-    total = sum(dropped.values())
-    if total:
-        log.info("clean: dropped %d of %d records (%s)", total, samples.n, dropped)
-    else:
-        log.info("clean: all %d records valid", samples.n)
-    return samples.take(~(bad_code | below_depth)), dropped
-
-
 # ---------------------------------------------------------------------------
 # Dataset assembly
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass
-class DatasetSplit:
-    cell_id: np.ndarray
-    lat: np.ndarray
-    lon: np.ndarray
-    groups: dict
-    targets: dict
-
-    @property
-    def n(self):
-        return int(self.cell_id.shape[0])
-
-    def take(self, rows):
-        """The split's samples at ``rows`` (indices, a slice or a boolean
-        mask)."""
-        return DatasetSplit(self.cell_id[rows], self.lat[rows], self.lon[rows],
-                            {g: v[rows] for g, v in self.groups.items()},
-                            {t: v[rows] for t, v in self.targets.items()})
-
-
-@dataclasses.dataclass
 class Dataset:
     """A dataset's splits and its manifest's scaling stats; a split that
     :func:`load_dataset` was not asked for is ``None``."""
-    train: DatasetSplit
-    test: DatasetSplit
+    train: Samples
+    test: Samples
     feature_stats: dict
     target_stats: dict
 
@@ -360,7 +318,7 @@ def normalize_targets(targets, stats):
 
 
 def build_dataset(samples, seed, out_dir, world_meta=None):
-    """Clean and split the samples, normalize their targets, and write a
+    """Split the samples, normalize their targets, and write a
     dataset directory: ``manifest.json`` plus one container per split
     (``train.pht``, ``test.pht``) holding the arrays of
     :data:`SPLIT_LAYOUT`.  Each split's rows are sorted by (lat, lon), so
@@ -370,19 +328,15 @@ def build_dataset(samples, seed, out_dir, world_meta=None):
     """
     if seed < 0:
         raise ConfigurationError("seed must be >= 0")
-    samples, dropped = clean(samples)
-    n = samples.n
-    if n < 5:
-        raise ContractError("too few valid records to build a dataset")
     groups, targets = samples.groups, samples.targets
-    train_pos, test_pos = split_shuffle(np.arange(n), seed)
+    train_pos, test_pos = split_shuffle(np.arange(samples.n), seed)
 
     feature_stats = {name: list(minmax_fit(groups[g][train_pos][..., i]))
                      for name, g, i in FEATURE_CHANNELS}
     target_stats = {t: list(minmax_fit(targets[t][train_pos])) for t in TASKS}
 
-    stored = DatasetSplit(samples.cell_id, samples.lat, samples.lon, groups,
-                          normalize_targets(targets, target_stats))
+    stored = Samples(samples.cell_id, samples.lat, samples.lon, groups,
+                     normalize_targets(targets, target_stats))
     train, test = (stored.take(pos[np.lexsort((samples.lon[pos], samples.lat[pos]))])
                    for pos in (train_pos, test_pos))
 
@@ -401,12 +355,11 @@ def build_dataset(samples, seed, out_dir, world_meta=None):
         "format": "dataset",
         "version": DATASET_VERSION,
         "pipeline_seed": int(seed),
-        "n_samples": int(n),
+        "n_samples": samples.n,
         "n_train": int(train.n),
         "n_test": int(test.n),
         "feature_stats": feature_stats,
         "target_stats": target_stats,
-        "cleaned": {"dropped": dropped, "kept": int(n)},
         "world": world_meta or {},
     }
     blobio.save_json(os.path.join(tmp_dir, "manifest.json"), manifest)
@@ -438,7 +391,7 @@ def load_dataset(path, splits=SPLITS):
         bound = blobio.check_layout(split_path, cols, SPLIT_LAYOUT,
                                     dict(dims, rows=manifest.get(f"n_{name}")))
         dims.update((d, bound[d]) for d in DIMS)
-        return DatasetSplit(
+        return Samples(
             cell_id=cols["cell_id"].astype(np.int64),
             lat=cols["lat"], lon=cols["lon"],
             groups={g: np.asarray(cols[g], dtype=np.float64)

@@ -103,6 +103,8 @@ K_GROUP = {"leaf_c": K_FAST, "froot_c": K_FAST,
            "soil3c": K_SLOW, "soil4c": K_SLOW}
 
 GRID_PRESETS = {"coarse": (24, 48, 1.0), "fine": (48, 96, 0.5)}
+# the share of a grid's cells that are land
+LAND_FRACTION = 0.6
 
 # seed stream codes for the per-world RNG family
 _SEED_LAND, _SEED_CELL, _SEED_POINT, _SEED_NOISE, _SEED_OBS = 1, 2, 3, 4, 7
@@ -117,15 +119,12 @@ class GridSpec:
     n_lat: int
     n_lon: int
     resolution_deg: float
-    land_fraction: float = 0.6
 
     def __post_init__(self):
         if self.n_lat < 2 or self.n_lon < 2:
             raise ConfigurationError("grid needs at least 2x2 cells")
         if self.resolution_deg <= 0:
             raise ConfigurationError("resolution_deg must be positive")
-        if not 0.0 <= self.land_fraction <= 1.0:
-            raise ConfigurationError("land_fraction must lie in [0, 1]")
 
     @property
     def lat_centers(self):
@@ -148,12 +147,12 @@ class GridSpec:
         return math.sqrt(1.0 / self.resolution_deg)
 
 
-def grid_spec(name, land_fraction=0.6):
+def grid_spec(name):
     if name not in GRID_PRESETS:
         raise ConfigurationError(f"unknown grid preset {name!r}; "
                                  f"choose from {sorted(GRID_PRESETS)}")
     n_lat, n_lon, res = GRID_PRESETS[name]
-    return GridSpec(n_lat, n_lon, res, land_fraction)
+    return GridSpec(n_lat, n_lon, res)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +220,6 @@ class CellParams:
     pft_weight: np.ndarray
     sla: np.ndarray
     crootfrac: np.ndarray
-    pft_code: np.ndarray
-    deepest_valid_layer: np.ndarray
     alloc: np.ndarray
     deposit: np.ndarray
 
@@ -579,9 +576,7 @@ def _land_indices(seed, grid):
         p1, p2 = rng.uniform(0, 2 * np.pi, size=2)
         field += rng.uniform(0.5, 1.0) * np.cos(fl * lat + p1) * np.cos(fo * lon + p2)
     field += 0.35 * rng.standard_normal(field.shape)
-    n_land = int(round(grid.land_fraction * field.size))
-    if n_land < 1:
-        raise ConfigurationError("land mask is empty; raise land_fraction")
+    n_land = int(round(LAND_FRACTION * field.size))
     flat = field.ravel()
     chosen = np.argsort(flat, kind="stable")[::-1][:n_land]
     return np.sort(chosen)
@@ -663,10 +658,8 @@ def _draw_cell_params(seed, grid, land_idx, cell_lat, n_pft, n_layers):
     layers = np.arange(n_layers, dtype=np.float64)
     prof = group[:, :, None] * np.exp(-layers / z0[:, :, None])
     deposit = prof / prof.sum(axis=(1, 2), keepdims=True)
-    pft_code = np.tile(np.arange(n_pft, dtype=np.int64), (n, 1))
-    deepest = np.full(n, n_layers, dtype=np.int64)
     return CellParams(alpha, resp_frac, nutrient, decomp, texture, land_frac,
-                      pft_weight, sla, crootfrac, pft_code, deepest, alloc, deposit)
+                      pft_weight, sla, crootfrac, alloc, deposit)
 
 
 def route_weights(params):
@@ -1032,8 +1025,6 @@ def export_samples(world):
     return pipeline.Samples(
         cell_id=world.land_idx.astype(np.int64),
         lat=world.cell_lat.copy(), lon=world.cell_lon.copy(),
-        pft_code=p.pft_code.copy(),
-        deepest_valid_layer=p.deepest_valid_layer.copy(),
         groups={"g1": g1.mean(axis=1), "g2": g2, "g3": g3,
                 "g4": world.observed.g4.copy(), "g5": world.observed.g5.copy(),
                 "prior": prior},
@@ -1044,10 +1035,11 @@ def export_samples(world):
 # Persistence
 # ---------------------------------------------------------------------------
 
-# The arrays of a world file; a dimension is an int or a manifest dimension
-# (see :func:`blobio.check_layout`).  ``window.*`` are the window-end pools
-# and ``observed.*`` their observation.
-WORLD_VERSION = 3
+# The arrays of a world file; a dimension is an int or a name (see
+# :func:`blobio.check_layout`): ``months`` and ``n_points`` follow from the
+# manifest's years and grid, the others are bound by the arrays.
+# ``window.*`` are the window-end pools and ``observed.*`` their observation.
+WORLD_VERSION = 4
 WORLD_LAYOUT = {
     "land_idx": ("n_cells",), "cell_lat": ("n_cells",), "cell_lon": ("n_cells",),
     "cell_point": ("n_cells",),
@@ -1055,10 +1047,9 @@ WORLD_LAYOUT = {
     "forcing_monthly": ("n_cells", "months", len(pipeline.G1_FIELDS)),
     "gbar_stat12": ("n_cells", 12),
     **{f"params.{name}": ("n_cells",) for name in
-       ("alpha", "resp_frac", "nutrient", "decomp", "texture", "land_frac",
-        "deepest_valid_layer")},
+       ("alpha", "resp_frac", "nutrient", "decomp", "texture", "land_frac")},
     **{f"params.{name}": ("n_cells", "n_pft") for name in
-       ("pft_weight", "sla", "crootfrac", "pft_code")},
+       ("pft_weight", "sla", "crootfrac")},
     "params.alloc": ("n_cells", "n_pft", len(PFT_POOLS) + 1),
     "params.deposit": ("n_cells", len(LAYER_POOLS), "n_layers"),
     **{f"window.{k}": ("n_cells", "n_pft") for k in PFT_POOLS},
@@ -1066,8 +1057,7 @@ WORLD_LAYOUT = {
     "observed.g4": ("n_cells", "n_pft", len(PFT_POOLS) + 1),
     "observed.g5": ("n_cells", "n_layers", len(LAYER_POOLS)),
 }
-_INT_ARRAYS = ("land_idx", "cell_point", "params.pft_code",
-               "params.deepest_valid_layer")
+_INT_ARRAYS = ("land_idx", "cell_point")
 
 
 def save_world(world, path):
@@ -1077,11 +1067,7 @@ def save_world(world, path):
         "seed": world.seed,
         "years": world.years,
         "grid": {"n_lat": world.grid.n_lat, "n_lon": world.grid.n_lon,
-                 "resolution_deg": world.grid.resolution_deg,
-                 "land_fraction": world.grid.land_fraction},
-        "n_cells": world.n_cells,
-        "n_pft": world.n_pft,
-        "n_layers": world.n_layers,
+                 "resolution_deg": world.grid.resolution_deg},
         "turnover": {"k_fast": K_FAST, "k_wood": K_WOOD, "k_slow": K_SLOW},
         "params": sorted(WORLD_LAYOUT),
     }
@@ -1093,26 +1079,31 @@ def save_world(world, path):
 def load_world(path):
     """Read a world file and check its arrays against :data:`WORLD_LAYOUT`.
     A file of another version is refused: those before version 3 hold no
-    observed state."""
+    observed state, and version 3 also held two per-cell columns that
+    nothing read.  So is a seed, year count or grid of the wrong kind."""
     manifest, arrays = blobio.read_model_file(path)
     if manifest.get("format") != "world":
         raise ContractError(f"{path}: not a world file: {manifest.get('format')!r}")
     if manifest.get("version") != WORLD_VERSION:
         raise ContractError(f"{path}: world file version {manifest.get('version')}; "
-                            f"this build reads version {WORLD_VERSION}, which "
-                            "holds the observed state: rerun gen-data")
+                            f"this build reads version {WORLD_VERSION}: rerun gen-data")
     try:
         g = manifest["grid"]
-        grid = GridSpec(g["n_lat"], g["n_lon"], g["resolution_deg"],
-                        g["land_fraction"])
         seed, years = manifest["seed"], manifest["years"]
-        dims = {"n_cells": manifest["n_cells"], "n_pft": manifest["n_pft"],
-                "n_layers": manifest["n_layers"],
-                "months": 12 * years,
-                "n_points": grid.n_points}
+        n_lat, n_lon, res = g["n_lat"], g["n_lon"], g["resolution_deg"]
     except KeyError as exc:
         raise ContractError(f"world file {path} lacks {exc.args[0]!r}") from None
-    blobio.check_layout(path, arrays, WORLD_LAYOUT, dims)
+    for name, value, least in (("seed", seed, 0), ("years", years, 1),
+                               ("grid n_lat", n_lat, 2), ("grid n_lon", n_lon, 2)):
+        if type(value) is not int or value < least:
+            raise ContractError(f"{path}: world {name} must be an integer "
+                                f">= {least}, got {value!r}")
+    if type(res) not in (int, float) or not 0 < res < math.inf:
+        raise ContractError(f"{path}: world grid resolution_deg must be a finite "
+                            f"positive number, got {res!r}")
+    grid = GridSpec(n_lat, n_lon, res)
+    blobio.check_layout(path, arrays, WORLD_LAYOUT,
+                        {"months": 12 * years, "n_points": grid.n_points})
     a = {name: arrays[name].astype(np.int64) if name in _INT_ARRAYS else arrays[name]
          for name in WORLD_LAYOUT}
     group = lambda prefix: {name.split(".", 1)[1]: v for name, v in a.items()
@@ -1128,9 +1119,9 @@ def load_world(path):
 
 
 def load_restart_state(world, path):
-    """Read a restart file and validate it against the world; fast pools
-    start from zero since the file carries only slow pools.  Returns the
-    initial PoolState and the stored tlai diagnostic."""
+    """Read a restart file and validate it against the world: the initial
+    PoolState, whose fast pools start from zero since the file carries only
+    slow pools."""
     cell_ids, pools, n_pft, n_layers = blobio.read_restart(path)
     if n_pft != world.n_pft or n_layers != world.n_layers:
         raise ContractError("restart dimensions do not match the world")
@@ -1149,8 +1140,7 @@ def load_restart_state(world, path):
         raise ContractError(f"restart file is missing {len(missing)} cells "
                             f"(first: {missing[:3]})")
     order = np.array([pos[cid] for cid in want])
-    return (restart_state(world, {key: pools[key][order] for key in SLOW_POOLS}),
-            pools["tlai"][order].astype(np.float64))
+    return restart_state(world, {key: pools[key][order] for key in SLOW_POOLS})
 
 
 def restart_state(world, pools):

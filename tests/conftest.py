@@ -3,7 +3,7 @@ import pytest
 
 from phase_surrogate import ood, pipeline
 from phase_surrogate.model import ModelConfig
-from phase_surrogate.pipeline import Dataset, DatasetSplit
+from phase_surrogate.pipeline import Dataset, Samples
 from phase_surrogate.training import TrainConfig, train
 
 
@@ -38,7 +38,7 @@ def build_toy_dataset(n=40, seed=0):
     prior = np.random.default_rng([seed, 1]).uniform(-0.2, 0.2, (n, 3))
 
     def split(sl):
-        return DatasetSplit(
+        return Samples(
             cell_id=np.arange(n, dtype=np.int64)[sl],
             lat=rng.uniform(-60, 60, n)[sl],
             lon=rng.uniform(0, 360, n)[sl],

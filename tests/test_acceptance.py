@@ -77,7 +77,7 @@ def metrics(run):
 def held_out_speedup(world, restart_path, test_ids):
     """Median restart speedup over the test split's cells, starting from
     the slow pools of a restart file."""
-    initial, _ = simulator.load_restart_state(world, str(restart_path))
+    initial = simulator.load_restart_state(world, str(restart_path))
     _, report = simulator.restart_run(initial, world, years=1)
     row = {int(c): i for i, c in enumerate(world.land_idx)}
     return pipeline.median(report.speedup[[row[int(c)] for c in test_ids]])

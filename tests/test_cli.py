@@ -377,6 +377,45 @@ class TestExitCodes:
         assert err.startswith("error:") and repr(lacks) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key,value,says", [
+        pytest.param(key, value, says, id=f"{key}-{label}")
+        for key, cases, says in [
+            ("seed", [("negative", -1), ("string", "9"), ("bool", True)],
+             "world seed must be an integer >= 0"),
+            ("years", [("zero", 0), ("string", "6"), ("bool", True),
+                       ("float", 6.0)],
+             "world years must be an integer >= 1"),
+            ("n_lat", [("string", "24"), ("one", 1), ("float", 24.0),
+                       ("bool", True)],
+             "world grid n_lat must be an integer >= 2"),
+            ("resolution_deg", [("zero", 0), ("negative", -1.0),
+                                ("nan", float("nan")), ("inf", float("inf")),
+                                ("string", "1.0"), ("bool", True)],
+             "world grid resolution_deg must be a finite positive number"),
+        ]
+        for label, value in cases])
+    def test_world_manifest_scalar_of_the_wrong_kind_is_refused(
+            self, ws, tmp_path, capsys, key, value, says):
+        manifest, arrays = blobio.read_model_file(str(ws["world"] / "world.phw"))
+        if key in manifest:
+            manifest[key] = value
+        else:
+            manifest["grid"] = dict(manifest["grid"], **{key: value})
+        if key == "years" and value == 0:
+            # a world of no years has no forcing
+            arrays["forcing_monthly"] = arrays["forcing_monthly"][:, :0]
+        world = tmp_path / "world"
+        world.mkdir()
+        path = world / "world.phw"
+        blobio.write_model_file(str(path), manifest, arrays)
+        rc = main(["build-dataset", "--world", str(world), "--seed", "1",
+                   "--out", str(tmp_path / "data")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {path}: {says}, got {value!r}")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [world]
+
     def test_world_array_short_of_a_cell_is_clean_runtime_error(self, ws, tmp_path,
                                                                 capsys):
         manifest, arrays = blobio.read_model_file(str(ws["world"] / "world.phw"))

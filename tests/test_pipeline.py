@@ -49,8 +49,6 @@ def make_samples(n, seed, n_pft=5, n_layers=9):
     groups["prior"] = np.random.default_rng([seed, 1]).uniform(-0.5, 0.5, size=(n, 3))
     return pl.Samples(cell_id=np.arange(n, dtype=np.int64),
                       lat=rng.uniform(-90, 90, size=n), lon=rng.uniform(0, 360, size=n),
-                      pft_code=np.tile(np.arange(n_pft), (n, 1)),
-                      deepest_valid_layer=np.full(n, n_layers),
                       groups=groups, targets=targets)
 
 
@@ -292,43 +290,6 @@ class TestBatchByLatLon:
         assert sorted(np.concatenate([c.cell_id for c in chunks]).tolist()) == [0, 1, 2, 3, 4]
 
 
-class TestClean:
-    def test_valid_records_pass_through(self):
-        samples = make_samples(8, seed=0)
-        kept, dropped = pl.clean(samples)
-        assert kept.n == 8
-        assert sum(dropped.values()) == 0
-        for g in pl.GROUPS:
-            np.testing.assert_array_equal(kept.groups[g], samples.groups[g])
-
-    def test_invalid_pft_code_dropped(self):
-        samples = make_samples(4, seed=1)
-        samples.pft_code[2] = [0, 1, 2, 3, 9]
-        kept, dropped = pl.clean(samples)
-        assert kept.n == 3
-        assert dropped["pft_code"] == 1
-        assert kept.cell_id.tolist() == [0, 1, 3]
-        np.testing.assert_array_equal(kept.targets["gpp"], samples.targets["gpp"][[0, 1, 3]])
-
-    def test_carbon_below_valid_depth_dropped(self):
-        samples = make_samples(4, seed=2)
-        samples.deepest_valid_layer[1] = 6
-        kept, dropped = pl.clean(samples)
-        assert dropped["below_valid_depth"] == 1
-        # zeroing the invalid layers makes the record acceptable
-        samples.groups["g5"][1, 6:] = 0.0
-        kept, dropped = pl.clean(samples)
-        assert kept.n == 4
-
-    def test_bad_code_and_deep_carbon_count_once_as_code(self):
-        samples = make_samples(5, seed=3)
-        samples.pft_code[3] = [0, 1, 2, 3, -1]
-        samples.deepest_valid_layer[3] = 6
-        kept, dropped = pl.clean(samples)
-        assert dropped == {"pft_code": 1, "below_valid_depth": 0}
-        assert kept.cell_id.tolist() == [0, 1, 2, 4]
-
-
 @pytest.fixture(scope="module")
 def built(tmp_path_factory):
     out = tmp_path_factory.mktemp("ds") / "dataset"
@@ -427,12 +388,15 @@ class TestBuildDataset:
     def test_directory_holds_one_file_per_split(self, built):
         _, _, out = built
         assert sorted(os.listdir(out)) == ["manifest.json", "test.pht", "train.pht"]
+        assert sorted(blobio.load_json(os.path.join(out, "manifest.json"))) == [
+            "feature_stats", "format", "n_samples", "n_test", "n_train",
+            "pipeline_seed", "target_stats", "version", "world"]
 
     def test_rejects_too_few_records(self, tmp_path):
-        samples = make_samples(6, seed=5)
-        samples.pft_code[:3] = [0, 1, 2, 3, 99]
-        with pytest.raises(ContractError):
+        samples = make_samples(4, seed=5)
+        with pytest.raises(ContractError, match="need at least 5 samples to split, got 4"):
             pl.build_dataset(samples, seed=0, out_dir=str(tmp_path / "x"))
+        assert not os.path.exists(tmp_path / "x")
 
     @pytest.mark.parametrize("split", pl.SPLITS)
     def test_load_reads_only_the_splits_asked_for(self, built, damaged, split):

@@ -223,7 +223,8 @@ class TestWorldGeneration:
     def test_forcing_series_length_and_bounds(self):
         # the window's monthly means, one row per month of every year
         w = sim.generate_world(0, sim.GridSpec(2, 2, 1.0), years=2)
-        assert w.n_cells >= 1
+        # the smallest grid keeps round(LAND_FRACTION * 4) land cells
+        assert w.n_cells == 2
         series = w.forcing_monthly
         assert series.shape == (w.n_cells, 24, 5)
         for i, name in enumerate(pl.G1_FIELDS):
@@ -270,8 +271,6 @@ class TestWorldGeneration:
     def test_configuration_errors(self):
         with pytest.raises(ConfigurationError):
             sim.generate_world(0, sim.GridSpec(4, 4, 1.0), years=0)
-        with pytest.raises(ConfigurationError):
-            sim.generate_world(0, sim.GridSpec(4, 4, 1.0, land_fraction=0.0))
         with pytest.raises(ConfigurationError):
             sim.GridSpec(1, 5, 1.0)
         with pytest.raises(ConfigurationError):
@@ -462,9 +461,7 @@ def reference_cell_params(seed, grid, land_idx, cell_lat, n_pft, n_layers):
         deposit[c] = prof / prof.sum()
     alpha, resp_frac, decomp, texture, land_frac, _ = scalars.T.copy()
     return sim.CellParams(alpha, resp_frac, nutrient, decomp, texture, land_frac,
-                          pft_weight, sla, crootfrac,
-                          np.tile(np.arange(n_pft, dtype=np.int64), (n, 1)),
-                          np.full(n, n_layers, dtype=np.int64), alloc, deposit)
+                          pft_weight, sla, crootfrac, alloc, deposit)
 
 
 class TestForcingSynthesis:
@@ -907,8 +904,7 @@ class TestExportSamples:
         assert s.groups["g4"].shape == (n, world.n_pft, 5)
         assert s.groups["g5"].shape == (n, world.n_layers, 3)
         assert s.groups["prior"].shape == (n, len(pl.PRIOR_GROUPS))
-        assert s.pft_code.shape == (n, world.n_pft)
-        assert s.lat.shape == s.lon.shape == s.deepest_valid_layer.shape == (n,)
+        assert s.lat.shape == s.lon.shape == (n,)
         for t in pl.TASKS:
             assert s.targets[t].shape[0] == n, t
         assert s.targets["gpp"].shape == (n,)
@@ -1088,25 +1084,32 @@ class TestPersistence:
         assert loaded.seed == world.seed and loaded.years == world.years
         assert np.array_equal(loaded.land_idx, world.land_idx)
         assert np.array_equal(loaded.forcing_monthly, world.forcing_monthly)
-        assert np.array_equal(loaded.params.pft_code, world.params.pft_code)
         assert np.array_equal(loaded.gbar_stat12, world.gbar_stat12)
         for key in sim.POOL_KEYS:
             assert np.array_equal(getattr(loaded.window_end, key),
                                   getattr(world.window_end, key)), key
         for g in ("g4", "g5"):
             assert np.array_equal(getattr(loaded.observed, g), getattr(world.observed, g)), g
-        assert loaded.params.pft_code.dtype == np.int64
+        for f in dataclasses.fields(sim.CellParams):
+            assert np.array_equal(getattr(loaded.params, f.name),
+                                  getattr(world.params, f.name)), f.name
+        assert loaded.land_idx.dtype == loaded.cell_point.dtype == np.int64
         got, want = sim.export_samples(loaded), sim.export_samples(world)
         for g in (*pl.GROUPS, "prior"):
             assert np.array_equal(got.groups[g], want.groups[g]), g
         for name in want.targets:
             assert np.array_equal(got.targets[name], want.targets[name]), name
 
-    def test_manifest_is_version_three(self, world, tmp_path):
+    def test_manifest_is_version_four(self, world, tmp_path):
+        # the dims are the arrays'; the manifest keeps what they cannot give
         path = str(tmp_path / "world.phw")
         sim.save_world(world, path)
         manifest, arrays = blobio.read_model_file(path)
-        assert manifest["version"] == 3
+        assert manifest["version"] == 4
+        assert sorted(manifest) == ["format", "grid", "params", "seed",
+                                    "turnover", "version", "years"]
+        assert manifest["grid"] == {"n_lat": 8, "n_lon": 8, "resolution_deg": 1.0}
+        assert sorted(arrays) == sorted(sim.WORLD_LAYOUT)
         assert {"observed.g4", "observed.g5"} <= set(arrays)
         assert not any(name.startswith(("eq", "gbar_pre")) for name in arrays)
 
@@ -1143,7 +1146,8 @@ class TestPersistence:
 
     def test_older_versions_refused(self, world, tmp_path):
         # versions 1 and 2 held no observed state; version 1 also stored
-        # the equilibria and the pre-window intermediates
+        # the equilibria and the pre-window intermediates, and version 3 two
+        # per-cell columns nothing read
         path = str(tmp_path / "world.phw")
         sim.save_world(world, path)
         manifest, arrays = blobio.read_model_file(path)
@@ -1152,8 +1156,13 @@ class TestPersistence:
         extra = {f"{prefix}.{k}": getattr(eq.pools, k)
                  for prefix in ("eq", "eq_pre") for k in sim.POOL_KEYS}
         extra["gbar_pre12"] = world.gbar_stat12
+        validity = {"params.pft_code": np.tile(np.arange(world.n_pft, dtype=np.float64),
+                                               (world.n_cells, 1)),
+                    "params.deepest_valid_layer": np.full(world.n_cells,
+                                                          float(world.n_layers))}
         old = str(tmp_path / "old.phw")
-        for version, stored in ((1, {**old_arrays, **extra}), (2, old_arrays)):
+        for version, stored in ((1, {**old_arrays, **extra}), (2, old_arrays),
+                                (3, {**arrays, **validity})):
             blobio.write_model_file(old, dict(manifest, version=version,
                                               params=sorted(stored)), stored)
             with pytest.raises(ContractError, match=rf"version {version}; .*rerun gen-data"):
@@ -1176,9 +1185,8 @@ class TestPersistence:
         path = str(tmp_path / "state.phr")
         blobio.write_restart(path, world.land_idx, self.restart_pools(world, slice(None)),
                              world.n_pft, world.n_layers)
-        state, tlai = sim.load_restart_state(world, path)
+        state = sim.load_restart_state(world, path)
         np.testing.assert_allclose(state.soil3c, eq.pools.soil3c, rtol=1e-6)
-        np.testing.assert_allclose(tlai, eq.tlai, rtol=1e-6)
         assert np.all(state.leaf_c == 0.0) and np.all(state.froot_c == 0.0)
 
     def test_restart_missing_cells_rejected(self, world, tmp_path):
