@@ -47,13 +47,13 @@ _BRANCH_DROPS = {
     "no_fc": ("static", "pft"),
 }
 
-# Model file manifest version.  Version 7 takes g1 as its annual cycle, with
-# no forcing window in its dims; version 6 heads predict one residual per
-# turnover group, added to the sample's prior; version 5 heads a log ratio
-# to the observed pools per slow-pool element, version 4 heads MinMax-scaled
-# pools through softplus, version 3 files also carry flux heads, version 2
-# keeps the dims in the config, and version 1 reads every month.
-MODEL_VERSION = 7
+# Model file manifest version.  Version 8 reads only inputs the physics reads;
+# version 7 also read five more; version 6 kept a forcing window in its dims.
+# Version 6 heads predict one residual per turnover group, added to the prior,
+# version 5 heads a log ratio to the observed pools per slow-pool element,
+# version 4 MinMax-scaled pools through softplus; version 3 also carries flux
+# heads, version 2 keeps the dims in the config, version 1 reads every month.
+MODEL_VERSION = 8
 
 # (group, trailing index) of each slow task's observed window-end pools,
 # the state its prediction scales

@@ -3,10 +3,10 @@ the train/test split, and the on-disk dataset layout.
 
 A sample is one land cell with five feature groups:
 
-- g1: the mean annual cycle of the monthly climate forcing [12 x 5 vars]
+- g1: the mean annual cycle of the monthly climate forcing [12 x 3 vars]
   over the stationary years (``simulator.export_samples``)
-- g2: static cell attributes [8]
-- g3: vegetation-type traits [n_pft x 3]
+- g2: static cell attributes [6]
+- g3: vegetation-type traits [n_pft x 2]
 - g4: vegetation-type state at the end of the input window [n_pft x 5]
 - g5: layered pools at the end of the input window [n_layers x 3]
 
@@ -37,9 +37,9 @@ import numpy as np
 from . import blobio
 from .errors import ConfigurationError, ContractError
 
-G1_FIELDS = ("radiation", "precipitation", "pressure", "humidity", "temperature")
-G2_FIELDS = ("lat", "lon", "land_frac", "alpha", "resp_frac", "nutrient", "decomp", "texture")
-G3_FIELDS = ("pft_weight", "sla", "crootfrac")
+G1_FIELDS = ("radiation", "precipitation", "temperature")
+G2_FIELDS = ("lat", "lon", "alpha", "resp_frac", "nutrient", "decomp")
+G3_FIELDS = ("pft_weight", "sla")
 G4_FIELDS = ("leaf_c", "froot_c", "deadcrootc", "deadstemc", "tlai")
 G5_FIELDS = ("cwdc", "soil3c", "soil4c")
 
@@ -78,7 +78,7 @@ COLUMNS = tuple(SPLIT_LAYOUT)
 # and soil layers: the dims a model takes from its data.
 DIMS = tuple(dict.fromkeys(d for g in GROUPS for d in SPLIT_LAYOUT[g][1:]
                            if isinstance(d, str)))
-DATASET_VERSION = 6
+DATASET_VERSION = 7
 SPLITS = ("train", "test")
 
 TRAIN_NUM, TRAIN_DEN = 8, 10
@@ -91,11 +91,11 @@ TROPICS_LAT = 23.0
 # ``_gbar_of`` indexes, so a model reads it without importing the simulator.
 
 def _gbar_of(forcing_monthly):
-    """Smooth positive flux response in (0, 1] of monthly forcing [..., 5]:
+    """Smooth positive flux response in (0, 1] of monthly forcing [..., 3]:
     light saturation times moisture saturation times a thermal optimum at
     290 K."""
     fm = np.asarray(forcing_monthly, dtype=np.float64)
-    rad, pre, tmp = fm[..., 0], fm[..., 1], fm[..., 4]
+    rad, pre, tmp = fm[..., 0], fm[..., 1], fm[..., 2]
     light = rad / (rad + 120.0)
     moisture = pre / (pre + 2.0)
     thermal = np.exp(-(((tmp - 290.0) / 26.0) ** 2))

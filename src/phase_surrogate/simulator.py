@@ -28,13 +28,14 @@ a month is its forcing point's noise-free climatology for that month, plus
 the cell's constant offset, plus one draw of monthly noise, clipped to
 FORCING_BOUNDS once.  The climatology is the mean of a 6-hourly seasonal
 and diurnal cycle (120 steps a month) under the trend ramp, taken at the
-forcing points.  Pressure, humidity and temperature are kept as the
-twelve monthly means they have every year; radiation and precipitation
-grow with the ramp, which is linear in the step within a month, so their
-month means come in closed form from two moments of the seasonal cycle
-(:class:`_PointClimate`).  No sub-monthly value of a cell is ever built,
-and no 6-hourly value of radiation or precipitation.  The monthly noise has
-the sd of a month's mean of a 6-hourly AR(1) process (see
+forcing points.  Temperature is kept as the twelve monthly means it has
+every year; radiation and precipitation grow with the ramp, which is
+linear in the step within a month, so their month means come in closed
+form from two moments of the seasonal cycle (:class:`_PointClimate`).  No
+sub-monthly value of a cell is ever built, and no 6-hourly value of
+radiation or precipitation.  Offsets and noise are drawn for five fields
+and three kept (:data:`_KEPT`), the draws of world version 4.  The
+monthly noise has the sd of a month's mean of a 6-hourly AR(1) process (see
 :data:`_MONTH_MEAN_SD`) and is independent from month to month; that
 process forgets within days, so its successive monthly means correlate by
 only about 0.02.  Each cell draws all its months' noise from its own stream
@@ -85,8 +86,6 @@ STEPS_PER_DAY = 4
 FORCING_BOUNDS = {
     "radiation": (0.0, 600.0),        # W/m2
     "precipitation": (0.0, 30.0),     # mm/day
-    "pressure": (60000.0, 110000.0),  # Pa
-    "humidity": (0.0, 0.05),          # kg/kg
     "temperature": (190.0, 340.0),    # K
 }
 
@@ -215,11 +214,8 @@ class CellParams:
     resp_frac: np.ndarray
     nutrient: np.ndarray
     decomp: np.ndarray
-    texture: np.ndarray
-    land_frac: np.ndarray
     pft_weight: np.ndarray
     sla: np.ndarray
-    crootfrac: np.ndarray
     alloc: np.ndarray
     deposit: np.ndarray
 
@@ -423,12 +419,12 @@ def _cell_streams(seed, code, flats, *suffix):
 # ---------------------------------------------------------------------------
 
 class _PointClimate:
-    """Every forcing point's noise-free climate: the monthly means [P, 5]
+    """Every forcing point's noise-free climate: the monthly means [P, 3]
     of a 6-hourly seasonal and diurnal cycle over the twelve 30-day months
     of a year (:meth:`monthly`).
 
-    Pressure, humidity and temperature do not depend on the year, so they
-    are kept as their twelve monthly means, ``static`` [12, P, 3].
+    Temperature does not depend on the year, so it is kept as its twelve
+    monthly means, ``static`` [12, P].
     Radiation and precipitation at step s are amp * (1 + trend * r_s) * c(s):
     a per-point amplitude ``amp`` [2, P], the trend ramp r_s, and a seasonal
     cycle c that depends on a point's latitude only through its hemisphere,
@@ -448,7 +444,7 @@ class _PointClimate:
         # year in, the south's half a year later
         cosine = lambda shift: np.stack([np.cos(2.0 * np.pi * (frac - shift - phase))
                                          for phase in (0.0, 0.5)], axis=1)
-        season, pressure_cycle = cosine(0.54), cosine(0.0)
+        season = cosine(0.54)
         south = (points.lat < 0).astype(np.intp)
         cycle = np.stack([1.0 + 0.42 * cosine(0.5), 1.0 + 0.45 * cosine(0.18)]
                          ).reshape(2, 12, STEPS_PER_MONTH, 2)
@@ -461,37 +457,37 @@ class _PointClimate:
         a = [abs(x) / 90.0 for x in lat]
         t0 = np.array([302.0 - 49.0 * v ** 1.3 for v in a])
         t_amp = np.array([2.0 + 28.0 * v for v in a])
-        p0 = np.array([96500.0 + 4500.0 * math.cos(math.radians(x)) ** 2 for x in lat])
         sun = np.array([max(0.22, math.cos(math.radians(x))) for x in lat])
         itcz = np.array([1.2 + 7.5 * math.exp(-(((abs(x) - 12.0) / 26.0) ** 2))
                          for x in lat])
         self.amp = np.stack([points.rad_scale * 250.0 * sun, points.precip_scale * itcz])
-        self.static = np.empty((12, points.n, 3))
-        block = np.empty((STEPS_PER_MONTH, points.n, 3))
+        # numpy sums a C-order block [120, P] row by row; the expression
+        # alone is in Fortran order, summed pairwise, and rounds apart
+        self.static = np.empty((12, points.n))
+        block = np.empty((STEPS_PER_MONTH, points.n))
         for month in range(12):
             rows = slice(month * STEPS_PER_MONTH, (month + 1) * STEPS_PER_MONTH)
-            temperature = t0 + t_amp * season[rows][:, south] + diurnal[rows, None]
-            block[..., 0] = p0 + 300.0 * pressure_cycle[rows][:, south]
-            block[..., 1] = 0.002 + 0.023 * np.exp(-(((temperature - 302.0) / 35.0) ** 2))
-            block[..., 2] = temperature
+            block[...] = t0 + t_amp * season[rows][:, south] + diurnal[rows, None]
             self.static[month] = block.mean(axis=0)
         self.south, self.trend = south, points.trend
 
     def monthly(self, month, rbar):
-        """Every point's means [P, M, 5] of the calendar months ``month``
+        """Every point's means [P, M, 3] of the calendar months ``month``
         [M] (0-11), given each month's mean of r * c per field and
         hemisphere, ``rbar`` [2, M, 2]."""
-        out = np.empty((self.trend.shape[0], len(month), 5))
+        out = np.empty((self.trend.shape[0], len(month), 3))
         ramped = out[..., :2].transpose(2, 1, 0)
         np.multiply(self.trend, rbar[..., self.south], out=ramped)
         ramped += self.m0[:, month][..., self.south]
         ramped *= self.amp[:, None]
-        out[..., 2:] = self.static[month].transpose(1, 0, 2)
+        out[..., 2] = self.static[month].T
         return out
 
 
-_OFFSET_SD = np.array([9.0, 0.35, 350.0, 0.0012, 1.2])
-_NOISE_SD = np.array([16.0, 0.9, 250.0, 0.001, 2.2])
+# the fields drawn, of which the columns _KEPT are pipeline.G1_FIELDS
+_DRAWN, _KEPT = 5, [0, 1, 4]
+_OFFSET_SD = np.array([9.0, 0.35, 1.2])
+_NOISE_SD = np.array([16.0, 0.9, 2.2])
 # The sd of a month's mean of a stationary 6-hourly AR(1) process with
 # coefficient AR1_RHO, as a fraction of its step sd: the square root of the
 # variance of the mean of N = STEPS_PER_MONTH unit-variance steps.  The
@@ -504,24 +500,24 @@ _FORCING_LO, _FORCING_HI = np.array([FORCING_BOUNDS[f] for f in pipeline.G1_FIEL
 
 
 def _cell_offsets(seed, land_idx, spread):
-    """Each cell's constant forcing offset, [n_cells, 5]."""
+    """Each cell's constant forcing offset, [n_cells, 3]."""
     streams = _cell_streams(seed, _SEED_NOISE, land_idx, 0)
-    draws = [rng.standard_normal(5) for rng in streams]
+    draws = [rng.standard_normal(_DRAWN)[_KEPT] for rng in streams]
     return np.stack(draws) * _OFFSET_SD * spread
 
 
 def _clip_bounds(series):
-    """Clip forcing [..., 5] to FORCING_BOUNDS, in place.  The bounds are
+    """Clip forcing [..., 3] to FORCING_BOUNDS, in place.  The bounds are
     tiled over the next-to-last axis, so numpy runs one long inner loop
-    rather than one of five values per row."""
+    rather than one of three values per row."""
     rows = (series.shape[-2], 1)
     return np.clip(series, np.tile(_FORCING_LO, rows), np.tile(_FORCING_HI, rows),
                    out=series)
 
 
 def _point_climatologies(points, years):
-    """Every point's noise-free months: the window's [P, 12·years, 5] and the
-    stationary year's before and past the trend ramp, [P, 12, 5] each.
+    """Every point's noise-free months: the window's [P, 12·years, 3] and the
+    stationary year's before and past the trend ramp, [P, 12, 3] each.
 
     The ramp r at step t is t / span up to span, the first step of year
     TREND_RAMP_YEARS, and 1 from there on.  So a month starting at step
@@ -543,20 +539,21 @@ def _point_climatologies(points, years):
 
 
 def _window_monthly_forcing(seed, grid, land_idx, cell_point, point_months, offsets):
-    """Monthly forcing [n_cells, months, 5] over the simulated window.
+    """Monthly forcing [n_cells, months, 3] over the simulated window.
 
     A cell's month is its point's climatology for the month
     (``point_months``, the window's from :func:`_point_climatologies`),
     plus its offset, plus its noise, clipped to FORCING_BOUNDS.  Each cell
-    draws every month's noise in one call from its own stream, straight
-    into its rows of the output, and adds its point's months and its offset
-    there, so no second [n_cells, months, 5] array is built.
-    """
+    draws every month's noise in one call from its own stream into one
+    reused block, and its kept fields, point's months and offset go
+    straight into its rows of the output."""
     out = np.empty((land_idx.shape[0],) + point_months.shape[1:])
+    drawn = np.empty((out.shape[1], _DRAWN))
     sd = _NOISE_SD * grid.spread_scale * _MONTH_MEAN_SD
     streams = _cell_streams(seed, _SEED_NOISE, land_idx, 1)
     for row, rng, point, offset in zip(out, streams, cell_point, offsets):
-        rng.standard_normal(out=row)
+        rng.standard_normal(out=drawn)
+        np.take(drawn, _KEPT, axis=1, out=row)
         row *= sd
         row += point_months[point] + offset
     return _clip_bounds(out)
@@ -623,9 +620,10 @@ _PFT_BASE_SLA = np.array([0.030, 0.025, 0.020, 0.016, 0.012])
 
 def _draw_cell_params(seed, grid, land_idx, cell_lat, n_pft, n_layers):
     """Each cell draws from its own stream, in one fixed order: six scalar
-    parameters, the type weights, the two traits, the allocation, the
+    parameters, the type weights, two traits, the allocation, the
     deposition groups and their depths.  The draws are then mapped and
-    normalized for all cells at once."""
+    normalized for all cells at once.  The fourth and fifth scalars and the
+    second trait, used by world version 4, keep later draws in place."""
     n = land_idx.shape[0]
     s = grid.spread_scale
     u = np.empty((n, 6))
@@ -644,22 +642,19 @@ def _draw_cell_params(seed, grid, land_idx, cell_lat, n_pft, n_layers):
     alpha = _spread_uniform(u[:, 0], 1600.0, 2400.0, s, 800.0, 3600.0)
     resp_frac = _spread_uniform(u[:, 1], 0.86, 0.94, s, 0.84, 0.96)
     decomp = _spread_uniform(u[:, 2], 0.65, 1.08, s, 0.55, 1.095)
-    texture = _spread_uniform(u[:, 3], 0.0, 1.0, s, 0.0, 1.0)
-    land_frac = _spread_uniform(u[:, 4], 0.55, 1.0, s, 0.05, 1.0)
     depletion = _spread_uniform(u[:, 5], 0.05, 0.45, s, 0.02, 0.6)
     nutrient = np.where(np.abs(cell_lat) < pipeline.TROPICS_LAT, 1.0 - depletion, 1.0)
     w = _PFT_BASE_WEIGHT[:n_pft] * weight_draw
     pft_weight = w / w.sum(axis=1, keepdims=True)
     sla = _PFT_BASE_SLA[:n_pft] * _spread_uniform(trait_u[:, 0], 0.85, 1.15, s, 0.6, 1.6)
-    crootfrac = _spread_uniform(trait_u[:, 1], 0.1, 0.6, s, 0.02, 0.9)
     a = _PFT_BASE_ALLOC[:n_pft] * alloc_draw
     alloc = a / a.sum(axis=2, keepdims=True)
     z0 = _spread_uniform(depth_u, 3.0, 5.0, s, 2.5, 6.0)
     layers = np.arange(n_layers, dtype=np.float64)
     prof = group[:, :, None] * np.exp(-layers / z0[:, :, None])
     deposit = prof / prof.sum(axis=(1, 2), keepdims=True)
-    return CellParams(alpha, resp_frac, nutrient, decomp, texture, land_frac,
-                      pft_weight, sla, crootfrac, alloc, deposit)
+    return CellParams(alpha, resp_frac, nutrient, decomp, pft_weight, sla,
+                      alloc, deposit)
 
 
 def route_weights(params):
@@ -950,8 +945,8 @@ def _ramp_fit(world):
     """Each cell's annual NPP before the window and at equilibrium, [n]
     each, estimated from the window's forcing alone.  For each calendar
     month, radiation and precipitation are fitted over the window's years
-    as A + B·ρ, with ρ the trend ramp at the month's middle step; the other
-    fields take their mean over the years.  NPP before the window is that
+    as A + B·ρ, with ρ the trend ramp at the month's middle step;
+    temperature takes its mean over the years.  NPP before the window is that
     of A, and at equilibrium the nutrient-scaled NPP of A + B, each clipped
     to FORCING_BOUNDS first.  The fit assumes the synthetic forcing's ramp,
     linear from the window's first month for TREND_RAMP_YEARS; a window of
@@ -1007,7 +1002,7 @@ def spinup_prior(world):
 
 def export_samples(world):
     """Every cell's sample as one :class:`pipeline.Samples`: the mean annual
-    forcing cycle [n, 12, 5] of the last STATIONARY_YEARS (or of the whole
+    forcing cycle [n, 12, 3] of the last STATIONARY_YEARS (or of the whole
     span if shorter), static attributes, traits, the world's observed
     end-of-window states (copied; nothing is drawn here), the spin-up prior
     of the whole window (:func:`spinup_prior`), and exact equilibrium
@@ -1016,9 +1011,9 @@ def export_samples(world):
     g1 = world.forcing_monthly[:, -12 * years:].reshape(world.n_cells, years, 12, -1)
     prior = spinup_prior(world)
     p, eq = world.params, analytic_equilibrium(world)
-    g2 = np.stack([world.cell_lat, world.cell_lon, p.land_frac, p.alpha,
-                   p.resp_frac, p.nutrient, p.decomp, p.texture], axis=1)
-    g3 = np.stack([p.pft_weight, p.sla, p.crootfrac], axis=2)
+    g2 = np.stack([world.cell_lat, world.cell_lon, p.alpha, p.resp_frac,
+                   p.nutrient, p.decomp], axis=1)
+    g3 = np.stack([p.pft_weight, p.sla], axis=2)
     targets = {"deadcrootc": eq.pools.deadcrootc, "deadstemc": eq.pools.deadstemc,
                "tlai": eq.tlai, "cwdc": eq.pools.cwdc, "soil3c": eq.pools.soil3c,
                "soil4c": eq.pools.soil4c, "gpp": eq.gpp, "ar": eq.ar, "npp": eq.npp}
@@ -1039,17 +1034,15 @@ def export_samples(world):
 # :func:`blobio.check_layout`): ``months`` and ``n_points`` follow from the
 # manifest's years and grid, the others are bound by the arrays.
 # ``window.*`` are the window-end pools and ``observed.*`` their observation.
-WORLD_VERSION = 4
+WORLD_VERSION = 5
 WORLD_LAYOUT = {
     "land_idx": ("n_cells",), "cell_lat": ("n_cells",), "cell_lon": ("n_cells",),
     "cell_point": ("n_cells",),
     **{f"points.{f.name}": ("n_points",) for f in dataclasses.fields(ForcingPoints)},
     "forcing_monthly": ("n_cells", "months", len(pipeline.G1_FIELDS)),
     "gbar_stat12": ("n_cells", 12),
-    **{f"params.{name}": ("n_cells",) for name in
-       ("alpha", "resp_frac", "nutrient", "decomp", "texture", "land_frac")},
-    **{f"params.{name}": ("n_cells", "n_pft") for name in
-       ("pft_weight", "sla", "crootfrac")},
+    **{f"params.{name}": ("n_cells",) for name in ("alpha", "resp_frac", "nutrient", "decomp")},
+    **{f"params.{name}": ("n_cells", "n_pft") for name in ("pft_weight", "sla")},
     "params.alloc": ("n_cells", "n_pft", len(PFT_POOLS) + 1),
     "params.deposit": ("n_cells", len(LAYER_POOLS), "n_layers"),
     **{f"window.{k}": ("n_cells", "n_pft") for k in PFT_POOLS},
@@ -1078,9 +1071,8 @@ def save_world(world, path):
 
 def load_world(path):
     """Read a world file and check its arrays against :data:`WORLD_LAYOUT`.
-    A file of another version is refused: those before version 3 hold no
-    observed state, and version 3 also held two per-cell columns that
-    nothing read.  So is a seed, year count or grid of the wrong kind."""
+    A file of another version is refused (README says what each held), and
+    so is a seed, year count, grid or turnover record of the wrong kind."""
     manifest, arrays = blobio.read_model_file(path)
     if manifest.get("format") != "world":
         raise ContractError(f"{path}: not a world file: {manifest.get('format')!r}")
@@ -1101,6 +1093,12 @@ def load_world(path):
     if type(res) not in (int, float) or not 0 < res < math.inf:
         raise ContractError(f"{path}: world grid resolution_deg must be a finite "
                             f"positive number, got {res!r}")
+    turnover = manifest.get("turnover")
+    for name, rate in (("k_fast", K_FAST), ("k_wood", K_WOOD), ("k_slow", K_SLOW)):
+        got = turnover.get(name) if isinstance(turnover, dict) else None
+        if got != rate:
+            raise ContractError(f"{path}: world turnover {name} must be {rate}, got {got!r}: "
+                                "rerun gen-data")
     grid = GridSpec(n_lat, n_lon, res)
     blobio.check_layout(path, arrays, WORLD_LAYOUT,
                         {"months": 12 * years, "n_points": grid.n_points})

@@ -7,6 +7,10 @@ from phase_surrogate.pipeline import Dataset, Samples
 from phase_surrogate.training import TrainConfig, train
 
 
+# each feature group's trailing width, its number of fields
+WIDTH = {g: len(pipeline.GROUP_FIELDS[g]) for g in pipeline.GROUPS}
+
+
 def build_toy_dataset(n=40, seed=0):
     """Small in-memory dataset with a smooth learnable input-target map.
 
@@ -16,11 +20,11 @@ def build_toy_dataset(n=40, seed=0):
     about 0, not the spin-up prior of these pools.
     """
     rng = np.random.default_rng(seed)
-    g1 = rng.uniform(0.05, 0.95, (n, 12, 5)).astype(np.float32)
-    g2 = rng.uniform(0.05, 0.95, (n, 8)).astype(np.float32)
-    g3 = rng.uniform(0.05, 0.95, (n, 5, 3)).astype(np.float32)
-    g4 = rng.uniform(0.05, 0.95, (n, 5, 5)).astype(np.float32)
-    g5 = rng.uniform(0.05, 0.95, (n, 9, 3)).astype(np.float32)
+    g1 = rng.uniform(0.05, 0.95, (n, 12, WIDTH["g1"])).astype(np.float32)
+    g2 = rng.uniform(0.05, 0.95, (n, WIDTH["g2"])).astype(np.float32)
+    g3 = rng.uniform(0.05, 0.95, (n, 5, WIDTH["g3"])).astype(np.float32)
+    g4 = rng.uniform(0.05, 0.95, (n, 5, WIDTH["g4"])).astype(np.float32)
+    g5 = rng.uniform(0.05, 0.95, (n, 9, WIDTH["g5"])).astype(np.float32)
     drive = (g1.mean(axis=(1, 2)) + g2.mean(axis=1)
              + g3.mean(axis=(1, 2)) + g4.mean(axis=(1, 2))
              + g5.mean(axis=(1, 2))) / 5.0

@@ -392,6 +392,10 @@ class TestExitCodes:
                                 ("nan", float("nan")), ("inf", float("inf")),
                                 ("string", "1.0"), ("bool", True)],
              "world grid resolution_deg must be a finite positive number"),
+            ("k_fast", [("other", 0.2), ("string", "0.1"), ("null", None)],
+             "world turnover k_fast must be 0.1"),
+            ("k_wood", [("other", 0.004)], "world turnover k_wood must be 0.005"),
+            ("k_slow", [("other", 0.005)], "world turnover k_slow must be 0.004"),
         ]
         for label, value in cases])
     def test_world_manifest_scalar_of_the_wrong_kind_is_refused(
@@ -400,7 +404,8 @@ class TestExitCodes:
         if key in manifest:
             manifest[key] = value
         else:
-            manifest["grid"] = dict(manifest["grid"], **{key: value})
+            part = "turnover" if key in manifest["turnover"] else "grid"
+            manifest[part] = dict(manifest[part], **{key: value})
         if key == "years" and value == 0:
             # a world of no years has no forcing
             arrays["forcing_monthly"] = arrays["forcing_monthly"][:, :0]
@@ -413,6 +418,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error: {path}: {says}, got {value!r}")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [world]
+
+    @pytest.mark.parametrize("drop", ["record", "k_wood"])
+    def test_world_without_its_turnover_is_refused(self, ws, tmp_path, capsys, drop):
+        # the turnover record, or one rate of it, missing
+        manifest, arrays = blobio.read_model_file(str(ws["world"] / "world.phw"))
+        if drop == "record":
+            del manifest["turnover"]
+        else:
+            manifest["turnover"] = {k: v for k, v in manifest["turnover"].items()
+                                    if k != drop}
+        world = tmp_path / "world"
+        world.mkdir()
+        path = world / "world.phw"
+        blobio.write_model_file(str(path), manifest, arrays)
+        rc = main(["build-dataset", "--world", str(world), "--seed", "1",
+                   "--out", str(tmp_path / "data")])
+        err = capsys.readouterr().err
+        named = "k_fast" if drop == "record" else drop
+        assert rc == 1
+        assert err.startswith(f"error: {path}: world turnover {named} must be ")
+        assert err.rstrip().endswith("got None: rerun gen-data")
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == [world]
 
@@ -438,7 +466,7 @@ class TestExitCodes:
             ("world", "forcing_monthly", np.s_[..., :-1]),
             ("world", "gbar_stat12", np.s_[:, :11]),
             ("world", "points.lat", np.s_[:-1]),
-            ("data", "g1", np.s_[..., :4]),
+            ("data", "g1", np.s_[..., :-1]),
             ("model", "ood.latent_mean", np.s_[:-1]),
         ]
         for command in {"world": ("build-dataset", "restart-check"),

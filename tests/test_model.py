@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import TOY_DIMS, build_toy_dataset, toy_model_config, with_guard
+from conftest import (TOY_DIMS, WIDTH, build_toy_dataset, toy_model_config,
+                      with_guard)
 from phase_surrogate import metrics, pipeline, simulator
 from phase_surrogate import model as model_mod
 from phase_surrogate.cli import main
@@ -16,11 +17,11 @@ from phase_surrogate.model import (ModelConfig, Surrogate, active_branches,
 
 def toy_batch(n=4, months=12, seed=1):
     rng = np.random.default_rng(seed)
-    return {"g1": rng.uniform(0, 1, (n, months, 5)).astype(np.float32),
-            "g2": rng.uniform(0, 1, (n, 8)).astype(np.float32),
-            "g3": rng.uniform(0, 1, (n, 5, 3)).astype(np.float32),
-            "g4": rng.uniform(0, 1, (n, 5, 5)).astype(np.float32),
-            "g5": rng.uniform(0, 1, (n, 9, 3)).astype(np.float32),
+    return {"g1": rng.uniform(0, 1, (n, months, WIDTH["g1"])).astype(np.float32),
+            "g2": rng.uniform(0, 1, (n, WIDTH["g2"])).astype(np.float32),
+            "g3": rng.uniform(0, 1, (n, 5, WIDTH["g3"])).astype(np.float32),
+            "g4": rng.uniform(0, 1, (n, 5, WIDTH["g4"])).astype(np.float32),
+            "g5": rng.uniform(0, 1, (n, 9, WIDTH["g5"])).astype(np.float32),
             "prior": rng.uniform(-0.5, 0.5, (n, 3))}
 
 
@@ -157,19 +158,19 @@ class TestVariantStructure:
     def test_parameter_layout_of_every_variant(self):
         # the names and shapes a model file stores at the default config; a
         # change here needs a MODEL_VERSION bump
-        temporal = {"temporal.w_x": (5, 256), "temporal.w_h": (64, 256),
+        temporal = {"temporal.w_x": (3, 256), "temporal.w_h": (64, 256),
                     "temporal.b": (256,), "temporal.w_p": (64, 64),
                     "temporal.b_p": (64,)}
         layered = {"layered.k1": (3, 3, 16), "layered.b1": (16,),
                    "layered.k2": (3, 16, 32), "layered.b2": (32,),
                    "layered.w": (288, 64), "layered.b": (64,)}
-        static = {"static.w1": (8, 64), "static.b1": (64,),
+        static = {"static.w1": (6, 64), "static.b1": (64,),
                   "static.w2": (64, 64), "static.b2": (64,)}
-        pft = {"pft.w1": (40, 64), "pft.b1": (64,), "pft.w2": (64, 64),
+        pft = {"pft.w1": (35, 64), "pft.b1": (64,), "pft.w2": (64, 64),
                "pft.b2": (64,)}
         head = {"heads.w1": (64, 64), "heads.b1": (64,), "heads.w2": (64, 3),
                 "heads.b2": (3,)}
-        trunk = {"trunk.w1": (135, 64), "trunk.b1": (64,),
+        trunk = {"trunk.w1": (104, 64), "trunk.b1": (64,),
                  "trunk.w2": (64, 64), "trunk.b2": (64,),
                  "trunk.w3": (64, 64), "trunk.b3": (64,)}
         block = {"wq": (64, 64), "wk": (64, 64), "wv": (64, 64),
@@ -239,7 +240,8 @@ class TestForward:
             batch = toy_batch(months=months)
             for call in (model.forward, model.predict, model.attention_weights):
                 with pytest.raises(ShapeError, match=rf"g1 must be \[batch, 12, "
-                                                     rf"vars\], got shape \(4, {months}, 5\)"):
+                                                     rf"vars\], got shape \(4, {months}, "
+                                                     rf"{WIDTH['g1']}\)"):
                     call(batch)
 
     def test_attention_shape(self):
@@ -354,11 +356,12 @@ class TestForcingFold:
 
         monkeypatch.setattr(autodiff, "lstm_sequence", spy)
         make("full").predict(toy_batch(n=3))
-        assert shapes == [(3, 12, 5)]
+        assert shapes == [(3, 12, WIDTH["g1"])]
 
     def test_dense_baseline_reads_one_year_of_forcing(self):
         trunk = make("baseline_mlp").branches["trunk"]
-        assert trunk.in_shape == (12 * 5 + 8 + 5 * (3 + 5) + 9 * 3,)
+        assert trunk.in_shape == (12 * WIDTH["g1"] + WIDTH["g2"]
+                                  + 5 * (WIDTH["g3"] + WIDTH["g4"]) + 9 * WIDTH["g5"],)
 
 
 class TestPersistence:
@@ -447,7 +450,7 @@ class TestPersistence:
         manifest, arrays = blobio.read_model_file(path)
         blobio.write_model_file(path, dict(manifest, version=5), arrays)
         with pytest.raises(ContractError, match="model file version 5; this "
-                                                "version reads 7: retrain it"):
+                                                "version reads 8: retrain it"):
             Surrogate.load(path)
 
     def test_version_6_file_refused(self, tmp_path):
@@ -460,7 +463,22 @@ class TestPersistence:
         blobio.write_model_file(path, dict(manifest, version=6, dims=dict(
             manifest["dims"], months=60)), arrays)
         with pytest.raises(ContractError, match="model file version 6; this version "
-                                                "reads 7: retrain it with train"):
+                                                "reads 8: retrain it with train"):
+            Surrogate.load(path)
+
+    def test_version_7_file_refused(self, tmp_path):
+        # a version-7 model read five more input fields, so its first
+        # temporal, static and type weights are wider
+        from phase_surrogate import blobio
+        path = str(tmp_path / "old.phm")
+        with_guard(make("full")).save(path)
+        manifest, arrays = blobio.read_model_file(path)
+        for name, extra in (("temporal.w_x", 2), ("static.w1", 2), ("pft.w1", 5)):
+            arrays[name] = np.concatenate(
+                [arrays[name], np.zeros((extra,) + arrays[name].shape[1:])])
+        blobio.write_model_file(path, dict(manifest, version=7), arrays)
+        with pytest.raises(ContractError, match="model file version 7; this version "
+                                                "reads 8: retrain it with train"):
             Surrogate.load(path)
 
     @pytest.mark.parametrize("variant", model_mod.VARIANTS)

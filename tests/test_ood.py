@@ -67,7 +67,7 @@ class TestCheck:
 
     def test_blown_feature_is_named(self, toy_model, toy_dataset):
         groups = train_groups(toy_dataset)
-        groups["g2"][0, 3] = 10.0
+        groups["g2"][0, pipeline.G2_FIELDS.index("alpha")] = 10.0
         flags, _, reasons = check(toy_model, groups)
         assert flags[0]
         assert "g2.alpha" in reasons[0]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from conftest import WIDTH
 from phase_surrogate import blobio
 from phase_surrogate import pipeline as pl
 from phase_surrogate import simulator as sim
@@ -38,11 +39,11 @@ def kdtree_nearest(model, forcing):
 
 def make_samples(n, seed, n_pft=5, n_layers=9):
     rng = np.random.default_rng(seed)
-    groups = {"g1": rng.uniform(0, 1, size=(n, 12, 5)),
-              "g2": rng.uniform(0, 1, size=(n, 8)),
-              "g3": rng.uniform(0, 1, size=(n, n_pft, 3)),
-              "g4": rng.uniform(0, 1, size=(n, n_pft, 5)),
-              "g5": rng.uniform(0, 1, size=(n, n_layers, 3))}
+    groups = {"g1": rng.uniform(0, 1, size=(n, 12, WIDTH["g1"])),
+              "g2": rng.uniform(0, 1, size=(n, WIDTH["g2"])),
+              "g3": rng.uniform(0, 1, size=(n, n_pft, WIDTH["g3"])),
+              "g4": rng.uniform(0, 1, size=(n, n_pft, WIDTH["g4"])),
+              "g5": rng.uniform(0, 1, size=(n, n_layers, WIDTH["g5"]))}
     targets = {t: rng.uniform(1.0, 5.0, size=(n, n_pft)) for t in ("deadcrootc", "deadstemc", "tlai")}
     targets.update({t: rng.uniform(1.0, 5.0, size=(n, n_layers)) for t in ("cwdc", "soil3c", "soil4c")})
     targets.update({t: rng.uniform(0.5, 2.0, size=n) for t in ("gpp", "ar", "npp")})
@@ -318,8 +319,9 @@ class TestBuildDataset:
         # cell ids are row indices in make_samples
         g2 = samples.groups["g2"][np.sort(ds.train.cell_id)]
         lo, hi = ds.feature_stats["g2.alpha"]
-        assert lo == pytest.approx(g2[:, 3].min())
-        assert hi == pytest.approx(g2[:, 3].max())
+        alpha = g2[:, pl.G2_FIELDS.index("alpha")]
+        assert lo == pytest.approx(alpha.min())
+        assert hi == pytest.approx(alpha.max())
 
     def test_flux_targets_take_their_own_scale(self, built):
         # like every target, each flux spans its own training range
@@ -445,7 +447,7 @@ class TestLoadRefusesMalformed:
                                                 r"\(rows=12, n_layers=9\)"):
             pl.load_dataset(str(damaged))
 
-    @pytest.mark.parametrize("name,cut", [("g1", np.s_[..., :4]),
+    @pytest.mark.parametrize("name,cut", [("g1", np.s_[..., :-1]),
                                           ("g3", np.s_[:, :-1]),
                                           ("cell_id", np.s_[:-1])])
     def test_column_of_wrong_shape(self, damaged, name, cut):
@@ -505,7 +507,22 @@ class TestLoadRefusesMalformed:
             header, cols = blobio.read_model_file(split)
             cols["g1"] = np.tile(cols["g1"], (1, 5, 1))
             blobio.write_model_file(split, header, cols)
-        with pytest.raises(ContractError, match="version 5 dataset, not version 6; "
+        with pytest.raises(ContractError, match="version 5 dataset, not version 7; "
+                                                "rebuild it with build-dataset"):
+            pl.load_dataset(str(damaged))
+
+    def test_version_six_manifest(self, damaged):
+        # version 6 held five more input fields, two of them forcing
+        path = str(damaged / "manifest.json")
+        blobio.save_json(path, dict(blobio.load_json(path), version=6))
+        for name in ("train", "test"):
+            split = str(damaged / f"{name}.pht")
+            header, cols = blobio.read_model_file(split)
+            cols["g1"] = np.concatenate([cols["g1"], cols["g1"][..., :2]], axis=-1)
+            cols["g2"] = np.concatenate([cols["g2"], cols["g2"][:, :2]], axis=-1)
+            cols["g3"] = np.concatenate([cols["g3"], cols["g3"][..., :1]], axis=-1)
+            blobio.write_model_file(split, header, cols)
+        with pytest.raises(ContractError, match="version 6 dataset, not version 7; "
                                                 "rebuild it with build-dataset"):
             pl.load_dataset(str(damaged))
 
@@ -521,9 +538,10 @@ class TestLoadRefusesMalformed:
         blobio.write_model_file(path, manifest, cols)
         assert pl.load_dataset(str(damaged), splits=("test",)).test.groups[
             "g3"].shape[1] == 4
-        with pytest.raises(ContractError, match=r"test.pht: array 'g3' has "
-                                                r"shape \(12, 4, 3\), should be "
-                                                r"\(rows=12, n_pft=5, 3\)"):
+        width = len(pl.G3_FIELDS)
+        with pytest.raises(ContractError, match=rf"test.pht: array 'g3' has "
+                                                rf"shape \(12, 4, {width}\), should be "
+                                                rf"\(rows=12, n_pft=5, {width}\)"):
             pl.load_dataset(str(damaged))
 
     @pytest.mark.parametrize("key", ["feature_stats", "target_stats"])

@@ -226,7 +226,7 @@ class TestWorldGeneration:
         # the smallest grid keeps round(LAND_FRACTION * 4) land cells
         assert w.n_cells == 2
         series = w.forcing_monthly
-        assert series.shape == (w.n_cells, 24, 5)
+        assert series.shape == (w.n_cells, 24, len(pl.G1_FIELDS))
         for i, name in enumerate(pl.G1_FIELDS):
             lo, hi = sim.FORCING_BOUNDS[name]
             assert series[..., i].min() >= lo and series[..., i].max() <= hi, name
@@ -325,9 +325,8 @@ def assert_rounding_close(got, want, axis=None):
 
 
 def assert_forcing_matches(got, want):
-    """Forcing [..., 5]: pressure, humidity and temperature bitwise,
-    radiation and precipitation within rounding of each field's largest
-    value."""
+    """Forcing [..., 3]: temperature bitwise, radiation and precipitation
+    within rounding of each field's largest value."""
     assert bitwise_equal(got[..., STATIC], want[..., STATIC])
     assert_rounding_close(got[..., RAMPED], want[..., RAMPED],
                           axis=tuple(range(want.ndim - 1)))
@@ -342,17 +341,17 @@ def month_mean_sd(rho, steps):
 
 class StepClimate:
     """The forcing points' 6-hourly climatology built the direct way, one
-    point at a time, every field time-major [1440, P, 5]; :meth:`base`
+    point at a time, every field time-major [1440, P, 3]; :meth:`base`
     scales radiation and precipitation by the month's trend ramp.  The
     simulator's monthly means must equal means of these rows: bitwise for
-    pressure, humidity and temperature, within rounding for the other two."""
+    temperature, within rounding for the other two."""
 
     def __init__(self, points):
         t = np.arange(12 * sim.STEPS_PER_MONTH, dtype=np.float64)
         frac = t / sim.STEPS_PER_YEAR
         step_in_day = t % sim.STEPS_PER_DAY
         diurnal = 4.0 * np.cos(2.0 * np.pi * (step_in_day / sim.STEPS_PER_DAY) - np.pi)
-        self.season = np.empty((t.shape[0], points.n, 5))
+        self.season = np.empty((t.shape[0], points.n, 3))
         self.sun = np.empty(points.n)
         self.itcz = np.empty(points.n)
         for j, lat in enumerate(points.lat.tolist()):
@@ -363,16 +362,13 @@ class StepClimate:
             out = self.season[:, j]
             out[:, 0] = 1.0 + 0.42 * np.cos(2.0 * np.pi * (frac - 0.5 - phase))
             out[:, 1] = 1.0 + 0.45 * np.cos(2.0 * np.pi * (frac - 0.18 - phase))
-            out[:, 2] = 96500.0 + 4500.0 * math.cos(math.radians(lat)) ** 2 \
-                + 300.0 * np.cos(2.0 * np.pi * (frac - phase))
-            out[:, 3] = 0.002 + 0.023 * np.exp(-(((temperature - 302.0) / 35.0) ** 2))
-            out[:, 4] = temperature
+            out[:, 2] = temperature
             self.sun[j] = max(0.22, math.cos(math.radians(lat)))
             self.itcz[j] = 1.2 + 7.5 * math.exp(-(((abs(lat) - 12.0) / 26.0) ** 2))
         self.points = points
 
     def base(self, month, ramp):
-        """The 6-hourly rows [120, P, 5] of calendar month 0-11 under the
+        """The 6-hourly rows [120, P, 3] of calendar month 0-11 under the
         trend ramp ``ramp`` [120, 1]."""
         steps = slice(month * sim.STEPS_PER_MONTH, (month + 1) * sim.STEPS_PER_MONTH)
         out = self.season[steps].copy()
@@ -382,7 +378,7 @@ class StepClimate:
         return out
 
     def window_month(self, m):
-        """Month ``m`` of the window at every point, [P, 5]: the mean of
+        """Month ``m`` of the window at every point, [P, 3]: the mean of
         its 6-hourly rows under that month's trend ramp."""
         start = (m // 12) * sim.STEPS_PER_YEAR + (m % 12) * sim.STEPS_PER_MONTH
         t = np.arange(start, start + sim.STEPS_PER_MONTH, dtype=np.float64)
@@ -390,20 +386,33 @@ class StepClimate:
         return step_mean(self.base(m % 12, ramp[:, None]))
 
     def stationary(self, ramp_value):
-        """The twelve months at every point, [P, 12, 5], under a constant
+        """The twelve months at every point, [P, 12, 3], under a constant
         trend ramp."""
         ramp = np.full((sim.STEPS_PER_MONTH, 1), float(ramp_value))
         return np.stack([step_mean(self.base(m, ramp)) for m in range(12)], axis=1)
 
 
+# A cell draws its offset and each month's noise for these five fields,
+# and keeps those of pipeline.G1_FIELDS.
+DRAWN_FIELDS = ("radiation", "precipitation", "pressure", "humidity", "temperature")
+KEPT = [DRAWN_FIELDS.index(name) for name in pl.G1_FIELDS]
+
+
+def reference_offset(seed, grid, flat):
+    """One cell's forcing offset [3]: five normals from its own stream, of
+    which the kept fields are scaled."""
+    rng = np.random.default_rng([seed, sim._SEED_NOISE, int(flat), 0])
+    return rng.standard_normal(len(DRAWN_FIELDS))[KEPT] * sim._OFFSET_SD * grid.spread_scale
+
+
 def reference_forcing(seed, grid, flat, point_months, offset):
-    """One cell's monthly forcing [months, 5] built the direct way: its
-    whole noise stream in one draw, and month by month its point's mean
-    climatology (``point_months`` [months, 5]) plus its offset and its
-    noise, clipped field by field."""
+    """One cell's monthly forcing [months, 3] built the direct way: its
+    whole noise stream in one draw of five fields a month, and month by
+    month its point's mean climatology (``point_months`` [months, 3]) plus
+    its offset and the kept fields' noise, clipped field by field."""
     rng = np.random.default_rng([seed, sim._SEED_NOISE, int(flat), 1])
-    sd = sim._NOISE_SD * grid.spread_scale * sim._MONTH_MEAN_SD
-    noise = rng.standard_normal(point_months.shape) * sd
+    drawn = rng.standard_normal((point_months.shape[0], len(DRAWN_FIELDS)))
+    noise = drawn[:, KEPT] * (sim._NOISE_SD * grid.spread_scale * sim._MONTH_MEAN_SD)
     return clip_fields(point_months + offset + noise)
 
 
@@ -430,12 +439,13 @@ def reference_points(seed, grid):
 
 def reference_cell_params(seed, grid, land_idx, cell_lat, n_pft, n_layers):
     """Every cell's parameters drawn and normalized one cell, and one
-    scalar parameter, at a time."""
+    scalar parameter, at a time.  The fourth and fifth scalars and the
+    second trait are drawn as the generator draws them, and not kept."""
     n = land_idx.shape[0]
     s = grid.spread_scale
     scalars = np.empty((n, 6))
     nutrient = np.ones(n)
-    pft_weight, sla, crootfrac = (np.empty((n, n_pft)) for _ in range(3))
+    pft_weight, sla = np.empty((n, n_pft)), np.empty((n, n_pft))
     alloc = np.empty((n, n_pft, 5))
     deposit = np.empty((n, 3, n_layers))
     layers = np.arange(n_layers, dtype=np.float64)
@@ -452,16 +462,16 @@ def reference_cell_params(seed, grid, land_idx, cell_lat, n_pft, n_layers):
         pft_weight[c] = w / w.sum()
         sla[c] = sim._PFT_BASE_SLA[:n_pft] * spread_uniform_scalar(
             rng, 0.85, 1.15, s, 0.6, 1.6, size=n_pft)
-        crootfrac[c] = spread_uniform_scalar(rng, 0.1, 0.6, s, 0.02, 0.9, size=n_pft)
+        spread_uniform_scalar(rng, 0.1, 0.6, s, 0.02, 0.9, size=n_pft)
         a = sim._PFT_BASE_ALLOC[:n_pft] * rng.gamma(25.0, size=(n_pft, 5))
         alloc[c] = a / a.sum(axis=1, keepdims=True)
         group = rng.gamma(5.0, size=3)
         z0 = spread_uniform_scalar(rng, 3.0, 5.0, s, 2.5, 6.0, size=3)
         prof = group[:, None] * np.exp(-layers[None, :] / z0[:, None])
         deposit[c] = prof / prof.sum()
-    alpha, resp_frac, decomp, texture, land_frac, _ = scalars.T.copy()
-    return sim.CellParams(alpha, resp_frac, nutrient, decomp, texture, land_frac,
-                          pft_weight, sla, crootfrac, alloc, deposit)
+    alpha, resp_frac, decomp = scalars[:, :3].T.copy()
+    return sim.CellParams(alpha, resp_frac, nutrient, decomp, pft_weight, sla,
+                          alloc, deposit)
 
 
 class TestForcingSynthesis:
@@ -485,7 +495,7 @@ class TestForcingSynthesis:
 
     def test_window_bitwise_equals_per_cell_reference(self, parts):
         land_idx, cell_point, points, offsets, full = parts
-        assert full.shape == (land_idx.shape[0], 12 * self.YEARS, 5)
+        assert full.shape == (land_idx.shape[0], 12 * self.YEARS, 3)
         assert len(set(cell_point.tolist())) > 1
         ref = StepClimate(points)
         point_months = np.stack([ref.window_month(m) for m in range(12 * self.YEARS)],
@@ -494,6 +504,7 @@ class TestForcingSynthesis:
         assert bitwise_equal(got[..., STATIC], point_months[..., STATIC])
         assert np.allclose(got[..., RAMPED], point_months[..., RAMPED], rtol=ROUNDING, atol=0)
         for c, flat in enumerate(land_idx):
+            assert bitwise_equal(offsets[c], reference_offset(self.SEED, self.GRID, flat))
             want = reference_forcing(self.SEED, self.GRID, flat,
                                      point_months[cell_point[c]], offsets[c])
             assert_forcing_matches(full[c], want)
@@ -516,7 +527,7 @@ class TestForcingSynthesis:
         points = reference_points(seed, grid)
         params = reference_cell_params(seed, grid, world.land_idx, world.cell_lat,
                                        sim.N_PFT, sim.N_LAYERS)
-        offsets = sim._cell_offsets(seed, world.land_idx, grid.spread_scale)
+        offsets = np.stack([reference_offset(seed, grid, flat) for flat in world.land_idx])
         ref = StepClimate(points)
         point_months = np.stack([ref.window_month(m) for m in range(12 * years)], axis=1)
         forcing = np.stack([reference_forcing(seed, grid, flat, point_months[point], offset)
@@ -538,12 +549,14 @@ class TestForcingSynthesis:
         for key in sim.POOL_KEYS:
             assert_rounding_close(getattr(world.window_end, key), getattr(window_end, key))
 
-    @pytest.mark.parametrize("shape", [(7, 11, 5), (3, 5)])
+    @pytest.mark.parametrize("shape", [(7, 11, 3), (4, 3)])
     def test_one_clip_equals_per_field_clips(self, shape):
         lo, hi = np.array([sim.FORCING_BOUNDS[f] for f in pl.G1_FIELDS]).T
         x = lo + (hi - lo) * np.random.default_rng(0).uniform(-0.5, 1.5, shape)
         ref = clip_fields(x)
-        assert (ref != x).any()
+        # every field is clipped somewhere, and kept somewhere
+        changed = (ref != x).reshape(-1, len(pl.G1_FIELDS))
+        assert changed.any(axis=0).all() and not changed.all(axis=0).any()
         assert np.array_equal(sim._clip_bounds(x), ref)
 
     def test_stationary_is_clipped_point_climatology(self, parts):
@@ -560,7 +573,7 @@ class TestForcingSynthesis:
         # past the trend ramp, a month without noise is the target climate
         land_idx, cell_point, points, offsets, _ = parts
         years = int(sim.TREND_RAMP_YEARS) + 2
-        monkeypatch.setattr(sim, "_NOISE_SD", np.zeros(5))
+        monkeypatch.setattr(sim, "_NOISE_SD", np.zeros(len(pl.G1_FIELDS)))
         point_window, _, point_stat = sim._point_climatologies(points, years)
         window = sim._window_monthly_forcing(self.SEED, self.GRID, land_idx,
                                              cell_point, point_window, offsets)
@@ -572,7 +585,7 @@ class TestForcingSynthesis:
 
     def test_monthly_noise_keeps_the_ar1_monthly_sd(self, world):
         # the stationary years are the target climate plus independent
-        # monthly noise; the clip never touches pressure or temperature
+        # monthly noise; the clip touches none of their months
         offsets = sim._cell_offsets(world.seed, world.land_idx, world.grid.spread_scale)
         stat = sim._point_climatologies(world.points, 1)[2][world.cell_point]
         stat = sim._clip_bounds(stat + offsets[:, None])
@@ -582,7 +595,9 @@ class TestForcingSynthesis:
         f = month_mean_sd(sim.AR1_RHO, sim.STEPS_PER_MONTH)
         assert f == pytest.approx(0.2687, abs=1e-4)
         assert sim._MONTH_MEAN_SD == pytest.approx(f, rel=1e-12)
-        for i in (pl.G1_FIELDS.index("pressure"), pl.G1_FIELDS.index("temperature")):
+        window = world.forcing_monthly[:, ramp_end:]
+        assert not ((window == sim._FORCING_LO) | (window == sim._FORCING_HI)).any()
+        for i in range(len(pl.G1_FIELDS)):
             r = residual[..., i]
             want = sim._NOISE_SD[i] * world.grid.spread_scale * f
             assert r.std() == pytest.approx(want, rel=0.05), i
@@ -605,7 +620,7 @@ class TestBatchedDraws:
         for field in dataclasses.fields(sim.CellParams):
             assert bitwise_equal(getattr(got, field.name), getattr(want, field.name)), field.name
         # only the fine grid's wider spread carries draws past their clips
-        clipped = np.isin(got.texture, (0.0, 1.0)).any() or (got.decomp == 1.095).any()
+        clipped = (got.decomp == 1.095).any()
         assert clipped == (grid.spread_scale > 1.0)
 
     @pytest.mark.parametrize("name", ["coarse", "fine"])
@@ -898,11 +913,12 @@ class TestExportSamples:
         s = sim.export_samples(world)
         n = world.n_cells
         assert s.n == n
-        assert s.groups["g1"].shape == (n, 12, 5)
-        assert s.groups["g2"].shape == (n, 8)
-        assert s.groups["g3"].shape == (n, world.n_pft, 3)
-        assert s.groups["g4"].shape == (n, world.n_pft, 5)
-        assert s.groups["g5"].shape == (n, world.n_layers, 3)
+        width = {g: len(pl.GROUP_FIELDS[g]) for g in pl.GROUPS}
+        assert s.groups["g1"].shape == (n, 12, width["g1"])
+        assert s.groups["g2"].shape == (n, width["g2"])
+        assert s.groups["g3"].shape == (n, world.n_pft, width["g3"])
+        assert s.groups["g4"].shape == (n, world.n_pft, width["g4"])
+        assert s.groups["g5"].shape == (n, world.n_layers, width["g5"])
         assert s.groups["prior"].shape == (n, len(pl.PRIOR_GROUPS))
         assert s.lat.shape == s.lon.shape == (n,)
         for t in pl.TASKS:
@@ -966,14 +982,14 @@ class TestExportSamples:
         assert sim.TREND_RAMP_YEARS + sim.STATIONARY_YEARS == 20
         six = sim.generate_world(3, sim.GridSpec(4, 6, 1.0), years=6)
         g1 = sim.export_samples(six).groups["g1"]
-        want = six.forcing_monthly[:, -60:].reshape(six.n_cells, 5, 12, 5).mean(axis=1)
-        assert g1.shape == (six.n_cells, 12, 5) and g1.dtype == np.float64
+        want = six.forcing_monthly[:, -60:].reshape(six.n_cells, 5, 12, -1).mean(axis=1)
+        assert g1.shape == (six.n_cells, 12, len(pl.G1_FIELDS)) and g1.dtype == np.float64
         assert bitwise_equal(g1, want)
 
     def test_default_window_of_a_short_world_is_its_span(self):
         two = sim.generate_world(3, sim.GridSpec(4, 6, 1.0), years=2)
         g1 = sim.export_samples(two).groups["g1"]
-        assert bitwise_equal(g1, two.forcing_monthly.reshape(two.n_cells, 2, 12, 5).mean(axis=1))
+        assert bitwise_equal(g1, two.forcing_monthly.reshape(two.n_cells, 2, 12, -1).mean(axis=1))
 
     def test_one_year_world_gives_its_own_year(self):
         one = sim.generate_world(3, sim.GridSpec(4, 6, 1.0), years=1)
@@ -981,14 +997,14 @@ class TestExportSamples:
 
     def test_shorter_window_takes_recent_years(self, world):
         g1 = sim.export_samples(world).groups["g1"]
-        want = world.forcing_monthly[:, -60:].reshape(world.n_cells, 5, 12, 5).mean(axis=1)
+        want = world.forcing_monthly[:, -60:].reshape(world.n_cells, 5, 12, -1).mean(axis=1)
         assert bitwise_equal(g1, want)
 
     def test_year_order_does_not_matter(self, world):
         # up to the rounding of the sum's order
-        years = world.forcing_monthly[:, -60:].reshape(world.n_cells, 5, 12, 5)
+        years = world.forcing_monthly[:, -60:].reshape(world.n_cells, 5, 12, -1)
         forcing = world.forcing_monthly.copy()
-        forcing[:, -60:] = years[:, [3, 0, 4, 2, 1]].reshape(world.n_cells, 60, 5)
+        forcing[:, -60:] = years[:, [3, 0, 4, 2, 1]].reshape(world.n_cells, 60, -1)
         shuffled = dataclasses.replace(world, forcing_monthly=forcing)
         np.testing.assert_allclose(sim.export_samples(shuffled).groups["g1"],
                                    sim.export_samples(world).groups["g1"],
@@ -1100,15 +1116,17 @@ class TestPersistence:
         for name in want.targets:
             assert np.array_equal(got.targets[name], want.targets[name]), name
 
-    def test_manifest_is_version_four(self, world, tmp_path):
+    def test_manifest_is_version_five(self, world, tmp_path):
         # the dims are the arrays'; the manifest keeps what they cannot give
         path = str(tmp_path / "world.phw")
         sim.save_world(world, path)
         manifest, arrays = blobio.read_model_file(path)
-        assert manifest["version"] == 4
+        assert manifest["version"] == 5
         assert sorted(manifest) == ["format", "grid", "params", "seed",
                                     "turnover", "version", "years"]
         assert manifest["grid"] == {"n_lat": 8, "n_lon": 8, "resolution_deg": 1.0}
+        assert manifest["turnover"] == {"k_fast": sim.K_FAST, "k_wood": sim.K_WOOD,
+                                        "k_slow": sim.K_SLOW}
         assert sorted(arrays) == sorted(sim.WORLD_LAYOUT)
         assert {"observed.g4", "observed.g5"} <= set(arrays)
         assert not any(name.startswith(("eq", "gbar_pre")) for name in arrays)
@@ -1146,8 +1164,9 @@ class TestPersistence:
 
     def test_older_versions_refused(self, world, tmp_path):
         # versions 1 and 2 held no observed state; version 1 also stored
-        # the equilibria and the pre-window intermediates, and version 3 two
-        # per-cell columns nothing read
+        # the equilibria and the pre-window intermediates, version 3 two
+        # per-cell columns nothing read, and version 4 five forcing fields
+        # and five parameters beside the kept ones
         path = str(tmp_path / "world.phw")
         sim.save_world(world, path)
         manifest, arrays = blobio.read_model_file(path)
@@ -1160,9 +1179,15 @@ class TestPersistence:
                                                (world.n_cells, 1)),
                     "params.deepest_valid_layer": np.full(world.n_cells,
                                                           float(world.n_layers))}
+        five = np.zeros(arrays["forcing_monthly"].shape[:2] + (len(DRAWN_FIELDS),))
+        five[..., KEPT] = arrays["forcing_monthly"]
+        unread = {"forcing_monthly": five,
+                  **{f"params.{name}": arrays["params.alpha"]
+                     for name in ("texture", "land_frac")},
+                  "params.crootfrac": arrays["params.sla"]}
         old = str(tmp_path / "old.phw")
         for version, stored in ((1, {**old_arrays, **extra}), (2, old_arrays),
-                                (3, {**arrays, **validity})):
+                                (3, {**arrays, **validity}), (4, {**arrays, **unread})):
             blobio.write_model_file(old, dict(manifest, version=version,
                                               params=sorted(stored)), stored)
             with pytest.raises(ContractError, match=rf"version {version}; .*rerun gen-data"):
